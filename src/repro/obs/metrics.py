@@ -432,6 +432,12 @@ INSTRUMENTS: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
         "Stability-operator applications in alternating fixpoints.",
         None,
     ),
+    "repro_wf_propagations_total": (
+        "counter",
+        "Counter updates, over-deletions and rederivation checks in "
+        "well-founded evaluation (linear in the ground program).",
+        None,
+    ),
     "repro_wf_layer_updates_total": (
         "counter",
         "Live alternation-layer maintenance updates (wellfounded views).",

@@ -40,9 +40,9 @@ def _run_engine(semantics: str, program: Program, db: Database) -> Any:
 
         return seminaive_least_fixpoint(program, db)
     if semantics == "wellfounded":
-        from ..core.semantics.wellfounded import well_founded_semantics
+        from .wellfounded import sharded_well_founded
 
-        return well_founded_semantics(program, db)
+        return sharded_well_founded(program, db)
     raise ParallelError("unknown parallel semantics %r" % semantics)
 
 
@@ -178,10 +178,10 @@ def parallel_well_founded(program: Program, db: Database, nshards: int):
     """Well-founded model across ``nshards`` sharded worker processes."""
     if nshards < 1:
         raise ValueError("nshards must be >= 1")
-    if not fork_available():
-        return _run_engine("wellfounded", program, db)
+    from ..core.semantics.wellfounded import WellFoundedResult, well_founded_semantics
 
-    from ..core.semantics.wellfounded import WellFoundedResult
+    if not fork_available():
+        return well_founded_semantics(program, db)
 
     res, table = _dispatch("wellfounded", program, db, nshards)
     return WellFoundedResult(

@@ -63,9 +63,6 @@ class ShardContext:
         self.table: Optional[SymbolTable] = None
         self.columns: Dict[str, Tuple[int, ...]] = {}
         self._exchange: Optional[Callable[[str, Any], Any]] = None
-        #: Per-activation memo space for engine-side caches (e.g. the
-        #: well-founded ground-rule slice); cleared on deactivate.
-        self.scratch: Dict[str, Any] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -93,7 +90,6 @@ class ShardContext:
         self.table = None
         self.columns = {}
         self._exchange = None
-        self.scratch = {}
 
     # -- partitioning ------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from hypothesis import given
 
-from repro import Database, Relation
+from repro import Database, Relation, parse_program
 from repro.core.semantics import (
     is_stratifiable,
     stratified_semantics,
@@ -147,3 +147,123 @@ def test_total_wfm_is_a_fixpoint_of_theta(program, db):
     wf = well_founded_semantics(program, db, ground=gp)
     if wf.is_total:
         assert gp.is_fixpoint(set(wf.true))
+
+
+# ----------------------------------------------------------------------
+# The resuming engine against the alternation as defined
+# ----------------------------------------------------------------------
+
+
+def _restart_alternation(gp):
+    """The alternating fixpoint by the book: every application of ``A``
+    restarts from the empty set and sweeps all ground rules with
+    :meth:`GroundRule.fires`.  Returns ``(true, undefined, rounds)``."""
+
+    def stability(reference):
+        model = set()
+        while True:
+            new = {r.head for r in gp.rules if r.fires(model, reference)} - model
+            if not new:
+                return model
+            model |= new
+
+    true, rounds = set(), 0
+    while True:
+        rounds += 1
+        possible = stability(true)
+        next_true = stability(possible)
+        if next_true == true:
+            return true, possible - true, rounds
+        true = next_true
+
+
+def _assert_matches_restart(program, db):
+    from repro.core.grounding import ground_program
+
+    gp = ground_program(program, db)
+    wf = well_founded_semantics(program, db, ground=gp)
+    true, undefined, rounds = _restart_alternation(gp)
+    assert set(wf.true) == true
+    assert set(wf.undefined) == undefined
+    assert wf.rounds == rounds
+    return wf
+
+
+@given(nonstratifiable_programs(), small_databases())
+def test_resumed_alternation_equals_restart_from_empty(program, db):
+    """Both partitions *and* the round count: resuming each side from its
+    previous value must walk exactly the sequence restarting walks."""
+    _assert_matches_restart(program, db)
+
+
+_NO_S = Database({1}, [Relation("S", 0, set())])
+
+
+def test_possible_side_drops_an_unfounded_positive_loop():
+    """``P <-> Q`` is founded only through ``P :- !R``.  After ``A({})``
+    both are possible; ``R`` then becomes true and that rule dies.  Each
+    of ``P``, ``Q`` still heads a rule that *had fired* (on the other),
+    so only an over-delete that follows fired rules, with a rederive
+    that finds no surviving support, removes the loop.  A wrong
+    rederive leaves ``P`` and ``Q`` undefined."""
+    program = parse_program("P() :- Q(). Q() :- P(). P() :- !R(). R() :- !S().")
+    wf = _assert_matches_restart(program, _NO_S)
+    assert wf.true == {("R", ())}
+    assert wf.is_total
+    assert wf.rounds == 2
+
+
+def test_possible_side_keeps_a_head_until_its_last_support_dies():
+    """``H`` has two supports and loses one per round: ``A1`` is true at
+    once and kills ``H :- !A1`` (``H`` is over-deleted and must be
+    *rederived* from ``H :- !A2``); ``A2`` needs ``B`` to leave
+    ``possible`` first, becomes true a round later, and only then does
+    ``H`` go.  ``G :- !H`` makes the round ``H`` leaves observable: it
+    turns true one round after, so dropping ``H`` early shortens the
+    alternation."""
+    program = parse_program(
+        "H() :- !A1(). H() :- !A2(). A1() :- !S(). A2() :- !B(). B() :- !A1(). "
+        "G() :- !H()."
+    )
+    wf = _assert_matches_restart(program, _NO_S)
+    assert wf.true == {("A1", ()), ("A2", ()), ("G", ())}
+    assert wf.is_total
+    assert wf.rounds == 4
+
+
+def test_positive_loop_with_outside_support_stays_possible():
+    """The mirror image: the loop keeps a founding rule (``P :- !U`` with
+    ``U`` undefined), so it must survive the over-delete triggered by
+    ``R`` becoming true."""
+    program = parse_program(
+        "P() :- Q(). Q() :- P(). P() :- !R(). R() :- !S(). "
+        "P() :- !U(). U() :- !V(). V() :- !U()."
+    )
+    wf = _assert_matches_restart(program, _NO_S)
+    assert wf.true == {("R", ())}
+    assert wf.undefined == {("P", ()), ("Q", ()), ("U", ()), ("V", ())}
+
+
+def test_propagation_work_is_linear_on_deep_alternations():
+    """Win-move on ``L_n`` alternates n/2 times over n-1 ground rules.
+    The engine's own work counter (counter updates + over-deletions +
+    rederivation checks) must stay within one fixed multiple of the
+    ground program's size at every n — restarting each round would grow
+    it with n squared.  No wall-clock involved."""
+    from repro.core.grounding import ground_program
+    from repro.obs import MetricsRegistry, disable_metrics, enable_metrics
+
+    program = win_move_program()
+    for n in (500, 1000, 2000, 4000):
+        db = graph_to_database(gg.path(n))
+        gp = ground_program(program, db)
+        size = len(gp) + sum(len(r.pos) + len(r.neg) for r in gp.rules)
+        registry = MetricsRegistry()
+        enable_metrics(registry)
+        try:
+            result = well_founded_semantics(program, db, ground=gp)
+        finally:
+            disable_metrics()
+        assert result.rounds == n // 2 + 1
+        work = registry.counter("repro_wf_propagations_total").value
+        assert 0 < work <= 2 * size, (n, work, size)

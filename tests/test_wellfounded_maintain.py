@@ -27,7 +27,7 @@ from repro.materialize import Delta, MaterializedView
 from repro.materialize.wellfounded_maint import undef_name
 from repro.queries import pi1, win_move_program
 
-from strategies import databases_and_deltas, nonstratifiable_programs
+from strategies import databases_and_deltas, nonstratifiable_programs, small_databases
 
 DEEP = settings(
     max_examples=200,
@@ -284,3 +284,50 @@ class TestMaintenanceEqualsRecompute:
         reference = well_founded_semantics(program, view.db)
         assert view.result.true == reference.true
         assert view.result.undefined == reference.undefined
+
+
+# ----------------------------------------------------------------------
+# View build: resumed layers equal layers computed from scratch
+# ----------------------------------------------------------------------
+
+
+def _assert_layers_equal_init_full(program, db):
+    """Every layer the build resumed from its same-parity neighbour has
+    the reference and the model ``init_full`` computes from the empty set."""
+    from repro.materialize.wellfounded_maint import AlternatingState, LayerState
+
+    state = AlternatingState(program, db)
+    assert len(state.layers) % 2 == 0
+    previous = set()
+    for position, layer in enumerate(state.layers):
+        scratch = LayerState(previous)
+        scratch.init_full(state.index)
+        assert layer.reference == previous, position
+        assert layer.true == scratch.true, position
+        previous = scratch.true
+    reference = well_founded_semantics(program, db)
+    assert state.rounds == reference.rounds
+    assert state.true == reference.true
+    assert state.possible - state.true == reference.undefined
+
+
+class TestBuildResumesLayers:
+    def test_path(self):
+        # 21 alternation rounds: all but two layers are resumed.
+        _assert_layers_equal_init_full(
+            win_move_program(), graph_to_database(gg.path(40))
+        )
+
+    def test_odd_cycle_with_a_tail(self):
+        # The tail 5 -> 6 -> 7 is decided (6 wins) and gives 5 no winning
+        # move, so the cycle C_5 stays undefined.
+        edges = [(i, i % 5 + 1) for i in range(1, 6)] + [(5, 6), (6, 7)]
+        db = Database(range(1, 8), [Relation("E", 2, edges)])
+        _assert_layers_equal_init_full(win_move_program(), db)
+        view = MaterializedView(win_move_program(), db, semantics="wellfounded")
+        assert view.result.true == {("WIN", (6,))}
+        assert view.result.undefined == {("WIN", (i,)) for i in range(1, 6)}
+
+    @given(program=nonstratifiable_programs(), db=small_databases())
+    def test_random_graphs(self, program, db):
+        _assert_layers_equal_init_full(program, db)
