@@ -1,27 +1,19 @@
-"""Compiled rule plans vs. the legacy per-round evaluator and dict executor.
+"""Compiled rule plans vs. the legacy per-round evaluator.
 
 Pairs of benchmarks over identical work: the ``*_compiled`` variant runs
 the engines as shipped (plans compiled once per run, set-at-a-time batch
-execution, indexes cached on relations), the ``*_legacy`` variant
+execution, indexes cached on relations) and the ``*_legacy`` variant
 iterates ``theta_legacy``, which re-plans the join order and rebuilds
-every hash index on every round — the seed behaviour — and the
-``*_dict_executor`` variants drive the *same compiled plans* through the
-PR-1 tuple-at-a-time dict executor, isolating the batch executor's win
-(anti-join negation, complement-based completion).  Every measured run
-also asserts the paths agree, so the speedup numbers are for provably
-identical results.
+every hash index on every round — the seed behaviour.  Every measured
+run also asserts the paths agree, so the speedup numbers are for
+provably identical results.
 """
 
 import pytest
 
-from repro.bench.perf import inflationary_with_executor
 from repro.core.fixpoint import idb_equal, idb_union
 from repro.core.operator import empty_idb, theta, theta_legacy
-from repro.core.planning import (
-    compile_program,
-    execute_plan,
-    execute_plan_rows_legacy,
-)
+from repro.core.planning import compile_program
 from repro.core.semantics import (
     inflationary_semantics,
     naive_least_fixpoint,
@@ -115,23 +107,10 @@ def test_inflationary_pi1_legacy(benchmark, n):
     assert result["T"]
 
 
-# ----------------------------------------------------------------------
-# Batch executor vs PR-1 dict executor on the completion-bound distance
-# program (identical plans; only the execution model differs) — driven by
-# the same ``inflationary_with_executor`` the perf experiment measures.
-# ----------------------------------------------------------------------
-
-
 @pytest.mark.parametrize("n", [8, 12])
-def test_inflationary_distance_batch(benchmark, n):
+def test_inflationary_distance_compiled(benchmark, n):
+    # The completion-bound program: complement joins replace the |A|^k
+    # enumerate-then-filter pipeline of the legacy evaluator.
     db = graph_to_database(gg.path(n))
-    expected = inflationary_with_executor(DIST, db, execute_plan_rows_legacy)
-    result = benchmark(inflationary_with_executor, DIST, db, execute_plan)
-    assert idb_equal(result, expected)
-
-
-@pytest.mark.parametrize("n", [8, 12])
-def test_inflationary_distance_dict_executor(benchmark, n):
-    db = graph_to_database(gg.path(n))
-    result = benchmark(inflationary_with_executor, DIST, db, execute_plan_rows_legacy)
-    assert result["S3"]
+    result = benchmark(inflationary_semantics, DIST, db)
+    assert idb_equal(result.idb, legacy_inflationary(DIST, db))

@@ -32,10 +32,10 @@ from pathlib import Path
 from .harness import all_experiments, experiment
 
 _TIMING_COLUMNS = frozenset(
-    {"compiled s", "batch s", "update s", "adaptive s", "p95 s", "kernel s", "parallel s"}
+    {"compiled s", "update s", "adaptive s", "p95 s", "kernel s", "parallel s"}
 )
 """Shipped-path timing columns the regression gate compares: compiled
-plan execution, batch execution, materialized-view update latency,
+plan execution, materialized-view update latency,
 adaptive re-planning + semi-join execution, the view server's p95
 request latency under load, and the columnar kernel's primitive ops."""
 
@@ -73,9 +73,8 @@ def _bench_meta() -> dict:
     """Environment facts every BENCH json carries.
 
     A committed snapshot is only comparable to a rerun on the same
-    footing — which kernel backend was live (``array`` fallback vs the
-    numpy fast path changes the columnar timings severalfold), which
-    interpreter, how many cores, which *machine*.  Recording them in the
+    footing — which kernel backend, which interpreter, how many cores,
+    which *machine*.  Recording them in the
     artifact makes a surprising gate verdict diagnosable from the file
     alone; ``check`` prints both sides' meta blocks on failure.
     """

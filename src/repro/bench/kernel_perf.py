@@ -10,9 +10,7 @@ This experiment measures exactly those four primitives head to head:
   difference over the materialised universe product for complements —
   over ordinary Python tuples of strings.
 * **kernel**: the same operations over :class:`~repro.db.kernel
-  .RelationCodes` under a shared :class:`~repro.db.kernel.SymbolTable`,
-  once per usable backend (the portable ``array('q')`` baseline and,
-  when importable, the numpy fast path the executor actually ships).
+  .RelationCodes` under a shared :class:`~repro.db.kernel.SymbolTable`.
 
 Every row cross-checks the two answers tuple-for-tuple (the ``ok``
 column), so the speedup figures can't come from computing a different
@@ -22,8 +20,8 @@ and interning cost amortises over the whole run.
 
 The ``kernel s`` column is a gated timing column: the regression check
 (``python -m repro.bench check``) compares it against the committed
-``BENCH_*.json`` baseline, so a backend-selection or kernel-algebra
-regression trips CI even before it shows up in the end-to-end tables.
+``BENCH_*.json`` baseline, so a kernel-algebra regression trips CI
+even before it shows up in the end-to-end tables.
 """
 
 from __future__ import annotations
@@ -37,9 +35,8 @@ from ..db import kernel
 from ..db.kernel import KeyMembership, RelationCodes, SymbolTable, as_codes
 from .harness import Table, register
 
-# Workload shape: R and S share their join key in column 1, over more
-# distinct keys than the bitset limit exercises trivially but few enough
-# that joins fan out (~2 matches per probe on average).
+# Workload shape: R and S share their join key in column 1, over few
+# enough distinct keys that joins fan out (~2 matches per probe on average).
 _N_R = 20_000
 _N_S = 2_000
 _N_KEYS = 1_000
@@ -136,72 +133,50 @@ def run_kernel() -> List[Table]:
     table = Table(
         title="columnar kernel primitives (|R|=%d, |S|=%d, keys=%d)"
         % (_N_R, _N_S, _N_KEYS),
-        columns=["op/backend", "rows out", "legacy s", "kernel s", "speedup", "ok"],
+        columns=["op", "rows out", "legacy s", "kernel s", "speedup", "ok"],
     )
 
-    previous = kernel.backend()
-    try:
-        for name in kernel.available_backends():
-            kernel.set_backend(name)
-            # Encode under this backend (storage format differs); the
-            # one symbol table spans both relations, as in a Database.
-            sym = SymbolTable()
-            rc = RelationCodes.encode(sym, 2, r_rows)
-            sc = RelationCodes.encode(sym, 2, s_rows)
-            csym = SymbolTable()
-            cc = RelationCodes.encode(csym, 2, compl_rows)
-            cuni = frozenset(universe)
+    # One symbol table spans both relations, as in a Database.
+    sym = SymbolTable()
+    rc = RelationCodes.encode(sym, 2, r_rows)
+    sc = RelationCodes.encode(sym, 2, s_rows)
+    csym = SymbolTable()
+    cc = RelationCodes.encode(csym, 2, compl_rows)
+    cuni = frozenset(universe)
 
-            t, (li, ri) = _best_of(lambda: kernel.join_codes(rc, sc, [(1, 1)]))
-            got = {
-                (r_rows[i], s_rows[j])
-                for i, j in zip(li.tolist(), ri.tolist())
-            }
-            _row(table, "join", name, legacy["join"], t, len(li),
-                 got == set(legacy["join"][1]))
+    t, (li, ri) = _best_of(lambda: kernel.join_codes(rc, sc, [(1, 1)]))
+    got = {(r_rows[i], s_rows[j]) for i, j in zip(li.tolist(), ri.tolist())}
+    _row(table, "join", legacy["join"], t, len(li), got == set(legacy["join"][1]))
 
-            t, codes = _best_of(lambda: kernel.antijoin_codes(rc, (1,), sc))
-            got = RelationCodes(sym, 2, codes).decode()
-            _row(table, "anti-join", name, legacy["anti-join"], t, len(got),
-                 got == frozenset(legacy["anti-join"][1]))
+    t, codes = _best_of(lambda: kernel.antijoin_codes(rc, (1,), sc))
+    got = RelationCodes(sym, 2, codes).decode()
+    _row(table, "anti-join", legacy["anti-join"], t, len(got),
+         got == frozenset(legacy["anti-join"][1]))
 
-            allowed = KeyMembership(as_codes(sc.key_codes((1,))))
-            t, codes = _best_of(
-                lambda: kernel.semijoin_filter(rc, (1,), allowed)
-            )
-            got = RelationCodes(sym, 2, codes).decode()
-            _row(table, "semi-join filter", name,
-                 legacy["semi-join filter"], t, len(got),
-                 got == frozenset(legacy["semi-join filter"][1]))
+    allowed = KeyMembership(as_codes(sc.key_codes((1,))))
+    t, codes = _best_of(lambda: kernel.semijoin_filter(rc, (1,), allowed))
+    got = RelationCodes(sym, 2, codes).decode()
+    _row(table, "semi-join filter", legacy["semi-join filter"], t, len(got),
+         got == frozenset(legacy["semi-join filter"][1]))
 
-            t, codes = _best_of(
-                lambda: kernel.complement_codes(csym, cuni, cc)
-            )
-            got = RelationCodes(csym, 2, codes).decode()
-            _row(table, "complement", name, legacy["complement"], t, len(got),
-                 got == frozenset(legacy["complement"][1]))
-    finally:
-        kernel.set_backend(previous)
+    t, codes = _best_of(lambda: kernel.complement_codes(csym, cuni, cc))
+    got = RelationCodes(csym, 2, codes).decode()
+    _row(table, "complement", legacy["complement"], t, len(got),
+         got == frozenset(legacy["complement"][1]))
 
     table.note(
         "legacy = per-tuple hash index / key set / universe-product set "
-        "over Python string tuples, measured once (backend-independent); "
-        "best of %d runs per cell; encoding is outside the timed region "
-        "(relations live in code space across fixpoint rounds)." % _REPEATS
-    )
-    table.note(
-        "the array backend is the no-dependency portability baseline "
-        "(Python loops over array('q') columns) — the engine selects "
-        "the numpy fast path whenever numpy imports; active backend "
-        "for this run: %s" % previous
+        "over Python string tuples; best of %d runs per cell; encoding is "
+        "outside the timed region (relations live in code space across "
+        "fixpoint rounds)." % _REPEATS
     )
     return [table]
 
 
-def _row(table, op, backend_name, legacy_entry, kernel_s, n_out, ok):
+def _row(table, op, legacy_entry, kernel_s, n_out, ok):
     legacy_s = legacy_entry[0]
     table.add(
-        "%s [%s]" % (op, backend_name),
+        op,
         n_out,
         legacy_s,
         kernel_s,

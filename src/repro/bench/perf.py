@@ -1,18 +1,18 @@
-"""Perf experiment: compiled batch execution vs. the older pipelines.
+"""Perf experiment: the shipped rule-execution path vs. its baselines.
 
 Registered in the same harness as E1–E9 so ``python -m repro.bench perf``
-prints three tables of wall-clock times: the shipped path (compiled
-plans, set-at-a-time batch executor) against the seed's legacy
-evaluator; against the PR-1 tuple-at-a-time dict executor — where the
-completion-bound distance program shows the complement-representation
-win; and the materialized-view scenario — single-tuple EDB update
-latency through ``MaterializedView`` against from-scratch stratified
-recomputation.  The ``ok`` columns assert what actually matters for
-correctness — all paths produce the same valuations — while the timing
-columns document the wins; speedups vary by machine, so they are
-reported, not asserted.  ``--json`` emits the same tables as data;
-``BENCH_PR3.json`` is a committed snapshot the CI regression gate
-compares against (``compiled s``, ``batch s`` and ``update s`` cells).
+prints wall-clock tables that all time ``execute_plan`` as the engines
+call it: the engines (compiled plans, row or columnar per input size)
+against the reference evaluator ``theta_legacy``; the materialized-view
+scenario — single-tuple EDB update latency through ``MaterializedView``
+against from-scratch recomputation; adaptive re-planning + semi-join
+reduction against static plans; and the well-founded engine's scaling.
+The ``ok`` columns assert what actually matters for correctness — all
+paths produce the same valuations — while the timing columns document
+the wins; speedups vary by machine, so they are reported, not asserted.
+``--json`` emits the same tables as data; the newest committed
+``BENCH_*.json`` is the snapshot the CI regression gate compares against
+(``compiled s``, ``update s`` and ``adaptive s`` cells).
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from typing import Callable, List, Tuple
 
 from ..core.fixpoint import idb_equal, idb_union
 from ..core.operator import IDBMap, as_interpretation, empty_idb, theta_legacy
-from ..core.planning import (
-    PLAN_STORE,
-    PlanStore,
-    execute_plan,
-    execute_plan_rows_legacy,
-)
+from ..core.planning import PlanStore, execute_plan
 from ..core.semantics import (
     inflationary_semantics,
     naive_least_fixpoint,
@@ -108,100 +103,6 @@ def _timed(fn: Callable[[], IDBMap]) -> Tuple[IDBMap, float]:
     return out, best
 
 
-def inflationary_with_executor(
-    program: Program, db: Database, executor
-) -> IDBMap:
-    """Inflationary iteration driving each compiled plan with ``executor``.
-
-    Used to pit the batch executor against the PR-1 dict executor on
-    *identical plans*, so the measured difference is purely the
-    execution model (set-at-a-time + complement vs. dict-at-a-time).
-    """
-    plan = PLAN_STORE.program_plan(program, db)
-    if executor is execute_plan:
-        out = _inflationary_codes(program, db, plan)
-        if out is not None:
-            return out
-    current = empty_idb(program)
-    while True:
-        interp = as_interpretation(program, db, current)
-        derived = {p: set() for p in program.idb_predicates}
-        for rule_plan in plan.plans:
-            derived[rule_plan.head_pred] |= executor(rule_plan, interp)
-        nxt = {
-            p: current[p].union(Relation(p, program.arity(p), tuples))
-            for p, tuples in derived.items()
-        }
-        if idb_equal(nxt, current):
-            return current
-        current = nxt
-
-
-def _inflationary_codes(program: Program, db: Database, plan) -> IDBMap:
-    """Codes-to-codes inflationary loop; ``None`` bails to the row loop.
-
-    The whole fixpoint stays interned: every round compares sorted
-    unique head-code vectors and feeds code-backed relations
-    (:func:`~repro.core.planning.colexec.relation_from_codes`) into the
-    next interpretation, so no tuple is decoded or re-encoded between
-    rounds.  Bails (``None``) when any plan declines the columnar path
-    or the symbol table widens mid-run — the row loop recomputes from
-    scratch with identical results.
-    """
-    from ..core.planning import colexec
-
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-    if colexec.mode() == "never":
-        return None
-    from ..core.planning.statistics import DEFAULT_STATISTICS as stats
-
-    sym = db.symbols()
-    gen = sym.generation
-    preds = tuple(program.idb_predicates)
-    empty = colexec.empty_codes_array()
-    cur_codes = {p: empty for p in preds}
-    current = empty_idb(program)
-    while True:
-        interp = as_interpretation(program, db, current)
-        derived = {}
-        for rule_plan in plan.plans:
-            out = colexec.execute_plan_codes(rule_plan, interp, stats=stats)
-            if out is None:
-                return None
-            prev = derived.get(rule_plan.head_pred)
-            derived[rule_plan.head_pred] = (
-                out[1] if prev is None else colexec.merge_codes(prev, out[1])
-            )
-        if sym.generation != gen:
-            return None
-        changed = False
-        nxt = {}
-        nxt_codes = {}
-        for p in preds:
-            prev = cur_codes[p]
-            merged = colexec.merge_codes(prev, derived.get(p, empty))
-            if merged is prev or (
-                len(merged) == len(prev) and np.array_equal(merged, prev)
-            ):
-                # Converged predicate: keep the previous relation, whose
-                # cached column views and sorted runs stay warm.
-                nxt_codes[p] = cur_codes[p]
-                nxt[p] = current[p]
-            else:
-                changed = True
-                nxt_codes[p] = merged
-                nxt[p] = colexec.relation_from_codes(
-                    p, program.arity(p), sym, merged
-                )
-        if not changed:
-            return current
-        cur_codes = nxt_codes
-        current = nxt
-
-
 def _hub_workload(n_big: int = 4000, hubs: int = 64, chain: int = 8):
     """A join-heavy instance where static IDB estimates order joins badly.
 
@@ -265,9 +166,6 @@ def _lfp_static(
 def _lfp_adaptive(program: Program, db: Database, store: PlanStore) -> IDBMap:
     """Naive least-fixpoint with per-round adaptive re-planning."""
     plan = store.adaptive_program_plan(program, db)
-    out = _lfp_adaptive_codes(program, db, plan)
-    if out is not None:
-        return out
     current = empty_idb(program)
     while True:
         interp = as_interpretation(program, db, current)
@@ -278,55 +176,6 @@ def _lfp_adaptive(program: Program, db: Database, store: PlanStore) -> IDBMap:
         }
         if idb_equal(nxt, current):
             return current
-        current = nxt
-
-
-def _lfp_adaptive_codes(program: Program, db: Database, plan) -> IDBMap:
-    """Codes-to-codes naive lfp with adaptive refresh; ``None`` bails.
-
-    Mirrors :func:`_lfp_adaptive`'s row loop through
-    :meth:`~repro.core.planning.adaptive.AdaptiveProgramPlan
-    .consequences_codes`: the round-to-round IDB state is sorted unique
-    head-code vectors, convergence is vector equality, and the refresh's
-    observed sizes come from code-backed relations (``len`` on the
-    vectors).  The same statistics flow into the store's feedback loop
-    as on the row path.
-    """
-    from ..core.planning import colexec
-
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-    if colexec.mode() == "never":
-        return None
-    sym = db.symbols()
-    gen = sym.generation
-    preds = tuple(program.idb_predicates)
-    empty = colexec.empty_codes_array()
-    cur_codes = {p: empty for p in preds}
-    current = empty_idb(program)
-    while True:
-        interp = as_interpretation(program, db, current)
-        derived = plan.consequences_codes(interp)
-        if derived is None or sym.generation != gen:
-            return None
-        changed = False
-        nxt = {}
-        for p in preds:
-            d, c = derived[p], cur_codes[p]
-            # A growing IDB fails the length check for free; the full
-            # vector compare only runs on the confirmation round.
-            if len(d) == len(c) and np.array_equal(d, c):
-                nxt[p] = current[p]
-            else:
-                changed = True
-                nxt[p] = colexec.relation_from_codes(
-                    p, program.arity(p), sym, derived[p]
-                )
-        if not changed:
-            return current
-        cur_codes = derived
         current = nxt
 
 
@@ -383,7 +232,10 @@ def adaptive_tables() -> List[Table]:
     table.note(
         "adaptive = bucketed re-planning from observed IDB sizes + semi-join "
         "reduction (store pre-warmed: steady-state execution); static = "
-        "compile-time estimates only, reduction off"
+        "compile-time estimates only, reduction off.  Since PR 13 both cells "
+        "run execute_plan per rule per round, as the engines do; up to "
+        "BENCH_PR12 the adaptive cell timed a bench-only codes-to-codes loop "
+        "no engine ran, so it read faster than anything shipped"
     )
 
     # Plan-statistics table: what the feedback loop recorded while the
@@ -447,9 +299,8 @@ def _count_obs_touchpoints(fn: Callable[[], object]) -> int:
 def observability_overhead_table() -> Table:
     """The gated claim: observability off must cost < 3% (ISSUE 8).
 
-    Every instrumented hot path either early-returns off one attribute
-    load (``RECORDER.inc`` / ``TRACER.span`` while disabled) or
-    dispatches to an un-instrumented twin off the same check, so the
+    Every instrumented hot path early-returns off one attribute load
+    (``RECORDER.inc`` / ``TRACER.span`` while disabled), so the
     disabled-path cost of a workload is bounded by (touchpoints crossed)
     x (cost of one disabled facade call).  Both factors are measured —
     the touchpoints by running the workload fully observed, the per-call
@@ -566,35 +417,6 @@ def run_perf() -> List[Table]:
         "asserts result equality only"
     )
 
-    # Batch executor vs the PR-1 dict executor on identical plans: the
-    # completion-bound distance program is where complement-based
-    # completion replaces the |A|^k enumerate-then-filter pipeline.
-    batch_table = Table(
-        "set-at-a-time batch executor vs PR-1 dict executor (same plans)",
-        ["engine/program", "batch s", "dict s", "speedup", "equal", "ok"],
-    )
-    executor_cases = [
-        ("inflationary/distance (L_8)", distance_program(), graph_to_database(gg.path(8))),
-        ("inflationary/distance (L_12)", distance_program(), graph_to_database(gg.path(12))),
-        ("inflationary/pi_1 (L_%d)" % n, pi1(), path_db),
-    ]
-    for name, program, case_db in executor_cases:
-        batch, batch_s = _timed(
-            lambda p=program, d=case_db: inflationary_with_executor(p, d, execute_plan)
-        )
-        dict_rows, dict_s = _timed(
-            lambda p=program, d=case_db: inflationary_with_executor(
-                p, d, execute_plan_rows_legacy
-            )
-        )
-        equal = idb_equal(batch, dict_rows)
-        speedup = dict_s / batch_s if batch_s > 0 else float("inf")
-        batch_table.add(name, batch_s, dict_s, "%.1fx" % speedup, equal, equal)
-    batch_table.note(
-        "both columns execute the same compiled plans; only the execution "
-        "model differs (BindingTable + anti-join/complement vs dict rows)"
-    )
-
     # The serving path: materialized-view single-tuple update latency
     # against from-scratch stratified recomputation (PR-3 subsystem),
     # the adaptive re-planning + semi-join tables (PR-4 subsystem), and
@@ -602,7 +424,7 @@ def run_perf() -> List[Table]:
     # (PR-5 subsystem, the non-stratifiable workload class) with the
     # batch engine's own scaling beside them.
     return (
-        [table, batch_table, materialize_table()]
+        [table, materialize_table()]
         + adaptive_tables()
         + [wellfounded_table(), wellfounded_scaling_table(), observability_overhead_table()]
     )

@@ -1,23 +1,22 @@
 """Rule compilation and set-at-a-time execution: plan once, batch every round.
 
-The legacy evaluator (:func:`repro.core.operator.evaluate_rule_legacy`)
-re-planned the join order and rebuilt a fresh hash index per body atom on
-*every* fixpoint round; the PR-1 planner compiled once but still executed
-tuple-at-a-time, copying one binding dict per extension and completing
-unsafe variables by enumerating ``|A|^k`` candidates and filtering.  This
-package now splits the work three ways:
+The reference evaluator (:func:`repro.core.operator.evaluate_rule_legacy`,
+the paper's Θ read off the page) re-plans the join order and rebuilds a
+hash index per body atom on *every* fixpoint round.  This package is the
+production path beside it — one batch program per rule, run one of two
+ways:
 
 * :func:`compile_rule` / :func:`compile_program` run once per
   (program, database) and produce immutable :class:`RulePlan` /
-  :class:`ProgramPlan` objects carrying *both* lowerings of the rule —
-  the dict row program and the batch program (anti-join negation,
-  complement-scheduled completion, hoisted sorted universe);
-* :mod:`~repro.core.planning.batch` executes the batch program over a
-  :class:`BindingTable` (fixed variable schema + tuple rows): index-backed
-  batch joins, negation as **anti-join**, and completion through negated
-  atoms as a join against a lazily-materialised **complement relation**
-  (:meth:`repro.db.relation.Relation.complement_on`) instead of
-  enumerate-then-filter;
+  :class:`ProgramPlan` objects: join order, batch ops (anti-join
+  negation, complement-scheduled completion), hoisted sorted universe;
+* :func:`execute_plan` derives a plan's head tuples, choosing from the
+  input size between the columnar interpreter
+  (:mod:`~repro.core.planning.colexec`: int64 id vectors under the
+  interpretation's symbol table) and the row interpreter
+  (:func:`solve_plan_table` over a :class:`BindingTable`, which is also
+  what the grounder and the counting views call for the satisfying
+  rows);
 * :class:`PlanStore` / :data:`PLAN_STORE` cache compiled plans under
   (program, db) keys so all engines — and the grounder feeding the
   well-founded/SAT pipelines — share one compilation per input instead
@@ -25,7 +24,7 @@ package now splits the work three ways:
 
 Two adaptive layers close the loop between execution and planning:
 
-* :mod:`~repro.core.planning.statistics` — the batch executor records
+* :mod:`~repro.core.planning.statistics` — both interpreters record
   observed relation cardinalities and join selectivities into the
   :class:`Statistics` carried by the store; the compiler consults them
   (and accepts exact observed IDB sizes) instead of the static
@@ -40,26 +39,18 @@ and each plan carries a Yannakakis **semi-join reduction** schedule
 (:class:`SemiJoinStep`): before rows materialise, scanned relations are
 reduced to the tuples that can participate in some join, off cached
 index key sets.
-
-The PR-1 dict executor survives as :func:`solve_plan_rows_legacy` /
-:func:`execute_plan_rows_legacy` for the three-way equivalence property
-suite and the benchmarks' baseline.
 """
 
 from .adaptive import AdaptiveProgramPlan, AdaptiveRulePlans
-from .batch import BindingTable, execute_plan, solve_plan, solve_plan_table
+from .batch import BindingTable, execute_plan, solve_plan_table
 from .compiler import ProgramPlan, compile_program, compile_rule, compile_rules
-from .executor import execute_plan_rows_legacy, solve_plan_rows_legacy
 from .plan import (
     AntiJoin,
     AtomStep,
     BatchJoin,
-    CmpFilter,
     CmpOp,
     ComplementJoin,
-    DomainStep,
     ExtendDomain,
-    NegFilter,
     RulePlan,
     SemiJoinStep,
 )
@@ -80,14 +71,11 @@ __all__ = [
     "AtomStep",
     "BatchJoin",
     "BindingTable",
-    "CmpFilter",
     "CmpOp",
     "ComplementJoin",
     "DEFAULT_STATISTICS",
-    "DomainStep",
     "MIN_REPLAN_SIZE",
     "ExtendDomain",
-    "NegFilter",
     "PLAN_STORE",
     "PlanStore",
     "ProgramPlan",
@@ -101,8 +89,5 @@ __all__ = [
     "compile_rules",
     "diverged",
     "execute_plan",
-    "execute_plan_rows_legacy",
-    "solve_plan",
-    "solve_plan_rows_legacy",
     "solve_plan_table",
 ]

@@ -251,39 +251,6 @@ class AdaptiveProgramPlan:
             derived[plan.head_pred] |= execute_plan(plan, interp, stats=stats)
         return derived
 
-    def consequences_codes(self, interp: Database):
-        """Codes-native one-step consequences, or ``None`` when unsupported.
-
-        The interned twin of :meth:`consequences`: per head predicate, a
-        sorted unique int64 vector of head codes under ``interp``'s
-        symbol table (:func:`~repro.core.planning.colexec
-        .execute_plan_codes` per refreshed rule plan, merged per head).
-        A codes-to-codes fixpoint loop compares these vectors directly
-        and builds the next round's relations with
-        :meth:`~repro.db.relation.Relation._from_codes`, so no tuple is
-        ever decoded or re-encoded between rounds.  Returns ``None``
-        when any rule plan cannot be lowered (caller falls back to
-        :meth:`consequences`); the same statistics flow to the store's
-        feedback loop either way.
-        """
-        from . import colexec
-
-        stats = self._adaptive.store.statistics
-        derived: Dict[str, object] = {}
-        for plan in self._adaptive.refresh(interp):
-            out = colexec.execute_plan_codes(plan, interp, stats=stats)
-            if out is None:
-                return None
-            head = out[1]
-            prev = derived.get(plan.head_pred)
-            derived[plan.head_pred] = (
-                head if prev is None else colexec.merge_codes(prev, head)
-            )
-        for p in self.program.idb_predicates:
-            if p not in derived:
-                derived[p] = colexec.empty_codes_array()
-        return derived
-
     def __len__(self) -> int:
         return len(self._adaptive.plans)
 

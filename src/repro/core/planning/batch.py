@@ -1,11 +1,11 @@
-"""Set-at-a-time execution of compiled rule plans.
+"""Set-at-a-time execution of compiled rule plans (the row form).
 
-This is the per-round hot path of every fixpoint engine.  Where the
-PR-1 executor (:func:`~repro.core.planning.executor.solve_plan_rows_legacy`)
-threaded a ``List[Dict[Variable, Any]]`` through the plan — one dict
-copy per extension — the batch executor threads a
-:class:`BindingTable`: a fixed variable schema plus plain value tuples,
-so every operation is a relational pass over the whole frontier:
+This is the per-round hot path of every fixpoint engine:
+:func:`execute_plan` runs a plan's batch program either columnar
+(:mod:`~repro.core.planning.colexec`, chosen from the input size) or
+here, over a :class:`BindingTable` — a fixed variable schema plus plain
+value tuples — where every operation is a relational pass over the
+whole frontier:
 
 * :class:`~repro.core.planning.plan.BatchJoin` probes the relation's
   cached index (:meth:`repro.db.relation.Relation.index_on`) and appends
@@ -21,9 +21,8 @@ so every operation is a relational pass over the whole frontier:
 * :class:`~repro.core.planning.plan.ExtendDomain` is the residual
   active-domain cross product for variables no negation can complete.
 
-``solve_plan`` keeps the PR-1 binding-dict output contract for the
-grounder: it runs the batch program and converts the final table to
-dicts once, at the end.
+:func:`solve_plan_table` is also what the grounder and the counting
+views call directly: they need the satisfying rows, not just the heads.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .plan import (
 )
 from .statistics import DEFAULT_STATISTICS, Statistics
 
-Binding = Dict[Variable, Any]
 Row = Tuple[Any, ...]
 
 _DEFAULT_SINK = object()
@@ -79,11 +77,6 @@ class BindingTable:
 
     def __bool__(self) -> bool:
         return bool(self.rows)
-
-    def to_bindings(self) -> List[Binding]:
-        """The rows as ``{Variable: value}`` dicts (schema order)."""
-        schema = self.schema
-        return [dict(zip(schema, row)) for row in self.rows]
 
     def __repr__(self) -> str:
         return "BindingTable(%s, %d rows)" % (
@@ -386,24 +379,6 @@ def _complement_join(
     return out
 
 
-def solve_plan(
-    plan: RulePlan,
-    interp: Database,
-    stats: Optional[Statistics] = _DEFAULT_SINK,  # type: ignore[assignment]
-    semijoin: bool = True,
-) -> List[Binding]:
-    """The plan's satisfying bindings as dicts over ``plan.schema``.
-
-    This keeps the PR-1 ``solve_plan`` output contract the grounder
-    consumes; the bindings are produced by the batch executor and
-    converted once at the end.  Variables completed by an existence-only
-    complement check are not included (nothing downstream reads them);
-    plans whose head mentions every variable — the grounder's pseudo-head
-    construction — always get total bindings.
-    """
-    return solve_plan_table(plan, interp, stats=stats, semijoin=semijoin).to_bindings()
-
-
 def execute_plan(
     plan: RulePlan,
     interp: Database,
@@ -412,77 +387,49 @@ def execute_plan(
 ) -> Set[Tuple]:
     """The set of ground head tuples the plan derives from ``interp``.
 
-    When the interned columnar kernel can lower the plan (numpy backend,
-    codes fit 64 bits, sizeable inputs — see
+    When the interned columnar kernel should lower the plan (codes fit
+    64 bits, sizeable inputs — see
     :func:`~repro.core.planning.colexec.wants_plan`), the whole pipeline
     runs as vector arithmetic over the interpretation's symbol table and
     only the final head codes are externed back to tuples (memoised, so
     steady-state fixpoint rounds rebuild nothing).  Otherwise — and for
     any plan the columnar path declines mid-flight — the row executor
-    below produces the identical set.
-
-    When either observability singleton is live the call is routed
-    through :func:`_execute_plan_observed`, which wraps it in a ``rule``
-    span and counts rule/kernel/row executions; the disabled path below
-    stays free of recorder calls.
+    produces the identical set.
     """
-    if RECORDER.enabled or TRACER.enabled:
-        return _execute_plan_observed(plan, interp, stats=stats, semijoin=semijoin)
-    return _execute_plan_fast(plan, interp, stats=stats, semijoin=semijoin)
-
-
-def _execute_plan_fast(
-    plan: RulePlan,
-    interp: Database,
-    stats: Optional[Statistics] = _DEFAULT_SINK,  # type: ignore[assignment]
-    semijoin: bool = True,
-    _observed: Optional[list] = None,
-) -> Set[Tuple]:
-    if colexec.wants_plan(plan, interp):
-        if stats is _DEFAULT_SINK:
-            stats = DEFAULT_STATISTICS
-        result = colexec.execute_plan_codes(
-            plan, interp, stats=stats, semijoin=semijoin
-        )
-        if result is not None:
-            if _observed is not None:
-                _observed.append("kernel")
-            sym, head_codes = result
-            arity = len(plan.head_cols)
-            extern = sym.extern_code
-            return {extern(c, arity) for c in head_codes.tolist()}
-    if _observed is not None:
-        _observed.append("row")
-    table = solve_plan_table(plan, interp, stats=stats, semijoin=semijoin)
-    if not table.rows:
-        return set()
-    head = plan.head_cols
-    return {
-        tuple(payload if is_const else row[payload] for is_const, payload in head)
-        for row in table.rows
-    }
-
-
-def _execute_plan_observed(
-    plan: RulePlan,
-    interp: Database,
-    stats: Optional[Statistics] = _DEFAULT_SINK,  # type: ignore[assignment]
-    semijoin: bool = True,
-) -> Set[Tuple]:
-    """The observed twin of :func:`execute_plan`'s fast path."""
-    backend: list = []
     with TRACER.span("rule") as sp:
-        out = _execute_plan_fast(
-            plan, interp, stats=stats, semijoin=semijoin, _observed=backend
-        )
+        backend = "row"
+        out: Optional[Set[Tuple]] = None
+        if colexec.wants_plan(plan, interp):
+            if stats is _DEFAULT_SINK:
+                stats = DEFAULT_STATISTICS
+            result = colexec.execute_plan_codes(
+                plan, interp, stats=stats, semijoin=semijoin
+            )
+            if result is not None:
+                backend = "kernel"
+                sym, head_codes = result
+                arity = len(plan.head_cols)
+                extern = sym.extern_code
+                out = {extern(c, arity) for c in head_codes.tolist()}
+        if out is None:
+            table = solve_plan_table(plan, interp, stats=stats, semijoin=semijoin)
+            head = plan.head_cols
+            out = {
+                tuple(
+                    payload if is_const else row[payload]
+                    for is_const, payload in head
+                )
+                for row in table.rows
+            }
         if sp:
             sp["pred"] = plan.head_pred
             sp["rows_out"] = len(out)
-            sp["backend"] = backend[0] if backend else "row"
+            sp["backend"] = backend
     if RECORDER.enabled:
         RECORDER.inc("repro_engine_rule_executions_total")
-        if backend and backend[0] == "kernel":
-            RECORDER.inc("repro_engine_kernel_executions_total")
-        else:
-            RECORDER.inc("repro_engine_row_executions_total")
+        RECORDER.inc(
+            "repro_engine_kernel_executions_total"
+            if backend == "kernel"
+            else "repro_engine_row_executions_total"
+        )
     return out

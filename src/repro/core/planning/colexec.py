@@ -25,27 +25,21 @@ arithmetic over the relations' cached code vectors
 * the head projection packs head fields into one code per row and
   dedups with a single sort — the derived set *stays interned*:
   :func:`execute_plan_codes` returns the sorted unique head-code
-  vector, and only :func:`~repro.core.planning.batch.execute_plan`
-  (or nobody, in a codes-to-codes fixpoint loop) externs it back to
-  tuples.
+  vector, and :func:`~repro.core.planning.batch.execute_plan` externs
+  it back to tuples.
 
-The executor is numpy-only by design — under the pure-``array`` backend
-the row executor's per-tuple work is already the cheaper shape — and
-returns ``None`` for any plan or interpretation it cannot lower
-faithfully (zero-ary atoms, codes wider than 63 bits, a non-numpy
-backend); callers fall back to the row path, whose results are
-identical (property-tested three ways in ``tests/test_planner.py``).
+The executor returns ``None`` for any plan or interpretation it cannot
+lower faithfully (zero-ary atoms, codes wider than 63 bits); callers
+fall back to the row path, whose results are identical
+(``tests/test_planner.py`` forces this path on every generated rule and
+checks it against the reference evaluator and the row form).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - kernel degrades to array backend
-    np = None
+import numpy as np
 
 from ...db import kernel
 from ...db.database import Database
@@ -74,28 +68,10 @@ the probe would have skipped anyway; only targets big enough that the
 scan itself is the cost are worth shrinking.  Results are identical
 either way — the reduction is a pure optimisation."""
 
-_MODE = os.environ.get("REPRO_COLEXEC", "auto").strip().lower()
-"""``auto`` (size-heuristic), ``always`` (force where supported — the
-equivalence suites use it), or ``never`` (row path only)."""
-
 _AUTO_MIN_REL = 64
-"""Under ``auto``, plans with neither completion work nor a joined
-relation at least this big stay on the row path — vector dispatch
-overhead beats the win on tiny inputs."""
-
-
-def set_mode(mode: str) -> str:
-    """Force the executor mode (tests); returns the previous mode."""
-    global _MODE
-    if mode not in ("auto", "always", "never"):
-        raise ValueError("unknown colexec mode %r" % mode)
-    previous = _MODE
-    _MODE = mode
-    return previous
-
-
-def mode() -> str:
-    return _MODE
+"""Plans with neither completion work nor a joined relation at least
+this big stay on the row path — vector dispatch overhead beats the win
+on tiny inputs."""
 
 
 class ColumnTable:
@@ -209,18 +185,13 @@ def _plan_state(plan: RulePlan):
 def wants_plan(plan: RulePlan, interp: Database) -> bool:
     """Whether the columnar path should run this plan on this input.
 
-    ``always`` forces it wherever supported; ``auto`` takes plans with
-    completion work (complement joins / domain extension — where range
-    arithmetic wins regardless of size) or at least one joined relation
-    big enough that vectorisation beats dispatch overhead.
+    It takes supported plans with completion work (complement joins /
+    domain extension — where range arithmetic wins regardless of size)
+    or at least one joined relation big enough that vectorisation beats
+    dispatch overhead.
     """
-    if _MODE == "never" or np is None or kernel.backend() != "numpy":
+    if not _plan_state(plan)[0]:
         return False
-    supported = _plan_state(plan)[0]
-    if not supported:
-        return False
-    if _MODE == "always":
-        return True
     for op in plan.ops:
         t = type(op)
         if t is ComplementJoin or t is ExtendDomain:
@@ -235,11 +206,6 @@ def wants_plan(plan: RulePlan, interp: Database) -> bool:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-
-
-def empty_codes_array():
-    """The empty head-code vector (what an underivable head yields)."""
-    return np.empty(0, dtype=np.int64)
 
 
 _ARANGE = None
@@ -261,33 +227,6 @@ def _arange(n: int):
             size = n
         _ARANGE = np.arange(size, dtype=np.int64)
     return _ARANGE[:n]
-
-
-def merge_codes(a, b):
-    """Union of two sorted unique code vectors, sorted unique.
-
-    Returns ``a`` itself when ``b`` added nothing (union size equals
-    ``len(a)`` implies ``b ⊆ a`` for sorted unique inputs), so fixpoint
-    loops can detect convergence by identity.
-    """
-    if len(a) == 0:
-        return b
-    if len(b) == 0:
-        return a
-    out = kernel.sorted_unique(np.concatenate((a, b)))
-    return a if len(out) == len(a) else out
-
-
-def relation_from_codes(name: str, arity: int, sym, codes):
-    """A code-backed :class:`~repro.db.relation.Relation` over ``codes``.
-
-    The adopting constructor defers tuple decoding entirely: a fixpoint
-    loop that feeds these relations back into the next round's
-    interpretation keeps the whole IDB interned round to round.
-    """
-    from ...db.relation import Relation
-
-    return Relation._from_codes(name, arity, RelationCodes(sym, arity, codes))
 
 
 def _key_fold(entries, cols, nrows: int, shift: int, sym):
@@ -326,11 +265,7 @@ def _rel_codes(rel, sym, gen: int) -> Optional[RelationCodes]:
     whole plan out to the row path instead.
     """
     rc = rel.codes_on(sym)
-    if (
-        rc is None
-        or sym.generation != gen
-        or not isinstance(rc.codes, np.ndarray)
-    ):
+    if rc is None or sym.generation != gen:
         return None
     return rc
 
@@ -444,7 +379,7 @@ def _execute_plan_codes(
     supported, max_width, consts, needs_universe, copy_scan, scan_joins = _plan_state(
         plan
     )
-    if not supported or np is None or kernel.backend() != "numpy":
+    if not supported:
         return None
     sym = interp.symbols()
     for v in consts:

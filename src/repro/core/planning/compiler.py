@@ -13,10 +13,8 @@ order is chosen greedily:
 3. break remaining ties by the atom's position in the rule body, so
    compilation is deterministic.
 
-Each rule is lowered twice over the same join order: once to the
-tuple-at-a-time row program (dict bindings, kept for the legacy executor
-and the grounder's compatibility path) and once to the set-at-a-time
-batch program, where negations over bound variables become
+The join order is lowered to the set-at-a-time batch program, where
+negations over bound variables become
 :class:`~repro.core.planning.plan.AntiJoin` operations and negations
 over completion variables are scheduled as
 :class:`~repro.core.planning.plan.ComplementJoin` operations — the
@@ -39,15 +37,11 @@ from .plan import (
     AtomStep,
     BatchJoin,
     BatchOp,
-    CmpFilter,
     CmpOp,
     ColGetter,
     ComplementJoin,
-    DomainStep,
     ExtendDomain,
-    Filter,
     Getter,
-    NegFilter,
     RulePlan,
     SemiJoinStep,
 )
@@ -61,31 +55,6 @@ def _getter(term) -> Getter:
     if isinstance(term, Constant):
         return (True, term.value)
     return (False, term)
-
-
-def _lower_filter(lit: Literal) -> Filter:
-    if isinstance(lit, Negation):
-        atom = lit.atom
-        return NegFilter(
-            pred=atom.pred,
-            arity=atom.arity,
-            getters=tuple(_getter(a) for a in atom.args),
-        )
-    if isinstance(lit, (Eq, Neq)):
-        return CmpFilter(
-            equal=isinstance(lit, Eq),
-            left=_getter(lit.left),
-            right=_getter(lit.right),
-        )
-    raise TypeError("not a filter literal: %r" % (lit,))
-
-
-def _take_ready(
-    filters: List[Literal], bound: Set[Variable]
-) -> Tuple[Tuple[Filter, ...], List[Literal]]:
-    ready = tuple(_lower_filter(f) for f in filters if f.variables() <= bound)
-    rest = [f for f in filters if f.variables() - bound]
-    return ready, rest
 
 
 def _join_order(
@@ -192,18 +161,9 @@ def _lower_semijoin(
     return tuple(forward + backward)
 
 
-# ----------------------------------------------------------------------
-# Row-program lowering (dict executor; the PR-1 pipeline)
-# ----------------------------------------------------------------------
-
-
-def _lower_rows(rule: Rule, order: Sequence[Atom]):
-    filters: List[Literal] = [
-        t for t in rule.body if isinstance(t, (Negation, Eq, Neq))
-    ]
+def _lower_steps(order: Sequence[Atom]) -> Tuple[AtomStep, ...]:
+    """The join schedule: per atom, its index key and the variables it binds."""
     bound: Set[Variable] = set()
-    pre_filters, filters = _take_ready(filters, bound)
-
     steps: List[AtomStep] = []
     for atom in order:
         key_columns = tuple(
@@ -211,44 +171,24 @@ def _lower_rows(rule: Rule, order: Sequence[Atom]):
             for i, arg in enumerate(atom.args)
             if isinstance(arg, Constant) or arg in bound
         )
-        key = tuple(_getter(atom.args[i]) for i in key_columns)
         new_positions: Dict[Variable, List[int]] = {}
         for i, arg in enumerate(atom.args):
-            if i in key_columns:
-                continue
-            new_positions.setdefault(arg, []).append(i)
-        new_vars = tuple(
-            (var, positions[0], tuple(positions[1:]))
-            for var, positions in new_positions.items()
-        )
-        bound |= atom.variables()
-        ready, filters = _take_ready(filters, bound)
+            if i not in key_columns:
+                new_positions.setdefault(arg, []).append(i)
         steps.append(
             AtomStep(
                 pred=atom.pred,
                 arity=atom.arity,
                 key_columns=key_columns,
-                key=key,
-                new_vars=new_vars,
-                filters=ready,
+                key=tuple(_getter(atom.args[i]) for i in key_columns),
+                new_vars=tuple(
+                    (var, positions[0], tuple(positions[1:]))
+                    for var, positions in new_positions.items()
+                ),
             )
         )
-
-    completions: List[DomainStep] = []
-    unbound = sorted(rule.variables() - bound, key=lambda v: v.name)
-    while unbound:
-        def readiness(v: Variable) -> int:
-            would_bind = bound | {v}
-            return sum(1 for f in filters if f.variables() <= would_bind)
-
-        unbound.sort(key=lambda v: (-readiness(v), v.name))
-        var = unbound.pop(0)
-        bound.add(var)
-        ready, filters = _take_ready(filters, bound)
-        completions.append(DomainStep(var=var, filters=ready))
-
-    assert not filters, "unschedulable filters (vars outside rule): %r" % filters
-    return pre_filters, tuple(steps), tuple(completions)
+        bound |= atom.variables()
+    return tuple(steps)
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +405,7 @@ def compile_rule(
         return _LARGE
 
     order = _join_order(rule, estimate, stats=stats)
-    pre_filters, steps, completions = _lower_rows(rule, order)
+    steps = _lower_steps(order)
     schema, ops, head_cols = _lower_batch(rule, steps)
     est_cards: Dict[str, float] = {}
     if len(order) >= 2:
@@ -482,10 +422,7 @@ def compile_rule(
     return RulePlan(
         rule=rule,
         head_pred=rule.head.pred,
-        head=tuple(_getter(a) for a in rule.head.args),
-        pre_filters=pre_filters,
         steps=steps,
-        completions=completions,
         schema=schema,
         ops=ops,
         head_cols=head_cols,

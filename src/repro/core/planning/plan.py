@@ -1,41 +1,35 @@
 """Compiled rule plans: the data the executors interpret.
 
-A :class:`RulePlan` freezes every decision the legacy ``evaluate_rule``
-used to re-make on each fixpoint round:
+A :class:`RulePlan` freezes every decision the reference evaluator
+(:func:`repro.core.operator.evaluate_rule_legacy`) re-makes on each
+fixpoint round:
 
-* the join order over the positive body atoms (``steps``);
-* per atom, the index key columns (constants and already-bound
-  variables) and the *binding spec* for the remaining columns — which
-  new variables get bound where, and which tuple positions must agree
-  because of repeated variables like ``E(X, X)``;
-* the filter schedule: each negation/comparison literal is attached to
-  the earliest point at which all of its variables are bound, so filters
-  prune partial bindings as soon as possible;
-* the active-domain completion order for variables bound by no positive
-  atom (the paper's unsafe rules), again with filters interleaved.
+* the join order over the positive body atoms (``steps``) with, per
+  atom, the index key columns (constants and already-bound variables)
+  and the *binding spec* for the remaining columns — which new variables
+  get bound where, and which tuple positions must agree because of
+  repeated variables like ``E(X, X)``;
+* the **batch program** (``schema`` / ``ops`` / ``head_cols``) lowered
+  from that order: the whole frontier is one table over a fixed variable
+  schema and every operation is relational — joins are index-backed
+  batch joins, each negation/comparison is attached at the earliest
+  point where all of its variables are bound, negations over bound
+  variables are **anti-joins**, and negations over completed variables
+  (the paper's unsafe rules) become joins against a lazily-materialised
+  **complement relation** instead of enumerate-then-filter;
+* the Yannakakis semi-join schedule over the join order.
 
-Plans carry *two* lowerings of the same rule:
+One program, two interpreters of it: the row form
+(:func:`~repro.core.planning.batch.solve_plan_table`, Python value
+tuples) and the columnar form
+(:func:`~repro.core.planning.colexec.execute_plan_codes`, int64 id
+vectors); :func:`~repro.core.planning.batch.execute_plan` picks between
+them from the input size.
 
-* the tuple-at-a-time **row program** (``pre_filters`` / ``steps`` /
-  ``completions``), interpreted by the PR-1 dict executor
-  (:func:`~repro.core.planning.executor.solve_plan_rows_legacy`), where
-  each partial binding is a ``{Variable: value}`` dict;
-* the set-at-a-time **batch program** (``schema`` / ``ops`` /
-  ``head_cols``), interpreted by
-  :mod:`repro.core.planning.batch`, where the whole frontier is one
-  :class:`~repro.core.planning.batch.BindingTable` (a fixed variable
-  schema plus a set of value rows) and every operation is relational:
-  joins are index-backed batch joins, negations over bound variables are
-  **anti-joins**, and negations over completed variables become joins
-  against a lazily-materialised **complement relation** instead of
-  enumerate-then-filter.
-
-Filters and head/key accessors are pre-lowered to *getters*.  The row
-program uses ``(is_const, payload)`` pairs where the payload is either a
-constant value or a :class:`~repro.core.terms.Variable` to look up in
-the binding dict; the batch program uses the same shape but the payload
-of a non-constant getter is a 0-based *column index* into the schema, so
-the batch inner loops do tuple indexing only — no dicts, no AST.
+Key and head accessors are pre-lowered to *getters*: ``(is_const,
+payload)`` pairs whose payload is a constant value or, for the batch
+ops, a 0-based *column index* into the schema, so the inner loops do
+tuple indexing only — no dicts, no AST.
 """
 
 from __future__ import annotations
@@ -54,29 +48,8 @@ ColGetter = Tuple[bool, Any]
 
 
 @dataclass(frozen=True)
-class NegFilter:
-    """A negated atom ``!pred(args)``; holds when the ground tuple is absent."""
-
-    pred: str
-    arity: int
-    getters: Tuple[Getter, ...]
-
-
-@dataclass(frozen=True)
-class CmpFilter:
-    """An (in)equality ``left = right`` / ``left != right``."""
-
-    equal: bool
-    left: Getter
-    right: Getter
-
-
-Filter = Union[NegFilter, CmpFilter]
-
-
-@dataclass(frozen=True)
 class AtomStep:
-    """One join step: probe ``pred``'s index and extend the bindings.
+    """One step of the join schedule: probe ``pred`` keyed on ``key_columns``.
 
     ``new_vars`` entries are ``(var, first_position, duplicate_positions)``;
     duplicate positions must carry the same value as the first (repeated
@@ -88,15 +61,6 @@ class AtomStep:
     key_columns: Tuple[int, ...]
     key: Tuple[Getter, ...]
     new_vars: Tuple[Tuple[Variable, int, Tuple[int, ...]], ...]
-    filters: Tuple[Filter, ...]
-
-
-@dataclass(frozen=True)
-class DomainStep:
-    """Bind one completion variable to every universe element."""
-
-    var: Variable
-    filters: Tuple[Filter, ...]
 
 
 # ----------------------------------------------------------------------
@@ -221,11 +185,7 @@ class RulePlan:
 
     rule: Rule
     head_pred: str
-    head: Tuple[Getter, ...]
-    pre_filters: Tuple[Filter, ...]
     steps: Tuple[AtomStep, ...]
-    completions: Tuple[DomainStep, ...]
-    # Batch program (set-at-a-time lowering of the same rule).
     schema: Tuple[Variable, ...] = ()
     ops: Tuple[BatchOp, ...] = ()
     head_cols: Tuple[ColGetter, ...] = ()
@@ -245,19 +205,13 @@ class RulePlan:
     # observed mid-fixpoint to decide when the plan has gone stale.
     est_cards: Tuple[Tuple[str, float], ...] = ()
 
-    @property
-    def needs_universe(self) -> bool:
-        """True when the plan completes some variable over the universe."""
-        return bool(self.completions)
-
     def completion_domain(self, interp) -> Tuple[Any, ...]:
         """The ordered completion domain for ``interp``.
 
         The sorted universe hoisted at compile time when it still matches
         the interpretation (the identity check is the common case: derived
         databases share their parent's universe object), else the
-        interpretation's own cached sort.  Both executors route through
-        this so they can never complete over different domains.
+        interpretation's own cached sort.
         """
         if self.domain is not None and (
             interp.universe is self.domain_universe

@@ -69,3 +69,35 @@ def is_semipositive(program: Program) -> bool:
 
 class SemanticsError(ValueError):
     """Raised when a program is outside an engine's supported class."""
+
+
+def round_limit(program: Program, db: Database, max_rounds: Optional[int]) -> int:
+    """The most rounds an iterating engine may report in ``result.rounds``.
+
+    The caller's ``max_rounds`` when given, else the atom-space bound
+    ``sum_i |A|^{arity(S_i)} + 1``, which an increasing iteration can
+    never exceed.  One contract for all four iterating engines: a run
+    succeeds iff ``result.rounds <= limit`` — the application that merely
+    confirms the fixpoint is not counted against the cap.
+    """
+    if max_rounds is not None:
+        return max_rounds
+    n = len(db.universe)
+    return sum(n ** program.arity(p) for p in program.idb_predicates) + 1
+
+
+def round_limit_exceeded(
+    engine: str, limit: int, max_rounds: Optional[int]
+) -> Exception:
+    """What to raise when a round past :func:`round_limit` would be counted.
+
+    A caller-set cap is an input condition (:class:`SemanticsError`);
+    overrunning the computed bound is an engine bug (``AssertionError``).
+    """
+    if max_rounds is not None:
+        return SemanticsError(
+            "%s: no convergence within max_rounds=%d" % (engine, limit)
+        )
+    return AssertionError(
+        "%s iteration exceeded its theoretical bound %d" % (engine, limit)
+    )

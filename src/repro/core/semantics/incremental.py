@@ -27,29 +27,12 @@ from typing import Dict, List, Optional, Set, Tuple
 from ...db.database import Database
 from ...db.relation import Relation
 from ...parallel.shard import SHARD
-from ..literals import Atom
 from ..operator import empty_idb, theta
 from ..planning import PLAN_STORE, execute_plan
 from ..program import Program
 from ..rules import Rule
-from .base import EvaluationResult
-
-_DELTA_SUFFIX = "__inflationary_delta"
-
-
-def _delta_name(pred: str) -> str:
-    return pred + _DELTA_SUFFIX
-
-
-def _delta_variants(rule: Rule, idb: frozenset) -> List[Rule]:
-    """One rule variant per positive IDB occurrence, reading the delta."""
-    variants: List[Rule] = []
-    for position, lit in enumerate(rule.body):
-        if isinstance(lit, Atom) and lit.pred in idb:
-            body = list(rule.body)
-            body[position] = Atom(_delta_name(lit.pred), lit.args)
-            variants.append(Rule(rule.head, body))
-    return variants
+from .base import EvaluationResult, round_limit, round_limit_exceeded
+from .seminaive import _delta_name, _delta_variants
 
 
 def incremental_inflationary_semantics(
@@ -80,9 +63,7 @@ def incremental_inflationary_semantics(
         variants, db=db, small_preds=delta_preds
     )
 
-    n = len(db.universe)
-    bound = sum(n ** program.arity(p) for p in idb_preds) + 1
-    limit = bound if max_rounds is None else max_rounds
+    limit = round_limit(program, db, max_rounds)
 
     # Round 1 is a full Theta application (it alone can use rules with no
     # positive IDB literal, and it seeds the deltas).
@@ -91,7 +72,9 @@ def incremental_inflationary_semantics(
     else:
         current = theta(program, db, empty_idb(program), plan=program_plan)
     delta = dict(current)
-    rounds = 0 if not any(delta[p] for p in idb_preds) else 1
+    rounds = 1 if any(delta[p] for p in idb_preds) else 0
+    if rounds > limit:
+        raise round_limit_exceeded("incremental-inflationary", limit, max_rounds)
 
     while any(delta[p] for p in idb_preds):
         # Sharded runs bind each worker's slice of the delta and union the
@@ -117,11 +100,11 @@ def incremental_inflationary_semantics(
         }
         if any(delta[p] for p in idb_preds):
             rounds += 1
+            if rounds > limit:
+                raise round_limit_exceeded(
+                    "incremental-inflationary", limit, max_rounds
+                )
             current = {p: current[p].union(delta[p]) for p in idb_preds}
-        if rounds > limit:
-            raise AssertionError(
-                "incremental inflationary iteration exceeded its bound %d" % limit
-            )
     return EvaluationResult(
         program=program,
         db=db,

@@ -33,7 +33,7 @@ from ..fixpoint import idb_equal, idb_union
 from ..operator import IDBMap, empty_idb, theta
 from ..planning import PLAN_STORE, ProgramPlan
 from ..program import Program
-from .base import EvaluationResult
+from .base import EvaluationResult, round_limit, round_limit_exceeded
 
 
 def inflationary_step(
@@ -71,9 +71,7 @@ def inflationary_semantics(
         from ...parallel.executor import parallel_evaluate
 
         return parallel_evaluate("inflationary", program, db, nshards=parallel)
-    n = len(db.universe)
-    bound = sum(n ** program.arity(p) for p in program.idb_predicates) + 1
-    limit = bound if max_rounds is None else max_rounds
+    limit = round_limit(program, db, max_rounds)
 
     # Adaptive plans over the shared store: re-planned mid-fixpoint when
     # the observed IDB sizes diverge from the planning-time estimates.
@@ -81,7 +79,7 @@ def inflationary_semantics(
     current = empty_idb(program)
     trace: Optional[List[IDBMap]] = [dict(current)] if keep_trace else None
     rounds = 0
-    while rounds < limit:
+    while True:
         with TRACER.span("inflationary.round") as sp:
             nxt = inflationary_step(program, db, current, plan=plan)
             if sp:
@@ -91,13 +89,11 @@ def inflationary_semantics(
         if idb_equal(nxt, current):
             break
         rounds += 1
+        if rounds > limit:
+            raise round_limit_exceeded("inflationary", limit, max_rounds)
         current = nxt
         if keep_trace:
             trace.append(dict(current))
-    else:
-        raise AssertionError(
-            "inflationary iteration exceeded its theoretical bound %d" % limit
-        )
     if RECORDER.enabled:
         RECORDER.inc("repro_engine_rounds_total", rounds)
     return EvaluationResult(

@@ -19,7 +19,13 @@ from ..fixpoint import idb_equal
 from ..operator import empty_idb, theta
 from ..planning import PLAN_STORE
 from ..program import Program
-from .base import EvaluationResult, SemanticsError, is_semipositive
+from .base import (
+    EvaluationResult,
+    SemanticsError,
+    is_semipositive,
+    round_limit,
+    round_limit_exceeded,
+)
 
 
 def naive_least_fixpoint(
@@ -40,23 +46,22 @@ def naive_least_fixpoint(
     keep_trace:
         Record the valuation after every round.
     max_rounds:
-        Safety cap; defaults to the atom-space bound
+        Cap on ``result.rounds``; defaults to the atom-space bound
         ``sum_i |A|^{arity(S_i)} + 1`` which the iteration can never exceed.
 
     Raises
     ------
     SemanticsError
         If some IDB predicate occurs negated (Theta would not be monotone
-        and the least fixpoint may not exist).
+        and the least fixpoint may not exist), or if the fixpoint needs
+        more than ``max_rounds`` rounds.
     """
     if not is_semipositive(program):
         raise SemanticsError(
             "naive least fixpoint requires a (semi)positive program; "
             "negated IDB literals make Theta non-monotone"
         )
-    n = len(db.universe)
-    bound = sum(n ** program.arity(p) for p in program.idb_predicates) + 1
-    limit = bound if max_rounds is None else max_rounds
+    limit = round_limit(program, db, max_rounds)
 
     # Adaptive plans over the shared store: compiled at most once per
     # (rule, db, cardinality-bucket) and re-planned mid-fixpoint when the
@@ -65,21 +70,16 @@ def naive_least_fixpoint(
     current = empty_idb(program)
     trace = [dict(current)] if keep_trace else None
     rounds = 0
-    while rounds < limit:
+    while True:
         nxt = theta(program, db, current, plan=plan)
-        rounds += 1
-        if keep_trace:
-            trace.append(dict(nxt))
         if idb_equal(nxt, current):
-            rounds -= 1  # the last application changed nothing
-            if keep_trace:
-                trace.pop()
-            break
+            break  # the last application changed nothing: not a round
+        rounds += 1
+        if rounds > limit:
+            raise round_limit_exceeded("naive", limit, max_rounds)
         current = nxt
-    else:
-        raise SemanticsError(
-            "no convergence after %d rounds; max_rounds too small?" % limit
-        )
+        if keep_trace:
+            trace.append(dict(current))
     return EvaluationResult(
         program=program,
         db=db,

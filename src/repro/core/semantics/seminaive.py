@@ -24,7 +24,13 @@ from ..operator import empty_idb
 from ..planning import PLAN_STORE, execute_plan
 from ..program import Program
 from ..rules import Rule
-from .base import EvaluationResult, SemanticsError, is_semipositive
+from .base import (
+    EvaluationResult,
+    SemanticsError,
+    is_semipositive,
+    round_limit,
+    round_limit_exceeded,
+)
 
 _DELTA_SUFFIX = "__delta"
 
@@ -34,18 +40,17 @@ def _delta_name(pred: str) -> str:
 
 
 def _delta_variants(rule: Rule, idb: frozenset) -> List[Rule]:
-    """One variant per IDB body-atom occurrence, reading the delta there."""
-    variants = []
-    occurrences = [
-        i
-        for i, lit in enumerate(rule.body)
-        if isinstance(lit, Atom) and lit.pred in idb
-    ]
-    for occ in occurrences:
-        body = list(rule.body)
-        old = body[occ]
-        body[occ] = Atom(_delta_name(old.pred), old.args)
-        variants.append(Rule(rule.head, body))
+    """One variant per positive IDB body occurrence, reading the delta there.
+
+    Shared with the delta-driven inflationary engine
+    (:mod:`~repro.core.semantics.incremental`).
+    """
+    variants: List[Rule] = []
+    for position, lit in enumerate(rule.body):
+        if isinstance(lit, Atom) and lit.pred in idb:
+            body = list(rule.body)
+            body[position] = Atom(_delta_name(lit.pred), lit.args)
+            variants.append(Rule(rule.head, body))
     return variants
 
 
@@ -73,7 +78,8 @@ def seminaive_least_fixpoint(
     Raises
     ------
     SemanticsError
-        If some IDB predicate occurs negated.
+        If some IDB predicate occurs negated, or if the fixpoint needs
+        more than ``max_rounds`` rounds.
     """
     if parallel and not SHARD.active:
         from ...parallel.executor import parallel_evaluate
@@ -105,9 +111,7 @@ def seminaive_least_fixpoint(
         known_sizes=known_sizes,
     )
 
-    n = len(db.universe)
-    bound = sum(n ** program.arity(p) for p in idb_preds) + 1
-    limit = bound if max_rounds is None else max_rounds
+    limit = round_limit(program, db, max_rounds)
 
     current = empty_idb(program)
     trace = [dict(current)] if keep_trace else None
@@ -134,6 +138,8 @@ def seminaive_least_fixpoint(
     rounds = 0
     while any(delta[p] for p in idb_preds):
         rounds += 1
+        if rounds > limit:
+            raise round_limit_exceeded("seminaive", limit, max_rounds)
         with TRACER.span("seminaive.round") as sp:
             current = {p: current[p].union(delta[p]) for p in idb_preds}
             if keep_trace:
@@ -162,10 +168,6 @@ def seminaive_least_fixpoint(
             if sp:
                 sp["round"] = rounds
                 sp["rows_out"] = sum(len(delta[p]) for p in idb_preds)
-        if rounds > limit:
-            raise SemanticsError(
-                "no convergence after %d rounds; max_rounds too small?" % limit
-            )
     if RECORDER.enabled:
         RECORDER.inc("repro_engine_rounds_total", rounds)
     return EvaluationResult(

@@ -12,84 +12,31 @@ semi-join filtering) turns into integer-vector arithmetic:
 
 * joins probe sorted runs of key codes (binary search / radix order)
   instead of hashing Python tuples per row;
-* semi-join reduction is bitset membership filtering over key codes;
+* semi-join reduction is sorted-key membership filtering over key codes;
 * complements are range arithmetic over the interned universe instead
   of materialising ``|A|^k`` Python tuples;
 * per-tuple hashing and allocation leave the hot path entirely — the
   only place tuples are rebuilt is :meth:`SymbolTable.extern_code`,
   and that is memoised.
 
-Two backends implement the same narrow interface: the portable baseline
-stores code vectors in :mod:`array` ``array('q')`` columns with plain
-``int`` sets for membership, and an optional numpy fast path (selected
-at import, reported in bench metadata) vectorises the same operations.
-``REPRO_KERNEL_BACKEND=array|numpy`` forces a backend; asking for numpy
-without numpy installed falls back to ``array`` rather than failing —
-the kernel is an accelerator, never a dependency.
+Code vectors are ``np.int64`` ndarrays: numpy is a declared dependency
+of the package and is imported unconditionally — there is no second
+storage backend.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # optional fast path; the array backend is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 _MAX_CODE_BITS = 63
-"""Row codes must fit a signed 64-bit int (``array('q')`` / int64)."""
-
-_BITSET_LIMIT = 1 << 16
-"""Largest key-code space a pure-Python membership bitset will cover;
-beyond it, membership falls back to a hash set (the bitset would cost
-more to build than it saves)."""
-
-
-def _select_backend() -> str:
-    forced = os.environ.get("REPRO_KERNEL_BACKEND", "").strip().lower()
-    if forced == "array":
-        return "array"
-    if forced == "numpy":
-        return "numpy" if _np is not None else "array"
-    return "numpy" if _np is not None else "array"
-
-
-_BACKEND = _select_backend()
+"""Row codes must fit a signed 64-bit int (int64)."""
 
 
 def backend() -> str:
-    """The active kernel backend: ``"numpy"`` or ``"array"``."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Force the backend (tests/benchmarks); returns the previous one.
-
-    Asking for ``"numpy"`` without numpy installed raises — tests that
-    parametrise over backends skip instead of silently re-testing the
-    baseline.
-    """
-    global _BACKEND
-    if name not in ("numpy", "array"):
-        raise ValueError("unknown kernel backend %r" % name)
-    if name == "numpy" and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is not installed")
-    previous = _BACKEND
-    _BACKEND = name
-    return previous
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this process (``array`` always; numpy when present)."""
-    return ("array", "numpy") if _np is not None else ("array",)
-
-
-def has_numpy() -> bool:
-    """True when the numpy fast path is importable."""
-    return _np is not None
+    """The kernel's storage backend (reported by bench metadata and ``stats``)."""
+    return "numpy"
 
 
 def canon_columns(columns) -> Tuple[int, ...]:
@@ -227,36 +174,11 @@ class SymbolTable:
 
 
 # ----------------------------------------------------------------------
-# Code vectors: the backend-dependent storage
+# Code vectors
 # ----------------------------------------------------------------------
 #
 # A "code vector" is the kernel's unit of columnar storage: a sorted,
-# duplicate-free sequence of int64 row codes.  Under numpy that is an
-# ``np.int64`` ndarray; under the array backend an ``array('q')`` plus a
-# lazily-built frozenset for O(1) membership.
-
-
-class CodeVector:
-    """A sorted duplicate-free vector of row codes (array backend).
-
-    The numpy backend uses raw ``np.ndarray`` values instead of this
-    class; :func:`as_codes` builds whichever the active backend wants.
-    """
-
-    __slots__ = ("data", "_members")
-
-    def __init__(self, data: array, members: Optional[frozenset] = None) -> None:
-        self.data = data  # array('q'), sorted ascending, unique
-        self._members = members
-
-    @property
-    def members(self) -> frozenset:
-        if self._members is None:
-            self._members = frozenset(self.data)
-        return self._members
-
-    def __len__(self) -> int:
-        return len(self.data)
+# duplicate-free ``np.int64`` ndarray of row codes.
 
 
 def dedup_sorted(arr):
@@ -291,48 +213,22 @@ def sorted_unique(arr):
 
 
 def as_codes(codes: Iterable[int]):
-    """A backend code vector from arbitrary (unsorted, duplicated) codes."""
-    if _BACKEND == "numpy":
-        arr = _np.fromiter(codes, dtype=_np.int64)
-        return sorted_unique(arr)
-    uniq = sorted(set(codes))
-    return CodeVector(array("q", uniq), frozenset(uniq))
+    """A code vector from arbitrary (unsorted, duplicated) codes."""
+    return sorted_unique(_np.fromiter(codes, dtype=_np.int64))
 
 
 def empty_codes():
-    """The empty code vector for the active backend."""
-    if _BACKEND == "numpy":
-        return _np.empty(0, dtype=_np.int64)
-    return CodeVector(array("q"), frozenset())
-
-
-def codes_len(codes) -> int:
-    return len(codes)
-
-
-def codes_iter(codes):
-    """Iterate the codes as Python ints (ascending)."""
-    if _BACKEND == "numpy" and isinstance(codes, _np.ndarray):
-        return iter(codes.tolist())
-    return iter(codes.data)
+    """The empty code vector."""
+    return _np.empty(0, dtype=_np.int64)
 
 
 def codes_equal(a, b) -> bool:
     if a is b:
         return True
-    if isinstance(a, CodeVector):
-        return a.data == b.data
     return len(a) == len(b) and bool(_np.array_equal(a, b))
 
 
 def codes_union(a, b):
-    if isinstance(a, CodeVector):
-        if not b.data:
-            return a
-        merged = a.members | b.members
-        if len(merged) == len(a.data):
-            return a
-        return CodeVector(array("q", sorted(merged)), frozenset(merged))
     if len(b) == 0:
         return a
     out = sorted_unique(_np.concatenate((a, b)))
@@ -340,13 +236,6 @@ def codes_union(a, b):
 
 
 def codes_difference(a, b):
-    if isinstance(a, CodeVector):
-        if not b.data:
-            return a
-        kept = a.members - b.members
-        if len(kept) == len(a.data):
-            return a
-        return CodeVector(array("q", sorted(kept)), frozenset(kept))
     if len(b) == 0 or len(a) == 0:
         return a
     mask = _sorted_isin(a, b)
@@ -356,32 +245,26 @@ def codes_difference(a, b):
 
 
 def codes_intersection(a, b):
-    if isinstance(a, CodeVector):
-        kept = a.members & b.members
-        return CodeVector(array("q", sorted(kept)), frozenset(kept))
     if len(a) == 0 or len(b) == 0:
         return empty_codes()
     return a[_sorted_isin(a, b)]
 
 
 def codes_issubset(a, b) -> bool:
-    if isinstance(a, CodeVector):
-        return a.members <= b.members
     if len(a) > len(b):
         return False
     if len(a) == 0:
         return True
     return bool(_sorted_isin(a, b).all())
 
+
 def codes_contains(codes, code: int) -> bool:
-    if isinstance(codes, CodeVector):
-        return code in codes.members
     i = int(_np.searchsorted(codes, code))
     return i < len(codes) and int(codes[i]) == code
 
 
 def _sorted_isin(a, b):
-    """Boolean mask of ``a``'s membership in sorted-unique ``b`` (numpy).
+    """Boolean mask of ``a``'s membership in sorted-unique ``b``.
 
     Small probes binary-search; big probes go through ``np.isin``, whose
     sort-merge kernel amortises far better than ``searchsorted``'s
@@ -402,42 +285,18 @@ def _sorted_isin(a, b):
 
 
 class KeyMembership:
-    """O(1)-ish membership over a set of key codes.
+    """Membership over a sorted vector of key codes.
 
-    The array backend packs small key spaces into one Python int used as
-    a *bitset* (bigint bit tests are C-speed); larger spaces fall back
-    to a frozenset.  The numpy backend keeps the sorted vector and
-    answers batch queries with :func:`_sorted_isin`.  This is what the
-    Yannakakis semi-join prologue and anti-joins filter through.
+    What :func:`semijoin_filter` filters through (:func:`_sorted_isin`).
     """
 
-    __slots__ = ("_bits", "_set", "_sorted")
+    __slots__ = ("_sorted",)
 
     def __init__(self, codes) -> None:
-        self._bits = None
-        self._set = None
-        self._sorted = None
-        if isinstance(codes, CodeVector):
-            data = codes.data
-            if data and 0 <= data[0] and data[-1] < _BITSET_LIMIT:
-                bits = 0
-                for c in data:
-                    bits |= 1 << c
-                self._bits = bits
-            else:
-                self._set = codes.members
-        else:
-            self._sorted = codes
-
-    def __contains__(self, code: int) -> bool:
-        if self._bits is not None:
-            return bool((self._bits >> code) & 1)
-        if self._set is not None:
-            return code in self._set
-        return codes_contains(self._sorted, code)
+        self._sorted = codes
 
     def mask(self, probe):
-        """Batch membership of a probe vector (numpy backend only)."""
+        """Batch membership of a probe vector."""
         return _sorted_isin(probe, self._sorted)
 
 
@@ -513,7 +372,7 @@ class RelationCodes:
         arity = self.arity
         if self.valid():
             extern = self.symbols.extern_code
-            return frozenset(extern(c, arity) for c in codes_iter(self.codes))
+            return frozenset(extern(c, arity) for c in self.codes.tolist())
         b = self.shift
         mask = (1 << b) - 1
         values = self.symbols._values
@@ -522,7 +381,7 @@ class RelationCodes:
                 values[(c >> (b * (arity - 1 - k))) & mask]
                 for k in range(arity)
             )
-            for c in codes_iter(self.codes)
+            for c in self.codes.tolist()
         )
 
     def contains_tuple(self, t: tuple) -> bool:
@@ -548,24 +407,10 @@ class RelationCodes:
         if cols is None:
             b = self.shift
             arity = self.arity
-            if _BACKEND == "numpy" and isinstance(self.codes, _np.ndarray):
-                cols = tuple(
-                    (self.codes >> (b * (arity - 1 - k))) & ((1 << b) - 1)
-                    for k in range(arity)
-                )
-            else:
-                mask = (1 << b) - 1
-                cols = tuple(
-                    array(
-                        "q",
-                        [
-                            (c >> (b * (arity - 1 - k))) & mask
-                            for c in self.codes.data
-                        ],
-                    )
-                    for k in range(arity)
-                )
-            self._columns = cols
+            cols = self._columns = tuple(
+                (self.codes >> (b * (arity - 1 - k))) & ((1 << b) - 1)
+                for k in range(arity)
+            )
         return cols
 
     def key_codes(self, key_columns: Tuple[int, ...]):
@@ -579,20 +424,11 @@ class RelationCodes:
             return cached
         b = self.shift
         cols = self.columns()
-        if _BACKEND == "numpy" and isinstance(self.codes, _np.ndarray):
-            out = cols[key_columns[0]].copy()
-            for c in key_columns[1:]:
-                out <<= b
-                out |= cols[c]
-            self._keys[key_columns] = out
-            return out
-        picked = [cols[c] for c in key_columns]
-        out = array("q", bytes(8 * len(self.codes.data)))
-        for i in range(len(out)):
-            code = 0
-            for col in picked:
-                code = (code << b) | col[i]
-            out[i] = code
+        out = cols[key_columns[0]].copy()
+        for c in key_columns[1:]:
+            out <<= b
+            out |= cols[c]
+        self._keys[key_columns] = out
         return out
 
     def sorted_run(self, key_columns) -> "SortedRun":
@@ -612,55 +448,25 @@ class RelationCodes:
 class SortedRun:
     """A relation sorted by key code: the kernel's join index.
 
-    Probing is a pair of binary searches per distinct key (vectorised
-    under numpy); the matching rows are the run's order slice.  This is
-    the sorted-run intersection the ISSUE names: no per-tuple hashing,
+    Probing is a pair of vectorised binary searches per probe vector;
+    the matching rows are the run's order slice — no per-tuple hashing,
     no bucket dicts, just position arithmetic over two sorted vectors.
     """
 
-    __slots__ = (
-        "relation",
-        "key_columns",
-        "sorted_keys",
-        "order",
-        "_buckets",
-        "_distinct",
-    )
+    __slots__ = ("relation", "key_columns", "sorted_keys", "order", "_distinct")
 
     def __init__(self, relation: RelationCodes, key_columns: Tuple[int, ...]) -> None:
         self.relation = relation
         self.key_columns = key_columns
         self._distinct = None
         keys = relation.key_codes(key_columns)
-        if _BACKEND == "numpy" and not isinstance(keys, array):
-            order = _np.argsort(keys, kind="stable")
-            self.order = order
-            self.sorted_keys = keys[order]
-            self._buckets = None
-        else:
-            pairs = sorted(range(len(keys)), key=keys.__getitem__)
-            self.order = array("q", pairs)
-            self.sorted_keys = array("q", [keys[i] for i in pairs])
-            buckets: Dict[int, List[int]] = {}
-            for pos, row in enumerate(pairs):
-                buckets.setdefault(self.sorted_keys[pos], []).append(row)
-            self._buckets = buckets
-
-    def lookup_rows(self, key_code: int):
-        """Row indices matching one key code (array backend)."""
-        if self._buckets is not None:
-            return self._buckets.get(key_code, ())
-        left = int(_np.searchsorted(self.sorted_keys, key_code, side="left"))
-        right = int(_np.searchsorted(self.sorted_keys, key_code, side="right"))
-        return self.order[left:right]
+        self.order = _np.argsort(keys, kind="stable")
+        self.sorted_keys = keys[self.order]
 
     def distinct_keys(self):
         """The distinct key codes present (sorted), cached."""
         if self._distinct is None:
-            if self._buckets is not None:
-                self._distinct = as_codes(self._buckets.keys())
-            else:
-                self._distinct = dedup_sorted(self.sorted_keys)
+            self._distinct = dedup_sorted(self.sorted_keys)
         return self._distinct
 
 
@@ -700,20 +506,9 @@ def universe_product_codes(symbols: SymbolTable, universe: frozenset, k: int):
     full = cache.get(key)
     if full is None:
         b = symbols.shift
-        if isinstance(ids, CodeVector):
-            vals = ids.data
-            acc = vals
-            for _ in range(k - 1):
-                acc = array(
-                    "q", [(a << b) | v for a in acc for v in vals]
-                )
-            full = CodeVector(acc)
-        else:
-            acc = ids
-            for _ in range(k - 1):
-                acc = (_np.repeat(acc << b, len(ids))
-                       | _np.tile(ids, len(acc)))
-            full = acc
+        full = ids
+        for _ in range(k - 1):
+            full = _np.repeat(full << b, len(ids)) | _np.tile(ids, len(full))
         cache[key] = full
     return full
 
@@ -730,37 +525,24 @@ def complement_codes(symbols: SymbolTable, universe: frozenset, rel: RelationCod
 
 
 def semijoin_filter(rel: RelationCodes, key_columns, allowed: KeyMembership):
-    """Rows of ``rel`` whose key code is in ``allowed`` (bitset filter).
+    """Rows of ``rel`` whose key code is in ``allowed``.
 
     Returns a code vector of the surviving rows — the kernel face of
     the Yannakakis reduction step.
     """
     key = canon_columns(key_columns)
-    keys = rel.key_codes(key)
-    if isinstance(rel.codes, CodeVector):
-        data = rel.codes.data
-        kept = array("q", (data[i] for i in range(len(data)) if keys[i] in allowed))
-        return CodeVector(kept)
-    return rel.codes[allowed.mask(keys)]
+    return rel.codes[allowed.mask(rel.key_codes(key))]
 
 
 def antijoin_codes(rel: RelationCodes, key_columns, excluded: "RelationCodes"):
     """Rows of ``rel`` with no key match in ``excluded`` (same columns)."""
     key = canon_columns(key_columns)
-    keys = rel.key_codes(key)
-    if isinstance(rel.codes, CodeVector):
-        member = KeyMembership(as_codes(excluded.key_codes(key)))
-        data = rel.codes.data
-        kept = array(
-            "q", (data[i] for i in range(len(data)) if keys[i] not in member)
-        )
-        return CodeVector(kept)
-    excl = sorted_unique(_np.asarray(excluded.key_codes(key)))
-    return rel.codes[~_sorted_isin(keys, excl)]
+    excl = sorted_unique(excluded.key_codes(key))
+    return rel.codes[~_sorted_isin(rel.key_codes(key), excl)]
 
 
 _DENSE_JOIN_LIMIT = 1 << 18
-"""Largest key-code span the numpy join direct-addresses (two int64
+"""Largest key-code span the join direct-addresses (two int64
 tables of that span, ~2 MiB each, beat binary search comfortably)."""
 
 _DENSE_JOIN_FLOOR = 1 << 12
@@ -795,10 +577,10 @@ def join_codes(left: RelationCodes, right: RelationCodes, on):
     """Matched row indices of an equi-join (kernel microbench op).
 
     ``on`` is ``[(left_col, right_col), ...]``; returns a pair of
-    backend-native index vectors ``(left_rows, right_rows)`` — the
+    int64 index vectors ``(left_rows, right_rows)`` — the
     engine's shape: no tuple is ever materialised, callers project
     whichever columns they need.  When the key codes span a dense range
-    (the normal case — interned ids *are* dense), the numpy path joins
+    (the normal case — interned ids *are* dense), the join goes
     by direct addressing into per-key start/count tables instead of one
     binary search per probe: the payoff of interning to dense ints.
     """
@@ -806,13 +588,6 @@ def join_codes(left: RelationCodes, right: RelationCodes, on):
     rcols = canon_columns(c for _, c in on)
     run = right.sorted_run(rcols)
     lkeys = left.key_codes(lcols)
-    if isinstance(left.codes, CodeVector):
-        li, ri = array("q"), array("q")
-        for i in range(len(lkeys)):
-            for j in run.lookup_rows(lkeys[i]):
-                li.append(i)
-                ri.append(j)
-        return li, ri
     sk = run.sorted_keys
     empty = _np.empty(0, dtype=_np.int64)
     if len(sk) == 0 or len(lkeys) == 0:

@@ -1,9 +1,7 @@
 """Property tests for the interned columnar kernel (``repro.db.kernel``).
 
 The kernel's contract has four load-bearing faces, each tested here
-with Hypothesis over the shared strategies and — where the behaviour
-is backend-sensitive — under both the ``array`` baseline and the numpy
-fast path:
+with Hypothesis over the shared strategies:
 
 * interning is a dense, stable bijection: ids are contiguous,
   first-intern ordered, and ``extern`` inverts ``intern`` exactly;
@@ -25,11 +23,14 @@ must hit the same cached index/complement structure.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tempfile
 from array import array
 from pathlib import Path
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,21 +43,22 @@ from repro.db.kernel import RelationCodes, SymbolTable, canon_columns
 from repro.server.wal import DeltaLog
 
 
-BACKENDS = kernel.available_backends()
-
-
-@pytest.fixture(params=BACKENDS, scope="module")
-def backend_name(request):
-    """Run the module's tests once per usable kernel backend.
-
-    Module-scoped on purpose: Hypothesis forbids function-scoped
-    fixtures under ``@given`` (one fixture lifetime would span many
-    examples), and forcing the backend is idempotent process state that
-    a wider scope handles correctly.
-    """
-    previous = kernel.set_backend(request.param)
-    yield request.param
-    kernel.set_backend(previous)
+def test_import_without_numpy_is_an_import_error():
+    # numpy is a declared dependency: a missing install must fail at
+    # import, not fall back to a silent slow path.
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import repro\n"
+        "except ImportError:\n"
+        "    sys.exit(42)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 42
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +78,7 @@ def test_intern_assigns_dense_ids_and_extern_inverts(values):
 
 
 @given(st.lists(persistable_values(), unique=True, min_size=1))
-def test_encode_decode_round_trip_both_backends(backend_name, values):
+def test_encode_decode_round_trip(values):
     sym = SymbolTable()
     tuples = [(a, b) for a in values[:3] for b in values[:3]]
     rc = RelationCodes.encode(sym, 2, tuples)
@@ -87,7 +89,7 @@ def test_encode_decode_round_trip_both_backends(backend_name, values):
 
 
 @given(small_databases())
-def test_relation_codes_on_database_table(backend_name, db):
+def test_relation_codes_on_database_table(db):
     """``codes_on`` under the database's own table decodes to the tuples."""
     rel = db["E"]
     rc = rel.codes_on(db.symbols())
@@ -102,7 +104,7 @@ def test_relation_codes_on_database_table(backend_name, db):
 
 
 @given(databases_and_deltas())
-def test_symbol_table_shared_under_delta_streams_and_compose(backend_name, case):
+def test_symbol_table_shared_under_delta_streams_and_compose(case):
     db, deltas = case
     sym = db.symbols()
     before = {v: sym.intern(v) for v in db.sorted_universe()}
@@ -132,7 +134,7 @@ def test_symbol_table_shared_under_delta_streams_and_compose(backend_name, case)
 
 @given(databases_and_deltas())
 @settings(max_examples=15)
-def test_wal_replay_matches_live_stream_on_interned_dbs(backend_name, case):
+def test_wal_replay_matches_live_stream_on_interned_dbs(case):
     db, deltas = case
     live = db
     with tempfile.TemporaryDirectory() as tmp:
@@ -170,7 +172,7 @@ def test_wal_replay_matches_live_stream_on_interned_dbs(backend_name, case):
 
 @given(small_databases())
 @settings(max_examples=20)
-def test_dump_of_code_backed_relation_equals_dump_of_decoded(backend_name, db):
+def test_dump_of_code_backed_relation_equals_dump_of_decoded(db):
     rel = db["E"]
     sym = db.symbols()
     coded = Relation._from_codes("E", 2, RelationCodes.encode(sym, 2, list(rel)))
@@ -193,24 +195,18 @@ def test_canon_columns_normalises_every_spelling():
     assert canon_columns((0, 1)) == expected
     assert canon_columns(iter((0, 1))) == expected
     assert canon_columns(array("q", [0, 1])) == expected
-    if kernel.has_numpy():
-        import numpy as np
-
-        out = canon_columns(np.array([0, 1], dtype=np.int64))
-        assert out == expected
-        assert all(type(c) is int for c in out)
+    out = canon_columns(np.array([0, 1], dtype=np.int64))
+    assert out == expected
+    assert all(type(c) is int for c in out)
 
 
-def test_index_and_complement_caches_hit_across_column_spellings(backend_name):
+def test_index_and_complement_caches_hit_across_column_spellings():
     rel = Relation("R", 2, [(1, 2), (2, 3), (3, 1)])
     idx = rel.index_on((0,))
     assert rel.index_on([0]) is idx
     assert rel.index_on(iter((0,))) is idx
     assert rel.index_on(array("q", [0])) is idx
-    if kernel.has_numpy():
-        import numpy as np
-
-        assert rel.index_on(np.array([0])) is idx
+    assert rel.index_on(np.array([0])) is idx
 
     uni = frozenset({1, 2, 3})
     keyed = rel.keyed_complement_on(uni, (0,), (1,))
@@ -244,8 +240,6 @@ class TestDenseJoinGuard:
         # exist — the dense path used to allocate and zero two span-sized
         # tables for a two-row join.  The guard must route this through
         # the sorted probe path and still match exactly.
-        if not kernel.has_numpy():
-            pytest.skip("the dense path is numpy-only")
         table = SymbolTable()
         for v in range(300):  # widen the field: per-column ids need 2^12
             table.intern(v)

@@ -4,9 +4,10 @@ The load-bearing guarantees:
 
 * **three-way equivalence**: on arbitrary rules — including repeated
   variables, constants, zero-ary relations, and unsafe active-domain
-  completion — the legacy per-round evaluator, the PR-1 tuple-at-a-time
-  dict executor, and the set-at-a-time batch executor (anti-join
-  negation, complement-based completion) all derive the same tuples;
+  completion — the reference evaluator, the row form of the batch
+  program (``solve_plan_table``) and its *forced* columnar form
+  (``colexec.execute_plan_codes``, whatever the size heuristic would
+  have picked) all derive the same tuples;
 * every engine that now evaluates through plans (naive, semi-naive,
   inflationary, incremental, stratified) computes the same valuations as
   the legacy uncompiled Theta iteration;
@@ -41,12 +42,11 @@ from repro.core.planning import (
     AntiJoin,
     ComplementJoin,
     ExtendDomain,
+    colexec,
     compile_program,
     compile_rule,
     execute_plan,
-    execute_plan_rows_legacy,
-    solve_plan,
-    solve_plan_rows_legacy,
+    solve_plan_table,
 )
 from repro.core.semantics import (
     incremental_inflationary_semantics,
@@ -83,19 +83,41 @@ def legacy_inflationary(program, db):
 
 
 # ----------------------------------------------------------------------
-# Single-rule equivalence: batch == dict executor == legacy (three-way)
+# Single-rule equivalence: legacy == row form == columnar form (three-way)
 # ----------------------------------------------------------------------
 
 
-def assert_three_way(rule, interp, arities):
-    """Legacy evaluator, dict executor, and batch executor must agree —
-    the batch executor with the semi-join reduction pass both on and off."""
-    plan = compile_rule(rule)
+def row_heads(plan, interp, semijoin=True):
+    """Head tuples through the row interpreter."""
+    table = solve_plan_table(plan, interp, stats=None, semijoin=semijoin)
+    return {
+        tuple(payload if is_const else row[payload] for is_const, payload in plan.head_cols)
+        for row in table.rows
+    }
+
+
+def columnar_heads(plan, interp, semijoin=True):
+    """Head tuples through the columnar interpreter, called directly (no
+    size heuristic in the way); ``None`` when it declines the plan."""
+    result = colexec.execute_plan_codes(plan, interp, semijoin=semijoin)
+    if result is None:
+        return None
+    sym, head_codes = result
+    arity = len(plan.head_cols)
+    return {sym.extern_code(c, arity) for c in head_codes.tolist()}
+
+
+def assert_three_way(rule, interp, arities, db=None):
+    """Reference evaluator, row form and forced columnar form must agree
+    (and so must ``execute_plan``, whichever of the two it picks) — all
+    with the semi-join reduction pass on and off."""
+    plan = compile_rule(rule, db=db)
     legacy = evaluate_rule_legacy(rule, interp, arities)
-    dict_rows = execute_plan_rows_legacy(plan, interp)
-    batch = execute_plan(plan, interp, semijoin=True)
-    batch_unreduced = execute_plan(plan, interp, semijoin=False)
-    assert batch == batch_unreduced == dict_rows == legacy
+    for semijoin in (True, False):
+        assert execute_plan(plan, interp, semijoin=semijoin) == legacy
+        assert row_heads(plan, interp, semijoin) == legacy
+        columnar = columnar_heads(plan, interp, semijoin)
+        assert columnar is None or columnar == legacy
 
 
 @given(random_programs(), small_databases())
@@ -119,21 +141,31 @@ def test_three_way_executor_equivalence_on_random_rules(program, db):
 
 
 @given(random_programs(include_zeroary=True), small_databases())
-def test_batch_bindings_match_dict_bindings_under_total_heads(program, db):
+def test_row_bindings_match_columnar_bindings_under_total_heads(program, db):
     # With a pseudo-head naming every rule variable (the grounder's
-    # construction) no variable is existence-projected, so the two
-    # executors must produce identical *binding sets*, not just head sets.
+    # construction) no variable is existence-projected, so the head sets
+    # ARE the binding sets: the two forms must agree on them.
     from repro.core.literals import Atom
     from repro.core.rules import Rule
 
     interp = as_interpretation(program, db, theta_legacy(program, db))
     for rule in program.rules:
         all_vars = sorted(rule.variables(), key=lambda v: v.name)
-        pseudo = Rule(Atom("__all__", tuple(all_vars)), rule.body)
-        plan = compile_rule(pseudo)
-        batch = {frozenset(b.items()) for b in solve_plan(plan, interp)}
-        dicts = {frozenset(b.items()) for b in solve_plan_rows_legacy(plan, interp)}
-        assert batch == dicts
+        plan = compile_rule(Rule(Atom("__all__", tuple(all_vars)), rule.body))
+        columnar = columnar_heads(plan, interp)
+        assert columnar is None or columnar == row_heads(plan, interp)
+
+
+def test_columnar_form_runs_below_the_size_heuristic():
+    # A join-only rule over a relation smaller than _AUTO_MIN_REL: the
+    # heuristic keeps it on the row path, so only a direct call reaches
+    # the columnar join lowering at this size — and it must not decline.
+    program = parse_program("S(X, Y) :- E(X, Z), E(Z, Y).")
+    db = Database({1, 2, 3}, [Relation("E", 2, [(1, 2), (2, 3), (3, 1)])])
+    assert len(db["E"]) < colexec._AUTO_MIN_REL
+    plan = compile_rule(program.rules[0], db=db)
+    assert not colexec.wants_plan(plan, db)
+    assert columnar_heads(plan, db) == {(1, 3), (2, 1), (3, 2)}
 
 
 @given(random_programs(), small_databases())
@@ -182,10 +214,7 @@ def test_compiled_rules_handle_hard_shapes(source):
     for _ in range(4):
         interp = as_interpretation(program, db, current)
         for rule in program.rules:
-            plan = compile_rule(rule, db=db)
-            legacy = evaluate_rule_legacy(rule, interp, program.arities)
-            assert execute_plan(plan, interp) == legacy
-            assert execute_plan_rows_legacy(plan, interp) == legacy
+            assert_three_way(rule, interp, program.arities, db=db)
         current = theta(program, db, current)
 
 
@@ -196,7 +225,7 @@ def test_plan_shape_for_transitive_closure():
     # Two join steps, no completion, and the second step keyed on the
     # variable bound by the first.
     assert len(plan.steps) == 2
-    assert not plan.completions
+    assert not any(isinstance(op, (ExtendDomain, ComplementJoin)) for op in plan.ops)
     first, second = plan.steps
     assert first.key_columns == ()  # nothing bound yet
     assert len(second.key_columns) == 1
@@ -278,8 +307,8 @@ def test_existence_checks_ignore_out_of_universe_tuples():
 def test_cross_product_bodies_survive_semijoin_reduction(program, db):
     # Bodies with disconnected variable graphs are pure cross products:
     # the semi-join pass has nothing to reduce through and must not drop
-    # a component.  All three executors (batch with reduction on AND
-    # off) agree with the legacy evaluator on every rule.
+    # a component.  Both forms (with reduction on AND off) agree with
+    # the legacy evaluator on every rule.
     interp = as_interpretation(program, db, theta_legacy(program, db))
     arities = program.arities
     for rule in program.rules:
