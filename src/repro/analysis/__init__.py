@@ -16,14 +16,17 @@ Three layers:
 
 Surfaced as ``python -m repro lint``, the ``explain`` summary block,
 and the server's ``register``/``lint``/``stats`` verbs.
+
+The analyzer's names are resolved on first use (``repro.parallel`` does
+the same): the stratified engine needs :mod:`repro.analysis.dependency`,
+and a ``repro run`` should not import the lint pass to get it.
 """
 
+from __future__ import annotations
+
+# Eager: light, and the function must shadow the ``classify`` submodule.
 from .classify import EngineSupport, ProgramClass, classify
 from .dependency import DependencyEdge, DependencyGraph
-from .diagnostics import Diagnostic, LintReport, Severity
-from .facts import ProgramFacts
-from .lint import lint_program, lint_source
-from .stats import GroundingStats, ProgramStats
 
 __all__ = [
     "DependencyEdge",
@@ -40,3 +43,24 @@ __all__ = [
     "lint_program",
     "lint_source",
 ]
+
+_LAZY = {
+    "Diagnostic": "diagnostics",
+    "LintReport": "diagnostics",
+    "Severity": "diagnostics",
+    "ProgramFacts": "facts",
+    "lint_program": "lint",
+    "lint_source": "lint",
+    "GroundingStats": "stats",
+    "ProgramStats": "stats",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+
+    return getattr(import_module("." + module_name, __name__), name)

@@ -9,8 +9,9 @@ tables, and the pytest benchmarks call the same runners.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 
 @dataclass
@@ -94,6 +95,67 @@ class Table:
             lines.append("")
             lines.append("*%s*" % note)
         return "\n".join(lines)
+
+
+def loglog_slope(xs, ys) -> float:
+    """Least-squares slope of ``log y`` against ``log x``: the ``e`` of ``y ~ x^e``."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sum(
+        (x - mx) ** 2 for x in lx
+    )
+
+
+def scaling_table(
+    title: str,
+    size_column: str,
+    time_column: str,
+    inputs: Sequence[Tuple[str, int]],
+    measure: Callable[[int], Tuple[float, int, int, bool]],
+    exponent_bound: float,
+    largest_bound_s: float = float("inf"),
+    repetitions: int = 5,
+) -> Table:
+    """Time a public entry point on doubling inputs and fit ``time ~ x^e``.
+
+    ``inputs`` is ``[(label, n)]``; ``measure(n)`` builds a fresh input,
+    times one call and returns ``(seconds, size, rounds, correct)`` —
+    ``size`` being the work the call must produce (``size_column``).
+    Every repetition is a row.  Repetitions run outside the size loop:
+    this box's speed drifts over tens of seconds, and a drift must hit
+    every size alike or it bends the fit.  The two last rows fit, by
+    least squares in log-log space over the *fastest* repetition per
+    size (the work is deterministic, so whatever a repetition takes
+    beyond the fastest is the machine), the time against ``n`` and
+    against ``size``; the second one's ``ok`` requires the exponent
+    within ``exponent_bound`` and the largest input under
+    ``largest_bound_s``.
+    """
+    table = Table(
+        title, ["input / repetition", size_column, "rounds", time_column, "exponent", "ok"]
+    )
+    runs: Dict[int, list] = {n: [] for _, n in inputs}
+    for _ in range(repetitions):
+        for _, n in inputs:
+            runs[n].append(measure(n))
+    for label, n in inputs:
+        for repetition, (seconds, size, rounds, correct) in enumerate(runs[n], start=1):
+            table.add("%s #%d" % (label, repetition), size, rounds, seconds, "", correct)
+    fastest = [min(run[0] for run in runs[n]) for _, n in inputs]
+    span = "%s..%s" % (inputs[0][0], inputs[-1][0])
+    by_n = loglog_slope([n for _, n in inputs], fastest)
+    by_size = loglog_slope([runs[n][0][1] for _, n in inputs], fastest)
+    table.add("fit over fastest vs n, " + span, "", "", fastest[-1], "%.2f" % by_n, True)
+    table.add(
+        "fit over fastest vs %s, %s" % (size_column, span),
+        "",
+        "",
+        fastest[-1],
+        "%.2f" % by_size,
+        by_size <= exponent_bound and fastest[-1] < largest_bound_s,
+    )
+    return table
 
 
 def _cell(value: Any) -> str:

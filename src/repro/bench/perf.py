@@ -1,9 +1,11 @@
 """Perf experiment: the shipped rule-execution path vs. its baselines.
 
 Registered in the same harness as E1–E9 so ``python -m repro.bench perf``
-prints wall-clock tables that all time ``execute_plan`` as the engines
-call it: the engines (compiled plans, row or columnar per input size)
-against the reference evaluator ``theta_legacy``; the materialized-view
+prints wall-clock tables whose timed cells all call public entry points
+(the engine functions, :func:`repro.core.fixpoint.iterate`,
+``MaterializedView.apply``): the engines (compiled plans, row or
+columnar per input size) against the reference evaluator
+``theta_legacy``; the engines' scaling at n, 2n, 4n; the materialized-view
 scenario — single-tuple EDB update latency through ``MaterializedView``
 against from-scratch recomputation; adaptive re-planning + semi-join
 reduction against static plans; and the well-founded engine's scaling.
@@ -17,12 +19,13 @@ the wins; speedups vary by machine, so they are reported, not asserted.
 
 from __future__ import annotations
 
+import random
 import time
 from typing import Callable, List, Tuple
 
-from ..core.fixpoint import idb_equal, idb_union
-from ..core.operator import IDBMap, as_interpretation, empty_idb, theta_legacy
-from ..core.planning import PlanStore, execute_plan
+from ..core.fixpoint import idb_equal, idb_union, iterate
+from ..core.operator import IDBMap, empty_idb, theta_legacy
+from ..core.planning import PLAN_STORE, PlanStore
 from ..core.semantics import (
     inflationary_semantics,
     naive_least_fixpoint,
@@ -34,6 +37,8 @@ from ..db.relation import Relation
 from ..core.parser import parse_program
 from ..core.program import Program
 from ..graphs import generators as gg
+from ..graphs.algorithms import transitive_closure
+from ..graphs.digraph import Digraph
 from ..graphs.encode import graph_to_database
 from ..obs import (
     RECORDER,
@@ -49,7 +54,7 @@ from ..queries import (
     transitive_closure_program,
     win_move_program,
 )
-from .harness import Table, register
+from .harness import Table, register, scaling_table
 from .materialize_perf import materialize_table
 from .wellfounded_perf import wellfounded_scaling_table, wellfounded_table
 
@@ -140,53 +145,16 @@ def _hub_workload(n_big: int = 4000, hubs: int = 64, chain: int = 8):
     return program, db
 
 
-def _lfp_static(
-    program: Program, db: Database, semijoin: bool, store: "PlanStore" = None
-) -> IDBMap:
-    """Naive least-fixpoint over statically compiled plans (private store)."""
-    store = store if store is not None else PlanStore()
-    plan = store.program_plan(program, db)
-    current = empty_idb(program)
-    while True:
-        interp = as_interpretation(program, db, current)
-        derived = {p: set() for p in program.idb_predicates}
-        for rule_plan in plan.plans:
-            derived[rule_plan.head_pred] |= execute_plan(
-                rule_plan, interp, stats=None, semijoin=semijoin
-            )
-        nxt = {
-            p: Relation(p, program.arity(p), tuples)
-            for p, tuples in derived.items()
-        }
-        if idb_equal(nxt, current):
-            return current
-        current = nxt
-
-
-def _lfp_adaptive(program: Program, db: Database, store: PlanStore) -> IDBMap:
-    """Naive least-fixpoint with per-round adaptive re-planning."""
-    plan = store.adaptive_program_plan(program, db)
-    current = empty_idb(program)
-    while True:
-        interp = as_interpretation(program, db, current)
-        derived = plan.consequences(interp)
-        nxt = {
-            p: Relation(p, program.arity(p), tuples)
-            for p, tuples in derived.items()
-        }
-        if idb_equal(nxt, current):
-            return current
-        current = nxt
-
-
 def adaptive_tables() -> List[Table]:
-    """Adaptive re-planning + semi-join reduction vs static plans.
+    """Adaptive re-planning vs static plans, both through the fixpoint driver.
 
-    The first table times the shipped execution path (statistics-driven
-    re-planning *and* the Yannakakis semi-join pass) against fully
-    static plans with the reduction disabled, on the hub workload the
-    static estimator misplans and on the E8 distance program (where the
-    adaptive path must not regress).  The second table exposes the
+    The first table times a shipped engine (statistics-driven
+    re-planning over the shared store) against
+    :func:`~repro.core.fixpoint.iterate` run the same way on one
+    statically compiled :class:`~repro.core.planning.ProgramPlan`: the
+    naive engine on the hub workload the static estimator misplans, the
+    inflationary engine on the E8 distance program (where the adaptive
+    path must not regress).  The second table exposes the
     statistics the run actually recorded — the observability face of
     the feedback loop.
     """
@@ -195,53 +163,51 @@ def adaptive_tables() -> List[Table]:
         ["engine/program", "adaptive s", "static s", "speedup", "equal", "ok"],
     )
     hub_program, hub_db = _hub_workload()
-    stats_store = PlanStore()
     cases = [
+        ("naive lfp/hub join (|Big|=4000)", naive_least_fixpoint, hub_program, hub_db),
         (
-            "naive lfp/hub join (|Big|=4000)",
-            hub_program,
-            hub_db,
-            stats_store,
-        ),
-        (
-            "naive lfp/distance E8 (L_10)",
+            "inflationary/distance E8 (L_10)",
+            inflationary_semantics,
             distance_program(),
             graph_to_database(gg.path(10)),
-            PlanStore(),
         ),
     ]
-    for name, program, case_db, store in cases:
-        # Warm BOTH stores first: the table compares steady-state
-        # execution (bucketed re-planned variants are cached and shared,
-        # exactly like the process-wide store in production), not
-        # first-compile latency — neither cell includes compilation.
-        static_store = PlanStore()
-        _lfp_adaptive(program, case_db, store)
-        _lfp_static(program, case_db, semijoin=False, store=static_store)
-        adaptive, adaptive_s = _timed(
-            lambda p=program, d=case_db, s=store: _lfp_adaptive(p, d, s)
-        )
-        static, static_s = _timed(
-            lambda p=program, d=case_db, s=static_store: _lfp_static(
-                p, d, semijoin=False, store=s
-            )
-        )
+    for name, engine, program, case_db in cases:
+        # A private store compiles the static plan, so it sees none of
+        # the sizes the adaptive runs record in the shared one.  Both
+        # sides run once untimed first: the table compares steady-state
+        # execution (bucketed re-planned variants are cached and shared),
+        # not first-compile latency.
+        static_plan = PlanStore().program_plan(program, case_db)
+
+        replace = engine is naive_least_fixpoint
+
+        def adaptive_fn(engine=engine, p=program, d=case_db):
+            return engine(p, d).idb
+
+        def static_fn(p=program, d=case_db, plan=static_plan, replace=replace):
+            return iterate(p, d, plan, engine="static", replace=replace).idb
+
+        adaptive_fn()
+        static_fn()
+        adaptive, adaptive_s = _timed(adaptive_fn)
+        static, static_s = _timed(static_fn)
         equal = idb_equal(adaptive, static)
         speedup = static_s / adaptive_s if adaptive_s > 0 else float("inf")
         table.add(name, adaptive_s, static_s, "%.1fx" % speedup, equal, equal)
     table.note(
-        "adaptive = bucketed re-planning from observed IDB sizes + semi-join "
-        "reduction (store pre-warmed: steady-state execution); static = "
-        "compile-time estimates only, reduction off.  Since PR 13 both cells "
-        "run execute_plan per rule per round, as the engines do; up to "
-        "BENCH_PR12 the adaptive cell timed a bench-only codes-to-codes loop "
-        "no engine ran, so it read faster than anything shipped"
+        "adaptive = the engine function (bucketed re-planning from observed "
+        "IDB sizes, shared store pre-warmed: steady-state execution); static = "
+        "the same round loop (core.fixpoint.iterate) over one ProgramPlan "
+        "compiled from compile-time estimates only.  Both keep the stage "
+        "code-backed between rounds; up to BENCH_PR13 these cells timed "
+        "bench-private loops that externed every round"
     )
 
-    # Plan-statistics table: what the feedback loop recorded while the
-    # hub case ran on its private store.
-    stats = stats_store.statistics
-    hits, misses, size = stats_store.stats()
+    # Plan-statistics table: what the feedback loop recorded in the
+    # shared store while the hub case ran.
+    stats = PLAN_STORE.statistics
+    hits, misses, size = PLAN_STORE.stats()
     big_card = stats.cardinality("Big")
     sel_card = stats.cardinality("SEL")
     sel_join = any(pred == "Big" for pred, _ in stats.join_keys())
@@ -267,6 +233,88 @@ def adaptive_tables() -> List[Table]:
         "maintenance deltas and alias relations are excluded by design"
     )
     return [table, stats_table]
+
+
+def _gnm(n: int, m: int) -> Digraph:
+    """A seeded uniform digraph on ``0..n-1`` with ``m`` distinct non-loop edges."""
+    rng = random.Random(n)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    return Digraph(range(n), edges)
+
+
+def _distance_size(n: int) -> int:
+    """``|{(x, y, x*, y*) : d(x, y) <= d(x*, y*)}|`` on ``L_n``, in closed form.
+
+    ``n - d`` pairs lie at distance ``d``; a pair at distance ``d`` is
+    dominated by the ``(n-d)(n-d+1)/2`` pairs at distance ``>= d`` and by
+    every unreachable pair (distance infinity).
+    """
+    reachable = n * (n - 1) // 2
+    return sum(k**3 + k**2 for k in range(1, n)) // 2 + (n * n - reachable) * reachable
+
+
+def engine_scaling_tables() -> List[Table]:
+    """The relational engines at n, 2n, 4n (ROADMAP aim 1).
+
+    The carrier grows faster than ``n`` (about ``n^2`` for the closure of
+    G(n, 2n), ``n^4`` for the distance query), so the fit against the
+    result size is the one that says whether an engine is linear in what
+    it must produce.  A repetition is ``ok`` when the carrier's size
+    equals an independent count (BFS closure / closed form).
+    """
+
+    def measure_with(engine, program, graphs, expected):
+        def measure(n: int):
+            db = graph_to_database(graphs[n])  # fresh: no caches, no symbol table
+            start = time.perf_counter()
+            result = engine(program, db)
+            seconds = time.perf_counter() - start
+            size = len(result.carrier_value)
+            return seconds, size, result.rounds, size == expected[n]
+
+        return measure
+
+    graphs = {n: _gnm(n, 2 * n) for n in (200, 400, 800)}
+    tc = scaling_table(
+        "seminaive_least_fixpoint scaling on transitive closure of G(n, 2n)",
+        "result tuples",
+        "engine s",
+        [("G(%d,%d)" % (n, 2 * n), n) for n in graphs],
+        measure_with(
+            seminaive_least_fixpoint,
+            transitive_closure_program(),
+            graphs,
+            {n: len(transitive_closure(g)) for n, g in graphs.items()},
+        ),
+        exponent_bound=1.3,
+    )
+    paths = {n: gg.path(n) for n in (8, 16, 32)}
+    distance = scaling_table(
+        "inflationary_semantics scaling on the distance query of L_n",
+        "result tuples",
+        "engine s",
+        [("L_%d" % n, n) for n in paths],
+        measure_with(
+            inflationary_semantics,
+            distance_program(),
+            paths,
+            {n: _distance_size(n) for n in paths},
+        ),
+        exponent_bound=1.3,
+    )
+    for table in (tc, distance):
+        table.note(
+            "engine s = wall time of one call of the public engine function on "
+            "a fresh database (fit rows: the fastest at the largest size); "
+            "exponent = least-squares slope of log(fastest s) against log(n) "
+            "and against log(result tuples); ok on the second fit row = "
+            "exponent <= 1.3"
+        )
+    return [tc, distance]
 
 
 def _count_obs_touchpoints(fn: Callable[[], object]) -> int:
@@ -424,7 +472,9 @@ def run_perf() -> List[Table]:
     # (PR-5 subsystem, the non-stratifiable workload class) with the
     # batch engine's own scaling beside them.
     return (
-        [table, materialize_table()]
+        [table]
+        + engine_scaling_tables()
+        + [materialize_table()]
         + adaptive_tables()
         + [wellfounded_table(), wellfounded_scaling_table(), observability_overhead_table()]
     )

@@ -42,7 +42,6 @@ program.
 
 from __future__ import annotations
 
-import math
 import statistics
 import time
 from typing import Dict, List
@@ -52,7 +51,7 @@ from ..graphs import generators as gg
 from ..graphs.encode import graph_to_database
 from ..materialize import Delta, MaterializedView
 from ..queries import win_move_program
-from .harness import Table
+from .harness import Table, scaling_table
 
 
 def measure_wellfounded_scenario(
@@ -158,68 +157,41 @@ def wellfounded_table(sizes=(400, 2000)) -> Table:
 
 
 SCALING_SIZES = (2500, 5000, 10000, 20000)
-SCALING_REPETITIONS = 5
 SCALING_EXPONENT_BOUND = 1.2
 SCALING_LARGEST_BOUND_S = 1.0
 
 
 def wellfounded_scaling_table() -> Table:
-    """``well_founded_semantics`` on ``L_n`` for doubling ``n``.
-
-    Each repetition builds a fresh database and times the public
-    function, grounding included.  The last row fits ``time ~ n^e`` by
-    least squares in log-log space to the *fastest* repetition of each
-    size — the work is deterministic, so whatever a repetition takes
-    beyond the fastest is the machine, not the engine — and its ``ok``
-    cell requires ``e <= 1.2`` and the largest size under one second.
-    """
-    sizes = SCALING_SIZES
+    """``well_founded_semantics`` on ``L_n`` for doubling ``n``, grounding included."""
     program = win_move_program()
-    table = Table(
+
+    def measure(n: int):
+        db = graph_to_database(gg.path(n))
+        start = time.perf_counter()
+        result = well_founded_semantics(program, db)
+        seconds = time.perf_counter() - start
+        # On L_n exactly the nodes at odd distance from the dead end win.
+        correct = result.is_total and len(result.true) == n // 2
+        return seconds, n - 1, result.rounds, correct
+
+    table = scaling_table(
         "well_founded_semantics scaling on win-move L_n (grounding included)",
-        ["input / repetition", "ground rules", "rounds", "wf s", "exponent", "ok"],
-    )
-    # Repetitions outside, sizes inside: this box's speed drifts over
-    # tens of seconds, and a drift must hit every size alike or it bends
-    # the fit.
-    runs: Dict[int, list] = {n: [] for n in sizes}
-    for _ in range(SCALING_REPETITIONS):
-        for n in sizes:
-            db = graph_to_database(gg.path(n))
-            start = time.perf_counter()
-            result = well_founded_semantics(program, db)
-            runs[n].append((time.perf_counter() - start, result))
-    for n in sizes:
-        for repetition, (seconds, result) in enumerate(runs[n], start=1):
-            # On L_n exactly the nodes at odd distance from the dead end win.
-            correct = result.is_total and len(result.true) == n // 2
-            table.add(
-                "L_%d #%d" % (n, repetition), n - 1, result.rounds, seconds, "", correct
-            )
-    fastest = [min(seconds for seconds, _ in runs[n]) for n in sizes]
-    xs = [math.log(n) for n in sizes]
-    ys = [math.log(t) for t in fastest]
-    x_mean, y_mean = statistics.fmean(xs), statistics.fmean(ys)
-    exponent = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sum(
-        (x - x_mean) ** 2 for x in xs
-    )
-    table.add(
-        "fit over fastest, L_%d..L_%d" % (sizes[0], sizes[-1]),
-        "",
-        "",
-        fastest[-1],
-        "%.2f" % exponent,
-        exponent <= SCALING_EXPONENT_BOUND and fastest[-1] < SCALING_LARGEST_BOUND_S,
+        "ground rules",
+        "wf s",
+        [("L_%d" % n, n) for n in SCALING_SIZES],
+        measure,
+        SCALING_EXPONENT_BOUND,
+        SCALING_LARGEST_BOUND_S,
     )
     table.note(
         "wf s = wall time of one well_founded_semantics call on a fresh "
-        "database (the fit row shows the fastest at the largest size); "
-        "exponent = least-squares slope of log(fastest s) against log(n); "
-        "ok on the fit row = exponent <= %.1f and the largest size under "
-        "%.0f s (ROADMAP item 1's acceptance line).  What is left above 1.0 "
-        "is the interpreter's: the cyclic collector's passes over a heap "
-        "that grows with n, and cache misses once the ground program "
-        "outgrows L2."
+        "database (the fit rows show the fastest at the largest size); "
+        "exponent = least-squares slope of log(fastest s) against log(n) / "
+        "log(ground rules); ok on the second fit row = exponent <= %.1f and "
+        "the largest size under %.0f s (ROADMAP item 1's acceptance line).  "
+        "What is left above 1.0 is the interpreter's: the cyclic collector's "
+        "passes over a heap that grows with n, and cache misses once the "
+        "ground program outgrows L2."
         % (SCALING_EXPONENT_BOUND, SCALING_LARGEST_BOUND_S)
     )
     return table

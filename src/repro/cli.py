@@ -55,12 +55,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Optional
 
-from .analysis.classify import EngineSupport, classify
+import numpy as np
+
 from .core.parser import parse_program
 from .core.program import Program
-from .core.satreduction import analyze_fixpoints
 from .core.semantics import (
     inflationary_semantics,
     naive_least_fixpoint,
@@ -71,6 +73,11 @@ from .core.semantics import (
 from .core.validation import check_database, safety_report
 from .db import csvio
 from .db.database import Database
+from .db.relation import Relation
+
+# Imports above are what ``run`` needs; every other subcommand imports
+# its own subsystem (SAT reduction, analyzer, views, server) inside its
+# ``cmd_*`` so a batch evaluation does not pay for them at start-up.
 
 _ENGINES = {
     "inflationary": inflationary_semantics,
@@ -101,8 +108,6 @@ def _load_lint_database(directory: str, program: Program):
     data row when the program does not fix it.
     """
     import csv as _csv
-
-    from .db.database import Database
 
     relations = []
     universe = set()
@@ -156,12 +161,72 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code(strict=args.strict)
 
 
+def _rows_text_from_codes(rel: Relation) -> Optional[str]:
+    """The row lines of a code-only relation, straight from its id columns.
+
+    Byte-identical to :func:`_rows_text` without building a tuple:
+    ``repr`` of a row is ``(`` + the fields' ``repr(value) + separator``
+    strings concatenated, so when no such string is a prefix of another
+    in the same column (checked; true for ints and strings) the
+    ``sorted(key=repr)`` order is the lexicographic order of per-column
+    *ranks* of those strings over the column's distinct values — one
+    ``repr`` per distinct value, one ``np.lexsort`` over the rows, one
+    ``str.join``.  Returns ``None`` when the relation is not code-only
+    or the shortcut cannot vouch for the order; the caller then falls
+    back to the spec.
+    """
+    rc = rel.code_only
+    if rc is None or rel.arity == 0 or not len(rel):
+        return None
+    extern = rc.symbols.extern
+    last = rel.arity - 1
+    ranks = []
+    texts = []
+    for j, col in enumerate(rc.columns()):
+        ids = np.unique(col)
+        values = [extern(i) for i in ids.tolist()]
+        sep = ", " if j < last else (",)" if last == 0 else ")")
+        keys = [repr(v) + sep for v in values]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        if any(
+            keys[b].startswith(keys[a]) for a, b in zip(order, order[1:])
+        ):
+            return None
+        size = int(ids[-1]) + 1
+        rank = np.empty(size, dtype=np.int64)
+        rank[ids[order]] = np.arange(len(order))
+        ranks.append(rank[col])
+        text = [""] * size
+        lead = "  " if j == 0 else ""
+        tail = ", " if j < last else "\n"
+        for i, v in zip(ids.tolist(), values):
+            text[i] = lead + str(v) + tail
+        texts.append(text)
+    rows = np.lexsort(ranks[::-1])
+    cells = [
+        [text[i] for i in col[rows].tolist()]
+        for text, col in zip(texts, rc.columns())
+    ]
+    return "".join(chain.from_iterable(zip(*cells)))
+
+
+def _rows_text(rel: Relation) -> str:
+    """The spec: one line per tuple, tuples in ``sorted(key=repr)`` order."""
+    return "".join(
+        "  " + ", ".join(str(v) for v in t) + "\n" for t in sorted(rel, key=repr)
+    )
+
+
 def _print_relations(idb) -> None:
+    """Print every relation of ``idb``: a header, then its rows, one write each."""
     for pred in sorted(idb):
         rel = idb[pred]
-        print("%s/%d (%d tuples):" % (pred, rel.arity, len(rel)))
-        for t in sorted(rel, key=repr):
-            print("  " + ", ".join(str(v) for v in t))
+        text = _rows_text_from_codes(rel)
+        if text is None:
+            text = _rows_text(rel)
+        sys.stdout.write(
+            "%s/%d (%d tuples):\n%s" % (pred, rel.arity, len(rel), text)
+        )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -462,6 +527,8 @@ async def _serve(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Fixpoint analysis: existence, uniqueness, count, least fixpoint."""
+    from .core.satreduction import analyze_fixpoints
+
     program = _load_program(args.program, carrier=args.carrier)
     db = _load_database(args.db, program)
     analysis = analyze_fixpoints(program, db, count_limit=args.count_limit)
@@ -483,6 +550,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     """Report a program's class, strata, safety, and engine support."""
+    from .analysis.classify import EngineSupport, classify
+
     program = _load_program(args.program)
     kind = classify(program)
     support = EngineSupport.for_program(program)

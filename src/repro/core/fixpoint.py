@@ -1,18 +1,33 @@
-"""Fixpoint notions from Section 2: fixpoints, comparison, least fixpoints.
+"""Fixpoint notions from Section 2, and the one loop that computes them.
 
 An IDB valuation ``S`` (a ``{pred: Relation}`` map) is a fixpoint of
 ``(pi, D)`` when ``Theta(S) = S``.  Valuations are ordered coordinatewise:
 ``S <= S'`` iff ``S_i`` is a subset of ``S'_i`` for every IDB predicate.  A
 fixpoint is *least* when it is below every other fixpoint.
+
+:func:`iterate` is the round loop of every relational engine — naive,
+semi-naive, incremental, inflationary and (stratum by stratum)
+stratified are configurations of it.  The paper's Section 4 chain
+``Theta^1 <= Theta^2 <= ...`` only ever *adds* to the last stage, so the
+loop keeps the stage as code-backed relations from the first round to
+the last and builds no Python tuple on the way (see
+:mod:`repro.db.relation` for the representation rule).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..db.database import Database
-from .operator import IDBMap, theta
+from ..db.relation import Relation
+from ..obs import RECORDER, TRACER
+from ..parallel.shard import SHARD
+from .literals import Atom
+from .operator import IDBMap, consequences, empty_idb
+from .planning import PLAN_STORE, AdaptiveRulePlans, RulePlan
 from .program import Program
+from .rules import Rule
 
 
 def idb_leq(left: IDBMap, right: IDBMap) -> bool:
@@ -67,11 +82,6 @@ def incomparable(left: IDBMap, right: IDBMap) -> bool:
     return not idb_leq(left, right) and not idb_leq(right, left)
 
 
-def is_fixpoint(program: Program, db: Database, idb: IDBMap) -> bool:
-    """``Theta(idb) == idb``, the defining equation of a fixpoint."""
-    return idb_equal(theta(program, db, idb), {p: r.with_name(p) for p, r in idb.items()})
-
-
 def least_among(fixpoints: List[IDBMap]) -> Optional[IDBMap]:
     """Return the least element of a list of valuations, if one exists.
 
@@ -88,3 +98,231 @@ def least_among(fixpoints: List[IDBMap]) -> Optional[IDBMap]:
 def total_idb_size(idb: IDBMap) -> int:
     """Total number of tuples across an IDB valuation."""
     return sum(len(r) for r in idb.values())
+
+
+# ----------------------------------------------------------------------
+# The round loop
+# ----------------------------------------------------------------------
+
+
+class SemanticsError(ValueError):
+    """Raised when a program is outside an engine's supported class."""
+
+
+@dataclass
+class EvaluationResult:
+    """Outcome of running a semantics engine.
+
+    Attributes
+    ----------
+    program, db:
+        The inputs.
+    idb:
+        Final IDB valuation.
+    rounds:
+        Number of operator applications until stabilisation.
+    trace:
+        Optional per-round valuations (round 0 is the all-empty start).
+    engine:
+        Name of the engine that produced the result.
+    """
+
+    program: Program
+    db: Database
+    idb: IDBMap
+    rounds: int
+    engine: str
+    trace: Optional[List[IDBMap]] = None
+
+    @property
+    def carrier_value(self) -> Relation:
+        """The relation computed for the program's carrier predicate."""
+        return self.idb[self.program.carrier]
+
+    def relation(self, pred: str) -> Relation:
+        """The final value of any IDB predicate."""
+        return self.idb[pred]
+
+    def __repr__(self) -> str:
+        sizes = ", ".join(
+            "%s:%d" % (p, len(self.idb[p])) for p in sorted(self.idb)
+        )
+        return "EvaluationResult(%s, rounds=%d, %s)" % (self.engine, self.rounds, sizes)
+
+
+def round_limit(program: Program, db: Database, max_rounds: Optional[int]) -> int:
+    """The most rounds :func:`iterate` may report in its round count.
+
+    The caller's ``max_rounds`` when given, else the atom-space bound
+    ``sum_i |A|^{arity(S_i)} + 1``, which an increasing iteration can
+    never exceed.  One contract for every iterating engine: a run
+    succeeds iff ``rounds <= limit`` — the application that merely
+    confirms the fixpoint is not counted against the cap.
+    """
+    if max_rounds is not None:
+        return max_rounds
+    n = len(db.universe)
+    return sum(n ** program.arity(p) for p in program.idb_predicates) + 1
+
+
+def round_limit_exceeded(
+    engine: str, limit: int, max_rounds: Optional[int]
+) -> Exception:
+    """What to raise when a round past :func:`round_limit` would be counted.
+
+    A caller-set cap is an input condition (:class:`SemanticsError`);
+    overrunning the computed bound is an engine bug (``AssertionError``).
+    """
+    if max_rounds is not None:
+        return SemanticsError(
+            "%s: no convergence within max_rounds=%d" % (engine, limit)
+        )
+    return AssertionError(
+        "%s iteration exceeded its theoretical bound %d" % (engine, limit)
+    )
+
+
+_DELTA_SUFFIX = "__delta"
+_DECODED = "repro_relation_decoded_rows_total"
+
+
+def differential_plans(
+    program: Program,
+    db: Database,
+    known_sizes: Optional[Mapping[str, int]] = None,
+) -> Tuple[List[RulePlan], AdaptiveRulePlans]:
+    """The semi-naive round operator: ``(seed, step)`` for :func:`iterate`.
+
+    ``seed`` runs once: the rules without a positive IDB body atom (on
+    the empty valuation nothing else can fire).  ``step`` holds one
+    *delta variant* per positive IDB body occurrence, reading the
+    previous round's new tuples there — a rule instance derives a new
+    tuple only if some positive IDB atom matches one.  That holds with
+    negated IDB atoms too as long as stages only grow (a negation can
+    only turn false), which is what makes the same operator serve the
+    inflationary semantics.
+
+    Plans come from the shared store.  The variants are wrapped
+    adaptively and join through the (small) deltas first: their
+    non-delta IDB atoms start as "unknown, assume large" guesses and are
+    re-planned once the observed sizes diverge.  ``known_sizes`` pins
+    cardinalities the caller holds as facts (see
+    :class:`~repro.core.planning.AdaptiveRulePlans`).
+    """
+    idb = program.idb_predicates
+    base: List[Rule] = []
+    variants: List[Rule] = []
+    for rule in program.rules:
+        occurrences = [
+            i
+            for i, lit in enumerate(rule.body)
+            if isinstance(lit, Atom) and lit.pred in idb
+        ]
+        if not occurrences:
+            base.append(rule)
+        for i in occurrences:
+            body = list(rule.body)
+            body[i] = Atom(body[i].pred + _DELTA_SUFFIX, body[i].args)
+            variants.append(Rule(rule.head, body))
+    step = PLAN_STORE.adaptive_rule_plans(
+        variants,
+        db=db,
+        small_preds=frozenset(p + _DELTA_SUFFIX for p in idb),
+        known_sizes=known_sizes,
+    )
+    return PLAN_STORE.rule_plans(base, db=db), step
+
+
+def iterate(
+    program: Program,
+    db: Database,
+    step,
+    seed: Optional[Sequence[RulePlan]] = None,
+    *,
+    engine: str,
+    replace: bool = False,
+    max_rounds: Optional[int] = None,
+    keep_trace: bool = False,
+) -> EvaluationResult:
+    """Iterate a round operator from the empty valuation to its fixpoint.
+
+    The result carries the final valuation, the number of rounds that
+    changed it and (with ``keep_trace``) the valuation after every
+    round, round 0 being empty; ``engine`` names the configuration.
+
+    The round operator is ``step`` — anything answering
+    ``refresh(interp)`` with the plans to run, plus ``statistics`` and
+    ``replans``: an :class:`~repro.core.planning.AdaptiveRulePlans`, or
+    a static :class:`~repro.core.planning.ProgramPlan`:
+
+    * without ``seed`` every round applies ``step`` to the current
+      stage — full Theta.  ``replace=True`` takes ``Theta(S)`` as the
+      next stage (naive iteration of a monotone operator), the default
+      takes ``S u Theta(S)`` (the paper's inflationary stage);
+    * with ``seed`` (see :func:`differential_plans`) round 1 runs the
+      seed plans and every later round runs ``step`` over the stage
+      *and* the previous round's new tuples, bound as ``P__delta``.
+
+    Stages stay code-backed as soon as the columnar executor produces
+    them; if a head constant widens the symbol table mid-run, the next
+    set operation re-packs the older payloads under the new width
+    (vectorised — see :meth:`~repro.db.relation.Relation.codes_on`), so
+    the loop itself has nothing to do on a generation bump.
+
+    ``max_rounds`` follows :func:`round_limit`.  Under an active shard
+    context a round without deltas is partitioned by rule and a round
+    with deltas by delta tuple; the derivations are re-unioned at the
+    barrier, so every replica takes the same decisions.
+    """
+    arities: Dict[str, int] = {p: program.arity(p) for p in program.idb_predicates}
+    limit = round_limit(program, db, max_rounds)
+    span_name = engine + ".round"
+    current = empty_idb(program)
+    delta: Optional[IDBMap] = None
+    trace = [dict(current)] if keep_trace else None
+    rounds = 0
+    while True:
+        with TRACER.span(span_name) as sp:
+            decoded = RECORDER.value(_DECODED) if sp else 0.0
+            relations = list(current.values())
+            if delta is None:
+                interp = db.with_relations(relations)
+                plans = SHARD.plan_slice(
+                    step.refresh(interp) if seed is None else seed
+                )
+            else:
+                relations += [
+                    SHARD.frontier(p, rel).with_name(p + _DELTA_SUFFIX)
+                    for p, rel in delta.items()
+                ]
+                interp = db.with_relations(relations)
+                plans = step.refresh(interp)
+            derived = SHARD.merge_relations(
+                consequences(plans, interp, arities, step.statistics)
+            )
+            if replace:
+                new = nxt = derived
+                changed = derived != current
+            else:
+                new = {p: derived[p].difference(current[p]) for p in arities}
+                changed = any(new.values())
+                if changed:
+                    nxt = {p: current[p].union(new[p]) for p in arities}
+            if sp:
+                sp["round"] = rounds + 1
+                sp["rows_out"] = sum(len(r) for r in new.values())
+                sp["replans"] = step.replans
+                sp["decoded_rows"] = int(RECORDER.value(_DECODED) - decoded)
+        if not changed:
+            break
+        rounds += 1
+        if rounds > limit:
+            raise round_limit_exceeded(engine, limit, max_rounds)
+        current = nxt
+        if seed is not None:
+            delta = new
+        if keep_trace:
+            trace.append(dict(current))
+    if RECORDER.enabled:
+        RECORDER.inc("repro_engine_rounds_total", rounds)
+    return EvaluationResult(program, db, current, rounds, engine, trace)

@@ -10,10 +10,11 @@ ways:
   (program, database) and produce immutable :class:`RulePlan` /
   :class:`ProgramPlan` objects: join order, batch ops (anti-join
   negation, complement-scheduled completion), hoisted sorted universe;
-* :func:`execute_plan` derives a plan's head tuples, choosing from the
-  input size between the columnar interpreter
+* :func:`execute_plan` derives a plan's head relation, choosing from
+  the input size between the columnar interpreter
   (:mod:`~repro.core.planning.colexec`: int64 id vectors under the
-  interpretation's symbol table) and the row interpreter
+  interpretation's symbol table; the head stays code-only) and the row
+  interpreter
   (:func:`solve_plan_table` over a :class:`BindingTable`, which is also
   what the grounder and the counting views call for the satisfying
   rows);
@@ -29,8 +30,8 @@ Two adaptive layers close the loop between execution and planning:
   :class:`Statistics` carried by the store; the compiler consults them
   (and accepts exact observed IDB sizes) instead of the static
   "assume large" guess;
-* :mod:`~repro.core.planning.adaptive` — :class:`AdaptiveProgramPlan` /
-  :class:`AdaptiveRulePlans` refresh per fixpoint round and re-plan any
+* :mod:`~repro.core.planning.adaptive` — :class:`AdaptiveRulePlans`
+  refreshes per fixpoint round and re-plans any
   rule whose observed inputs diverged beyond :data:`REPLAN_FACTOR`,
   caching the variants under coarse cardinality buckets so growth
   stages are compiled once, ever;
@@ -41,7 +42,7 @@ reduced to the tuples that can participate in some join, off cached
 index key sets.
 """
 
-from .adaptive import AdaptiveProgramPlan, AdaptiveRulePlans
+from .adaptive import AdaptiveRulePlans
 from .batch import BindingTable, execute_plan, solve_plan_table
 from .compiler import ProgramPlan, compile_program, compile_rule, compile_rules
 from .plan import (
@@ -65,7 +66,6 @@ from .statistics import (
 from .store import PLAN_STORE, PlanStore
 
 __all__ = [
-    "AdaptiveProgramPlan",
     "AdaptiveRulePlans",
     "AntiJoin",
     "AtomStep",

@@ -20,9 +20,10 @@ wrappers here close that gap mid-fixpoint:
   engine, another run, the next stratum) hits the cache instead of
   compiling.
 
-* :class:`AdaptiveProgramPlan` is the whole-program face, duck-typed to
-  :class:`~repro.core.planning.compiler.ProgramPlan` (``consequences``)
-  so ``theta``-driven engines adopt it without changes to their loops.
+The fixpoint driver (:func:`repro.core.fixpoint.iterate`) and ``theta``
+take either this wrapper or a static
+:class:`~repro.core.planning.compiler.ProgramPlan` — both answer
+``refresh(interp)``, ``statistics`` and ``replans``.
 
 The refresh itself costs one ``len()`` per adaptive predicate per rule
 per round — nothing against the joins it re-orders.
@@ -30,22 +31,11 @@ per round — nothing against the joins it re-orders.
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ...db.database import Database
 from ...obs import RECORDER, TRACER
-from ..program import Program
 from ..rules import Rule
-from .batch import execute_plan
 from .plan import RulePlan
 from .statistics import REPLAN_FACTOR, diverged
 
@@ -118,6 +108,11 @@ class AdaptiveRulePlans:
         self.replans = 0
         self._size_preds: Optional[Tuple[str, ...]] = None
         self._size_sig: Optional[Tuple[int, ...]] = None
+
+    @property
+    def statistics(self):
+        """The store's execution-feedback sink (what ``refresh`` reads)."""
+        return self.store.statistics
 
     def _relevant_known(self, rule: Rule) -> Dict[str, int]:
         """The known sizes worth baking into ``rule``'s plan key.
@@ -208,54 +203,3 @@ class AdaptiveRulePlans:
             self._size_preds = None
             self._size_sig = None
         return plans
-
-
-class AdaptiveProgramPlan:
-    """A whole program's plans with per-round adaptive refresh.
-
-    Duck-typed to :class:`~repro.core.planning.compiler.ProgramPlan`:
-    ``theta`` calls :meth:`consequences` per round, which refreshes the
-    rule plans against the round's interpretation before executing them.
-    """
-
-    __slots__ = ("program", "_adaptive")
-
-    def __init__(
-        self,
-        store,
-        program: Program,
-        db: Optional[Database] = None,
-        factor: float = REPLAN_FACTOR,
-    ) -> None:
-        self.program = program
-        self._adaptive = AdaptiveRulePlans(
-            store, program.rules, db=db, factor=factor
-        )
-
-    @property
-    def plans(self) -> Tuple[RulePlan, ...]:
-        return tuple(self._adaptive.plans)
-
-    @property
-    def replans(self) -> int:
-        """How many stale plans the refreshes have replaced so far."""
-        return self._adaptive.replans
-
-    def consequences(self, interp: Database) -> Dict[str, Set[Tuple]]:
-        """One-step consequences of every rule, grouped by head predicate."""
-        stats = self._adaptive.store.statistics
-        derived: Dict[str, Set[Tuple]] = {
-            p: set() for p in self.program.idb_predicates
-        }
-        for plan in self._adaptive.refresh(interp):
-            derived[plan.head_pred] |= execute_plan(plan, interp, stats=stats)
-        return derived
-
-    def __len__(self) -> int:
-        return len(self._adaptive.plans)
-
-    def __repr__(self) -> str:
-        return "AdaptiveProgramPlan(%d rules, %d replans)" % (
-            len(self._adaptive.plans),
-            self._adaptive.replans,
-        )

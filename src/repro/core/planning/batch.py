@@ -31,6 +31,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ...db.algebra import universe_product
 from ...db.database import Database
+from ...db.kernel import RelationCodes
+from ...db.relation import Relation
 from ...obs import RECORDER, TRACER
 from ..terms import Variable
 from . import colexec
@@ -384,21 +386,24 @@ def execute_plan(
     interp: Database,
     stats: Optional[Statistics] = _DEFAULT_SINK,  # type: ignore[assignment]
     semijoin: bool = True,
-) -> Set[Tuple]:
-    """The set of ground head tuples the plan derives from ``interp``.
+) -> Relation:
+    """The head relation the plan derives from ``interp``.
 
     When the interned columnar kernel should lower the plan (codes fit
     64 bits, sizeable inputs — see
     :func:`~repro.core.planning.colexec.wants_plan`), the whole pipeline
     runs as vector arithmetic over the interpretation's symbol table and
-    only the final head codes are externed back to tuples (memoised, so
-    steady-state fixpoint rounds rebuild nothing).  Otherwise — and for
-    any plan the columnar path declines mid-flight — the row executor
-    produces the identical set.
+    the result is a *code-only* relation over the head-code vector:
+    nothing is externed here, and a fixpoint that keeps unioning such
+    heads never builds their tuples.  Otherwise — and for any plan the
+    columnar path declines mid-flight — the row executor produces the
+    identical set as a tuple-backed relation.  Callers that need a
+    Python set take ``.tuples``.
     """
+    arity = len(plan.head_cols)
     with TRACER.span("rule") as sp:
         backend = "row"
-        out: Optional[Set[Tuple]] = None
+        out: Optional[Relation] = None
         if colexec.wants_plan(plan, interp):
             if stats is _DEFAULT_SINK:
                 stats = DEFAULT_STATISTICS
@@ -408,19 +413,23 @@ def execute_plan(
             if result is not None:
                 backend = "kernel"
                 sym, head_codes = result
-                arity = len(plan.head_cols)
-                extern = sym.extern_code
-                out = {extern(c, arity) for c in head_codes.tolist()}
+                out = Relation._from_codes(
+                    plan.head_pred, arity, RelationCodes(sym, arity, head_codes)
+                )
         if out is None:
             table = solve_plan_table(plan, interp, stats=stats, semijoin=semijoin)
             head = plan.head_cols
-            out = {
-                tuple(
-                    payload if is_const else row[payload]
-                    for is_const, payload in head
-                )
-                for row in table.rows
-            }
+            out = Relation._from_frozenset(
+                plan.head_pred,
+                arity,
+                frozenset(
+                    tuple(
+                        payload if is_const else row[payload]
+                        for is_const, payload in head
+                    )
+                    for row in table.rows
+                ),
+            )
         if sp:
             sp["pred"] = plan.head_pred
             sp["rows_out"] = len(out)

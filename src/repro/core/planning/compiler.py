@@ -31,7 +31,6 @@ from ..literals import Atom, Eq, Literal, Negation, Neq
 from ..program import Program
 from ..rules import Rule
 from ..terms import Constant, Variable
-from .batch import execute_plan
 from .plan import (
     AntiJoin,
     AtomStep,
@@ -434,7 +433,7 @@ def compile_rule(
 
 
 class ProgramPlan:
-    """All of a program's rules compiled, plus a one-round driver.
+    """All of a program's rules compiled, statically.
 
     ``statistics`` is the sink execution observations are recorded into
     — the statistics of the store that compiled this plan, so private
@@ -454,16 +453,17 @@ class ProgramPlan:
         self.plans: Tuple[RulePlan, ...] = tuple(plans)
         self.statistics = statistics
 
-    def consequences(self, interp: Database) -> Dict[str, Set[Tuple]]:
-        """One-step consequences of every rule, grouped by head predicate."""
-        derived: Dict[str, Set[Tuple]] = {
-            p: set() for p in self.program.idb_predicates
-        }
-        for plan in self.plans:
-            derived[plan.head_pred] |= execute_plan(
-                plan, interp, stats=self.statistics
-            )
-        return derived
+    replans = 0
+    """Static plans never go stale (the adaptive face counts its swaps)."""
+
+    def refresh(self, interp: Database) -> Tuple[RulePlan, ...]:
+        """The plans to run on ``interp`` — always the compiled ones.
+
+        Same face as
+        :meth:`~repro.core.planning.adaptive.AdaptiveRulePlans.refresh`,
+        so ``theta`` and the fixpoint driver take either.
+        """
+        return self.plans
 
     def __len__(self) -> int:
         return len(self.plans)

@@ -24,7 +24,7 @@ from typing import FrozenSet, Iterable, List, Mapping, Optional, Tuple
 from ...db.database import Database
 from ..program import Program
 from ..rules import Rule
-from .adaptive import AdaptiveProgramPlan, AdaptiveRulePlans
+from .adaptive import AdaptiveRulePlans
 from .compiler import ProgramPlan, RulePlan, compile_program, compile_rule
 from .statistics import (
     DEFAULT_STATISTICS,
@@ -157,18 +157,6 @@ class PlanStore:
     # ------------------------------------------------------------------
     # Adaptive wrappers (per-run; the plans underneath stay shared)
     # ------------------------------------------------------------------
-
-    def adaptive_program_plan(
-        self,
-        program: Program,
-        db: Optional[Database] = None,
-        factor: float = REPLAN_FACTOR,
-    ) -> AdaptiveProgramPlan:
-        """A :class:`~repro.core.planning.adaptive.AdaptiveProgramPlan`
-        over this store: ``theta``-compatible, re-plans rules mid-fixpoint
-        when observed input cardinalities diverge from the plans'
-        estimates by more than ``factor``."""
-        return AdaptiveProgramPlan(self, program, db=db, factor=factor)
 
     def adaptive_rule_plans(
         self,

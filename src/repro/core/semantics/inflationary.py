@@ -24,16 +24,15 @@ Key facts reproduced in the test-suite and experiments:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ...db.database import Database
-from ...obs import RECORDER, TRACER
 from ...parallel.shard import SHARD
-from ..fixpoint import idb_equal, idb_union
+from ..fixpoint import idb_union, iterate
 from ..operator import IDBMap, empty_idb, theta
 from ..planning import PLAN_STORE, ProgramPlan
 from ..program import Program
-from .base import EvaluationResult, round_limit, round_limit_exceeded
+from .base import EvaluationResult
 
 
 def inflationary_step(
@@ -42,14 +41,7 @@ def inflationary_step(
     current: IDBMap,
     plan: Optional[ProgramPlan] = None,
 ) -> IDBMap:
-    """One application of the inflationary operator ``S |-> S u Theta(S)``.
-
-    Under an active shard context each worker applies Theta for its
-    slice of the rules and the consequences are unioned at the barrier,
-    so every replica unions the same stage into ``current``.
-    """
-    if SHARD.active:
-        return idb_union([current, SHARD.theta_sharded(program, db, current)])
+    """One application of the inflationary operator ``S |-> S u Theta(S)``."""
     return idb_union([current, theta(program, db, current, plan=plan)])
 
 
@@ -71,38 +63,15 @@ def inflationary_semantics(
         from ...parallel.executor import parallel_evaluate
 
         return parallel_evaluate("inflationary", program, db, nshards=parallel)
-    limit = round_limit(program, db, max_rounds)
-
     # Adaptive plans over the shared store: re-planned mid-fixpoint when
     # the observed IDB sizes diverge from the planning-time estimates.
-    plan = PLAN_STORE.adaptive_program_plan(program, db)
-    current = empty_idb(program)
-    trace: Optional[List[IDBMap]] = [dict(current)] if keep_trace else None
-    rounds = 0
-    while True:
-        with TRACER.span("inflationary.round") as sp:
-            nxt = inflationary_step(program, db, current, plan=plan)
-            if sp:
-                sp["round"] = rounds + 1
-                sp["rows_out"] = sum(len(r) for r in nxt.values())
-                sp["replans"] = plan.replans
-        if idb_equal(nxt, current):
-            break
-        rounds += 1
-        if rounds > limit:
-            raise round_limit_exceeded("inflationary", limit, max_rounds)
-        current = nxt
-        if keep_trace:
-            trace.append(dict(current))
-    if RECORDER.enabled:
-        RECORDER.inc("repro_engine_rounds_total", rounds)
-    return EvaluationResult(
-        program=program,
-        db=db,
-        idb=current,
-        rounds=rounds,
+    return iterate(
+        program,
+        db,
+        PLAN_STORE.adaptive_rule_plans(program.rules, db=db),
         engine="inflationary",
-        trace=trace,
+        max_rounds=max_rounds,
+        keep_trace=keep_trace,
     )
 
 

@@ -15,17 +15,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ...db.database import Database
-from ..fixpoint import idb_equal
-from ..operator import empty_idb, theta
+from ..fixpoint import iterate
 from ..planning import PLAN_STORE
 from ..program import Program
-from .base import (
-    EvaluationResult,
-    SemanticsError,
-    is_semipositive,
-    round_limit,
-    round_limit_exceeded,
-)
+from .base import EvaluationResult, SemanticsError, is_semipositive
 
 
 def naive_least_fixpoint(
@@ -61,30 +54,15 @@ def naive_least_fixpoint(
             "naive least fixpoint requires a (semi)positive program; "
             "negated IDB literals make Theta non-monotone"
         )
-    limit = round_limit(program, db, max_rounds)
-
     # Adaptive plans over the shared store: compiled at most once per
     # (rule, db, cardinality-bucket) and re-planned mid-fixpoint when the
     # observed IDB sizes diverge from the planning-time estimates.
-    plan = PLAN_STORE.adaptive_program_plan(program, db)
-    current = empty_idb(program)
-    trace = [dict(current)] if keep_trace else None
-    rounds = 0
-    while True:
-        nxt = theta(program, db, current, plan=plan)
-        if idb_equal(nxt, current):
-            break  # the last application changed nothing: not a round
-        rounds += 1
-        if rounds > limit:
-            raise round_limit_exceeded("naive", limit, max_rounds)
-        current = nxt
-        if keep_trace:
-            trace.append(dict(current))
-    return EvaluationResult(
-        program=program,
-        db=db,
-        idb=current,
-        rounds=rounds,
+    return iterate(
+        program,
+        db,
+        PLAN_STORE.adaptive_rule_plans(program.rules, db=db),
         engine="naive",
-        trace=trace,
+        replace=True,
+        max_rounds=max_rounds,
+        keep_trace=keep_trace,
     )

@@ -143,7 +143,20 @@ class Database:
         return self.universe == other.universe and self._relations == other._relations
 
     def __hash__(self) -> int:
-        return hash((self.universe, frozenset(self._relations.items())))
+        # Shape, not contents: equal databases have equal shapes, and a
+        # content hash would decode every code-only relation the engines
+        # hand back (plan-store keys hash the working database once per
+        # stratum).  ``__eq__`` settles collisions, on code vectors where
+        # it can.
+        return hash(
+            (
+                self.universe,
+                frozenset(
+                    (name, rel.arity, len(rel))
+                    for name, rel in self._relations.items()
+                ),
+            )
+        )
 
     def __repr__(self) -> str:
         rels = ", ".join(

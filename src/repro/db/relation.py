@@ -20,11 +20,23 @@ Since the interned columnar kernel (:mod:`repro.db.kernel`) a relation has
   :class:`~repro.db.kernel.SymbolTable`, cached per table via
   :meth:`codes_on`.
 
-A relation built by the columnar executor (:meth:`_from_codes`) does not
-materialise its frozenset until someone actually asks for tuples; set
-operations and comparisons between two code-backed relations under the
-same symbol table run on the int vectors directly, so a whole fixpoint
-can converge without ever re-constructing a Python tuple.
+A relation built by the columnar executor (:meth:`_from_codes`) is
+*code-only*: it holds no frozenset until someone asks for tuples
+(:attr:`tuples`, iteration, hashing), and each such decode is counted in
+``repro_relation_decoded_rows_total``.  One rule governs mixed
+representations (:meth:`_codes_with`): set algebra and comparisons that
+involve a code-only operand run on the int vectors — the other operand
+is *encoded* under the code-only one's symbol table (cached on it), the
+code-only side is never decoded, and the result is code-only again.
+That is the row→columnar handover of a growing fixpoint: it happens
+once, the first round the columnar executor derives a head (some joined
+input reached ``colexec._AUTO_MIN_REL``), and it is one-way — row-form
+indexes of the superseded value are not carried along, the columnar
+executor keeps its own sorted runs.  Two tuple-backed operands stay on
+the tuple path (and keep inheriting their row-form caches) unless they
+already share cached payloads.  The fixpoint engines
+(:func:`repro.core.fixpoint.iterate`) rely on this to converge without
+constructing a Python tuple per derived fact.
 """
 
 from __future__ import annotations
@@ -144,16 +156,24 @@ class Relation:
         """This relation as row codes under ``symbols``, cached.
 
         Returns the cached :class:`~repro.db.kernel.RelationCodes` when
-        one is already held for this symbol table (and its field width
-        has not widened since), else encodes once and caches.  Returns
-        ``None`` when the arity cannot pack into a 64-bit code under the
-        table's current width — callers fall back to the row form.
+        one is held for this symbol table at its current field width; a
+        payload packed under a width the table has since outgrown is
+        re-packed from its own id columns
+        (:meth:`~repro.db.kernel.RelationCodes.repacked` — vectorised,
+        nothing is decoded); otherwise the tuples are encoded once.
+        Returns ``None`` when the arity cannot pack into a 64-bit code
+        under the table's current width — callers fall back to the row
+        form.
         """
         cache = self._kernel_cache
         if cache is None:
             cache = self._kernel_cache = {}
         rc = cache.get(id(symbols))
-        if rc is not None and rc.symbols is symbols and rc.valid():
+        if rc is not None and rc.symbols is symbols:
+            if not rc.valid():
+                rc = rc.repacked()
+                if rc is not None:
+                    cache[id(symbols)] = rc
             return rc
         if not symbols.fits(self.arity):
             return None
@@ -165,6 +185,16 @@ class Relation:
         cache[id(symbols)] = rc
         return rc
 
+    @property
+    def code_only(self):
+        """The columnar payload while no tuple has been decoded, else ``None``.
+
+        For consumers that can work from id columns instead of tuples
+        (the CLI prints from them).  The payload may be of a retired
+        field width; its own ``shift`` and :meth:`columns` stay exact.
+        """
+        return self._any_codes() if self._tuples is None else None
+
     def _any_codes(self):
         """Any held codes payload (possibly of a widened generation)."""
         cache = self._kernel_cache
@@ -173,27 +203,40 @@ class Relation:
                 return rc
         return None
 
-    def _codes_pair(self, other: "Relation"):
-        """Both relations' codes under a shared table, if already held.
+    def _codes_with(self, other: "Relation"):
+        """Both operands as codes under one table's current width, or ``None``.
 
-        Only consults payloads that are *already* cached on both sides —
-        this is a fast-path probe, never a reason to encode — and only
-        under the same symbol table at the same field width, so equal
-        code vectors mean equal tuple sets.
+        The table is one both sides already hold payloads for, else the
+        table of whichever side is code-only (the other side is encoded
+        under it — see the module docstring for the rule).  Two
+        tuple-backed relations that share no table return ``None``: this
+        is never a reason to encode both.  Payloads of a retired width
+        are re-packed, so the pair is always safe to combine and the
+        result safe to stamp with the table's current width.
         """
+        symbols = None
         mine = self._kernel_cache
         theirs = other._kernel_cache
-        if not mine or not theirs:
+        if mine and theirs:
+            for key, rc in mine.items():
+                oc = theirs.get(key)
+                if oc is not None and oc.symbols is rc.symbols:
+                    symbols = rc.symbols
+                    break
+        if symbols is None:
+            if self._tuples is None:
+                symbols = self._any_codes().symbols
+            elif other._tuples is None:
+                symbols = other._any_codes().symbols
+            else:
+                return None
+        a = self.codes_on(symbols)
+        b = other.codes_on(symbols)
+        if a is not None and not a.valid():
+            a = self.codes_on(symbols)  # encoding ``other`` widened the table
+        if a is None or b is None:
             return None
-        for key, rc in mine.items():
-            oc = theirs.get(key)
-            if (
-                oc is not None
-                and oc.symbols is rc.symbols
-                and rc.shift == oc.shift
-            ):
-                return rc, oc
-        return None
+        return a, b
 
     # ------------------------------------------------------------------
     # Set-like protocol
@@ -371,7 +414,9 @@ class Relation:
             return NotImplemented
         if self.name != other.name or self.arity != other.arity:
             return False
-        pair = self._codes_pair(other)
+        if len(self) != len(other):
+            return False
+        pair = self._codes_with(other)
         if pair is not None:
             from .kernel import codes_equal
 
@@ -459,23 +504,24 @@ class Relation:
 
         Returns ``self`` unchanged when the operand adds nothing, so a
         converged IDB relation keeps its cached indexes across the
-        remaining fixpoint rounds.  When both operands are code-backed
-        under the same symbol table the union runs on the int vectors.
+        remaining fixpoint rounds (and the operand itself, renamed, when
+        this relation is empty).  Runs on the int vectors under the rule
+        of :meth:`_codes_with`.
         """
         self._check_compatible(other, "union")
-        pair = self._codes_pair(other)
-        if pair is not None and self._row_caches_empty():
+        if not other:
+            return self
+        if not self:
+            return other.with_name(self.name)
+        pair = self._codes_with(other) if self._algebra_on_codes(other) else None
+        if pair is not None:
             from .kernel import codes_union
 
             mine, theirs = pair
             merged = codes_union(mine.codes, theirs.codes)
             if merged is mine.codes:
                 return self
-            from .kernel import RelationCodes
-
-            return Relation._from_codes(
-                self.name, self.arity, RelationCodes(mine.symbols, self.arity, merged)
-            )
+            return self._adopt(mine, merged)
         if not other.tuples or other.tuples <= self.tuples:
             return self
         out = Relation._from_frozenset(
@@ -486,18 +532,12 @@ class Relation:
     def intersection(self, other: "Relation") -> "Relation":
         """Set intersection; the operand must have the same arity."""
         self._check_compatible(other, "intersection")
-        pair = self._codes_pair(other)
+        pair = self._codes_with(other)
         if pair is not None:
-            from .kernel import RelationCodes, codes_intersection
+            from .kernel import codes_intersection
 
             mine, theirs = pair
-            return Relation._from_codes(
-                self.name,
-                self.arity,
-                RelationCodes(
-                    mine.symbols, self.arity, codes_intersection(mine.codes, theirs.codes)
-                ),
-            )
+            return self._adopt(mine, codes_intersection(mine.codes, theirs.codes))
         return Relation(self.name, self.arity, self.tuples & other.tuples)
 
     def difference(self, other: "Relation") -> "Relation":
@@ -507,17 +547,17 @@ class Relation:
         operand removes nothing.
         """
         self._check_compatible(other, "difference")
-        pair = self._codes_pair(other)
-        if pair is not None and self._row_caches_empty():
-            from .kernel import RelationCodes, codes_difference
+        if not other or not self:
+            return self
+        pair = self._codes_with(other) if self._algebra_on_codes(other) else None
+        if pair is not None:
+            from .kernel import codes_difference
 
             mine, theirs = pair
             kept = codes_difference(mine.codes, theirs.codes)
             if kept is mine.codes:
                 return self
-            return Relation._from_codes(
-                self.name, self.arity, RelationCodes(mine.symbols, self.arity, kept)
-            )
+            return self._adopt(mine, kept)
         if not other.tuples or self.tuples.isdisjoint(other.tuples):
             return self
         out = Relation._from_frozenset(
@@ -525,19 +565,31 @@ class Relation:
         )
         return out._inherit_caches(self, frozenset(), self.tuples & other.tuples)
 
-    def _row_caches_empty(self) -> bool:
-        """Whether no row-form cache would be orphaned by a codes result.
+    def _adopt(self, mine, codes) -> "Relation":
+        """A code-only relation with this signature over ``codes``."""
+        from .kernel import RelationCodes
 
-        The codes fast paths return relations that have *only* a
-        columnar payload; taking them when this relation holds
-        materialised indexes/complements would silently drop structures
-        a row-path consumer is about to need again, so those cases use
-        the inheriting tuple path instead.
+        return Relation._from_codes(
+            self.name, self.arity, RelationCodes(mine.symbols, self.arity, codes)
+        )
+
+    def _algebra_on_codes(self, other: "Relation") -> bool:
+        """Whether ``union``/``difference`` may return a code-only result.
+
+        Always when an operand is code-only already (the one-way
+        handover).  Between two tuple-backed relations only while this
+        one holds no materialised index/complement: a code-only result
+        would silently drop structures a row-path consumer is about to
+        need again, so those cases use the inheriting tuple path.
         """
         return (
-            getattr(self, "_index_cache", None) is None
-            and getattr(self, "_complement_cache", None) is None
-            and getattr(self, "_keyed_complement_cache", None) is None
+            self._tuples is None
+            or other._tuples is None
+            or (
+                getattr(self, "_index_cache", None) is None
+                and getattr(self, "_complement_cache", None) is None
+                and getattr(self, "_keyed_complement_cache", None) is None
+            )
         )
 
     def complement(self, universe: Iterable[Any]) -> "Relation":
@@ -548,7 +600,9 @@ class Relation:
     def issubset(self, other: "Relation") -> bool:
         """True when every tuple of this relation is in ``other``."""
         self._check_compatible(other, "issubset")
-        pair = self._codes_pair(other)
+        if len(self) > len(other):
+            return False
+        pair = self._codes_with(other)
         if pair is not None:
             from .kernel import codes_issubset
 

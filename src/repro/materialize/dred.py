@@ -147,11 +147,12 @@ class RecursiveState:
                     out.append((i, del_name(lit.atom.pred)))
         return out
 
-    def _derive(self, variant: Rule, interp: Database) -> Set[Tup]:
+    def _derive(self, variant: Rule, interp: Database) -> FrozenSet[Tup]:
         # stats=None: over-delete/rederive rounds run over frontier and
         # alias relations; their sizes are delta-shaped and must not
-        # feed the adaptive planner's cardinality statistics.
-        return execute_plan(self.plans.plan(variant), interp, stats=None)
+        # feed the adaptive planner's cardinality statistics.  The phases
+        # below intersect with / subtract Python sets, so take tuples.
+        return execute_plan(self.plans.plan(variant), interp, stats=None).tuples
 
     # ------------------------------------------------------------------
     # Phase 1: over-delete

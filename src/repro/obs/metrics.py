@@ -422,6 +422,16 @@ INSTRUMENTS: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
         "Columnar-kernel lowerings declined (fell back to the row path).",
         None,
     ),
+    "repro_relation_decoded_rows_total": (
+        "counter",
+        "Rows of code-backed relations externed to Python tuples.",
+        None,
+    ),
+    "repro_relation_encoded_rows_total": (
+        "counter",
+        "Rows of tuple-backed relations interned into row codes.",
+        None,
+    ),
     "repro_engine_ground_seconds": (
         "histogram",
         "Time grounding a program (well-founded evaluation).",
@@ -524,6 +534,16 @@ class Recorder:
         if not self.enabled:
             return
         self._instrument(name).inc(amount)
+
+    def value(self, name: str) -> float:
+        """The named counter's current value (0 while disabled).
+
+        For call sites that attribute a counter's *movement* to a span
+        (the fixpoint driver's per-round ``decoded_rows``).
+        """
+        if not self.enabled:
+            return 0.0
+        return self._instrument(name).value
 
     def observe(self, name: str, value: float) -> None:
         if not self.enabled:

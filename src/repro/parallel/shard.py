@@ -208,6 +208,25 @@ class ShardContext:
             for pred, (arity, enc) in merged.items()
         }
 
+    def merge_relations(self, derived: Dict[str, Any]) -> Dict[str, Any]:
+        """Union a ``{pred: Relation}`` map across all shards.
+
+        The fixpoint driver's round barrier.  Code-only relations are
+        externed here: the exchange ships tuples packed under the
+        *shared* table, which need not be the one they were derived
+        under.
+        """
+        if not self.active:
+            return derived
+        arities = {pred: rel.arity for pred, rel in derived.items()}
+        merged = self.merge_tuple_map(
+            {pred: rel.tuples for pred, rel in derived.items()}, arities
+        )
+        return {
+            pred: type(rel)(pred, rel.arity, merged[pred])
+            for pred, rel in derived.items()
+        }
+
     def merge_atoms(
         self, atoms: Set[Tuple[str, Tup]], arities: Dict[str, int]
     ) -> Set[Tuple[str, Tup]]:
@@ -244,37 +263,6 @@ class ShardContext:
         for t, c in zip(decoded, counts):
             out[t] = c
         return out
-
-    # -- whole-operator helpers -------------------------------------------
-
-    def theta_sharded(self, program: Any, db: Any, current: Dict[str, Any]) -> Dict[str, Any]:
-        """One sharded application of the paper's Theta operator.
-
-        Each worker evaluates its round-robin slice of the program's
-        rules (``program.rules`` has deterministic parse order) against
-        the full interpretation, then the per-predicate consequences are
-        unioned at the barrier.  Falls back to the sequential
-        :func:`~repro.core.operator.theta` when inactive.
-        """
-        from ..core.operator import as_interpretation, theta
-        from ..core.planning import PLAN_STORE, execute_plan
-        from ..db.relation import Relation
-
-        if not self.active:
-            return theta(program, db, current)
-        interp = as_interpretation(program, db, current)
-        idb_preds = program.idb_predicates
-        derived: Dict[str, Set[Tup]] = {p: set() for p in idb_preds}
-        mine = self.rule_slice(program.rules)
-        for plan in PLAN_STORE.rule_plans(mine, db=db):
-            derived[plan.head_pred] |= execute_plan(
-                plan, interp, stats=PLAN_STORE.statistics
-            )
-        merged = self.merge_tuple_map(derived, {p: program.arity(p) for p in idb_preds})
-        return {
-            p: Relation(p, program.arity(p), merged[p]) for p in idb_preds
-        }
-
 
 #: Process-global context.  Inactive (identity) except inside pool workers.
 SHARD = ShardContext()

@@ -23,8 +23,10 @@ from array import array
 from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 import zlib
 
+import numpy as np
+
 from ..db.database import Database
-from ..db.kernel import SymbolTable
+from ..db.kernel import RelationCodes, SymbolTable
 from ..db.relation import Relation
 
 Tup = Tuple[Any, ...]
@@ -116,25 +118,21 @@ def encode_tuple_list(table: SymbolTable, arity: int, tuples: Sequence[Tup]) -> 
     return (CODES, array("q", [table.encode_tuple(t) for t in tuples]).tobytes())
 
 
+def _decode_rows(table: SymbolTable, arity: int, payload: bytes) -> List[Tup]:
+    """A packed code buffer back to tuples, in buffer order (vectorised)."""
+    codes = np.frombuffer(payload, dtype=np.int64)
+    return RelationCodes(table, arity, codes).rows()
+
+
 def decode_tuples(table: SymbolTable, arity: int, enc: Tuple[str, Any]) -> Set[Tup]:
     tag, payload = enc
-    if tag == PLAIN:
-        return set(payload)
-    codes = array("q")
-    codes.frombytes(payload)
-    extern = table.extern_code
-    return {extern(code, arity) for code in codes}
+    return set(payload if tag == PLAIN else _decode_rows(table, arity, payload))
 
 
 def decode_tuple_list(table: SymbolTable, arity: int, enc: Tuple[str, Any]) -> List[Tup]:
     """Like :func:`decode_tuples` but order-preserving (for count keys)."""
     tag, payload = enc
-    if tag == PLAIN:
-        return list(payload)
-    codes = array("q")
-    codes.frombytes(payload)
-    extern = table.extern_code
-    return [extern(code, arity) for code in codes]
+    return list(payload) if tag == PLAIN else _decode_rows(table, arity, payload)
 
 
 def merge_encoded(parts: Sequence[Tuple[str, Any]], table: SymbolTable, arity: int) -> Tuple[str, Any]:

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -22,6 +26,46 @@ def test_run_inflationary(workspace, capsys):
     out = capsys.readouterr().out
     assert "engine=inflationary" in out
     assert "T/1 (3 tuples)" in out
+
+
+@pytest.mark.parametrize("semantics", ["seminaive", "stratified", "wellfounded"])
+def test_run_imports_only_what_run_needs(tmp_path, semantics):
+    # ``python -m repro run`` in a fresh interpreter: the SAT reduction,
+    # the analyzer's lint pass, the views and the server belong to other
+    # subcommands and must not be billed to a batch evaluation's start-up.
+    program = tmp_path / "tc.dl"
+    program.write_text("S(X, Y) :- E(X, Y).\nS(X, Y) :- E(X, Z), S(Z, Y).\n")
+    dbdir = tmp_path / "db"
+    dbdir.mkdir()
+    (dbdir / "E.csv").write_text("1,2\n")
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'run', %r, '--db', %r, '--semantics', %r]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+        "print('MODULES', *sorted(m for m in sys.modules if m.startswith('repro')))\n"
+    ) % (str(program), str(dbdir), semantics)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "S/2 (1 tuples):\n  1, 2\n" in proc.stdout
+    loaded = proc.stdout.rsplit("MODULES", 1)[1].split()
+    assert "repro.cli" in loaded and "repro.core.fixpoint" in loaded
+    for prefix in (
+        "repro.sat",
+        "repro.core.satreduction",
+        "repro.analysis.lint",
+        "repro.materialize",
+        "repro.server",
+    ):
+        assert not [m for m in loaded if m == prefix or m.startswith(prefix + ".")]
 
 
 def test_run_wellfounded(workspace, capsys):

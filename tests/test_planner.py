@@ -32,6 +32,7 @@ from repro import Database, Relation, parse_program
 from repro.core.fixpoint import idb_equal, idb_union
 from repro.core.operator import (
     as_interpretation,
+    consequences,
     empty_idb,
     evaluate_rule,
     evaluate_rule_legacy,
@@ -55,6 +56,7 @@ from repro.core.semantics import (
     seminaive_least_fixpoint,
     stratified_semantics,
 )
+from repro.db.kernel import RelationCodes
 
 
 # ----------------------------------------------------------------------
@@ -103,8 +105,7 @@ def columnar_heads(plan, interp, semijoin=True):
     if result is None:
         return None
     sym, head_codes = result
-    arity = len(plan.head_cols)
-    return {sym.extern_code(c, arity) for c in head_codes.tolist()}
+    return RelationCodes(sym, len(plan.head_cols), head_codes).decode()
 
 
 def assert_three_way(rule, interp, arities, db=None):
@@ -114,7 +115,9 @@ def assert_three_way(rule, interp, arities, db=None):
     plan = compile_rule(rule, db=db)
     legacy = evaluate_rule_legacy(rule, interp, arities)
     for semijoin in (True, False):
-        assert execute_plan(plan, interp, semijoin=semijoin) == legacy
+        head = execute_plan(plan, interp, semijoin=semijoin)
+        assert (head.name, head.arity) == (plan.head_pred, len(plan.head_cols))
+        assert head.tuples == legacy
         assert row_heads(plan, interp, semijoin) == legacy
         columnar = columnar_heads(plan, interp, semijoin)
         assert columnar is None or columnar == legacy
@@ -353,15 +356,23 @@ def test_semijoin_reduction_prunes_dead_scan_tuples():
     assert plan.semijoin_steps  # Big and SEL share Z
     reduced = execute_plan(plan, db, semijoin=True)
     unreduced = execute_plan(plan, db, semijoin=False)
-    assert reduced == unreduced == {(5, 9), (6, 9)}
+    assert reduced.tuples == unreduced.tuples == {(5, 9), (6, 9)}
 
 
-def test_program_plan_consequences_groups_by_head():
-    program = parse_program("T(X) :- E(X, Y). S(X, Y) :- E(X, Y).")
+def test_consequences_groups_by_head():
+    program = parse_program("T(X) :- E(X, Y). T(X) :- E(Y, X). S(X, Y) :- E(X, Y).")
     db = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
     plan = compile_program(program, db)
-    derived = plan.consequences(as_interpretation(program, db))
-    assert derived == {"T": {(1,)}, "S": {(1, 2)}}
+    derived = consequences(
+        plan.plans, as_interpretation(program, db), {"T": 1, "S": 2, "U": 3}, None
+    )
+    assert {p: r.tuples for p, r in derived.items()} == {
+        "T": {(1,), (2,)},
+        "S": {(1, 2)},
+        "U": set(),
+    }
+    assert all(r.name == p for p, r in derived.items())
+    assert theta(program, db, plan=plan) == {p: derived[p] for p in ("T", "S")}
 
 
 # ----------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_adaptive_refresh_replans_on_divergence_and_buckets_coexist():
         ],
         check=False,
     )
-    adaptive = store.adaptive_program_plan(program, db)
+    adaptive = store.adaptive_rule_plans(program.rules, db=db)
     q_plan = [p for p in adaptive.plans if p.head_pred == "Q"][0]
     assert q_plan.steps[0].pred == "Big"  # static guess: SEL assumed large
 
@@ -163,7 +163,7 @@ def test_adaptive_refresh_replans_on_divergence_and_buckets_coexist():
             "Q": Relation("Q", 2, []),
         },
     )
-    adaptive.consequences(interp)
+    adaptive.refresh(interp)
     assert adaptive.replans >= 1
     q_plan = [p for p in adaptive.plans if p.head_pred == "Q"][0]
     assert q_plan.steps[0].pred == "Big"
@@ -177,7 +177,7 @@ def test_adaptive_refresh_replans_on_divergence_and_buckets_coexist():
             "Q": Relation("Q", 2, []),
         },
     )
-    adaptive.consequences(small)
+    adaptive.refresh(small)
     q_plan = [p for p in adaptive.plans if p.head_pred == "Q"][0]
     assert q_plan.steps[0].pred == "SEL"
 
@@ -186,7 +186,7 @@ def test_adaptive_refresh_replans_on_divergence_and_buckets_coexist():
     kinds = [key[0] for key in store._plans]
     assert kinds.count("rule+stats") >= 2
     misses = store.misses
-    adaptive.consequences(small)
+    adaptive.refresh(small)
     assert store.misses == misses  # same bucket: no recompile
 
 
@@ -194,12 +194,12 @@ def test_single_atom_rules_never_replan():
     store = PlanStore()
     program = parse_program("T(X) :- E(Y, X), !T(Y).")
     db = Database({1, 2, 3}, [Relation("E", 2, [(1, 2), (2, 3)])])
-    adaptive = store.adaptive_program_plan(program, db)
+    adaptive = store.adaptive_rule_plans(program.rules, db=db)
     assert all(not p.est_cards for p in adaptive.plans)
     big_t = as_interpretation(
         program, db, {"T": Relation("T", 1, [(i,) for i in (1, 2, 3)])}
     )
-    adaptive.consequences(big_t)
+    adaptive.refresh(big_t)
     assert adaptive.replans == 0
 
 
