@@ -183,7 +183,6 @@ def round_limit_exceeded(
 
 
 _DELTA_SUFFIX = "__delta"
-_DECODED = "repro_relation_decoded_rows_total"
 
 
 def differential_plans(
@@ -283,7 +282,7 @@ def iterate(
     rounds = 0
     while True:
         with TRACER.span(span_name) as sp:
-            decoded = RECORDER.value(_DECODED) if sp else 0.0
+            row_traffic = RECORDER.row_traffic() if sp else None
             relations = list(current.values())
             if delta is None:
                 interp = db.with_relations(relations)
@@ -312,7 +311,7 @@ def iterate(
                 sp["round"] = rounds + 1
                 sp["rows_out"] = sum(len(r) for r in new.values())
                 sp["replans"] = step.replans
-                sp["decoded_rows"] = int(RECORDER.value(_DECODED) - decoded)
+                RECORDER.note_row_traffic(sp, row_traffic)
         if not changed:
             break
         rounds += 1

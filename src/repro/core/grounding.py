@@ -480,9 +480,7 @@ class LiveGroundProgram:
                 aliases[new_name(name)] = aliases[new_name(name)].evolve(ins, dels)
                 change_rels.append(Relation(ins_name(name), arity, ins))
                 change_rels.append(Relation(del_name(name), arity, dels))
-            interp = Database(
-                new_db.universe, list(aliases.values()) + change_rels, check=False
-            )
+            interp = new_db.derive(list(aliases.values()) + change_rels)
 
             diff: Counter = Counter()
             for rule, idb_positives, idb_negatives, variants_by_pred in self._rule_info:

@@ -12,7 +12,9 @@ whole frontier:
   columns with tuple concatenation;
 * :class:`~repro.core.planning.plan.AntiJoin` filters the row set
   against the relation's tuple set in one pass — negation as an
-  anti-join rather than a per-binding membership test;
+  anti-join rather than a per-binding membership test (a frontier
+  smaller than a code-only relation is packed to codes and probes its
+  sorted vector instead of decoding it);
 * :class:`~repro.core.planning.plan.ComplementJoin` completes variables
   *through* a negated atom by joining against the (lazily materialised,
   relation-cached) complement — or, for existence-only variables, by a
@@ -252,17 +254,33 @@ def solve_plan_table(
             rel = interp.get(op.pred)
             if rel is None or not rel:
                 continue  # nothing to exclude: the negation holds everywhere
-            tuples = rel.tuples
             getters = op.getters
-            rows = [
-                row
-                for row in rows
-                if tuple(
-                    payload if is_const else row[payload]
-                    for is_const, payload in getters
+            codes = rel.code_only
+            if codes is not None and len(rows) < len(rel):
+                # The relation's rule for mixed representations: the
+                # frontier is the small side, so *it* is packed to codes
+                # and the code-only relation is never decoded.
+                hit = codes.contains_rows(
+                    [
+                        tuple(
+                            payload if is_const else row[payload]
+                            for is_const, payload in getters
+                        )
+                        for row in rows
+                    ]
                 )
-                not in tuples
-            ]
+                rows = [row for row, out in zip(rows, hit.tolist()) if not out]
+            else:
+                tuples = rel.tuples
+                rows = [
+                    row
+                    for row in rows
+                    if tuple(
+                        payload if is_const else row[payload]
+                        for is_const, payload in getters
+                    )
+                    not in tuples
+                ]
         elif t is CmpOp:
             lc, lp = op.left
             rc, rp = op.right

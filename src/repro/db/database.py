@@ -202,8 +202,14 @@ class Database:
         sym = self._symcell[0]
         return None if sym is None else len(sym)
 
-    def _derive(self, relations) -> "Database":
-        """A functional-update result, sharing this database's lineage."""
+    def derive(self, relations: Iterable[Relation]) -> "Database":
+        """A database over this universe holding exactly ``relations``.
+
+        The result belongs to this database's derivation family: it
+        shares the lineage token and — what maintenance relies on — the
+        symbol-table cell, so code payloads cached on the relations stay
+        valid across every working interpretation built this way.
+        """
         out = Database(self.universe, relations, check=False)
         out._lineage = self._lineage
         out._symcell = self._symcell
@@ -213,25 +219,25 @@ class Database:
         """Return a copy with ``rel`` added or replaced (same universe)."""
         new = dict(self._relations)
         new[rel.name] = rel
-        return self._derive(new.values())
+        return self.derive(new.values())
 
     def with_relations(self, rels: Iterable[Relation]) -> "Database":
         """Return a copy with every relation in ``rels`` added/replaced."""
         new = dict(self._relations)
         for rel in rels:
             new[rel.name] = rel
-        return self._derive(new.values())
+        return self.derive(new.values())
 
     def without(self, *names: str) -> "Database":
         """Return a copy with the named relations removed."""
         new = {k: v for k, v in self._relations.items() if k not in names}
-        return self._derive(new.values())
+        return self.derive(new.values())
 
     def restrict(self, names: Iterable[str]) -> "Database":
         """Return a copy keeping only the named relations."""
         keep = set(names)
         new = {k: v for k, v in self._relations.items() if k in keep}
-        return self._derive(new.values())
+        return self.derive(new.values())
 
     def apply_delta(self, delta, invalidate_plans: bool = True) -> "Database":
         """Apply per-relation insert/delete sets, returning a new database.

@@ -84,6 +84,8 @@ class SymbolTable:
         self._misc: Dict[Any, Any] = {}
         for v in values:
             self.intern(v)
+        if RECORDER.enabled:
+            RECORDER.inc("repro_symbol_tables_total")
 
     def __len__(self) -> int:
         return len(self._values)
@@ -201,11 +203,24 @@ def codes_equal(a, b) -> bool:
     return len(a) == len(b) and bool(_np.array_equal(a, b))
 
 
+_MERGE_RATIO = 8
+"""A delta at most ``1/_MERGE_RATIO`` of the vector it changes is merged
+in place of a re-sort / full mask: binary-search the small side's
+positions in the big one, then one ``np.insert`` / ``np.delete`` memcpy
+(measured 3-20x cheaper at 1..50 rows against 4 500..100 000; the sort
+wins again once the sides are comparable)."""
+
+
 def codes_union(a, b):
     if len(b) == 0:
         return a
     if len(a) == 0:
         return b
+    if _MERGE_RATIO * len(b) <= len(a):
+        fresh = b[~_sorted_isin(b, a)]
+        if len(fresh) == 0:
+            return a
+        return _np.insert(a, a.searchsorted(fresh), fresh)
     out = sorted_unique(_np.concatenate((a, b)))
     return a if len(out) == len(a) else out
 
@@ -213,6 +228,11 @@ def codes_union(a, b):
 def codes_difference(a, b):
     if len(b) == 0 or len(a) == 0:
         return a
+    if _MERGE_RATIO * len(b) <= len(a):
+        gone = b[_sorted_isin(b, a)]
+        if len(gone) == 0:
+            return a
+        return _np.delete(a, a.searchsorted(gone))
     mask = _sorted_isin(a, b)
     if not mask.any():
         return a
@@ -402,6 +422,34 @@ class RelationCodes:
             code = (code << b) | i
         return codes_contains(self.codes, code)
 
+    def contains_rows(self, rows: Sequence[tuple]):
+        """Boolean membership mask of many tuples, without decoding the vector.
+
+        The batch form of :meth:`contains_tuple`: the probes are packed
+        under *this payload's* width (no interning — an unknown value
+        cannot be in the codes) and answered by one sorted membership
+        sweep.
+        """
+        ids = self.symbols._ids
+        b = self.shift
+        cap = 1 << b
+        codes = []
+        append = codes.append
+        arity = self.arity
+        for t in rows:
+            if len(t) != arity:
+                append(-1)  # never a row code: they are non-negative
+                continue
+            code = 0
+            for v in t:
+                i = ids.get(v, cap)
+                if i >= cap:
+                    code = -1
+                    break
+                code = (code << b) | i
+            append(code)
+        return _sorted_isin(_np.array(codes, dtype=_np.int64), self.codes)
+
     def columns(self):
         """Per-column id vectors, decoded from the codes once."""
         cols = self._columns
@@ -441,8 +489,15 @@ class RelationCodes:
         return run
 
     def evolved(self, added: "RelationCodes", removed: "RelationCodes") -> "RelationCodes":
-        """Codes after a tuple delta (the maintenance fast path)."""
+        """The payload after a tuple delta; ``self`` when it is a no-op.
+
+        The maintenance fast path: a small delta is merged into the
+        sorted vector (:func:`codes_union` / :func:`codes_difference`),
+        nothing is re-encoded or re-sorted.
+        """
         out = codes_union(codes_difference(self.codes, removed.codes), added.codes)
+        if out is self.codes:
+            return self
         return RelationCodes(self.symbols, self.arity, out)
 
 

@@ -37,11 +37,31 @@ the tuple path (and keep inheriting their row-form caches) unless they
 already share cached payloads.  The fixpoint engines
 (:func:`repro.core.fixpoint.iterate`) rely on this to converge without
 constructing a Python tuple per derived fact.
+
+:meth:`Relation.evolve` — the delta update a materialized view applies
+to its long-lived relations — follows the same rule from the other
+side: a relation that is code-only, or holds a payload and no row-form
+index or complement a consumer would miss, has the (small) delta
+*encoded* and merged into its sorted vector and stays code-only; one a
+row-form consumer has indexed stays tuple-backed with its structures
+patched.  A relation's representation therefore settles on what its
+readers use, and an update costs ``O(|delta|)`` interning either way.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Tuple
+
+from .kernel import (
+    RelationCodes,
+    canon_columns,
+    codes_difference,
+    codes_equal,
+    codes_intersection,
+    codes_issubset,
+    codes_union,
+    empty_codes,
+)
 
 Tup = Tuple[Any, ...]
 
@@ -177,8 +197,6 @@ class Relation:
             return rc
         if not symbols.fits(self.arity):
             return None
-        from .kernel import RelationCodes
-
         rc = RelationCodes.encode(symbols, self.arity, self.tuples)
         if not symbols.fits(self.arity):
             return None  # encoding widened the field width past 64 bits
@@ -265,7 +283,6 @@ class Relation:
         (:meth:`_inherit_caches`), so they rarely build here at all.
         """
         from .index import HashIndex
-        from .kernel import canon_columns
 
         cols = canon_columns(columns)
         try:
@@ -278,7 +295,14 @@ class Relation:
             index = cache[cols] = HashIndex(self, cols)
         return index
 
-    def _inherit_caches(self, parent: "Relation", added: frozenset, removed: frozenset) -> "Relation":
+    def _inherit_caches(
+        self,
+        parent: "Relation",
+        added: frozenset,
+        removed: frozenset,
+        ins: "Relation" = None,
+        dels: "Relation" = None,
+    ) -> "Relation":
         """Patch ``parent``'s materialised caches into this relation.
 
         Called once, eagerly, by the derived constructors
@@ -286,10 +310,13 @@ class Relation:
         complement, keyed complement *and columnar payload* the parent
         actually materialised is carried forward by patching it with the
         tuple delta — ``O(|delta| + #buckets)`` per structure instead of
-        a rescan of the whole relation.  Eager transfer keeps no
-        reference to the parent, so long update streams (a materialized
-        view's lifetime) retain only the newest generation's caches —
-        laziness here would mean an unbounded parent chain.
+        a rescan of the whole relation.  ``added``/``removed`` are the
+        effective tuple sets; ``ins``/``dels`` the operand relations they
+        came from, whose cached payloads patch the columnar form (see
+        :meth:`_evolved_codes`).  Eager transfer keeps no reference to
+        the parent, so long update streams (a materialized view's
+        lifetime) retain only the newest generation's caches — laziness
+        here would mean an unbounded parent chain.
         """
         from .index import HashIndex
 
@@ -319,24 +346,44 @@ class Relation:
             }
         parent_kernel = parent._kernel_cache
         if parent_kernel:
-            from .kernel import RelationCodes
-
             patched = {}
             for key, rc in parent_kernel.items():
-                if not rc.valid():
-                    continue
-                sym = rc.symbols
-                add_rc = RelationCodes.encode(sym, self.arity, added)
-                rem_rc = RelationCodes.encode(sym, self.arity, removed)
-                if not rc.valid():
-                    continue  # the delta's fresh values widened the width
-                patched[key] = rc.evolved(add_rc, rem_rc)
+                # A payload of a retired width is dropped, not repacked:
+                # a tuple-backed relation re-encodes on demand.
+                out = parent._evolved_codes(rc.symbols, ins, dels) if rc.valid() else None
+                if out is not None:
+                    patched[key] = out
             if patched:
                 if self._kernel_cache:
                     self._kernel_cache.update(patched)
                 else:
                     self._kernel_cache = patched
         return self
+
+    def _evolved_codes(self, symbols, ins: "Relation", dels: "Relation"):
+        """This relation's payload under ``symbols`` after a delta, or ``None``.
+
+        ``ins``/``dels`` are the operand relations (``None`` or empty for
+        an absent side).  Each is encoded at most once per table — the
+        payload is cached on the operand, so one delta patching several
+        relations (a view's ``@old``/``@new`` aliases, the database's own
+        copy) is interned once; empty sides are not encoded at all.
+        ``None`` when some operand cannot pack under the table's width.
+        """
+        def payload(side):
+            if side:
+                return side.codes_on(symbols)
+            return RelationCodes(symbols, self.arity, empty_codes())
+
+        generation = None
+        while generation != symbols.generation:
+            # Encoding a side can widen the table; go round again so all
+            # three payloads are of the final width (cache hits/repacks).
+            generation = symbols.generation
+            mine, added, removed = self.codes_on(symbols), payload(ins), payload(dels)
+        if mine is None or added is None or removed is None:
+            return None
+        return mine.evolved(added, removed)
 
     def complement_on(self, universe) -> "Relation":
         """The complement ``universe**arity - self``, cached on this relation.
@@ -377,7 +424,6 @@ class Relation:
         than recomputed — the ROADMAP's delta-aware keyed complement.
         """
         from .index import KeyedComplement
-        from .kernel import canon_columns
 
         uni = universe if isinstance(universe, frozenset) else frozenset(universe)
         cache_key = (uni, canon_columns(bound_columns), canon_columns(free_positions))
@@ -418,8 +464,6 @@ class Relation:
             return False
         pair = self._codes_with(other)
         if pair is not None:
-            from .kernel import codes_equal
-
             return codes_equal(pair[0].codes, pair[1].codes)
         return self.tuples == other.tuples
 
@@ -465,35 +509,54 @@ class Relation:
     def evolve(self, inserts: Iterable[Tup] = (), deletes: Iterable[Tup] = ()) -> "Relation":
         """Return ``(self - deletes) | inserts``, caches carried forward.
 
-        This is the delta-update face of the value operations: the
-        result inherits this relation's materialised indexes,
-        complements, keyed complements and columnar payloads, patched
-        with the effective changes (:meth:`_inherit_caches`) — deltas
-        flow into the interned columns without a re-encode.  Tuples on
-        either side that do not match the arity raise; no-op deltas
-        return ``self`` with every cache intact.
+        This is the delta-update face of the value operations, under the
+        module's one representation rule.  Either side may be an
+        iterable of tuples or a :class:`Relation` (whose cached payload
+        is then reused, not re-encoded).  A relation that is code-only —
+        or holds a payload and no row-form index/complement a consumer
+        would miss — merges the encoded (small) delta into its sorted
+        vector: it is never decoded, and the code-only result carries
+        that one payload.  Otherwise the result is tuple-backed and
+        inherits the materialised indexes, complements, keyed
+        complements and columnar payloads, patched with the effective
+        changes (:meth:`_inherit_caches`).  Tuples on either side that
+        do not match the arity raise; no-op deltas return ``self`` with
+        every cache intact.
         """
-        arity = self.arity
-
-        def checked(tuples: Iterable[Tup]) -> frozenset:
-            if not isinstance(tuples, frozenset):
-                tuples = frozenset(tuple(t) for t in tuples)
-            for t in tuples:
-                if type(t) is not tuple or len(t) != arity:
-                    raise ValueError(
-                        "tuple %r does not have arity %d for relation %s"
-                        % (t, arity, self.name)
-                    )
-            return tuples
-
-        ins = checked(inserts) - self.tuples
-        dels = checked(deletes) & self.tuples
-        if not ins and not dels:
+        ins = self._delta_side(inserts)
+        dels = self._delta_side(deletes)
+        mine = self._any_codes()
+        if mine is not None and (self._tuples is None or not self._row_cached()):
+            symbols = mine.symbols
+            out = self._evolved_codes(symbols, ins, dels)
+            if out is not None:
+                if out is self.codes_on(symbols):
+                    return self
+                return Relation._from_codes(self.name, self.arity, out)
+        added = ins.tuples - self.tuples
+        removed = dels.tuples & self.tuples
+        if not added and not removed:
             return self
         out = Relation._from_frozenset(
-            self.name, arity, (self.tuples - dels) | ins
+            self.name, self.arity, (self.tuples - removed) | added
         )
-        return out._inherit_caches(self, ins, dels)
+        return out._inherit_caches(self, added, removed, ins, dels)
+
+    def _delta_side(self, tuples) -> "Relation":
+        """One side of an :meth:`evolve` delta as an arity-checked relation."""
+        if isinstance(tuples, Relation):
+            self._check_compatible(tuples, "evolve")
+            return tuples
+        if not isinstance(tuples, frozenset):
+            tuples = frozenset(tuple(t) for t in tuples)
+        arity = self.arity
+        for t in tuples:
+            if type(t) is not tuple or len(t) != arity:
+                raise ValueError(
+                    "tuple %r does not have arity %d for relation %s"
+                    % (t, arity, self.name)
+                )
+        return Relation._from_frozenset(self.name, arity, tuples)
 
     def add(self, *tuples: Tup) -> "Relation":
         """Return this relation extended with the given tuples."""
@@ -515,8 +578,6 @@ class Relation:
             return other.with_name(self.name)
         pair = self._codes_with(other) if self._algebra_on_codes(other) else None
         if pair is not None:
-            from .kernel import codes_union
-
             mine, theirs = pair
             merged = codes_union(mine.codes, theirs.codes)
             if merged is mine.codes:
@@ -527,15 +588,15 @@ class Relation:
         out = Relation._from_frozenset(
             self.name, self.arity, self.tuples | other.tuples
         )
-        return out._inherit_caches(self, other.tuples - self.tuples, frozenset())
+        return out._inherit_caches(
+            self, other.tuples - self.tuples, frozenset(), ins=other
+        )
 
     def intersection(self, other: "Relation") -> "Relation":
         """Set intersection; the operand must have the same arity."""
         self._check_compatible(other, "intersection")
         pair = self._codes_with(other)
         if pair is not None:
-            from .kernel import codes_intersection
-
             mine, theirs = pair
             return self._adopt(mine, codes_intersection(mine.codes, theirs.codes))
         return Relation(self.name, self.arity, self.tuples & other.tuples)
@@ -551,8 +612,6 @@ class Relation:
             return self
         pair = self._codes_with(other) if self._algebra_on_codes(other) else None
         if pair is not None:
-            from .kernel import codes_difference
-
             mine, theirs = pair
             kept = codes_difference(mine.codes, theirs.codes)
             if kept is mine.codes:
@@ -563,12 +622,12 @@ class Relation:
         out = Relation._from_frozenset(
             self.name, self.arity, self.tuples - other.tuples
         )
-        return out._inherit_caches(self, frozenset(), self.tuples & other.tuples)
+        return out._inherit_caches(
+            self, frozenset(), self.tuples & other.tuples, dels=other
+        )
 
     def _adopt(self, mine, codes) -> "Relation":
         """A code-only relation with this signature over ``codes``."""
-        from .kernel import RelationCodes
-
         return Relation._from_codes(
             self.name, self.arity, RelationCodes(mine.symbols, self.arity, codes)
         )
@@ -585,11 +644,21 @@ class Relation:
         return (
             self._tuples is None
             or other._tuples is None
-            or (
-                getattr(self, "_index_cache", None) is None
-                and getattr(self, "_complement_cache", None) is None
-                and getattr(self, "_keyed_complement_cache", None) is None
-            )
+            or not self._row_cached()
+        )
+
+    def _row_cached(self) -> bool:
+        """Whether a row-path consumer materialised a structure here that a
+        handover to codes would lose: a *keyed* index or a complement.
+
+        The index on no columns (a keyless scan's) does not count — it is
+        the tuple set as one list, rebuilt for the price of the decode
+        that would precede it, and patched in O(n) per evolve if kept.
+        """
+        return (
+            any(getattr(self, "_index_cache", None) or ())
+            or getattr(self, "_complement_cache", None) is not None
+            or getattr(self, "_keyed_complement_cache", None) is not None
         )
 
     def complement(self, universe: Iterable[Any]) -> "Relation":
@@ -604,8 +673,6 @@ class Relation:
             return False
         pair = self._codes_with(other)
         if pair is not None:
-            from .kernel import codes_issubset
-
             return codes_issubset(pair[0].codes, pair[1].codes)
         return self.tuples <= other.tuples
 

@@ -30,6 +30,7 @@ from typing import Dict, FrozenSet, List, Tuple
 from ..core.planning.batch import solve_plan_table
 from ..core.rules import Rule
 from ..db.database import Database
+from ..db.relation import Relation
 from ..obs import TRACER
 from ..parallel.shard import SHARD
 from .delta import Tup
@@ -58,7 +59,7 @@ class CountingState:
         The shared :class:`~repro.materialize.variants.PlanCache`.
     """
 
-    __slots__ = ("pred", "arity", "rules", "plans", "counts")
+    __slots__ = ("pred", "arity", "rules", "plans", "counts", "_variants", "_compiled_variants")
 
     def __init__(self, pred: str, arity: int, rules: List[Rule], plans: PlanCache) -> None:
         self.pred = pred
@@ -66,20 +67,32 @@ class CountingState:
         self.rules = rules
         self.plans = plans
         self.counts: Counts = {}
+        # The telescoping variants are a fixed family per state: built
+        # (and, on first use, compiled) once, not per update.
+        self._variants: List[Tuple[str, Rule, Rule]] = [
+            (
+                pred,
+                delta_variant(rule, position, gained=True),
+                delta_variant(rule, position, gained=False),
+            )
+            for rule in rules
+            for pred in sorted(rule.body_predicates())
+            for position in changeable_positions(rule, frozenset((pred,)))
+        ]
+        self._compiled_variants: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Shared: count one plan's derivations into an accumulator
     # ------------------------------------------------------------------
 
-    def _accumulate(self, rule: Rule, variant: Rule, interp: Database, into: Counts, sign: int) -> None:
-        plan = self.plans.plan(with_bindings_head(variant))
+    def _accumulate(self, variant: Rule, interp: Database, into: Counts, sign: int) -> None:
+        plan, project = self._compiled(variant)
         # stats=None: maintenance runs over alias/changeset relations
         # whose sizes describe deltas, not relations — recording them
         # would poison the adaptive planner's feedback.
         table = solve_plan_table(plan, interp, stats=None)
         if not table.rows:
             return
-        project = head_projector(variant, plan)
         # Counter(map(...)) runs the whole derivation enumeration at C
         # speed; this is the innermost loop of every maintenance step.
         counted = Counter(map(project, table.rows))
@@ -87,6 +100,17 @@ class CountingState:
             into.update(counted)
         else:
             into.subtract(counted)
+
+    def _compiled(self, variant: Rule):
+        """``(total-binding plan, head projector)`` of a variant, memoised."""
+        compiled = self._compiled_variants.get(id(variant))
+        if compiled is None:
+            plan = self.plans.plan(with_bindings_head(variant))
+            compiled = self._compiled_variants[id(variant)] = (
+                plan,
+                head_projector(variant, plan),
+            )
+        return compiled
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -101,7 +125,7 @@ class CountingState:
         """
         counts = Counter()
         for rule in self.rules:
-            self._accumulate(rule, rule, interp, counts, +1)
+            self._accumulate(rule, interp, counts, +1)
         self.counts = dict(counts)
         return frozenset(counts)
 
@@ -113,13 +137,13 @@ class CountingState:
         self,
         interp: Database,
         changed: FrozenSet[str],
-    ) -> Tuple[FrozenSet[Tup], FrozenSet[Tup]]:
+    ) -> Tuple[Relation, Relation]:
         """Maintain the counts under the changes baked into ``interp``.
 
         ``interp`` supplies the alias relations (``P@old``/``P@new``/
         ``P@ins``/``P@del``) for every body predicate; ``changed`` names
         the predicates whose change sets are non-empty.  Returns the
-        ``(inserted, deleted)`` tuple sets of the maintained predicate.
+        ``(inserted, deleted)`` relations of the maintained predicate.
         """
         diff = Counter()
         # Sharded runs narrow the @ins/@del flips to this worker's slice
@@ -128,18 +152,14 @@ class CountingState:
         # the exact derivation-count delta.
         interp = SHARD.flip_sharded_interp(interp)
         with TRACER.span("counting.variants") as sp:
-            for rule in self.rules:
-                for position in changeable_positions(rule, changed):
-                    gained = delta_variant(rule, position, gained=True)
-                    lost = delta_variant(rule, position, gained=False)
-                    self._accumulate(rule, gained, interp, diff, +1)
-                    self._accumulate(rule, lost, interp, diff, -1)
+            for pred, gained, lost in self._variants:
+                if pred in changed:
+                    self._accumulate(gained, interp, diff, +1)
+                    self._accumulate(lost, interp, diff, -1)
             if sp:
                 sp["pred"] = self.pred
                 sp["rows_out"] = len(diff)
         diff = SHARD.merge_counter(diff, self.arity)
-        if not diff:
-            return frozenset(), frozenset()
         counts = self.counts
         inserted = set()
         deleted = set()
@@ -161,7 +181,10 @@ class CountingState:
                 counts[head] = new
                 if not old:
                     inserted.add(head)
-        return frozenset(inserted), frozenset(deleted)
+        return (
+            Relation._from_frozenset(self.pred, self.arity, frozenset(inserted)),
+            Relation._from_frozenset(self.pred, self.arity, frozenset(deleted)),
+        )
 
     def tuples(self) -> FrozenSet[Tup]:
         """The currently derivable tuples (count > 0)."""

@@ -138,9 +138,11 @@ class Delta:
         inserts: Dict[str, FrozenSet[Tup]] = {}
         deletes: Dict[str, FrozenSet[Tup]] = {}
         for name, (ins, dels) in self._changes.items():
-            existing = db[name].tuples
-            eff_ins = ins - existing
-            eff_dels = dels & existing
+            # Membership, not set algebra on ``.tuples``: a code-only
+            # relation answers from its sorted codes without decoding.
+            existing = db[name]
+            eff_ins = frozenset(t for t in ins if t not in existing)
+            eff_dels = frozenset(t for t in dels if t in existing)
             if eff_ins:
                 inserts[name] = eff_ins
             if eff_dels:

@@ -17,11 +17,27 @@ components are maintained with Gupta–Mumick–Subrahmanian's DRed:
    tuples, so the survivors are a *sound under-approximation* of the new
    fixpoint; restarting the semi-naive least-fixpoint iteration from
    them (against the post-change inputs) converges to exactly the new
-   fixpoint while re-deriving only what over-deletion lost.  Lower-level
-   insertions ride the same iteration; on a pure-insertion update the
-   over-deletion phase is skipped entirely and round 1 evaluates only
-   the insertion delta variants, keeping the work proportional to the
-   delta.
+   fixpoint.  Round 1 is the textbook step: every rule with its head
+   restricted to the over-deleted set (one extra small atom
+   ``P@dred_over(head args)`` the planner leads with), unioned with the
+   insertion delta variants of the base changes.  That is all round 1
+   can derive: an instance over the survivors that uses no gained base
+   fact was already an instance in the old state, so its head was in the
+   old fixpoint — outside the survivors it is over-deleted.  A delete
+   therefore costs ``O(|over-deleted| * fan-out)``, not a full
+   consequence application; on a pure-insertion update nothing is
+   over-deleted and only the insertion variants run.
+
+All working state — the over-deleted set, both frontiers, the survivors
+and the per-round deltas — is held as :class:`~repro.db.relation
+.Relation` values combined with ``intersection``/``difference``/
+``union``, so on a view whose relations are code-backed a maintenance
+pass never builds a Python tuple (see :mod:`repro.db.relation` for the
+one mixed-representation rule).  Every working interpretation is
+*derived* from the view's current database
+(:meth:`~repro.db.database.Database.derive`) and so shares its one
+symbol table: code payloads cached on the relations stay valid from
+update to update.
 
 Within a component, negation only ever reads *lower* predicates — for
 stratified views by stratification, for inflationary views because the
@@ -34,24 +50,26 @@ restart from a sound under-approximation is exact.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.literals import Atom, Negation
+from ..core.planning import RulePlan
 from ..core.planning.batch import execute_plan
 from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import TRACER
 from ..parallel.shard import SHARD
-from .delta import Tup
-from .variants import del_name, ins_name, new_name, old_name, PlanCache
+from .variants import NEW, OLD, PlanCache, del_name, ins_name
 
 IDBValues = Dict[str, Relation]
-ChangePair = Tuple[FrozenSet[Tup], FrozenSet[Tup]]
+ChangePair = Tuple[Relation, Relation]
 
 DELETE_FRONTIER = "@dred_del"
 INSERT_FRONTIER = "@dred_new"
-"""Frontier alias suffixes for the component's own predicates."""
+OVER_DELETED = "@dred_over"
+"""Alias suffixes for the component's own predicates: the two semi-naive
+frontiers and the over-deleted set rederivation is restricted to."""
 
 
 class RecursiveState:
@@ -69,12 +87,14 @@ class RecursiveState:
         The shared plan cache.
     """
 
-    __slots__ = ("preds", "rules", "plans")
+    __slots__ = ("preds", "rules", "plans", "_variant_plans", "_nothing")
 
     def __init__(self, preds: Dict[str, int], rules: List[Rule], plans: PlanCache) -> None:
         self.preds = dict(preds)
         self.rules = rules
         self.plans = plans
+        self._variant_plans: Dict[tuple, RulePlan] = {}
+        self._nothing = {p: Relation.empty(p, arity) for p, arity in preds.items()}
 
     # ------------------------------------------------------------------
     # Variant construction
@@ -98,9 +118,18 @@ class RecursiveState:
             return Negation(Atom(atom.pred + suffix, atom.args))
         return literal
 
-    def _variant(self, rule: Rule, position: int, pred_alias: str, suffix: str) -> Rule:
+    def _variant(self, rule: Rule, position, pred_alias: str, suffix: str) -> Rule:
         """``rule`` with ``position`` reading ``pred_alias`` and the rest
-        reading base predicates under ``suffix``."""
+        reading base predicates under ``suffix``.
+
+        ``position=None`` differentiates nothing: it is the rederivation
+        variant, the whole body under ``suffix`` plus a leading
+        ``pred_alias(head args)`` atom restricting the head.
+        """
+        if position is None:
+            body = [Atom(pred_alias, rule.head.args)]
+            body += [self._read(lit, suffix) for lit in rule.body]
+            return Rule(rule.head, body)
         lit = rule.body[position]
         atom = lit if isinstance(lit, Atom) else lit.atom
         body = [
@@ -147,12 +176,29 @@ class RecursiveState:
                     out.append((i, del_name(lit.atom.pred)))
         return out
 
-    def _derive(self, variant: Rule, interp: Database) -> FrozenSet[Tup]:
+    def _derive(
+        self, interp: Database, rule: Rule, position, pred_alias: str, suffix: str
+    ) -> Relation:
+        """What the :meth:`_variant` of ``rule`` derives from ``interp``.
+
+        A component's variants are a fixed finite family; their plans are
+        memoised per ``(rule, position, alias, suffix)`` so an update
+        neither rebuilds nor re-hashes a rule to find its plan.
+        """
+        key = (id(rule), position, pred_alias, suffix)
+        plan = self._variant_plans.get(key)
+        if plan is None:
+            plan = self._variant_plans[key] = self.plans.plan(
+                self._variant(rule, position, pred_alias, suffix)
+            )
         # stats=None: over-delete/rederive rounds run over frontier and
         # alias relations; their sizes are delta-shaped and must not
-        # feed the adaptive planner's cardinality statistics.  The phases
-        # below intersect with / subtract Python sets, so take tuples.
-        return execute_plan(self.plans.plan(variant), interp, stats=None).tuples
+        # feed the adaptive planner's cardinality statistics.
+        return execute_plan(plan, interp, stats=None)
+
+    def _empty(self) -> IDBValues:
+        """A fresh all-empty valuation (the immutable empties are shared)."""
+        return dict(self._nothing)
 
     # ------------------------------------------------------------------
     # Phase 1: over-delete
@@ -163,37 +209,37 @@ class RecursiveState:
         current: IDBValues,
         aliases: IDBValues,
         base_changes,
-        universe,
+        db: Database,
         limit: int,
-    ) -> Dict[str, Set[Tup]]:
+    ) -> IDBValues:
         """Tuples with some old derivation through a retracted input."""
-        deleted: Dict[str, Set[Tup]] = {p: set() for p in self.preds}
+        deleted = self._empty()
         # Sharded runs narrow the @ins/@del flip aliases to this worker's
         # slice — each seed variant reads a flip exactly once, so the
         # merged seeds cover every derivation exactly once.
         relations: Dict[str, Relation] = {
             name: SHARD.flip_shard(name, rel) for name, rel in aliases.items()
         }
-        for pred, value in current.items():
-            relations[pred] = value
+        relations.update(current)
 
         # Seeds: base-level killing flips, evaluated in the old state.
-        interp = Database(universe, relations.values(), check=False)
-        frontier: Dict[str, Set[Tup]] = {p: set() for p in self.preds}
+        interp = db.derive(relations.values())
+        frontier = self._empty()
         for rule in self.rules:
+            head = rule.head.pred
             for position, flip in self._base_flips(rule, base_changes, killing=True):
-                variant = self._variant(rule, position, flip, old_name(""))
-                hits = self._derive(variant, interp) & current[rule.head.pred].tuples
-                frontier[rule.head.pred] |= hits
-        frontier = SHARD.merge_tuple_map(frontier, self.preds)
+                hits = self._derive(interp, rule, position, flip, OLD).intersection(
+                    current[head]
+                )
+                frontier[head] = frontier[head].union(hits)
+        frontier = SHARD.merge_relations(frontier)
 
         # Propagate deletions through the component's positive recursion:
         # each round differentiates one component position with the
         # newly deleted tuples, everything else still reading old values.
         rounds = 0
         while any(frontier.values()):
-            for pred, hits in frontier.items():
-                deleted[pred] |= hits
+            deleted = {p: deleted[p].union(frontier[p]) for p in self.preds}
             rounds += 1
             if rounds > limit:
                 raise AssertionError("DRed over-deletion exceeded its bound %d" % limit)
@@ -201,25 +247,23 @@ class RecursiveState:
             # next frontier is re-unioned so `deleted` and the stop test
             # stay replica-identical.
             for pred in self.preds:
-                relations[pred + DELETE_FRONTIER] = Relation(
-                    pred + DELETE_FRONTIER,
-                    self.preds[pred],
-                    SHARD.shard_tuples(pred, frontier[pred]),
-                )
-            interp = Database(universe, relations.values(), check=False)
-            next_frontier: Dict[str, Set[Tup]] = {p: set() for p in self.preds}
+                name = pred + DELETE_FRONTIER
+                relations[name] = SHARD.frontier(pred, frontier[pred]).with_name(name)
+            interp = db.derive(relations.values())
+            next_frontier = self._empty()
             for rule in self.rules:
+                head = rule.head.pred
                 for i in self._comp_positions(rule):
-                    if not frontier.get(rule.body[i].pred):
+                    if not frontier[rule.body[i].pred]:
                         continue
-                    variant = self._variant(
-                        rule, i, rule.body[i].pred + DELETE_FRONTIER, old_name("")
+                    moved = rule.body[i].pred + DELETE_FRONTIER
+                    hits = (
+                        self._derive(interp, rule, i, moved, OLD)
+                        .intersection(current[head])
+                        .difference(deleted[head])
                     )
-                    head = rule.head.pred
-                    next_frontier[head] |= (
-                        self._derive(variant, interp) & current[head].tuples
-                    ) - deleted[head]
-            frontier = SHARD.merge_tuple_map(next_frontier, self.preds)
+                    next_frontier[head] = next_frontier[head].union(hits)
+            frontier = SHARD.merge_relations(next_frontier)
         return deleted
 
     # ------------------------------------------------------------------
@@ -229,87 +273,80 @@ class RecursiveState:
     def _refixpoint(
         self,
         surviving: IDBValues,
+        over: IDBValues,
         aliases: IDBValues,
-        rederiving: bool,
         base_changes,
-        universe,
+        db: Database,
         limit: int,
-    ) -> IDBValues:
-        """The least fixpoint containing ``surviving`` over the new inputs."""
+    ) -> Tuple[IDBValues, IDBValues]:
+        """The least fixpoint containing ``surviving`` over the new inputs.
+
+        Returns ``(fixpoint, gained)`` — ``gained`` is what the iteration
+        added to ``surviving``.
+        """
         current = dict(surviving)
+        gained = self._empty()
+        # Flip aliases narrowed per shard (identity when sequential);
+        # @new passes through untouched.
+        base = {name: SHARD.flip_shard(name, rel) for name, rel in aliases.items()}
 
         def interp_with(extra: List[Relation]) -> Database:
-            # Flip aliases narrowed per shard (identity when sequential);
-            # the full-rule variants of the rederiving branch read @new,
-            # which passes through untouched.
-            merged = {
-                name: SHARD.flip_shard(name, rel) for name, rel in aliases.items()
-            }
-            merged.update({p: current[p] for p in self.preds})
+            merged = dict(base)
+            merged.update(current)
             merged.update({r.name: r for r in extra})
-            return Database(universe, merged.values(), check=False)
+            return db.derive(merged.values())
 
-        if rederiving:
-            # Some tuples were over-deleted: any of them might be
-            # rederivable through surviving support, so round 1 is one
-            # full consequence application over the new inputs.  Sharded
-            # runs slice the (deterministically ordered) rule list.
-            interp = interp_with([])
-            derived: Dict[str, Set[Tup]] = {p: set() for p in self.preds}
-            for rule in SHARD.rule_slice(self.rules):
-                full = Rule(rule.head, [self._read(t, new_name("")) for t in rule.body])
-                derived[rule.head.pred] |= self._derive(full, interp)
-            derived = SHARD.merge_tuple_map(derived, self.preds)
-            delta = {
-                p: frozenset(derived[p]) - current[p].tuples for p in self.preds
-            }
-        else:
-            # Pure insertion at the base: only the gained delta variants,
-            # prefix and suffix both reading the new state (sound for set
-            # semantics; anything already known is subtracted).
-            interp = interp_with([])
-            gained: Dict[str, Set[Tup]] = {p: set() for p in self.preds}
-            for rule in self.rules:
-                for position, flip in self._base_flips(rule, base_changes, killing=False):
-                    variant = self._variant(rule, position, flip, new_name(""))
-                    gained[rule.head.pred] |= self._derive(variant, interp)
-            gained = SHARD.merge_tuple_map(gained, self.preds)
-            delta = {
-                p: frozenset(gained[p]) - current[p].tuples for p in self.preds
-            }
+        # Round 1 (see the module docstring): over-deleted heads with a
+        # derivation from the survivors, plus the gained delta variants,
+        # prefix and suffix both reading the new state (sound for set
+        # semantics; anything already known is subtracted).  Sharded
+        # runs slice the (deterministically ordered) rule list for the
+        # former and the flips for the latter.
+        interp = interp_with(
+            [over[p].with_name(p + OVER_DELETED) for p in self.preds]
+        )
+        derived = self._empty()
+        for rule in SHARD.rule_slice(self.rules):
+            head = rule.head.pred
+            if over[head]:
+                derived[head] = derived[head].union(
+                    self._derive(interp, rule, None, head + OVER_DELETED, NEW)
+                )
+        for rule in self.rules:
+            head = rule.head.pred
+            for position, flip in self._base_flips(rule, base_changes, killing=False):
+                derived[head] = derived[head].union(
+                    self._derive(interp, rule, position, flip, NEW)
+                )
+        derived = SHARD.merge_relations(derived)
+        delta = {p: derived[p].difference(current[p]) for p in self.preds}
 
         rounds = 0
         while any(delta.values()):
             rounds += 1
             if rounds > limit:
                 raise AssertionError("DRed rederivation exceeded its bound %d" % limit)
-            current = {
-                p: current[p].union(Relation(p, self.preds[p], delta[p]))
-                for p in self.preds
-            }
-            frontier = [
-                Relation(
-                    p + INSERT_FRONTIER,
-                    self.preds[p],
-                    SHARD.shard_tuples(p, delta[p]),
-                )
-                for p in self.preds
-            ]
-            interp = interp_with(frontier)
-            derived = {p: set() for p in self.preds}
+            current = {p: current[p].union(delta[p]) for p in self.preds}
+            gained = {p: gained[p].union(delta[p]) for p in self.preds}
+            interp = interp_with(
+                [
+                    SHARD.frontier(p, delta[p]).with_name(p + INSERT_FRONTIER)
+                    for p in self.preds
+                ]
+            )
+            derived = self._empty()
             for rule in self.rules:
+                head = rule.head.pred
                 for i in self._comp_positions(rule):
-                    if not delta.get(rule.body[i].pred):
+                    if not delta[rule.body[i].pred]:
                         continue
-                    variant = self._variant(
-                        rule, i, rule.body[i].pred + INSERT_FRONTIER, new_name("")
+                    moved = rule.body[i].pred + INSERT_FRONTIER
+                    derived[head] = derived[head].union(
+                        self._derive(interp, rule, i, moved, NEW)
                     )
-                    derived[rule.head.pred] |= self._derive(variant, interp)
-            derived = SHARD.merge_tuple_map(derived, self.preds)
-            delta = {
-                p: frozenset(derived[p]) - current[p].tuples for p in self.preds
-            }
-        return current
+            derived = SHARD.merge_relations(derived)
+            delta = {p: derived[p].difference(current[p]) for p in self.preds}
+        return current, gained
 
     # ------------------------------------------------------------------
     # Entry point
@@ -319,8 +356,8 @@ class RecursiveState:
         self,
         current: IDBValues,
         aliases: IDBValues,
-        base_changes: Dict[str, ChangePair],
-        universe,
+        base_changes,
+        db: Database,
     ) -> Tuple[IDBValues, Dict[str, ChangePair]]:
         """Maintain the component; return ``(new values, per-pred changes)``.
 
@@ -328,9 +365,12 @@ class RecursiveState:
         their pre-change values; ``aliases`` supplies ``P@old``,
         ``P@new``, ``P@ins`` and ``P@del`` relations for every base
         predicate the rules read; ``base_changes`` the effective
-        ``(inserts, deletes)`` per changed base predicate.
+        ``(inserts, deletes)`` per changed base predicate (only their
+        emptiness is read); ``db`` is the view's post-change database,
+        which every working interpretation is derived from.  The
+        returned changes are ``(inserted, deleted)`` relations.
         """
-        n = len(universe)
+        n = len(db.universe)
         limit = sum(n ** a for a in self.preds.values()) + 1
 
         killing = any(
@@ -339,27 +379,22 @@ class RecursiveState:
         )
         if killing:
             with TRACER.span("dred.overdelete") as sp:
-                over = self._over_delete(
-                    current, aliases, base_changes, universe, limit
-                )
+                over = self._over_delete(current, aliases, base_changes, db, limit)
                 if sp:
-                    sp["rows_out"] = sum(len(s) for s in over.values())
+                    sp["rows_out"] = sum(len(r) for r in over.values())
         else:
-            over = {p: set() for p in self.preds}
-        rederiving = any(over.values())
-        surviving = {
-            p: current[p].difference(Relation(p, self.preds[p], over[p]))
-            for p in self.preds
-        }
+            over = self._empty()
+        surviving = {p: current[p].difference(over[p]) for p in self.preds}
         with TRACER.span("dred.rederive") as sp:
-            final = self._refixpoint(
-                surviving, aliases, rederiving, base_changes, universe, limit
+            final, gained = self._refixpoint(
+                surviving, over, aliases, base_changes, db, limit
             )
             if sp:
                 sp["rows_out"] = sum(len(r) for r in final.values())
-        changes: Dict[str, ChangePair] = {}
-        for p in self.preds:
-            before = current[p].tuples
-            after = final[p].tuples
-            changes[p] = (frozenset(after - before), frozenset(before - after))
+        # final = (current - over) | gained with gained disjoint from the
+        # survivors, so the net change is two delta-sized differences.
+        changes = {
+            p: (gained[p].difference(over[p]), over[p].difference(gained[p]))
+            for p in self.preds
+        }
         return final, changes

@@ -22,6 +22,16 @@ stratum), but freezing the layers below a component makes its operator
 monotone again — which is exactly what lets DRed restart a least
 fixpoint from the over-deletion survivors and get the right answer.
 
+A view owns **one** symbol table for its whole life: every working
+interpretation of a maintenance pass is *derived* from the view's
+current database (:meth:`~repro.db.database.Database.derive`), never
+built around a bare universe, so the code payloads cached on the
+relations — and the sorted runs cached on those — stay valid from
+update to update.  Maintenance state (the ``@old``/``@new`` aliases,
+change sets, DRed's working sets) is held as relations under that
+table and combined on codes; only the changed tuples are decoded, once,
+for the returned :class:`ChangeSet`.
+
 Two cases fall back to honest recomputation (still through the view
 API, still producing a changeset):
 
@@ -57,7 +67,7 @@ from ..db.relation import Relation
 from ..obs import RECORDER, TRACER
 from .counting import CountingState
 from .delta import Delta, Tup
-from .dred import DELETE_FRONTIER, INSERT_FRONTIER, RecursiveState
+from .dred import DELETE_FRONTIER, INSERT_FRONTIER, OVER_DELETED, RecursiveState
 from .variants import PlanCache, del_name, ins_name, new_name, old_name
 from .wellfounded_maint import AlternatingState, undef_name
 
@@ -321,6 +331,7 @@ class MaterializedView:
             small.add(del_name(pred))
             small.add(pred + DELETE_FRONTIER)
             small.add(pred + INSERT_FRONTIER)
+            small.add(pred + OVER_DELETED)
         self._plans = PlanCache(frozenset(small))
 
         graph = DependencyGraph(program)
@@ -443,8 +454,10 @@ class MaterializedView:
         started = time.perf_counter()
         recomputed_before = self.recomputes
         with TRACER.span("view.apply") as sp:
+            row_traffic = RECORDER.row_traffic() if sp else None
             changeset = self._apply_inner(delta, record_undo)
             if sp:
+                RECORDER.note_row_traffic(sp, row_traffic)
                 sp["semantics"] = self.semantics
                 sp["delta"] = len(delta)
                 sp["rows_out"] = len(changeset)
@@ -535,9 +548,11 @@ class MaterializedView:
             for name in effective.relations()
         }
         for pred in self.program.idb_predicates:
-            before = old_idb[pred].tuples
-            after = result.idb[pred].tuples
-            changes[pred] = (frozenset(after - before), frozenset(before - after))
+            before, after = old_idb[pred], result.idb[pred]
+            changes[pred] = (
+                after.difference(before).tuples,
+                before.difference(after).tuples,
+            )
         self._db = new_db
         self._result = result
         if self._maintainable:
@@ -627,41 +642,49 @@ class MaterializedView:
     # -- the incremental path ------------------------------------------
 
     def _maintain(self, new_db: Database, effective: Delta) -> ChangeSet:
-        program = self.program
-        universe = new_db.universe  # == the old universe (no growth here)
-        arity = program.arity
-
-        changes: Dict[str, ChangePair] = {
-            name: (effective.inserts(name), effective.deletes(name))
-            for name in effective.relations()
-        }
+        # Every change is carried as an ``(inserted, deleted)`` pair of
+        # relations and every working interpretation is derived from
+        # ``new_db`` — one symbol table for the view's whole life, so the
+        # code payloads cached on its relations stay valid.
+        inserted: Dict[str, FrozenSet[Tup]] = {}
+        deleted: Dict[str, FrozenSet[Tup]] = {}
         change_rels: Dict[str, Relation] = {}
 
-        def publish(name: str, ins: FrozenSet[Tup], dels: FrozenSet[Tup]) -> None:
+        def publish(name: str, ins: Relation, dels: Relation) -> None:
             """Record a change and refresh the @new/@ins/@del aliases.
 
-            Relations the program never reads (deltas on them are legal)
-            have no aliases and need none — the change is echoed only.
+            The changeset is where changed tuples are decoded — once:
+            the @ins/@del aliases renamed afterwards share the decoded
+            set with it (row-form variants read it).  Relations the
+            program never reads (deltas on them are legal) have no
+            aliases and need none — the change is echoed only.
             """
-            changes[name] = (ins, dels)
+            inserted[name] = ins.tuples
+            deleted[name] = dels.tuples
             key = new_name(name)
             if key not in self._aliases:
                 return
             self._aliases[key] = self._aliases[key].evolve(ins, dels)
-            change_rels[ins_name(name)] = Relation(ins_name(name), arity(name), ins)
-            change_rels[del_name(name)] = Relation(del_name(name), arity(name), dels)
+            change_rels[ins_name(name)] = ins.with_name(ins_name(name))
+            change_rels[del_name(name)] = dels.with_name(del_name(name))
 
         for name in effective.relations():
-            publish(name, effective.inserts(name), effective.deletes(name))
+            arity = new_db[name].arity
+            publish(
+                name,
+                Relation._from_frozenset(name, arity, effective.inserts(name)),
+                Relation._from_frozenset(name, arity, effective.deletes(name)),
+            )
 
         idb = dict(self._result.idb)
         for component in self._components:
             changed_below = frozenset(
-                n for n, (ins, dels) in changes.items() if ins or dels
+                n for n in inserted if inserted[n] or deleted[n]
             )
             if not (component.base_preds & changed_below):
                 continue
             with TRACER.span("maint.component") as sp:
+                row_traffic = RECORDER.row_traffic() if sp else None
                 if sp:
                     sp["preds"] = ", ".join(sorted(component.preds))
                     sp["backend"] = (
@@ -670,30 +693,27 @@ class MaterializedView:
                 if component.recursive:
                     current = {p: idb[p] for p in component.preds}
                     base_changes = {
-                        n: changes[n]
+                        n: (inserted[n], deleted[n])
                         for n in component.base_preds & changed_below
                     }
                     aliases = dict(self._aliases)
                     aliases.update(change_rels)
                     final, comp_changes = component.state.apply(
-                        current, aliases, base_changes, universe
+                        current, aliases, base_changes, new_db
                     )
                     moved = 0
                     for pred, (ins, dels) in comp_changes.items():
-                        idb[pred] = final[pred].with_name(pred)
+                        idb[pred] = final[pred]
                         if ins or dels:
                             moved += len(ins) + len(dels)
                             publish(pred, ins, dels)
-                    if sp:
-                        sp["rows_out"] = moved
                 else:
-                    interp = Database(
-                        universe,
-                        list(self._aliases.values()) + list(change_rels.values()),
-                        check=False,
+                    interp = new_db.derive(
+                        list(self._aliases.values()) + list(change_rels.values())
                     )
                     ins, dels = component.state.apply(interp, changed_below)
-                    if ins or dels:
+                    moved = len(ins) + len(dels)
+                    if moved:
                         pred = component.state.pred
                         if new_name(pred) in self._aliases:
                             idb[pred] = idb[pred].evolve(ins, dels)
@@ -702,22 +722,24 @@ class MaterializedView:
                             # during maintenance (the counting state is the
                             # authority), so defer the — possibly huge —
                             # relation rebuild until ``result`` is read.
-                            self._defer(pred, ins, dels)
+                            self._defer(pred, ins.tuples, dels.tuples)
                         publish(pred, ins, dels)
-                    if sp:
-                        sp["rows_out"] = len(ins) + len(dels)
+                if sp:
+                    sp["rows_out"] = moved
+                    RECORDER.note_row_traffic(sp, row_traffic)
 
         # The next update's pre-change state is this update's post-change
         # state: catch the @old aliases up by the same deltas.
-        for name, (ins, dels) in changes.items():
-            if ins or dels:
-                key = old_name(name)
-                if key in self._aliases:
-                    self._aliases[key] = self._aliases[key].evolve(ins, dels)
+        for name in inserted:
+            key = old_name(name)
+            if key in self._aliases:
+                self._aliases[key] = self._aliases[key].evolve(
+                    change_rels[ins_name(name)], change_rels[del_name(name)]
+                )
 
         self._db = new_db
         self._result = self._with_idb(new_db, idb)
-        return ChangeSet.from_changes(changes)
+        return ChangeSet(inserted, deleted)
 
     def _defer(self, pred: str, ins: FrozenSet[Tup], dels: FrozenSet[Tup]) -> None:
         """Queue a head-only predicate's change for lazy materialisation.

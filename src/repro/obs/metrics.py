@@ -432,6 +432,12 @@ INSTRUMENTS: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
         "Rows of tuple-backed relations interned into row codes.",
         None,
     ),
+    "repro_symbol_tables_total": (
+        "counter",
+        "Interning tables constructed (one per database family; a view "
+        "that builds more than one per lifetime is re-interning).",
+        None,
+    ),
     "repro_engine_ground_seconds": (
         "histogram",
         "Time grounding a program (well-founded evaluation).",
@@ -544,6 +550,25 @@ class Recorder:
         if not self.enabled:
             return 0.0
         return self._instrument(name).value
+
+    def row_traffic(self) -> Tuple[float, float]:
+        """The ``(encoded, decoded)`` relation-row counters right now."""
+        return (
+            self.value("repro_relation_encoded_rows_total"),
+            self.value("repro_relation_decoded_rows_total"),
+        )
+
+    def note_row_traffic(self, span, since: Tuple[float, float]) -> None:
+        """Put the row counters' movement since ``since`` on ``span``.
+
+        ``encoded_rows`` / ``decoded_rows`` say how many tuples crossed
+        the tuple<->codes boundary under the span (fixpoint rounds, view
+        applies, maintenance components): the number to look at when a
+        codes-resident path is suspected of churning representations.
+        """
+        encoded, decoded = self.row_traffic()
+        span["encoded_rows"] = int(encoded - since[0])
+        span["decoded_rows"] = int(decoded - since[1])
 
     def observe(self, name: str, value: float) -> None:
         if not self.enabled:

@@ -147,15 +147,12 @@ class ShardContext:
         return self.frontier(base, relation)
 
     def flip_sharded_interp(self, interp: Any) -> Any:
-        """Rebuild a Database with every flip alias narrowed to our shard."""
+        """``interp`` with every flip alias narrowed to our shard (same family)."""
         if not self.active:
             return interp
-        from ..db.database import Database
-
-        relations = [
+        return interp.derive(
             self.flip_shard(rel.name, rel) for rel in interp.relations.values()
-        ]
-        return Database(interp.universe, relations, check=False)
+        )
 
     # -- rule partitioning -------------------------------------------------
 

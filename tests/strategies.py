@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared across the test-suite.
+"""Hypothesis strategies and small fixtures shared across the test-suite.
 
 This is a proper importable module (``from strategies import ...``) rather
 than part of ``conftest.py``: importing from ``conftest`` is ambiguous when
@@ -8,15 +8,46 @@ used to shadow the tests' one and break collection from the repo root.
 
 from __future__ import annotations
 
+import contextlib
+
 from hypothesis import strategies as st
 
 from repro import Database, Relation
 from repro.core.literals import Atom, Eq, Negation, Neq
+from repro.core.planning import colexec
 from repro.core.program import Program
 from repro.core.rules import Rule
 from repro.core.terms import Variable
+from repro.obs import MetricsRegistry, disable_metrics, enable_metrics
 
 _VARS = [Variable(n) for n in ("X", "Y", "Z")]
+
+
+@contextlib.contextmanager
+def min_rel(value):
+    """Run the body with ``colexec._AUTO_MIN_REL`` patched to ``value``.
+
+    Hypothesis inputs sit far below the shipped threshold; ``0`` sends
+    every joining plan down the columnar path.
+    """
+    saved = colexec._AUTO_MIN_REL
+    colexec._AUTO_MIN_REL = value
+    try:
+        yield
+    finally:
+        colexec._AUTO_MIN_REL = saved
+
+
+@contextlib.contextmanager
+def metrics():
+    """A scratch registry bound to the recorder for the body."""
+    scratch = MetricsRegistry()
+    enable_metrics(scratch)
+    try:
+        yield lambda name: scratch.counter(name).value
+    finally:
+        disable_metrics()
+
 
 # ----------------------------------------------------------------------
 # Persistable values for the CSV round-trip properties

@@ -35,35 +35,18 @@ from repro.core.semantics import (
 )
 from repro.db.kernel import RelationCodes, SymbolTable
 from repro.graphs import generators as gg, graph_to_database
-from repro.obs import MetricsRegistry, disable_metrics, enable_metrics
 from repro.queries import distance_program, transitive_closure_program
 
-from strategies import positive_programs, random_programs, small_databases
+from strategies import (
+    metrics,
+    min_rel,
+    positive_programs,
+    random_programs,
+    small_databases,
+)
 
 DECODED = "repro_relation_decoded_rows_total"
 ENCODED = "repro_relation_encoded_rows_total"
-
-
-@contextlib.contextmanager
-def min_rel(value):
-    """Run the body with ``colexec._AUTO_MIN_REL`` patched to ``value``."""
-    saved = colexec._AUTO_MIN_REL
-    colexec._AUTO_MIN_REL = value
-    try:
-        yield
-    finally:
-        colexec._AUTO_MIN_REL = saved
-
-
-@contextlib.contextmanager
-def metrics():
-    """A scratch registry bound to the recorder for the body."""
-    scratch = MetricsRegistry()
-    enable_metrics(scratch)
-    try:
-        yield lambda name: scratch.counter(name).value
-    finally:
-        disable_metrics()
 
 
 def coded(name, arity, tuples, sym):

@@ -86,6 +86,15 @@ def test_encode_decode_round_trip(values):
     for t in tuples:
         assert rc.contains_tuple(t)
     assert not rc.contains_tuple(("missing-value", "missing-value"))
+    # The batch probe agrees tuple by tuple, interns nothing, and stays
+    # exact after the table widens past this payload's field width.
+    probes = tuples[::2] + [("missing-value", values[0]), (values[0],)]
+    expected = [rc.contains_tuple(t) for t in probes]
+    assert rc.contains_rows(probes).tolist() == expected
+    assert sym.id_of("missing-value") is None
+    sym.intern_many(range(1000, 1300))
+    assert not rc.valid()
+    assert rc.contains_rows(probes + [(1200, 1200)]).tolist() == expected + [False]
 
 
 @given(small_databases())

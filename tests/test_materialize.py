@@ -11,8 +11,14 @@ zero-ary relations.
 
 from __future__ import annotations
 
+import contextlib
+import random
+import statistics
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Database, Relation, parse_program
 from repro.core.semantics import (
@@ -24,13 +30,20 @@ from repro.core.semantics import (
 from repro.graphs import generators as gg
 from repro.graphs.encode import graph_to_database
 from repro.materialize import ChangeSet, Delta, MaterializedView
+from repro.obs import (
+    TRACER,
+    MetricsRegistry,
+    disable_metrics,
+    enable_metrics,
+    walk,
+)
 from repro.queries import (
     distance_program,
     pi2,
     tc_complement_stratified,
     win_move_program,
 )
-from strategies import databases_and_deltas, random_programs
+from strategies import databases_and_deltas, metrics, min_rel, random_programs
 
 SLOW = settings(
     max_examples=40,
@@ -288,17 +301,222 @@ class TestDirectedMaintenance:
 
 
 # ----------------------------------------------------------------------
+# DRed's rederive step: over-deleted heads only, plus the insertion variants
+# ----------------------------------------------------------------------
+
+TC = """
+TC(X, Y) :- E(X, Y).
+TC(X, Y) :- E(X, Z), TC(Z, Y).
+"""
+
+
+@pytest.fixture(params=[None, 0], ids=["row", "columnar"])
+def execution(request):
+    """Each case on the shipped row/columnar choice and forced columnar."""
+    with min_rel(request.param) if request.param is not None else contextlib.nullcontext():
+        yield
+
+
+@pytest.mark.usefixtures("execution")
+class TestRederive:
+    def test_batch_resupports_through_an_inserted_edge(self):
+        """One delta deletes 2->3 and inserts 2->4: TC(1,4) and TC(2,4)
+        are over-deleted and come back only through the new edge."""
+        db = graph_to_database(gg.path(4))
+        view = MaterializedView(parse_program(TC), db)
+        changeset = view.apply_many(
+            [Delta.delete("E", (2, 3)), Delta.insert("E", (2, 4))]
+        )
+        assert view.result.idb == _reference(view.program, view.db, "stratified")
+        assert changeset.inserted == {"E": frozenset({(2, 4)})}
+        assert changeset.deleted == {
+            "E": frozenset({(2, 3)}),
+            "TC": frozenset({(1, 3), (2, 3)}),
+        }
+
+    def test_rollback_resupports_through_an_inserted_edge(self):
+        """The same mixed delta, composed by ``rollback(2)``."""
+        program = parse_program(TC)
+        db = Database(
+            {1, 2, 3, 4}, [Relation("E", 2, [(1, 2), (2, 4), (3, 4)])]
+        )
+        view = MaterializedView(program, db)
+        before = view.result.idb
+        view.apply(Delta.delete("E", (2, 4)))
+        view.apply(Delta.insert("E", (2, 3)))
+        assert view.result.idb == _reference(program, view.db, "stratified")
+        changeset = view.rollback(2)
+        assert view.result.idb == before
+        assert changeset.inserted == {"E": frozenset({(2, 4)})}
+        assert changeset.deleted["TC"] == frozenset({(1, 3), (2, 3)})
+
+    def test_cycle_is_over_deleted_and_rederived_whole(self):
+        """Every TC tuple has a derivation through 5->1; the detour
+        5->6->1 re-supports all of them, so only the edge moves."""
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 6), (6, 1)]
+        db = Database(range(1, 7), [Relation("E", 2, edges)])
+        view = MaterializedView(parse_program(TC), db)
+        assert len(view.relation("TC")) == 36
+        changeset = view.apply(Delta.delete("E", (5, 1)))
+        assert changeset.deleted == {"E": frozenset({(5, 1)})}
+        assert not changeset.inserted
+        assert view.result.idb == _reference(view.program, view.db, "stratified")
+
+    def test_delete_that_over_deletes_nothing(self):
+        program = parse_program(
+            "TC(X, Y) :- E(X, Y), X != Y.  TC(X, Y) :- E(X, Z), TC(Z, Y), X != Z."
+        )
+        db = Database({1, 2, 3}, [Relation("E", 2, [(1, 2), (2, 3), (3, 3)])])
+        view = MaterializedView(program, db)
+        tc = view.relation("TC")
+        changeset = view.apply(Delta.delete("E", (3, 3)))
+        assert changeset.deleted == {"E": frozenset({(3, 3)})}
+        assert view.relation("TC") is tc  # untouched value, caches intact
+        assert view.result.idb == _reference(program, view.db, "stratified")
+
+    def test_head_constants_and_repeated_head_variables(self):
+        """The ``S@dred_over(head args)`` atom must filter by the head's
+        shape: ``S(X, X)`` rederives diagonal tuples only, ``S(1, Y)``
+        only tuples whose first column is the constant."""
+        program = parse_program(
+            """
+            S(X, Y) :- E(X, Y).
+            S(X, X) :- S(X, Y), S(Y, X).
+            S(1, Y) :- S(X, Y), E(1, X).
+            """
+        )
+        db = Database(
+            {1, 2, 3, 4},
+            [Relation("E", 2, [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (1, 3)])],
+        )
+        _check_sequence(
+            program,
+            db,
+            [
+                Delta.delete("E", (2, 1)),
+                Delta(inserts={"E": [(4, 1)]}, deletes={"E": [(1, 2)]}),
+                Delta.delete("E", (3, 2)),
+                Delta.insert("E", (2, 1)),
+                Delta(inserts={"E": [(1, 2)]}, deletes={"E": [(1, 3), (4, 1)]}),
+            ],
+            "stratified",
+        )
+
+
+# ----------------------------------------------------------------------
+# One symbol table per view, state resident in codes
+# ----------------------------------------------------------------------
+
+
+def test_long_stream_keeps_one_table_and_stays_in_codes():
+    """200 single-edge updates of an ACYC view over G(300, 210).
+
+    The view must intern once (one ``SymbolTable`` for its whole life,
+    one payload per relation — the parent commit built a table per
+    working interpretation and leaked a payload per table), move only
+    delta-sized row sets across the tuple<->codes boundary, and not slow
+    down as the stream gets longer.
+    """
+    rng = random.Random(18)
+    n, m = 300, 210
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    present = sorted(edges)
+    program = parse_program(
+        TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X).", carrier="ACYC"
+    )
+    db = Database(range(n), [Relation("E", 2, edges)])
+    latencies = []
+    decode_excess = []
+    with metrics() as value:
+        view = MaterializedView(program, db)
+        symbols = view.db.symbols()
+        for index in range(200):
+            if index % 2 == 0:
+                while True:
+                    edge = (rng.randrange(n), rng.randrange(n))
+                    if edge[0] != edge[1] and edge not in edges:
+                        break
+                edges.add(edge)
+                present.append(edge)
+                delta = Delta.insert("E", edge)
+            else:
+                edge = present.pop(rng.randrange(len(present)))
+                edges.discard(edge)
+                delta = Delta.delete("E", edge)
+            decoded = value("repro_relation_decoded_rows_total")
+            encoded = value("repro_relation_encoded_rows_total")
+            started = time.perf_counter()
+            changeset = view.apply(delta)
+            latencies.append(time.perf_counter() - started)
+            decoded = value("repro_relation_decoded_rows_total") - decoded
+            encoded = value("repro_relation_encoded_rows_total") - encoded
+            # The delta is interned for the database and once for the
+            # aliases; IDB changes born as tuples (counting) once.
+            assert encoded <= len(delta) + len(changeset) + 4, index
+            decode_excess.append(max(0, decoded - len(changeset)))
+        assert value("repro_symbol_tables_total") == 1
+    assert view.recomputes == 0
+    assert view.db.symbols() is symbols
+    # Only changed tuples are decoded — except once, when the row-form
+    # counting variants first join E@new and it settles into row form.
+    assert sum(decode_excess) <= len(edges)
+    assert sorted(decode_excess)[-2] == 0
+    for rel in list(view._aliases.values()) + list(view.result.idb.values()):
+        assert len(rel._kernel_cache) == 1, rel.name
+    assert view.result.idb == _reference(program, view.db, "stratified")
+    assert statistics.median(latencies[150:]) < 2 * statistics.median(latencies[:50])
+
+
+def test_apply_spans_and_exposition_show_row_traffic():
+    """What would have shown the re-interning bug from the outside:
+    ``encoded_rows`` / ``decoded_rows`` on the maintenance spans and
+    ``repro_symbol_tables_total`` in the text the ``metrics`` verb serves."""
+    program = parse_program(TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X).", carrier="ACYC")
+    registry = MetricsRegistry()
+    enable_metrics(registry)
+    try:
+        view = MaterializedView(program, graph_to_database(gg.path(70)))
+        # First update: plans compile and E@new settles into the row form
+        # its counting reader joins it in (a one-off decode of the alias).
+        view.apply(Delta.delete("E", (69, 70)))
+        TRACER.start()
+        try:
+            changeset = view.apply(Delta.delete("E", (35, 36)))
+        finally:
+            roots = TRACER.stop()
+    finally:
+        disable_metrics()
+    spans = [s for s, _parent in walk(roots)]
+    (applied,) = [s for s in spans if s.name == "view.apply"]
+    components = [s for s in spans if s.name == "maint.component"]
+    assert sorted(s.attrs["backend"] for s in components) == ["counting", "dred"]
+    for span in [applied] + components:
+        assert span.attrs["decoded_rows"] <= len(changeset)
+        assert span.attrs["encoded_rows"] <= 1 + len(changeset)
+    # Only DRed's change is born in codes; it is decoded once.
+    assert applied.attrs["decoded_rows"] == len(changeset.deleted["TC"])
+    assert "repro_symbol_tables_total 1\n" in registry.exposition()
+
+
+# ----------------------------------------------------------------------
 # The Hypothesis property: random programs × random delta sequences
 # ----------------------------------------------------------------------
 
 
-def _property_body(program, db, deltas, semantics):
+def _property_body(program, db, deltas, semantics, columnar=False):
     if semantics == "stratified" and not is_stratifiable(program):
         return
-    view = MaterializedView(program, db, semantics=semantics)
-    for delta in deltas:
-        view.apply(delta)
-        assert view.result.idb == _reference(program, view.db, semantics)
+    # columnar: even these tiny inputs run every joining plan on codes,
+    # so DRed's set algebra works on code-only relations.
+    with min_rel(0) if columnar else contextlib.nullcontext():
+        view = MaterializedView(program, db, semantics=semantics)
+        for delta in deltas:
+            view.apply(delta)
+            assert view.result.idb == _reference(program, view.db, semantics)
 
 
 class TestMaintenanceEqualsRecompute:
@@ -306,10 +524,11 @@ class TestMaintenanceEqualsRecompute:
     @given(
         program=random_programs(allow_idb_negation=True, include_zeroary=True),
         dbd=databases_and_deltas(),
+        columnar=st.booleans(),
     )
-    def test_stratified_mixed(self, program, dbd):
+    def test_stratified_mixed(self, program, dbd, columnar):
         db, deltas = dbd
-        _property_body(program, db, deltas, "stratified")
+        _property_body(program, db, deltas, "stratified", columnar)
 
     @SLOW
     @given(
