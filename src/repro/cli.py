@@ -429,7 +429,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     initial view; a restart on a populated ``--state`` directory
     recovers every view it holds by snapshot + WAL replay and ignores
     neither — recovered views win, the program/db pair only registers
-    the named view when recovery did not already produce it.
+    the named view when recovery did not already produce it.  A state
+    directory recovery refuses (another log format, a missing snapshot,
+    a corrupt WAL record) is one ``error:`` line and exit status 2.
     """
     import asyncio
     import logging
@@ -462,7 +464,13 @@ async def _serve(args: argparse.Namespace) -> int:
         snapshot_every=args.snapshot_every,
         parallel=getattr(args, "workers", 0),
     )
-    recovered = await service.start()
+    try:
+        recovered = await service.start()
+    except ValueError as exc:
+        # A state directory this build cannot read, or a damaged one
+        # (DeltaLog.recover names the file): say so, replay nothing.
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     for info in recovered:
         print(
             "recovered view %r at seq %d by snapshot + WAL replay (%s)"

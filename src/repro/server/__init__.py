@@ -14,10 +14,11 @@ already made serving-shaped:
 * **changesets are the wire payload** — subscribers stream the
   :class:`~repro.materialize.view.ChangeSet` of every committed batch;
 * **a write-ahead delta log** (:mod:`repro.server.wal`) persists every
-  committed batch in the CSV delta format plus a periodic database
-  snapshot, so a restarted server recovers by *replay* instead of
-  recompute — which is exactly why the CSV value round trip had to
-  become the identity (see :mod:`repro.db.csvio`).
+  committed batch as one checksummed record — one write and one fsync
+  before the ack — plus a periodic database snapshot, so a restarted
+  server recovers by *replay* instead of recompute — which is exactly
+  why the snapshots' CSV value round trip had to become the identity
+  (see :mod:`repro.db.csvio`).
 
 Front ends: :mod:`repro.server.net` speaks newline-delimited JSON over
 asyncio TCP (``python -m repro serve``); :mod:`repro.server.smoke` is a

@@ -32,10 +32,22 @@ engine-side series the recorder has emitted.
 
 Every response carries ``"ok"``; failures are
 ``{"ok": false, "error": "..."}`` — a malformed request is a clean error
-response, never a dropped connection.  ``subscribe`` acks and then turns
-the connection into an event stream: one
-``{"event": "change", "view": ..., "seq": ..., "changeset": {...}}``
-line per committed batch until either side closes.
+response, never a dropped connection.  Two failures say the server is
+protecting itself: a ``delta`` against a full writer queue is refused
+with an error starting ``overloaded``, and a request line longer than
+16 MiB is answered ``request exceeds 16777216 bytes`` and the connection
+closed (the rest of the line cannot be told from the next request).
+``subscribe`` acks and then turns the connection into an event stream:
+one ``{"event": "change", "view": ..., "seq": ..., "changeset": {...}}``
+line per committed batch until either side closes — or, for a subscriber
+that falls a whole window of events behind, until a final
+``{"event": "lagged", "view": ..., "seq": ...}`` naming the first commit
+it was not sent.
+
+A ``query`` response's ``"tuples"`` member is not encoded per request:
+:meth:`ViewServer.read <repro.server.service.ViewServer.read>` hands back
+the relation already rendered, and :meth:`TcpFrontend._send` splices
+those bytes into the line.
 
 :class:`Client` is the matching asyncio client, used by the tests, the
 load harness (``repro.bench serve``) and the CI smoke
@@ -51,7 +63,7 @@ from typing import Any, AsyncIterator, Dict, Optional, Tuple
 from ..materialize.view import ChangeSet
 from . import protocol
 from .protocol import ProtocolError
-from .service import ProgramRejected, ViewServer
+from .service import OverloadedError, ProgramRejected, ViewServer
 
 _LINE_LIMIT = 2 ** 24
 """Stream reader line limit (16 MiB): changesets of large commits are
@@ -63,6 +75,11 @@ def _error(message: str, request_id: Any = None) -> Dict[str, Any]:
     if request_id is not None:
         response["id"] = request_id
     return response
+
+
+def _failure(exc: Exception) -> Dict[str, Any]:
+    """The error response for a request the service or codec refused."""
+    return _error(str(exc.args[0] if exc.args else exc))
 
 
 class TcpFrontend:
@@ -119,7 +136,13 @@ class TcpFrontend:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # longer than the stream's limit
+                    await self._send(
+                        writer, _error("request exceeds %d bytes" % _LINE_LIMIT)
+                    )
+                    return
                 if not line:
                     return
                 line = line.strip()
@@ -140,10 +163,14 @@ class TcpFrontend:
                     # event stream owned by the subscription.
                     await self._subscribe(request, reader, writer)
                     return
-                response = await self._dispatch(op, request)
+                tuples = None
+                if op == "query":
+                    response, tuples = self._op_query(request)
+                else:
+                    response = await self._dispatch(op, request)
                 if request_id is not None:
                     response["id"] = request_id
-                await self._send(writer, response)
+                await self._send(writer, response, tuples)
                 if op == "shutdown" and response.get("ok"):
                     asyncio.get_running_loop().create_task(self.close())
                     return
@@ -156,8 +183,18 @@ class TcpFrontend:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _send(self, writer: "asyncio.StreamWriter", obj: Dict[str, Any]) -> None:
-        writer.write(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
+    async def _send(
+        self,
+        writer: "asyncio.StreamWriter",
+        obj: Dict[str, Any],
+        tuples: Optional[bytes] = None,
+    ) -> None:
+        """Write one line: ``obj``, plus — spliced in unparsed as its last
+        member — a relation's already rendered ``"tuples"``."""
+        line = json.dumps(obj, separators=(",", ":")).encode()
+        if tuples is not None:
+            line = b'%s,"tuples":%s}' % (line[:-1], tuples)
+        writer.write(line + b"\n")
         await writer.drain()
 
     async def _dispatch(self, op: Any, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -170,8 +207,6 @@ class TcpFrontend:
                 return self._op_register(request)
             if op == "delta":
                 return await self._op_delta(request)
-            if op == "query":
-                return self._op_query(request)
             if op == "info":
                 info = self.service.info(self._view_name(request))
                 return {
@@ -202,9 +237,8 @@ class TcpFrontend:
                 d.to_dict() for d in exc.report.diagnostics
             ]
             return response
-        except (ProtocolError, ValueError, KeyError) as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            return _error(str(message))
+        except (ProtocolError, ValueError, KeyError, OverloadedError) as exc:
+            return _failure(exc)
 
     def _view_name(self, request: Dict[str, Any]) -> str:
         name = request.get("view")
@@ -245,21 +279,24 @@ class TcpFrontend:
             "changeset": protocol.encode_changeset(changeset),
         }
 
-    def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        name = self._view_name(request)
-        predicate = request.get("predicate")
-        if not isinstance(predicate, str) or not predicate:
-            raise ProtocolError("field 'predicate' must name a predicate")
-        seq, rel = self.service.query(
-            name, predicate, undefined=bool(request.get("undefined", False))
+    def _op_query(
+        self, request: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], Optional[bytes]]:
+        """The response minus ``"tuples"``, and the bytes to splice in."""
+        try:
+            name = self._view_name(request)
+            predicate = request.get("predicate")
+            if not isinstance(predicate, str) or not predicate:
+                raise ProtocolError("field 'predicate' must name a predicate")
+            seq, arity, tuples = self.service.read(
+                name, predicate, bool(request.get("undefined", False))
+            )
+        except (ProtocolError, ValueError, KeyError) as exc:
+            return _failure(exc), None
+        return (
+            {"ok": True, "seq": seq, "predicate": predicate, "arity": arity},
+            tuples,
         )
-        return {
-            "ok": True,
-            "seq": seq,
-            "predicate": predicate,
-            "arity": rel.arity,
-            "tuples": protocol.encode_tuples(rel.tuples),
-        }
 
     async def _subscribe(
         self,
@@ -311,6 +348,10 @@ class TcpFrontend:
                     "seq": seq,
                     "changeset": protocol.encode_changeset(changeset),
                 },
+            )
+        if sub.lagged is not None:
+            await self._send(
+                writer, {"event": "lagged", "view": name, "seq": sub.lagged}
             )
 
 
@@ -431,6 +472,11 @@ class Client:
                 if not line:
                     return
                 event = json.loads(line)
+                if event.get("event") == "lagged":
+                    raise ServerError(
+                        "subscription to %r lagged: unsubscribed at seq %d"
+                        % (view, event["seq"])
+                    )
                 if event.get("event") != "change":
                     continue
                 yield event["seq"], protocol.decode_changeset(event["changeset"])

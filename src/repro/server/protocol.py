@@ -16,6 +16,7 @@ traceback mid-maintenance.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from ..db.database import Database
@@ -63,6 +64,16 @@ def decode_tuple(row: Any) -> Tuple[Any, ...]:
 def encode_tuples(tuples: Iterable[Tuple[Any, ...]]) -> List[List[Any]]:
     """A tuple set as a deterministically ordered JSON array of arrays."""
     return [encode_tuple(t) for t in sorted(tuples, key=repr)]
+
+
+def render_tuples(tuples: Iterable[Tuple[Any, ...]]) -> bytes:
+    """:func:`encode_tuples` of a tuple set as compact JSON bytes.
+
+    What a ``query`` response carries as ``"tuples"``, rendered ahead of
+    the response so the server can keep it and splice it in unparsed for
+    as long as the relation does not change.
+    """
+    return json.dumps(encode_tuples(tuples), separators=(",", ":")).encode()
 
 
 def _decode_tuple_map(obj: Any, field: str) -> Dict[str, List[Tuple[Any, ...]]]:

@@ -17,11 +17,18 @@ and gives each one the serving discipline the ROADMAP asks for:
   ``(seq, db, result)`` triple, which stays internally consistent no
   matter how far the writer advances.  :meth:`query` is the one-shot
   convenience form.
+* **Reads from bytes.**  :meth:`read` — what the wire's ``query``
+  answers from — keeps each queried relation's rendered ``tuples``
+  bytes and reuses them until a commit's changeset names that relation;
+  a read between two such commits regroups, sorts and encodes nothing.
 * **Changesets are the wire payload.**  :meth:`subscribe` returns an
   async iterator of ``(seq, changeset)`` events, fanned out to every
   subscriber as batches commit (empty net changesets are not
   published; the fan-out's recent-events window is deduplicated by the
   changesets' content hash).
+* **Bounded queues.**  A writer queue that is full fails :meth:`submit`
+  at once with :class:`OverloadedError`; a subscriber a whole window of
+  events behind is unsubscribed, its stream ending with ``lagged`` set.
 * **Durability by replay.**  With a state directory, every committed
   batch is appended to the view's :class:`~repro.server.wal.DeltaLog`
   *before* it is acknowledged, and a snapshot is cut every
@@ -48,7 +55,9 @@ from ..db.database import Database
 from ..db.relation import Relation
 from ..materialize.delta import Delta
 from ..materialize.view import SEMANTICS, ChangeSet, MaterializedView
+from ..materialize.wellfounded_maint import UNDEF
 from ..obs import LATENCY_BUCKETS, REGISTRY, SIZE_BUCKETS
+from . import protocol
 from .wal import DeltaLog
 
 logger = logging.getLogger("repro.server")
@@ -82,6 +91,11 @@ _BATCH_SIZE = REGISTRY.histogram(
     labelnames=("view",),
     buckets=SIZE_BUCKETS,
 )
+_READS = REGISTRY.counter(
+    "repro_server_reads_total",
+    "Relation reads answered from kept bytes (hit) or rendered anew (miss).",
+    labelnames=("view", "cache"),
+)
 _QUEUE_DEPTH = REGISTRY.gauge(
     "repro_server_queue_depth",
     "Writer-queue depth (refreshed per commit and per scrape).",
@@ -111,7 +125,14 @@ _RECOVERY_SECONDS = REGISTRY.histogram(
 
 _RECENT_WINDOW = 256
 """How many committed changesets the per-view recent-events window keeps
-(the dedup set over their content hashes backs the ``stats`` counters)."""
+(the dedup set over their content hashes backs the ``stats`` counters),
+and how many undelivered events a subscriber may fall behind before it
+is unsubscribed."""
+
+_QUEUE_LIMIT = 1024
+"""Deltas a view's writer queue holds before :meth:`ViewServer.submit`
+answers ``overloaded`` (well above ``repro.bench serve``'s 128-request
+storm)."""
 
 
 class ProgramRejected(ValueError):
@@ -132,6 +153,10 @@ class ProgramRejected(ValueError):
             "program rejected by static analysis: %d error(s): %s"
             % (report.errors, "; ".join(errors))
         )
+
+
+class OverloadedError(RuntimeError):
+    """The view's writer queue is full; the delta was not accepted."""
 
 
 class UnknownViewError(KeyError):
@@ -169,27 +194,44 @@ class Pinned:
 
 
 class Subscription:
-    """An async iterator of committed ``(seq, ChangeSet)`` events."""
+    """An async iterator of committed ``(seq, ChangeSet)`` events.
+
+    At most ``_RECENT_WINDOW`` events wait undelivered.  A subscriber
+    that falls further behind is unsubscribed: ``lagged`` becomes the
+    sequence number of the first commit it will not see, and the
+    iterator finishes after the events already queued.
+    """
 
     def __init__(self, view: str) -> None:
         self.view = view
-        self._queue: "asyncio.Queue" = asyncio.Queue()
+        self._queue: "asyncio.Queue" = asyncio.Queue(maxsize=_RECENT_WINDOW)
         self._closed = False
+        self.lagged: Optional[int] = None
 
     def _publish(self, seq: int, changeset: ChangeSet) -> None:
-        if not self._closed:
+        if self._closed:
+            return
+        try:
             self._queue.put_nowait((seq, changeset))
+        except asyncio.QueueFull:
+            self.lagged = seq
+            self.close()
 
     def close(self) -> None:
         """End the stream (the iterator finishes after drained events)."""
         if not self._closed:
             self._closed = True
-            self._queue.put_nowait(None)
+            if self._queue.empty():
+                # Wake a consumer blocked in get(); with events queued
+                # none is, and __anext__ sees the flag once they drain.
+                self._queue.put_nowait(None)
 
     def __aiter__(self) -> "Subscription":
         return self
 
     async def __anext__(self) -> Tuple[int, ChangeSet]:
+        if self._closed and self._queue.empty():
+            raise StopAsyncIteration
         event = await self._queue.get()
         if event is None:
             raise StopAsyncIteration
@@ -215,6 +257,9 @@ class _ViewState:
         "submitted",
         "commits",
         "lint_report",
+        "reads",
+        "read_hits",
+        "read_misses",
     )
 
     def __init__(
@@ -235,7 +280,7 @@ class _ViewState:
         self.view = view
         self.log = log
         self.seq = seq
-        self.queue: "asyncio.Queue" = asyncio.Queue()
+        self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=_QUEUE_LIMIT)
         self.task: Optional["asyncio.Task"] = None
         self.subscribers: List[Subscription] = []
         self.recent: "deque" = deque(maxlen=_RECENT_WINDOW)
@@ -245,6 +290,11 @@ class _ViewState:
         # Static-analysis report, computed once (at register, or lazily
         # for recovered views) so analysis stays off the serving path.
         self.lint_report: Optional[LintReport] = None
+        # (predicate, undefined) -> (arity, rendered ``tuples`` bytes) of
+        # each relation that has been read and has not changed since.
+        self.reads: Dict[Tuple[str, bool], Tuple[int, bytes]] = {}
+        self.read_hits = 0
+        self.read_misses = 0
 
 
 class ViewServer:
@@ -419,13 +469,15 @@ class ViewServer:
         """Stop every writer, end subscriptions, cut final snapshots."""
         self._closed = True
         for state in self._views.values():
-            state.queue.put_nowait(_SHUTDOWN)
+            await state.queue.put(_SHUTDOWN)
         for state in self._views.values():
             if state.task is not None:
                 await state.task
                 state.task = None
-            if state.log is not None and state.seq > state.log.snapshot_seq:
-                state.log.snapshot(state.seq, state.view.db)
+            if state.log is not None:
+                if state.seq > state.log.snapshot_seq:
+                    state.log.snapshot(state.seq, state.view.db)
+                state.log.close()
             for sub in list(state.subscribers):
                 sub.close()
             state.subscribers.clear()
@@ -475,6 +527,8 @@ class ViewServer:
     def stats(self, name: str) -> Dict[str, Any]:
         """Serving counters for one view (the observability face).
 
+        ``read_hits`` / ``read_misses`` count :meth:`read` calls
+        answered from kept bytes / rendered anew.
         ``kernel`` reports the columnar substrate the view runs on —
         which backend is live and how many constants its database family
         has interned (``None`` until something touches the kernel; the
@@ -500,6 +554,8 @@ class ViewServer:
             "seq": state.seq,
             "submitted": state.submitted,
             "commits": state.commits,
+            "read_hits": state.read_hits,
+            "read_misses": state.read_misses,
             "applied": state.view.applied,
             "recomputes": state.view.recomputes,
             "queue_depth": state.queue.qsize(),
@@ -586,6 +642,33 @@ class ViewServer:
             )
         return state.seq, rel
 
+    def read(
+        self, name: str, predicate: str, undefined: bool = False
+    ) -> Tuple[int, int, bytes]:
+        """:meth:`query` for the wire: ``(seq, arity, tuples bytes)``.
+
+        The bytes are :func:`protocol.render_tuples` of the relation.
+        They are kept per ``(predicate, undefined)`` and dropped by the
+        commit whose changeset names the relation, so between two such
+        commits a read is a dictionary lookup; ``seq`` is always the
+        current commit.
+        """
+        state = self._state(name)
+        key = (predicate, undefined)
+        kept = state.reads.get(key)
+        if kept is None:
+            _, rel = self.query(name, predicate, undefined)
+            kept = state.reads[key] = (
+                rel.arity,
+                protocol.render_tuples(rel.tuples),
+            )
+            state.read_misses += 1
+            _READS.labels(state.name, "miss").inc()
+        else:
+            state.read_hits += 1
+            _READS.labels(state.name, "hit").inc()
+        return (state.seq,) + kept
+
     def subscribe(self, name: str) -> Subscription:
         """Stream every future committed batch's net changeset."""
         state = self._state(name)
@@ -614,14 +697,22 @@ class ViewServer:
         joined) and acknowledged once the batch containing it is durably
         logged and applied.  The returned changeset is the whole batch's
         net effect and the sequence number is the batch's commit — the
-        transaction the submitter rode in.
+        transaction the submitter rode in.  A writer queue already
+        holding ``_QUEUE_LIMIT`` deltas raises :class:`OverloadedError`
+        at once: the delta was not accepted and nothing waits.
         """
         state = self._state(name)
         state.view.validate_delta(delta)
+        future: "asyncio.Future" = asyncio.get_running_loop().create_future()
+        try:
+            state.queue.put_nowait((delta, future))
+        except asyncio.QueueFull:
+            raise OverloadedError(
+                "overloaded: view %r already has %d deltas queued; retry later"
+                % (name, _QUEUE_LIMIT)
+            ) from None
         state.submitted += 1
         _SUBMITTED.labels(state.name).inc()
-        future: "asyncio.Future" = asyncio.get_running_loop().create_future()
-        state.queue.put_nowait((delta, future))
         return await future
 
     async def _writer_loop(self, state: _ViewState) -> None:
@@ -681,6 +772,13 @@ class ViewServer:
                     future.set_exception(exc)
             return
         state.seq = seq
+        # Served state moved: drop the kept bytes of exactly the
+        # relations (and undefined partitions) this commit changed.
+        for key in changeset.relations():
+            if key.endswith(UNDEF):
+                state.reads.pop((key[: -len(UNDEF)], True), None)
+            else:
+                state.reads.pop((key, False), None)
         state.commits += 1
         _COMMITS.labels(state.name).inc()
         _BATCH_SIZE.labels(state.name).observe(len(batch))
@@ -694,8 +792,10 @@ class ViewServer:
             state.log.snapshot(seq, state.view.db)
         if not changeset.is_empty():
             state.recent.append((seq, changeset))
-            for sub in state.subscribers:
+            for sub in list(state.subscribers):
                 sub._publish(seq, changeset)
+                if sub.lagged is not None:
+                    self.unsubscribe(sub)
         for future in futures:
             if not future.cancelled():
                 future.set_result((seq, changeset))

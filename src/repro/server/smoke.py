@@ -19,9 +19,14 @@ and the load harness (which measures instead of asserting):
 4. query through the wire and against a local reference
    :class:`~repro.materialize.view.MaterializedView` fed the same
    deltas;
-5. kill the server without a final snapshot (the crash), restart from
-   the state directory — recovery is snapshot + WAL replay — and check
-   the recovered view state equals the pre-crash one exactly;
+5. kill the server without a final snapshot (the crash); flip one byte
+   of an acknowledged WAL record and check ``repro serve`` refuses the
+   directory with one ``error:`` line and exit status 2, replaying
+   nothing; put the byte back, leave half a record at the end of the
+   segment (a crash in mid-append) and restart from the state
+   directory — recovery is snapshot + WAL replay — and check the
+   recovered view state equals the pre-crash one exactly and the torn
+   tail is gone;
 6. scrape the ``metrics`` verb on both sides of the crash and check the
    story is visible in the exposition: commit/batch/WAL series present
    and populated before the crash, the recovery replay counter advanced
@@ -33,7 +38,9 @@ and the load harness (which measures instead of asserting):
 from __future__ import annotations
 
 import asyncio
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -191,6 +198,20 @@ async def run(state_dir: Path) -> None:
         _sample(exposition, "repro_wal_append_seconds_count") >= 1,
         "WAL append latency histogram populated",
     )
+    check(
+        _sample(exposition, "repro_server_reads_total", 'cache="miss"') >= 1,
+        "read counter exposed with its cache label",
+    )
+
+    # Snapshots (every 4th commit) empty the live segment; pad it to
+    # three records so the damage legs below have a non-tail one to hit.
+    def segment() -> Path:
+        return sorted((state_dir / "tc" / "wal").glob("*.log"))[-1]
+
+    pad = 0
+    while segment().read_bytes().count(b"\n") < 3:
+        pad += 1
+        await client.delta("tc", inserts={"E": [[200 + pad, 1]]})
 
     pre_crash = {
         "seq": service.pin("tc").seq,
@@ -211,6 +232,32 @@ async def run(state_dir: Path) -> None:
     del service, frontend
     print("crashed server (state dir holds snapshot + WAL only)")
 
+    # --- a damaged record is refused, a torn tail is dropped ----------
+    live = segment()
+    intact = live.read_bytes()
+    live.write_bytes(intact[:12] + bytes([intact[12] ^ 1]) + intact[13:])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[2]), env.get("PYTHONPATH")])
+    )
+    refused = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--state", str(state_dir),
+         "--name", "tc", "--port", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    check(refused.returncode == 2, "`repro serve` exits 2 on a flipped byte in a non-tail record")
+    check(
+        refused.stderr.startswith("error: ")
+        and "%s is corrupt at byte offset 0" % live in refused.stderr
+        and len(refused.stderr.splitlines()) == 1,
+        "one error line names the segment and the offset (no traceback)",
+    )
+    check("recovered view" not in refused.stdout, "nothing was replayed around the damage")
+    # Put the byte back; then what a crash in mid-append leaves behind:
+    # half a record that was never fsync'd, so never acknowledged.
+    last_record = intact.splitlines(keepends=True)[-1]
+    live.write_bytes(intact + last_record[: len(last_record) // 2])
+
     # --- restart: recovery is snapshot + WAL replay -------------------
     service2 = ViewServer(state_dir=state_dir, tick=0.0, snapshot_every=4)
     recovered = await service2.start()
@@ -223,6 +270,7 @@ async def run(state_dir: Path) -> None:
         dict(pin.result.idb) == pre_crash["idb"],
         "replayed view result == pre-crash result (exact)",
     )
+    check(live.read_bytes() == intact, "the torn tail was truncated away, no acked record with it")
 
     # The recovered server keeps serving: one more write + read.
     frontend2 = TcpFrontend(service2)

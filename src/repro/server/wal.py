@@ -10,49 +10,73 @@ A :class:`DeltaLog` owns one view's state directory::
                              <relation>.csv per relation (csvio format)
                              + @universe.csv (the full universe, which
                              can exceed the active domain)
-      wal/<SEQ>/             one committed batch per directory, in the
-                             CSV delta format of :func:`repro.db.csvio.dump_delta`
+      wal/<SEQ>.log          the segment opened when snapshot SEQ was
+                             cut: one record per batch committed since
 
-Log entries *are* CSV deltas — the format the CLI's ``--delta``
-directories already use — so a WAL entry can be inspected, edited or
-replayed by hand with the ordinary tools.  This is also why the CSV
-value round trip had to become the identity (:mod:`repro.db.csvio`):
-a log whose entries come back subtly different replays the server into
-a different database than the one that crashed.
+A record is one newline-terminated line of ASCII text::
 
-Crash safety is rename-based *and* fsync'd: an entry is dumped into a
-``.tmp-`` name, its files and directory fsync'd, atomically renamed
-into place, and the WAL directory fsync'd so the rename survives power
-loss — only then may the writer ack.  A snapshot directory is fully
-written (and fsync'd) before ``meta.json`` (rewritten via
-``os.replace`` + directory fsync) points at its sequence number, and
-recovery ignores anything not named like a committed artefact.  At every crash point ``meta.json`` therefore
-names a complete snapshot, and replaying the WAL entries *after* it
-reproduces the exact pre-crash state (maintenance == recompute is
-property-tested, and apply is deterministic).
+    <crc32, 8 hex digits> <seq> <compact JSON of protocol.encode_delta>
+
+The CRC covers everything after its separating space up to the newline.
+JSON keeps ``7`` and ``"7"`` apart, so a record replays to exactly the
+delta that was committed, and a segment stays readable with ``less``.
+
+**The durability contract: acked ⇒ fsync'd before the ack.**
+:meth:`DeltaLog.append` issues one ``os.write`` and one ``os.fsync`` on
+the open segment and returns only after the fsync has.  One fsync is
+enough because appending to a file that is already durable changes no
+directory entry: the segment's *creation* is followed by an fsync of
+``wal/`` (once per snapshot), and every later append moves only the
+file's own data and length, which its fsync covers.
+
+Snapshots stay rename-based: a snapshot directory is fully written and
+fsync'd under a ``.tmp-`` name, renamed into place, and only then does
+``meta.json`` (rewritten via ``os.replace`` + directory fsync) name its
+sequence number; after that the new segment is opened and the older
+segments and snapshots are unlinked.  At every crash point ``meta.json``
+names a complete snapshot and the records after it sit in the segment of
+that name, so replaying them reproduces the exact pre-crash state
+(maintenance == recompute is property-tested, and apply is
+deterministic).
+
+**What recovery tolerates and what it refuses.**  A crash in the middle
+of an append can leave a partial record at the end of the last segment;
+it was never fsync'd, hence never acknowledged.  :meth:`DeltaLog.recover`
+therefore drops — and truncates away — a *last* line of the *last*
+segment that is unterminated or fails its CRC.  Any other line that is
+unterminated or fails its CRC is damage to an acknowledged commit:
+recovery raises a ``ValueError`` naming the file and the byte offset and
+replays nothing, rather than skip the record or parse what is left of
+it.  (So is a failing last line that *ends* in an intact record: two
+acknowledged records run together by a damaged newline, not a torn
+append.)
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 from ..db import csvio
 from ..db.database import Database
 from ..db.relation import Relation
 from ..materialize.delta import Delta
 from ..obs import LATENCY_BUCKETS, REGISTRY
+from . import protocol
 
 PathLike = Union[str, Path]
 
 _APPEND_SECONDS = REGISTRY.histogram(
     "repro_wal_append_seconds",
-    "WAL entry append latency (dump + atomic rename).",
+    "WAL append latency: one record encoded, written and fsync'd "
+    "to the open segment.",
     labelnames=("view",),
     buckets=LATENCY_BUCKETS,
 )
@@ -63,13 +87,15 @@ _SNAPSHOT_SECONDS = REGISTRY.histogram(
     buckets=LATENCY_BUCKETS,
 )
 
-_FORMAT = 1
+_FORMAT = 2
 _META = "meta.json"
 _PROGRAM = "program.dl"
 _WAL = "wal"
+_SEGMENT_SUFFIX = ".log"
 _SNAPSHOT_PREFIX = "snapshot-"
 _UNIVERSE = "@universe"
 _SEQ_WIDTH = 8
+_RECORD_HEAD = re.compile(rb"[0-9a-f]{8} \d+ ")
 
 
 def _fsync_path(path: Path) -> None:
@@ -106,6 +132,33 @@ def _parse_seq(name: str) -> Optional[int]:
     return None
 
 
+def _encode_record(seq: int, delta: Delta) -> bytes:
+    """Batch ``seq`` as one record line (see the module docstring)."""
+    body = b"%d %s" % (
+        seq,
+        json.dumps(protocol.encode_delta(delta), separators=(",", ":")).encode(),
+    )
+    return b"%08x %s\n" % (zlib.crc32(body), body)
+
+
+def _decode_record(line: bytes) -> Optional[Tuple[int, Delta]]:
+    """``(seq, delta)`` of a record line without its newline, or ``None``
+    when the line is not a record whose CRC holds."""
+    crc, _, body = line.partition(b" ")
+    if crc != b"%08x" % zlib.crc32(body):
+        return None
+    seq, _, payload = body.partition(b" ")
+    return int(seq), protocol.decode_delta(json.loads(payload))
+
+
+def _ends_in_a_record(line: bytes) -> bool:
+    """True when a proper suffix of ``line`` is a record whose CRC holds."""
+    return any(
+        _decode_record(line[match.start():]) is not None
+        for match in _RECORD_HEAD.finditer(line, 1)
+    )
+
+
 @dataclass
 class RecoveredState:
     """Everything :meth:`DeltaLog.recover` reads back from disk."""
@@ -126,11 +179,16 @@ class RecoveredState:
 
 
 class DeltaLog:
-    """One view's durable state: snapshot + numbered CSV delta entries."""
+    """One view's durable state: a snapshot plus the segment of records
+    committed since (see the module docstring)."""
 
     def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
         self._meta: Optional[dict] = None
+        # The open segment (unbuffered, O_APPEND), and ``(seq, offset)``
+        # of the record appended last, for discard.
+        self._segment: Optional[BinaryIO] = None
+        self._undo: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
     # Creation and recovery
@@ -173,15 +231,21 @@ class DeltaLog:
                 "snapshot_seq": 0,
             }
         )
+        log._open_segment(0)
         return log
 
     def recover(self) -> RecoveredState:
-        """Read back the snapshot and every committed entry after it."""
+        """Read back the snapshot and every committed record after it.
+
+        Drops a torn last record, refuses any other damage (see the
+        module docstring), and leaves the log open for appending.
+        """
         meta = self._read_meta()
         schema = dict(meta["schema"])
         snapshot_seq = meta["snapshot_seq"]
         db = self._load_snapshot(snapshot_seq, schema)
-        entries = list(self.entries(after=snapshot_seq, schema=schema))
+        entries = self._read_segments(snapshot_seq)
+        self._open_segment(snapshot_seq)
         return RecoveredState(
             view=meta["view"],
             program_text=(self.directory / _PROGRAM).read_text(),
@@ -193,57 +257,104 @@ class DeltaLog:
             entries=entries,
         )
 
+    def close(self) -> None:
+        """Release the open segment (every acked record is already durable)."""
+        if self._segment is not None:
+            self._segment.close()
+            self._segment = None
+
     # ------------------------------------------------------------------
     # The write-ahead log
     # ------------------------------------------------------------------
 
     def append(self, seq: int, delta: Delta) -> None:
-        """Durably record batch ``seq`` (atomic: dump to tmp, rename)."""
+        """Durably record batch ``seq``: one write, one fsync, then return."""
         started = time.perf_counter()
-        wal = self.directory / _WAL
-        final = wal / _seq_name(seq)
-        if final.exists():
-            raise ValueError("WAL entry %d already exists in %s" % (seq, wal))
-        tmp = wal / (".tmp-" + _seq_name(seq))
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        csvio.dump_delta(delta, tmp)
-        # Durability before the ack: entry data, then the rename itself.
-        _fsync_tree(tmp)
-        os.replace(tmp, final)
-        _fsync_path(wal)
+        if self._segment is None:
+            raise ValueError(
+                "log %s is not open for appending: recover() it first"
+                % self.directory
+            )
+        record = _encode_record(seq, delta)
+        fd = self._segment.fileno()
+        start = os.fstat(fd).st_size
+        try:
+            if os.write(fd, record) != len(record):
+                raise OSError("short write to %s" % self._segment.name)
+            # Durability before the ack.
+            os.fsync(fd)
+        except BaseException:
+            # Whatever reached the file must not precede the next record.
+            os.ftruncate(fd, start)
+            raise
+        self._undo = (seq, start)
         _APPEND_SECONDS.labels(self.directory.name).observe(
             time.perf_counter() - started
         )
 
     def discard(self, seq: int) -> None:
-        """Remove entry ``seq`` (the apply-failed undo of a logged batch)."""
-        entry = self.directory / _WAL / _seq_name(seq)
-        if entry.exists():
-            shutil.rmtree(entry)
+        """Remove record ``seq``, the one just appended (the apply-failed
+        undo of a logged batch), durably."""
+        if self._undo is not None and self._undo[0] == seq:
+            fd = self._segment.fileno()
+            os.ftruncate(fd, self._undo[1])
+            os.fsync(fd)
+            self._undo = None
 
-    def entries(
-        self, after: int = 0, schema: Optional[Dict[str, int]] = None
-    ) -> Iterator[Tuple[int, Delta]]:
-        """Committed ``(seq, delta)`` entries with ``seq > after``, in order.
+    def _segment_path(self, seq: int) -> Path:
+        return self.directory / _WAL / (_seq_name(seq) + _SEGMENT_SUFFIX)
 
-        ``.tmp-`` leftovers of a crashed append (never renamed, hence
-        never committed, hence never acknowledged) are ignored.
-        """
-        if schema is None:
-            schema = dict(self._read_meta()["schema"])
-        wal = self.directory / _WAL
-        if not wal.is_dir():
-            return
-        seqs = sorted(
-            seq
-            for entry in wal.iterdir()
-            for seq in [_parse_seq(entry.name)]
-            if seq is not None and seq > after
+    def _segments(self) -> List[Tuple[int, Path]]:
+        """``(snapshot seq, path)`` of every segment on disk, oldest first."""
+        return sorted(
+            (seq, entry)
+            for entry in (self.directory / _WAL).iterdir()
+            if entry.name.endswith(_SEGMENT_SUFFIX)
+            for seq in [_parse_seq(entry.name[: -len(_SEGMENT_SUFFIX)])]
+            if seq is not None
         )
-        for seq in seqs:
-            yield seq, csvio.load_delta(wal / _seq_name(seq), schema)
+
+    def _open_segment(self, seq: int) -> None:
+        """Hold ``wal/<seq>.log`` open for appending, creating it durably."""
+        self.close()
+        path = self._segment_path(seq)
+        created = not path.exists()
+        self._segment = open(path, "ab", buffering=0)
+        if created:
+            # The one directory entry appends depend on (module docstring).
+            _fsync_path(path.parent)
+        self._undo = None
+
+    def _read_segments(self, after: int) -> List[Tuple[int, Delta]]:
+        """Every record with ``seq > after``, in order; truncates a torn tail."""
+        entries: List[Tuple[int, Delta]] = []
+        segments = self._segments()
+        for _, path in segments:
+            data = path.read_bytes()
+            offset = 0
+            while offset < len(data):
+                newline = data.find(b"\n", offset)
+                end = len(data) if newline < 0 else newline
+                record = _decode_record(data[offset:end]) if newline >= 0 else None
+                if record is None:
+                    if (
+                        path != segments[-1][1]
+                        or end < len(data) - 1
+                        or _ends_in_a_record(data[offset:end])
+                    ):
+                        raise ValueError(
+                            "WAL segment %s is corrupt at byte offset %d: an "
+                            "acknowledged record is unterminated or fails its "
+                            "CRC; refusing to replay around it" % (path, offset)
+                        )
+                    # The un-acked tail of a crashed append.
+                    os.truncate(path, offset)
+                    _fsync_path(path)
+                    break
+                if record[0] > after:
+                    entries.append(record)
+                offset = end + 1
+        return entries
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -254,10 +365,11 @@ class DeltaLog:
 
         Order matters for crash safety: the new snapshot directory is
         fully written first, then ``meta.json`` atomically starts
-        pointing at it, and only then are the superseded snapshot and
-        the WAL entries it absorbs deleted.  A crash between any two
-        steps leaves a recoverable state (at worst with stale artefacts
-        the next snapshot prunes).
+        pointing at it, then segment ``<seq>.log`` is opened for the
+        records to come, and only then are the superseded snapshot and
+        the segments it absorbs deleted.  A crash between any two steps
+        leaves a recoverable state (at worst with stale artefacts the
+        next snapshot prunes: recovery skips records ≤ ``seq``).
         """
         started = time.perf_counter()
         meta = self._read_meta()
@@ -265,6 +377,7 @@ class DeltaLog:
         meta["snapshot_seq"] = seq
         meta["schema"] = {name: db[name].arity for name in db.relation_names()}
         self._write_meta(meta)
+        self._open_segment(seq)
         self._prune(seq)
         _SNAPSHOT_SECONDS.labels(self.directory.name).observe(
             time.perf_counter() - started
@@ -312,17 +425,15 @@ class DeltaLog:
         return Database(universe, base.relations.values(), check=False)
 
     def _prune(self, seq: int) -> None:
-        """Drop snapshots older than ``seq`` and WAL entries ≤ ``seq``."""
+        """Drop the snapshots and WAL segments older than ``seq``."""
         for entry in self.directory.iterdir():
             if entry.name.startswith(_SNAPSHOT_PREFIX):
                 snap_seq = _parse_seq(entry.name[len(_SNAPSHOT_PREFIX):])
                 if snap_seq is not None and snap_seq < seq:
                     shutil.rmtree(entry)
-        wal = self.directory / _WAL
-        for entry in wal.iterdir():
-            entry_seq = _parse_seq(entry.name)
-            if entry_seq is not None and entry_seq <= seq:
-                shutil.rmtree(entry)
+        for segment_seq, path in self._segments():
+            if segment_seq < seq:
+                path.unlink()
 
     # ------------------------------------------------------------------
     # meta.json

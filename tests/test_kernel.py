@@ -160,6 +160,7 @@ def test_wal_replay_matches_live_stream_on_interned_dbs(case):
             live = live.apply_delta(d, invalidate_plans=False)
 
         recovered = log.recover()
+        log.close()
         replayed = recovered.db
         base_sym = replayed.symbols()
         for _, d in recovered.entries:

@@ -10,13 +10,18 @@ corruption by the old CSV coercion would have made replay diverge.
 """
 
 import asyncio
+import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.db.database import Database
 from repro.db.relation import Relation
 from repro.materialize import ChangeSet, Delta
 from repro.server import ViewServer
+from repro.server import net as net_module
+from repro.server import service as service_module
 from repro.server.net import Client, ServerError, TcpFrontend
 from repro.server.protocol import (
     ProtocolError,
@@ -25,8 +30,15 @@ from repro.server.protocol import (
     decode_delta,
     encode_changeset,
     encode_delta,
+    encode_tuples,
 )
-from repro.server.service import ProgramRejected, UnknownViewError
+from repro.server.service import (
+    _QUEUE_LIMIT,
+    _RECENT_WINDOW,
+    OverloadedError,
+    ProgramRejected,
+    UnknownViewError,
+)
 
 TC_PROGRAM = """
     TC(X, Y) :- E(X, Y).
@@ -260,6 +272,90 @@ class TestViewServer:
 
         _run(scenario())
 
+    def test_reads_are_counted_as_hits_and_misses(self):
+        async def scenario():
+            service = ViewServer()
+            service.register("reads_probe", TC_PROGRAM, _edges((1, 2), (2, 3)))
+            first = service.read("reads_probe", "TC")
+            assert first == (0, 2, b"[[1,2],[1,3],[2,3]]")
+            assert service.read("reads_probe", "TC") == first
+            with pytest.raises(KeyError):
+                service.read("reads_probe", "NOPE")  # neither counted nor kept
+            stats = service.stats("reads_probe")
+            assert (stats["read_misses"], stats["read_hits"]) == (1, 1)
+            exposition = service.metrics()
+            for cache in ("hit", "miss"):
+                assert (
+                    'repro_server_reads_total{view="reads_probe",cache="%s"} 1' % cache
+                    in exposition
+                )
+            await service.close()
+
+        _run(scenario())
+
+    def test_a_flood_is_refused_at_once_and_every_accepted_delta_commits(self):
+        async def scenario():
+            # The tick is the barrier: the writer takes the first delta
+            # and lingers, so everything after it piles up in the queue.
+            service = ViewServer(tick=0.5)
+            service.register("tc", TC_PROGRAM, _edges((1, 2)))
+            state = service._views["tc"]
+            first = asyncio.ensure_future(
+                service.submit("tc", Delta(inserts={"E": [(2, 3)]}))
+            )
+            while not (state.submitted == 1 and state.queue.empty()):
+                await asyncio.sleep(0)
+            flood = [
+                asyncio.ensure_future(
+                    service.submit(
+                        "tc", Delta(inserts={"E": [(1000 + 2 * i, 1001 + 2 * i)]})
+                    )
+                )
+                for i in range(_QUEUE_LIMIT + 40)
+            ]
+            answers = await asyncio.gather(*flood, return_exceptions=True)
+            refused = [a for a in answers if isinstance(a, OverloadedError)]
+            assert len(refused) == 40 and answers[-40:] == refused
+            assert "overloaded" in str(refused[0])
+            # one batch carried the first delta and the whole accepted flood
+            assert (await first)[0] == 1
+            assert {a[0] for a in answers[:_QUEUE_LIMIT]} == {1}
+            stats = service.stats("tc")
+            assert stats["submitted"] == 1 + _QUEUE_LIMIT and stats["commits"] == 1
+            assert stats["cardinalities"]["edb"] == {"E": 2 + _QUEUE_LIMIT}
+            await service.close()
+
+        _run(scenario())
+
+    def test_a_subscriber_that_never_reads_is_evicted_the_others_miss_nothing(self):
+        async def scenario():
+            service = ViewServer()
+            service.register("tc", TC_PROGRAM, _edges((1, 2)))
+            stalled = service.subscribe("tc")
+            live = service.subscribe("tc")
+            seen = []
+
+            async def consume():
+                async for seq, _changeset in live:
+                    seen.append(seq)
+
+            consumer = asyncio.ensure_future(consume())
+            commits = _RECENT_WINDOW + 5
+            for i in range(commits):
+                toggle = "deletes" if i % 2 else "inserts"
+                await service.submit("tc", Delta(**{toggle: {"E": [(2, 3)]}}))
+            assert stalled.lagged == _RECENT_WINDOW + 1
+            assert service.stats("tc")["subscribers"] == 1
+            # The evicted stream still delivers the window it was allowed.
+            backlog = [seq async for seq, _changeset in stalled]
+            assert backlog == list(range(1, _RECENT_WINDOW + 1))
+            service.unsubscribe(live)
+            await consumer
+            assert seen == list(range(1, commits + 1)) and live.lagged is None
+            await service.close()
+
+        _run(scenario())
+
 
 # ----------------------------------------------------------------------
 # Durability: crash without a final snapshot, recover by replay
@@ -324,6 +420,39 @@ def test_crash_then_replay_recovers_exactly(tmp_path, semantics, program, carrie
         # The recovered view keeps serving and the log keeps counting.
         seq, _ = await restarted.submit("v", Delta(inserts={"E": [(99, 1)]}))
         assert seq == pre[0] + 1
+        await restarted.close()
+
+    _run(scenario())
+
+
+def test_a_batch_whose_apply_fails_leaves_no_record(tmp_path, monkeypatch):
+    async def scenario():
+        service = ViewServer(state_dir=tmp_path, snapshot_every=100)
+        service.register("v", TC_PROGRAM, _edges((1, 2), (2, 3)))
+        await service.submit("v", Delta(inserts={"E": [(3, 4)]}))
+        state = service._views["v"]
+
+        def boom(delta):
+            raise RuntimeError("maintenance failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(state.view, "apply", boom)
+            with pytest.raises(RuntimeError, match="maintenance failed"):
+                await service.submit("v", Delta(inserts={"E": [(4, 5)]}))
+        # Logged ahead of the apply, then discarded: the sequence number
+        # is reused and a replay never sees the failed batch.
+        seq, _ = await service.submit("v", Delta(deletes={"E": [(1, 2)]}))
+        assert seq == 2
+        pre = (state.seq, state.view.db)
+        for viewstate in service._views.values():
+            viewstate.task.cancel()
+        del service
+
+        restarted = ViewServer(state_dir=tmp_path)
+        await restarted.start()
+        state2 = restarted._views["v"]
+        assert (state2.seq, state2.view.db) == pre
+        assert (4, 5) not in set(state2.view.db["E"].tuples)
         await restarted.close()
 
     _run(scenario())
@@ -435,6 +564,98 @@ class TestTcpFrontend:
 
         _run(scenario())
 
+    def test_an_oversized_request_line_is_answered_and_others_are_still_served(
+        self, monkeypatch
+    ):
+        assert net_module._LINE_LIMIT == 2 ** 24  # the documented 16777216
+        monkeypatch.setattr(net_module, "_LINE_LIMIT", 2 ** 16)
+
+        async def scenario():
+            service = ViewServer()
+            frontend = TcpFrontend(service)
+            host, port = await frontend.start()
+            client = await Client.connect(host, port)
+            client._writer.write(b"x" * (2 ** 16 + 1))  # and no newline yet
+            await client._writer.drain()
+            response = json.loads(await client._reader.readline())
+            assert response == {"ok": False, "error": "request exceeds 65536 bytes"}
+            # The rest of that line cannot be told from a next request:
+            # the server hangs up on this connection, and only on this one.
+            assert await client._reader.readline() == b""
+            await client.close()
+            other = await Client.connect(host, port)
+            assert (await other.request("ping"))["pong"]
+            await other.close()
+            await frontend.close()
+
+        _run(scenario())
+
+    def test_a_full_writer_queue_answers_overloaded(self, monkeypatch):
+        monkeypatch.setattr(service_module, "_QUEUE_LIMIT", 2)
+
+        async def scenario():
+            service = ViewServer(tick=0.5)  # the writer lingers: the barrier
+            frontend = TcpFrontend(service)
+            host, port = await frontend.start()
+            service.register("tc", TC_PROGRAM, _edges((1, 2)))
+            state = service._views["tc"]
+            clients = [await Client.connect(host, port) for _ in range(4)]
+            held = [
+                asyncio.ensure_future(clients[0].delta("tc", inserts={"E": [[2, 3]]}))
+            ]
+            while not (state.submitted == 1 and state.queue.empty()):
+                await asyncio.sleep(0.005)
+            held += [
+                asyncio.ensure_future(c.delta("tc", inserts={"E": [[3 + i, 4 + i]]}))
+                for i, c in enumerate(clients[1:3])
+            ]
+            while state.queue.qsize() < 2:
+                await asyncio.sleep(0.005)
+            with pytest.raises(ServerError, match="^overloaded: view 'tc'"):
+                await clients[3].delta("tc", inserts={"E": [[9, 9]]})
+            # Refused, not dropped: the connection answers the next request.
+            assert (await clients[3].request("ping"))["pong"]
+            acks = await asyncio.gather(*held)
+            assert [a["seq"] for a in acks] == [1, 1, 1]
+            assert [9, 9] not in (await clients[3].query("tc", "E"))["tuples"]
+            for c in clients:
+                await c.close()
+            await frontend.close()
+
+        _run(scenario())
+
+    def test_lagged_is_the_last_line_a_stalled_subscriber_is_sent(self):
+        async def scenario():
+            service = ViewServer()
+            frontend = TcpFrontend(service)
+            host, port = await frontend.start()
+            service.register("tc", TC_PROGRAM, _edges((1, 2)))
+            watcher = await Client.connect(host, port)
+            events = await watcher.subscribe("tc")
+            state = service._views["tc"]
+            (sub,) = state.subscribers
+            # A window and one more commit with no await in between: the
+            # pump cannot run, which is all the writer sees of a reader
+            # that stopped reading.
+            loop = asyncio.get_running_loop()
+            for i in range(_RECENT_WINDOW + 1):
+                toggle = "deletes" if i % 2 else "inserts"
+                delta = Delta(**{toggle: {"E": [(2, 3)]}})
+                service._commit(state, [(delta, loop.create_future())])
+            assert sub.lagged == _RECENT_WINDOW + 1 and state.subscribers == []
+            seqs = []
+            with pytest.raises(
+                ServerError, match="unsubscribed at seq %d" % (_RECENT_WINDOW + 1)
+            ):
+                async for seq, _changeset in events:
+                    seqs.append(seq)
+            assert seqs == list(range(1, _RECENT_WINDOW + 1))
+            assert await watcher._reader.readline() == b""  # and hung up
+            await watcher.close()
+            await frontend.close()
+
+        _run(scenario())
+
     def test_subscriber_disconnect_releases_subscription(self):
         async def scenario():
             service = ViewServer()
@@ -453,6 +674,114 @@ class TestTcpFrontend:
             await frontend.close()
 
         _run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Reads from kept bytes: coherent with the view after every commit
+# ----------------------------------------------------------------------
+
+_NODES = [1, 2, 3, 4, 5]
+_EDGE = st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES))
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["insert", "delete", "churn"]), _EDGE),
+        # a value outside the universe: the view recomputes
+        st.tuples(st.just("grow"), st.tuples(st.sampled_from(_NODES), st.integers(6, 8))),
+        st.tuples(st.sampled_from(["empty", "rejected"]), st.none()),
+    ),
+    max_size=8,
+)
+
+
+class _Capture:
+    """Just enough of a ``StreamWriter`` for ``TcpFrontend._send``."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+
+async def _storm_step(service, kind, edge):
+    if kind in ("insert", "grow"):
+        await service.submit("v", Delta(inserts={"E": [edge]}))
+    elif kind == "delete":
+        await service.submit("v", Delta(deletes={"E": [edge]}))
+    elif kind == "churn":
+        # One batch (both are queued before the writer wakes) whose
+        # tuple comes and goes: no net change to E unless it was there.
+        await asyncio.gather(
+            service.submit("v", Delta(inserts={"E": [edge]})),
+            service.submit("v", Delta(deletes={"E": [edge]})),
+        )
+    elif kind == "empty":
+        await service.submit("v", Delta.empty())
+    else:
+        with pytest.raises(ValueError):
+            await service.submit("v", Delta(inserts={"E": [(1, 2, 3)]}))
+
+
+@pytest.mark.parametrize(
+    "semantics,program,carrier",
+    [
+        ("stratified", TC_NOTC_PROGRAM, "NOTC"),
+        ("inflationary", TC_PROGRAM, None),
+        # 1 and 2 draw (a 2-cycle), 3 wins, 4 loses, 5 draws with itself:
+        # both partitions of W are inhabited and both move under edits.
+        ("wellfounded", WIN_MOVE_PROGRAM, None),
+    ],
+    ids=["stratified", "inflationary", "wellfounded"],
+)
+@given(steps=_STEPS)
+def test_served_bytes_equal_the_uncached_answer_after_every_commit(
+    semantics, program, carrier, steps
+):
+    async def scenario():
+        service = ViewServer()
+        frontend = TcpFrontend(service)
+        info = service.register(
+            "v",
+            program,
+            _edges((1, 2), (2, 1), (2, 3), (3, 4), (5, 5)),
+            semantics=semantics,
+            carrier=carrier,
+        )
+        state = service._views["v"]
+        keys = [(p, False) for p in sorted({**info.edb, **info.idb})]
+        if semantics == "wellfounded":
+            keys += [(p, True) for p in sorted(info.idb)]
+
+        async def served(predicate, undefined):
+            request = {"op": "query", "view": "v", "predicate": predicate}
+            if undefined:
+                request["undefined"] = True
+            capture = _Capture()
+            await frontend._send(capture, *frontend._op_query(request))
+            assert capture.data.endswith(b"}\n")
+            return json.loads(capture.data)
+
+        for kind, edge in [("empty", None)] + steps:
+            await _storm_step(service, kind, edge)
+            for predicate, undefined in keys:
+                _, rel = service.query("v", predicate, undefined)  # no cache
+                expected = {
+                    "ok": True,
+                    "seq": state.seq,
+                    "predicate": predicate,
+                    "arity": rel.arity,
+                    "tuples": encode_tuples(rel.tuples),
+                }
+                assert await served(predicate, undefined) == expected
+                hits = state.read_hits
+                assert await served(predicate, undefined) == expected
+                assert state.read_hits == hits + 1  # nothing moved: a hit
+        await service.close()
+
+    _run(scenario())
 
 
 # ----------------------------------------------------------------------

@@ -95,5 +95,54 @@ def test_sigterm_cuts_final_snapshot_and_recovers(tmp_path, workers):
     meta = json.loads((tmp_path / "state" / "tc" / "meta.json").read_text())
     assert meta["snapshot_seq"] == 1, out
     # and nothing is left to replay: the WAL behind the snapshot was pruned
-    wal = tmp_path / "state" / "tc" / "wal"
-    assert [p for p in wal.iterdir() if not p.name.startswith(".")] == []
+    from repro.server.wal import DeltaLog
+
+    log = DeltaLog(tmp_path / "state" / "tc")
+    assert log.recover().entries == []
+    log.close()
+
+
+def test_a_damaged_state_directory_is_one_error_line_and_exit_2(tmp_path):
+    from repro.db.database import Database
+    from repro.db.relation import Relation
+    from repro.materialize.delta import Delta
+    from repro.server.wal import DeltaLog
+
+    directory = tmp_path / "state" / "tc"
+    log = DeltaLog.initialise(
+        directory, "tc", "T(X,Y) :- E(X,Y).", "stratified", None,
+        Database({0, 1, 2}, [Relation("E", 2, [(0, 1)])]),
+    )
+    for seq in (1, 2):
+        log.append(seq, Delta.insert("E", (seq, 0)))
+    log.close()
+    segment = directory / "wal" / "00000000.log"
+    intact = segment.read_bytes()
+    meta = directory / "meta.json"
+
+    def serve():
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(_repo_src()), env.get("PYTHONPATH", "")])
+        )
+        return subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--state", str(tmp_path / "state"), "--name", "tc", "--port", "0",
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    # a flipped byte in the first (acknowledged, non-tail) record
+    segment.write_bytes(intact[:20] + b"#" + intact[21:])
+    done = serve()
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr.startswith("error: WAL segment %s is corrupt at byte offset 0" % segment)
+    assert len(done.stderr.splitlines()) == 1 and "recovered view" not in done.stdout
+    # a log format this build does not read
+    segment.write_bytes(intact)
+    meta.write_text(meta.read_text().replace('"format": 2', '"format": 1'))
+    done = serve()
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr.startswith("error: state directory %s has log format 1" % directory)
+    assert len(done.stderr.splitlines()) == 1
