@@ -10,11 +10,11 @@ remedy: Inflationary DATALOG, together with stratified and well-founded
 semantics for comparison.
 
 Evaluation is plan-compiled: :mod:`repro.core.planning` compiles every
-rule once per (program, database) into a ``RulePlan`` — fixed join order,
-precomputed index key columns, an interleaved negation/comparison filter
-schedule, and a static active-domain completion order — and all fixpoint
-engines (naive, semi-naive, incremental, inflationary, stratified, and
-the well-founded grounder) execute those plans with hash indexes cached
+rule once per (program, database) into a static ``RulePlan`` — fixed join
+order, precomputed index key columns, an interleaved negation/comparison
+filter schedule, and a static active-domain completion order — and all
+fixpoint engines (naive, semi-naive, inflationary, stratified, and the
+well-founded grounder) execute those plans with hash indexes cached
 on the immutable :class:`~repro.db.relation.Relation` objects, so
 relations unchanged between rounds are never re-indexed.  The public
 ``theta``/``evaluate_rule`` API compiles transparently;

@@ -32,11 +32,10 @@ from pathlib import Path
 from .harness import all_experiments, experiment
 
 _TIMING_COLUMNS = frozenset(
-    {"compiled s", "update s", "adaptive s", "p95 s", "kernel s", "parallel s"}
+    {"compiled s", "update s", "p95 s", "kernel s", "parallel s"}
 )
 """Shipped-path timing columns the regression gate compares: compiled
-plan execution, materialized-view update latency,
-adaptive re-planning + semi-join execution, the view server's p95
+plan execution, materialized-view update latency, the view server's p95
 request latency under load, and the columnar kernel's primitive ops."""
 
 

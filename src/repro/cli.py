@@ -34,8 +34,8 @@ and slow-op events go through stdlib ``logging`` (``--log-level``), and
 engine metrics are enabled so the ``metrics`` verb exposes them.
 
 ``explain`` pretty-prints each rule's compiled plan (join order,
-semi-join prologue, planning-time estimates) together with the shared
-planner's observed statistics and a static-analysis summary block.
+semi-join prologue, planning-time estimates) together with a
+static-analysis summary block.
 ``--profile`` additionally runs the program under span tracing and
 prints a phase-attributed time/row breakdown; ``--trace-out FILE``
 writes the span forest as Chrome trace-event JSON (openable in
@@ -292,7 +292,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     The plain form shows, per rule, the store-compiled
     :class:`~repro.core.planning.plan.RulePlan` (semi-join prologue,
     join order, completion steps) and its planning-time cardinality
-    estimates, followed by the shared planner's observed statistics.
+    estimates.
     ``--profile`` evaluates the program under metrics + span tracing
     and prints a per-phase time/row table attributing the evaluation
     wall time to fixpoint phases (grounding, semi-naive rounds,
@@ -409,16 +409,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print()
             print("chrome trace written to %s (open in Perfetto)" % args.trace_out)
 
-    snapshot = PLAN_STORE.statistics.snapshot()
-    print()
-    print("observed planner statistics (shared store):")
-    if not snapshot["cardinalities"] and not snapshot["avg_matches"]:
-        print("  (none yet — run with --profile to collect)")
-    for pred, size in snapshot["cardinalities"].items():
-        print("  card  %-24s %d" % (pred, size))
-    for key, avg in snapshot["avg_matches"].items():
-        print("  join  %-24s %.3f matches/probe" % (key, avg))
-    print("  re-plans: %d" % snapshot["replans"])
     return 0
 
 

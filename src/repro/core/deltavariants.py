@@ -120,7 +120,7 @@ class PlanCache:
     keeps its own references: maintenance plans must survive LRU
     eviction and the ``invalidate(db=...)`` calls triggered by the very
     deltas the consumer applies.  Variant plans are compiled without a
-    database (aliases carry no statistics) so their keys — and hence
+    database (aliases have no database-held sizes) so their keys — and hence
     this memo — stay valid across updates.
     """
 

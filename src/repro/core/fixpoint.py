@@ -6,10 +6,10 @@ An IDB valuation ``S`` (a ``{pred: Relation}`` map) is a fixpoint of
 fixpoint is *least* when it is below every other fixpoint.
 
 :func:`iterate` is the round loop of every relational engine — naive,
-semi-naive, incremental, inflationary and (stratum by stratum)
-stratified are configurations of it.  The paper's Section 4 chain
-``Theta^1 <= Theta^2 <= ...`` only ever *adds* to the last stage, so the
-loop keeps the stage as code-backed relations from the first round to
+semi-naive, inflationary and (stratum by stratum) stratified are
+configurations of it, each over plans compiled once before round 1.
+The paper's Section 4 chain ``Theta^1 <= Theta^2 <= ...`` only ever
+*adds* to the last stage, so the loop keeps the stage as code-backed relations from the first round to
 the last and builds no Python tuple on the way (see
 :mod:`repro.db.relation` for the representation rule).
 """
@@ -17,7 +17,7 @@ the last and builds no Python tuple on the way (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..db.database import Database
 from ..db.relation import Relation
@@ -25,7 +25,7 @@ from ..obs import RECORDER, TRACER
 from ..parallel.shard import SHARD
 from .literals import Atom
 from .operator import IDBMap, consequences, empty_idb
-from .planning import PLAN_STORE, AdaptiveRulePlans, RulePlan
+from .planning import PLAN_STORE, RulePlan
 from .program import Program
 from .rules import Rule
 
@@ -186,27 +186,21 @@ _DELTA_SUFFIX = "__delta"
 
 
 def differential_plans(
-    program: Program,
-    db: Database,
-    known_sizes: Optional[Mapping[str, int]] = None,
-) -> Tuple[List[RulePlan], AdaptiveRulePlans]:
-    """The semi-naive round operator: ``(seed, step)`` for :func:`iterate`.
+    program: Program, db: Database
+) -> Tuple[List[RulePlan], List[RulePlan]]:
+    """The delta-driven round operator: ``(seed, plans)`` for :func:`iterate`.
 
     ``seed`` runs once: the rules without a positive IDB body atom (on
-    the empty valuation nothing else can fire).  ``step`` holds one
+    the empty valuation nothing else can fire).  ``plans`` holds one
     *delta variant* per positive IDB body occurrence, reading the
     previous round's new tuples there — a rule instance derives a new
     tuple only if some positive IDB atom matches one.  That holds with
     negated IDB atoms too as long as stages only grow (a negation can
-    only turn false), which is what makes the same operator serve the
-    inflationary semantics.
+    only turn false), which is what makes the same operator *the*
+    inflationary engine (the paper's Section 4 chain).
 
-    Plans come from the shared store.  The variants are wrapped
-    adaptively and join through the (small) deltas first: their
-    non-delta IDB atoms start as "unknown, assume large" guesses and are
-    re-planned once the observed sizes diverge.  ``known_sizes`` pins
-    cardinalities the caller holds as facts (see
-    :class:`~repro.core.planning.AdaptiveRulePlans`).
+    Plans come from the shared store; the variants join through the
+    (small) deltas first.
     """
     idb = program.idb_predicates
     base: List[Rule] = []
@@ -223,23 +217,20 @@ def differential_plans(
             body = list(rule.body)
             body[i] = Atom(body[i].pred + _DELTA_SUFFIX, body[i].args)
             variants.append(Rule(rule.head, body))
-    step = PLAN_STORE.adaptive_rule_plans(
-        variants,
-        db=db,
-        small_preds=frozenset(p + _DELTA_SUFFIX for p in idb),
-        known_sizes=known_sizes,
+    small = frozenset(p + _DELTA_SUFFIX for p in idb)
+    return (
+        PLAN_STORE.rule_plans(base, db=db),
+        PLAN_STORE.rule_plans(variants, db=db, small_preds=small),
     )
-    return PLAN_STORE.rule_plans(base, db=db), step
 
 
 def iterate(
     program: Program,
     db: Database,
-    step,
+    plans: Sequence[RulePlan],
     seed: Optional[Sequence[RulePlan]] = None,
     *,
     engine: str,
-    replace: bool = False,
     max_rounds: Optional[int] = None,
     keep_trace: bool = False,
 ) -> EvaluationResult:
@@ -249,18 +240,17 @@ def iterate(
     changed it and (with ``keep_trace``) the valuation after every
     round, round 0 being empty; ``engine`` names the configuration.
 
-    The round operator is ``step`` — anything answering
-    ``refresh(interp)`` with the plans to run, plus ``statistics`` and
-    ``replans``: an :class:`~repro.core.planning.AdaptiveRulePlans`, or
-    a static :class:`~repro.core.planning.ProgramPlan`:
+    The round operator is the plan list ``plans``, compiled once by the
+    caller and run unchanged every round:
 
-    * without ``seed`` every round applies ``step`` to the current
-      stage — full Theta.  ``replace=True`` takes ``Theta(S)`` as the
-      next stage (naive iteration of a monotone operator), the default
-      takes ``S u Theta(S)`` (the paper's inflationary stage);
+    * without ``seed`` every round applies ``plans`` to the current
+      stage and takes the result as the next one — full Theta, the
+      naive iteration of a monotone operator;
     * with ``seed`` (see :func:`differential_plans`) round 1 runs the
-      seed plans and every later round runs ``step`` over the stage
-      *and* the previous round's new tuples, bound as ``P__delta``.
+      seed plans and every later round runs ``plans`` over the stage
+      *and* the previous round's new tuples, bound as ``P__delta``;
+      what is new is unioned in — the paper's inflationary stage
+      ``S u Theta(S)``, delta-driven.
 
     Stages stay code-backed as soon as the columnar executor produces
     them; if a head constant widens the symbol table mid-run, the next
@@ -285,21 +275,16 @@ def iterate(
             row_traffic = RECORDER.row_traffic() if sp else None
             relations = list(current.values())
             if delta is None:
-                interp = db.with_relations(relations)
-                plans = SHARD.plan_slice(
-                    step.refresh(interp) if seed is None else seed
-                )
+                todo = SHARD.plan_slice(plans if seed is None else seed)
             else:
                 relations += [
                     SHARD.frontier(p, rel).with_name(p + _DELTA_SUFFIX)
                     for p, rel in delta.items()
                 ]
-                interp = db.with_relations(relations)
-                plans = step.refresh(interp)
-            derived = SHARD.merge_relations(
-                consequences(plans, interp, arities, step.statistics)
-            )
-            if replace:
+                todo = plans
+            interp = db.with_relations(relations)
+            derived = SHARD.merge_relations(consequences(todo, interp, arities))
+            if seed is None:
                 new = nxt = derived
                 changed = derived != current
             else:
@@ -310,7 +295,6 @@ def iterate(
             if sp:
                 sp["round"] = rounds + 1
                 sp["rows_out"] = sum(len(r) for r in new.values())
-                sp["replans"] = step.replans
                 RECORDER.note_row_traffic(sp, row_traffic)
         if not changed:
             break

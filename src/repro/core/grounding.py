@@ -328,9 +328,7 @@ def ground_rule_instances(
     idb_positives, idb_negatives = _idb_literals(rule, idb)
 
     plan = PLAN_STORE.rule_plan(_edb_projection(rule, idb), db=interp)
-    # Observations feed the same store the projection compiles through,
-    # so repeated groundings benefit from recorded join selectivities.
-    table = solve_plan_table(plan, interp, stats=PLAN_STORE.statistics)
+    table = solve_plan_table(plan, interp)
     return _instances(rule, idb_positives, idb_negatives, table)
 
 
@@ -487,11 +485,8 @@ class LiveGroundProgram:
                 for pred in changed:
                     for gained, lost in variants_by_pred.get(pred, ()):
                         for sign, variant in ((+1, gained), (-1, lost)):
-                            # stats=None: alias/change-set sizes describe
-                            # deltas, not relations — they must not feed the
-                            # planner.
                             table = solve_plan_table(
-                                self._plans.plan(variant), interp, stats=None
+                                self._plans.plan(variant), interp
                             )
                             for g in _instances(
                                 rule, idb_positives, idb_negatives, table

@@ -39,7 +39,7 @@ from ..db.database import Database
 from ..db.index import HashIndex
 from ..db.relation import Relation
 from .literals import Atom, Eq, Literal, Negation, Neq
-from .planning import PLAN_STORE, ProgramPlan, RulePlan, Statistics, execute_plan
+from .planning import PLAN_STORE, ProgramPlan, RulePlan, execute_plan
 from .program import Program
 from .rules import Rule
 from .terms import Constant, Variable
@@ -164,9 +164,7 @@ def evaluate_rule(rule: Rule, interp: Database, arities: Optional[Dict[str, int]
     themselves.  The pre-planner evaluator survives as
     :func:`evaluate_rule_legacy` and is property-tested equivalent.
     """
-    return execute_plan(
-        PLAN_STORE.rule_plan(rule), interp, stats=PLAN_STORE.statistics
-    ).tuples
+    return execute_plan(PLAN_STORE.rule_plan(rule), interp).tuples
 
 
 def evaluate_rule_legacy(rule: Rule, interp: Database, arities: Optional[Dict[str, int]] = None) -> Set[Tuple]:
@@ -255,10 +253,7 @@ def evaluate_rule_legacy(rule: Rule, interp: Database, arities: Optional[Dict[st
 
 
 def consequences(
-    plans: Iterable[RulePlan],
-    interp: Database,
-    arities: Mapping[str, int],
-    stats: Optional[Statistics],
+    plans: Iterable[RulePlan], interp: Database, arities: Mapping[str, int]
 ) -> IDBMap:
     """Theta restricted to a plan list: head relations unioned per predicate.
 
@@ -266,14 +261,13 @@ def consequences(
     :func:`theta`, the fixpoint driver
     (:func:`repro.core.fixpoint.iterate`) and the sharded workers all go
     through it.  ``arities`` names every predicate of the result (one no
-    plan derives for maps to the empty relation); ``stats`` is the
-    execution-feedback sink (``None`` records nothing).  Heads the
-    columnar executor derived stay code-only through the union.
+    plan derives for maps to the empty relation).  Heads the columnar
+    executor derived stay code-only through the union.
     """
     derived = {p: Relation.empty(p, n) for p, n in arities.items()}
     for plan in plans:
         head = plan.head_pred
-        derived[head] = derived[head].union(execute_plan(plan, interp, stats=stats))
+        derived[head] = derived[head].union(execute_plan(plan, interp))
     return derived
 
 
@@ -289,17 +283,15 @@ def theta(
     values); ``idb`` overrides IDB values when given.  The result maps every
     IDB predicate to its *new* value — the paper's non-cumulative operator.
 
-    ``plan`` is a compiled :class:`~repro.core.planning.ProgramPlan` (or
-    an :class:`~repro.core.planning.AdaptiveRulePlans`, refreshed against
-    this interpretation first); without one, the shared
-    :data:`~repro.core.planning.PLAN_STORE` is consulted per call, so
-    even ad-hoc callers avoid re-planning.
+    ``plan`` is a compiled :class:`~repro.core.planning.ProgramPlan`;
+    without one, the shared :data:`~repro.core.planning.PLAN_STORE` is
+    consulted per call, so even ad-hoc callers avoid re-planning.
     """
     interp = as_interpretation(program, db, idb)
     if plan is None:
         plan = PLAN_STORE.program_plan(program)
     arities = {p: program.arity(p) for p in program.idb_predicates}
-    return consequences(plan.refresh(interp), interp, arities, plan.statistics)
+    return consequences(plan.plans, interp, arities)
 
 
 def theta_legacy(program: Program, db: Database, idb: Optional[IDBMap] = None) -> IDBMap:

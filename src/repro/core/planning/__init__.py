@@ -23,28 +23,16 @@ ways:
   well-founded/SAT pipelines — share one compilation per input instead
   of compiling privately.
 
-Two adaptive layers close the loop between execution and planning:
-
-* :mod:`~repro.core.planning.statistics` — both interpreters record
-  observed relation cardinalities and join selectivities into the
-  :class:`Statistics` carried by the store; the compiler consults them
-  (and accepts exact observed IDB sizes) instead of the static
-  "assume large" guess;
-* :mod:`~repro.core.planning.adaptive` — :class:`AdaptiveRulePlans`
-  refreshes per fixpoint round and re-plans any
-  rule whose observed inputs diverged beyond :data:`REPLAN_FACTOR`,
-  caching the variants under coarse cardinality buckets so growth
-  stages are compiled once, ever;
-
-and each plan carries a Yannakakis **semi-join reduction** schedule
+Plans are static: a plan is a pure function of ``(rule, db,
+small_preds)``, compiled once and run unchanged every round.  Each
+carries a Yannakakis **semi-join reduction** schedule
 (:class:`SemiJoinStep`): before rows materialise, scanned relations are
 reduced to the tuples that can participate in some join, off cached
 index key sets.
 """
 
-from .adaptive import AdaptiveRulePlans
 from .batch import BindingTable, execute_plan, solve_plan_table
-from .compiler import ProgramPlan, compile_program, compile_rule, compile_rules
+from .compiler import ProgramPlan, compile_program, compile_rule
 from .plan import (
     AntiJoin,
     AtomStep,
@@ -55,39 +43,23 @@ from .plan import (
     RulePlan,
     SemiJoinStep,
 )
-from .statistics import (
-    DEFAULT_STATISTICS,
-    MIN_REPLAN_SIZE,
-    REPLAN_FACTOR,
-    Statistics,
-    cardinality_bucket,
-    diverged,
-)
 from .store import PLAN_STORE, PlanStore
 
 __all__ = [
-    "AdaptiveRulePlans",
     "AntiJoin",
     "AtomStep",
     "BatchJoin",
     "BindingTable",
     "CmpOp",
     "ComplementJoin",
-    "DEFAULT_STATISTICS",
-    "MIN_REPLAN_SIZE",
     "ExtendDomain",
     "PLAN_STORE",
     "PlanStore",
     "ProgramPlan",
-    "REPLAN_FACTOR",
     "RulePlan",
     "SemiJoinStep",
-    "Statistics",
-    "cardinality_bucket",
     "compile_program",
     "compile_rule",
-    "compile_rules",
-    "diverged",
     "execute_plan",
     "solve_plan_table",
 ]

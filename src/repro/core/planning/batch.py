@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ...db.algebra import universe_product
 from ...db.database import Database
 from ...db.kernel import RelationCodes
-from ...db.relation import Relation
+from ...db.relation import Relation, universe_product
 from ...obs import RECORDER, TRACER
 from ..terms import Variable
 from . import colexec
@@ -46,13 +45,8 @@ from .plan import (
     ExtendDomain,
     RulePlan,
 )
-from .statistics import DEFAULT_STATISTICS, Statistics
 
 Row = Tuple[Any, ...]
-
-_DEFAULT_SINK = object()
-"""Sentinel distinguishing "use the default statistics" from an explicit
-``stats=None`` (record nothing — the materialize executors pass that)."""
 
 _MIN_REDUCE_SIZE = 32
 """Semi-join floor: relations smaller than this are cheaper to join
@@ -147,10 +141,7 @@ def _semijoin_reduce(
 
 
 def solve_plan_table(
-    plan: RulePlan,
-    interp: Database,
-    stats: Optional[Statistics] = _DEFAULT_SINK,  # type: ignore[assignment]
-    semijoin: bool = True,
+    plan: RulePlan, interp: Database, semijoin: bool = True
 ) -> BindingTable:
     """Run the plan's batch program; the table binds ``plan.schema``.
 
@@ -160,17 +151,10 @@ def solve_plan_table(
     actually reads (head, filters), which is all ``execute_plan`` and the
     grounder ever consume.
 
-    ``stats`` is the observation sink of the adaptive planner: every
-    batch join records the joined relation's cardinality and its
-    probe/match totals there (default: the process-wide
-    :data:`~repro.core.planning.statistics.DEFAULT_STATISTICS`; pass
-    ``None`` to record nothing — maintenance executors do, so delta
-    evaluation cannot poison the feedback).  ``semijoin=False`` skips
-    the plan's Yannakakis reduction prologue; results are identical
-    either way (property-tested), only the work differs.
+    ``semijoin=False`` skips the plan's Yannakakis reduction prologue;
+    results are identical either way (property-tested), only the work
+    differs.
     """
-    if stats is _DEFAULT_SINK:
-        stats = DEFAULT_STATISTICS
     reduced: Optional[Dict[int, Set[Row]]] = None
     if semijoin and plan.semijoin_steps:
         reduced = _semijoin_reduce(plan, interp)
@@ -191,8 +175,6 @@ def solve_plan_table(
             if rel is None or not rel:
                 rows = []
                 break
-            if stats is not None:
-                stats.record_cardinality(op.pred, len(rel))
             kept = reduced.get(join_idx) if reduced else None
             if kept is not None:
                 buckets: Dict[Tuple, List[Row]] = {}
@@ -207,7 +189,6 @@ def solve_plan_table(
             key_spec = op.key
             out_positions = op.out_positions
             dup_checks = op.dup_checks
-            probes = len(rows)
             all_const = all(is_const for is_const, _ in key_spec)
             out: List[Row] = []
             append = out.append
@@ -248,8 +229,6 @@ def solve_plan_table(
                     for m in lookup(key):
                         append(row + tuple(m[p] for p in out_positions))
             rows = out
-            if stats is not None and key_spec and not all_const:
-                stats.record_join(op.pred, op.key_columns, probes, len(out))
         elif t is AntiJoin:
             rel = interp.get(op.pred)
             if rel is None or not rel:
@@ -400,10 +379,7 @@ def _complement_join(
 
 
 def execute_plan(
-    plan: RulePlan,
-    interp: Database,
-    stats: Optional[Statistics] = _DEFAULT_SINK,  # type: ignore[assignment]
-    semijoin: bool = True,
+    plan: RulePlan, interp: Database, semijoin: bool = True
 ) -> Relation:
     """The head relation the plan derives from ``interp``.
 
@@ -423,11 +399,7 @@ def execute_plan(
         backend = "row"
         out: Optional[Relation] = None
         if colexec.wants_plan(plan, interp):
-            if stats is _DEFAULT_SINK:
-                stats = DEFAULT_STATISTICS
-            result = colexec.execute_plan_codes(
-                plan, interp, stats=stats, semijoin=semijoin
-            )
+            result = colexec.execute_plan_codes(plan, interp, semijoin=semijoin)
             if result is not None:
                 backend = "kernel"
                 sym, head_codes = result
@@ -435,7 +407,7 @@ def execute_plan(
                     plan.head_pred, arity, RelationCodes(sym, arity, head_codes)
                 )
         if out is None:
-            table = solve_plan_table(plan, interp, stats=stats, semijoin=semijoin)
+            table = solve_plan_table(plan, interp, semijoin=semijoin)
             head = plan.head_cols
             out = Relation._from_frozenset(
                 plan.head_pred,

@@ -37,7 +37,7 @@ checks it against the reference evaluator and the row form).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -334,19 +334,14 @@ def _semijoin_reduce_codes(
     return reduced, rcs
 
 
-def execute_plan_codes(
-    plan: RulePlan,
-    interp: Database,
-    stats=None,
-    semijoin: bool = True,
-):
+def execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool = True):
     """Run the plan columnar; counts lowered/declined when observed.
 
     Thin metrics facade over :func:`_execute_plan_codes` — see there for
     the contract.  Kept separate so the recorder guard stays out of the
     (long) lowering body.
     """
-    out = _execute_plan_codes(plan, interp, stats=stats, semijoin=semijoin)
+    out = _execute_plan_codes(plan, interp, semijoin)
     if RECORDER.enabled:
         RECORDER.inc(
             "repro_kernel_lowered_total"
@@ -356,12 +351,7 @@ def execute_plan_codes(
     return out
 
 
-def _execute_plan_codes(
-    plan: RulePlan,
-    interp: Database,
-    stats=None,
-    semijoin: bool = True,
-):
+def _execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool):
     """Run the plan columnar; ``(symbols, head_codes)`` or ``None``.
 
     ``head_codes`` is the sorted unique int64 vector of derived head
@@ -369,12 +359,6 @@ def _execute_plan_codes(
     interned twin of ``execute_plan``'s tuple set.  ``None`` means the
     plan or input cannot be lowered (caller falls back to the row
     executor); the empty derivation is an empty *vector*, not ``None``.
-
-    ``stats`` is an already-resolved
-    :class:`~repro.core.planning.statistics.Statistics` or ``None`` —
-    the same cardinalities and join selectivities the row executor
-    records flow from here, so adaptive re-planning sees one feedback
-    stream regardless of path.
     """
     supported, max_width, consts, needs_universe, copy_scan, scan_joins = _plan_state(
         plan
@@ -401,13 +385,7 @@ def _execute_plan_codes(
         rc = _rel_codes(rel, sym, gen)
         if rc is None:
             return None
-        if stats is not None:
-            stats.record_cardinality(op.pred, len(rel))
         return sym, rc.codes
-
-    # Deferred stats: recorded only if the whole lowering succeeds, so a
-    # mid-plan bail to the row path cannot double-count observations.
-    pending: List[Tuple] = []
 
     reduced: Optional[Dict[int, Any]] = None
     step_rcs = None
@@ -419,7 +397,6 @@ def _execute_plan_codes(
             reduced, step_rcs = out
             for kept in reduced.values():
                 if len(kept) == 0:
-                    _flush_stats(stats, pending)
                     return sym, empty
 
     cols: List[Any] = []
@@ -434,13 +411,11 @@ def _execute_plan_codes(
             if step_rcs is not None:
                 # The reducer already resolved every join step's codes.
                 rc = step_rcs[join_idx]
-                pending.append(("card", op.pred, len(rc)))
             else:
                 rel = interp.get(op.pred)
                 if rel is None or not rel:
                     nrows = 0
                     break
-                pending.append(("card", op.pred, len(rel)))
                 rc = _rel_codes(rel, sym, gen)
                 if rc is None:
                     return None
@@ -451,7 +426,6 @@ def _execute_plan_codes(
                 else:
                     kept = kept[_dup_mask(rc, kept, op.dup_checks)]
             src = rc if kept is None else RelationCodes(sym, rc.arity, kept)
-            probes = nrows
             if op.key_columns:
                 run = src.sorted_run(op.key_columns)
                 probe = _key_fold(op.key, cols, nrows, b, sym)
@@ -493,8 +467,6 @@ def _execute_plan_codes(
             for p in op.out_positions:
                 cols.append(src_cols[p][match])
             nrows = total
-            if op.key_columns and not all(is_const for is_const, _ in op.key):
-                pending.append(("join", op.pred, op.key_columns, probes, total))
         elif t is AntiJoin:
             rel = interp.get(op.pred)
             if rel is None or not rel:
@@ -536,21 +508,9 @@ def _execute_plan_codes(
         else:  # pragma: no cover - compiler emits only the types above
             return None
     if nrows == 0:
-        _flush_stats(stats, pending)
         return sym, empty
     head = _key_fold(plan.head_cols, cols, nrows, b, sym)
-    _flush_stats(stats, pending)
     return sym, kernel.sorted_unique(head)
-
-
-def _flush_stats(stats, pending) -> None:
-    if stats is None or not pending:
-        return
-    for entry in pending:
-        if entry[0] == "card":
-            stats.record_cardinality(entry[1], entry[2])
-        else:
-            stats.record_join(entry[1], entry[2], entry[3], entry[4])
 
 
 def _dup_mask(rc: RelationCodes, codes, dup_checks):

@@ -1,9 +1,8 @@
 """Compile rules into :class:`~repro.core.planning.plan.RulePlan` objects.
 
-Compilation happens once per (program, database) pair — or once per rule
-when no database statistics are available — instead of once per rule
-*per fixpoint round* as the legacy evaluator effectively did.  The join
-order is chosen greedily:
+A plan is a pure function of ``(rule, db, small_preds)``: it is compiled
+once and run unchanged every fixpoint round.  The join order is chosen
+greedily:
 
 1. prefer atoms sharing the most variables with the already-bound set
    (index keys get longer, lookups more selective);
@@ -24,7 +23,7 @@ complement representation of the paper's unsafe rules, replacing the
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ...db.database import Database
 from ..literals import Atom, Eq, Literal, Negation, Neq
@@ -44,7 +43,6 @@ from .plan import (
     RulePlan,
     SemiJoinStep,
 )
-from .statistics import Statistics
 
 _LARGE = float("inf")
 """Size estimate for relations we know nothing about (unseen IDB)."""
@@ -56,40 +54,16 @@ def _getter(term) -> Getter:
     return (False, term)
 
 
-def _join_order(
-    rule: Rule, estimate, stats: Optional[Statistics] = None
-) -> List[Atom]:
-    """The greedy join order over the positive body atoms.
-
-    The size tie-breaker is a *cost*, not a raw cardinality: for an atom
-    that would be probed through a key (constants or already-bound
-    variables), the recorded join selectivity — mean matches per probe
-    for that (relation, key-columns) pair — replaces the relation size
-    when available, so a selective index probe into a big relation no
-    longer loses to a full scan of a smaller one.
-    """
+def _join_order(rule: Rule, estimate) -> List[Atom]:
+    """The greedy join order over the positive body atoms."""
     bound: Set[Variable] = set()
     order: List[Atom] = []
     remaining = list(enumerate(rule.positive_atoms()))
-
-    def cost(atom: Atom) -> float:
-        if stats is not None:
-            key_columns = tuple(
-                i
-                for i, arg in enumerate(atom.args)
-                if isinstance(arg, Constant) or arg in bound
-            )
-            if key_columns:
-                avg = stats.avg_matches(atom.pred, key_columns)
-                if avg is not None:
-                    return avg
-        return estimate(atom.pred)
-
     while remaining:
         remaining.sort(
             key=lambda pair: (
                 -len(pair[1].variables() & bound),
-                cost(pair[1]),
+                estimate(pair[1].pred),
                 pair[0],
             )
         )
@@ -358,8 +332,6 @@ def compile_rule(
     rule: Rule,
     db: Optional[Database] = None,
     small_preds: FrozenSet[str] = frozenset(),
-    stats: Optional[Statistics] = None,
-    idb_sizes: Optional[Mapping[str, int]] = None,
 ) -> RulePlan:
     """Compile one rule into an executable plan.
 
@@ -375,17 +347,6 @@ def compile_rule(
     small_preds:
         Predicates the caller knows to be small (semi-naive deltas); the
         planner joins through them first.
-    stats:
-        Optional :class:`~repro.core.planning.statistics.Statistics`
-        supplying observed cardinalities (for predicates the database
-        cannot size) and join selectivities (refining the order's cost
-        tie-breaker).  Plans are correct without it — every estimate is
-        ordering advice only.
-    idb_sizes:
-        Cardinalities *observed mid-fixpoint* for predicates outside the
-        database — what the adaptive wrappers pass when re-planning a
-        stale rule.  Takes precedence over ``stats`` cardinalities (it
-        describes this very evaluation, not historical runs).
     """
 
     def estimate(pred: str) -> float:
@@ -395,22 +356,14 @@ def compile_rule(
             rel = db.get(pred)
             if rel is not None:
                 return float(len(rel))
-        if idb_sizes is not None and pred in idb_sizes:
-            return float(idb_sizes[pred])
-        if stats is not None:
-            card = stats.cardinality(pred)
-            if card is not None:
-                return float(card)
         return _LARGE
 
-    order = _join_order(rule, estimate, stats=stats)
+    order = _join_order(rule, estimate)
     steps = _lower_steps(order)
     schema, ops, head_cols = _lower_batch(rule, steps)
     est_cards: Dict[str, float] = {}
     if len(order) >= 2:
-        # A single-atom body has no ordering decision for estimates to
-        # improve, so such plans never go "stale" — est_cards stays
-        # empty and the adaptive refresh skips them entirely.
+        # A single-atom body has no ordering decision to explain.
         for atom in order:
             pred = atom.pred
             if pred in small_preds or pred in est_cards:
@@ -433,37 +386,13 @@ def compile_rule(
 
 
 class ProgramPlan:
-    """All of a program's rules compiled, statically.
+    """All of a program's rules compiled."""
 
-    ``statistics`` is the sink execution observations are recorded into
-    — the statistics of the store that compiled this plan, so private
-    stores really do observe only their own executions (``None`` when
-    compiled outside any store: nothing is recorded).
-    """
+    __slots__ = ("program", "plans")
 
-    __slots__ = ("program", "plans", "statistics")
-
-    def __init__(
-        self,
-        program: Program,
-        plans: Sequence[RulePlan],
-        statistics: Optional[Statistics] = None,
-    ) -> None:
+    def __init__(self, program: Program, plans: Sequence[RulePlan]) -> None:
         self.program = program
         self.plans: Tuple[RulePlan, ...] = tuple(plans)
-        self.statistics = statistics
-
-    replans = 0
-    """Static plans never go stale (the adaptive face counts its swaps)."""
-
-    def refresh(self, interp: Database) -> Tuple[RulePlan, ...]:
-        """The plans to run on ``interp`` — always the compiled ones.
-
-        Same face as
-        :meth:`~repro.core.planning.adaptive.AdaptiveRulePlans.refresh`,
-        so ``theta`` and the fixpoint driver take either.
-        """
-        return self.plans
 
     def __len__(self) -> int:
         return len(self.plans)
@@ -475,27 +404,7 @@ class ProgramPlan:
         )
 
 
-def compile_program(
-    program: Program,
-    db: Optional[Database] = None,
-    stats: Optional[Statistics] = None,
-) -> ProgramPlan:
-    """Compile every rule of ``program``, optionally using ``db`` statistics."""
-    return ProgramPlan(
-        program,
-        [compile_rule(r, db=db, stats=stats) for r in program.rules],
-        statistics=stats,
-    )
+def compile_program(program: Program, db: Optional[Database] = None) -> ProgramPlan:
+    """Compile every rule of ``program``, sizing relations from ``db``."""
+    return ProgramPlan(program, [compile_rule(r, db=db) for r in program.rules])
 
-
-def compile_rules(
-    rules: Iterable[Rule],
-    db: Optional[Database] = None,
-    small_preds: FrozenSet[str] = frozenset(),
-    stats: Optional[Statistics] = None,
-) -> List[RulePlan]:
-    """Compile a bare rule list (delta variants and other derived rules)."""
-    return [
-        compile_rule(r, db=db, small_preds=small_preds, stats=stats)
-        for r in rules
-    ]

@@ -201,8 +201,7 @@ class RulePlan:
     # Planning-time size estimates for the body predicates whose
     # cardinality the compile-time database could NOT supply (IDB
     # predicates, minus declared-small deltas): ``(pred, estimate)``
-    # pairs.  The adaptive wrappers compare these against the sizes
-    # observed mid-fixpoint to decide when the plan has gone stale.
+    # pairs, printed by ``repro explain``.
     est_cards: Tuple[Tuple[str, float], ...] = ()
 
     def completion_domain(self, interp) -> Tuple[Any, ...]:

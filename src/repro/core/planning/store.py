@@ -1,37 +1,24 @@
 """A (program, db)-keyed store of compiled plans, shared across engines.
 
-Before the store, every engine compiled privately: the naive and
-inflationary engines each called ``compile_program``, semi-naive
-compiled its delta variants, the grounder compiled an EDB projection per
-rule — and nothing was shared between strata, between engines run on
-the same input, or between the SAT pipeline and the fixpoint engines.
-
 :class:`PlanStore` is a bounded LRU mapping
 ``(kind, program-or-rule, db, small_preds)`` keys to compiled plans.
-Databases and programs are immutable values with value hashing, so the
-key is exact: a hit is guaranteed to be a plan compiled for the same
-rules over the same statistics.  All six engines (naive, semi-naive,
-incremental, inflationary, stratified, well-founded via the grounder)
-and the ad-hoc ``evaluate_rule``/``theta`` wrappers consume the
-process-wide :data:`PLAN_STORE`; tests may construct private stores.
+Databases and programs are immutable values with value hashing and a
+plan is a pure function of its key, so a hit is exactly the plan a
+fresh compile would produce.  All five engines (naive, semi-naive,
+inflationary, stratified, well-founded via the grounder) and the ad-hoc
+``evaluate_rule``/``theta`` wrappers consume the process-wide
+:data:`PLAN_STORE`; tests may construct private stores.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from ...db.database import Database
 from ..program import Program
 from ..rules import Rule
-from .adaptive import AdaptiveRulePlans
 from .compiler import ProgramPlan, RulePlan, compile_program, compile_rule
-from .statistics import (
-    DEFAULT_STATISTICS,
-    REPLAN_FACTOR,
-    Statistics,
-    cardinality_bucket,
-)
 
 
 class PlanStore:
@@ -43,28 +30,16 @@ class PlanStore:
         Entry cap; least-recently-used entries are evicted beyond it.
         Keys hold references to their databases, so the bound also caps
         how many database values the store can keep alive.
-    statistics:
-        The :class:`~repro.core.planning.statistics.Statistics` instance
-        every compilation through this store consults (observed
-        cardinalities for unknown predicates, join selectivities for the
-        order's cost model).  Defaults to a private instance; the
-        process-wide :data:`PLAN_STORE` shares
-        :data:`~repro.core.planning.statistics.DEFAULT_STATISTICS`, the
-        batch executor's default recording sink — which is what closes
-        the feedback loop.
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "statistics", "_plans")
+    __slots__ = ("maxsize", "hits", "misses", "_plans")
 
-    def __init__(
-        self, maxsize: int = 512, statistics: Optional[Statistics] = None
-    ) -> None:
+    def __init__(self, maxsize: int = 512) -> None:
         if maxsize <= 0:
             raise ValueError("maxsize must be positive, got %d" % maxsize)
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self.statistics = statistics if statistics is not None else Statistics()
         self._plans: "OrderedDict" = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -94,9 +69,7 @@ class PlanStore:
         """The compiled plan for one rule (compiling on first request)."""
         return self._lookup(
             ("rule", rule, db, small_preds),
-            lambda: compile_rule(
-                rule, db=db, small_preds=small_preds, stats=self.statistics
-            ),
+            lambda: compile_rule(rule, db=db, small_preds=small_preds),
         )
 
     def rule_plans(
@@ -108,79 +81,13 @@ class PlanStore:
         """Compiled plans for a rule list (delta variants and the like)."""
         return [self.rule_plan(r, db=db, small_preds=small_preds) for r in rules]
 
-    def rule_plan_adaptive(
-        self,
-        rule: Rule,
-        db: Optional[Database] = None,
-        small_preds: FrozenSet[str] = frozenset(),
-        observed: Mapping[str, int] = None,
-        factor: float = REPLAN_FACTOR,
-    ) -> RulePlan:
-        """A re-planned variant compiled against *observed* IDB sizes.
-
-        The key extends the plain rule key with a coarse cardinality
-        bucket per observed predicate, so variants for different growth
-        stages coexist — with each other and with the statistics-free
-        original — instead of thrashing one entry, and a fixpoint
-        revisiting a bucket (another engine, the next run) hits the
-        cache.  Within a bucket the exact sizes differ by less than the
-        divergence factor, which is precisely the regime where the
-        greedy order is insensitive to them.
-        """
-        observed = dict(observed or {})
-        buckets = tuple(
-            sorted(
-                (pred, cardinality_bucket(size, factor))
-                for pred, size in observed.items()
-            )
-        )
-        return self._lookup(
-            ("rule+stats", rule, db, small_preds, buckets),
-            lambda: compile_rule(
-                rule,
-                db=db,
-                small_preds=small_preds,
-                stats=self.statistics,
-                idb_sizes=observed,
-            ),
-        )
-
     def program_plan(
         self, program: Program, db: Optional[Database] = None
     ) -> ProgramPlan:
         """The compiled :class:`ProgramPlan` for a whole program."""
         return self._lookup(
             ("program", program, db),
-            lambda: compile_program(program, db=db, stats=self.statistics),
-        )
-
-    # ------------------------------------------------------------------
-    # Adaptive wrappers (per-run; the plans underneath stay shared)
-    # ------------------------------------------------------------------
-
-    def adaptive_rule_plans(
-        self,
-        rules: Iterable[Rule],
-        db: Optional[Database] = None,
-        small_preds: FrozenSet[str] = frozenset(),
-        factor: float = REPLAN_FACTOR,
-        known_sizes: Optional[Mapping[str, int]] = None,
-    ) -> AdaptiveRulePlans:
-        """An :class:`~repro.core.planning.adaptive.AdaptiveRulePlans`
-        over this store (the rule-list face: semi-naive delta variants).
-
-        ``known_sizes`` pins predicates whose cardinalities the caller
-        holds as facts — per-stratum planning passes the lower strata's
-        final sizes so they are compiled in up front and never trigger
-        a divergence re-plan.
-        """
-        return AdaptiveRulePlans(
-            self,
-            rules,
-            db=db,
-            small_preds=small_preds,
-            factor=factor,
-            known_sizes=known_sizes,
+            lambda: compile_program(program, db=db),
         )
 
     # ------------------------------------------------------------------
@@ -209,7 +116,7 @@ class PlanStore:
 
         def matches(key) -> bool:
             kind, obj, kdb = key[0], key[1], key[2]
-            is_rule_kind = kind in ("rule", "rule+stats")
+            is_rule_kind = kind == "rule"
             if db is not None and kdb != db:
                 return False
             if rule is not None and not (is_rule_kind and obj == rule):
@@ -271,7 +178,5 @@ class PlanStore:
         )
 
 
-PLAN_STORE = PlanStore(statistics=DEFAULT_STATISTICS)
-"""The process-wide store every engine and wrapper compiles through.
-It shares the batch executor's default recording sink, so statistics
-observed during execution feed the very next compilation."""
+PLAN_STORE = PlanStore()
+"""The process-wide store every engine and wrapper compiles through."""

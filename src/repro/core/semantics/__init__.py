@@ -19,7 +19,6 @@ from .enumeration import (
     count_fixpoints,
     iterate_fixpoints,
 )
-from .incremental import incremental_inflationary_semantics
 from .inflationary import inflationary_semantics, inflationary_step, theta_stage
 from .naive import naive_least_fixpoint
 from .seminaive import seminaive_least_fixpoint
@@ -41,7 +40,6 @@ __all__ = [
     "WellFoundedResult",
     "all_fixpoints",
     "count_fixpoints",
-    "incremental_inflationary_semantics",
     "inflationary_semantics",
     "inflationary_step",
     "is_semipositive",

@@ -20,6 +20,16 @@ Key facts reproduced in the test-suite and experiments:
 * ``Theta^infinity`` need not be a fixpoint of Theta at all — the paper's
   Section 4 warning — e.g. the toggle program's value ``A`` has
   ``Theta(A) = empty``.
+
+The engine is delta-driven.  Stages only grow, so a negated IDB literal
+can only flip from true to false, and an instantiation whose body holds
+at stage ``k`` but not at stage ``k-1`` must contain a positive IDB
+literal matched by a tuple new at stage ``k``; rules without positive
+IDB literals fire their largest set in round 1.  After round 1 only
+*delta variants* run (:func:`~repro.core.fixpoint.differential_plans`) —
+semi-naive evaluation without the semipositivity precondition.  Full
+Theta survives as the specification: :func:`inflationary_step` and
+:func:`theta_stage`, property-tested equal stage by stage.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from typing import Optional
 
 from ...db.database import Database
 from ...parallel.shard import SHARD
-from ..fixpoint import idb_union, iterate
+from ..fixpoint import differential_plans, idb_union, iterate
 from ..operator import IDBMap, empty_idb, theta
 from ..planning import PLAN_STORE, ProgramPlan
 from ..program import Program
@@ -63,12 +73,12 @@ def inflationary_semantics(
         from ...parallel.executor import parallel_evaluate
 
         return parallel_evaluate("inflationary", program, db, nshards=parallel)
-    # Adaptive plans over the shared store: re-planned mid-fixpoint when
-    # the observed IDB sizes diverge from the planning-time estimates.
+    seed, plans = differential_plans(program, db)
     return iterate(
         program,
         db,
-        PLAN_STORE.adaptive_rule_plans(program.rules, db=db),
+        plans,
+        seed,
         engine="inflationary",
         max_rounds=max_rounds,
         keep_trace=keep_trace,

@@ -54,15 +54,11 @@ def naive_least_fixpoint(
             "naive least fixpoint requires a (semi)positive program; "
             "negated IDB literals make Theta non-monotone"
         )
-    # Adaptive plans over the shared store: compiled at most once per
-    # (rule, db, cardinality-bucket) and re-planned mid-fixpoint when the
-    # observed IDB sizes diverge from the planning-time estimates.
     return iterate(
         program,
         db,
-        PLAN_STORE.adaptive_rule_plans(program.rules, db=db),
+        PLAN_STORE.rule_plans(program.rules, db=db),
         engine="naive",
-        replace=True,
         max_rounds=max_rounds,
         keep_trace=keep_trace,
     )

@@ -15,7 +15,7 @@ The result is identical to :func:`repro.core.semantics.naive.naive_least_fixpoin
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ...db.database import Database
 from ...parallel.shard import SHARD
@@ -29,21 +29,12 @@ def seminaive_least_fixpoint(
     db: Database,
     keep_trace: bool = False,
     max_rounds: Optional[int] = None,
-    known_sizes: Optional[Dict[str, int]] = None,
     parallel: int = 0,
 ) -> EvaluationResult:
     """Compute the least fixpoint by differential (semi-naive) iteration.
 
     Accepts the same class of programs as the naive engine: positive and
     semipositive (negation over EDB only).
-
-    ``known_sizes`` passes cardinalities the caller holds as facts —
-    the stratified engine supplies the final sizes of already-evaluated
-    lower strata.  The planner treats them as exact whether or not the
-    working database carries the relations (db-absent facts are baked
-    into the compile, db-present ones are already sized there), and the
-    adaptive wrapper never burns a divergence re-plan on re-discovering
-    a frozen relation's size.
 
     Raises
     ------
@@ -59,11 +50,11 @@ def seminaive_least_fixpoint(
         raise SemanticsError(
             "semi-naive evaluation requires a (semi)positive program"
         )
-    seed, step = differential_plans(program, db, known_sizes)
+    seed, plans = differential_plans(program, db)
     return iterate(
         program,
         db,
-        step,
+        plans,
         seed,
         engine="seminaive",
         max_rounds=max_rounds,

@@ -13,7 +13,7 @@ as a stratified program).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ...analysis.dependency import DependencyGraph
 from ...db.database import Database
@@ -78,13 +78,8 @@ def stratified_semantics(
     key — repeated runs over the same input reuse the plans of every
     stratum — and the lower strata's frozen relations keep their cached
     indexes across all upper-stratum rounds.  Lower strata are *planned
-    against*, not discovered: their final sizes travel to each upper
-    stratum as explicit ``known_sizes`` facts, making the contract
-    independent of the working database carrying the relations — the
-    planner sizes them exactly at compile time (from the db when
-    present, from the facts otherwise) and the adaptive wrapper exempts
-    them from divergence checks, so no re-plan ever fires to learn what
-    the engine already evaluated.
+    against*, not discovered: the working database carries them, so the
+    planner sizes them exactly at compile time.
 
     Raises
     ------
@@ -100,21 +95,14 @@ def stratified_semantics(
     strata = stratify(program)
     working = db
     final: IDBMap = {}
-    known_sizes: Dict[str, int] = {}
     total_rounds = 0
     for index, layer in enumerate(strata):
         with TRACER.span("stratum") as sp:
             rules = [r for r in program.rules if r.head.pred in layer]
             sub = Program(rules)
-            result = seminaive_least_fixpoint(
-                sub,
-                working,
-                keep_trace=keep_trace,
-                known_sizes=known_sizes or None,
-            )
+            result = seminaive_least_fixpoint(sub, working, keep_trace=keep_trace)
             for pred in layer:
                 final[pred] = result.idb[pred]
-                known_sizes[pred] = len(result.idb[pred])
             working = working.with_relations(result.idb.values())
             total_rounds += result.rounds
             if sp:

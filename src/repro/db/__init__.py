@@ -1,4 +1,4 @@
-"""Relational substrate: relations, databases, algebra, indexes, CSV I/O."""
+"""Relational substrate: relations, databases, indexes, CSV I/O."""
 
 from .database import Database
 from .index import HashIndex

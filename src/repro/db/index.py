@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
-from .relation import Relation, Tup
+from .relation import Relation, Tup, universe_product
 
 
 class HashIndex:
@@ -135,8 +135,6 @@ class KeyedComplement:
         free_positions: Tuple[int, ...],
         _allowed: Dict[Tuple, FrozenSet[Tuple]] = None,
     ) -> None:
-        from .algebra import universe_product
-
         self.relation = relation
         self.universe = universe
         self.bound_columns = bound_columns

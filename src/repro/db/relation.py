@@ -50,6 +50,8 @@ readers use, and an update costs ``O(|delta|)`` interning either way.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Tuple
 
 from .kernel import (
@@ -64,6 +66,17 @@ from .kernel import (
 )
 
 Tup = Tuple[Any, ...]
+
+
+@lru_cache(maxsize=128)
+def universe_product(universe: frozenset, k: int) -> frozenset:
+    """``A^k`` as a frozenset of tuples, cached per (universe, k).
+
+    The row executor's keyed complement steps subtract a projection of
+    matched tuples from this set; fixpoint engines call it every round
+    with the same universe, so the product is built once per process.
+    """
+    return frozenset(product(tuple(universe), repeat=k))
 
 
 class Relation:
@@ -164,8 +177,6 @@ class Relation:
         This is the relation ``A^n`` used by the paper's toggle gadget
         ("Q must be equal to A^n or else T would not be a fixpoint").
         """
-        from itertools import product
-
         return cls(name, arity, product(tuple(universe), repeat=arity))
 
     # ------------------------------------------------------------------
@@ -328,8 +339,6 @@ class Relation:
             }
         parent_comps = getattr(parent, "_complement_cache", None)
         if parent_comps:
-            from .algebra import universe_product
-
             cache = {}
             for universe, comp in parent_comps.items():
                 # Tuples added here leave the complement; tuples removed
@@ -396,8 +405,6 @@ class Relation:
         immutable; it is keyed by the universe so the same relation value
         can serve databases with different universes.
         """
-        from .algebra import universe_product
-
         key = universe if isinstance(universe, frozenset) else frozenset(universe)
         try:
             cache = self._complement_cache

@@ -87,10 +87,7 @@ class CountingState:
 
     def _accumulate(self, variant: Rule, interp: Database, into: Counts, sign: int) -> None:
         plan, project = self._compiled(variant)
-        # stats=None: maintenance runs over alias/changeset relations
-        # whose sizes describe deltas, not relations — recording them
-        # would poison the adaptive planner's feedback.
-        table = solve_plan_table(plan, interp, stats=None)
+        table = solve_plan_table(plan, interp)
         if not table.rows:
             return
         # Counter(map(...)) runs the whole derivation enumeration at C

@@ -191,10 +191,7 @@ class RecursiveState:
             plan = self._variant_plans[key] = self.plans.plan(
                 self._variant(rule, position, pred_alias, suffix)
             )
-        # stats=None: over-delete/rederive rounds run over frontier and
-        # alias relations; their sizes are delta-shaped and must not
-        # feed the adaptive planner's cardinality statistics.
-        return execute_plan(plan, interp, stats=None)
+        return execute_plan(plan, interp)
 
     def _empty(self) -> IDBValues:
         """A fresh all-empty valuation (the immutable empties are shared)."""

@@ -58,7 +58,6 @@ from ..core.grounding import GroundAtom
 from ..core.operator import as_interpretation
 from ..core.program import Program
 from ..core.semantics.base import EvaluationResult, is_semipositive
-from ..core.semantics.incremental import incremental_inflationary_semantics
 from ..core.semantics.inflationary import inflationary_semantics
 from ..core.semantics.stratified import StratifiedResult, stratified_semantics
 from ..core.semantics.wellfounded import WellFoundedResult
@@ -542,7 +541,7 @@ class MaterializedView:
         if self.semantics == "stratified":
             result: EvaluationResult = stratified_semantics(self.program, new_db)
         else:
-            result = incremental_inflationary_semantics(self.program, new_db)
+            result = inflationary_semantics(self.program, new_db)
         changes: Dict[str, ChangePair] = {
             name: (effective.inserts(name), effective.deletes(name))
             for name in effective.relations()

@@ -407,11 +407,6 @@ INSTRUMENTS: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
         "Rule executions on the row-at-a-time batch path.",
         None,
     ),
-    "repro_engine_replans_total": (
-        "counter",
-        "Adaptive mid-fixpoint re-plans (stale plans replaced).",
-        None,
-    ),
     "repro_kernel_lowered_total": (
         "counter",
         "Columnar-kernel lowerings that ran to completion.",

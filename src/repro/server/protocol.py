@@ -153,7 +153,7 @@ def decode_changeset(obj: Mapping[str, Any]) -> ChangeSet:
 
 
 # ----------------------------------------------------------------------
-# Statistics / introspection payloads
+# Introspection payloads
 # ----------------------------------------------------------------------
 
 

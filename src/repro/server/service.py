@@ -48,7 +48,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..analysis import LintReport, lint_program, lint_source
 from ..core.parser import parse_program
-from ..core.planning import PLAN_STORE
 from ..core.program import Program
 from ..core.validation import check_database
 from ..db.database import Database
@@ -536,9 +535,6 @@ class ViewServer:
         are the current per-predicate relation sizes; relations track
         their length, so the whole block is O(#predicates), safe to
         poll — no served tuple is ever counted, copied, or decoded.
-        ``planner`` surfaces the shared plan store's observed feedback:
-        per-predicate observed cardinalities, empirical join
-        selectivities, and how many adaptive re-plans have fired.
         ``analysis`` is the cached static-analysis summary — program
         class, stratum count, negative-cycle predicates, diagnostic
         counts and codes — computed once per registration, never per
@@ -580,7 +576,6 @@ class ViewServer:
                     for p in sorted(program.idb_predicates)
                 },
             },
-            "planner": PLAN_STORE.statistics.snapshot(),
             "analysis": dict(report.summary(), codes=list(report.codes())),
         }
 

@@ -298,7 +298,10 @@ async def run(state_dir: Path) -> None:
         "commit counter strictly increased across crash/replay",
     )
     stats = (await client2.request("stats", view="tc"))["stats"]
-    check("planner" in stats, "stats verb carries the planner statistics block")
+    check(
+        {"commits", "submitted", "seq", "snapshot_seq"} <= set(stats),
+        "stats verb answers commits / submitted / seq / snapshot_seq",
+    )
     check(
         stats.get("analysis", {}).get("class") == "stratified",
         "stats analysis block live after recovery (lazily computed)",

@@ -25,7 +25,6 @@ from repro.core.program import Program
 from repro.core.semantics import (
     SemanticsError,
     all_fixpoints,
-    incremental_inflationary_semantics,
     inflationary_semantics,
     is_semipositive,
     naive_least_fixpoint,
@@ -92,10 +91,7 @@ def check_engines(program, db):
     assert result.idb == stages[-1]
     assert result.rounds == rounds
     assert result.trace == stages
-    incremental = incremental_inflationary_semantics(program, db)
-    assert incremental.idb == stages[-1]
-    assert incremental.rounds == rounds
-    capped = [inflationary_semantics, incremental_inflationary_semantics]
+    capped = [inflationary_semantics]
 
     if is_semipositive(program):
         stages = legacy_stages(program, db, inflationary=False)
@@ -250,7 +246,6 @@ def widening_db():
     [
         naive_least_fixpoint,
         seminaive_least_fixpoint,
-        incremental_inflationary_semantics,
         inflationary_semantics,
         stratified_semantics,
     ],

@@ -109,7 +109,7 @@ class TestInterpretationHelpers:
         interp = as_interpretation(pi1_program, path4_db, valuation)
         assert idb_of(pi1_program, interp) == valuation
 
-    def test_full_idb_sizes(self, pi1_program, path4_db):
+    def test_full_idb_cardinality(self, pi1_program, path4_db):
         assert len(full_idb(pi1_program, path4_db)["T"]) == 4
 
 

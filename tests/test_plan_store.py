@@ -3,8 +3,9 @@
 The store is what lets every engine — and the grounder behind the
 well-founded/SAT pipelines — share one compilation per input.  These
 tests pin down the cache contract: exact value-keyed hits, separate
-entries per compilation context (database statistics, small-predicate
-hints), LRU bounding, and targeted invalidation.
+entries per compilation context (database sizes, small-predicate
+hints), LRU bounding, targeted invalidation — and that a plan depends
+on nothing but its key.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def test_distinct_databases_get_distinct_entries():
     store = PlanStore()
     store.program_plan(_tc(), _db())
     store.program_plan(_tc(), _db(edges=((1, 2),)))
-    store.program_plan(_tc())  # no statistics at all
+    store.program_plan(_tc())  # no database at all
     assert store.misses == 3 and store.hits == 0 and len(store) == 3
 
 
@@ -56,6 +57,25 @@ def test_small_preds_hint_is_part_of_the_key():
     hinted = store.rule_plan(rule, _db(), small_preds=frozenset({"S"}))
     assert plain is not hinted
     assert store.misses == 2
+
+
+def test_a_plan_is_a_function_of_its_key_not_of_what_ran_before():
+    # Q joins an EDB relation with a predicate the database cannot size.
+    # Running an unrelated program that happens to call a small EDB
+    # relation by the same name must not change the join order a fresh
+    # compile of the very same (rule, db) picks.
+    rule = parse_program("Q(X, Y) :- Big(X, Z), SEL(Z, Y).").rules[0]
+    db = Database(range(12), [Relation("Big", 2, [(i, i + 1) for i in range(10)])])
+
+    def order():
+        PLAN_STORE.invalidate(rule=rule)
+        return [step.pred for step in PLAN_STORE.rule_plan(rule, db).steps]
+
+    before = order()
+    other = parse_program("P(X, Y) :- SEL(X, Y). P(X, Y) :- SEL(X, Z), P(Z, Y).")
+    other_db = Database({1, 2, 3}, [Relation("SEL", 2, [(1, 2), (2, 3)])])
+    assert len(naive_least_fixpoint(other, other_db).carrier_value) == 3
+    assert order() == before == ["Big", "SEL"]
 
 
 def test_lru_eviction_respects_maxsize():

@@ -9,7 +9,7 @@ The load-bearing guarantees:
   (``colexec.execute_plan_codes``, whatever the size heuristic would
   have picked) all derive the same tuples;
 * every engine that now evaluates through plans (naive, semi-naive,
-  inflationary, incremental, stratified) computes the same valuations as
+  inflationary, stratified) computes the same valuations as
   the legacy uncompiled Theta iteration;
 * the batch compiler actually schedules negations as anti-joins and
   complement joins (plan-shape tests), so the fast paths cannot silently
@@ -50,7 +50,6 @@ from repro.core.planning import (
     solve_plan_table,
 )
 from repro.core.semantics import (
-    incremental_inflationary_semantics,
     inflationary_semantics,
     naive_least_fixpoint,
     seminaive_least_fixpoint,
@@ -91,7 +90,7 @@ def legacy_inflationary(program, db):
 
 def row_heads(plan, interp, semijoin=True):
     """Head tuples through the row interpreter."""
-    table = solve_plan_table(plan, interp, stats=None, semijoin=semijoin)
+    table = solve_plan_table(plan, interp, semijoin=semijoin)
     return {
         tuple(payload if is_const else row[payload] for is_const, payload in plan.head_cols)
         for row in table.rows
@@ -364,7 +363,7 @@ def test_consequences_groups_by_head():
     db = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
     plan = compile_program(program, db)
     derived = consequences(
-        plan.plans, as_interpretation(program, db), {"T": 1, "S": 2, "U": 3}, None
+        plan.plans, as_interpretation(program, db), {"T": 1, "S": 2, "U": 3}
     )
     assert {p: r.tuples for p, r in derived.items()} == {
         "T": {(1,), (2,)},
@@ -402,15 +401,6 @@ def test_compiled_seminaive_equals_legacy_iteration(program, db):
 def test_compiled_inflationary_equals_legacy_iteration(program, db):
     assert idb_equal(
         inflationary_semantics(program, db).idb, legacy_inflationary(program, db)
-    )
-
-
-@settings(max_examples=25)
-@given(random_programs(), small_databases())
-def test_compiled_incremental_equals_legacy_iteration(program, db):
-    assert idb_equal(
-        incremental_inflationary_semantics(program, db).idb,
-        legacy_inflationary(program, db),
     )
 
 

@@ -8,7 +8,6 @@ from repro.core.fixpoint import idb_equal
 from repro.core.operator import is_fixpoint
 from repro.core.semantics import (
     SemanticsError,
-    incremental_inflationary_semantics,
     inflationary_semantics,
     naive_least_fixpoint,
     seminaive_least_fixpoint,
@@ -25,11 +24,10 @@ from strategies import positive_programs, small_databases
         naive_least_fixpoint,
         seminaive_least_fixpoint,
         inflationary_semantics,
-        incremental_inflationary_semantics,
     ],
 )
 def test_max_rounds_is_a_cap_on_result_rounds(engine, slack, tc_program):
-    # One contract for the four iterating engines: max_rounds=r succeeds
+    # One contract for the three iterating engines: max_rounds=r succeeds
     # iff result.rounds <= r (the confirming application is free), and a
     # caller-set cap that is hit is a SemanticsError, never an assertion.
     db = graph_to_database(gg.path(6))  # TC reaches its fixpoint in 5 rounds
