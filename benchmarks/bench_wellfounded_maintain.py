@@ -3,24 +3,27 @@
 On the win–move game — the paper's canonical non-stratifiable program —
 over paths of up to 2k nodes: a single-tuple EDB update through
 ``MaterializedView(semantics="wellfounded")`` against recomputing the
-well-founded model from scratch.  What is asserted is that the
-maintained model *equals* the recomputed one at every size; the timings
-are printed for the scaling picture.  (Until the batch engine became
-linear in the ground program this file asserted a >=5x update-over-
-recompute headline; recomputing ``L_2000`` now takes tens of
-milliseconds and the maintained view, which walks every live layer per
-update, no longer beats it.)  The parity-flipping worst-case update
-(``flip``) is reported at the smaller sizes only.
+well-founded model from scratch, in one process so the machine's speed
+cancels out of the ratio.  Asserted: the maintained model *equals* the
+recomputed one at every size, the probe update (no atom moves) is at
+least 5x faster than recompute at every size, and the parity-flipping
+worst case (``flip``, the whole path re-decided) is no slower than
+recompute at ``L_500`` and ``L_1000``.  This is what catches the view
+degenerating to recompute (or worse: walking the alternation's depth per
+update) — absolute floors cannot, because a recompute of these sizes
+fits under a CI runner's noise.
 """
 
 from repro.bench.wellfounded_perf import measure_wellfounded_scenario
 
 SIZES = (500, 1000, 2000)
+PROBE_MIN_RATIO = 5.0
+FLIP_MIN_RATIO = 1.0
 
 
 def _run_all():
     return [
-        measure_wellfounded_scenario(n, rounds=2, include_flip=(n != SIZES[-1]))
+        measure_wellfounded_scenario(n, rounds=3, include_flip=(n != SIZES[-1]))
         for n in SIZES
     ]
 
@@ -31,15 +34,19 @@ def test_wellfounded_update_latency(benchmark):
         assert m["equal"], (
             "maintained well-founded view diverged from recompute at n=%d" % m["n"]
         )
-        flip = "" if m["flip_s"] is None else " flip=%.4fs" % m["flip_s"]
+        probe = m["scratch_s"] / m["probe_s"]
+        flip = None if m["flip_s"] is None else m["scratch_s"] / m["flip_s"]
         print(
-            "n=%4d build=%.3fs probe=%.5fs%s scratch=%.4fs (scratch/probe %.2fx)"
+            "n=%4d build=%.3fs probe=%.5fs (%.1fx)%s scratch=%.4fs"
             % (
                 m["n"],
                 m["build_s"],
                 m["probe_s"],
-                flip,
+                probe,
+                "" if flip is None else " flip=%.4fs (%.1fx)" % (m["flip_s"], flip),
                 m["scratch_s"],
-                m["scratch_s"] / m["probe_s"],
             )
         )
+        assert probe >= PROBE_MIN_RATIO, (m["n"], probe)
+        if flip is not None:
+            assert flip >= FLIP_MIN_RATIO, (m["n"], flip)

@@ -15,23 +15,21 @@ one more position walking back from the dead end.
 updates through ``MaterializedView(semantics="wellfounded")``:
 
 * **probe** — insert and delete the self-loop ``(1, 1)`` at the node
-  farthest from the dead end: a ground rule enters and leaves every
-  layer's reduct without changing any layer's value, isolating the pure
-  per-layer patching overhead (the serving path's common case: most
-  updates do not move the fixpoint).
+  farthest from the dead end: one ground rule enters and leaves, and no
+  atom changes status — the serving path's common case (most updates do
+  not move the fixpoint).
 * **flip** — delete and re-insert the final edge ``(n-1, n)``: moving
-  the dead end flips the win/lose parity of the *entire* path, forcing
-  every layer to rewrite — maintenance's worst case, reported at the
-  small size only.
+  the dead end flips the win/lose parity of the *entire* path, so the
+  whole path goes undefined and the resumed alternation re-decides it in
+  ~n/2 steps — maintenance's worst case, reported at the small size only.
 
 From-scratch times run ``well_founded_semantics`` (grounding included —
 that is what "recompute" costs) on a freshly built database, so no cache
-asymmetry favours the view's long-lived relations.  Since the engine
-resumes its propagation state instead of restarting every round,
-recomputing ``L_2000`` takes tens of milliseconds and a maintained view
-— which walks its ``~n`` live layers per update — no longer beats it;
-the ratio is reported, and what every row asserts is that the
-maintained model *equals* the recomputed one.
+asymmetry favours the view's long-lived relations.  A view update is an
+over-deletion of the affected region plus the batch engine's own resume
+loop over it, so the probe costs a few counter patches and the flip
+about one pass over the ground program without the grounding; every row
+asserts that the maintained model *equals* the recomputed one.
 
 **Scaling** (:func:`wellfounded_scaling_table`).  The public
 ``well_founded_semantics`` on ``L_n`` for doubling ``n``, grounding
@@ -66,9 +64,8 @@ def measure_wellfounded_scenario(
     matches the from-scratch evaluation on all partitions.
     """
     program = win_move_program()
-    # Recompute first: once the view exists its ~n live layers (n/2 atoms
-    # each) sit on the heap, and the collector's passes over them would
-    # be billed to whatever runs next.
+    # Recompute first, on a heap without the view's grounding, index and
+    # counters, so the collector's passes over them are not billed to it.
     scratch_times = []
     for _ in range(rounds):
         fresh = graph_to_database(gg.path(n))
@@ -121,7 +118,8 @@ def wellfounded_table(sizes=(400, 2000)) -> Table:
 
     Every row's ``ok`` cell asserts three-valued equality of the
     maintained model with the from-scratch one; the recompute/update
-    ratio is reported beside it and asserted nowhere.
+    ratio is reported beside it (``benchmarks/bench_wellfounded_maintain.py``
+    asserts it, in one process, at its own sizes).
     """
     table = Table(
         "well-founded view: single-tuple EDB update vs alternating-fixpoint recompute",
@@ -145,13 +143,11 @@ def wellfounded_table(sizes=(400, 2000)) -> Table:
             )
     table.note(
         "update s = mean latency of MaterializedView.apply on one EDB tuple "
-        "(incremental alternating fixpoint: patched grounding + per-layer "
-        "DRed); scratch s = well_founded_semantics on a fresh database, "
-        "grounding included.  ok = the maintained model equals the "
-        "recomputed one.  scratch/update below 1 means recomputing is "
-        "faster: the view walks every live layer (about n on L_n) per "
-        "update while the batch engine is linear in the ground program; "
-        "flip is the parity-flipping worst case."
+        "(patched grounding, over-deletion of the affected region, resumed "
+        "alternation); scratch s = well_founded_semantics on a fresh "
+        "database, grounding included.  ok = the maintained model equals "
+        "the recomputed one.  probe moves no atom; flip re-decides the "
+        "whole path (the parity-flipping worst case)."
     )
     return table
 

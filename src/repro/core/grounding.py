@@ -31,7 +31,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import repeat
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..db.database import Database
@@ -92,70 +92,116 @@ class GroundRule:
 
 
 class GroundProgramIndex:
-    """A ground-rule sequence over densely numbered atoms.
+    """A ground-rule sequence over densely numbered atoms, patchable in place.
 
     Every atom occurring in some rule gets an id (``atoms[i]`` /
-    ``atom_ids[atom]``).  Rule ``r`` (its position in the sequence) has
-    head ``head[r]`` and ``npos[r]`` distinct positive body atoms; the
-    bodies themselves are stored atom-side only, as the occurrence maps
-    ``by_head`` / ``by_pos`` / ``by_neg``: the rules an atom heads,
-    reads positively and reads under negation (a rule is listed once
-    per *distinct* atom).  Each map is a ``(start, rules)`` pair of flat
-    integer lists — atom ``a``'s rules are
-    ``rules[start[a]:start[a + 1]]`` — so the whole index is a dozen
-    objects whatever the program's size.  The propagation engines of
+    ``atom_ids[atom]``); ids are append-only for the index's life.  Rule
+    ``r`` has head ``head[r]`` and ``npos[r]`` distinct positive body
+    atoms; the bodies are stored atom-side, as the occurrence lists
+    ``by_head[a]`` / ``by_pos[a]`` / ``by_neg[a]``: the rules atom ``a``
+    heads, reads positively and reads under negation (a rule is listed
+    once per *distinct* atom).  :meth:`add` appends a rule under the next
+    rule id; :meth:`retire` takes a rule out of every occurrence list,
+    and its id is never reused.  The propagation engines of
     :mod:`repro.core.semantics.wellfounded` keep their state in
-    ``bytearray``s and counter lists beside it and never hash a ground
-    atom after this constructor.
+    ``bytearray``s and counter lists beside it and hash a ground atom
+    only to patch.
     """
 
-    __slots__ = ("atoms", "atom_ids", "head", "npos", "by_head", "by_pos", "by_neg")
+    __slots__ = ("rules", "atoms", "atom_ids", "head", "npos", "by_head", "by_pos", "by_neg")
 
     def __init__(self, rules: Iterable[GroundRule]) -> None:
-        atom_ids: Dict[GroundAtom, int] = {}
-        number = atom_ids.setdefault  # an unseen atom gets the next free id
-
-        def record(body, rule_id, occ_atoms, occ_rules) -> int:
-            """Note ``body``'s distinct atoms as read by ``rule_id``."""
-            ids = [number(a, len(atom_ids)) for a in body]
-            if len(ids) > 1:
-                ids = list(dict.fromkeys(ids))
-            occ_atoms += ids
-            occ_rules += [rule_id] * len(ids)
-            return len(ids)
-
+        self.rules: List[Optional[GroundRule]] = list(rules)
+        self.atom_ids: Dict[GroundAtom, int] = {}
         self.head: List[int] = []
         self.npos: List[int] = []
+        # Number everything first, then size the occurrence lists once.
+        # An atom with no occurrence of a kind shares the empty tuple.
+        number = self.atom_ids.setdefault
+        atom_ids = self.atom_ids
+        distinct = self._distinct
         pos_atoms: List[int] = []
         pos_rules: List[int] = []
         neg_atoms: List[int] = []
         neg_rules: List[int] = []
-        for r, rule in enumerate(rules):
+        for r, rule in enumerate(self.rules):
             self.head.append(number(rule.head, len(atom_ids)))
-            self.npos.append(record(rule.pos, r, pos_atoms, pos_rules) if rule.pos else 0)
+            count = 0
+            if rule.pos:
+                ids = distinct(rule.pos)
+                count = len(ids)
+                pos_atoms += ids
+                pos_rules += [r] * count
+            self.npos.append(count)
             if rule.neg:
-                record(rule.neg, r, neg_atoms, neg_rules)
-        self.atom_ids = atom_ids
+                ids = distinct(rule.neg)
+                neg_atoms += ids
+                neg_rules += [r] * len(ids)
         self.atoms: List[GroundAtom] = list(atom_ids)
-        natoms = len(atom_ids)
-        self.by_head = _occurrences(natoms, self.head, range(len(self.head)))
-        self.by_pos = _occurrences(natoms, pos_atoms, pos_rules)
-        self.by_neg = _occurrences(natoms, neg_atoms, neg_rules)
+        natoms = len(self.atoms)
+        self.by_head: List[Sequence[int]] = [()] * natoms
+        self.by_pos: List[Sequence[int]] = [()] * natoms
+        self.by_neg: List[Sequence[int]] = [()] * natoms
+        _link(self.by_head, self.head, range(len(self.head)))
+        _link(self.by_pos, pos_atoms, pos_rules)
+        _link(self.by_neg, neg_atoms, neg_rules)
+
+    def _distinct(self, body) -> List[int]:
+        """The distinct ids of ``body``; an unseen atom gets the next free id."""
+        atom_ids = self.atom_ids
+        number = atom_ids.setdefault
+        ids = [number(a, len(atom_ids)) for a in body]
+        return list(dict.fromkeys(ids)) if len(ids) > 1 else ids
+
+    def body(self, r: int) -> Tuple[List[int], List[int]]:
+        """Rule ``r``'s distinct positive and negative atom ids."""
+        rule = self.rules[r]
+        atom_ids = self.atom_ids
+        return (
+            list(dict.fromkeys([atom_ids[a] for a in rule.pos])),
+            list(dict.fromkeys([atom_ids[a] for a in rule.neg])),
+        )
+
+    def add(self, rule: GroundRule) -> int:
+        """Append ``rule``; its id.  New atoms are numbered after the old."""
+        r = len(self.rules)
+        self.rules.append(rule)
+        atom_ids = self.atom_ids
+        self.head.append(atom_ids.setdefault(rule.head, len(atom_ids)))
+        pos = self._distinct(rule.pos)
+        neg = self._distinct(rule.neg)
+        self.npos.append(len(pos))
+        atoms = self.atoms
+        for atom in (rule.head, *rule.pos, *rule.neg):
+            if atom_ids[atom] == len(atoms):
+                atoms.append(atom)
+                self.by_head.append(())
+                self.by_pos.append(())
+                self.by_neg.append(())
+        _link(self.by_head, (self.head[r],), repeat(r))
+        _link(self.by_pos, pos, repeat(r))
+        _link(self.by_neg, neg, repeat(r))
+        return r
+
+    def retire(self, r: int) -> None:
+        """Take rule ``r`` out of every occurrence list."""
+        pos, neg = self.body(r)
+        self.by_head[self.head[r]].remove(r)
+        for a in pos:
+            self.by_pos[a].remove(r)
+        for a in neg:
+            self.by_neg[a].remove(r)
+        self.rules[r] = None
 
 
-Occurrences = Tuple[List[int], List[int]]
-"""``(start, rules)``: atom ``a`` occurs in ``rules[start[a]:start[a + 1]]``."""
-
-
-def _occurrences(
-    natoms: int, atoms: Sequence[int], rules: Sequence[int]
-) -> Occurrences:
-    """Group the ``(atoms[i], rules[i])`` occurrence pairs by atom."""
-    counts = [0] * (natoms + 1)
-    for a in atoms:
-        counts[a + 1] += 1
-    order = sorted(range(len(atoms)), key=atoms.__getitem__)
-    return list(accumulate(counts)), [rules[i] for i in order]
+def _link(occurrences: List[Sequence[int]], atoms: Iterable[int], rules: Iterable[int]) -> None:
+    """List each rule under its atom; a first one replaces the shared ``()``."""
+    for a, r in zip(atoms, rules):
+        listed = occurrences[a]
+        if listed:
+            listed.append(r)
+        else:
+            occurrences[a] = [r]
 
 
 class GroundProgram:
@@ -380,14 +426,19 @@ class LiveGroundProgram:
     The alias relations :meth:`~repro.db.relation.Relation.evolve`
     across updates, so their cached indexes are patched, never rebuilt —
     the same machinery :class:`repro.materialize.view.MaterializedView`
-    uses for its maintenance aliases.  Plans compiled against the
-    *superseded* database value are evicted from the shared store by
-    :meth:`~repro.db.database.Database.apply_delta`'s lineage purge;
-    the variant plans this class runs are compiled database-free (keyed
-    by rule + alias names only), so they survive every update.
+    uses for its maintenance aliases.  Only the aliases some variant
+    reads are kept (a rule with one EDB atom, like win–move's, reads
+    none: its variants join the change sets alone).  Plans compiled
+    against the *superseded* database value are evicted from the shared
+    store by :meth:`~repro.db.database.Database.apply_delta`'s lineage
+    purge; the variant plans this class runs are compiled database-free
+    (keyed by rule + alias names only), so they survive every update.
+
+    ``index`` is the current instantiation as a
+    :class:`GroundProgramIndex`, patched in place by :meth:`apply`.
     """
 
-    __slots__ = ("program", "db", "_counts", "_aliases", "_plans", "_rule_info")
+    __slots__ = ("program", "db", "index", "_counts", "_ids", "_aliases", "_plans", "_rule_info")
 
     def __init__(self, program: Program, db: Database) -> None:
         self.program = program
@@ -396,22 +447,20 @@ class LiveGroundProgram:
         for rule in program.rules:
             counts.update(ground_rule_instances(rule, program, db))
         self._counts: Dict[GroundRule, int] = counts
+        self.index = GroundProgramIndex(counts)
+        self._ids: Dict[GroundRule, int] = {g: r for r, g in enumerate(counts)}
         small = set()
         for name in db.relation_names():
             small.add(ins_name(name))
             small.add(del_name(name))
         self._plans = PlanCache(frozenset(small))
-        self._aliases: Dict[str, Relation] = {}
-        for name in db.relation_names():
-            rel = db[name]
-            self._aliases[old_name(name)] = rel.with_name(old_name(name))
-            self._aliases[new_name(name)] = rel.with_name(new_name(name))
         # Everything derivable from the static program is derived once:
         # per rule, its IDB-literal split and — per EDB predicate the
         # projection reads — the (gained, lost) delta-variant pair of
         # every position reading it.  ``apply`` is a pure lookup; only
         # the plan executions are genuinely per-update work.
         idb = program.idb_predicates
+        read = set()
         self._rule_info = []
         for rule in program.rules:
             proj = _edb_projection(rule, idb)
@@ -423,15 +472,21 @@ class LiveGroundProgram:
                     pred = literal.atom.pred
                 else:
                     continue
-                variants_by_pred.setdefault(pred, []).append(
-                    (
-                        delta_variant(proj, position, gained=True),
-                        delta_variant(proj, position, gained=False),
-                    )
+                pair = (
+                    delta_variant(proj, position, gained=True),
+                    delta_variant(proj, position, gained=False),
                 )
+                variants_by_pred.setdefault(pred, []).append(pair)
+                for variant in pair:
+                    read |= variant.body_predicates()
             self._rule_info.append(
                 (rule, *_idb_literals(rule, idb), variants_by_pred)
             )
+        self._aliases: Dict[str, Relation] = {}
+        for name in db.relation_names():
+            for alias in (old_name(name), new_name(name)):
+                if alias in read:
+                    self._aliases[alias] = db[name].with_name(alias)
 
     @property
     def rules(self) -> FrozenSet[GroundRule]:
@@ -445,13 +500,15 @@ class LiveGroundProgram:
         self,
         new_db: Database,
         changes: Mapping[str, Tuple[FrozenSet[Tuple], FrozenSet[Tuple]]],
-    ) -> Tuple[FrozenSet[GroundRule], FrozenSet[GroundRule]]:
+    ) -> Tuple[Dict[GroundRule, int], Dict[GroundRule, int]]:
         """Patch the instantiation under an *effective* EDB delta.
 
         ``changes`` maps each changed relation to its effective
         ``(inserted, deleted)`` tuple sets against the pre-change
         database; ``new_db`` is the post-change database (same
-        universe).  Returns the ``(added, removed)`` ground-rule sets.
+        universe).  Returns the ``(added, removed)`` ground rules, each
+        mapped to its id in :attr:`index` (removed ones are retired
+        there, added ones appended).
 
         Raises
         ------
@@ -467,7 +524,7 @@ class LiveGroundProgram:
         changed = frozenset(n for n, (ins, dels) in changes.items() if ins or dels)
         if not changed:
             self.db = new_db
-            return frozenset(), frozenset()
+            return {}, {}
 
         with TRACER.span("ground.patch") as sp:
             aliases = self._aliases
@@ -475,7 +532,9 @@ class LiveGroundProgram:
             for name in changed:
                 ins, dels = changes[name]
                 arity = self.db[name].arity
-                aliases[new_name(name)] = aliases[new_name(name)].evolve(ins, dels)
+                alias = new_name(name)
+                if alias in aliases:
+                    aliases[alias] = aliases[alias].evolve(ins, dels)
                 change_rels.append(Relation(ins_name(name), arity, ins))
                 change_rels.append(Relation(del_name(name), arity, dels))
             interp = new_db.derive(list(aliases.values()) + change_rels)
@@ -493,9 +552,11 @@ class LiveGroundProgram:
                             ):
                                 diff[g] += sign
 
-            added: Set[GroundRule] = set()
-            removed: Set[GroundRule] = set()
+            added: Dict[GroundRule, int] = {}
+            removed: Dict[GroundRule, int] = {}
             counts = self._counts
+            ids = self._ids
+            index = self.index
             for g, change in diff.items():
                 if not change:
                     continue
@@ -508,21 +569,23 @@ class LiveGroundProgram:
                 if new == 0:
                     counts.pop(g, None)
                     if old:
-                        removed.add(g)
+                        removed[g] = r = ids.pop(g)
+                        index.retire(r)
                 else:
                     counts[g] = new
                     if not old:
-                        added.add(g)
+                        added[g] = ids[g] = index.add(g)
 
             # The next update's pre-change state is this update's post-change
             # state: catch the @old aliases up by the same deltas.
             for name in changed:
-                ins, dels = changes[name]
-                aliases[old_name(name)] = aliases[old_name(name)].evolve(ins, dels)
+                alias = old_name(name)
+                if alias in aliases:
+                    aliases[alias] = aliases[alias].evolve(*changes[name])
             self.db = new_db
             if sp:
                 sp["changed"] = len(changed)
                 sp["rows_out"] = len(added) + len(removed)
         if RECORDER.enabled:
             RECORDER.inc("repro_ground_patches_total")
-        return frozenset(added), frozenset(removed)
+        return added, removed

@@ -10,11 +10,11 @@ change.  This package turns the batch evaluator into a serving engine:
   non-recursive predicates;
 * :mod:`~repro.materialize.dred` — Delete/Rederive for recursive
   components under stratified negation;
-* :mod:`~repro.materialize.wellfounded_maint` — incremental alternating
-  fixpoint: the three-valued well-founded model maintained by patching
-  the ground program and running a ground-level DRed inside every
-  ``A``-application layer, which opens live views to the
-  *non-stratifiable* programs (win–move, odd cycles) the paper's
+* :mod:`~repro.materialize.wellfounded_maint` — well-founded views: the
+  three-valued model kept as one live ``(true, possible)`` pair over the
+  patched ground program, moved below the new model by an over-deletion
+  and finished by the batch engine's resume loop, which opens live views
+  to the *non-stratifiable* programs (win–move, odd cycles) the paper's
   fixpoint pathology section is about;
 * :class:`~repro.materialize.view.MaterializedView` — the façade:
   ``view.apply(delta)`` returns a :class:`~repro.materialize.view.ChangeSet`
@@ -30,9 +30,9 @@ Maintenance runs stratum-by-stratum over the dependency condensation —
 the algorithmic counterpart of the stratified fixed-point structure
 non-monotone operators force (deletion is where non-monotonicity bites:
 retracting an EDB tuple can *grow* a negated stratum).  The well-founded
-path swaps strata for alternation layers: anti-monotone as a whole,
-monotone per ``A``-application, so the same Delete/Rederive argument
-applies layer by layer.
+path has no strata to lean on; it moves in the precision order instead:
+an update only ever sends atoms to *undefined*, and the alternation
+decides them again.
 """
 
 from .counting import CountingState

@@ -50,11 +50,9 @@ API, still producing a changeset):
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from ..analysis.dependency import DependencyGraph
-from ..core.grounding import GroundAtom
 from ..core.operator import as_interpretation
 from ..core.program import Program
 from ..core.semantics.base import EvaluationResult, is_semipositive
@@ -68,7 +66,7 @@ from .counting import CountingState
 from .delta import Delta, Tup
 from .dred import DELETE_FRONTIER, INSERT_FRONTIER, OVER_DELETED, RecursiveState
 from .variants import PlanCache, del_name, ins_name, new_name, old_name
-from .wellfounded_maint import AlternatingState, undef_name
+from .wellfounded_maint import AlternatingState, Moves, undef_name
 
 ChangePair = Tuple[FrozenSet[Tup], FrozenSet[Tup]]
 
@@ -184,7 +182,7 @@ class MaterializedView:
         non-stratifiable workload class included; ``result`` is the
         three-valued
         :class:`~repro.core.semantics.wellfounded.WellFoundedResult`,
-        maintained by running DRed inside the alternating fixpoint —
+        maintained as one over-deleted and resumed alternation pair —
         see :mod:`repro.materialize.wellfounded_maint`).
     undo_limit:
         How many applied updates the undo log retains for
@@ -561,18 +559,17 @@ class MaterializedView:
     # -- the well-founded (three-valued) paths -------------------------
 
     def _wf_result(self, db: Database) -> WellFoundedResult:
+        true, undefined = self._wf.pair.model()
         return WellFoundedResult(
             program=self.program,
             db=db,
-            true=frozenset(self._wf.true),
-            undefined=frozenset(self._wf.possible - self._wf.true),
+            true=true,
+            undefined=undefined,
             rounds=self._wf.rounds,
         )
 
-    def _wf_changes(
-        self, old: WellFoundedResult, new: WellFoundedResult, effective: Delta
-    ) -> ChangeSet:
-        """The EDB echo plus per-predicate true/undefined partition diffs.
+    def _wf_publish(self, new_db: Database, moves: Moves, effective: Delta) -> ChangeSet:
+        """Move the result by ``moves``; the EDB echo plus partition changes.
 
         True-partition changes are recorded under the predicate's own
         name; undefined-partition changes under ``pred@undef`` (the
@@ -580,19 +577,29 @@ class MaterializedView:
         The false partition is the complement of the other two over an
         unchanged atom space, so its changes are implied.
         """
+        old = self._result
+        parts = []
         changes: Dict[str, ChangePair] = dict(effective.items())
-
-        def record(key_of, before: FrozenSet[GroundAtom], after: FrozenSet[GroundAtom]) -> None:
+        for key_of, before, (entered, left) in (
+            (str, old.true, moves[0]),
+            (undef_name, old.undefined, moves[1]),
+        ):
             moved: Dict[str, Tuple[set, set]] = {}
-            for pred, values in after - before:
+            for pred, values in entered:
                 moved.setdefault(key_of(pred), (set(), set()))[0].add(values)
-            for pred, values in before - after:
+            for pred, values in left:
                 moved.setdefault(key_of(pred), (set(), set()))[1].add(values)
             for key, (ins, dels) in moved.items():
                 changes[key] = (frozenset(ins), frozenset(dels))
-
-        record(lambda p: p, old.true, new.true)
-        record(undef_name, old.undefined, new.undefined)
+            parts.append(before.difference(left).union(entered) if moved else before)
+        self._db = new_db
+        self._result = WellFoundedResult(
+            program=self.program,
+            db=new_db,
+            true=parts[0],
+            undefined=parts[1],
+            rounds=self._wf.rounds,
+        )
         return ChangeSet.from_changes(changes)
 
     def _ensure_wf(self) -> AlternatingState:
@@ -609,34 +616,30 @@ class MaterializedView:
         return self._wf
 
     def _maintain_wellfounded(self, new_db: Database, effective: Delta) -> ChangeSet:
-        old = self._result
         wf = self._ensure_wf()
         try:
-            moved = wf.apply(new_db, dict(effective.items()))
+            moves = wf.apply(new_db, dict(effective.items()))
         except BaseException:
-            # The alternating state mutates in place (aliases, instance
-            # counts, layer sets); an exception mid-patch — even an
-            # interrupt — must not leave a half-patched state serving
-            # wrong models behind an unchanged view façade.  Invalidate
-            # it (lazy rebuild on next use) and let the error surface.
+            # The pair and the grounding mutate in place (aliases,
+            # instance counts, index, flags, counters); an exception
+            # mid-patch — even an interrupt — must not leave a
+            # half-patched state serving wrong models behind an
+            # unchanged view façade.  Invalidate it (lazy rebuild on next
+            # use) and let the error surface.
             self._wf = None
             raise
-        self._db = new_db
-        if not moved:
-            # No layer's value changed: reuse the partitions (O(1)) and
-            # echo only the EDB change — the serving path's common case.
-            self._result = replace(old, db=new_db)
-            return ChangeSet.from_changes(dict(effective.items()))
-        self._result = self._wf_result(new_db)
-        return self._wf_changes(old, self._result, effective)
+        return self._wf_publish(new_db, moves, effective)
 
     def _recompute_wellfounded(self, new_db: Database, effective: Delta) -> ChangeSet:
         self.recomputes += 1
         old = self._result
         self._wf = AlternatingState(self.program, new_db)
-        self._db = new_db
-        self._result = self._wf_result(new_db)
-        return self._wf_changes(old, self._result, effective)
+        true, undefined = self._wf.pair.model()
+        moves = (
+            (true - old.true, old.true - true),
+            (undefined - old.undefined, old.undefined - undefined),
+        )
+        return self._wf_publish(new_db, moves, effective)
 
     # -- the incremental path ------------------------------------------
 

@@ -446,17 +446,8 @@ INSTRUMENTS: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
     "repro_wf_propagations_total": (
         "counter",
         "Counter updates, over-deletions and rederivation checks in "
-        "well-founded evaluation (linear in the ground program).",
-        None,
-    ),
-    "repro_wf_layer_updates_total": (
-        "counter",
-        "Live alternation-layer maintenance updates (wellfounded views).",
-        None,
-    ),
-    "repro_wf_extensions_total": (
-        "counter",
-        "Alternation tails honestly recomputed after a lengthening update.",
+        "well-founded evaluation (linear in the ground program) and in "
+        "well-founded view updates (proportional to the region moved).",
         None,
     ),
     "repro_ground_patches_total": (

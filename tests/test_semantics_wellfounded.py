@@ -267,3 +267,39 @@ def test_propagation_work_is_linear_on_deep_alternations():
         assert result.rounds == n // 2 + 1
         work = registry.counter("repro_wf_propagations_total").value
         assert 0 < work <= 2 * size, (n, work, size)
+
+
+def test_view_update_work_follows_the_region_not_the_depth():
+    """A maintained win-move view on ``L_n`` absorbs an update with the
+    engine's own work counter: the probe (self-loop on the node farthest
+    from the dead end) moves nothing and must stay under a constant, the
+    flip (moving the dead end) re-decides the whole path and must stay
+    within the batch engine's bound of twice the ground program.  The
+    alternation is about n/2 steps deep either way.  No wall-clock."""
+    from repro.core.grounding import ground_program
+    from repro.materialize import Delta, MaterializedView
+    from repro.obs import MetricsRegistry, disable_metrics, enable_metrics
+
+    program = win_move_program()
+    for n in (500, 1000, 2000, 4000):
+        db = graph_to_database(gg.path(n))
+        gp = ground_program(program, db)
+        size = len(gp) + sum(len(r.pos) + len(r.neg) for r in gp.rules)
+        view = MaterializedView(program, db, semantics="wellfounded")
+        tail = (n - 1, n)
+        for kind, delta, bound in (
+            ("probe", Delta.insert("E", (1, 1)), 64),
+            ("probe", Delta.delete("E", (1, 1)), 64),
+            ("flip", Delta.delete("E", tail), 2 * size),
+            ("flip", Delta.insert("E", tail), 2 * size),
+        ):
+            registry = MetricsRegistry()
+            enable_metrics(registry)
+            try:
+                view.apply(delta)
+            finally:
+                disable_metrics()
+            work = registry.counter("repro_wf_propagations_total").value
+            assert 0 < work <= bound, (n, kind, work, bound)
+        reference = well_founded_semantics(program, view.db)
+        assert view.result.true == reference.true and view.result.is_total

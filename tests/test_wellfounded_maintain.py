@@ -16,7 +16,7 @@ class (the ISSUE 5 acceptance bar), overriding the profile's default.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings, target
 
 from repro import Database, Relation
 from repro.core.grounding import GroundingPatchError, LiveGroundProgram, ground_program
@@ -27,7 +27,7 @@ from repro.materialize import Delta, MaterializedView
 from repro.materialize.wellfounded_maint import undef_name
 from repro.queries import pi1, win_move_program
 
-from strategies import databases_and_deltas, nonstratifiable_programs, small_databases
+from strategies import databases_and_deltas, nonstratifiable_programs
 
 DEEP = settings(
     max_examples=200,
@@ -158,20 +158,14 @@ class TestWinMoveSeeds:
         _assert_partitions_equal(win_move_program(), view)
 
     def test_alternation_lengthens_and_shrinks(self):
-        """Growing the path lengthens the alternation (the localized
-        tail-recompute fallback); shrinking it trims stale layers."""
+        """Chopping the path moves the dead end closer (fewer rounds from
+        scratch); restoring it lengthens the alternation again."""
         program = win_move_program()
         db = graph_to_database(gg.path(8))
         view = MaterializedView(program, db, semantics="wellfounded")
-        rounds_before = view.result.rounds
-        # Chop the path in half: the dead end moves closer, fewer rounds.
         view.apply(Delta.delete("E", (4, 5)))
-        assert view.result.rounds < rounds_before
         _assert_partitions_equal(program, view)
-        # Restore: the alternation must lengthen again.
         view.apply(Delta.insert("E", (4, 5)))
-        assert view.result.rounds == rounds_before
-        assert view._wf.extensions >= 1
         _assert_partitions_equal(program, view)
 
 
@@ -180,24 +174,69 @@ class TestWinMoveSeeds:
 # ----------------------------------------------------------------------
 
 
+def _assert_index_matches(live):
+    """The patched index lists exactly the live rules, atom by atom."""
+    index = live.index
+    current = {g for g in index.rules if g is not None}
+    assert current == live.rules
+    for a, atom in enumerate(index.atoms):
+        assert index.atom_ids[atom] == a
+        for occurrences, reads in (
+            (index.by_head, lambda g: g.head == atom),
+            (index.by_pos, lambda g: atom in g.pos),
+            (index.by_neg, lambda g: atom in g.neg),
+        ):
+            listed = [index.rules[r] for r in occurrences[a]]
+            assert len(listed) == len(set(listed))
+            assert set(listed) == {g for g in current if reads(g)}
+
+
+def _check_patches(program, db, deltas):
+    live = LiveGroundProgram(program, db)
+    for delta in deltas:
+        changes = {
+            name: (delta.inserts(name), delta.deletes(name))
+            for name in delta.relations()
+        }
+        new_db = live.db.apply_delta(delta)
+        added, removed = live.apply(new_db, changes)
+        assert added.keys().isdisjoint(removed)
+        assert live.rules == frozenset(ground_program(program, new_db).rules)
+        _assert_index_matches(live)
+    return live
+
+
 class TestLiveGroundProgram:
     def test_patch_matches_reground(self):
-        program = pi1()
-        db = graph_to_database(gg.path(4))
-        live = LiveGroundProgram(program, db)
-        for delta in [
-            Delta.insert("E", (4, 1)),
-            Delta.delete("E", (1, 2)),
-            Delta(inserts={"E": [(1, 2), (2, 2)]}, deletes={"E": [(3, 4)]}),
-        ]:
-            changes = {
-                name: (delta.inserts(name), delta.deletes(name))
-                for name in delta.relations()
-            }
-            new_db = live.db.apply_delta(delta)
-            added, removed = live.apply(new_db, changes)
-            assert added.isdisjoint(removed)
-            assert live.rules == frozenset(ground_program(program, new_db).rules)
+        from repro import parse_program
+
+        live = _check_patches(
+            pi1(),
+            graph_to_database(gg.path(4)),
+            [
+                Delta.insert("E", (4, 1)),
+                Delta.delete("E", (1, 2)),
+                Delta(inserts={"E": [(1, 2), (2, 2)]}, deletes={"E": [(3, 4)]}),
+            ],
+        )
+        # One EDB atom per rule: the variants join the change sets alone.
+        assert not live._aliases
+        # Two EDB atoms: the variants read E@new and F@old, and only those
+        # aliases are kept and evolved.
+        live = _check_patches(
+            parse_program("T(X) :- E(X, Y), F(Y), !T(Y)."),
+            Database(
+                {1, 2, 3, 4},
+                [Relation("E", 2, [(1, 2), (2, 3), (3, 4)]), Relation("F", 1, [(2,), (4,)])],
+            ),
+            [
+                Delta(inserts={"E": [(4, 1)], "F": [(1,)]}),
+                Delta(inserts={"F": [(3,)]}, deletes={"E": [(1, 2)]}),
+                Delta(inserts={"E": [(1, 2)]}, deletes={"F": [(2,), (4,)]}),
+                Delta(inserts={"E": [(2, 2)], "F": [(2,)]}, deletes={"E": [(3, 4)]}),
+            ],
+        )
+        assert set(live._aliases) == {"E@new", "F@old"}
 
     def test_universe_growth_rejected(self):
         program = pi1()
@@ -287,47 +326,108 @@ class TestMaintenanceEqualsRecompute:
 
 
 # ----------------------------------------------------------------------
-# View build: resumed layers equal layers computed from scratch
+# The over-delete step: the pair it hands to the resume loop
 # ----------------------------------------------------------------------
 
 
-def _assert_layers_equal_init_full(program, db):
-    """Every layer the build resumed from its same-parity neighbour has
-    the reference and the model ``init_full`` computes from the empty set."""
-    from repro.materialize.wellfounded_maint import AlternatingState, LayerState
+def _apply_capturing_pairs(view, delta):
+    """Apply ``delta``; every ``(true, possible)`` pair the resume loop
+    started from, as atom sets."""
+    from itertools import compress
 
-    state = AlternatingState(program, db)
-    assert len(state.layers) % 2 == 0
-    previous = set()
-    for position, layer in enumerate(state.layers):
-        scratch = LayerState(previous)
-        scratch.init_full(state.index)
-        assert layer.reference == previous, position
-        assert layer.true == scratch.true, position
-        previous = scratch.true
-    reference = well_founded_semantics(program, db)
-    assert state.rounds == reference.rounds
-    assert state.true == reference.true
-    assert state.possible - state.true == reference.undefined
+    from repro.core.semantics.wellfounded import AlternationPair
 
+    pairs = []
+    original = AlternationPair.resume
 
-class TestBuildResumesLayers:
-    def test_path(self):
-        # 21 alternation rounds: all but two layers are resumed.
-        _assert_layers_equal_init_full(
-            win_move_program(), graph_to_database(gg.path(40))
+    def spy(pair, fired, seeds):
+        atoms = pair.index.atoms
+        pairs.append(
+            (set(compress(atoms, pair.true)), set(compress(atoms, pair.possible)))
         )
+        return original(pair, fired, seeds)
 
-    def test_odd_cycle_with_a_tail(self):
-        # The tail 5 -> 6 -> 7 is decided (6 wins) and gives 5 no winning
-        # move, so the cycle C_5 stays undefined.
-        edges = [(i, i % 5 + 1) for i in range(1, 6)] + [(5, 6), (6, 7)]
-        db = Database(range(1, 8), [Relation("E", 2, edges)])
-        _assert_layers_equal_init_full(win_move_program(), db)
-        view = MaterializedView(win_move_program(), db, semantics="wellfounded")
-        assert view.result.true == {("WIN", (6,))}
-        assert view.result.undefined == {("WIN", (i,)) for i in range(1, 6)}
+    AlternationPair.resume = spy
+    try:
+        view.apply(delta)
+    finally:
+        AlternationPair.resume = original
+    return pairs
 
-    @given(program=nonstratifiable_programs(), db=small_databases())
-    def test_random_graphs(self, program, db):
-        _assert_layers_equal_init_full(program, db)
+
+_ODD_CYCLE_WITH_TAIL = Database(
+    range(1, 8),
+    [Relation("E", 2, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (6, 7)])],
+)
+
+
+class TestOverDeletion:
+    @DEEP
+    @given(program=nonstratifiable_programs(), dbd=databases_and_deltas(grow=False))
+    @example(
+        program=win_move_program(),
+        dbd=(
+            _ODD_CYCLE_WITH_TAIL,
+            [
+                Delta.insert("E", (5, 6)),
+                Delta.delete("E", (3, 1)),
+                Delta(inserts={"E": [(3, 1), (7, 1)]}, deletes={"E": [(4, 5)]}),
+            ],
+        ),
+    )
+    def test_over_deleted_pair_is_below_the_new_model(self, program, dbd):
+        """``(T', P')`` lies below the new model (``T' ⊆ T*``,
+        ``P' ⊇ P*``) and meets the resume loop's invariants
+        (``T' ⊆ A(P')``, ``A(T') ⊆ P'``) — the soundness condition of
+        the over-deletion itself, checked before the loop can repair a
+        too-small one."""
+        from repro.core.semantics.wellfounded import _least_model_of_reduct
+
+        db, deltas = dbd
+        view = MaterializedView(program, db, semantics="wellfounded")
+        both = 0
+        for delta in deltas:
+            pairs = _apply_capturing_pairs(view, delta)
+            reference = well_founded_semantics(program, view.db)
+            ground = ground_program(program, view.db)
+            possible = reference.true | reference.undefined
+            for true_, possible_ in pairs:
+                assert true_ <= reference.true
+                assert possible_ >= possible
+                assert true_ <= _least_model_of_reduct(ground, possible_)
+                assert _least_model_of_reduct(ground, true_) <= possible_
+            both = max(both, min(len(reference.true), len(reference.undefined)))
+        target(float(both))
+
+
+class TestExceptionContract:
+    def test_interrupt_in_resume_leaves_the_view_unchanged(self, monkeypatch):
+        """An interrupt after the counters were patched drops the state;
+        the view's db, result and undo log are untouched, and the next
+        apply rebuilds and equals a recompute."""
+        from repro.core.semantics.wellfounded import AlternationPair
+
+        program = win_move_program()
+        view = MaterializedView(
+            program, graph_to_database(gg.path(8)), semantics="wellfounded"
+        )
+        view.apply(Delta.insert("E", (8, 8)))
+        db, result, undo = view.db, view.result, list(view._undo)
+        reached = []
+
+        def interrupted(pair, fired, seeds):
+            reached.append(len(seeds))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(AlternationPair, "resume", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            view.apply(Delta.delete("E", (7, 8)))  # flips the whole path
+        monkeypatch.undo()
+        assert reached and reached[0] > 0  # the over-delete had moved atoms
+        assert view.db is db
+        assert view.result is result
+        assert view._undo == undo
+        view.apply(Delta.delete("E", (7, 8)))
+        _assert_partitions_equal(program, view)
+        assert view.rollback(2) is not None
+        _assert_partitions_equal(program, view)
