@@ -17,9 +17,9 @@ Three layers:
 Surfaced as ``python -m repro lint``, the ``explain`` summary block,
 and the server's ``register``/``lint``/``stats`` verbs.
 
-The analyzer's names are resolved on first use (``repro.parallel`` does
-the same): the stratified engine needs :mod:`repro.analysis.dependency`,
-and a ``repro run`` should not import the lint pass to get it.
+The analyzer's names are resolved on first use: the stratified engine
+needs :mod:`repro.analysis.dependency`, and a ``repro run`` should not
+import the lint pass to get it.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Every consumer of static structure — the lint checks, the ``explain``
 summary, the server's ``stats`` verb, and the ROADMAP's scaling items
-(sharded fixpoints need stratum/SCC facts, the lattice-generic core
-needs negation-occurrence classification) — reads from one
+(the lattice-generic core needs negation-occurrence classification) —
+reads from one
 :class:`ProgramFacts` instead of re-deriving dependency graphs ad hoc.
 Everything is computed lazily and cached; a ``ProgramFacts`` is cheap
 to build and safe to hold.

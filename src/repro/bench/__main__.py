@@ -9,8 +9,9 @@ root are committed snapshots of ``python -m repro.bench perf --json``.
 [--floor S] [ids...]`` re-runs the experiments (default: ``perf``,
 ``serve``, ``kernel`` and ``parallel``) and fails when any shipped-path timing cell —
 evaluation, materialized-view update latency, the view server's p95
-request latency under load *and* the columnar kernel's primitive ops —
-regressed more than ``F``-fold
+request latency under load, the columnar kernel's primitive ops *and*
+the sharded well-founded engine on win-move — regressed more than
+``F``-fold
 against the committed baseline; CI runs it as the perf gate.  The
 baseline defaults to the **newest** ``BENCH_*.json`` in the working
 directory (natural sort, so ``BENCH_PR10`` outranks ``BENCH_PR9``), and
@@ -36,7 +37,8 @@ _TIMING_COLUMNS = frozenset(
 )
 """Shipped-path timing columns the regression gate compares: compiled
 plan execution, materialized-view update latency, the view server's p95
-request latency under load, and the columnar kernel's primitive ops."""
+request latency under load, the columnar kernel's primitive ops, and the
+sharded well-founded engine's wall time."""
 
 
 def _natural_key(path: Path):

@@ -12,7 +12,7 @@ Usage::
         [--host H] [--port P] [--semantics S] [--tick-ms MS]
         [--snapshot-every N] [--log-level LEVEL]
     python -m repro explain PROGRAM.dl --db DIR [--semantics auto|...]
-        [--profile] [--trace-out FILE] [--slow-ms MS]
+        [--profile] [--trace-out FILE] [--slow-ms MS] [--workers N]
 
 ``--db DIR`` points at a directory of headerless ``<relation>.csv`` files
 (one tuple per row); the schema is inferred from the program's EDB arities.
@@ -34,8 +34,7 @@ and slow-op events go through stdlib ``logging`` (``--log-level``), and
 engine metrics are enabled so the ``metrics`` verb exposes them.
 
 ``explain`` pretty-prints each rule's compiled plan (join order,
-semi-join prologue, planning-time estimates) together with a
-static-analysis summary block.
+semi-join prologue) together with a static-analysis summary block.
 ``--profile`` additionally runs the program under span tracing and
 prints a phase-attributed time/row breakdown; ``--trace-out FILE``
 writes the span forest as Chrome trace-event JSON (openable in
@@ -291,12 +290,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     The plain form shows, per rule, the store-compiled
     :class:`~repro.core.planning.plan.RulePlan` (semi-join prologue,
-    join order, completion steps) and its planning-time cardinality
-    estimates.
+    join order, completion steps).
     ``--profile`` evaluates the program under metrics + span tracing
     and prints a per-phase time/row table attributing the evaluation
     wall time to fixpoint phases (grounding, semi-naive rounds,
-    alternation steps, rule executions).
+    alternation steps, rule executions).  ``--workers N`` profiles the
+    sharded well-founded engine; under any other semantics it is an
+    ``error:`` line and exit status 2.
     """
     import json
     import time
@@ -318,6 +318,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
     semantics = args.semantics
     if semantics == "auto":
         semantics = "stratified" if is_stratifiable(program) else "wellfounded"
+    if args.workers and semantics != "wellfounded":
+        print(
+            "error: --workers needs --semantics wellfounded, the only sharded "
+            "engine (got %s)" % semantics,
+            file=sys.stderr,
+        )
+        return 2
     print(
         "program %s: %d rules, %d EDB / %d IDB predicates, semantics=%s"
         % (
@@ -332,14 +339,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     for rule in program.rules:
         plan = PLAN_STORE.rule_plan(rule, db=db)
         print(plan.describe())
-        if plan.est_cards:
-            print(
-                "  estimates: "
-                + ", ".join(
-                    "%s=%s" % (p, "?" if e == float("inf") else int(e))
-                    for p, e in plan.est_cards
-                )
-            )
         print()
 
     from .analysis import lint_program
@@ -365,15 +364,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         enable_metrics()
         TRACER.start(slow_threshold=args.slow_ms / 1000.0 if args.slow_ms else None)
         try:
-            workers = getattr(args, "workers", 0)
-            if workers and semantics == "naive":
-                print("note: --workers has no sharded naive engine; ignoring")
-                workers = 0
             started = time.perf_counter()
             if semantics == "wellfounded":
-                well_founded_semantics(program, db, parallel=workers)
-            elif workers:
-                _ENGINES[semantics](program, db, parallel=workers)
+                well_founded_semantics(program, db, parallel=args.workers)
             else:
                 _ENGINES[semantics](program, db)
             wall = time.perf_counter() - started
@@ -452,7 +445,6 @@ async def _serve(args: argparse.Namespace) -> int:
         state_dir=args.state,
         tick=args.tick_ms / 1000.0,
         snapshot_every=args.snapshot_every,
-        parallel=getattr(args, "workers", 0),
     )
     try:
         recovered = await service.start()
@@ -663,13 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["debug", "info", "warning", "error"],
         help="stdlib logging level for startup/recovery/slow-op events",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard fixpoints and maintenance across N worker processes "
-        "(0 = in-process, no pool)",
-    )
     serve.set_defaults(fn=cmd_serve)
 
     explain = sub.add_parser(
@@ -707,8 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="profile the sharded executor with N worker processes "
-        "(0 = in-process engine)",
+        help="profile the sharded well-founded engine with N worker "
+        "processes (0 = in-process engine; wellfounded semantics only)",
     )
     explain.set_defaults(fn=cmd_explain)
 

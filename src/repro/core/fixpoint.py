@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import RECORDER, TRACER
-from ..parallel.shard import SHARD
 from .literals import Atom
 from .operator import IDBMap, consequences, empty_idb
 from .planning import PLAN_STORE, RulePlan
@@ -258,10 +257,7 @@ def iterate(
     (vectorised — see :meth:`~repro.db.relation.Relation.codes_on`), so
     the loop itself has nothing to do on a generation bump.
 
-    ``max_rounds`` follows :func:`round_limit`.  Under an active shard
-    context a round without deltas is partitioned by rule and a round
-    with deltas by delta tuple; the derivations are re-unioned at the
-    barrier, so every replica takes the same decisions.
+    ``max_rounds`` follows :func:`round_limit`.
     """
     arities: Dict[str, int] = {p: program.arity(p) for p in program.idb_predicates}
     limit = round_limit(program, db, max_rounds)
@@ -275,15 +271,14 @@ def iterate(
             row_traffic = RECORDER.row_traffic() if sp else None
             relations = list(current.values())
             if delta is None:
-                todo = SHARD.plan_slice(plans if seed is None else seed)
+                todo = plans if seed is None else seed
             else:
                 relations += [
-                    SHARD.frontier(p, rel).with_name(p + _DELTA_SUFFIX)
-                    for p, rel in delta.items()
+                    rel.with_name(p + _DELTA_SUFFIX) for p, rel in delta.items()
                 ]
                 todo = plans
             interp = db.with_relations(relations)
-            derived = SHARD.merge_relations(consequences(todo, interp, arities))
+            derived = consequences(todo, interp, arities)
             if seed is None:
                 new = nxt = derived
                 changed = derived != current

@@ -258,10 +258,10 @@ def consequences(
     """Theta restricted to a plan list: head relations unioned per predicate.
 
     The one place rule outputs are folded into an IDB valuation —
-    :func:`theta`, the fixpoint driver
-    (:func:`repro.core.fixpoint.iterate`) and the sharded workers all go
-    through it.  ``arities`` names every predicate of the result (one no
-    plan derives for maps to the empty relation).  Heads the columnar
+    :func:`theta` and the fixpoint driver
+    (:func:`repro.core.fixpoint.iterate`) both go through it.
+    ``arities`` names every predicate of the result (one no plan derives
+    for maps to the empty relation).  Heads the columnar
     executor derived stay code-only through the union.
     """
     derived = {p: Relation.empty(p, n) for p, n in arities.items()}

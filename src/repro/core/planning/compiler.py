@@ -361,16 +361,6 @@ def compile_rule(
     order = _join_order(rule, estimate)
     steps = _lower_steps(order)
     schema, ops, head_cols = _lower_batch(rule, steps)
-    est_cards: Dict[str, float] = {}
-    if len(order) >= 2:
-        # A single-atom body has no ordering decision to explain.
-        for atom in order:
-            pred = atom.pred
-            if pred in small_preds or pred in est_cards:
-                continue
-            if db is not None and db.get(pred) is not None:
-                continue  # database-sized: constant for the db value's lifetime
-            est_cards[pred] = estimate(pred)
     return RulePlan(
         rule=rule,
         head_pred=rule.head.pred,
@@ -381,7 +371,6 @@ def compile_rule(
         domain=db.sorted_universe() if db is not None else None,
         domain_universe=db.universe if db is not None else None,
         semijoin_steps=_lower_semijoin(order, steps),
-        est_cards=tuple(sorted(est_cards.items())),
     )
 
 

@@ -198,11 +198,6 @@ class RulePlan:
     # connected positive atoms.  Executed by the batch executor unless
     # the per-call ``semijoin`` flag disables it.
     semijoin_steps: Tuple[SemiJoinStep, ...] = ()
-    # Planning-time size estimates for the body predicates whose
-    # cardinality the compile-time database could NOT supply (IDB
-    # predicates, minus declared-small deltas): ``(pred, estimate)``
-    # pairs, printed by ``repro explain``.
-    est_cards: Tuple[Tuple[str, float], ...] = ()
 
     def completion_domain(self, interp) -> Tuple[Any, ...]:
         """The ordered completion domain for ``interp``.

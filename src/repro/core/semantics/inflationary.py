@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ...db.database import Database
-from ...parallel.shard import SHARD
 from ..fixpoint import differential_plans, idb_union, iterate
 from ..operator import IDBMap, empty_idb, theta
 from ..planning import PLAN_STORE, ProgramPlan
@@ -60,19 +59,13 @@ def inflationary_semantics(
     db: Database,
     keep_trace: bool = False,
     max_rounds: Optional[int] = None,
-    parallel: int = 0,
 ) -> EvaluationResult:
     """Compute ``Theta^infinity``, the inductive fixpoint of S u Theta(S).
 
     Works for *every* DATALOG¬ program — that totality is the point of the
     semantics.  ``result.rounds`` is the paper's ``n_0``: the first ``n``
     with ``Theta^n = Theta^{n+1}``; it is at most ``sum_i |A|^{arity_i}``.
-    ``parallel=N`` runs the rounds inside a pool of sharded workers.
     """
-    if parallel and not SHARD.active:
-        from ...parallel.executor import parallel_evaluate
-
-        return parallel_evaluate("inflationary", program, db, nshards=parallel)
     seed, plans = differential_plans(program, db)
     return iterate(
         program,

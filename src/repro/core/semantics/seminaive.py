@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ...db.database import Database
-from ...parallel.shard import SHARD
 from ..fixpoint import differential_plans, iterate
 from ..program import Program
 from .base import EvaluationResult, SemanticsError, is_semipositive
@@ -29,7 +28,6 @@ def seminaive_least_fixpoint(
     db: Database,
     keep_trace: bool = False,
     max_rounds: Optional[int] = None,
-    parallel: int = 0,
 ) -> EvaluationResult:
     """Compute the least fixpoint by differential (semi-naive) iteration.
 
@@ -42,10 +40,6 @@ def seminaive_least_fixpoint(
         If some IDB predicate occurs negated, or if the fixpoint needs
         more than ``max_rounds`` rounds.
     """
-    if parallel and not SHARD.active:
-        from ...parallel.executor import parallel_evaluate
-
-        return parallel_evaluate("seminaive", program, db, nshards=parallel)
     if not is_semipositive(program):
         raise SemanticsError(
             "semi-naive evaluation requires a (semi)positive program"

@@ -66,7 +66,6 @@ def stratified_semantics(
     program: Program,
     db: Database,
     keep_trace: bool = False,
-    parallel: int = 0,
 ) -> StratifiedResult:
     """Evaluate a stratifiable program stratum by stratum.
 
@@ -86,12 +85,6 @@ def stratified_semantics(
     NotStratifiableError
         When the program has recursion through negation.
     """
-    from ...parallel.shard import SHARD
-
-    if parallel and not SHARD.active:
-        from ...parallel.executor import parallel_evaluate
-
-        return parallel_evaluate("stratified", program, db, nshards=parallel)
     strata = stratify(program)
     working = db
     final: IDBMap = {}

@@ -32,7 +32,6 @@ from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import TRACER
-from ..parallel.shard import SHARD
 from .delta import Tup
 from .variants import (
     PlanCache,
@@ -143,11 +142,6 @@ class CountingState:
         ``(inserted, deleted)`` relations of the maintained predicate.
         """
         diff = Counter()
-        # Sharded runs narrow the @ins/@del flips to this worker's slice
-        # — each telescoping variant reads the differentiated flip exactly
-        # once, so summing the per-shard diffs at the barrier reconstructs
-        # the exact derivation-count delta.
-        interp = SHARD.flip_sharded_interp(interp)
         with TRACER.span("counting.variants") as sp:
             for pred, gained, lost in self._variants:
                 if pred in changed:
@@ -156,7 +150,6 @@ class CountingState:
             if sp:
                 sp["pred"] = self.pred
                 sp["rows_out"] = len(diff)
-        diff = SHARD.merge_counter(diff, self.arity)
         counts = self.counts
         inserted = set()
         deleted = set()

@@ -59,7 +59,6 @@ from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import TRACER
-from ..parallel.shard import SHARD
 from .variants import NEW, OLD, PlanCache, del_name, ins_name
 
 IDBValues = Dict[str, Relation]
@@ -211,12 +210,7 @@ class RecursiveState:
     ) -> IDBValues:
         """Tuples with some old derivation through a retracted input."""
         deleted = self._empty()
-        # Sharded runs narrow the @ins/@del flip aliases to this worker's
-        # slice — each seed variant reads a flip exactly once, so the
-        # merged seeds cover every derivation exactly once.
-        relations: Dict[str, Relation] = {
-            name: SHARD.flip_shard(name, rel) for name, rel in aliases.items()
-        }
+        relations: Dict[str, Relation] = dict(aliases)
         relations.update(current)
 
         # Seeds: base-level killing flips, evaluated in the old state.
@@ -229,7 +223,6 @@ class RecursiveState:
                     current[head]
                 )
                 frontier[head] = frontier[head].union(hits)
-        frontier = SHARD.merge_relations(frontier)
 
         # Propagate deletions through the component's positive recursion:
         # each round differentiates one component position with the
@@ -240,12 +233,9 @@ class RecursiveState:
             rounds += 1
             if rounds > limit:
                 raise AssertionError("DRed over-deletion exceeded its bound %d" % limit)
-            # Each worker propagates only its shard of the frontier; the
-            # next frontier is re-unioned so `deleted` and the stop test
-            # stay replica-identical.
             for pred in self.preds:
                 name = pred + DELETE_FRONTIER
-                relations[name] = SHARD.frontier(pred, frontier[pred]).with_name(name)
+                relations[name] = frontier[pred].with_name(name)
             interp = db.derive(relations.values())
             next_frontier = self._empty()
             for rule in self.rules:
@@ -260,7 +250,7 @@ class RecursiveState:
                         .difference(deleted[head])
                     )
                     next_frontier[head] = next_frontier[head].union(hits)
-            frontier = SHARD.merge_relations(next_frontier)
+            frontier = next_frontier
         return deleted
 
     # ------------------------------------------------------------------
@@ -283,12 +273,9 @@ class RecursiveState:
         """
         current = dict(surviving)
         gained = self._empty()
-        # Flip aliases narrowed per shard (identity when sequential);
-        # @new passes through untouched.
-        base = {name: SHARD.flip_shard(name, rel) for name, rel in aliases.items()}
 
         def interp_with(extra: List[Relation]) -> Database:
-            merged = dict(base)
+            merged = dict(aliases)
             merged.update(current)
             merged.update({r.name: r for r in extra})
             return db.derive(merged.values())
@@ -296,14 +283,12 @@ class RecursiveState:
         # Round 1 (see the module docstring): over-deleted heads with a
         # derivation from the survivors, plus the gained delta variants,
         # prefix and suffix both reading the new state (sound for set
-        # semantics; anything already known is subtracted).  Sharded
-        # runs slice the (deterministically ordered) rule list for the
-        # former and the flips for the latter.
+        # semantics; anything already known is subtracted).
         interp = interp_with(
             [over[p].with_name(p + OVER_DELETED) for p in self.preds]
         )
         derived = self._empty()
-        for rule in SHARD.rule_slice(self.rules):
+        for rule in self.rules:
             head = rule.head.pred
             if over[head]:
                 derived[head] = derived[head].union(
@@ -315,7 +300,6 @@ class RecursiveState:
                 derived[head] = derived[head].union(
                     self._derive(interp, rule, position, flip, NEW)
                 )
-        derived = SHARD.merge_relations(derived)
         delta = {p: derived[p].difference(current[p]) for p in self.preds}
 
         rounds = 0
@@ -326,10 +310,7 @@ class RecursiveState:
             current = {p: current[p].union(delta[p]) for p in self.preds}
             gained = {p: gained[p].union(delta[p]) for p in self.preds}
             interp = interp_with(
-                [
-                    SHARD.frontier(p, delta[p]).with_name(p + INSERT_FRONTIER)
-                    for p in self.preds
-                ]
+                [delta[p].with_name(p + INSERT_FRONTIER) for p in self.preds]
             )
             derived = self._empty()
             for rule in self.rules:
@@ -341,7 +322,6 @@ class RecursiveState:
                     derived[head] = derived[head].union(
                         self._derive(interp, rule, i, moved, NEW)
                     )
-            derived = SHARD.merge_relations(derived)
             delta = {p: derived[p].difference(current[p]) for p in self.preds}
         return current, gained
 

@@ -189,14 +189,6 @@ class MaterializedView:
         :meth:`rollback` (oldest entries are dropped beyond it, so a
         long-lived serving view's memory stays bounded under endless
         update streams).  ``None`` retains everything.
-    parallel:
-        ``N > 0`` maintains the view inside a pool of ``N`` sharded
-        worker processes (see :mod:`repro.parallel`): every worker holds
-        a full replica and runs the unchanged maintenance code with
-        frontier/flip work narrowed to its shard; the parent mirrors the
-        result from the reported changesets.  ``0`` (the default) keeps
-        everything in-process.  Ignored when process forking is
-        unavailable.
     """
 
     UNDO_LIMIT = 1024
@@ -209,7 +201,6 @@ class MaterializedView:
         db: Database,
         semantics: str = "stratified",
         undo_limit: "int | None" = UNDO_LIMIT,
-        parallel: int = 0,
     ) -> None:
         if semantics not in SEMANTICS:
             raise ValueError(
@@ -222,22 +213,6 @@ class MaterializedView:
         self._undo: List[Delta] = []
         self._undo_limit = undo_limit
         self._wf: AlternatingState = None
-        self._par = None
-        if parallel:
-            from ..parallel.pool import fork_available
-            from ..parallel.shard import SHARD
-
-            if fork_available() and not SHARD.active:
-                from ..parallel.replica import ViewBacking
-
-                self._par = ViewBacking(
-                    self, program, db, semantics, undo_limit, parallel
-                )
-                self._maintainable = self._par.maintainable
-                self._result = self._par.initial_result()
-                self.applied = 0
-                self.recomputes = 0
-                return
         if semantics == "stratified":
             self._maintainable = True
             self._result: Union[EvaluationResult, WellFoundedResult] = (
@@ -470,10 +445,6 @@ class MaterializedView:
         return changeset
 
     def _apply_inner(self, delta: Delta, record_undo: bool) -> ChangeSet:
-        if self._par is not None:
-            # Sharded view: validation/normalization/bookkeeping mirror
-            # the sequential path below; maintenance runs in the pool.
-            return self._par.apply_inner(delta, record_undo)
         self._validate(delta)
         effective = delta.normalize(self._db)
         if effective.is_empty():

@@ -1,53 +1,11 @@
-"""Sharded parallel execution of fixpoints and maintenance.
+"""Sharded well-founded evaluation across forked worker processes.
 
-The package splits each recursive computation's per-round frontier
-across a pool of forked worker processes (*shards*) and re-merges the
-derived tuples at round barriers; see :mod:`repro.parallel.shard` for
-the replica-lockstep execution model and :mod:`repro.parallel.pool` for
-the wire protocol.
-
-Only :data:`~repro.parallel.shard.SHARD` is imported eagerly (it is the
-hook the sequential engines check); the executor, planner and pool pull
-in multiprocessing machinery on first use.
+One engine shards: ``well_founded_semantics(program, db, parallel=N)``
+ships ``(program, db)`` to a pool of ``N`` workers, each of which sweeps
+its slice of the ground rules and unions what it derived with the others
+at every barrier (:mod:`repro.parallel.wellfounded`).  It runs far slower
+than the sequential engine and is kept only as the measurement the
+end-to-end benchmark pins; nothing outside this package imports it
+except that lazy call.  :mod:`repro.parallel.pool` owns the workers and
+the barrier hub, :mod:`repro.parallel.ship` the code-buffer wire format.
 """
-
-from __future__ import annotations
-
-from .shard import SHARD, ShardContext
-
-__all__ = [
-    "SHARD",
-    "ShardContext",
-    "ShardPlan",
-    "ParallelError",
-    "WorkerPool",
-    "build_shard_plan",
-    "fork_available",
-    "get_pool",
-    "parallel_evaluate",
-    "parallel_well_founded",
-    "shutdown_pools",
-]
-
-_LAZY = {
-    "ShardPlan": ("planner", "ShardPlan"),
-    "build_shard_plan": ("planner", "build_shard_plan"),
-    "ParallelError": ("pool", "ParallelError"),
-    "WorkerPool": ("pool", "WorkerPool"),
-    "fork_available": ("pool", "fork_available"),
-    "get_pool": ("pool", "get_pool"),
-    "shutdown_pools": ("pool", "shutdown_pools"),
-    "parallel_evaluate": ("executor", "parallel_evaluate"),
-    "parallel_well_founded": ("executor", "parallel_well_founded"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from importlib import import_module
-
-    module = import_module("." + module_name, __name__)
-    return getattr(module, attr)

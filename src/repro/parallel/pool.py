@@ -2,17 +2,17 @@
 
 The pool owns ``nshards`` long-lived forked workers connected by pipes.
 A *job* broadcasts one payload to every worker, which dispatches it to a
-registered handler (engine evaluation or a view operation) with the
-:data:`~repro.parallel.shard.SHARD` context active.  Mid-job, workers
-rendezvous at *barriers*: each sends one tagged exchange message, the
-hub merges the payloads (set union in code space when possible,
-count summation for derivation counters) and broadcasts the result.
+registered handler (the sharded well-founded ``evaluate``) together with
+its worker id, the shard count and an ``exchange`` callback.  Mid-job,
+workers rendezvous at *barriers*: each sends one tagged exchange
+message, the hub unions the per-predicate tuple sets (in code space when
+possible) and broadcasts the result.
 
 The hub never evaluates anything — all engine decisions are taken
-inside the replicated workers from merged data, so every worker reaches
-every barrier the same number of times with the same exchange kind.
-The hub *checks* that invariant and aborts the job loudly if it breaks,
-because a lockstep divergence means shards would silently drift.
+inside the workers from merged data, so every worker reaches every
+barrier the same number of times with the same exchange kind.  The hub
+*checks* that invariant and aborts the job loudly if it breaks, because
+a lockstep divergence means shards would silently drift.
 
 Observability: each job runs under a ``parallel.job`` span; per-shard
 compute time is reported back with every message and re-emitted as
@@ -26,14 +26,17 @@ import atexit
 import multiprocessing
 import time
 import traceback
-from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..db.kernel import SymbolTable
 from ..obs.metrics import RECORDER, REGISTRY
 from ..obs.trace import TRACER, synthetic_span
 from . import ship
-from .shard import COUNTS, UNION_MAP
+
+#: The one exchange kind: a ``{pred: (arity, encoded tuples)}`` map,
+#: unioned per predicate across shards.
+UNION_MAP = "union_map"
 
 _BARRIERS = REGISTRY.counter(
     "repro_shard_barriers_total",
@@ -55,7 +58,7 @@ _EXCHANGED = REGISTRY.counter(
     "Encoded tuple rows unioned across shards at barriers.",
 )
 
-#: Worker-side job handlers: kind -> f(wid, nshards, payload, state, exchange).
+#: Worker-side job handlers: kind -> f(wid, nshards, payload, exchange).
 HANDLERS: Dict[str, Callable[..., Any]] = {}
 
 
@@ -115,7 +118,7 @@ def _worker_main(wid: int, nshards: int, conn) -> None:
 
         try:
             handler = HANDLERS[kind]
-            result = handler(wid, nshards, payload, _WORKER_STATE, exchange)
+            result = handler(wid, nshards, payload, exchange)
         except _Aborted:
             conn.send(("aborted",))
             continue
@@ -128,11 +131,20 @@ def _worker_main(wid: int, nshards: int, conn) -> None:
         conn.send(("done", result, clock.pause()))
 
 
-#: Per-process worker state (persistent views etc.), keyed by handler.
-_WORKER_STATE: Dict[str, Any] = {}
-
-
 # -- hub-side merges -------------------------------------------------------
+
+
+def _union_encoded(parts: Sequence[Tuple[str, Any]], table: SymbolTable, arity: int) -> Tuple[str, Any]:
+    """Union encoded tuple sets, staying in code space if possible."""
+    if all(tag == ship.CODES for tag, _ in parts):
+        codes: Set[int] = set()
+        for _, payload in parts:
+            codes.update(array("q", payload))
+        return (ship.CODES, array("q", sorted(codes)).tobytes())
+    union: Set[Tuple[Any, ...]] = set()
+    for enc in parts:
+        union.update(ship.decode_tuples(table, arity, enc))
+    return (ship.PLAIN, sorted(union, key=repr))
 
 
 def _merge_union_map(parts: Sequence[Dict[str, Any]], table: SymbolTable) -> Dict[str, Any]:
@@ -143,33 +155,15 @@ def _merge_union_map(parts: Sequence[Dict[str, Any]], table: SymbolTable) -> Dic
     for pred in first:
         arity = first[pred][0]
         encs = [part[pred][1] for part in parts]
-        merged[pred] = (arity, ship.merge_encoded(encs, table, arity))
+        merged[pred] = (arity, _union_encoded(encs, table, arity))
     return merged
 
 
-def _merge_counts(parts: Sequence[Tuple[int, Any, List[int]]], table: SymbolTable) -> Tuple[int, Any, List[int]]:
-    arity = parts[0][0]
-    total: Counter = Counter()
-    for part_arity, keys_enc, counts in parts:
-        if part_arity != arity:
-            raise ParallelError("shards lost lockstep: count arities differ")
-        for t, c in zip(ship.decode_tuple_list(table, arity, keys_enc), counts):
-            total[t] += c
-    items = [(t, c) for t, c in total.items() if c]
-    keys = ship.encode_tuple_list(table, arity, [t for t, _ in items])
-    return (arity, keys, [c for _, c in items])
-
-
-def _merged_rows(payload: Any, kind: str) -> int:
-    if kind == UNION_MAP:
-        total = 0
-        for _, (arity, enc) in payload.items():
-            tag, body = enc
-            total += len(body) // 8 if tag == ship.CODES else len(body)
-        return total
-    if kind == COUNTS:
-        return len(payload[2])
-    return 0
+def _merged_rows(payload: Dict[str, Any]) -> int:
+    return sum(
+        len(body) // 8 if tag == ship.CODES else len(body)
+        for _, (tag, body) in payload.values()
+    )
 
 
 # -- the pool --------------------------------------------------------------
@@ -191,7 +185,7 @@ class WorkerPool:
         if not fork_available():
             raise ParallelError("fork start method unavailable on this platform")
         # Handlers must be registered before forking so children see them.
-        from . import executor, replica  # noqa: F401
+        from . import executor  # noqa: F401
 
         ctx = multiprocessing.get_context("fork")
         procs: List[multiprocessing.Process] = []
@@ -244,13 +238,13 @@ class WorkerPool:
                             "shards lost lockstep: mixed exchange kinds %r" % xkinds
                         )
                     xkind = xkinds.pop()
-                    merged = self._merge(xkind, [m[2] for m in msgs], table)
+                    merged = _merge_union_map([m[2] for m in msgs], table)
                     barriers += 1
                     for i, m in enumerate(msgs):
                         busy[i] = m[3]
                     if RECORDER.enabled:
                         _BARRIERS.labels(xkind).inc()
-                        _EXCHANGED.inc(_merged_rows(merged, xkind))
+                        _EXCHANGED.inc(_merged_rows(merged))
                     for conn in self._conns:
                         conn.send(("xr", merged))
                 elif tags == {"done"}:
@@ -269,13 +263,6 @@ class WorkerPool:
                 if RECORDER.enabled:
                     _BUSY.labels(str(wid)).inc(seconds)
         return [m[1] for m in msgs]
-
-    def _merge(self, xkind: str, parts: List[Any], table: SymbolTable) -> Any:
-        if xkind == UNION_MAP:
-            return _merge_union_map(parts, table)
-        if xkind == COUNTS:
-            return _merge_counts(parts, table)
-        raise ParallelError("unknown exchange kind %r" % xkind)
 
     def _drain(self, msgs: Sequence[Tuple[Any, ...]]) -> None:
         """Abort workers blocked at a barrier and consume their handshakes.

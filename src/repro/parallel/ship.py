@@ -6,10 +6,9 @@ packed into one ``int64`` (``SymbolTable.encode_tuple``), and the whole
 set ships as a raw ``array('q').tobytes()`` buffer — no per-tuple
 pickling.  This only works while both sides hold **identical** symbol
 tables, which the pool guarantees by construction: parent and workers
-intern the universe (and, later, each delta's unseen values) in the same
+intern the universe and then the program's constants in the same
 canonical order, and nothing else ever interns.  Datalog programs cannot
-invent values, so the tables can only grow through those synchronised
-points.
+invent values, so the tables never grow past that point.
 
 Tuples whose width exceeds the 63-bit packing budget — or that mention a
 value missing from the table — fall back to a sorted pickled list
@@ -20,7 +19,7 @@ exchange still merges correctly.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Set, Tuple
 import zlib
 
 import numpy as np
@@ -70,20 +69,6 @@ def build_table(universe: Iterable[Any], program: Any = None) -> SymbolTable:
     return table
 
 
-def intern_delta_values(table: SymbolTable, delta: Any) -> None:
-    """Intern a delta's unseen values in canonical order.
-
-    Every process (parent and all workers) calls this with the same
-    delta before applying it, so the tables stay identical.
-    """
-    fresh = [
-        v
-        for v in canonical_order(set(delta.values()))
-        if table.id_of(v) is None
-    ]
-    table.intern_many(fresh)
-
-
 def table_fingerprint(table: SymbolTable) -> int:
     """Content hash of the intern order — equal iff tables agree."""
     crc = zlib.crc32(b"%d:%d" % (len(table), table.shift))
@@ -109,45 +94,13 @@ def encode_tuples(table: SymbolTable, arity: int, tuples: Iterable[Tup]) -> Tupl
     return (CODES, codes.tobytes())
 
 
-def encode_tuple_list(table: SymbolTable, arity: int, tuples: Sequence[Tup]) -> Tuple[str, Any]:
-    """Order-preserving encode (for count keys paired with a value list)."""
-    if arity == 0 or not table.fits(arity):
-        return (PLAIN, list(tuples))
-    if any(table.id_of(v) is None for t in tuples for v in t):
-        return (PLAIN, list(tuples))
-    return (CODES, array("q", [table.encode_tuple(t) for t in tuples]).tobytes())
-
-
-def _decode_rows(table: SymbolTable, arity: int, payload: bytes) -> List[Tup]:
-    """A packed code buffer back to tuples, in buffer order (vectorised)."""
-    codes = np.frombuffer(payload, dtype=np.int64)
-    return RelationCodes(table, arity, codes).rows()
-
-
 def decode_tuples(table: SymbolTable, arity: int, enc: Tuple[str, Any]) -> Set[Tup]:
+    """An encoded tuple set back to tuples (code buffers vectorised)."""
     tag, payload = enc
-    return set(payload if tag == PLAIN else _decode_rows(table, arity, payload))
-
-
-def decode_tuple_list(table: SymbolTable, arity: int, enc: Tuple[str, Any]) -> List[Tup]:
-    """Like :func:`decode_tuples` but order-preserving (for count keys)."""
-    tag, payload = enc
-    return list(payload) if tag == PLAIN else _decode_rows(table, arity, payload)
-
-
-def merge_encoded(parts: Sequence[Tuple[str, Any]], table: SymbolTable, arity: int) -> Tuple[str, Any]:
-    """Union encoded tuple sets (hub side), staying in code space if possible."""
-    if all(tag == CODES for tag, _ in parts):
-        merged: Set[int] = set()
-        for _, payload in parts:
-            codes = array("q")
-            codes.frombytes(payload)
-            merged.update(codes)
-        return (CODES, array("q", sorted(merged)).tobytes())
-    union: Set[Tup] = set()
-    for enc in parts:
-        union.update(decode_tuples(table, arity, enc))
-    return (PLAIN, sorted(union, key=repr))
+    if tag == PLAIN:
+        return set(payload)
+    codes = np.frombuffer(payload, dtype=np.int64)
+    return set(RelationCodes(table, arity, codes).rows())
 
 
 def ship_database(table: SymbolTable, db: Database) -> Dict[str, Any]:

@@ -313,10 +313,6 @@ class ViewServer:
         Cut a snapshot (and prune the WAL behind it) every this many
         commits.  ``None`` disables periodic snapshots — the WAL then
         grows until :meth:`close`, which always cuts a final snapshot.
-    parallel:
-        Maintain every hosted view over a pool of this many sharded
-        worker processes (``0`` stays sequential).  Falls back to
-        sequential where process forking is unavailable.
     """
 
     def __init__(
@@ -324,12 +320,10 @@ class ViewServer:
         state_dir: Optional[Union[str, Path]] = None,
         tick: float = 0.0,
         snapshot_every: Optional[int] = 64,
-        parallel: int = 0,
     ) -> None:
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.tick = tick
         self.snapshot_every = snapshot_every
-        self.parallel = parallel
         self._views: Dict[str, _ViewState] = {}
         self._closed = False
 
@@ -366,9 +360,7 @@ class ViewServer:
         log = DeltaLog(directory)
         rec = log.recover()
         program = parse_program(rec.program_text, carrier=rec.carrier)
-        view = MaterializedView(
-            program, rec.db, semantics=rec.semantics, parallel=self.parallel
-        )
+        view = MaterializedView(program, rec.db, semantics=rec.semantics)
         replayed = 0
         for _seq, delta in rec.entries:
             view.apply(delta)
@@ -438,9 +430,7 @@ class ViewServer:
             log = DeltaLog.initialise(
                 self.state_dir / name, name, program_text, semantics, carrier, db
             )
-        view = MaterializedView(
-            program, db, semantics=semantics, parallel=self.parallel
-        )
+        view = MaterializedView(program, db, semantics=semantics)
         state = _ViewState(
             name=name,
             program=program,

@@ -68,6 +68,37 @@ def test_run_imports_only_what_run_needs(tmp_path, semantics):
         assert not [m for m in loaded if m == prefix or m.startswith(prefix + ".")]
 
 
+def test_core_materialize_and_server_leave_the_parallel_package_unloaded():
+    # Sharding lives only behind well_founded_semantics(parallel=N): the
+    # CLI, the views, the server and a stratified run must not load it.
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.materialize, repro.server.service\n"
+        "from repro.core.parser import parse_program\n"
+        "from repro.core.semantics.stratified import stratified_semantics\n"
+        "from repro.db.database import Database\n"
+        "from repro.db.relation import Relation\n"
+        "from repro.materialize import Delta, MaterializedView\n"
+        "program = parse_program('T(X,Y) :- E(X,Y).\\n'\n"
+        "    'T(X,Z) :- E(X,Y), T(Y,Z).\\nN(X,Y) :- !T(X,Y).')\n"
+        "db = Database(frozenset(range(4)), [Relation('E', 2, {(0, 1), (1, 2)})])\n"
+        "stratified_semantics(program, db)\n"
+        "MaterializedView(program, db).apply(Delta.insert('E', (2, 3)))\n"
+        "print('MODULES', *sorted(m for m in sys.modules if m.startswith('repro')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.rsplit("MODULES", 1)[1].split()
+    assert "repro.materialize.dred" in loaded
+    assert "repro.parallel" not in loaded
+
+
 def test_run_wellfounded(workspace, capsys):
     program, dbdir = workspace
     assert main(["run", str(program), "--db", str(dbdir), "--semantics", "wellfounded"]) == 0
@@ -275,6 +306,23 @@ def test_explain_prints_plans_and_estimates(workspace, capsys):
     out = capsys.readouterr().out
     assert "semantics=wellfounded" in out  # auto-detected: pi_1 is unstratifiable
     assert "plan for T(X) :- E(Y, X), !T(Y)." in out
+
+
+@pytest.mark.parametrize("semantics", ["naive", "inflationary", "auto"])
+def test_explain_workers_outside_wellfounded_is_exit_2(tmp_path, semantics, capsys):
+    # Only the well-founded engine has a sharded path; "auto" resolves
+    # this stratifiable program to stratified.
+    program = tmp_path / "tc.dl"
+    program.write_text("S(X, Y) :- E(X, Y).\nS(X, Y) :- E(X, Z), S(Z, Y).\n")
+    dbdir = tmp_path / "db"
+    dbdir.mkdir()
+    (dbdir / "E.csv").write_text("1,2\n2,3\n")
+    argv = ["explain", str(program), "--db", str(dbdir), "--profile"]
+    assert main(argv + ["--semantics", semantics, "--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: --workers")
 
 
 def test_explain_profile_attributes_phases(workspace, tmp_path, capsys):

@@ -1,9 +1,9 @@
-"""Differential tests for the sharded parallel executor.
+"""Differential tests for the sharded well-founded engine.
 
-Every test here compares the parallel path against the sequential
-engines on the same inputs — the sharded executor is *defined* by
-"same answers, same changesets, same strata" — across shard counts,
-semantics, and the maintenance/replay write paths.
+``well_founded_semantics(..., parallel=N)`` is *defined* by "same model
+as the sequential engine": every engine test here compares the two on
+the same input across shard counts.  The shipping tests pin the
+symbol-table discipline the code-buffer exchange rests on.
 """
 
 from __future__ import annotations
@@ -13,16 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.parser import parse_program
-from repro.core.semantics.inflationary import inflationary_semantics
-from repro.core.semantics.seminaive import seminaive_least_fixpoint
-from repro.core.semantics.stratified import stratified_semantics
 from repro.core.semantics.wellfounded import well_founded_semantics
 from repro.db.database import Database
 from repro.db.relation import Relation
-from repro.materialize.delta import Delta
-from repro.materialize.view import MaterializedView
-from repro.parallel import build_shard_plan, fork_available
 from repro.parallel import ship
+from repro.parallel.pool import fork_available
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs the fork start method"
@@ -30,29 +25,14 @@ pytestmark = pytest.mark.skipif(
 
 WIN = parse_program("WIN(X) :- MOVE(X,Y), !WIN(Y).")
 TC = parse_program("T(X,Y) :- E(X,Y).\nT(X,Z) :- E(X,Y), T(Y,Z).")
-STRAT_NEG = parse_program(
-    "R(X,Y) :- E(X,Y).\nR(X,Z) :- E(X,Y), R(Y,Z).\nNR(X,Y) :- !R(X,Y)."
-)
-
-NSHARDS = [1, 2, 4]
 
 
 def _db(rel: str, edges, universe) -> Database:
     return Database(frozenset(universe), [Relation(rel, 2, set(edges))])
 
 
-def _assert_idb_equal(seq, par, context=""):
-    for pred in seq.idb:
-        assert par.idb[pred].tuples == seq.idb[pred].tuples, (context, pred)
-
-
-# ----------------------------------------------------------------------
-# Engines: fixed cases across all shard counts
-# ----------------------------------------------------------------------
-
-
 class TestEngineDifferential:
-    @pytest.mark.parametrize("nshards", NSHARDS)
+    @pytest.mark.parametrize("nshards", [1, 2, 4])
     def test_wellfounded_partitions_match(self, nshards):
         # path: alternating won/lost (all atoms decided); cycle: all undefined
         for edges, universe in [
@@ -65,220 +45,18 @@ class TestEngineDifferential:
             assert par.true == seq.true
             assert par.undefined == seq.undefined
 
-    @pytest.mark.parametrize("nshards", NSHARDS)
-    @pytest.mark.parametrize(
-        "engine",
-        [seminaive_least_fixpoint, inflationary_semantics, stratified_semantics],
-    )
-    def test_positive_engines_match(self, engine, nshards):
-        db = _db("E", [(i, i + 1) for i in range(12)], range(13))
-        seq = engine(TC, db)
-        par = engine(TC, db, parallel=nshards)
-        _assert_idb_equal(seq, par, engine.__name__)
-
-    @pytest.mark.parametrize("nshards", NSHARDS)
-    def test_stratified_negation_and_strata_match(self, nshards):
-        db = _db("E", [(i, i + 1) for i in range(6)], range(7))
-        seq = stratified_semantics(STRAT_NEG, db)
-        par = stratified_semantics(STRAT_NEG, db, parallel=nshards)
-        _assert_idb_equal(seq, par)
-        assert par.strata == seq.strata
-
-
-# ----------------------------------------------------------------------
-# Engines: random graphs (property-based)
-# ----------------------------------------------------------------------
-
-edge_lists = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=14
-)
-
 
 class TestEngineProperties:
     @settings(max_examples=8, deadline=None)
-    @given(edges=edge_lists)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=14)
+    )
     def test_wellfounded_matches_on_random_move_graphs(self, edges):
         db = _db("MOVE", edges, range(6))
         seq = well_founded_semantics(WIN, db)
         par = well_founded_semantics(WIN, db, parallel=2)
         assert par.true == seq.true
         assert par.undefined == seq.undefined
-
-    @settings(max_examples=8, deadline=None)
-    @given(edges=edge_lists)
-    def test_stratified_matches_on_random_graphs(self, edges):
-        db = _db("E", edges, range(6))
-        seq = stratified_semantics(STRAT_NEG, db)
-        par = stratified_semantics(STRAT_NEG, db, parallel=2)
-        _assert_idb_equal(seq, par)
-
-
-# ----------------------------------------------------------------------
-# Maintenance: delta streams through sharded views
-# ----------------------------------------------------------------------
-
-
-def _same_result(a, b, semantics):
-    if semantics == "wellfounded":
-        assert a.true == b.true
-        assert a.undefined == b.undefined
-    else:
-        for pred in a.idb:
-            assert a.idb[pred].tuples == b.idb[pred].tuples, pred
-
-
-def _run_stream(semantics, program, rel, edges, universe, deltas):
-    db = _db(rel, edges, universe)
-    seq = MaterializedView(program, db, semantics=semantics)
-    par = MaterializedView(program, db, semantics=semantics, parallel=2)
-    assert par._par is not None, "parallel view fell back to sequential"
-    _same_result(seq.result, par.result, semantics)
-    for i, delta in enumerate(deltas):
-        cs_seq = seq.apply(delta)
-        cs_par = par.apply(delta)
-        assert cs_par.inserted == cs_seq.inserted, (semantics, i)
-        assert cs_par.deleted == cs_seq.deleted, (semantics, i)
-        _same_result(seq.result, par.result, semantics)
-    return seq, par
-
-
-class TestShardedViews:
-    DELTAS = [
-        Delta.insert("E", (8, 9)),
-        Delta.delete("E", (3, 4)),
-        Delta(inserts={"E": [(3, 4), (2, 7)]}, deletes={"E": [(0, 1)]}),
-    ]
-
-    @pytest.mark.parametrize("semantics", ["stratified", "inflationary"])
-    def test_two_valued_stream_matches(self, semantics):
-        program = STRAT_NEG if semantics == "stratified" else TC
-        _run_stream(
-            semantics, program, "E", [(i, i + 1) for i in range(8)],
-            range(10), self.DELTAS,
-        )
-
-    def test_wellfounded_stream_matches(self):
-        deltas = [
-            Delta.insert("MOVE", (6, 7)),
-            Delta.delete("MOVE", (2, 3)),
-            Delta.insert("MOVE", (7, 0)),
-        ]
-        _run_stream(
-            "wellfounded", WIN, "MOVE", [(i, i + 1) for i in range(6)],
-            range(8), deltas,
-        )
-
-    def test_rollback_matches(self):
-        seq, par = _run_stream(
-            "stratified", TC, "E", [(i, i + 1) for i in range(8)],
-            range(10), self.DELTAS,
-        )
-        assert seq.undo_depth == par.undo_depth == len(self.DELTAS)
-        cs_seq = seq.rollback(len(self.DELTAS))
-        cs_par = par.rollback(len(self.DELTAS))
-        assert cs_par.inserted == cs_seq.inserted
-        assert cs_par.deleted == cs_seq.deleted
-        _same_result(seq.result, par.result, "stratified")
-
-    def test_universe_growth_recomputes_identically(self):
-        db = _db("E", [(i, i + 1) for i in range(5)], range(6))
-        seq = MaterializedView(TC, db, semantics="stratified")
-        par = MaterializedView(TC, db, semantics="stratified", parallel=2)
-        delta = Delta.insert("E", (5, 99))  # 99 grows the universe
-        cs_seq, cs_par = seq.apply(delta), par.apply(delta)
-        assert cs_par.inserted == cs_seq.inserted
-        assert cs_par.deleted == cs_seq.deleted
-        assert seq.recomputes == par.recomputes == 1
-        # maintenance still exact after the in-pool recompute rebuilt state
-        delta2 = Delta.delete("E", (1, 2))
-        cs_seq, cs_par = seq.apply(delta2), par.apply(delta2)
-        assert cs_par.inserted == cs_seq.inserted
-        assert cs_par.deleted == cs_seq.deleted
-        _same_result(seq.result, par.result, "stratified")
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        edges=st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10
-        ),
-        flips=st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, 4)),
-            min_size=1,
-            max_size=4,
-        ),
-    )
-    def test_random_delta_streams_match(self, edges, flips):
-        db = _db("E", edges, range(5))
-        seq = MaterializedView(TC, db, semantics="stratified")
-        par = MaterializedView(TC, db, semantics="stratified", parallel=2)
-        for pair in flips:
-            present = pair in seq.db["E"].tuples
-            delta = (
-                Delta.delete("E", pair) if present else Delta.insert("E", pair)
-            )
-            cs_seq = seq.apply(delta)
-            cs_par = par.apply(delta)
-            assert cs_par.inserted == cs_seq.inserted
-            assert cs_par.deleted == cs_seq.deleted
-        _same_result(seq.result, par.result, "stratified")
-
-
-# ----------------------------------------------------------------------
-# Durability: WAL replay of a sharded view
-# ----------------------------------------------------------------------
-
-
-class TestShardedViewReplay:
-    def test_wal_replay_recovers_sharded_view(self, tmp_path):
-        import asyncio
-
-        from repro.server.service import ViewServer
-
-        program_text = "T(X,Y) :- E(X,Y).\nT(X,Z) :- E(X,Y), T(Y,Z)."
-        db = _db("E", [(i, i + 1) for i in range(5)], range(7))
-
-        async def write_phase():
-            service = ViewServer(state_dir=tmp_path, parallel=2)
-            await service.start()
-            service.register("tc", program_text, db)
-            await service.submit("tc", Delta.insert("E", (5, 6)))
-            await service.submit("tc", Delta.delete("E", (2, 3)))
-            _, answer = service.query("tc", "T")
-            await service.close()
-            return answer.tuples
-
-        async def recover_phase(parallel):
-            service = ViewServer(state_dir=tmp_path, parallel=parallel)
-            await service.start()
-            _, answer = service.query("tc", "T")
-            await service.close()
-            return answer.tuples
-
-        before = asyncio.run(write_phase())
-        # the same durable state recovers identically with and without a pool
-        assert asyncio.run(recover_phase(2)) == before
-        assert asyncio.run(recover_phase(0)) == before
-
-
-# ----------------------------------------------------------------------
-# Shard planner and symbol-table discipline
-# ----------------------------------------------------------------------
-
-
-class TestShardPlanner:
-    def test_win_move_partitions_on_the_game_position(self):
-        plan = build_shard_plan(WIN)
-        assert plan.columns.get("WIN") == (0,)
-
-    def test_transitive_closure_has_no_shared_key(self):
-        # T occurs as T(Y,Z) in the body and T(X,Z)/T(X,Y) in heads:
-        # only the last column is shared by every occurrence.
-        plan = build_shard_plan(TC)
-        assert "T" in plan.columns
-
-    def test_nonrecursive_predicates_get_no_key(self):
-        program = parse_program("Q(X,Y) :- E(X,Y).")
-        assert build_shard_plan(program).columns == {}
 
 
 class TestSymbolTableShipping:
@@ -301,15 +79,3 @@ class TestSymbolTableShipping:
         enc = ship.encode_tuples(table, 2, tuples)
         assert enc[0] == ship.PLAIN
         assert ship.decode_tuples(table, 2, enc) == tuples
-
-    def test_delta_interning_keeps_fingerprints_aligned(self):
-        universe = frozenset(range(4))
-        t1 = ship.build_table(universe, TC)
-        t2 = ship.build_table(universe, TC)
-        delta = Delta.insert("E", (90, 91), (92, 93))
-        ship.intern_delta_values(t1, delta)
-        ship.intern_delta_values(t2, delta)
-        assert ship.table_fingerprint(t1) == ship.table_fingerprint(t2)
-        enc = ship.encode_tuples(t1, 2, {(90, 91)})
-        assert enc[0] == ship.CODES
-        assert ship.decode_tuples(t2, 2, enc) == {(90, 91)}

@@ -27,7 +27,7 @@ pytestmark = pytest.mark.skipif(
 _SERVING = re.compile(r"serving on ([\d.]+):(\d+)")
 
 
-def _start_server(tmp_path, workers=0):
+def _start_server(tmp_path):
     data = tmp_path / "db"
     data.mkdir()
     (data / "E.csv").write_text("0,1\n1,2\n2,3\n")
@@ -47,8 +47,7 @@ def _start_server(tmp_path, workers=0):
             "--name", "tc",
             "--port", "0",
             "--snapshot-every", "1000",  # only the final snapshot counts
-        ]
-        + (["--workers", str(workers)] if workers else []),
+        ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -78,9 +77,8 @@ async def _submit(host, port, inserts):
         await client.close()
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_sigterm_cuts_final_snapshot_and_recovers(tmp_path, workers):
-    proc, host, port = _start_server(tmp_path, workers=workers)
+def test_sigterm_cuts_final_snapshot_and_recovers(tmp_path):
+    proc, host, port = _start_server(tmp_path)
     try:
         asyncio.run(_submit(host, port, {"E": [[3, 4]]}))
         proc.send_signal(signal.SIGTERM)
