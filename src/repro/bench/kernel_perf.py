@@ -5,10 +5,10 @@ anti-join, complement, and the Yannakakis semi-join filter — get a
 step-change from running over dense int codes instead of Python tuples.
 This experiment measures exactly those four primitives head to head:
 
-* **legacy**: the per-tuple shapes the row executor uses — a hash index
-  probe for joins, key-set membership for anti/semi-joins, a set
-  difference over the materialised universe product for complements —
-  over ordinary Python tuples of strings.
+* **legacy**: per-tuple shapes — a hash-dict probe for joins, key-set
+  membership for anti/semi-joins, a set difference over the
+  materialised universe product for complements — over ordinary Python
+  tuples of strings.
 * **kernel**: the same operations over :class:`~repro.db.kernel
   .RelationCodes` under a shared :class:`~repro.db.kernel.SymbolTable`.
 
@@ -79,7 +79,7 @@ def _best_of(fn: Callable[[], object], repeats: int = _REPEATS):
 
 
 # ----------------------------------------------------------------------
-# Legacy: per-tuple operations, the row executor's shapes
+# Legacy: per-tuple operations over Python tuples
 # ----------------------------------------------------------------------
 
 

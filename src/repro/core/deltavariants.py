@@ -20,7 +20,7 @@ loses instances where ``P`` gained them.
 All variants are ordinary rules over alias predicate names
 (``P@old``, ``P@new``, ``P@ins``, ``P@del`` — ``@`` cannot appear in a
 parsed program, so aliases can never collide with user predicates), so
-they compile through the ordinary planner and run on the batch executor;
+they compile through the ordinary planner and run on the columnar executor;
 the change-set aliases are declared *small* so plans join through the
 delta first.
 

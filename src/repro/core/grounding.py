@@ -22,7 +22,8 @@ planner refactor this is done by compiling the *EDB projection* of each
 rule (its positive EDB atoms plus EDB-only filters, under a pseudo-head
 carrying every rule variable) with :mod:`repro.core.planning` and
 enumerating the plan's bindings — IDB literals stay symbolic, and the
-cached relation indexes are shared with the fixpoint engines.
+relations' cached codes and sorted runs are shared with the fixpoint
+engines.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .deltavariants import (
 )
 from ..obs import RECORDER, TRACER
 from .literals import Atom, Eq, Negation, Neq
-from .planning import PLAN_STORE, BindingTable, solve_plan_table
+from .planning import PLAN_STORE, solve_rows
 from .program import Program
 from .rules import Rule
 from .terms import Variable
@@ -338,13 +339,14 @@ def _atom_picker(atom: Atom, column: Mapping[Variable, int], intern):
     return pick
 
 
-def _instances(rule, idb_positives, idb_negatives, table: BindingTable) -> List[GroundRule]:
-    """Ground instances of ``rule``, one per row of ``table``.
+def _instances(rule, idb_positives, idb_negatives, plan, rows) -> List[GroundRule]:
+    """Ground instances of ``rule``, one per binding row of ``plan``.
 
-    ``table`` binds every rule variable (the EDB projection's pseudo-head
-    lists them all), so each row is a total binding.
+    ``plan`` is compiled from an EDB projection whose pseudo-head lists
+    every rule variable, so each row of :func:`solve_rows` is a total
+    binding.
     """
-    column = {v: i for i, v in enumerate(table.schema)}
+    column = {v: i for i, v in enumerate(plan.schema)}
     intern = {}.setdefault
     head = _atom_picker(rule.head, column, intern)
     pos = [_atom_picker(a, column, intern) for a in idb_positives]
@@ -353,7 +355,7 @@ def _instances(rule, idb_positives, idb_negatives, table: BindingTable) -> List[
         GroundRule(
             head(row), tuple([p(row) for p in pos]), tuple([n(row) for n in neg])
         )
-        for row in table.rows
+        for row in rows
     ]
 
 
@@ -374,8 +376,9 @@ def ground_rule_instances(
     idb_positives, idb_negatives = _idb_literals(rule, idb)
 
     plan = PLAN_STORE.rule_plan(_edb_projection(rule, idb), db=interp)
-    table = solve_plan_table(plan, interp)
-    return _instances(rule, idb_positives, idb_negatives, table)
+    return _instances(
+        rule, idb_positives, idb_negatives, plan, solve_rows(plan, interp)
+    )
 
 
 def ground_program(program: Program, db: Database) -> GroundProgram:
@@ -424,7 +427,7 @@ class LiveGroundProgram:
     through the small ``@ins``/``@del`` change sets first.
 
     The alias relations :meth:`~repro.db.relation.Relation.evolve`
-    across updates, so their cached indexes are patched, never rebuilt —
+    across updates, so their cached codes are patched, never rebuilt —
     the same machinery :class:`repro.materialize.view.MaterializedView`
     uses for its maintenance aliases.  Only the aliases some variant
     reads are kept (a rule with one EDB atom, like win–move's, reads
@@ -544,11 +547,13 @@ class LiveGroundProgram:
                 for pred in changed:
                     for gained, lost in variants_by_pred.get(pred, ()):
                         for sign, variant in ((+1, gained), (-1, lost)):
-                            table = solve_plan_table(
-                                self._plans.plan(variant), interp
-                            )
+                            plan = self._plans.plan(variant)
                             for g in _instances(
-                                rule, idb_positives, idb_negatives, table
+                                rule,
+                                idb_positives,
+                                idb_negatives,
+                                plan,
+                                solve_rows(plan, interp),
                             ):
                                 diff[g] += sign
 

@@ -22,9 +22,9 @@ Since the planner refactor, rule evaluation is split in two:
 :mod:`repro.core.planning` compiles each rule once into a
 :class:`~repro.core.planning.RulePlan` (fixed join order, key columns,
 filter schedule, batch program) which is then executed every round by
-the set-at-a-time batch executor — negation as anti-join, completion
-through negated atoms as a complement join — with indexes cached on the
-immutable relations.  Compiled plans come from the process-wide
+the columnar executor — negation as anti-join, completion through
+negated atoms as a complement join — over code vectors and sorted runs
+cached on the immutable relations.  Compiled plans come from the process-wide
 :data:`repro.core.planning.PLAN_STORE`, shared with every engine and the
 grounder.  ``evaluate_rule``/``theta`` below compile transparently;
 ``evaluate_rule_legacy``/``theta_legacy`` keep the original
@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..db.database import Database
-from ..db.index import HashIndex
 from ..db.relation import Relation
 from .literals import Atom, Eq, Literal, Negation, Neq
 from .planning import PLAN_STORE, ProgramPlan, RulePlan, execute_plan
@@ -159,7 +158,7 @@ def evaluate_rule(rule: Rule, interp: Database, arities: Optional[Dict[str, int]
     :mod:`repro.core.planning`: the rule is compiled to a
     :class:`~repro.core.planning.RulePlan` once (through the shared
     :data:`~repro.core.planning.PLAN_STORE`) and executed set-at-a-time
-    by the batch executor with relation-cached indexes.  ``arities`` is
+    by the columnar executor.  ``arities`` is
     kept for API compatibility; plans read arities off the atoms
     themselves.  The pre-planner evaluator survives as
     :func:`evaluate_rule_legacy` and is property-tested equivalent.
@@ -170,8 +169,9 @@ def evaluate_rule(rule: Rule, interp: Database, arities: Optional[Dict[str, int]
 def evaluate_rule_legacy(rule: Rule, interp: Database, arities: Optional[Dict[str, int]] = None) -> Set[Tuple]:
     """The original per-round evaluator: re-plans and re-indexes each call.
 
-    Kept as the reference implementation for the planner's property tests
-    and as the baseline of ``benchmarks/bench_planner.py``.
+    The reference implementation (Θ read off the page) for the planner's
+    property tests, the baseline of ``benchmarks/bench_planner.py``, and
+    the evaluator of any plan whose rows are wider than 63 bits.
     """
     arities = arities or {}
     universe = tuple(sorted(interp.universe, key=repr))
@@ -203,7 +203,9 @@ def evaluate_rule_legacy(rule: Rule, interp: Database, arities: Optional[Dict[st
             for i, arg in enumerate(atom.args)
             if isinstance(arg, Constant) or arg in bound
         ]
-        index = HashIndex(rel, key_positions)
+        index: Dict[Tuple, List[Tuple]] = {}
+        for t in rel:
+            index.setdefault(tuple(t[i] for i in key_positions), []).append(t)
         new_subs: List[Binding] = []
         for sub in subs:
             key = tuple(
@@ -212,7 +214,7 @@ def evaluate_rule_legacy(rule: Rule, interp: Database, arities: Optional[Dict[st
                 else sub[atom.args[i]]
                 for i in key_positions
             )
-            for t in index.lookup(key):
+            for t in index.get(key, ()):
                 extended = _match_tuple(atom, t, sub)
                 if extended is not None:
                     new_subs.append(extended)

@@ -1,37 +1,28 @@
-"""Rule compilation and set-at-a-time execution: plan once, batch every round.
+"""Rule compilation and set-at-a-time execution: plan once, run columnar.
 
 The reference evaluator (:func:`repro.core.operator.evaluate_rule_legacy`,
-the paper's Θ read off the page) re-plans the join order and rebuilds a
-hash index per body atom on *every* fixpoint round.  This package is the
-production path beside it — one batch program per rule, run one of two
-ways:
+the paper's Θ read off the page) re-plans the join order on *every*
+call.  This package is the production path beside it:
 
 * :func:`compile_rule` / :func:`compile_program` run once per
   (program, database) and produce immutable :class:`RulePlan` /
   :class:`ProgramPlan` objects: join order, batch ops (anti-join
-  negation, complement-scheduled completion), hoisted sorted universe;
-* :func:`execute_plan` derives a plan's head relation, choosing from
-  the input size between the columnar interpreter
+  negation, complement-scheduled completion), a Yannakakis semi-join
+  schedule (:class:`SemiJoinStep`) and the hoisted sorted universe;
+* :func:`execute_plan` runs a plan in the columnar executor
   (:mod:`~repro.core.planning.colexec`: int64 id vectors under the
-  interpretation's symbol table; the head stays code-only) and the row
-  interpreter
-  (:func:`solve_plan_table` over a :class:`BindingTable`, which is also
-  what the grounder and the counting views call for the satisfying
-  rows);
+  interpretation's symbol table; the head stays code-only), and
+  :func:`solve_rows` returns its bindings for the grounder.  Rows wider
+  than 63 bits go to the Θ spec;
 * :class:`PlanStore` / :data:`PLAN_STORE` cache compiled plans under
   (program, db) keys so all engines — and the grounder feeding the
-  well-founded/SAT pipelines — share one compilation per input instead
-  of compiling privately.
+  well-founded/SAT pipelines — share one compilation per input.
 
 Plans are static: a plan is a pure function of ``(rule, db,
-small_preds)``, compiled once and run unchanged every round.  Each
-carries a Yannakakis **semi-join reduction** schedule
-(:class:`SemiJoinStep`): before rows materialise, scanned relations are
-reduced to the tuples that can participate in some join, off cached
-index key sets.
+small_preds)``, compiled once and run unchanged every round.
 """
 
-from .batch import BindingTable, execute_plan, solve_plan_table
+from .batch import execute_plan, solve_rows
 from .compiler import ProgramPlan, compile_program, compile_rule
 from .plan import (
     AntiJoin,
@@ -49,7 +40,6 @@ __all__ = [
     "AntiJoin",
     "AtomStep",
     "BatchJoin",
-    "BindingTable",
     "CmpOp",
     "ComplementJoin",
     "ExtendDomain",
@@ -61,5 +51,5 @@ __all__ = [
     "compile_program",
     "compile_rule",
     "execute_plan",
-    "solve_plan_table",
+    "solve_rows",
 ]

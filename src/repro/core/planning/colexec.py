@@ -1,38 +1,35 @@
-"""Columnar plan execution: the kernel-backed lowering of the batch ops.
+"""The rule executor: a plan's batch program run over int64 id columns.
 
-This is the interned fast path of :func:`~repro.core.planning.batch
-.execute_plan`.  Where the row executor threads a
-:class:`~repro.core.planning.batch.BindingTable` of Python value tuples
-through the plan, this executor threads a :class:`ColumnTable` — one
-int64 id vector per bound schema column, under the interpretation's
+Every compiled :class:`~repro.core.planning.plan.RulePlan` runs here.
+The frontier is a :class:`ColumnTable` — one int64 id vector per bound
+schema column, under the interpretation's
 :class:`~repro.db.kernel.SymbolTable` — and every op is vector
 arithmetic over the relations' cached code vectors
 (:meth:`~repro.db.relation.Relation.codes_on`):
 
 * :class:`~repro.core.planning.plan.BatchJoin` probes a cached
   :class:`~repro.db.kernel.SortedRun` with two binary searches per
-  probe vector and expands matches by position arithmetic — no per-row
-  Python loop, no hashing;
+  probe vector and expands matches by position arithmetic;
 * :class:`~repro.core.planning.plan.AntiJoin` packs each frontier row's
   atom fields into one row code and drops rows whose code occurs in the
-  relation's sorted vector — negation as one membership sweep;
+  relation's sorted vector;
 * :class:`~repro.core.planning.plan.ComplementJoin` completes variables
   by range arithmetic over the interned universe
   (:func:`~repro.db.kernel.universe_product_codes` minus the relation's
   codes), grouped per distinct bound key;
-* the Yannakakis prologue reduces relations by sorted-key membership
-  before any frontier column is built;
-* the head projection packs head fields into one code per row and
-  dedups with a single sort — the derived set *stays interned*:
-  :func:`execute_plan_codes` returns the sorted unique head-code
-  vector, and :func:`~repro.core.planning.batch.execute_plan` externs
-  it back to tuples.
+* zero-ary atoms are tests: a join keeps the frontier iff its relation
+  is non-empty, an anti-join drops it iff the relation is non-empty;
+* the Yannakakis prologue reduces scanned relations by sorted-key
+  membership before any frontier column is built.
 
-The executor returns ``None`` for any plan or interpretation it cannot
-lower faithfully (zero-ary atoms, codes wider than 63 bits); callers
-fall back to the row path, whose results are identical
-(``tests/test_planner.py`` forces this path on every generated rule and
-checks it against the reference evaluator and the row form).
+Two entries: :func:`execute_plan_codes` packs the head and returns the
+sorted unique head-code vector (a zero-ary head derives ``{()}`` iff a
+row survives), and :func:`solve_plan` returns the frontier itself — the
+total bindings the grounder and the counting views read, whatever the
+pseudo-head's width.  Every relation a plan reads is resolved to codes
+before the first op, so no generation bump can happen mid-plan.  Both
+return ``None`` only when a relation (or the packed head) is wider than
+63 bits; :mod:`~repro.core.planning.batch` then runs the Θ spec.
 """
 
 from __future__ import annotations
@@ -60,27 +57,20 @@ from .plan import (
 )
 
 _MIN_REDUCE_SIZE = 256
-"""Columnar semi-join floor — deliberately higher than the row
-executor's 32.  A sorted-run probe never materialises non-matching
+"""Semi-join floor.  A sorted-run probe never materialises non-matching
 rows, so reducing a small scanned relation spends a membership sweep
 (plus a fresh code subset and its column decode) to save expansion work
 the probe would have skipped anyway; only targets big enough that the
 scan itself is the cost are worth shrinking.  Results are identical
 either way — the reduction is a pure optimisation."""
 
-_AUTO_MIN_REL = 64
-"""Plans with neither completion work nor a joined relation at least
-this big stay on the row path — vector dispatch overhead beats the win
-on tiny inputs."""
-
 
 class ColumnTable:
     """The columnar frontier: one int64 id vector per bound variable.
 
-    The interned twin of :class:`~repro.core.planning.batch.BindingTable`
-    — ``schema`` is positional (column ``i`` binds the plan schema's
-    ``i``-th variable); ``cols[i]`` holds the dense ids of that
-    variable's values, all vectors of length ``nrows``.
+    ``cols[i]`` holds the dense ids of the plan schema's ``i``-th
+    variable, all vectors of length ``nrows``.  Columns may be views of
+    a relation's cached columns: readers must not write through them.
     """
 
     __slots__ = ("cols", "nrows")
@@ -89,21 +79,40 @@ class ColumnTable:
         self.cols = cols
         self.nrows = nrows
 
+    def count(self, symbols, getters) -> Optional[Dict[tuple, int]]:
+        """How many rows project to each distinct ``getters`` tuple.
+
+        The projection is packed into one code per row and counted with
+        ``np.unique``; only the distinct tuples are decoded.  ``None``
+        when the projection is wider than 63 bits.
+        """
+        for is_const, payload in getters:
+            if is_const:
+                symbols.intern(payload)
+        if not symbols.fits(len(getters)):
+            return None
+        if not self.nrows:
+            return {}
+        if not getters:
+            return {(): self.nrows}
+        codes = _key_fold(getters, self.cols, self.nrows, symbols.shift, symbols)
+        distinct, counts = np.unique(codes, return_counts=True)
+        heads = RelationCodes(symbols, len(getters), distinct).rows()
+        return dict(zip(heads, counts.tolist()))
+
 
 # ----------------------------------------------------------------------
 # Per-plan compiled state
 # ----------------------------------------------------------------------
 
 def _plan_state(plan: RulePlan):
-    """(supported, max_width, constants, needs_universe) — static per plan.
+    """(width, constants, needs_universe, preds, copy_scan, scan_joins).
 
-    ``max_width`` is the widest code any op or the head must pack
-    (checked against the symbol table's field width per call);
-    ``constants`` is every constant the plan mentions, interned up
-    front — together with the universe when any op completes over it —
-    so encoding work inside the op loop is the only thing that can
-    widen the field width mid-execution (and that is guarded by a
-    generation check).
+    ``width`` is the widest code any op must pack (the head's is checked
+    separately, only where the head is packed); ``constants`` is every
+    constant the plan mentions and ``preds`` every relation it reads —
+    all interned or resolved before the op loop, together with the
+    universe when any op completes over it.
 
     Cached directly on the plan instance (``RulePlan`` is a frozen
     dataclass without slots): lookup is one ``__dict__`` read, where a
@@ -113,45 +122,41 @@ def _plan_state(plan: RulePlan):
     state = plan.__dict__.get("_colexec_state")
     if state is not None:
         return state
-    widths = [len(plan.head_cols)]
+    widths = [0]
     consts: List[Any] = [v for is_const, v in plan.head_cols if is_const]
-    # Zero-ary heads are boolean derivations; the row path handles them.
-    supported = bool(plan.head_cols)
+    preds: Dict[str, None] = {}
     needs_universe = False
     for op in plan.ops:
         t = type(op)
         if t is BatchJoin:
-            if op.arity == 0:
-                supported = False
             widths.append(op.arity)
             consts.extend(v for is_const, v in op.key if is_const)
+            preds[op.pred] = None
         elif t is AntiJoin:
-            if op.arity == 0:
-                supported = False
             widths.append(op.arity)
             consts.extend(v for is_const, v in op.getters if is_const)
+            preds[op.pred] = None
         elif t is CmpOp:
             widths.append(1)
             for is_const, payload in (op.left, op.right):
                 if is_const:
                     consts.append(payload)
         elif t is ComplementJoin:
-            if op.arity == 0:
-                supported = False
             widths.append(op.arity)
             consts.extend(v for is_const, v in op.bound_key if is_const)
+            preds[op.pred] = None
             needs_universe = True
         elif t is ExtendDomain:
             widths.append(1)
             needs_universe = True
         else:  # pragma: no cover - compiler emits only the types above
-            supported = False
+            raise TypeError("unknown batch op: %r" % (op,))
     # Copy-scan detection: a single keyless scan whose head re-packs the
     # atom's columns verbatim (the ubiquitous base-case rule ``P(X,Y) :-
     # E(X,Y)``) derives exactly the relation's own row codes — already
     # sorted unique, no fold, no dedup.
     copy_scan = False
-    if supported and len(plan.ops) == 1:
+    if len(plan.ops) == 1:
         op = plan.ops[0]
         if (
             type(op) is BatchJoin
@@ -162,19 +167,19 @@ def _plan_state(plan: RulePlan):
         ):
             copy_scan = True
     # Join steps consumed by a keyless scan (vs a sorted-run probe).
-    # The columnar reducer only shrinks these: a probe never touches
-    # rows outside the probed keys anyway, so reducing a probed relation
-    # would spend a membership sweep to save nothing.
+    # The reducer only shrinks these: a probe never touches rows outside
+    # the probed keys anyway, so reducing a probed relation would spend
+    # a membership sweep to save nothing.
     scan_joins = frozenset(
         i
         for i, op in enumerate(o for o in plan.ops if type(o) is BatchJoin)
         if not op.key_columns
     )
     state = (
-        supported,
         max(widths),
         tuple(consts),
         needs_universe,
+        tuple(preds),
         copy_scan,
         scan_joins,
     )
@@ -182,25 +187,40 @@ def _plan_state(plan: RulePlan):
     return state
 
 
-def wants_plan(plan: RulePlan, interp: Database) -> bool:
-    """Whether the columnar path should run this plan on this input.
+def _resolve(plan: RulePlan, interp: Database, width: int):
+    """``(symbols, codes by predicate)`` for one execution, or ``None``.
 
-    It takes supported plans with completion work (complement joins /
-    domain extension — where range arithmetic wins regardless of size)
-    or at least one joined relation big enough that vectorisation beats
-    dispatch overhead.
+    Interns the plan's constants (and the universe, if completed over),
+    then resolves every relation the plan reads to codes under the
+    interpretation's table — ``None`` for an absent or empty one.
+    Encoding a relation can widen the table's field width, retiring
+    payloads resolved before it; the pass repeats until the generation
+    is stable (the loop of ``Relation._evolved_codes``), so every code
+    the op loop sees is of one width.  ``None`` when a row of ``width``
+    fields no longer fits 63 bits.
     """
-    if not _plan_state(plan)[0]:
-        return False
-    for op in plan.ops:
-        t = type(op)
-        if t is ComplementJoin or t is ExtendDomain:
-            return True
-        if t is BatchJoin:
-            rel = interp.get(op.pred)
-            if rel is not None and len(rel) >= _AUTO_MIN_REL:
-                return True
-    return False
+    _, consts, needs_universe, preds, _, _ = _plan_state(plan)
+    sym = interp.symbols()
+    for v in consts:
+        sym.intern(v)
+    if needs_universe:
+        universe_ids(sym, interp.universe)
+    while True:
+        generation = sym.generation
+        if not sym.fits(width):
+            return None
+        rcs: Dict[str, Optional[RelationCodes]] = {}
+        for pred in preds:
+            rel = interp.get(pred)
+            if rel is None or not rel:
+                rcs[pred] = None
+                continue
+            rc = rel.codes_on(sym)
+            if rc is None:
+                return None
+            rcs[pred] = rc
+        if sym.generation == generation:
+            return sym, rcs
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +228,55 @@ def wants_plan(plan: RulePlan, interp: Database) -> bool:
 # ----------------------------------------------------------------------
 
 
+def execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool = True):
+    """Run the plan; ``(symbols, head_codes)`` or ``None``.
+
+    ``head_codes`` is the sorted unique int64 vector of derived head
+    tuples packed under ``symbols`` (the interpretation's table); the
+    empty derivation is an empty *vector*.  ``None`` means a relation
+    or the head is wider than 63 bits.
+    """
+    width, _, _, _, copy_scan, _ = _plan_state(plan)
+    resolved = _resolve(plan, interp, max(width, len(plan.head_cols)))
+    if resolved is None:
+        return None
+    sym, rcs = resolved
+    if copy_scan:
+        rc = rcs[plan.ops[0].pred]
+        head = _EMPTY if rc is None else rc.codes
+    else:
+        cols, nrows = _run(plan, interp, sym, rcs, semijoin)
+        if nrows == 0:
+            head = _EMPTY
+        elif not plan.head_cols:
+            head = np.zeros(1, dtype=np.int64)
+        else:
+            head = kernel.sorted_unique(
+                _key_fold(plan.head_cols, cols, nrows, sym.shift, sym)
+            )
+    if RECORDER.enabled:
+        RECORDER.inc("repro_kernel_lowered_total")
+    return sym, head
+
+
+def solve_plan(plan: RulePlan, interp: Database):
+    """Run the plan without packing its head: ``(symbols, ColumnTable)``.
+
+    The table binds ``plan.schema`` — under a pseudo-head naming every
+    rule variable, the total bindings.  ``None`` means a relation the
+    plan reads is wider than 63 bits.
+    """
+    resolved = _resolve(plan, interp, _plan_state(plan)[0])
+    if resolved is None:
+        return None
+    sym, rcs = resolved
+    cols, nrows = _run(plan, interp, sym, rcs, True)
+    if RECORDER.enabled:
+        RECORDER.inc("repro_kernel_lowered_total")
+    return sym, ColumnTable(cols, nrows)
+
+
+_EMPTY = np.empty(0, dtype=np.int64)
 _ARANGE = None
 
 
@@ -255,56 +324,24 @@ def _expand(cols, rowidx):
     return [c[rowidx] for c in cols]
 
 
-def _rel_codes(rel, sym, gen: int) -> Optional[RelationCodes]:
-    """The relation's codes, or ``None`` if unusable for this execution.
-
-    Encoding a relation whose values were never interned can widen the
-    table's field width; every packed code built earlier in the same
-    execution (probe keys, reduced subsets, product caches) would then
-    disagree with the fresh encoding, so a generation change bails the
-    whole plan out to the row path instead.
-    """
-    rc = rel.codes_on(sym)
-    if rc is None or sym.generation != gen:
-        return None
-    return rc
-
-
 def _subset_run(rc: RelationCodes, codes, key_columns) -> SortedRun:
     """A sorted run over a row subset of ``rc`` (reduced/dup-filtered)."""
     sub = RelationCodes(rc.symbols, rc.arity, codes)
     return sub.sorted_run(key_columns)
 
 
-def _semijoin_reduce_codes(
-    plan: RulePlan, interp: Database, sym, gen: int, scan_joins=None
-):
+def _semijoin_reduce(plan: RulePlan, rcs, sym, scan_joins):
     """The Yannakakis prologue on code vectors.
 
-    Mirrors the row executor's ``_semijoin_reduce``: returns ``(map,
-    rcs)`` where the map sends join-step index to the reduced code
-    vector, only for steps the reduction actually shrank (it contains
-    an empty vector when some step reduced to nothing — callers
-    early-exit), and ``rcs`` is every join step's already-fetched
-    :class:`RelationCodes` (the op loop reuses them instead of
-    re-resolving each relation).  Returns the string ``"bail"`` when
-    some relation cannot encode (caller falls to the row path) and
-    ``None`` when some joined relation is absent or empty (the join
-    derives nothing; the op loop's early exit handles it).
+    ``rcs`` is every join step's :class:`RelationCodes`, in join order
+    (none empty).  Returns the map from join-step index to the reduced
+    code vector, only for steps the reduction actually shrank; it holds
+    an empty vector when some step reduced to nothing (callers
+    early-exit).
     """
-    steps = plan.steps
-    rcs: List[RelationCodes] = []
-    for step in steps:
-        rel = interp.get(step.pred)
-        if rel is None or not rel:
-            return None
-        rc = _rel_codes(rel, sym, gen)
-        if rc is None:
-            return "bail"
-        rcs.append(rc)
     reduced: Dict[int, Any] = {}
     for sj in plan.semijoin_steps:
-        if scan_joins is not None and sj.target not in scan_joins:
+        if sj.target not in scan_joins:
             continue
         target = reduced.get(sj.target)
         target_codes = target if target is not None else rcs[sj.target].codes
@@ -331,74 +368,23 @@ def _semijoin_reduce_codes(
         reduced[sj.target] = kept
         if len(kept) == 0:
             break
-    return reduced, rcs
+    return reduced
 
 
-def execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool = True):
-    """Run the plan columnar; counts lowered/declined when observed.
-
-    Thin metrics facade over :func:`_execute_plan_codes` — see there for
-    the contract.  Kept separate so the recorder guard stays out of the
-    (long) lowering body.
-    """
-    out = _execute_plan_codes(plan, interp, semijoin)
-    if RECORDER.enabled:
-        RECORDER.inc(
-            "repro_kernel_lowered_total"
-            if out is not None
-            else "repro_kernel_declined_total"
-        )
-    return out
-
-
-def _execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool):
-    """Run the plan columnar; ``(symbols, head_codes)`` or ``None``.
-
-    ``head_codes`` is the sorted unique int64 vector of derived head
-    tuples packed under ``symbols`` (the interpretation's table) — the
-    interned twin of ``execute_plan``'s tuple set.  ``None`` means the
-    plan or input cannot be lowered (caller falls back to the row
-    executor); the empty derivation is an empty *vector*, not ``None``.
-    """
-    supported, max_width, consts, needs_universe, copy_scan, scan_joins = _plan_state(
-        plan
-    )
-    if not supported:
-        return None
-    sym = interp.symbols()
-    for v in consts:
-        sym.intern(v)
-    universe = interp.universe
-    if needs_universe:
-        universe_ids(sym, universe)
-    if not sym.fits(max_width):
-        return None
-    gen = sym.generation
-    b = sym.shift
-    empty = np.empty(0, dtype=np.int64)
-
-    if copy_scan:
-        op = plan.ops[0]
-        rel = interp.get(op.pred)
-        if rel is None or not rel:
-            return sym, empty
-        rc = _rel_codes(rel, sym, gen)
-        if rc is None:
-            return None
-        return sym, rc.codes
-
+def _run(plan: RulePlan, interp: Database, sym, rcs, semijoin: bool):
+    """The op loop: ``(cols, nrows)``, one column per ``plan.schema`` variable."""
+    scan_joins = _plan_state(plan)[5]
+    joins = [rcs[op.pred] for op in plan.ops if type(op) is BatchJoin]
+    if any(rc is None for rc in joins):
+        return _no_rows(plan)  # an empty positive atom: nothing satisfies the body
     reduced: Optional[Dict[int, Any]] = None
-    step_rcs = None
     if semijoin and plan.semijoin_steps:
-        out = _semijoin_reduce_codes(plan, interp, sym, gen, scan_joins)
-        if out == "bail":
-            return None
-        if out is not None:
-            reduced, step_rcs = out
-            for kept in reduced.values():
-                if len(kept) == 0:
-                    return sym, empty
+        reduced = _semijoin_reduce(plan, joins, sym, scan_joins)
+        for kept in reduced.values():
+            if len(kept) == 0:
+                return _no_rows(plan)
 
+    b = sym.shift
     cols: List[Any] = []
     nrows = 1
     join_idx = -1
@@ -408,17 +394,9 @@ def _execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool):
         t = type(op)
         if t is BatchJoin:
             join_idx += 1
-            if step_rcs is not None:
-                # The reducer already resolved every join step's codes.
-                rc = step_rcs[join_idx]
-            else:
-                rel = interp.get(op.pred)
-                if rel is None or not rel:
-                    nrows = 0
-                    break
-                rc = _rel_codes(rel, sym, gen)
-                if rc is None:
-                    return None
+            if op.arity == 0:
+                continue  # non-empty (checked above): the test holds
+            rc = joins[join_idx]
             kept = reduced.get(join_idx) if reduced else None
             if op.dup_checks:
                 if kept is None:
@@ -468,12 +446,12 @@ def _execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool):
                 cols.append(src_cols[p][match])
             nrows = total
         elif t is AntiJoin:
-            rel = interp.get(op.pred)
-            if rel is None or not rel:
-                continue
-            rc = _rel_codes(rel, sym, gen)
+            rc = rcs[op.pred]
             if rc is None:
-                return None
+                continue  # nothing to exclude: the negation holds everywhere
+            if op.arity == 0:
+                nrows = 0
+                break
             row_codes = _key_fold(op.getters, cols, nrows, b, sym)
             keep = ~kernel._sorted_isin(row_codes, rc.codes)
             cols = [c[keep] for c in cols]
@@ -491,7 +469,7 @@ def _execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool):
             cols = [c[keep] for c in cols]
             nrows = int(keep.sum())
         elif t is ExtendDomain:
-            ids = universe_ids(sym, universe)
+            ids = universe_ids(sym, interp.universe)
             m = len(ids)
             if m == 0:
                 nrows = 0
@@ -500,17 +478,16 @@ def _execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool):
             cols = _expand(cols, rowidx)
             cols.append(np.tile(ids, nrows))
             nrows *= m
-        elif t is ComplementJoin:
-            out = _complement_join_codes(op, cols, nrows, interp, sym, gen)
-            if out is None:
-                return None
-            cols, nrows = out
-        else:  # pragma: no cover - compiler emits only the types above
-            return None
+        else:
+            cols, nrows = _complement_join(op, cols, nrows, interp, sym, rcs[op.pred])
     if nrows == 0:
-        return sym, empty
-    head = _key_fold(plan.head_cols, cols, nrows, b, sym)
-    return sym, kernel.sorted_unique(head)
+        return _no_rows(plan)
+    return cols, nrows
+
+
+def _no_rows(plan: RulePlan):
+    """The empty frontier: one empty column per schema variable."""
+    return [_EMPTY] * len(plan.schema), 0
 
 
 def _dup_mask(rc: RelationCodes, codes, dup_checks):
@@ -524,10 +501,10 @@ def _dup_mask(rc: RelationCodes, codes, dup_checks):
     return mask
 
 
-def _complement_join_codes(
-    op: ComplementJoin, cols, nrows: int, interp: Database, sym, gen: int
+def _complement_join(
+    op: ComplementJoin, cols, nrows: int, interp: Database, sym, rc
 ):
-    """Lower one complement join; ``(cols, nrows)`` or ``None`` (bail).
+    """One complement join over the frontier: ``(cols, nrows)``.
 
     Completion is range arithmetic: the allowed assignments per bound
     key are the universe product's code range minus the key's matched
@@ -539,17 +516,12 @@ def _complement_join_codes(
     universe = interp.universe
     n = len(universe)
     b = sym.shift
-    rel = interp.get(op.pred)
 
-    if rel is None or not rel:
+    if rc is None:
         if op.exists_only:
             return (cols, nrows) if n > 0 else (cols, 0)
         full = universe_product_codes(sym, universe, k)
         return _cross_free(cols, nrows, full, k, b)
-
-    rc = _rel_codes(rel, sym, gen)
-    if rc is None:
-        return None
 
     if not op.bound_columns:
         product = universe_product_codes(sym, universe, op.arity if op.exists_only else k)
@@ -562,8 +534,7 @@ def _complement_join_codes(
         return _cross_free(cols, nrows, allowed, k, b)
 
     # Keyed case: group relation rows by bound key, frontier rows by
-    # probe key, and work per *distinct* key — the vector twin of the
-    # row path's one-probe-per-distinct-key contract.
+    # probe key, and work per *distinct* key.
     if nrows == 0:
         return cols, 0
     product = universe_product_codes(sym, universe, k)

@@ -11,25 +11,20 @@ fixpoint round:
   repeated variables like ``E(X, X)``;
 * the **batch program** (``schema`` / ``ops`` / ``head_cols``) lowered
   from that order: the whole frontier is one table over a fixed variable
-  schema and every operation is relational — joins are index-backed
-  batch joins, each negation/comparison is attached at the earliest
-  point where all of its variables are bound, negations over bound
-  variables are **anti-joins**, and negations over completed variables
-  (the paper's unsafe rules) become joins against a lazily-materialised
-  **complement relation** instead of enumerate-then-filter;
+  schema and every operation is relational — joins probe sorted runs,
+  each negation/comparison is attached at the earliest point where all
+  of its variables are bound, negations over bound variables are
+  **anti-joins**, and negations over completed variables (the paper's
+  unsafe rules) become joins against the **complement** instead of
+  enumerate-then-filter;
 * the Yannakakis semi-join schedule over the join order.
 
-One program, two interpreters of it: the row form
-(:func:`~repro.core.planning.batch.solve_plan_table`, Python value
-tuples) and the columnar form
-(:func:`~repro.core.planning.colexec.execute_plan_codes`, int64 id
-vectors); :func:`~repro.core.planning.batch.execute_plan` picks between
-them from the input size.
+The columnar executor (:mod:`~repro.core.planning.colexec`) is the one
+interpreter of the program.
 
 Key and head accessors are pre-lowered to *getters*: ``(is_const,
 payload)`` pairs whose payload is a constant value or, for the batch
-ops, a 0-based *column index* into the schema, so the inner loops do
-tuple indexing only — no dicts, no AST.
+ops, a 0-based *column index* into the schema.
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ class AtomStep:
 
 @dataclass(frozen=True)
 class BatchJoin:
-    """Index-backed batch join: extend every row with matching tuples.
+    """Batch join: extend every row with the relation's matching tuples.
 
     ``key_columns``/``key`` address the relation columns that are keyed by
     constants or already-bound schema columns; ``out_positions`` are the
@@ -92,8 +87,8 @@ class AntiJoin:
     """Negated atom over bound columns: drop rows with a match in ``pred``.
 
     The relational face of a ``!pred(...)`` literal whose variables are
-    all bound — the whole row set is filtered against the relation's
-    tuple set at once instead of one membership test per binding dict.
+    all bound — the whole row set is filtered against the relation at
+    once instead of one membership test per binding dict.
     """
 
     pred: str
@@ -121,7 +116,7 @@ class ExtendDomain:
 class SemiJoinStep:
     """One semi-join of the Yannakakis reduction prologue.
 
-    Before any :class:`BindingTable` row is materialised, the executor
+    Before any frontier row is materialised, the executor
     can reduce each positive atom's relation to the tuples that agree
     with *some* tuple of another positive atom on their shared
     variables — tuples that fail this can participate in no satisfying
@@ -154,12 +149,11 @@ class ComplementJoin:
     candidate assignments, then drop the ones present in ``pred`` — is
     replaced by a join against the *complement*:
 
-    * with no bound positions, rows are crossed with the lazily
-      materialised, relation-cached complement
-      ``A^arity - pred`` (:meth:`repro.db.relation.Relation.complement_on`);
+    * with no bound positions, rows are crossed with the complement
+      ``A^arity - pred``;
     * with bound positions, rows are grouped by their key and each group
       is extended with ``A^k`` minus the key's matched projections
-      (one index probe per distinct key, not per row).
+      (one probe per distinct key, not per row).
 
     When ``exists_only`` is true the completed variables feed nothing
     downstream (not in the head, in no later filter), so the rows are
@@ -195,7 +189,7 @@ class RulePlan:
     domain_universe: Optional[frozenset] = None
     # Yannakakis semi-join reduction prologue over the join order
     # (forward + backward sweep); empty when the body has fewer than two
-    # connected positive atoms.  Executed by the batch executor unless
+    # connected positive atoms.  Executed by the executor unless
     # the per-call ``semijoin`` flag disables it.
     semijoin_steps: Tuple[SemiJoinStep, ...] = ()
 

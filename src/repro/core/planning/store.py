@@ -12,7 +12,6 @@ inflationary, stratified, well-founded via the grounder) and the ad-hoc
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from ...db.database import Database
@@ -40,7 +39,11 @@ class PlanStore:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._plans: "OrderedDict" = OrderedDict()
+        # A plain dict in recency order (a hit is re-inserted at the
+        # end): iterating it reads the entry array, where an OrderedDict
+        # looks every key up again — and database keys hash by shape,
+        # so each lookup compares colliding databases by value.
+        self._plans: dict = {}
 
     # ------------------------------------------------------------------
     # Lookup
@@ -57,7 +60,7 @@ class PlanStore:
             self.hits += 1
         cache[key] = value
         while len(cache) > self.maxsize:
-            cache.popitem(last=False)
+            del cache[next(iter(cache))]
         return value
 
     def rule_plan(

@@ -76,7 +76,7 @@ def stratified_semantics(
     :data:`~repro.core.planning.PLAN_STORE` under a (rules, working-db)
     key — repeated runs over the same input reuse the plans of every
     stratum — and the lower strata's frozen relations keep their cached
-    indexes across all upper-stratum rounds.  Lower strata are *planned
+    codes and sorted runs across all upper-stratum rounds.  Lower strata are *planned
     against*, not discovered: the working database carries them, so the
     planner sizes them exactly at compile time.
 

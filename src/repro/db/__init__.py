@@ -1,7 +1,6 @@
-"""Relational substrate: relations, databases, indexes, CSV I/O."""
+"""Relational substrate: relations, databases, the columnar kernel, CSV I/O."""
 
 from .database import Database
-from .index import HashIndex
 from .relation import Relation
 
-__all__ = ["Database", "HashIndex", "Relation"]
+__all__ = ["Database", "Relation"]

@@ -251,9 +251,9 @@ class Database:
         dropping elements would silently change the meaning of unsafe
         rules; callers that want a trimmed universe rebuild explicitly).
 
-        Each changed relation is produced with :meth:`Relation.evolve`,
-        so its cached indexes, complements and keyed complements are
-        patched from the old value's caches rather than rebuilt.  Plans
+        Each changed relation is produced with :meth:`Relation.evolve`:
+        one that holds a code payload merges the delta into it and stays
+        code-only, so no update copies a relation's tuples.  Plans
         compiled against *this* (pre-delta) database value — and against
         any database **derived** from it (per-stratum working databases,
         grounding interpretations: everything sharing its lineage token)

@@ -45,11 +45,11 @@ def backend() -> str:
 def canon_columns(columns) -> Tuple[int, ...]:
     """Normalise a column specification to a tuple of plain ints.
 
-    Cache keys for :meth:`Relation.index_on` / ``keyed_complement_on``
-    must compare by *value*: a caller passing a list, a generator, an
-    ``array('q')`` slice or numpy ints must hit the same cached
-    structure as one passing a tuple of ints.  Every cache at the
-    kernel boundary routes its column spec through here exactly once.
+    Cache keys for :meth:`RelationCodes.sorted_run` must compare by
+    *value*: a caller passing a list, a generator, an ``array('q')``
+    slice or numpy ints must hit the same cached structure as one
+    passing a tuple of ints.  Every cache at the kernel boundary routes
+    its column spec through here exactly once.
     """
     return tuple(int(c) for c in columns)
 
@@ -122,6 +122,13 @@ class SymbolTable:
     def extern(self, ident: int) -> Any:
         """The value behind a dense id."""
         return self._values[ident]
+
+    def extern_rows(self, cols, nrows: int) -> List[tuple]:
+        """Rows from id columns: each column externed once, then zipped."""
+        if not cols:
+            return [()] * nrows
+        values = self._values
+        return list(zip(*([values[i] for i in col.tolist()] for col in cols)))
 
     def encode_tuple(self, t: Sequence[Any]) -> int:
         """Pack a tuple into one row code under the current shift."""
@@ -369,12 +376,7 @@ class RelationCodes:
         """
         if RECORDER.enabled:
             RECORDER.inc("repro_relation_decoded_rows_total", len(self.codes))
-        if self.arity == 0:
-            return [()] * len(self.codes)
-        values = self.symbols._values
-        return list(
-            zip(*([values[i] for i in col.tolist()] for col in self.columns()))
-        )
+        return self.symbols.extern_rows(self.columns(), len(self.codes))
 
     def decode(self) -> frozenset:
         """The tuple set (see :meth:`rows`)."""
@@ -421,34 +423,6 @@ class RelationCodes:
                 return False
             code = (code << b) | i
         return codes_contains(self.codes, code)
-
-    def contains_rows(self, rows: Sequence[tuple]):
-        """Boolean membership mask of many tuples, without decoding the vector.
-
-        The batch form of :meth:`contains_tuple`: the probes are packed
-        under *this payload's* width (no interning — an unknown value
-        cannot be in the codes) and answered by one sorted membership
-        sweep.
-        """
-        ids = self.symbols._ids
-        b = self.shift
-        cap = 1 << b
-        codes = []
-        append = codes.append
-        arity = self.arity
-        for t in rows:
-            if len(t) != arity:
-                append(-1)  # never a row code: they are non-negative
-                continue
-            code = 0
-            for v in t:
-                i = ids.get(v, cap)
-                if i >= cap:
-                    code = -1
-                    break
-                code = (code << b) | i
-            append(code)
-        return _sorted_isin(_np.array(codes, dtype=_np.int64), self.codes)
 
     def columns(self):
         """Per-column id vectors, decoded from the codes once."""

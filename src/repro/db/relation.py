@@ -9,54 +9,32 @@ sequences of relations to sequences of relations of the same arities.
 Relations compare by *value* (name, arity and tuple set), so a fixpoint check
 ``theta(s) == s`` is a plain equality test.
 
-Since the interned columnar kernel (:mod:`repro.db.kernel`) a relation has
-*two* representations it moves between lazily:
+A relation has two representations it moves between lazily: the
+frozenset of Python tuples (the canonical value for hashing and every
+consumer that iterates tuples) and a
+:class:`~repro.db.kernel.RelationCodes` payload — one sorted int64
+row-code vector under a database's
+:class:`~repro.db.kernel.SymbolTable`, cached per table by
+:meth:`codes_on`.  The executor derives *code-only* relations
+(:meth:`_from_codes`): no frozenset until someone asks for tuples, each
+such decode counted in ``repro_relation_decoded_rows_total``.
 
-* the **row form** — the frozenset of Python tuples this docstring
-  describes, still the canonical value for equality, hashing and every
-  consumer that iterates tuples;
-* the **columnar form** — a :class:`~repro.db.kernel.RelationCodes`:
-  one sorted int64 row-code vector under a database's
-  :class:`~repro.db.kernel.SymbolTable`, cached per table via
-  :meth:`codes_on`.
-
-A relation built by the columnar executor (:meth:`_from_codes`) is
-*code-only*: it holds no frozenset until someone asks for tuples
-(:attr:`tuples`, iteration, hashing), and each such decode is counted in
-``repro_relation_decoded_rows_total``.  One rule governs mixed
-representations (:meth:`_codes_with`): set algebra and comparisons that
-involve a code-only operand run on the int vectors — the other operand
-is *encoded* under the code-only one's symbol table (cached on it), the
-code-only side is never decoded, and the result is code-only again.
-That is the row→columnar handover of a growing fixpoint: it happens
-once, the first round the columnar executor derives a head (some joined
-input reached ``colexec._AUTO_MIN_REL``), and it is one-way — row-form
-indexes of the superseded value are not carried along, the columnar
-executor keeps its own sorted runs.  Two tuple-backed operands stay on
-the tuple path (and keep inheriting their row-form caches) unless they
-already share cached payloads.  The fixpoint engines
-(:func:`repro.core.fixpoint.iterate`) rely on this to converge without
-constructing a Python tuple per derived fact.
-
-:meth:`Relation.evolve` — the delta update a materialized view applies
-to its long-lived relations — follows the same rule from the other
-side: a relation that is code-only, or holds a payload and no row-form
-index or complement a consumer would miss, has the (small) delta
-*encoded* and merged into its sorted vector and stays code-only; one a
-row-form consumer has indexed stays tuple-backed with its structures
-patched.  A relation's representation therefore settles on what its
-readers use, and an update costs ``O(|delta|)`` interning either way.
+One rule governs the two: **a relation that holds a payload evolves,
+unions and differences in codes** — the other operand (or the delta) is
+encoded under that payload's table, nothing is decoded, and the result
+is code-only (:meth:`_codes_with`, :meth:`evolve`).  Only two
+payload-free operands, or rows wider than 63 bits, stay on frozensets.
+An update therefore costs ``O(|delta|)`` interning, and a fixpoint that
+keeps unioning derived heads never builds a Python tuple per fact.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Tuple
 
 from .kernel import (
     RelationCodes,
-    canon_columns,
     codes_difference,
     codes_equal,
     codes_intersection,
@@ -66,17 +44,6 @@ from .kernel import (
 )
 
 Tup = Tuple[Any, ...]
-
-
-@lru_cache(maxsize=128)
-def universe_product(universe: frozenset, k: int) -> frozenset:
-    """``A^k`` as a frozenset of tuples, cached per (universe, k).
-
-    The row executor's keyed complement steps subtract a projection of
-    matched tuples from this set; fixpoint engines call it every round
-    with the same universe, so the product is built once per process.
-    """
-    return frozenset(product(tuple(universe), repeat=k))
 
 
 class Relation:
@@ -104,9 +71,6 @@ class Relation:
         "_tuples",
         "_hash",
         "_kernel_cache",
-        "_index_cache",
-        "_complement_cache",
-        "_keyed_complement_cache",
     )
 
     def __init__(self, name: str, arity: int, tuples: Iterable[Tup] = ()) -> None:
@@ -193,8 +157,7 @@ class Relation:
         (:meth:`~repro.db.kernel.RelationCodes.repacked` — vectorised,
         nothing is decoded); otherwise the tuples are encoded once.
         Returns ``None`` when the arity cannot pack into a 64-bit code
-        under the table's current width — callers fall back to the row
-        form.
+        under the table's current width — callers stay on frozensets.
         """
         cache = self._kernel_cache
         if cache is None:
@@ -232,16 +195,18 @@ class Relation:
                 return rc
         return None
 
-    def _codes_with(self, other: "Relation"):
+    def _codes_with(self, other: "Relation", held: bool = False):
         """Both operands as codes under one table's current width, or ``None``.
 
         The table is one both sides already hold payloads for, else the
-        table of whichever side is code-only (the other side is encoded
-        under it — see the module docstring for the rule).  Two
-        tuple-backed relations that share no table return ``None``: this
-        is never a reason to encode both.  Payloads of a retired width
-        are re-packed, so the pair is always safe to combine and the
-        result safe to stamp with the table's current width.
+        table of a code-only side (it must never be decoded), else — for
+        ``held``, the union and difference whose result adopts it — that
+        of a side holding any payload; the other side is encoded under
+        it.  A comparison never encodes a tuple-backed side into a
+        foreign table, and two payload-free relations return ``None``.
+        Payloads of a retired width are re-packed, so the pair is always
+        safe to combine and the result safe to stamp with the table's
+        current width.
         """
         symbols = None
         mine = self._kernel_cache
@@ -253,12 +218,12 @@ class Relation:
                     symbols = rc.symbols
                     break
         if symbols is None:
-            if self._tuples is None:
-                symbols = self._any_codes().symbols
-            elif other._tuples is None:
-                symbols = other._any_codes().symbols
-            else:
+            sides = [r for r in (self, other) if r._tuples is None]
+            if not sides and held:
+                sides = [r for r in (self, other) if r._kernel_cache]
+            if not sides:
                 return None
+            symbols = sides[0]._any_codes().symbols
         a = self.codes_on(symbols)
         b = other.codes_on(symbols)
         if a is not None and not a.valid():
@@ -279,95 +244,6 @@ class Relation:
             frozen = self._any_codes().decode()
             self._tuples = frozen
         return frozen
-
-    def index_on(self, columns) -> "HashIndex":
-        """A hash index on the given key columns, cached on this relation.
-
-        Because relations are immutable, an index built once is valid for
-        the relation's whole lifetime; the cache (keyed by the column
-        tuple, normalised once at this boundary via
-        :func:`~repro.db.kernel.canon_columns`) lets every fixpoint round
-        after the first reuse the indexes of unchanged relations instead
-        of rebuilding them.  Relations derived by
-        ``union``/``difference``/:meth:`evolve` *inherit* their parent's
-        materialised caches, patched with the tuple delta
-        (:meth:`_inherit_caches`), so they rarely build here at all.
-        """
-        from .index import HashIndex
-
-        cols = canon_columns(columns)
-        try:
-            cache = self._index_cache
-        except AttributeError:
-            cache = {}
-            self._index_cache = cache
-        index = cache.get(cols)
-        if index is None:
-            index = cache[cols] = HashIndex(self, cols)
-        return index
-
-    def _inherit_caches(
-        self,
-        parent: "Relation",
-        added: frozenset,
-        removed: frozenset,
-        ins: "Relation" = None,
-        dels: "Relation" = None,
-    ) -> "Relation":
-        """Patch ``parent``'s materialised caches into this relation.
-
-        Called once, eagerly, by the derived constructors
-        (``union``/``difference``/:meth:`evolve`): every index,
-        complement, keyed complement *and columnar payload* the parent
-        actually materialised is carried forward by patching it with the
-        tuple delta — ``O(|delta| + #buckets)`` per structure instead of
-        a rescan of the whole relation.  ``added``/``removed`` are the
-        effective tuple sets; ``ins``/``dels`` the operand relations they
-        came from, whose cached payloads patch the columnar form (see
-        :meth:`_evolved_codes`).  Eager transfer keeps no reference to
-        the parent, so long update streams (a materialized view's
-        lifetime) retain only the newest generation's caches — laziness
-        here would mean an unbounded parent chain.
-        """
-        from .index import HashIndex
-
-        parent_indexes = getattr(parent, "_index_cache", None)
-        if parent_indexes:
-            self._index_cache = {
-                cols: HashIndex.patched(index, added, removed)
-                for cols, index in parent_indexes.items()
-            }
-        parent_comps = getattr(parent, "_complement_cache", None)
-        if parent_comps:
-            cache = {}
-            for universe, comp in parent_comps.items():
-                # Tuples added here leave the complement; tuples removed
-                # re-enter it (when they lie inside universe**arity at
-                # all — relations may hold out-of-universe values).
-                full = universe_product(universe, self.arity)
-                cache[universe] = comp.evolve(removed & full, added)
-            self._complement_cache = cache
-        parent_keyed = getattr(parent, "_keyed_complement_cache", None)
-        if parent_keyed:
-            self._keyed_complement_cache = {
-                key: keyed.derived(self, added, removed)
-                for key, keyed in parent_keyed.items()
-            }
-        parent_kernel = parent._kernel_cache
-        if parent_kernel:
-            patched = {}
-            for key, rc in parent_kernel.items():
-                # A payload of a retired width is dropped, not repacked:
-                # a tuple-backed relation re-encodes on demand.
-                out = parent._evolved_codes(rc.symbols, ins, dels) if rc.valid() else None
-                if out is not None:
-                    patched[key] = out
-            if patched:
-                if self._kernel_cache:
-                    self._kernel_cache.update(patched)
-                else:
-                    self._kernel_cache = patched
-        return self
 
     def _evolved_codes(self, symbols, ins: "Relation", dels: "Relation"):
         """This relation's payload under ``symbols`` after a delta, or ``None``.
@@ -393,58 +269,6 @@ class Relation:
         if mine is None or added is None or removed is None:
             return None
         return mine.evolved(added, removed)
-
-    def complement_on(self, universe) -> "Relation":
-        """The complement ``universe**arity - self``, cached on this relation.
-
-        This is the *complement representation* of a negated literal whose
-        variables are all completed over the universe: instead of
-        enumerating ``|A|^arity`` candidate tuples and filtering each one,
-        the batch executor joins directly against this relation.  Like
-        :meth:`index_on`, the cache is sound because relations are
-        immutable; it is keyed by the universe so the same relation value
-        can serve databases with different universes.
-        """
-        key = universe if isinstance(universe, frozenset) else frozenset(universe)
-        try:
-            cache = self._complement_cache
-        except AttributeError:
-            cache = {}
-            self._complement_cache = cache
-        comp = cache.get(key)
-        if comp is None:
-            full = universe_product(key, self.arity)  # cached per (universe, arity)
-            comp = cache[key] = Relation("!" + self.name, self.arity, full - self.tuples)
-        return comp
-
-    def keyed_complement_on(self, universe, bound_columns, free_positions) -> "KeyedComplement":
-        """Per-key allowed-sets for a keyed negated completion, cached.
-
-        For a :class:`~repro.core.planning.plan.ComplementJoin` with bound
-        columns, the executor needs, per distinct key, the set
-        ``universe**k`` minus the key's matched projections.  The returned
-        :class:`~repro.db.index.KeyedComplement` memoises those allowed-sets
-        lazily; because it is cached on the relation it survives across
-        fixpoint rounds, and when this relation evolved from a parent
-        (:meth:`union` / :meth:`difference` / :meth:`evolve`) the parent's
-        allowed-sets are *patched* with the touched keys' tuples rather
-        than recomputed — the ROADMAP's delta-aware keyed complement.
-        """
-        from .index import KeyedComplement
-
-        uni = universe if isinstance(universe, frozenset) else frozenset(universe)
-        cache_key = (uni, canon_columns(bound_columns), canon_columns(free_positions))
-        try:
-            cache = self._keyed_complement_cache
-        except AttributeError:
-            cache = {}
-            self._keyed_complement_cache = cache
-        keyed = cache.get(cache_key)
-        if keyed is None:
-            keyed = cache[cache_key] = KeyedComplement(
-                self, uni, cache_key[1], cache_key[2]
-            )
-        return keyed
 
     def __contains__(self, item: Tup) -> bool:
         if self._tuples is None:
@@ -494,7 +318,7 @@ class Relation:
         """Return the same relation under a different symbol.
 
         Returns ``self`` when the name already matches, so round-to-round
-        renames of unchanged relations keep their cached indexes.  A
+        renames of unchanged relations keep their cached payloads.  A
         code-backed relation renames without decoding — the payload is
         shared (codes carry no name).
         """
@@ -514,26 +338,21 @@ class Relation:
         return Relation(self.name, self.arity, tuples)
 
     def evolve(self, inserts: Iterable[Tup] = (), deletes: Iterable[Tup] = ()) -> "Relation":
-        """Return ``(self - deletes) | inserts``, caches carried forward.
+        """Return ``(self - deletes) | inserts``.
 
         This is the delta-update face of the value operations, under the
         module's one representation rule.  Either side may be an
         iterable of tuples or a :class:`Relation` (whose cached payload
-        is then reused, not re-encoded).  A relation that is code-only —
-        or holds a payload and no row-form index/complement a consumer
-        would miss — merges the encoded (small) delta into its sorted
-        vector: it is never decoded, and the code-only result carries
-        that one payload.  Otherwise the result is tuple-backed and
-        inherits the materialised indexes, complements, keyed
-        complements and columnar payloads, patched with the effective
-        changes (:meth:`_inherit_caches`).  Tuples on either side that
-        do not match the arity raise; no-op deltas return ``self`` with
-        every cache intact.
+        is then reused, not re-encoded).  A relation that holds a payload
+        merges the encoded (small) delta into its sorted vector: it is
+        never decoded, and the result is code-only.  A payload-free one
+        stays on frozensets.  Tuples on either side that do not match the
+        arity raise; no-op deltas return ``self`` with every cache intact.
         """
         ins = self._delta_side(inserts)
         dels = self._delta_side(deletes)
         mine = self._any_codes()
-        if mine is not None and (self._tuples is None or not self._row_cached()):
+        if mine is not None:
             symbols = mine.symbols
             out = self._evolved_codes(symbols, ins, dels)
             if out is not None:
@@ -544,10 +363,9 @@ class Relation:
         removed = dels.tuples & self.tuples
         if not added and not removed:
             return self
-        out = Relation._from_frozenset(
+        return Relation._from_frozenset(
             self.name, self.arity, (self.tuples - removed) | added
         )
-        return out._inherit_caches(self, added, removed, ins, dels)
 
     def _delta_side(self, tuples) -> "Relation":
         """One side of an :meth:`evolve` delta as an arity-checked relation."""
@@ -573,7 +391,7 @@ class Relation:
         """Set union; the operand must have the same arity.
 
         Returns ``self`` unchanged when the operand adds nothing, so a
-        converged IDB relation keeps its cached indexes across the
+        converged IDB relation keeps its cached payload across the
         remaining fixpoint rounds (and the operand itself, renamed, when
         this relation is empty).  Runs on the int vectors under the rule
         of :meth:`_codes_with`.
@@ -583,20 +401,17 @@ class Relation:
             return self
         if not self:
             return other.with_name(self.name)
-        pair = self._codes_with(other) if self._algebra_on_codes(other) else None
+        pair = self._codes_with(other, held=True)
         if pair is not None:
             mine, theirs = pair
             merged = codes_union(mine.codes, theirs.codes)
             if merged is mine.codes:
                 return self
             return self._adopt(mine, merged)
-        if not other.tuples or other.tuples <= self.tuples:
+        if other.tuples <= self.tuples:
             return self
-        out = Relation._from_frozenset(
+        return Relation._from_frozenset(
             self.name, self.arity, self.tuples | other.tuples
-        )
-        return out._inherit_caches(
-            self, other.tuples - self.tuples, frozenset(), ins=other
         )
 
     def intersection(self, other: "Relation") -> "Relation":
@@ -611,61 +426,29 @@ class Relation:
     def difference(self, other: "Relation") -> "Relation":
         """Set difference; the operand must have the same arity.
 
-        Returns ``self`` unchanged (cached indexes intact) when the
+        Returns ``self`` unchanged (cached payload intact) when the
         operand removes nothing.
         """
         self._check_compatible(other, "difference")
         if not other or not self:
             return self
-        pair = self._codes_with(other) if self._algebra_on_codes(other) else None
+        pair = self._codes_with(other, held=True)
         if pair is not None:
             mine, theirs = pair
             kept = codes_difference(mine.codes, theirs.codes)
             if kept is mine.codes:
                 return self
             return self._adopt(mine, kept)
-        if not other.tuples or self.tuples.isdisjoint(other.tuples):
+        if self.tuples.isdisjoint(other.tuples):
             return self
-        out = Relation._from_frozenset(
+        return Relation._from_frozenset(
             self.name, self.arity, self.tuples - other.tuples
-        )
-        return out._inherit_caches(
-            self, frozenset(), self.tuples & other.tuples, dels=other
         )
 
     def _adopt(self, mine, codes) -> "Relation":
         """A code-only relation with this signature over ``codes``."""
         return Relation._from_codes(
             self.name, self.arity, RelationCodes(mine.symbols, self.arity, codes)
-        )
-
-    def _algebra_on_codes(self, other: "Relation") -> bool:
-        """Whether ``union``/``difference`` may return a code-only result.
-
-        Always when an operand is code-only already (the one-way
-        handover).  Between two tuple-backed relations only while this
-        one holds no materialised index/complement: a code-only result
-        would silently drop structures a row-path consumer is about to
-        need again, so those cases use the inheriting tuple path.
-        """
-        return (
-            self._tuples is None
-            or other._tuples is None
-            or not self._row_cached()
-        )
-
-    def _row_cached(self) -> bool:
-        """Whether a row-path consumer materialised a structure here that a
-        handover to codes would lose: a *keyed* index or a complement.
-
-        The index on no columns (a keyless scan's) does not count — it is
-        the tuple set as one list, rebuilt for the price of the decode
-        that would precede it, and patched in O(n) per evolve if kept.
-        """
-        return (
-            any(getattr(self, "_index_cache", None) or ())
-            or getattr(self, "_complement_cache", None) is not None
-            or getattr(self, "_keyed_complement_cache", None) is not None
         )
 
     def complement(self, universe: Iterable[Any]) -> "Relation":

@@ -7,9 +7,11 @@ rule's variables satisfying its body.  A change to the inputs then
 maintains the counts exactly:
 
 * derivations gained/lost are enumerated by the telescoping delta
-  variants of :mod:`repro.materialize.variants`, each evaluated under a
-  *total-binding* pseudo-head so the batch executor cannot collapse
-  multiplicities with an existence-only projection;
+  variants of :mod:`repro.materialize.variants`, each solved under a
+  *total-binding* pseudo-head so the executor cannot collapse
+  multiplicities with an existence-only projection; the bindings stay
+  id columns, the head projection is packed to one code per binding
+  and counted with ``np.unique``, and only distinct heads are decoded;
 * a tuple enters the view when its count rises from zero and leaves it
   when its count returns to zero — no over-deletion, no rederivation.
 
@@ -27,7 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, FrozenSet, List, Tuple
 
-from ..core.planning.batch import solve_plan_table
+from ..core.planning import colexec
+from ..core.planning.batch import spec_bindings
 from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
@@ -37,7 +40,7 @@ from .variants import (
     PlanCache,
     changeable_positions,
     delta_variant,
-    head_projector,
+    head_getters,
     with_bindings_head,
 )
 
@@ -85,26 +88,29 @@ class CountingState:
     # ------------------------------------------------------------------
 
     def _accumulate(self, variant: Rule, interp: Database, into: Counts, sign: int) -> None:
-        plan, project = self._compiled(variant)
-        table = solve_plan_table(plan, interp)
-        if not table.rows:
+        plan, getters = self._compiled(variant)
+        out = colexec.solve_plan(plan, interp)
+        counted = out[1].count(out[0], getters) if out is not None else None
+        if counted is None:  # a row wider than 63 bits: the Θ spec counts
+            counted = Counter(
+                tuple(value if is_const else row[value] for is_const, value in getters)
+                for row in spec_bindings(plan, interp)
+            )
+        if not counted:
             return
-        # Counter(map(...)) runs the whole derivation enumeration at C
-        # speed; this is the innermost loop of every maintenance step.
-        counted = Counter(map(project, table.rows))
         if sign > 0:
             into.update(counted)
         else:
             into.subtract(counted)
 
     def _compiled(self, variant: Rule):
-        """``(total-binding plan, head projector)`` of a variant, memoised."""
+        """``(total-binding plan, head getters)`` of a variant, memoised."""
         compiled = self._compiled_variants.get(id(variant))
         if compiled is None:
             plan = self.plans.plan(with_bindings_head(variant))
             compiled = self._compiled_variants[id(variant)] = (
                 plan,
-                head_projector(variant, plan),
+                head_getters(variant, plan),
             )
         return compiled
 

@@ -7,13 +7,12 @@ since the grounder's incremental ground-program patching started using
 it too (``core`` cannot import this package without a cycle); it is
 re-exported here unchanged for the maintenance modules and external
 callers.  What remains native to this module is the *counting* face:
-total-binding pseudo-heads and head projectors, which only the
+total-binding pseudo-heads and their head getters, which only the
 derivation-counting maintenance needs.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Dict
 
 from ..core.deltavariants import (  # noqa: F401  (re-exported)
@@ -36,7 +35,7 @@ from ..core.terms import Variable
 
 # ----------------------------------------------------------------------
 # Counting needs total bindings: give the rule a pseudo-head over all
-# its variables (the grounder's trick), so the batch executor never
+# its variables (the grounder's trick), so the executor never
 # projects a completion variable away with an existence-only check.
 # ----------------------------------------------------------------------
 
@@ -50,33 +49,16 @@ def with_bindings_head(rule: Rule) -> Rule:
     return Rule(Atom(BINDINGS_HEAD, variables), rule.body)
 
 
-def head_projector(rule: Rule, plan: RulePlan):
-    """A ``row -> head tuple`` projector for a pseudo-head plan of ``rule``.
+def head_getters(rule: Rule, plan: RulePlan):
+    """``rule``'s head as getters over a pseudo-head plan's schema columns.
 
     ``plan`` must be the compiled :func:`with_bindings_head` variant;
     its schema binds every rule variable, so the original head is a pure
-    column/constant projection of each row.  The common all-variable
-    head compiles to a bare :func:`operator.itemgetter` — this projector
-    runs once per derivation, the innermost loop of counting.
+    column/constant projection of each binding: ``(False, column)`` per
+    variable, ``(True, value)`` per constant.
     """
     column: Dict[Variable, int] = {v: i for i, v in enumerate(plan.schema)}
-    if rule.head.args and all(isinstance(a, Variable) for a in rule.head.args):
-        cols = [column[a] for a in rule.head.args]
-        if len(cols) == 1:
-            get = itemgetter(cols[0])
-            return lambda row: (get(row),)
-        return itemgetter(*cols)
-    getters = []
-    for arg in rule.head.args:
-        if isinstance(arg, Variable):
-            getters.append((False, column[arg]))
-        else:
-            getters.append((True, arg.value))
-    getters = tuple(getters)
-
-    def project(row):
-        return tuple(
-            payload if is_const else row[payload] for is_const, payload in getters
-        )
-
-    return project
+    return tuple(
+        (False, column[arg]) if isinstance(arg, Variable) else (True, arg.value)
+        for arg in rule.head.args
+    )

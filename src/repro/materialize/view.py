@@ -335,9 +335,8 @@ class MaterializedView:
 
         # Persistent @old/@new alias relations for every predicate some
         # rule body reads: the objects *evolve* across updates (rather
-        # than being rebuilt), so their cached indexes and (keyed)
-        # complements are patched with each delta — negation-heavy
-        # maintenance reuses them wholesale.  Head-only predicates (the
+        # than being rebuilt), so their cached code payloads are patched
+        # with each delta — maintenance reuses them wholesale.  Head-only predicates (the
         # top of the dependency order, often the largest relations) feed
         # nothing, so they get no aliases and their changes are only
         # echoed into the changeset.
@@ -628,7 +627,7 @@ class MaterializedView:
 
             The changeset is where changed tuples are decoded — once:
             the @ins/@del aliases renamed afterwards share the decoded
-            set with it (row-form variants read it).  Relations the
+            set with it.  Relations the
             program never reads (deltas on them are legal) have no
             aliases and need none — the change is echoed only.
             """

@@ -394,17 +394,12 @@ INSTRUMENTS: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
     ),
     "repro_engine_rule_executions_total": (
         "counter",
-        "Compiled rule-plan executions (batch executor entry).",
+        "Compiled rule-plan executions (execute_plan entry).",
         None,
     ),
     "repro_engine_kernel_executions_total": (
         "counter",
         "Rule executions lowered to the interned columnar kernel.",
-        None,
-    ),
-    "repro_engine_row_executions_total": (
-        "counter",
-        "Rule executions on the row-at-a-time batch path.",
         None,
     ),
     "repro_kernel_lowered_total": (
@@ -414,7 +409,7 @@ INSTRUMENTS: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
     ),
     "repro_kernel_declined_total": (
         "counter",
-        "Columnar-kernel lowerings declined (fell back to the row path).",
+        "Plans evaluated by the Θ spec because a row is wider than 63 bits.",
         None,
     ),
     "repro_relation_decoded_rows_total": (

@@ -14,28 +14,12 @@ from hypothesis import strategies as st
 
 from repro import Database, Relation
 from repro.core.literals import Atom, Eq, Negation, Neq
-from repro.core.planning import colexec
 from repro.core.program import Program
 from repro.core.rules import Rule
 from repro.core.terms import Variable
 from repro.obs import MetricsRegistry, disable_metrics, enable_metrics
 
 _VARS = [Variable(n) for n in ("X", "Y", "Z")]
-
-
-@contextlib.contextmanager
-def min_rel(value):
-    """Run the body with ``colexec._AUTO_MIN_REL`` patched to ``value``.
-
-    Hypothesis inputs sit far below the shipped threshold; ``0`` sends
-    every joining plan down the columnar path.
-    """
-    saved = colexec._AUTO_MIN_REL
-    colexec._AUTO_MIN_REL = value
-    try:
-        yield
-    finally:
-        colexec._AUTO_MIN_REL = saved
 
 
 @contextlib.contextmanager

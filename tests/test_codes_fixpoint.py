@@ -1,12 +1,10 @@
 """The codes-resident fixpoint: engines, set algebra and printing on row codes.
 
-Hypothesis programs sit far below ``colexec._AUTO_MIN_REL``, so the
-plain engine suites only ever run the row form inside an engine.  Here
-the threshold is patched to ``0`` (columnar from the first round) and to
-a mid value (the row→columnar handover happens mid-fixpoint), and every
-relational engine is checked against the ``theta_legacy`` / enumeration
-oracles.  The rest pins what keeps that path honest: stale-width
-payloads, mixed representations that must not decode the big side, the
+Every plan runs columnar, so every relational engine here is checked
+against the ``theta_legacy`` / enumeration oracles on the one executor.
+The rest pins what keeps that path honest: stale-width payloads, rows
+too wide for 63 bits (the one case the Θ spec evaluates), zero-ary
+programs, mixed representations that must not decode the big side, the
 decode counters, and the CLI printing straight from id columns.
 """
 
@@ -20,7 +18,6 @@ from repro import Database, Relation, parse_program
 from repro.cli import _print_relations, _rows_text_from_codes
 from repro.core.fixpoint import idb_union, least_among
 from repro.core.operator import empty_idb, theta_legacy
-from repro.core.planning import colexec
 from repro.core.program import Program
 from repro.core.semantics import (
     SemanticsError,
@@ -38,7 +35,6 @@ from repro.queries import distance_program, transitive_closure_program
 
 from strategies import (
     metrics,
-    min_rel,
     positive_programs,
     random_programs,
     small_databases,
@@ -118,27 +114,23 @@ def check_engines(program, db):
 
 
 # ----------------------------------------------------------------------
-# Engines on the columnar form, below and across the size heuristic
+# Engines on the columnar form
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("threshold", [0, 3])
 @given(random_programs(include_zeroary=True), small_databases())
 @settings(max_examples=30)
-def test_engines_match_the_oracles_on_the_columnar_form(threshold, program, db):
-    with min_rel(threshold):
-        check_engines(program, db)
+def test_engines_match_the_oracles_on_the_columnar_form(program, db):
+    check_engines(program, db)
 
 
-@pytest.mark.parametrize("threshold", [0, 3])
 @given(positive_programs(max_rules=3), small_databases(max_size=2))
 @settings(max_examples=15)
-def test_least_fixpoint_is_the_least_enumerated_fixpoint(threshold, program, db):
+def test_least_fixpoint_is_the_least_enumerated_fixpoint(program, db):
     least = least_among(all_fixpoints(program, db, limit_atoms=12))
     assert least is not None
-    with min_rel(threshold):
-        for engine in (naive_least_fixpoint, seminaive_least_fixpoint):
-            assert engine(program, db).idb == least
+    for engine in (naive_least_fixpoint, seminaive_least_fixpoint):
+        assert engine(program, db).idb == least
 
 
 MIXED_VALUES = parse_program(
@@ -158,35 +150,86 @@ MIXED_DB = Database(
 )
 
 
-@pytest.mark.parametrize("threshold", [0, 3, 64])
-def test_head_constants_outside_the_universe_and_mixed_value_types(threshold):
-    with min_rel(threshold):
-        check_engines(MIXED_VALUES, MIXED_DB)
+def test_head_constants_outside_the_universe_and_mixed_value_types():
+    check_engines(MIXED_VALUES, MIXED_DB)
 
 
-def test_the_patched_threshold_really_reaches_the_columnar_form():
-    program = transitive_closure_program()
-    db = graph_to_database(gg.path(12))
-    with min_rel(0), metrics() as value:
-        result = seminaive_least_fixpoint(program, db)
+# ----------------------------------------------------------------------
+# The one fallback: rows wider than 63 bits go to the Θ spec
+# ----------------------------------------------------------------------
+
+WIDE = parse_program(
+    """
+    W(A, B, C, D, E, F, G) :- R(A, B, C, D, E, F, G).
+    W(A, B, C, D, E, F, G) :- W(G, A, B, C, D, E, F).
+    H(A) :- W(A, B, C, D, E, F, G), K(A).
+    V(A, B, C, D, E, F, G) :- K(A), K(B), K(C), K(D), K(E), K(F), K(G).
+    T(X, Y) :- K(X), K(Y), X != Y.
+    """
+)
+WIDE_NEG = Program(
+    list(WIDE.rules) + list(parse_program("N(X) :- K(X), !H(X).").rules)
+)
+
+
+def wide_db():
+    # 301 values: 12-bit ids, so a 7-ary row needs 84 bits.
+    rows = [tuple(range(7 * i, 7 * i + 7)) for i in range(43)]
+    return Database(range(301), [Relation("R", 7, rows), Relation("K", 1, [(0,), (8,), (300,)])])
+
+
+@pytest.fixture
+def spec_calls(monkeypatch):
+    """Counts the plan executions routed to the Θ spec."""
+    from repro.core import operator
+
+    calls = []
+    spec = operator.evaluate_rule_legacy
+
+    def counted(rule, interp, arities=None):
+        calls.append(rule)
+        return spec(rule, interp, arities)
+
+    monkeypatch.setattr(operator, "evaluate_rule_legacy", counted)
+    return calls
+
+
+def test_rows_wider_than_63_bits_go_to_the_spec_and_nothing_else_does(spec_calls):
+    from repro.materialize import Delta, MaterializedView
+
+    db = wide_db()
+    expected = legacy_stages(WIDE, db, inflationary=False)[-1]
+    expected_neg = legacy_stratified(WIDE_NEG, db)
+    del spec_calls[:]
+    with metrics() as value:
+        assert seminaive_least_fixpoint(WIDE, db).idb == expected
+        assert stratified_semantics(WIDE_NEG, db).idb == expected_neg
+        assert spec_calls
+        assert value("repro_kernel_declined_total") == len(spec_calls)
         assert value("repro_engine_kernel_executions_total") > 0
-        assert value("repro_engine_row_executions_total") == 0
-    assert result.idb["S"].code_only is not None
-    with min_rel(6), metrics() as value:
-        # E has 11 rows: the base rule and the first delta rounds run the
-        # columnar form (|E| >= 6); once the deltas shrink below 6 nothing
-        # does — the handover runs in both directions within one fixpoint.
-        result = naive_least_fixpoint(program, db)
-        assert value("repro_engine_kernel_executions_total") > 0
-    assert result.idb == legacy_stages(program, db, False)[-1]
-    with min_rel(40), metrics() as value:
-        # |E| = 11 < 40 <= |S| from round 5 on: row rounds first, then the
-        # recursive rule goes columnar for the rest of the run.
-        result = naive_least_fixpoint(program, db)
-        assert value("repro_engine_row_executions_total") > 0
-        assert value("repro_engine_kernel_executions_total") > 0
-    assert result.idb["S"].code_only is not None
-    assert result.idb == legacy_stages(program, db, False)[-1]
+        assert value("repro_engine_rule_executions_total") - value(
+            "repro_engine_kernel_executions_total"
+        ) == len(spec_calls)
+    assert db.symbols().shift * 7 > 63
+    view = MaterializedView(WIDE_NEG, db, semantics="stratified")
+    del spec_calls[:]
+    with metrics() as value:
+        view.apply(Delta.insert("R", tuple(range(294, 301))))
+        view.apply(Delta.delete("R", tuple(range(0, 7))))
+        view.apply(Delta.delete("K", (8,)))  # V: only its head is wide
+        assert spec_calls
+        assert value("repro_kernel_declined_total") == len(spec_calls)
+    assert view.result.idb == legacy_stratified(WIDE_NEG, view.db)
+
+
+def test_a_propositional_program_runs_on_the_kernel():
+    program = parse_program("P() :- !Q().  Q() :- E(X, X).")
+    for edges in ([(1, 2)], [(1, 2), (2, 2)]):
+        db = Database({1, 2}, [Relation("E", 2, edges)])
+        with metrics() as value:
+            check_engines(program, db)
+            assert value("repro_kernel_declined_total") == 0
+            assert value("repro_engine_kernel_executions_total") > 0
 
 
 # ----------------------------------------------------------------------
@@ -257,11 +300,10 @@ def test_a_generation_bump_mid_fixpoint_is_absorbed(engine):
     with metrics() as value:
         result = engine(WIDENING, db)
         assert value("repro_engine_kernel_executions_total") > 0
-        # Only a row-form execution decodes, and only the (below-threshold)
-        # relations it joins: late, small deltas of S here.
-        assert value(DECODED) < colexec._AUTO_MIN_REL * value(
-            "repro_engine_row_executions_total"
-        ) + 1
+        # The bump is absorbed before each plan's first op: nothing goes
+        # to the spec, and nothing is decoded.
+        assert value("repro_kernel_declined_total") == 0
+        assert value(DECODED) == 0
     assert db.symbols().generation >= 1  # the run widened the table ...
     assert result.idb["T"].code_only is not None  # ... and stayed in codes
     assert result.idb == expected
@@ -277,14 +319,11 @@ def test_mixed_operands_never_decode_the_code_only_side():
     big = coded("R", 2, [(i, i + 1) for i in range(1500)], sym)
     small = Relation("R", 2, [(0, 1), (5, 5)])
     empty = Relation.empty("R", 2)
-    indexed = Relation("R", 2, [(7, 7), (0, 1)])
-    indexed.index_on((0,))  # a row-form cache the handover leaves behind
     with metrics() as value:
         results = [
             big.union(small),
             small.union(big),
             empty.union(big),
-            indexed.union(big),
             big.difference(small),
             small.difference(big),
             big.intersection(small),
@@ -297,18 +336,8 @@ def test_mixed_operands_never_decode_the_code_only_side():
         # Only the small tuple-backed sides were ever interned.
         assert value(ENCODED) <= 1500 + 8
     sizes = [len(r) for r in results]
-    assert sizes == [1501, 1501, 1500, 1501, 1499, 1, 1]
-    assert results[5].tuples == {(5, 5)}
-    assert results[3].tuples == big.tuples | {(7, 7)}
-
-
-def test_two_tuple_backed_operands_keep_the_inheriting_tuple_path():
-    a = Relation("R", 1, [(1,), (2,)])
-    index = a.index_on((0,))
-    merged = a.union(Relation("R", 1, [(3,)]))
-    assert merged.code_only is None
-    assert merged.index_on((0,)) is not index  # patched, not dropped
-    assert sorted(merged.index_on((0,)).keys()) == [(1,), (2,), (3,)]
+    assert sizes == [1501, 1501, 1500, 1499, 1, 1]
+    assert results[4].tuples == {(5, 5)}
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +346,7 @@ def test_two_tuple_backed_operands_keep_the_inheriting_tuple_path():
 
 
 def test_seminaive_decodes_nothing_until_the_caller_asks_for_tuples():
-    db = graph_to_database(gg.path(70))  # |E| = 69 >= _AUTO_MIN_REL
+    db = graph_to_database(gg.path(70))
     with metrics() as value:
         result = seminaive_least_fixpoint(transitive_closure_program(), db)
         assert value("repro_engine_kernel_executions_total") > 0

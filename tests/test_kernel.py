@@ -18,7 +18,7 @@ with Hypothesis over the shared strategies:
 
 The cache-key normalisation regression (``canon_columns`` at the
 kernel boundary) rides along at the bottom: every column-spec spelling
-must hit the same cached index/complement structure.
+must hit the same cached sorted run.
 """
 
 from __future__ import annotations
@@ -86,15 +86,13 @@ def test_encode_decode_round_trip(values):
     for t in tuples:
         assert rc.contains_tuple(t)
     assert not rc.contains_tuple(("missing-value", "missing-value"))
-    # The batch probe agrees tuple by tuple, interns nothing, and stays
-    # exact after the table widens past this payload's field width.
-    probes = tuples[::2] + [("missing-value", values[0]), (values[0],)]
-    expected = [rc.contains_tuple(t) for t in probes]
-    assert rc.contains_rows(probes).tolist() == expected
+    # Probing interns nothing and stays exact after the table widens
+    # past this payload's field width.
     assert sym.id_of("missing-value") is None
     sym.intern_many(range(1000, 1300))
     assert not rc.valid()
-    assert rc.contains_rows(probes + [(1200, 1200)]).tolist() == expected + [False]
+    assert all(rc.contains_tuple(t) for t in tuples)
+    assert not rc.contains_tuple((1200, 1200))
 
 
 @given(small_databases())
@@ -210,18 +208,14 @@ def test_canon_columns_normalises_every_spelling():
     assert all(type(c) is int for c in out)
 
 
-def test_index_and_complement_caches_hit_across_column_spellings():
-    rel = Relation("R", 2, [(1, 2), (2, 3), (3, 1)])
-    idx = rel.index_on((0,))
-    assert rel.index_on([0]) is idx
-    assert rel.index_on(iter((0,))) is idx
-    assert rel.index_on(array("q", [0])) is idx
-    assert rel.index_on(np.array([0])) is idx
-
-    uni = frozenset({1, 2, 3})
-    keyed = rel.keyed_complement_on(uni, (0,), (1,))
-    assert rel.keyed_complement_on(uni, [0], [1]) is keyed
-    assert rel.keyed_complement_on(set(uni), iter((0,)), iter((1,))) is keyed
+def test_sorted_run_cache_hits_across_column_spellings():
+    rc = Relation("R", 2, [(1, 2), (2, 3), (3, 1)]).codes_on(SymbolTable())
+    run = rc.sorted_run((0,))
+    assert rc.sorted_run([0]) is run
+    assert rc.sorted_run(iter((0,))) is run
+    assert rc.sorted_run(array("q", [0])) is run
+    assert rc.sorted_run(np.array([0])) is run
+    assert rc.sorted_run((1, 0)) is rc.sorted_run([np.int64(1), 0])
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,12 @@ zero-ary relations.
 
 from __future__ import annotations
 
-import contextlib
 import random
 import statistics
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import Database, Relation, parse_program
 from repro.core.semantics import (
@@ -43,7 +41,7 @@ from repro.queries import (
     tc_complement_stratified,
     win_move_program,
 )
-from strategies import databases_and_deltas, metrics, min_rel, random_programs
+from strategies import databases_and_deltas, metrics, random_programs
 
 SLOW = settings(
     max_examples=40,
@@ -310,14 +308,6 @@ TC(X, Y) :- E(X, Z), TC(Z, Y).
 """
 
 
-@pytest.fixture(params=[None, 0], ids=["row", "columnar"])
-def execution(request):
-    """Each case on the shipped row/columnar choice and forced columnar."""
-    with min_rel(request.param) if request.param is not None else contextlib.nullcontext():
-        yield
-
-
-@pytest.mark.usefixtures("execution")
 class TestRederive:
     def test_batch_resupports_through_an_inserted_edge(self):
         """One delta deletes 2->3 and inserts 2->4: TC(1,4) and TC(2,4)
@@ -461,10 +451,8 @@ def test_long_stream_keeps_one_table_and_stays_in_codes():
         assert value("repro_symbol_tables_total") == 1
     assert view.recomputes == 0
     assert view.db.symbols() is symbols
-    # Only changed tuples are decoded — except once, when the row-form
-    # counting variants first join E@new and it settles into row form.
-    assert sum(decode_excess) <= len(edges)
-    assert sorted(decode_excess)[-2] == 0
+    # Only changed tuples are decoded.
+    assert sum(decode_excess) == 0
     for rel in list(view._aliases.values()) + list(view.result.idb.values()):
         assert len(rel._kernel_cache) == 1, rel.name
     assert view.result.idb == _reference(program, view.db, "stratified")
@@ -480,8 +468,7 @@ def test_apply_spans_and_exposition_show_row_traffic():
     enable_metrics(registry)
     try:
         view = MaterializedView(program, graph_to_database(gg.path(70)))
-        # First update: plans compile and E@new settles into the row form
-        # its counting reader joins it in (a one-off decode of the alias).
+        # First update: plans compile and the aliases settle into codes.
         view.apply(Delta.delete("E", (69, 70)))
         TRACER.start()
         try:
@@ -497,8 +484,11 @@ def test_apply_spans_and_exposition_show_row_traffic():
     for span in [applied] + components:
         assert span.attrs["decoded_rows"] <= len(changeset)
         assert span.attrs["encoded_rows"] <= 1 + len(changeset)
-    # Only DRed's change is born in codes; it is decoded once.
-    assert applied.attrs["decoded_rows"] == len(changeset.deleted["TC"])
+    # DRed's change and counting's distinct heads are born in codes; each
+    # is decoded once.
+    assert applied.attrs["decoded_rows"] == len(changeset.deleted["TC"]) + len(
+        changeset.deleted["ACYC"]
+    )
     assert "repro_symbol_tables_total 1\n" in registry.exposition()
 
 
@@ -507,16 +497,13 @@ def test_apply_spans_and_exposition_show_row_traffic():
 # ----------------------------------------------------------------------
 
 
-def _property_body(program, db, deltas, semantics, columnar=False):
+def _property_body(program, db, deltas, semantics):
     if semantics == "stratified" and not is_stratifiable(program):
         return
-    # columnar: even these tiny inputs run every joining plan on codes,
-    # so DRed's set algebra works on code-only relations.
-    with min_rel(0) if columnar else contextlib.nullcontext():
-        view = MaterializedView(program, db, semantics=semantics)
-        for delta in deltas:
-            view.apply(delta)
-            assert view.result.idb == _reference(program, view.db, semantics)
+    view = MaterializedView(program, db, semantics=semantics)
+    for delta in deltas:
+        view.apply(delta)
+        assert view.result.idb == _reference(program, view.db, semantics)
 
 
 class TestMaintenanceEqualsRecompute:
@@ -524,11 +511,10 @@ class TestMaintenanceEqualsRecompute:
     @given(
         program=random_programs(allow_idb_negation=True, include_zeroary=True),
         dbd=databases_and_deltas(),
-        columnar=st.booleans(),
     )
-    def test_stratified_mixed(self, program, dbd, columnar):
+    def test_stratified_mixed(self, program, dbd):
         db, deltas = dbd
-        _property_body(program, db, deltas, "stratified", columnar)
+        _property_body(program, db, deltas, "stratified")
 
     @SLOW
     @given(

@@ -4,10 +4,10 @@ The load-bearing guarantees:
 
 * **three-way equivalence**: on arbitrary rules — including repeated
   variables, constants, zero-ary relations, and unsafe active-domain
-  completion — the reference evaluator, the row form of the batch
-  program (``solve_plan_table``) and its *forced* columnar form
-  (``colexec.execute_plan_codes``, whatever the size heuristic would
-  have picked) all derive the same tuples;
+  completion — the reference evaluator, the columnar executor's packed
+  heads (``execute_plan`` / ``colexec.execute_plan_codes``) and its
+  unpacked bindings (``solve_rows``) all derive the same tuples, with
+  the semi-join prologue on and off;
 * every engine that now evaluates through plans (naive, semi-naive,
   inflationary, stratified) computes the same valuations as
   the legacy uncompiled Theta iteration;
@@ -47,7 +47,7 @@ from repro.core.planning import (
     compile_program,
     compile_rule,
     execute_plan,
-    solve_plan_table,
+    solve_rows,
 )
 from repro.core.semantics import (
     inflationary_semantics,
@@ -84,42 +84,36 @@ def legacy_inflationary(program, db):
 
 
 # ----------------------------------------------------------------------
-# Single-rule equivalence: legacy == row form == columnar form (three-way)
+# Single-rule equivalence: legacy == packed heads == bindings (three-way)
 # ----------------------------------------------------------------------
 
 
-def row_heads(plan, interp, semijoin=True):
-    """Head tuples through the row interpreter."""
-    table = solve_plan_table(plan, interp, semijoin=semijoin)
+def binding_heads(plan, interp):
+    """Head tuples projected from the executor's unpacked bindings."""
     return {
         tuple(payload if is_const else row[payload] for is_const, payload in plan.head_cols)
-        for row in table.rows
+        for row in solve_rows(plan, interp)
     }
 
 
 def columnar_heads(plan, interp, semijoin=True):
-    """Head tuples through the columnar interpreter, called directly (no
-    size heuristic in the way); ``None`` when it declines the plan."""
-    result = colexec.execute_plan_codes(plan, interp, semijoin=semijoin)
-    if result is None:
-        return None
-    sym, head_codes = result
+    """Head tuples of the columnar executor, called directly."""
+    sym, head_codes = colexec.execute_plan_codes(plan, interp, semijoin=semijoin)
     return RelationCodes(sym, len(plan.head_cols), head_codes).decode()
 
 
 def assert_three_way(rule, interp, arities, db=None):
-    """Reference evaluator, row form and forced columnar form must agree
-    (and so must ``execute_plan``, whichever of the two it picks) — all
-    with the semi-join reduction pass on and off."""
+    """Reference evaluator, packed heads and bindings must agree — with
+    the semi-join reduction pass on and off."""
     plan = compile_rule(rule, db=db)
     legacy = evaluate_rule_legacy(rule, interp, arities)
+    assert binding_heads(plan, interp) == legacy
     for semijoin in (True, False):
         head = execute_plan(plan, interp, semijoin=semijoin)
         assert (head.name, head.arity) == (plan.head_pred, len(plan.head_cols))
+        assert head.code_only is not None
         assert head.tuples == legacy
-        assert row_heads(plan, interp, semijoin) == legacy
-        columnar = columnar_heads(plan, interp, semijoin)
-        assert columnar is None or columnar == legacy
+        assert columnar_heads(plan, interp, semijoin) == legacy
 
 
 @given(random_programs(), small_databases())
@@ -143,31 +137,21 @@ def test_three_way_executor_equivalence_on_random_rules(program, db):
 
 
 @given(random_programs(include_zeroary=True), small_databases())
-def test_row_bindings_match_columnar_bindings_under_total_heads(program, db):
+def test_bindings_match_the_spec_under_total_heads(program, db):
     # With a pseudo-head naming every rule variable (the grounder's
-    # construction) no variable is existence-projected, so the head sets
-    # ARE the binding sets: the two forms must agree on them.
+    # construction) no variable is existence-projected: the executor's
+    # bindings are exactly the spec's head set, duplicate-free.
     from repro.core.literals import Atom
     from repro.core.rules import Rule
 
     interp = as_interpretation(program, db, theta_legacy(program, db))
     for rule in program.rules:
         all_vars = sorted(rule.variables(), key=lambda v: v.name)
-        plan = compile_rule(Rule(Atom("__all__", tuple(all_vars)), rule.body))
-        columnar = columnar_heads(plan, interp)
-        assert columnar is None or columnar == row_heads(plan, interp)
-
-
-def test_columnar_form_runs_below_the_size_heuristic():
-    # A join-only rule over a relation smaller than _AUTO_MIN_REL: the
-    # heuristic keeps it on the row path, so only a direct call reaches
-    # the columnar join lowering at this size — and it must not decline.
-    program = parse_program("S(X, Y) :- E(X, Z), E(Z, Y).")
-    db = Database({1, 2, 3}, [Relation("E", 2, [(1, 2), (2, 3), (3, 1)])])
-    assert len(db["E"]) < colexec._AUTO_MIN_REL
-    plan = compile_rule(program.rules[0], db=db)
-    assert not colexec.wants_plan(plan, db)
-    assert columnar_heads(plan, db) == {(1, 3), (2, 1), (3, 2)}
+        pseudo = Rule(Atom("__all__", tuple(all_vars)), rule.body)
+        plan = compile_rule(pseudo)
+        rows = solve_rows(plan, interp)
+        assert len(rows) == len(set(rows))
+        assert binding_heads(plan, interp) == evaluate_rule_legacy(pseudo, interp)
 
 
 @given(random_programs(), small_databases())
@@ -274,7 +258,7 @@ def test_batch_plan_uses_existence_checks_for_projected_completions():
     assert [v.name for v in plan.schema] == ["Z"]
 
 
-def test_batch_plan_keys_complement_on_bound_positions():
+def test_batch_plan_keys_the_complement_by_bound_positions():
     program = parse_program("T(X) :- E(X, Y), !S(Y, W). S(X, Y) :- E(X, Y).")
     plan = compile_rule(program.rules[0])
     comp = [op for op in plan.ops if isinstance(op, ComplementJoin)]

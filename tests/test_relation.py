@@ -132,22 +132,8 @@ def test_complement_is_involutive(xs):
     assert a.complement(universe).complement(universe) == a
 
 
-def test_complement_on_value_and_cache():
-    universe = frozenset({1, 2, 3})
-    rel = Relation("S", 2, [(1, 1), (1, 2)])
-    comp = rel.complement_on(universe)
-    assert comp.arity == 2
-    assert len(comp) == 9 - 2
-    assert (1, 1) not in comp and (3, 3) in comp
-    assert rel.complement_on(universe) is comp  # cached on the relation
-    # A different universe is a different complement, cached separately.
-    wider = rel.complement_on(frozenset({1, 2, 3, 4}))
-    assert len(wider) == 16 - 2
-    assert rel.complement_on(universe) is comp
-
-
-def test_complement_on_zero_ary():
+def test_complement_of_zero_ary_relations():
     empty = Relation("B", 0, [])
     full = Relation("B", 0, [()])
-    assert set(empty.complement_on(frozenset({1}))) == {()}
-    assert set(full.complement_on(frozenset({1}))) == set()
+    assert set(empty.complement(frozenset({1}))) == {()}
+    assert set(full.complement(frozenset({1}))) == set()

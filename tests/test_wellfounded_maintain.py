@@ -15,6 +15,8 @@ class (the ISSUE 5 acceptance bar), overriding the profile's default.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings, target
 
@@ -431,3 +433,53 @@ class TestExceptionContract:
         _assert_partitions_equal(program, view)
         assert view.rollback(2) is not None
         _assert_partitions_equal(program, view)
+
+
+class TestCodesResidentEDB:
+    @staticmethod
+    def _encoded_over_applies(n, applies=200, seed=7):
+        """Rows encoded by ``applies`` alternating single-edge inserts and
+        deletes on a win-move view over a random G(n, 2n); the view."""
+        from repro import parse_program
+
+        from strategies import metrics
+
+        rng = random.Random(seed)
+        edges = set()
+        while len(edges) < 2 * n:
+            edges.add((rng.randrange(n), rng.randrange(n)))
+        present = sorted(edges)
+        view = MaterializedView(
+            parse_program("WIN(X) :- Move(X, Y), !WIN(Y)."),
+            Database(range(n), [Relation("Move", 2, present)]),
+            semantics="wellfounded",
+        )
+        with metrics() as value:
+            for i in range(applies):
+                if i % 2 == 0:
+                    edge = (rng.randrange(n), rng.randrange(n))
+                    while edge in edges:
+                        edge = (rng.randrange(n), rng.randrange(n))
+                    edges.add(edge)
+                    present.append(edge)
+                    view.apply(Delta.insert("Move", edge))
+                else:
+                    k = rng.randrange(len(present))
+                    present[k], present[-1] = present[-1], present[k]
+                    edge = present.pop()
+                    edges.discard(edge)
+                    view.apply(Delta.delete("Move", edge))
+            encoded = value("repro_relation_encoded_rows_total")
+        return encoded, view
+
+    def test_edb_stays_in_codes_and_an_apply_encodes_the_delta_only(self):
+        """The EDB relation a well-founded view updates is never copied
+        as tuples: it stays code-only, and the rows each apply encodes
+        are a constant per delta tuple, whatever the graph's size."""
+        counts = []
+        for n in (2000, 20000):
+            encoded, view = self._encoded_over_applies(n)
+            assert view.db["Move"].code_only is not None
+            counts.append(encoded)
+            _assert_partitions_equal(view.program, view)
+        assert counts[0] == counts[1] <= 2 * 200
