@@ -6,12 +6,27 @@ the counting layer works) is at least 5x faster than recomputing the
 stratified fixpoint from scratch at the largest benchmarked size (9.4x
 measured at ``L_36``).  Smaller sizes are reported for the scaling
 picture; the assertion only binds at the largest.
+
+The fresh-node streams (40 inserts of an edge to a never-seen node, on
+a stratified ACYC view over G(2000, 1400) and a NOTC view over
+G(150, 300), whose completion variables join the universe) assert that
+universe growth is a delta: no recompute, and a median fresh-node
+insert within 3x of the same insert once its node is known.
 """
 
+import pytest
+
+from bench_utils import measure_growth_stream
 from repro.bench.materialize_perf import measure_update_scenario
 
 SIZES = (16, 24, 36)
 HEADLINE_SPEEDUP = 5.0
+GROWTH_MAX_RATIO = 3.0
+TC = "TC(X, Y) :- E(X, Y).  TC(X, Y) :- E(X, Z), TC(Z, Y).  "
+GROWTH_CASES = {
+    "acyc": (TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X).", 2000, 1400),
+    "notc": (TC + "NOTC(X, Y) :- !TC(X, Y).", 150, 300),
+}
 
 
 def _run_all():
@@ -50,3 +65,23 @@ def test_materialize_update_latency(benchmark):
         "recompute at n=%d (need >= %.1fx)"
         % (shortcut_speedup, largest["n"], HEADLINE_SPEEDUP)
     )
+
+
+@pytest.mark.parametrize("case", sorted(GROWTH_CASES))
+def test_fresh_node_stream_is_maintained(benchmark, case):
+    source, n, m = GROWTH_CASES[case]
+    result = benchmark.pedantic(
+        measure_growth_stream,
+        args=(source, "stratified", n, m),
+        rounds=1,
+        iterations=1,
+        warmup_rounds=0,
+    )
+    ratio = result["fresh_s"] / result["known_s"]
+    print(
+        "%s G(%d,%d): fresh=%.5fs known=%.5fs (%.2fx) recomputes=%d"
+        % (case, n, m, result["fresh_s"], result["known_s"], ratio, result["recomputes"])
+    )
+    assert result["equal"], "maintained %s view diverged from recompute" % case
+    assert result["recomputes"] == 0
+    assert ratio <= GROWTH_MAX_RATIO, ratio

@@ -109,8 +109,8 @@ def test_inflationary_pi1_legacy(benchmark, n):
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_inflationary_distance_compiled(benchmark, n):
-    # The completion-bound program: complement joins replace the |A|^k
-    # enumerate-then-filter pipeline of the legacy evaluator.
+    # The completion-bound program: @U joins plus anti-joins, set at a
+    # time, against the legacy evaluator's per-binding completion.
     db = graph_to_database(gg.path(n))
     result = benchmark(inflationary_semantics, DIST, db)
     assert idb_equal(result.idb, legacy_inflationary(DIST, db))

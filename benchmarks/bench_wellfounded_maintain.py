@@ -12,13 +12,20 @@ recompute at ``L_500`` and ``L_1000``.  This is what catches the view
 degenerating to recompute (or worse: walking the alternation's depth per
 update) — absolute floors cannot, because a recompute of these sizes
 fits under a CI runner's noise.
+
+The fresh-node stream (win–move over a random G(2000, 4000), 40 inserts
+of an edge to a never-seen node) asserts that universe growth is a
+delta: no recompute, and a median fresh-node insert within 3x of the
+same insert once its node is known.
 """
 
+from bench_utils import measure_growth_stream
 from repro.bench.wellfounded_perf import measure_wellfounded_scenario
 
 SIZES = (500, 1000, 2000)
 PROBE_MIN_RATIO = 5.0
 FLIP_MIN_RATIO = 1.0
+GROWTH_MAX_RATIO = 3.0
 
 
 def _run_all():
@@ -50,3 +57,21 @@ def test_wellfounded_update_latency(benchmark):
         assert probe >= PROBE_MIN_RATIO, (m["n"], probe)
         if flip is not None:
             assert flip >= FLIP_MIN_RATIO, (m["n"], flip)
+
+
+def test_fresh_node_stream_is_maintained(benchmark):
+    m = benchmark.pedantic(
+        measure_growth_stream,
+        args=("WIN(X) :- E(X, Y), !WIN(Y).", "wellfounded", 2000, 4000),
+        rounds=1,
+        iterations=1,
+        warmup_rounds=0,
+    )
+    ratio = m["fresh_s"] / m["known_s"]
+    print(
+        "win-move G(2000,4000): fresh=%.5fs known=%.5fs (%.2fx) recomputes=%d"
+        % (m["fresh_s"], m["known_s"], ratio, m["recomputes"])
+    )
+    assert m["equal"], "maintained well-founded view diverged from recompute"
+    assert m["recomputes"] == 0
+    assert ratio <= GROWTH_MAX_RATIO, ratio

@@ -19,11 +19,11 @@ Grounding binds variables through positive EDB atoms first (joins) and
 completes the remaining variables over the universe, pruning with EDB
 negations and comparisons as soon as their variables are bound.  Since the
 planner refactor this is done by compiling the *EDB projection* of each
-rule (its positive EDB atoms plus EDB-only filters, under a pseudo-head
-carrying every rule variable) with :mod:`repro.core.planning` and
-enumerating the plan's bindings — IDB literals stay symbolic, and the
-relations' cached codes and sorted runs are shared with the fixpoint
-engines.
+rule (its positive EDB atoms plus EDB-only filters, range-restricted by
+joins with the universe relation ``@U``, under a pseudo-head carrying
+every rule variable) with :mod:`repro.core.planning` and enumerating the
+plan's bindings — IDB literals stay symbolic, and the relations' cached
+codes and sorted runs are shared with the fixpoint engines.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..db.database import Database
+from ..db.database import UNIVERSE, Database
 from ..db.relation import Relation
 from .deltavariants import (
     PlanCache,
@@ -47,7 +47,7 @@ from .deltavariants import (
 )
 from ..obs import RECORDER, TRACER
 from .literals import Atom, Eq, Negation, Neq
-from .planning import PLAN_STORE, solve_rows
+from .planning import PLAN_STORE, range_restricted, solve_rows
 from .program import Program
 from .rules import Rule
 from .terms import Variable
@@ -290,13 +290,15 @@ def _edb_projection(rule: Rule, idb: FrozenSet[str]) -> Rule:
     """The EDB projection of ``rule``, as a pseudo-rule.
 
     It keeps the positive EDB atoms and EDB-only filters, under a
-    synthetic head listing *every* rule variable so the plan's
-    active-domain completion covers variables that occur only in IDB
-    literals (which stay symbolic).  The plan itself is fetched from the
-    shared plan store under a (rule, database) key, so repeated
-    groundings of the same input — the well-founded engine, the SAT
-    reduction, enumeration — compile once while join ordering still sees
-    the database's cardinalities.
+    synthetic head listing *every* rule variable, range-restricted: a
+    variable no positive EDB atom binds — one that occurs only in IDB
+    literals (which stay symbolic), or a completion variable — joins
+    ``@U``.  Growth of the universe is then an ``@U`` delta like any
+    other EDB change (:class:`LiveGroundProgram`).  The plan itself is
+    fetched from the shared plan store under a (rule, database) key, so
+    repeated groundings of the same input — the well-founded engine, the
+    SAT reduction, enumeration — compile once while join ordering still
+    sees the database's cardinalities.
     """
     edb_body = [
         t
@@ -306,7 +308,7 @@ def _edb_projection(rule: Rule, idb: FrozenSet[str]) -> Rule:
         or (isinstance(t, Negation) and t.atom.pred not in idb)
     ]
     all_vars = sorted(rule.variables(), key=lambda v: v.name)
-    return Rule(Atom("__grounding__", tuple(all_vars)), edb_body)
+    return range_restricted(Rule(Atom("__grounding__", tuple(all_vars)), edb_body))
 
 
 def _idb_literals(rule: Rule, idb: FrozenSet[str]):
@@ -401,17 +403,6 @@ def ground_program(program: Program, db: Database) -> GroundProgram:
     return GroundProgram(program, db, ordered)
 
 
-class GroundingPatchError(ValueError):
-    """The ground program cannot be patched; re-ground from scratch.
-
-    Raised when an update enlarges the universe: every completion
-    variable of every EDB projection quantifies over the universe, so
-    growth multiplies binding spaces behind the backs of the maintained
-    instance counts (the same reason the counting maintenance of
-    :mod:`repro.materialize.counting` falls back).
-    """
-
-
 class LiveGroundProgram:
     """A ground program kept live under EDB deltas.
 
@@ -424,7 +415,10 @@ class LiveGroundProgram:
     lost, and a ground rule enters (leaves) the instantiation when its
     binding count rises from (returns to) zero.  Work per update is
     proportional to the delta's binding footprint: every variant joins
-    through the small ``@ins``/``@del`` change sets first.
+    through the small ``@ins``/``@del`` change sets first.  A universe
+    that grows is one more change set: the fresh values are inserted
+    into ``@U``, which the projections of rules with completion
+    variables read.
 
     The alias relations :meth:`~repro.db.relation.Relation.evolve`
     across updates, so their cached codes are patched, never rebuilt —
@@ -441,7 +435,17 @@ class LiveGroundProgram:
     :class:`GroundProgramIndex`, patched in place by :meth:`apply`.
     """
 
-    __slots__ = ("program", "db", "index", "_counts", "_ids", "_aliases", "_plans", "_rule_info")
+    __slots__ = (
+        "program",
+        "db",
+        "index",
+        "_counts",
+        "_ids",
+        "_aliases",
+        "_plans",
+        "_rule_info",
+        "_differentiated",
+    )
 
     def __init__(self, program: Program, db: Database) -> None:
         self.program = program
@@ -452,8 +456,9 @@ class LiveGroundProgram:
         self._counts: Dict[GroundRule, int] = counts
         self.index = GroundProgramIndex(counts)
         self._ids: Dict[GroundRule, int] = {g: r for r, g in enumerate(counts)}
+        names = db.relation_names() + (UNIVERSE,)
         small = set()
-        for name in db.relation_names():
+        for name in names:
             small.add(ins_name(name))
             small.add(del_name(name))
         self._plans = PlanCache(frozenset(small))
@@ -464,6 +469,7 @@ class LiveGroundProgram:
         # the plan executions are genuinely per-update work.
         idb = program.idb_predicates
         read = set()
+        self._differentiated = set()  # predicates some projection reads
         self._rule_info = []
         for rule in program.rules:
             proj = _edb_projection(rule, idb)
@@ -480,16 +486,17 @@ class LiveGroundProgram:
                     delta_variant(proj, position, gained=False),
                 )
                 variants_by_pred.setdefault(pred, []).append(pair)
+                self._differentiated.add(pred)
                 for variant in pair:
                     read |= variant.body_predicates()
             self._rule_info.append(
                 (rule, *_idb_literals(rule, idb), variants_by_pred)
             )
         self._aliases: Dict[str, Relation] = {}
-        for name in db.relation_names():
+        for name in names:
             for alias in (old_name(name), new_name(name)):
                 if alias in read:
-                    self._aliases[alias] = db[name].with_name(alias)
+                    self._aliases[alias] = db.get(name).with_name(alias)
 
     @property
     def rules(self) -> FrozenSet[GroundRule]:
@@ -508,23 +515,17 @@ class LiveGroundProgram:
 
         ``changes`` maps each changed relation to its effective
         ``(inserted, deleted)`` tuple sets against the pre-change
-        database; ``new_db`` is the post-change database (same
-        universe).  Returns the ``(added, removed)`` ground rules, each
-        mapped to its id in :attr:`index` (removed ones are retired
-        there, added ones appended).
-
-        Raises
-        ------
-        GroundingPatchError
-            When ``new_db``'s universe differs from the grounding
-            universe — callers must rebuild from scratch then.
+        database, and ``@U`` to the universe's fresh values as 1-tuples
+        when it grew; ``new_db`` is the post-change database.  Returns
+        the ``(added, removed)`` ground rules, each mapped to its id in
+        :attr:`index` (removed ones are retired there, added ones
+        appended).
         """
-        if new_db.universe != self.db.universe:
-            raise GroundingPatchError(
-                "universe changed (%d -> %d elements); the ground program "
-                "must be rebuilt" % (len(self.db.universe), len(new_db.universe))
-            )
-        changed = frozenset(n for n, (ins, dels) in changes.items() if ins or dels)
+        changed = frozenset(
+            n
+            for n, (ins, dels) in changes.items()
+            if (ins or dels) and n in self._differentiated
+        )
         if not changed:
             self.db = new_db
             return {}, {}
@@ -534,7 +535,7 @@ class LiveGroundProgram:
             change_rels: List[Relation] = []
             for name in changed:
                 ins, dels = changes[name]
-                arity = self.db[name].arity
+                arity = new_db.get(name).arity
                 alias = new_name(name)
                 if alias in aliases:
                     aliases[alias] = aliases[alias].evolve(ins, dels)

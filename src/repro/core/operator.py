@@ -22,8 +22,8 @@ Since the planner refactor, rule evaluation is split in two:
 :mod:`repro.core.planning` compiles each rule once into a
 :class:`~repro.core.planning.RulePlan` (fixed join order, key columns,
 filter schedule, batch program) which is then executed every round by
-the columnar executor — negation as anti-join, completion through
-negated atoms as a complement join — over code vectors and sorted runs
+the columnar executor — negation as anti-join, completion as a join
+with the universe relation ``@U`` — over code vectors and sorted runs
 cached on the immutable relations.  Compiled plans come from the process-wide
 :data:`repro.core.planning.PLAN_STORE`, shared with every engine and the
 grounder.  ``evaluate_rule``/``theta`` below compile transparently;

@@ -7,8 +7,9 @@ call.  This package is the production path beside it:
 * :func:`compile_rule` / :func:`compile_program` run once per
   (program, database) and produce immutable :class:`RulePlan` /
   :class:`ProgramPlan` objects: join order, batch ops (anti-join
-  negation, complement-scheduled completion), a Yannakakis semi-join
-  schedule (:class:`SemiJoinStep`) and the hoisted sorted universe;
+  negation, completion as a join with the universe relation ``@U`` —
+  :func:`range_restricted`) and a Yannakakis semi-join schedule
+  (:class:`SemiJoinStep`);
 * :func:`execute_plan` runs a plan in the columnar executor
   (:mod:`~repro.core.planning.colexec`: int64 id vectors under the
   interpretation's symbol table; the head stays code-only), and
@@ -23,14 +24,13 @@ small_preds)``, compiled once and run unchanged every round.
 """
 
 from .batch import execute_plan, solve_rows
-from .compiler import ProgramPlan, compile_program, compile_rule
+from .compiler import ProgramPlan, compile_program, compile_rule, range_restricted
 from .plan import (
     AntiJoin,
     AtomStep,
     BatchJoin,
     CmpOp,
-    ComplementJoin,
-    ExtendDomain,
+    Project,
     RulePlan,
     SemiJoinStep,
 )
@@ -41,15 +41,15 @@ __all__ = [
     "AtomStep",
     "BatchJoin",
     "CmpOp",
-    "ComplementJoin",
-    "ExtendDomain",
     "PLAN_STORE",
     "PlanStore",
     "ProgramPlan",
+    "Project",
     "RulePlan",
     "SemiJoinStep",
     "compile_program",
     "compile_rule",
     "execute_plan",
+    "range_restricted",
     "solve_rows",
 ]

@@ -1,8 +1,8 @@
 """The rule executor: a plan's batch program run over int64 id columns.
 
 Every compiled :class:`~repro.core.planning.plan.RulePlan` runs here.
-The frontier is a :class:`ColumnTable` — one int64 id vector per bound
-schema column, under the interpretation's
+The frontier is a :class:`ColumnTable` — one int64 id vector per live
+variable, under the interpretation's
 :class:`~repro.db.kernel.SymbolTable` — and every op is vector
 arithmetic over the relations' cached code vectors
 (:meth:`~repro.db.relation.Relation.codes_on`):
@@ -13,10 +13,9 @@ arithmetic over the relations' cached code vectors
 * :class:`~repro.core.planning.plan.AntiJoin` packs each frontier row's
   atom fields into one row code and drops rows whose code occurs in the
   relation's sorted vector;
-* :class:`~repro.core.planning.plan.ComplementJoin` completes variables
-  by range arithmetic over the interned universe
-  (:func:`~repro.db.kernel.universe_product_codes` minus the relation's
-  codes), grouped per distinct bound key;
+* a completion variable is an ordinary keyless join with the universe
+  relation ``@U``, and :class:`~repro.core.planning.plan.Project` keeps
+  the columns later ops read, deduplicating rows by their packed code;
 * zero-ary atoms are tests: a join keeps the frontier iff its relation
   is non-empty, an anti-join drops it iff the relation is non-empty;
 * the Yannakakis prologue reduces scanned relations by sorted-key
@@ -40,21 +39,9 @@ import numpy as np
 
 from ...db import kernel
 from ...db.database import Database
-from ...db.kernel import (
-    RelationCodes,
-    SortedRun,
-    universe_ids,
-    universe_product_codes,
-)
+from ...db.kernel import RelationCodes, SortedRun
 from ...obs import RECORDER
-from .plan import (
-    AntiJoin,
-    BatchJoin,
-    CmpOp,
-    ComplementJoin,
-    ExtendDomain,
-    RulePlan,
-)
+from .plan import AntiJoin, BatchJoin, CmpOp, Project, RulePlan
 
 _MIN_REDUCE_SIZE = 256
 """Semi-join floor.  A sorted-run probe never materialises non-matching
@@ -106,13 +93,12 @@ class ColumnTable:
 # ----------------------------------------------------------------------
 
 def _plan_state(plan: RulePlan):
-    """(width, constants, needs_universe, preds, copy_scan, scan_joins).
+    """(width, constants, preds, copy_scan, scan_joins).
 
     ``width`` is the widest code any op must pack (the head's is checked
     separately, only where the head is packed); ``constants`` is every
     constant the plan mentions and ``preds`` every relation it reads —
-    all interned or resolved before the op loop, together with the
-    universe when any op completes over it.
+    all interned or resolved before the op loop.
 
     Cached directly on the plan instance (``RulePlan`` is a frozen
     dataclass without slots): lookup is one ``__dict__`` read, where a
@@ -125,7 +111,6 @@ def _plan_state(plan: RulePlan):
     widths = [0]
     consts: List[Any] = [v for is_const, v in plan.head_cols if is_const]
     preds: Dict[str, None] = {}
-    needs_universe = False
     for op in plan.ops:
         t = type(op)
         if t is BatchJoin:
@@ -141,14 +126,8 @@ def _plan_state(plan: RulePlan):
             for is_const, payload in (op.left, op.right):
                 if is_const:
                     consts.append(payload)
-        elif t is ComplementJoin:
-            widths.append(op.arity)
-            consts.extend(v for is_const, v in op.bound_key if is_const)
-            preds[op.pred] = None
-            needs_universe = True
-        elif t is ExtendDomain:
-            widths.append(1)
-            needs_universe = True
+        elif t is Project:
+            widths.append(len(op.columns))
         else:  # pragma: no cover - compiler emits only the types above
             raise TypeError("unknown batch op: %r" % (op,))
     # Copy-scan detection: a single keyless scan whose head re-packs the
@@ -178,7 +157,6 @@ def _plan_state(plan: RulePlan):
     state = (
         max(widths),
         tuple(consts),
-        needs_universe,
         tuple(preds),
         copy_scan,
         scan_joins,
@@ -190,21 +168,19 @@ def _plan_state(plan: RulePlan):
 def _resolve(plan: RulePlan, interp: Database, width: int):
     """``(symbols, codes by predicate)`` for one execution, or ``None``.
 
-    Interns the plan's constants (and the universe, if completed over),
-    then resolves every relation the plan reads to codes under the
-    interpretation's table — ``None`` for an absent or empty one.
+    Interns the plan's constants, then resolves every relation the plan
+    reads to codes under the interpretation's table — ``None`` for an
+    absent or empty one.
     Encoding a relation can widen the table's field width, retiring
     payloads resolved before it; the pass repeats until the generation
     is stable (the loop of ``Relation._evolved_codes``), so every code
     the op loop sees is of one width.  ``None`` when a row of ``width``
     fields no longer fits 63 bits.
     """
-    _, consts, needs_universe, preds, _, _ = _plan_state(plan)
+    _, consts, preds, _, _ = _plan_state(plan)
     sym = interp.symbols()
     for v in consts:
         sym.intern(v)
-    if needs_universe:
-        universe_ids(sym, interp.universe)
     while True:
         generation = sym.generation
         if not sym.fits(width):
@@ -236,7 +212,7 @@ def execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool = True):
     empty derivation is an empty *vector*.  ``None`` means a relation
     or the head is wider than 63 bits.
     """
-    width, _, _, _, copy_scan, _ = _plan_state(plan)
+    width, _, _, copy_scan, _ = _plan_state(plan)
     resolved = _resolve(plan, interp, max(width, len(plan.head_cols)))
     if resolved is None:
         return None
@@ -245,7 +221,7 @@ def execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool = True):
         rc = rcs[plan.ops[0].pred]
         head = _EMPTY if rc is None else rc.codes
     else:
-        cols, nrows = _run(plan, interp, sym, rcs, semijoin)
+        cols, nrows = _run(plan, sym, rcs, semijoin)
         if nrows == 0:
             head = _EMPTY
         elif not plan.head_cols:
@@ -270,7 +246,7 @@ def solve_plan(plan: RulePlan, interp: Database):
     if resolved is None:
         return None
     sym, rcs = resolved
-    cols, nrows = _run(plan, interp, sym, rcs, True)
+    cols, nrows = _run(plan, sym, rcs, True)
     if RECORDER.enabled:
         RECORDER.inc("repro_kernel_lowered_total")
     return sym, ColumnTable(cols, nrows)
@@ -371,9 +347,9 @@ def _semijoin_reduce(plan: RulePlan, rcs, sym, scan_joins):
     return reduced
 
 
-def _run(plan: RulePlan, interp: Database, sym, rcs, semijoin: bool):
+def _run(plan: RulePlan, sym, rcs, semijoin: bool):
     """The op loop: ``(cols, nrows)``, one column per ``plan.schema`` variable."""
-    scan_joins = _plan_state(plan)[5]
+    scan_joins = _plan_state(plan)[4]
     joins = [rcs[op.pred] for op in plan.ops if type(op) is BatchJoin]
     if any(rc is None for rc in joins):
         return _no_rows(plan)  # an empty positive atom: nothing satisfies the body
@@ -468,18 +444,16 @@ def _run(plan: RulePlan, interp: Database, sym, rcs, semijoin: bool):
             keep = (left == right) if op.equal else (left != right)
             cols = [c[keep] for c in cols]
             nrows = int(keep.sum())
-        elif t is ExtendDomain:
-            ids = universe_ids(sym, interp.universe)
-            m = len(ids)
-            if m == 0:
-                nrows = 0
-                break
-            rowidx = _arange(nrows).repeat(m)
-            cols = _expand(cols, rowidx)
-            cols.append(np.tile(ids, nrows))
-            nrows *= m
-        else:
-            cols, nrows = _complement_join(op, cols, nrows, interp, sym, rcs[op.pred])
+        else:  # Project
+            if not op.columns:
+                cols, nrows = [], 1  # every row agreed on nothing: one is left
+                continue
+            codes = _key_fold(
+                tuple((False, c) for c in op.columns), cols, nrows, b, sym
+            )
+            first = np.unique(codes, return_index=True)[1]
+            cols = [cols[c][first] for c in op.columns]
+            nrows = len(first)
     if nrows == 0:
         return _no_rows(plan)
     return cols, nrows
@@ -499,131 +473,3 @@ def _dup_mask(rc: RelationCodes, codes, dup_checks):
         m = sub_cols[a] == sub_cols[c2]
         mask = m if mask is None else (mask & m)
     return mask
-
-
-def _complement_join(
-    op: ComplementJoin, cols, nrows: int, interp: Database, sym, rc
-):
-    """One complement join over the frontier: ``(cols, nrows)``.
-
-    Completion is range arithmetic: the allowed assignments per bound
-    key are the universe product's code range minus the key's matched
-    projections, computed on sorted vectors — ``|A|^k`` tuples are never
-    materialised (the existence-only case touches no value columns at
-    all).
-    """
-    k = len(op.free_positions)
-    universe = interp.universe
-    n = len(universe)
-    b = sym.shift
-
-    if rc is None:
-        if op.exists_only:
-            return (cols, nrows) if n > 0 else (cols, 0)
-        full = universe_product_codes(sym, universe, k)
-        return _cross_free(cols, nrows, full, k, b)
-
-    if not op.bound_columns:
-        product = universe_product_codes(sym, universe, op.arity if op.exists_only else k)
-        if op.exists_only:
-            covered = len(rc) >= len(product) and bool(
-                kernel._sorted_isin(product, rc.codes).all()
-            )
-            return (cols, nrows) if not covered else (cols, 0)
-        allowed = product[~kernel._sorted_isin(product, rc.codes)]
-        return _cross_free(cols, nrows, allowed, k, b)
-
-    # Keyed case: group relation rows by bound key, frontier rows by
-    # probe key, and work per *distinct* key.
-    if nrows == 0:
-        return cols, 0
-    product = universe_product_codes(sym, universe, k)
-    total = len(product)
-    bk = _key_fold(op.bound_key, cols, nrows, b, sym)
-    combined = rc.key_codes(tuple(op.bound_columns) + tuple(op.free_positions))
-    uniq = kernel.sorted_unique(combined)
-    free_mask = (np.int64(1) << np.int64(b * k)) - np.int64(1)
-    ukeys = uniq >> np.int64(b * k)
-    ufree = uniq & free_mask
-    # ``uniq`` is sorted, so its high (key) bits are non-decreasing:
-    # distinct keys and their run extents fall out of one boundary scan.
-    bnd = np.empty(len(ukeys), dtype=bool)
-    bnd[0] = True
-    np.not_equal(ukeys[1:], ukeys[:-1], out=bnd[1:])
-    dstart = np.flatnonzero(bnd)
-    dk = ukeys[dstart]
-    dcount = np.diff(np.append(dstart, len(ukeys)))
-
-    # Group frontier rows by probe key with a single stable sort; the
-    # sort order doubles as the per-group row index (rows of group j
-    # occupy one contiguous slice), so no second argsort is needed.
-    order = np.argsort(bk, kind="stable")
-    sb = bk[order]
-    flag = np.empty(nrows, dtype=bool)
-    flag[0] = True
-    np.not_equal(sb[1:], sb[:-1], out=flag[1:])
-    pdk = sb[flag]
-    pinv = np.empty(nrows, dtype=np.int64)
-    pinv[order] = np.cumsum(flag) - 1
-    grp_counts = np.diff(np.append(np.flatnonzero(flag), nrows))
-    slot = np.searchsorted(dk, pdk)
-
-    if op.exists_only:
-        keep = np.ones(nrows, dtype=bool)
-        for j in range(len(pdk)):
-            if slot[j] < len(dk) and dk[slot[j]] == pdk[j]:
-                s, c = dstart[slot[j]], dcount[slot[j]]
-                covered = c >= total and bool(
-                    kernel._sorted_isin(product, ufree[s : s + c]).all()
-                )
-            else:
-                covered = total == 0
-            if covered:
-                keep[pinv == j] = False
-        cols = [c[keep] for c in cols]
-        return cols, int(keep.sum())
-
-    blocks_rows = []
-    blocks_free = []
-    pos = 0
-    for j in range(len(pdk)):
-        c = int(grp_counts[j])
-        rows_j = order[pos : pos + c]
-        pos += c
-        if slot[j] < len(dk) and dk[slot[j]] == pdk[j]:
-            s, cnt = dstart[slot[j]], dcount[slot[j]]
-            excl = ufree[s : s + cnt]
-            allowed = product[~kernel._sorted_isin(product, excl)]
-        else:
-            allowed = product
-        m = len(allowed)
-        if m == 0 or c == 0:
-            continue
-        blocks_rows.append(np.repeat(rows_j, m))
-        blocks_free.append(np.tile(allowed, c))
-    if not blocks_rows:
-        return cols, 0
-    rowidx = np.concatenate(blocks_rows)
-    free_codes = np.concatenate(blocks_free)
-    cols = _expand(cols, rowidx)
-    _append_decoded(cols, free_codes, k, b)
-    return cols, len(rowidx)
-
-
-def _cross_free(cols, nrows: int, allowed, k: int, shift: int):
-    """Cross every frontier row with every allowed free-value code."""
-    m = len(allowed)
-    if m == 0 or nrows == 0:
-        return cols, 0
-    rowidx = _arange(nrows).repeat(m)
-    cols = _expand(cols, rowidx)
-    tiled = np.tile(allowed, nrows)
-    _append_decoded(cols, tiled, k, shift)
-    return cols, nrows * m
-
-
-def _append_decoded(cols, codes, k: int, shift: int) -> None:
-    """Unpack mixed k-field codes into k id columns, appended in order."""
-    mask = (np.int64(1) << np.int64(shift)) - np.int64(1)
-    for j in range(k):
-        cols.append((codes >> np.int64(shift * (k - 1 - j))) & mask)

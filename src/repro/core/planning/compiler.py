@@ -1,31 +1,39 @@
 """Compile rules into :class:`~repro.core.planning.plan.RulePlan` objects.
 
 A plan is a pure function of ``(rule, db, small_preds)``: it is compiled
-once and run unchanged every fixpoint round.  The join order is chosen
-greedily:
+once and run unchanged every fixpoint round.  Compilation starts from
+the rule's :func:`range_restricted` form, where every completion
+variable (the paper's unsafe rules quantify it over the universe ``A``)
+is bound by a join with the universe relation ``@U``.  The join order
+is chosen greedily, one body component at a time — variables are
+connected when some literal mentions both:
 
-1. prefer atoms sharing the most variables with the already-bound set
-   (index keys get longer, lookups more selective);
-2. break ties by estimated relation size — the actual EDB size when a
+1. variable-free atoms (tests) first, then the components no head
+   variable occurs in (each is an existence test once projected away),
+   then the components an ordinary atom reads, and last those of
+   completion variables alone (a ``@U`` cross product multiplies
+   everything joined after it);
+2. within a component, prefer atoms sharing the most variables with the
+   already-bound set (index keys get longer, lookups more selective),
+   and ordinary atoms over ``@U``;
+3. break ties by estimated relation size — the actual size when a
    database is supplied, 0 for predicates the caller declares *small*
    (semi-naive delta relations), and "large" for unknown IDB relations;
-3. break remaining ties by the atom's position in the rule body, so
+4. break remaining ties by the atom's position in the rule body, so
    compilation is deterministic.
 
-The join order is lowered to the set-at-a-time batch program, where
-negations over bound variables become
-:class:`~repro.core.planning.plan.AntiJoin` operations and negations
-over completion variables are scheduled as
-:class:`~repro.core.planning.plan.ComplementJoin` operations — the
-complement representation of the paper's unsafe rules, replacing the
-``|A|^k`` enumerate-then-filter completion.
+The join order is lowered to the set-at-a-time batch program: every
+negation is an :class:`~repro.core.planning.plan.AntiJoin` attached as
+soon as its variables are bound, and before a cross product the
+frontier drops the columns nothing downstream reads
+(:class:`~repro.core.planning.plan.Project`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ...db.database import Database
+from ...db.database import UNIVERSE, Database
 from ..literals import Atom, Eq, Literal, Negation, Neq
 from ..program import Program
 from ..rules import Rule
@@ -37,9 +45,8 @@ from .plan import (
     BatchOp,
     CmpOp,
     ColGetter,
-    ComplementJoin,
-    ExtendDomain,
     Getter,
+    Project,
     RulePlan,
     SemiJoinStep,
 )
@@ -54,21 +61,81 @@ def _getter(term) -> Getter:
     return (False, term)
 
 
+def range_restricted(rule: Rule) -> Rule:
+    """``rule`` with ``@U(V)`` appended for each variable no positive atom binds.
+
+    Those are the rule's completion variables: the paper's Θ ranges them
+    over the universe, which is exactly a join with ``@U``.  The result
+    is range-restricted (every variable occurs in a positive atom) and
+    equivalent to ``rule`` over any database; a rule already
+    range-restricted comes back unchanged.
+    """
+    free = rule.variables() - rule.positive_variables()
+    if not free:
+        return rule
+    completions = [Atom(UNIVERSE, (v,)) for v in sorted(free, key=lambda v: v.name)]
+    return Rule(rule.head, rule.body + tuple(completions), span=rule.span)
+
+
+def _components(rule: Rule) -> Dict[Variable, int]:
+    """Each variable's body component: variables some literal mentions together."""
+    groups: List[Set[Variable]] = []
+    for literal in rule.body:
+        joined = set(literal.variables())
+        if not joined:
+            continue
+        rest = []
+        for group in groups:
+            if group & joined:
+                joined |= group
+            else:
+                rest.append(group)
+        groups = rest + [joined]
+    return {v: i for i, group in enumerate(groups) for v in group}
+
+
 def _join_order(rule: Rule, estimate) -> List[Atom]:
     """The greedy join order over the positive body atoms."""
+    component = _components(rule)
+    in_head = {component[v] for v in rule.head.variables()}
+    grounded = {  # components some atom other than @U reads
+        component[v]
+        for atom in rule.positive_atoms()
+        if atom.pred != UNIVERSE
+        for v in atom.variables()
+    }
+
+    def comp(atom: Atom) -> Optional[int]:
+        for v in atom.variables():
+            return component[v]
+        return None
+
+    def phase(atom: Atom) -> int:
+        c = comp(atom)
+        if c is None:
+            return 0
+        if c not in in_head:
+            return 1
+        return 2 if c in grounded else 3
+
     bound: Set[Variable] = set()
     order: List[Atom] = []
+    current: Optional[int] = None
     remaining = list(enumerate(rule.positive_atoms()))
     while remaining:
         remaining.sort(
             key=lambda pair: (
+                phase(pair[1]),
+                comp(pair[1]) != current,
                 -len(pair[1].variables() & bound),
+                pair[1].pred == UNIVERSE,
                 estimate(pair[1].pred),
                 pair[0],
             )
         )
         _, atom = remaining.pop(0)
         order.append(atom)
+        current = comp(atom)
         bound |= atom.variables()
     return order
 
@@ -206,7 +273,21 @@ def _lower_batch(rule: Rule, steps: Sequence[AtomStep]):
 
     attach_ready()  # filters with no variables run before any join
 
-    for step in steps:
+    for k, step in enumerate(steps):
+        if schema and not step.key_columns:
+            # A cross product multiplies every row: first drop the
+            # columns no later op and no head reads, and the duplicates
+            # that leaves behind.
+            read = set(head_vars)
+            for later in steps[k:]:
+                read.update(p for is_const, p in later.key if not is_const)
+            for f in pending:
+                read |= f.variables()
+            live = [v for v in schema if v in read]
+            if len(live) < len(schema):
+                ops.append(Project(columns=tuple(col[v] for v in live)))
+                schema = live
+                col = {v: i for i, v in enumerate(live)}
         out_positions: List[int] = []
         dup_checks: List[Tuple[int, int]] = []
         for var, first, duplicates in step.new_vars:
@@ -232,97 +313,6 @@ def _lower_batch(rule: Rule, steps: Sequence[AtomStep]):
             bound.add(var)
         attach_ready()
 
-    # Completion: negated atoms whose unbound variables are completion
-    # variables (each occurring exactly once) are scheduled complement-first.
-    unbound: Set[Variable] = set(rule.variables()) - bound
-
-    def complement_fresh(f: Literal) -> Optional[FrozenSet[Variable]]:
-        """The fresh variables of ``f`` if it is complement-eligible."""
-        if not isinstance(f, Negation):
-            return None
-        fresh = f.variables() - bound
-        if not fresh:
-            return None
-        for v in fresh:
-            if sum(1 for a in f.atom.args if a == v) != 1:
-                return None  # repeated fresh variable: fall back to extend
-        return fresh
-
-    def emit_complement(f: Negation, fresh: FrozenSet[Variable], exists_only: bool) -> None:
-        atom = f.atom
-        bound_columns = tuple(
-            i
-            for i, a in enumerate(atom.args)
-            if isinstance(a, Constant) or (a in bound and a not in fresh)
-        )
-        bound_key = tuple(col_getter(atom.args[i]) for i in bound_columns)
-        free_positions = tuple(
-            i for i in range(atom.arity) if i not in bound_columns
-        )
-        free_vars = tuple(atom.args[i] for i in free_positions)
-        if not exists_only:
-            for v in free_vars:
-                col[v] = len(schema)
-                schema.append(v)
-        ops.append(
-            ComplementJoin(
-                pred=atom.pred,
-                arity=atom.arity,
-                bound_columns=bound_columns,
-                bound_key=bound_key,
-                free_positions=free_positions,
-                vars=free_vars,
-                exists_only=exists_only,
-            )
-        )
-        pending.remove(f)
-        bound.update(fresh)
-        unbound.difference_update(fresh)
-        attach_ready()
-
-    # Pass 1: existence-only complement checks first — they can only
-    # shrink the row set, so they run before any row multiplication.
-    changed = True
-    while changed:
-        changed = False
-        for f in list(pending):
-            fresh = complement_fresh(f)
-            if fresh is None:
-                continue
-            if any(v in head_vars for v in fresh):
-                continue
-            if any(
-                v in g.variables() for v in fresh for g in pending if g is not f
-            ):
-                continue
-            emit_complement(f, fresh, exists_only=True)
-            changed = True
-
-    # Pass 2: remaining completion variables — complement joins where
-    # eligible, universe extension otherwise.
-    while unbound:
-        pick = None
-        for f in pending:
-            fresh = complement_fresh(f)
-            if fresh is not None:
-                pick = (f, fresh)
-                break
-        if pick is not None:
-            emit_complement(pick[0], pick[1], exists_only=False)
-            continue
-
-        def readiness(v: Variable) -> int:
-            would_bind = bound | {v}
-            return sum(1 for f in pending if f.variables() <= would_bind)
-
-        var = min(unbound, key=lambda v: (-readiness(v), v.name))
-        col[var] = len(schema)
-        schema.append(var)
-        ops.append(ExtendDomain(var=var))
-        bound.add(var)
-        unbound.discard(var)
-        attach_ready()
-
     assert not pending, "unschedulable filters (vars outside rule): %r" % pending
     head_cols = tuple(col_getter(a) for a in rule.head.args)
     return tuple(schema), tuple(ops), head_cols
@@ -340,10 +330,10 @@ def compile_rule(
     rule:
         The rule to compile.
     db:
-        Optional database supplying EDB cardinalities for join ordering.
-        Plans are correct without it; ordering just falls back to the
-        connectivity heuristic alone.  When given, the database's sorted
-        universe is hoisted into the plan so executors never re-sort it.
+        Optional database supplying relation cardinalities (``@U``'s is
+        the universe's) for join ordering.  Plans are correct without
+        it; ordering just falls back to the connectivity heuristic
+        alone.
     small_preds:
         Predicates the caller knows to be small (semi-naive deltas); the
         planner joins through them first.
@@ -358,9 +348,10 @@ def compile_rule(
                 return float(len(rel))
         return _LARGE
 
-    order = _join_order(rule, estimate)
+    restricted = range_restricted(rule)
+    order = _join_order(restricted, estimate)
     steps = _lower_steps(order)
-    schema, ops, head_cols = _lower_batch(rule, steps)
+    schema, ops, head_cols = _lower_batch(restricted, steps)
     return RulePlan(
         rule=rule,
         head_pred=rule.head.pred,
@@ -368,8 +359,6 @@ def compile_rule(
         schema=schema,
         ops=ops,
         head_cols=head_cols,
-        domain=db.sorted_universe() if db is not None else None,
-        domain_universe=db.universe if db is not None else None,
         semijoin_steps=_lower_semijoin(order, steps),
     )
 

@@ -2,7 +2,10 @@
 
 A :class:`RulePlan` freezes every decision the reference evaluator
 (:func:`repro.core.operator.evaluate_rule_legacy`) re-makes on each
-fixpoint round:
+fixpoint round.  Plans are compiled from the *range-restricted* rule
+(:func:`~repro.core.planning.compiler.range_restricted`): a completion
+variable is bound by joining the universe relation ``@U``, so every op
+below is an ordinary relational one:
 
 * the join order over the positive body atoms (``steps``) with, per
   atom, the index key columns (constants and already-bound variables)
@@ -10,13 +13,12 @@ fixpoint round:
   get bound where, and which tuple positions must agree because of
   repeated variables like ``E(X, X)``;
 * the **batch program** (``schema`` / ``ops`` / ``head_cols``) lowered
-  from that order: the whole frontier is one table over a fixed variable
-  schema and every operation is relational — joins probe sorted runs,
+  from that order: the whole frontier is one table with a column per
+  bound variable and every operation is relational — joins probe sorted runs,
   each negation/comparison is attached at the earliest point where all
-  of its variables are bound, negations over bound variables are
-  **anti-joins**, and negations over completed variables (the paper's
-  unsafe rules) become joins against the **complement** instead of
-  enumerate-then-filter;
+  of its variables are bound, every negation is an **anti-join**, and
+  a column that nothing downstream reads is projected away before a
+  cross product (:class:`Project`);
 * the Yannakakis semi-join schedule over the join order.
 
 The columnar executor (:mod:`~repro.core.planning.colexec`) is the one
@@ -24,13 +26,14 @@ interpreter of the program.
 
 Key and head accessors are pre-lowered to *getters*: ``(is_const,
 payload)`` pairs whose payload is a constant value or, for the batch
-ops, a 0-based *column index* into the schema.
+ops, a 0-based *column index* into the frontier as it stands at that op;
+``schema`` names the final frontier's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Tuple, Union
 
 from ..rules import Rule
 from ..terms import Variable
@@ -106,10 +109,16 @@ class CmpOp:
 
 
 @dataclass(frozen=True)
-class ExtendDomain:
-    """Cross every row with the universe, appending one column."""
+class Project:
+    """Keep only ``columns`` of the frontier, dropping duplicate rows.
 
-    var: Variable
+    Emitted before a cross product whose frontier carries columns that
+    no later op and no head reads; with no columns kept, the frontier
+    collapses to at most one row — an existential component becomes a
+    test instead of a multiplier.
+    """
+
+    columns: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -139,43 +148,17 @@ class SemiJoinStep:
     source_columns: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ComplementJoin:
-    """Complete variables *through* a negated atom, complement-first.
-
-    For a literal ``!pred(args)`` whose unbound variables are all
-    completion variables (each occurring exactly once in the atom), the
-    enumerate-then-filter pipeline — cross the rows with ``|A|^k``
-    candidate assignments, then drop the ones present in ``pred`` — is
-    replaced by a join against the *complement*:
-
-    * with no bound positions, rows are crossed with the complement
-      ``A^arity - pred``;
-    * with bound positions, rows are grouped by their key and each group
-      is extended with ``A^k`` minus the key's matched projections
-      (one probe per distinct key, not per row).
-
-    When ``exists_only`` is true the completed variables feed nothing
-    downstream (not in the head, in no later filter), so the rows are
-    merely *kept or dropped* on complement non-emptiness — no columns are
-    appended and the ``|A|^k`` blowup disappears entirely.
-    """
-
-    pred: str
-    arity: int
-    bound_columns: Tuple[int, ...]
-    bound_key: Tuple[ColGetter, ...]
-    free_positions: Tuple[int, ...]
-    vars: Tuple[Variable, ...]
-    exists_only: bool
-
-
-BatchOp = Union[BatchJoin, AntiJoin, CmpOp, ExtendDomain, ComplementJoin]
+BatchOp = Union[BatchJoin, AntiJoin, CmpOp, Project]
 
 
 @dataclass(frozen=True)
 class RulePlan:
-    """A fully compiled rule, ready for repeated execution."""
+    """A fully compiled rule, ready for repeated execution.
+
+    ``rule`` is the rule as given (the Θ spec evaluates it when a row is
+    too wide for the executor); ``steps`` and ``ops`` are compiled from
+    its range-restricted form.
+    """
 
     rule: Rule
     head_pred: str
@@ -183,30 +166,11 @@ class RulePlan:
     schema: Tuple[Variable, ...] = ()
     ops: Tuple[BatchOp, ...] = ()
     head_cols: Tuple[ColGetter, ...] = ()
-    # Universe snapshot hoisted from the compile-time database (if any):
-    # executors use it instead of re-sorting ``interp.universe`` per call.
-    domain: Optional[Tuple[Any, ...]] = None
-    domain_universe: Optional[frozenset] = None
     # Yannakakis semi-join reduction prologue over the join order
     # (forward + backward sweep); empty when the body has fewer than two
     # connected positive atoms.  Executed by the executor unless
     # the per-call ``semijoin`` flag disables it.
     semijoin_steps: Tuple[SemiJoinStep, ...] = ()
-
-    def completion_domain(self, interp) -> Tuple[Any, ...]:
-        """The ordered completion domain for ``interp``.
-
-        The sorted universe hoisted at compile time when it still matches
-        the interpretation (the identity check is the common case: derived
-        databases share their parent's universe object), else the
-        interpretation's own cached sort.
-        """
-        if self.domain is not None and (
-            interp.universe is self.domain_universe
-            or interp.universe == self.domain_universe
-        ):
-            return self.domain
-        return interp.sorted_universe()
 
     def describe(self) -> str:
         """A human-readable sketch of the plan (for debugging/benchmarks)."""
@@ -233,17 +197,6 @@ class RulePlan:
                 parts.append("  anti-join %s/%d" % (op.pred, op.arity))
             elif isinstance(op, CmpOp):
                 parts.append("  filter %s" % ("=" if op.equal else "!="))
-            elif isinstance(op, ExtendDomain):
-                parts.append("  complete %s over universe" % op.var)
-            elif isinstance(op, ComplementJoin):
-                parts.append(
-                    "  complement-%s %s via !%s/%d (keyed on %s)"
-                    % (
-                        "check" if op.exists_only else "join",
-                        ", ".join(str(v) for v in op.vars),
-                        op.pred,
-                        op.arity,
-                        list(op.bound_columns) or "nothing",
-                    )
-                )
+            else:
+                parts.append("  project onto columns %s" % list(op.columns))
         return "\n".join(parts)

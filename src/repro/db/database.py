@@ -11,7 +11,19 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
+from .kernel import RelationCodes, universe_ids
 from .relation import Relation, Tup
+
+UNIVERSE = "@U"
+"""The universe ``A`` read as a unary relation.
+
+A rule's completion variables — variables no positive atom binds, which
+the paper lets range over ``A`` — are bound by joining ``@U``
+(:func:`~repro.core.planning.range_restricted`).  :meth:`Database.get`
+resolves the name from the universe itself; it is never stored, so it is
+absent from :meth:`Database.relation_names`, dumps, equality and hashing.
+Growth of the universe is an insertion into it.
+"""
 
 
 class Database:
@@ -35,6 +47,7 @@ class Database:
         "_sorted_universe",
         "_lineage",
         "_symcell",
+        "_universe_rel",
     )
 
     def __init__(
@@ -64,6 +77,7 @@ class Database:
         # sharing, not table sharing: the table itself is created lazily
         # by :meth:`symbols`.
         self._symcell = [None]
+        self._universe_rel = None
         if check:
             self._check_domains()
 
@@ -130,8 +144,27 @@ class Database:
             raise KeyError("no relation named %r in database" % name) from None
 
     def get(self, name: str, default: Optional[Relation] = None) -> Optional[Relation]:
-        """Return the relation called ``name`` or ``default``."""
-        return self._relations.get(name, default)
+        """Return the relation called ``name`` or ``default``.
+
+        :data:`UNIVERSE` resolves to the universe as a code-backed unary
+        relation (built once per universe and symbol table).
+        """
+        rel = self._relations.get(name)
+        if rel is not None:
+            return rel
+        if name == UNIVERSE:
+            return self._universe_relation()
+        return default
+
+    def _universe_relation(self) -> Relation:
+        rel = self._universe_rel
+        if rel is None:
+            sym = self.symbols()
+            rel = Relation._from_codes(
+                UNIVERSE, 1, RelationCodes(sym, 1, universe_ids(sym, self.universe))
+            )
+            self._universe_rel = rel
+        return rel
 
     def arity_of(self, name: str) -> int:
         """Arity of the named relation."""
@@ -213,6 +246,7 @@ class Database:
         out = Database(self.universe, relations, check=False)
         out._lineage = self._lineage
         out._symcell = self._symcell
+        out._universe_rel = self._universe_rel
         return out
 
     def with_relation(self, rel: Relation) -> "Database":
@@ -286,12 +320,16 @@ class Database:
                     new_values.update(t)
         if not changed:
             return self
-        universe = self.universe | frozenset(new_values)
+        fresh = new_values - self.universe
+        universe = self.universe | fresh if fresh else self.universe
         out = Database(universe, new_rels.values(), check=False)
         # The symbol table is monotone: the post-delta database keeps
         # it, so interned ids (and every code vector built under an
         # unwidened generation) survive the update stream.
         out._symcell = self._symcell
+        rel = self._universe_rel
+        if rel is not None:  # the universe relation grows by the fresh values
+            out._universe_rel = rel.evolve([(v,) for v in fresh]) if fresh else rel
         if invalidate_plans:
             from ..core.planning import PLAN_STORE
 

@@ -9,7 +9,7 @@ maintains the counts exactly:
 * derivations gained/lost are enumerated by the telescoping delta
   variants of :mod:`repro.materialize.variants`, each solved under a
   *total-binding* pseudo-head so the executor cannot collapse
-  multiplicities with an existence-only projection; the bindings stay
+  multiplicities by projecting a column away; the bindings stay
   id columns, the head projection is packed to one code per binding
   and counted with ``np.unique``, and only distinct heads are decoded;
 * a tuple enters the view when its count rises from zero and leaves it
@@ -17,11 +17,12 @@ maintains the counts exactly:
 
 Counts are exact for negation too (through lower strata): a negated
 literal is differentiated via the complement, so ``!P`` contributes a
-gained derivation where ``P`` lost a tuple and vice versa.  What
-counting cannot absorb is a change of the *universe* — every completion
-variable quantifies over it, so universe growth multiplies derivation
-spaces behind the literals' backs; the view layer detects that and
-recomputes instead.
+gained derivation where ``P`` lost a tuple and vice versa.  Completion
+variables are counted the same way: the rules are range-restricted
+(:func:`~repro.core.planning.range_restricted`), so a completion
+variable is bound by the universe relation ``@U``, and universe growth
+is an ``@U`` insertion whose delta variants count exactly the
+derivations the fresh values add.
 """
 
 from __future__ import annotations

@@ -112,10 +112,9 @@ class Delta:
     def values(self) -> FrozenSet[Any]:
         """Every value occurring in some inserted tuple.
 
-        Used to detect *universe growth*: an insert mentioning a value
-        the database has never seen enlarges the quantification domain
-        of every completion variable, which invalidates maintained
-        derivation counts — the view falls back to recomputation there.
+        The view diffs these against the universe: a value the database
+        has never seen grows it, and the view maintains that growth as
+        an insertion into the universe relation ``@U``.
         """
         seen = set()
         for ins, _ in self._changes.values():

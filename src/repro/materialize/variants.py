@@ -36,7 +36,7 @@ from ..core.terms import Variable
 # ----------------------------------------------------------------------
 # Counting needs total bindings: give the rule a pseudo-head over all
 # its variables (the grounder's trick), so the executor never
-# projects a completion variable away with an existence-only check.
+# projects a column away and deduplicates the rows that differed there.
 # ----------------------------------------------------------------------
 
 BINDINGS_HEAD = "@bindings"

@@ -32,19 +32,22 @@ change sets, DRed's working sets) is held as relations under that
 table and combined on codes; only the changed tuples are decoded, once,
 for the returned :class:`ChangeSet`.
 
-Two cases fall back to honest recomputation (still through the view
-API, still producing a changeset):
+Growth of the universe is a delta too.  Every maintained rule is
+range-restricted (:func:`~repro.core.planning.range_restricted`): a
+completion variable joins the universe relation ``@U``.  An inserted
+tuple that mentions a never-seen value is therefore also an insertion
+into ``@U``, handed to the counting, DRed and grounding maintainers
+beside the EDB changes and differentiated like any of them; it never
+appears in a :class:`ChangeSet`.
 
-* **universe growth** — an inserted tuple mentioning a never-seen value
-  enlarges the domain every completion variable quantifies over, behind
-  the backs of all maintained counts;
-* **inflationary views of non-semipositive programs** — ``Theta^infinity``
-  is defined by its iteration history, not by any fixpoint equation
-  (Section 4's warning: the limit need not be a fixpoint at all), so
-  there is nothing stratum-shaped to maintain.  Semipositive programs
-  induce a monotone operator, for which the inflationary semantics *is*
-  the least fixpoint, and those are maintained exactly like a one-layer
-  stratified program.
+One case falls back to honest recomputation (still through the view
+API, still producing a changeset): **inflationary views of
+non-semipositive programs**.  ``Theta^infinity`` is defined by its
+iteration history, not by any fixpoint equation (Section 4's warning:
+the limit need not be a fixpoint at all), so there is nothing
+stratum-shaped to maintain.  Semipositive programs induce a monotone
+operator, for which the inflationary semantics *is* the least fixpoint,
+and those are maintained exactly like a one-layer stratified program.
 """
 
 from __future__ import annotations
@@ -54,12 +57,13 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from ..analysis.dependency import DependencyGraph
 from ..core.operator import as_interpretation
+from ..core.planning import range_restricted
 from ..core.program import Program
 from ..core.semantics.base import EvaluationResult, is_semipositive
 from ..core.semantics.inflationary import inflationary_semantics
 from ..core.semantics.stratified import StratifiedResult, stratified_semantics
 from ..core.semantics.wellfounded import WellFoundedResult
-from ..db.database import Database
+from ..db.database import UNIVERSE, Database
 from ..db.relation import Relation
 from ..obs import RECORDER, TRACER
 from .counting import CountingState
@@ -297,8 +301,9 @@ class MaterializedView:
 
     def _build_maintenance(self) -> None:
         program = self.program
+        rules = [range_restricted(r) for r in program.rules]
         small = set()
-        for pred in program.predicates:
+        for pred in program.predicates | {UNIVERSE}:
             small.add(ins_name(pred))
             small.add(del_name(pred))
             small.add(pred + DELETE_FRONTIER)
@@ -311,18 +316,18 @@ class MaterializedView:
         interp = as_interpretation(program, self._db, self._result.idb)
         for comp in reversed(graph.sccs()):  # topological: dependencies first
             preds = {p: program.arity(p) for p in comp}
-            rules = [r for r in program.rules if r.head.pred in comp]
+            comp_rules = [r for r in rules if r.head.pred in comp]
             base_preds = frozenset(
-                pred for r in rules for pred in r.body_predicates()
+                pred for r in comp_rules for pred in r.body_predicates()
             ) - frozenset(comp)
             recursive = len(comp) > 1 or any(
                 e.target in comp for p in comp for e in graph.successors(p)
             )
             if recursive:
-                state = RecursiveState(preds, rules, self._plans)
+                state = RecursiveState(preds, comp_rules, self._plans)
             else:
                 (pred,) = comp
-                state = CountingState(pred, preds[pred], rules, self._plans)
+                state = CountingState(pred, preds[pred], comp_rules, self._plans)
                 derived = state.initialise(interp)
                 if derived != self._result.idb[pred].tuples:
                     raise AssertionError(
@@ -341,14 +346,16 @@ class MaterializedView:
         # nothing, so they get no aliases and their changes are only
         # echoed into the changeset.
         read = set()
-        for rule in program.rules:
+        for rule in rules:
             read |= rule.body_predicates()
         self._aliases: Dict[str, Relation] = {}
-        for pred in sorted(read & program.predicates):
+        for pred in sorted(read & (program.predicates | {UNIVERSE})):
             if pred in program.idb_predicates:
                 value = self._result.idb[pred]
             else:
-                value = self._db.get(pred) or Relation.empty(pred, program.arity(pred))
+                value = self._db.get(pred)
+                if value is None:
+                    value = Relation.empty(pred, program.arity(pred))
             self._aliases[old_name(pred)] = value.with_name(old_name(pred))
             self._aliases[new_name(pred)] = value.with_name(new_name(pred))
 
@@ -400,8 +407,7 @@ class MaterializedView:
         reverse order and applies the result through the ordinary
         maintenance path — one pass, however many updates unwind.
         Rolled-back entries are consumed (no redo).  Universes never
-        shrink, so a rollback restores relation *contents*; it cannot
-        trigger the universe-growth recompute.
+        shrink, so a rollback restores relation *contents*.
         """
         if n <= 0:
             return ChangeSet()
@@ -449,16 +455,16 @@ class MaterializedView:
         if effective.is_empty():
             return ChangeSet()
         new_db = self._db.apply_delta(effective)
-        growth = not (effective.values() <= self._db.universe)
+        changes: Dict[str, ChangePair] = dict(effective.items())
+        fresh = effective.values() - self._db.universe
+        if fresh:
+            changes[UNIVERSE] = (frozenset((v,) for v in fresh), frozenset())
         if self.semantics == "wellfounded":
-            if growth:
-                changeset = self._recompute_wellfounded(new_db, effective)
-            else:
-                changeset = self._maintain_wellfounded(new_db, effective)
-        elif not self._maintainable or growth:
+            changeset = self._maintain_wellfounded(new_db, effective, changes)
+        elif not self._maintainable:
             changeset = self._recompute(new_db, effective)
         else:
-            changeset = self._maintain(new_db, effective)
+            changeset = self._maintain(new_db, changes)
         # Book-keeping only after maintenance landed: if maintenance
         # raises, the view's db/result/undo log stay pre-update (the
         # wellfounded path additionally rebuilds its in-place-mutated
@@ -484,6 +490,11 @@ class MaterializedView:
     def _validate(self, delta: Delta) -> None:
         idb = self.program.idb_predicates
         for name in delta.relations():
+            if "@" in name:
+                raise ValueError(
+                    "delta names %r; names containing '@' are reserved for "
+                    "the engine's own relations" % name
+                )
             if name in idb:
                 raise ValueError(
                     "delta touches %r, an IDB predicate of the program — "
@@ -522,8 +533,6 @@ class MaterializedView:
             )
         self._db = new_db
         self._result = result
-        if self._maintainable:
-            self._build_maintenance()  # counts and aliases over the new state
         return ChangeSet.from_changes(changes)
 
     # -- the well-founded (three-valued) paths -------------------------
@@ -585,10 +594,12 @@ class MaterializedView:
             self._wf = AlternatingState(self.program, self._db)
         return self._wf
 
-    def _maintain_wellfounded(self, new_db: Database, effective: Delta) -> ChangeSet:
+    def _maintain_wellfounded(
+        self, new_db: Database, effective: Delta, changes: Dict[str, ChangePair]
+    ) -> ChangeSet:
         wf = self._ensure_wf()
         try:
-            moves = wf.apply(new_db, dict(effective.items()))
+            moves = wf.apply(new_db, changes)
         except BaseException:
             # The pair and the grounding mutate in place (aliases,
             # instance counts, index, flags, counters); an exception
@@ -600,20 +611,9 @@ class MaterializedView:
             raise
         return self._wf_publish(new_db, moves, effective)
 
-    def _recompute_wellfounded(self, new_db: Database, effective: Delta) -> ChangeSet:
-        self.recomputes += 1
-        old = self._result
-        self._wf = AlternatingState(self.program, new_db)
-        true, undefined = self._wf.pair.model()
-        moves = (
-            (true - old.true, old.true - true),
-            (undefined - old.undefined, old.undefined - undefined),
-        )
-        return self._wf_publish(new_db, moves, effective)
-
     # -- the incremental path ------------------------------------------
 
-    def _maintain(self, new_db: Database, effective: Delta) -> ChangeSet:
+    def _maintain(self, new_db: Database, changes: Dict[str, ChangePair]) -> ChangeSet:
         # Every change is carried as an ``(inserted, deleted)`` pair of
         # relations and every working interpretation is derived from
         # ``new_db`` — one symbol table for the view's whole life, so the
@@ -627,9 +627,8 @@ class MaterializedView:
 
             The changeset is where changed tuples are decoded — once:
             the @ins/@del aliases renamed afterwards share the decoded
-            set with it.  Relations the
-            program never reads (deltas on them are legal) have no
-            aliases and need none — the change is echoed only.
+            set with it.  Head-only predicates have no aliases and need
+            none — the change is echoed only.
             """
             inserted[name] = ins.tuples
             deleted[name] = dels.tuples
@@ -640,12 +639,15 @@ class MaterializedView:
             change_rels[ins_name(name)] = ins.with_name(ins_name(name))
             change_rels[del_name(name)] = dels.with_name(del_name(name))
 
-        for name in effective.relations():
-            arity = new_db[name].arity
+        for name, (ins, dels) in changes.items():
+            alias = self._aliases.get(new_name(name))
+            if alias is None:  # read by no rule: echoed only
+                inserted[name], deleted[name] = ins, dels
+                continue
             publish(
                 name,
-                Relation._from_frozenset(name, arity, effective.inserts(name)),
-                Relation._from_frozenset(name, arity, effective.deletes(name)),
+                Relation._from_frozenset(name, alias.arity, ins),
+                Relation._from_frozenset(name, alias.arity, dels),
             )
 
         idb = dict(self._result.idb)
@@ -711,6 +713,8 @@ class MaterializedView:
 
         self._db = new_db
         self._result = self._with_idb(new_db, idb)
+        inserted.pop(UNIVERSE, None)  # the engine's own relation: never echoed
+        deleted.pop(UNIVERSE, None)
         return ChangeSet(inserted, deleted)
 
     def _defer(self, pred: str, ins: FrozenSet[Tup], dels: FrozenSet[Tup]) -> None:
@@ -718,13 +722,14 @@ class MaterializedView:
 
         Changes compose sequentially (``Delta.then`` algebra), so the
         stored relation plus the pending pair always equals the true
-        current value the counting state maintains.
+        current value the counting state maintains.  The pair is patched
+        in place: an update costs its own change, not the backlog's.
         """
-        old_ins, old_dels = self._pending.get(pred, (frozenset(), frozenset()))
-        self._pending[pred] = (
-            (old_ins - dels) | ins,
-            (old_dels - ins) | dels,
-        )
+        pending_ins, pending_dels = self._pending.setdefault(pred, (set(), set()))
+        pending_ins -= dels
+        pending_ins |= ins
+        pending_dels -= ins
+        pending_dels |= dels
 
     def _with_idb(self, db: Database, idb) -> EvaluationResult:
         """The previous result object carried over to the new state."""

@@ -16,11 +16,11 @@ argument is in that module's docstring.  Work follows the region, not
 the alternation's depth, and the changeset is read off the atoms whose
 flags moved.
 
-Universe growth cannot be patched (every completion variable of the
-grounding quantifies over the universe), so
-:class:`repro.materialize.view.MaterializedView` rebuilds the whole
-state then — the same honest-recompute contract as the counting/DRed
-semantics.
+Universe growth is patched like any EDB change: the view hands the
+fresh values over as insertions into the universe relation ``@U``, which
+the grounding's range-restricted EDB projections read wherever a rule
+has completion variables.  New ground rules may mention new atoms;
+``over_delete`` numbers them false before deciding the region.
 """
 
 from __future__ import annotations
@@ -67,12 +67,9 @@ class AlternatingState:
     def apply(self, new_db: Database, changes: Mapping[str, ChangePair]) -> Moves:
         """Maintain the three-valued model under an effective EDB delta.
 
-        Returns the atoms whose status moved, per partition.
-
-        Raises
-        ------
-        repro.core.grounding.GroundingPatchError
-            On universe growth — the caller rebuilds the whole state.
+        ``changes`` may carry ``@U`` insertions (see
+        :meth:`~repro.core.grounding.LiveGroundProgram.apply`).  Returns
+        the atoms whose status moved, per partition.
         """
         added, removed = self.live.apply(new_db, changes)
         if not added and not removed:

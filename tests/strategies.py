@@ -304,23 +304,34 @@ def databases_and_deltas(draw, max_deltas: int = 4, insert_only: bool = False,
                          delete_only: bool = False, grow: bool = True):
     """A small database plus a sequence of deltas over its E relation.
 
-    Delta values are drawn from the universe (plus, when ``grow`` is
-    left on, rarely a fresh element — exercising the universe-growth
-    recompute fallback of every view semantics).  Insert-only sequences
-    keep the fresh element (inserts are exactly what can grow the
-    universe); delete-only ones drop it, since deleting an unseen value
-    is never effective.
+    Delta values are drawn from the universe plus, when ``grow`` is left
+    on and the sequence may insert, up to two fresh elements (in about
+    half the examples, two in a sixth).  Each fresh element is inserted
+    by at least one delta, so the sequence grows the universe: the
+    ``@U`` insertion every view semantics maintains.  Delete-only
+    sequences draw no fresh element, since deleting an unseen value is
+    never effective.
     """
     from repro.materialize import Delta
 
     db = draw(small_databases())
     universe = sorted(db.universe)
-    fresh = max(universe) + 1
-    pool = universe if (delete_only or not grow) else universe + [fresh]
+    n_fresh = 0
+    if grow and not delete_only:
+        n_fresh = draw(st.sampled_from((0, 0, 0, 1, 1, 2)))
+    fresh = [max(universe) + 1 + i for i in range(n_fresh)]
+    pool = universe + fresh
     pairs = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    count = draw(st.integers(min_value=1, max_value=max_deltas))
+    growing = {}
+    for value in fresh:
+        partner = draw(st.sampled_from(pool))
+        pair = (value, partner) if draw(st.booleans()) else (partner, value)
+        growing.setdefault(draw(st.integers(0, count - 1)), []).append(pair)
     deltas = []
-    for _ in range(draw(st.integers(min_value=1, max_value=max_deltas))):
+    for i in range(count):
         ins = [] if delete_only else draw(st.lists(pairs, max_size=3))
+        ins += growing.get(i, [])
         dels = [] if insert_only else draw(st.lists(pairs, max_size=3))
         dels = [t for t in dels if t not in set(ins)]
         deltas.append(Delta(inserts={"E": ins}, deletes={"E": dels}))

@@ -22,8 +22,10 @@ from repro import Database, Relation, parse_program
 from repro.core.semantics import (
     NotStratifiableError,
     inflationary_semantics,
+    is_semipositive,
     is_stratifiable,
     stratified_semantics,
+    well_founded_semantics,
 )
 from repro.graphs import generators as gg
 from repro.graphs.encode import graph_to_database
@@ -214,18 +216,21 @@ class TestDirectedMaintenance:
         )
         assert view.recomputes == 0
 
-    def test_universe_growth_falls_back(self):
+    def test_universe_growth_is_a_delta(self):
         db = graph_to_database(gg.path(4))
         view = MaterializedView(tc_complement_stratified(), db)
-        view.apply(Delta.insert("E", (4, 9)))  # 9 is a brand-new element
+        changes = view.apply(Delta.insert("E", (4, 9)))  # 9 is a brand-new element
         assert 9 in view.db.universe
-        assert view.recomputes == 1
+        assert view.recomputes == 0
+        assert "@U" not in changes.relations()
+        # NOTC's completion joins @U: the fresh node is not reachable
+        # from anywhere but 4, and reaches nothing.
+        assert (9, 9) in changes.inserted["NOTC"]
         assert view.result.idb == _reference(
             tc_complement_stratified(), view.db, "stratified"
         )
-        # Maintenance keeps working after the rebuild.
         view.apply(Delta.delete("E", (2, 3)))
-        assert view.recomputes == 1
+        assert view.recomputes == 0
         assert view.result.idb == _reference(
             tc_complement_stratified(), view.db, "stratified"
         )
@@ -266,6 +271,20 @@ class TestDirectedMaintenance:
             view.apply(Delta.insert("TC", (1, 2)))
         with pytest.raises(KeyError):
             view.apply(Delta.insert("Nope", (1,)))
+
+    def test_rejects_engine_relation_names_before_touching_state(self):
+        # ``@U`` resolves to the universe and ``@``-suffixed names are the
+        # maintainers' aliases: a delta may write neither.
+        db = graph_to_database(gg.path(3))
+        view = MaterializedView(tc_complement_stratified(), db)
+        before = (view.db, view.result.idb, view.undo_depth, view.applied)
+        for delta in (Delta.insert("@U", (9,)), Delta.insert("E@old", (1, 2))):
+            with pytest.raises(ValueError, match="reserved"):
+                view.apply(delta)
+            with pytest.raises(ValueError, match="reserved"):
+                view.validate_delta(delta)
+        assert (view.db, view.result.idb, view.undo_depth, view.applied) == before
+        assert 9 not in view.db.universe
 
     def test_empty_delta_is_noop(self):
         db = graph_to_database(gg.path(3))
@@ -506,6 +525,49 @@ def _property_body(program, db, deltas, semantics):
         assert view.result.idb == _reference(program, view.db, semantics)
 
 
+UNSAFE_PROGRAMS = {
+    # NOTC's completion variables are a whole negated IDB atom.
+    "notc": tc_complement_stratified(),
+    # Semipositive, so inflationary views maintain it too: W only in the
+    # head, a completion over a negated EDB atom, and a recursive rule
+    # (DRed) whose completion variable W is reached through !E(W, Y).
+    "head_only": parse_program(
+        """
+        N(X, Y) :- !E(X, Y).
+        H(X, W) :- E(X, X).
+        P(X, W) :- E(X, Y), !E(W, Y).
+        P(X, W) :- E(X, Y), P(Y, W).
+        """,
+        carrier="P",
+    ),
+}
+
+
+class TestUniverseGrowthEqualsRecompute:
+    """Completion variables under fresh values: maintained == recompute on
+    all three semantics, with no recompute wherever the view maintains."""
+
+    @SLOW
+    @pytest.mark.parametrize("semantics", ["stratified", "inflationary", "wellfounded"])
+    @pytest.mark.parametrize("name", sorted(UNSAFE_PROGRAMS))
+    @given(dbd=databases_and_deltas())
+    def test_unsafe_program(self, name, semantics, dbd):
+        program = UNSAFE_PROGRAMS[name]
+        db, deltas = dbd
+        view = MaterializedView(program, db, semantics=semantics)
+        for delta in deltas:
+            changes = view.apply(delta)
+            assert "@U" not in changes.relations()
+            if semantics == "wellfounded":
+                reference = well_founded_semantics(program, view.db)
+                assert view.result.true == reference.true
+                assert view.result.undefined == reference.undefined
+            else:
+                assert view.result.idb == _reference(program, view.db, semantics)
+        if semantics != "inflationary" or is_semipositive(program):
+            assert view.recomputes == 0
+
+
 class TestMaintenanceEqualsRecompute:
     @SLOW
     @given(
@@ -551,12 +613,7 @@ class TestMaintenanceEqualsRecompute:
     def test_inflationary_semipositive_never_recomputes(self, program, dbd):
         db, deltas = dbd
         view = MaterializedView(program, db, semantics="inflationary")
-        growth = False
         for delta in deltas:
-            growth = growth or not (
-                delta.normalize(view.db).values() <= view.db.universe
-            )
             view.apply(delta)
             assert view.result.idb == _reference(program, view.db, "inflationary")
-        if not growth:
-            assert view.recomputes == 0
+        assert view.recomputes == 0

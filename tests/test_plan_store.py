@@ -147,16 +147,17 @@ def test_apply_delta_invalidates_plans_for_the_old_database():
 
     db = _db()
     program = _tc()
-    PLAN_STORE.program_plan(program, db)
+    stale = PLAN_STORE.program_plan(program, db)
     PLAN_STORE.rule_plans(program.rules, db)
     new_db = db.apply_delta(Delta.insert("E", (3, 1)))
     # Every entry compiled against the superseded database value is gone:
     # a second targeted invalidation finds nothing left to drop.
     assert PLAN_STORE.invalidate(db=db) == 0
     # Plans for the new database are fresh compiles, never the stale
-    # objects (whose hoisted statistics/domain described the old value).
-    plan = PLAN_STORE.program_plan(program, new_db)
-    assert plan.plans[0].domain_universe == new_db.universe
+    # objects (whose join order was sized on the old value).
+    misses = PLAN_STORE.misses
+    assert PLAN_STORE.program_plan(program, new_db) is not stale
+    assert PLAN_STORE.misses == misses + 1
 
 
 def test_apply_delta_can_skip_invalidation():

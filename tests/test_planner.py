@@ -41,8 +41,8 @@ from repro.core.operator import (
 )
 from repro.core.planning import (
     AntiJoin,
-    ComplementJoin,
-    ExtendDomain,
+    BatchJoin,
+    Project,
     colexec,
     compile_program,
     compile_rule,
@@ -211,7 +211,7 @@ def test_plan_shape_for_transitive_closure():
     # Two join steps, no completion, and the second step keyed on the
     # variable bound by the first.
     assert len(plan.steps) == 2
-    assert not any(isinstance(op, (ExtendDomain, ComplementJoin)) for op in plan.ops)
+    assert not _universe_joins(plan)
     first, second = plan.steps
     assert first.key_columns == ()  # nothing bound yet
     assert len(second.key_columns) == 1
@@ -223,23 +223,37 @@ def test_batch_plan_uses_antijoin_for_bound_negation():
     plan = compile_rule(program.rules[0])
     kinds = [type(op) for op in plan.ops]
     assert AntiJoin in kinds
-    assert ComplementJoin not in kinds and ExtendDomain not in kinds
+    assert not _universe_joins(plan)
+
+
+def _universe_joins(plan):
+    """Indices of the plan's joins with the universe relation ``@U``."""
+    return [
+        i
+        for i, op in enumerate(plan.ops)
+        if isinstance(op, BatchJoin) and op.pred == "@U"
+    ]
 
 
 def test_batch_plan_schedules_complement_join_for_unsafe_negation():
-    # The E8 distance shape: completion variables feed a negated IDB atom,
-    # and they are in the head, so the complement is materialised and
-    # cross-joined rather than enumerated-then-filtered.
+    # The E8 distance shape: completion variables feed a negated IDB atom
+    # and are in the head.  Each joins @U — after the ordinary atoms, so
+    # the cross products multiply nothing joined later — and the
+    # negation is an anti-join.
     program = parse_program(
         "S3(X, Y, U, V) :- E(X, Y), !S2(U, V). S2(X, Y) :- E(X, Y).",
         carrier="S3",
     )
     plan = compile_rule(program.rules[0])
-    comp = [op for op in plan.ops if isinstance(op, ComplementJoin)]
-    assert len(comp) == 1
-    assert comp[0].pred == "S2" and not comp[0].exists_only
-    assert not comp[0].bound_columns  # pure complement: no keyed positions
-    assert not any(isinstance(op, ExtendDomain) for op in plan.ops)
+    kinds = [(type(op), getattr(op, "pred", None)) for op in plan.ops]
+    assert kinds == [
+        (BatchJoin, "E"),
+        (BatchJoin, "@U"),
+        (BatchJoin, "@U"),
+        (AntiJoin, "S2"),
+    ]
+    assert all(not plan.ops[i].key_columns for i in _universe_joins(plan))
+    assert "join @U/1" in plan.describe()
 
 
 def test_batch_plan_uses_existence_checks_for_projected_completions():
@@ -247,25 +261,52 @@ def test_batch_plan_uses_existence_checks_for_projected_completions():
     # negation each, so neither may multiply the row set.
     program = parse_program("T(Z) :- !Q(U), !T(W). Q(X) :- Q(X).", carrier="T")
     plan = compile_rule(program.rules[0])
-    comp = [op for op in plan.ops if isinstance(op, ComplementJoin)]
-    assert len(comp) == 2 and all(op.exists_only for op in comp)
-    # Z is in the head: it still extends over the universe, but the
-    # existence checks run first so they never see multiplied rows.
-    extend_at = [i for i, op in enumerate(plan.ops) if isinstance(op, ExtendDomain)]
-    comp_at = [i for i, op in enumerate(plan.ops) if isinstance(op, ComplementJoin)]
-    assert extend_at and max(comp_at) < min(extend_at)
+    kinds = [(type(op), getattr(op, "pred", None)) for op in plan.ops]
+    # Each head-disconnected component runs first and is projected away
+    # (to at most one row) before the next cross product; Z, in the
+    # head, is completed last.
+    assert kinds == [
+        (BatchJoin, "@U"),
+        (AntiJoin, "Q"),
+        (Project, None),
+        (BatchJoin, "@U"),
+        (AntiJoin, "T"),
+        (Project, None),
+        (BatchJoin, "@U"),
+    ]
+    assert all(op.columns == () for op in plan.ops if isinstance(op, Project))
     # The schema carries only what downstream reads: Z, not U or W.
     assert [v.name for v in plan.schema] == ["Z"]
+
+
+def test_existential_completion_does_not_multiply_rows():
+    program = parse_program(
+        "T(Z) :- E(Z, Z2), !Q(U), !T(W). Q(X) :- E(X, X).", carrier="T"
+    )
+    n = 200
+    db = Database(range(n), [Relation("E", 2, [(i, (i + 1) % n) for i in range(n)])])
+    interp = as_interpretation(
+        program, db, {"Q": Relation("Q", 1, [(0,)]), "T": Relation("T", 1, [(1,)])}
+    )
+    plan = compile_rule(program.rules[0], db=db)
+    # Both existential components collapse before the E scan: the scan
+    # sees one row, so the frontier never exceeds max(|A|, |E|).
+    assert [type(op) for op in plan.ops].count(Project) == 2
+    assert isinstance(plan.ops[-1], BatchJoin) and plan.ops[-1].pred == "E"
+    symbols, table = colexec.solve_plan(plan, interp)
+    assert table.nrows == n
+    assert_three_way(program.rules[0], interp, program.arities, db=db)
 
 
 def test_batch_plan_keys_the_complement_by_bound_positions():
     program = parse_program("T(X) :- E(X, Y), !S(Y, W). S(X, Y) :- E(X, Y).")
     plan = compile_rule(program.rules[0])
-    comp = [op for op in plan.ops if isinstance(op, ComplementJoin)]
-    assert len(comp) == 1
-    assert comp[0].bound_columns == (0,)  # keyed on the bound Y position
-    assert comp[0].free_positions == (1,)
-    assert comp[0].exists_only  # W is head-absent and feeds nothing else
+    # W is completed by @U after E binds Y; the anti-join reads both.
+    (at,) = _universe_joins(plan)
+    anti = [op for op in plan.ops if isinstance(op, AntiJoin)]
+    assert len(anti) == 1 and anti[0].pred == "S"
+    assert plan.ops.index(anti[0]) > at
+    assert [v.name for v in plan.schema] == ["X", "Y", "W"]
 
 
 def test_existence_checks_ignore_out_of_universe_tuples():

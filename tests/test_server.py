@@ -530,6 +530,9 @@ class TestTcpFrontend:
             stats = await client.request("stats", view="tc")
             assert stats["stats"]["commits"] == 1
 
+            with pytest.raises(ServerError, match="reserved"):
+                await client.delta("tc", inserts={"@U": [[9]]})
+            assert (await client.request("info", view="tc"))["seq"] == 1
             with pytest.raises(ServerError, match="no view named"):
                 await client.query("nope", "TC")
             with pytest.raises(ServerError, match="unknown op"):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, target
 
 from repro import Database, Relation
-from repro.core.grounding import GroundingPatchError, LiveGroundProgram, ground_program
+from repro.core.grounding import LiveGroundProgram, ground_program
 from repro.core.semantics import well_founded_semantics
 from repro.graphs import generators as gg
 from repro.graphs.encode import graph_to_database
@@ -145,18 +145,17 @@ class TestWinMoveSeeds:
             ],
         )
 
-    def test_universe_growth_falls_back(self):
+    def test_universe_growth_is_a_delta(self):
         view = MaterializedView(
             win_move_program(), graph_to_database(gg.path(4)),
             semantics="wellfounded",
         )
         view.apply(Delta.insert("E", (4, 9)))  # 9 is a brand-new element
-        assert view.recomputes == 1
+        assert view.recomputes == 0
         assert 9 in view.db.universe
         _assert_partitions_equal(win_move_program(), view)
-        # Maintenance keeps working after the rebuild.
         view.apply(Delta.delete("E", (2, 3)))
-        assert view.recomputes == 1
+        assert view.recomputes == 0
         _assert_partitions_equal(win_move_program(), view)
 
     def test_alternation_lengthens_and_shrinks(self):
@@ -200,6 +199,9 @@ def _check_patches(program, db, deltas):
             name: (delta.inserts(name), delta.deletes(name))
             for name in delta.relations()
         }
+        fresh = delta.values() - live.db.universe
+        if fresh:  # growth is an @U insertion, as the view hands it over
+            changes["@U"] = (frozenset((v,) for v in fresh), frozenset())
         new_db = live.db.apply_delta(delta)
         added, removed = live.apply(new_db, changes)
         assert added.keys().isdisjoint(removed)
@@ -240,13 +242,21 @@ class TestLiveGroundProgram:
         )
         assert set(live._aliases) == {"E@new", "F@old"}
 
-    def test_universe_growth_rejected(self):
-        program = pi1()
-        db = graph_to_database(gg.path(3))
-        live = LiveGroundProgram(program, db)
-        delta = Delta.insert("E", (3, 7))
-        with pytest.raises(GroundingPatchError):
-            live.apply(db.apply_delta(delta), {"E": (delta.inserts("E"), frozenset())})
+    def test_growth_patches_completion_variables(self):
+        from repro import parse_program
+
+        # W and Z are completion variables: a fresh value adds exactly
+        # the instances that bind them to it, through the @U variants.
+        live = _check_patches(
+            parse_program("T(X) :- E(X, Y), !S(W).  S(Z) :- !T(Z), !E(Z, Z)."),
+            graph_to_database(gg.path(3)),
+            [
+                Delta.insert("E", (3, 7)),
+                Delta(inserts={"E": [(8, 9), (1, 1)]}, deletes={"E": [(1, 2)]}),
+                Delta.delete("E", (3, 7)),
+            ],
+        )
+        assert {"@U@new", "@U@old"} & set(live._aliases)
 
     def test_multiplicity_counted(self):
         """A ground rule backed by several EDB bindings only disappears
@@ -483,3 +493,37 @@ class TestCodesResidentEDB:
             counts.append(encoded)
             _assert_partitions_equal(view.program, view)
         assert counts[0] == counts[1] <= 2 * 200
+
+    def test_a_fresh_node_is_one_ground_rule_and_no_rebuild(self):
+        """Growth is a delta: ``Move(u, fresh)`` on win-move over G(2000,
+        4000) adds the one ground rule ``WIN(u) :- !WIN(fresh)``, retires
+        none, and encodes no more than the delta — the universe is never
+        re-interned and the grounding never rebuilt."""
+        from repro import parse_program
+
+        from strategies import metrics
+
+        n = 2000
+        rng = random.Random(11)
+        edges = set()
+        while len(edges) < 2 * n:
+            edges.add((rng.randrange(n), rng.randrange(n)))
+        program = parse_program("WIN(X) :- Move(X, Y), !WIN(Y).")
+        view = MaterializedView(
+            program,
+            Database(range(n), [Relation("Move", 2, sorted(edges))]),
+            semantics="wellfounded",
+        )
+        index = view._wf.live.index
+        for fresh in (n, n + 1):
+            rules, retired = len(index.rules), index.rules.count(None)
+            delta = Delta.insert("Move", (rng.randrange(n), fresh))
+            with metrics() as value:
+                view.apply(delta)
+                encoded = value("repro_relation_encoded_rows_total")
+            assert len(index.rules) == rules + 1
+            assert index.rules.count(None) == retired
+            assert encoded <= len(delta) + 1
+        assert view.recomputes == 0
+        assert view._wf.live.index is index
+        _assert_partitions_equal(program, view)
