@@ -1,7 +1,7 @@
 """Compiled rule plans vs. the legacy per-round evaluator.
 
 Pairs of benchmarks over identical work: the ``*_compiled`` variant runs
-the engines as shipped (plans compiled once per run, set-at-a-time batch
+the engines as shipped (plans compiled once per rule, set-at-a-time batch
 execution, indexes cached on relations) and the ``*_legacy`` variant
 iterates ``theta_legacy``, which re-plans the join order and rebuilds
 every hash index on every round — the seed behaviour.  Every measured
@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.fixpoint import idb_equal, idb_union
 from repro.core.operator import empty_idb, theta, theta_legacy
-from repro.core.planning import compile_program
 from repro.core.semantics import (
     inflationary_semantics,
     naive_least_fixpoint,
@@ -54,8 +53,7 @@ def legacy_inflationary(program, db):
 def test_theta_round_compiled(benchmark, n):
     db = graph_to_database(gg.path(n))
     idb = naive_least_fixpoint(TC, db).idb
-    plan = compile_program(TC, db)
-    result = benchmark(theta, TC, db, idb, plan=plan)
+    result = benchmark(theta, TC, db, idb)
     assert idb_equal(result, idb)
 
 

@@ -287,7 +287,7 @@ def observability_overhead_table() -> Table:
 @register(
     "perf",
     "PERF: compiled rule plans vs. legacy per-round evaluation",
-    "The planner (compile once per program+db, cache indexes on relations) "
+    "The planner (compile once per rule, cache indexes on relations) "
     "computes exactly the valuations of the legacy evaluator, faster.",
 )
 def run_perf() -> List[Table]:

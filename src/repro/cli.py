@@ -104,7 +104,9 @@ def _load_lint_database(directory: str, program: Program):
     mismatched relation — those become V001/V002 diagnostics.  Every
     ``<name>.csv`` in the directory is loaded (so unreferenced
     relations surface as U001), with the arity inferred from the first
-    data row when the program does not fix it.
+    data row when the program does not fix it.  Names with an ``@``
+    belong to the engine (``@U`` is the universe), so their files are
+    skipped.
     """
     import csv as _csv
 
@@ -112,6 +114,8 @@ def _load_lint_database(directory: str, program: Program):
     universe = set()
     for path in sorted(Path(directory).glob("*.csv")):
         name = path.stem
+        if "@" in name:
+            continue
         with open(path, newline="") as f:
             first = next((row for row in _csv.reader(f) if row), None)
         if first is not None:
@@ -288,9 +292,9 @@ def cmd_update(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     """Print compiled rule plans; with ``--profile``, a phase breakdown.
 
-    The plain form shows, per rule, the store-compiled
-    :class:`~repro.core.planning.plan.RulePlan` (semi-join prologue,
-    join order, completion steps).
+    The plain form shows, per rule, the compiled
+    :class:`~repro.core.planning.plan.RulePlan` the engines run
+    (semi-join prologue, join order, completion steps).
     ``--profile`` evaluates the program under metrics + span tracing
     and prints a per-phase time/row table attributing the evaluation
     wall time to fixpoint phases (grounding, semi-naive rounds,
@@ -301,7 +305,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from .core.planning import PLAN_STORE
+    from .core.planning import compile_rule
     from .core.semantics import is_stratifiable
     from .obs import (
         REGISTRY,
@@ -337,8 +341,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
     print()
     for rule in program.rules:
-        plan = PLAN_STORE.rule_plan(rule, db=db)
-        print(plan.describe())
+        print(compile_rule(rule).describe())
         print()
 
     from .analysis import lint_program

@@ -22,7 +22,8 @@ All variants are ordinary rules over alias predicate names
 parsed program, so aliases can never collide with user predicates), so
 they compile through the ordinary planner and run on the columnar executor;
 the change-set aliases are declared *small* so plans join through the
-delta first.
+delta first.  A consumer compiles its fixed family of variants once,
+with :func:`~repro.core.planning.compile_rule`, and holds the plans.
 
 This module lives in ``core`` (rather than ``repro.materialize``, where
 it originated) because the grounder's incremental ground-program
@@ -33,7 +34,7 @@ re-exports everything for its callers.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import FrozenSet, List
 
 from .literals import Atom, Comparison, Negation
 from .rules import Rule
@@ -109,33 +110,3 @@ def changeable_positions(rule: Rule, changeable: FrozenSet[str]) -> List[int]:
         elif isinstance(lit, Negation) and lit.atom.pred in changeable:
             out.append(i)
     return out
-
-
-class PlanCache:
-    """A consumer-local memo of compiled delta-variant plans.
-
-    Compilation still routes through the shared
-    :data:`~repro.core.planning.PLAN_STORE` (so identical variants are
-    shared across consumers and show up in its stats), but each consumer
-    keeps its own references: maintenance plans must survive LRU
-    eviction and the ``invalidate(db=...)`` calls triggered by the very
-    deltas the consumer applies.  Variant plans are compiled without a
-    database (aliases have no database-held sizes) so their keys — and hence
-    this memo — stay valid across updates.
-    """
-
-    __slots__ = ("small", "_plans")
-
-    def __init__(self, small: FrozenSet[str]) -> None:
-        self.small = small
-        self._plans: Dict[Rule, "RulePlan"] = {}
-
-    def plan(self, rule: Rule) -> "RulePlan":
-        from .planning import PLAN_STORE
-
-        plan = self._plans.get(rule)
-        if plan is None:
-            plan = self._plans[rule] = PLAN_STORE.rule_plan(
-                rule, db=None, small_preds=self.small
-            )
-        return plan

@@ -24,7 +24,7 @@ from ..db.relation import Relation
 from ..obs import RECORDER, TRACER
 from .literals import Atom
 from .operator import IDBMap, consequences, empty_idb
-from .planning import PLAN_STORE, RulePlan
+from .planning import RulePlan, compile_rule
 from .program import Program
 from .rules import Rule
 
@@ -184,9 +184,7 @@ def round_limit_exceeded(
 _DELTA_SUFFIX = "__delta"
 
 
-def differential_plans(
-    program: Program, db: Database
-) -> Tuple[List[RulePlan], List[RulePlan]]:
+def differential_plans(program: Program) -> Tuple[List[RulePlan], List[RulePlan]]:
     """The delta-driven round operator: ``(seed, plans)`` for :func:`iterate`.
 
     ``seed`` runs once: the rules without a positive IDB body atom (on
@@ -198,8 +196,7 @@ def differential_plans(
     only turn false), which is what makes the same operator *the*
     inflationary engine (the paper's Section 4 chain).
 
-    Plans come from the shared store; the variants join through the
-    (small) deltas first.
+    The variants join through the (small) deltas first.
     """
     idb = program.idb_predicates
     base: List[Rule] = []
@@ -218,8 +215,8 @@ def differential_plans(
             variants.append(Rule(rule.head, body))
     small = frozenset(p + _DELTA_SUFFIX for p in idb)
     return (
-        PLAN_STORE.rule_plans(base, db=db),
-        PLAN_STORE.rule_plans(variants, db=db, small_preds=small),
+        [compile_rule(r) for r in base],
+        [compile_rule(r, small) for r in variants],
     )
 
 

@@ -38,7 +38,6 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequ
 from ..db.database import UNIVERSE, Database
 from ..db.relation import Relation
 from .deltavariants import (
-    PlanCache,
     del_name,
     delta_variant,
     ins_name,
@@ -47,7 +46,7 @@ from .deltavariants import (
 )
 from ..obs import RECORDER, TRACER
 from .literals import Atom, Eq, Negation, Neq
-from .planning import PLAN_STORE, range_restricted, solve_rows
+from .planning import RulePlan, compile_rule, range_restricted, solve_rows
 from .program import Program
 from .rules import Rule
 from .terms import Variable
@@ -294,11 +293,10 @@ def _edb_projection(rule: Rule, idb: FrozenSet[str]) -> Rule:
     variable no positive EDB atom binds — one that occurs only in IDB
     literals (which stay symbolic), or a completion variable — joins
     ``@U``.  Growth of the universe is then an ``@U`` delta like any
-    other EDB change (:class:`LiveGroundProgram`).  The plan itself is
-    fetched from the shared plan store under a (rule, database) key, so
-    repeated groundings of the same input — the well-founded engine, the
-    SAT reduction, enumeration — compile once while join ordering still
-    sees the database's cardinalities.
+    other EDB change (:class:`LiveGroundProgram`).  Like every plan, the
+    projection's depends on the rule alone, so repeated groundings — the
+    well-founded engine, the SAT reduction, enumeration, over any
+    database — compile it once.
     """
     edb_body = [
         t
@@ -377,7 +375,7 @@ def ground_rule_instances(
     idb = program.idb_predicates
     idb_positives, idb_negatives = _idb_literals(rule, idb)
 
-    plan = PLAN_STORE.rule_plan(_edb_projection(rule, idb), db=interp)
+    plan = compile_rule(_edb_projection(rule, idb))
     return _instances(
         rule, idb_positives, idb_negatives, plan, solve_rows(plan, interp)
     )
@@ -425,11 +423,8 @@ class LiveGroundProgram:
     the same machinery :class:`repro.materialize.view.MaterializedView`
     uses for its maintenance aliases.  Only the aliases some variant
     reads are kept (a rule with one EDB atom, like win–move's, reads
-    none: its variants join the change sets alone).  Plans compiled
-    against the *superseded* database value are evicted from the shared
-    store by :meth:`~repro.db.database.Database.apply_delta`'s lineage
-    purge; the variant plans this class runs are compiled database-free
-    (keyed by rule + alias names only), so they survive every update.
+    none: its variants join the change sets alone).  The variant plans
+    are compiled once, at construction, and held per rule.
 
     ``index`` is the current instantiation as a
     :class:`GroundProgramIndex`, patched in place by :meth:`apply`.
@@ -442,7 +437,6 @@ class LiveGroundProgram:
         "_counts",
         "_ids",
         "_aliases",
-        "_plans",
         "_rule_info",
         "_differentiated",
     )
@@ -461,19 +455,19 @@ class LiveGroundProgram:
         for name in names:
             small.add(ins_name(name))
             small.add(del_name(name))
-        self._plans = PlanCache(frozenset(small))
+        small = frozenset(small)
         # Everything derivable from the static program is derived once:
         # per rule, its IDB-literal split and — per EDB predicate the
-        # projection reads — the (gained, lost) delta-variant pair of
-        # every position reading it.  ``apply`` is a pure lookup; only
-        # the plan executions are genuinely per-update work.
+        # projection reads — the compiled (gained, lost) delta-variant
+        # plans of every position reading it.  ``apply`` is a pure
+        # lookup; only the plan executions are genuinely per-update work.
         idb = program.idb_predicates
         read = set()
         self._differentiated = set()  # predicates some projection reads
         self._rule_info = []
         for rule in program.rules:
             proj = _edb_projection(rule, idb)
-            variants_by_pred: Dict[str, List[Tuple[Rule, Rule]]] = {}
+            variants_by_pred: Dict[str, List[Tuple[RulePlan, RulePlan]]] = {}
             for position, literal in enumerate(proj.body):
                 if isinstance(literal, Atom):
                     pred = literal.pred
@@ -485,7 +479,9 @@ class LiveGroundProgram:
                     delta_variant(proj, position, gained=True),
                     delta_variant(proj, position, gained=False),
                 )
-                variants_by_pred.setdefault(pred, []).append(pair)
+                variants_by_pred.setdefault(pred, []).append(
+                    tuple(compile_rule(variant, small) for variant in pair)
+                )
                 self._differentiated.add(pred)
                 for variant in pair:
                     read |= variant.body_predicates()
@@ -547,8 +543,7 @@ class LiveGroundProgram:
             for rule, idb_positives, idb_negatives, variants_by_pred in self._rule_info:
                 for pred in changed:
                     for gained, lost in variants_by_pred.get(pred, ()):
-                        for sign, variant in ((+1, gained), (-1, lost)):
-                            plan = self._plans.plan(variant)
+                        for sign, plan in ((+1, gained), (-1, lost)):
                             for g in _instances(
                                 rule,
                                 idb_positives,

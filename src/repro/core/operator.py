@@ -24,9 +24,10 @@ Since the planner refactor, rule evaluation is split in two:
 filter schedule, batch program) which is then executed every round by
 the columnar executor — negation as anti-join, completion as a join
 with the universe relation ``@U`` — over code vectors and sorted runs
-cached on the immutable relations.  Compiled plans come from the process-wide
-:data:`repro.core.planning.PLAN_STORE`, shared with every engine and the
-grounder.  ``evaluate_rule``/``theta`` below compile transparently;
+cached on the immutable relations.  A plan depends on its rule alone,
+never on the database, so the memoised
+:func:`~repro.core.planning.compile_rule` shares it with every engine
+and the grounder.  ``evaluate_rule``/``theta`` below compile transparently;
 ``evaluate_rule_legacy``/``theta_legacy`` keep the original
 re-plan-every-call path as the tested-equivalent baseline.
 """
@@ -38,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from ..db.database import Database
 from ..db.relation import Relation
 from .literals import Atom, Eq, Literal, Negation, Neq
-from .planning import PLAN_STORE, ProgramPlan, RulePlan, execute_plan
+from .planning import RulePlan, compile_rule, execute_plan
 from .program import Program
 from .rules import Rule
 from .terms import Constant, Variable
@@ -156,14 +157,14 @@ def evaluate_rule(rule: Rule, interp: Database, arities: Optional[Dict[str, int]
 
     This is a thin compile-and-run wrapper over
     :mod:`repro.core.planning`: the rule is compiled to a
-    :class:`~repro.core.planning.RulePlan` once (through the shared
-    :data:`~repro.core.planning.PLAN_STORE`) and executed set-at-a-time
+    :class:`~repro.core.planning.RulePlan` once (by the memoised
+    :func:`~repro.core.planning.compile_rule`) and executed set-at-a-time
     by the columnar executor.  ``arities`` is
     kept for API compatibility; plans read arities off the atoms
     themselves.  The pre-planner evaluator survives as
     :func:`evaluate_rule_legacy` and is property-tested equivalent.
     """
-    return execute_plan(PLAN_STORE.rule_plan(rule), interp).tuples
+    return execute_plan(compile_rule(rule), interp).tuples
 
 
 def evaluate_rule_legacy(rule: Rule, interp: Database, arities: Optional[Dict[str, int]] = None) -> Set[Tuple]:
@@ -277,23 +278,18 @@ def theta(
     program: Program,
     db: Database,
     idb: Optional[IDBMap] = None,
-    plan: Optional[ProgramPlan] = None,
 ) -> IDBMap:
     """Apply the consequence operator once: ``Theta(idb)``.
 
     ``db`` supplies the EDB relations (and, alternatively, current IDB
     values); ``idb`` overrides IDB values when given.  The result maps every
     IDB predicate to its *new* value — the paper's non-cumulative operator.
-
-    ``plan`` is a compiled :class:`~repro.core.planning.ProgramPlan`;
-    without one, the shared :data:`~repro.core.planning.PLAN_STORE` is
-    consulted per call, so even ad-hoc callers avoid re-planning.
+    Every call runs the same memoised plans, so even ad-hoc callers
+    avoid re-planning.
     """
     interp = as_interpretation(program, db, idb)
-    if plan is None:
-        plan = PLAN_STORE.program_plan(program)
     arities = {p: program.arity(p) for p in program.idb_predicates}
-    return consequences(plan.plans, interp, arities)
+    return consequences([compile_rule(r) for r in program.rules], interp, arities)
 
 
 def theta_legacy(program: Program, db: Database, idb: Optional[IDBMap] = None) -> IDBMap:

@@ -1,7 +1,9 @@
 """Compile rules into :class:`~repro.core.planning.plan.RulePlan` objects.
 
-A plan is a pure function of ``(rule, db, small_preds)``: it is compiled
-once and run unchanged every fixpoint round.  Compilation starts from
+A plan is a pure function of ``(rule, small_preds)`` — like the paper's
+Θ, fixed by the program and applied to whatever database comes — so
+:func:`compile_rule` is memoised and every plan is compiled once per
+process and run unchanged every fixpoint round.  Compilation starts from
 the rule's :func:`range_restricted` form, where every completion
 variable (the paper's unsafe rules quantify it over the universe ``A``)
 is bound by a join with the universe relation ``@U``.  The join order
@@ -16,9 +18,8 @@ connected when some literal mentions both:
 2. within a component, prefer atoms sharing the most variables with the
    already-bound set (index keys get longer, lookups more selective),
    and ordinary atoms over ``@U``;
-3. break ties by estimated relation size — the actual size when a
-   database is supplied, 0 for predicates the caller declares *small*
-   (semi-naive delta relations), and "large" for unknown IDB relations;
+3. break ties by putting predicates the caller declares *small*
+   (semi-naive deltas, maintenance change sets) first;
 4. break remaining ties by the atom's position in the rule body, so
    compilation is deterministic.
 
@@ -31,11 +32,11 @@ frontier drops the columns nothing downstream reads
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ...db.database import UNIVERSE, Database
+from ...db.database import UNIVERSE
 from ..literals import Atom, Eq, Literal, Negation, Neq
-from ..program import Program
 from ..rules import Rule
 from ..terms import Constant, Variable
 from .plan import (
@@ -50,9 +51,6 @@ from .plan import (
     RulePlan,
     SemiJoinStep,
 )
-
-_LARGE = float("inf")
-"""Size estimate for relations we know nothing about (unseen IDB)."""
 
 
 def _getter(term) -> Getter:
@@ -94,7 +92,7 @@ def _components(rule: Rule) -> Dict[Variable, int]:
     return {v: i for i, group in enumerate(groups) for v in group}
 
 
-def _join_order(rule: Rule, estimate) -> List[Atom]:
+def _join_order(rule: Rule, small_preds: FrozenSet[str]) -> List[Atom]:
     """The greedy join order over the positive body atoms."""
     component = _components(rule)
     in_head = {component[v] for v in rule.head.variables()}
@@ -129,7 +127,7 @@ def _join_order(rule: Rule, estimate) -> List[Atom]:
                 comp(pair[1]) != current,
                 -len(pair[1].variables() & bound),
                 pair[1].pred == UNIVERSE,
-                estimate(pair[1].pred),
+                pair[1].pred not in small_preds,
                 pair[0],
             )
         )
@@ -318,38 +316,26 @@ def _lower_batch(rule: Rule, steps: Sequence[AtomStep]):
     return tuple(schema), tuple(ops), head_cols
 
 
+@lru_cache(maxsize=2048)
 def compile_rule(
-    rule: Rule,
-    db: Optional[Database] = None,
-    small_preds: FrozenSet[str] = frozenset(),
+    rule: Rule, small_preds: FrozenSet[str] = frozenset(), /
 ) -> RulePlan:
-    """Compile one rule into an executable plan.
+    """Compile one rule into an executable plan (memoised).
 
     Parameters
     ----------
     rule:
         The rule to compile.
-    db:
-        Optional database supplying relation cardinalities (``@U``'s is
-        the universe's) for join ordering.  Plans are correct without
-        it; ordering just falls back to the connectivity heuristic
-        alone.
     small_preds:
         Predicates the caller knows to be small (semi-naive deltas); the
         planner joins through them first.
+
+    The arguments are positional-only so that equal calls share one
+    entry of the bounded memo; ``compile_rule.cache_info()`` reports
+    its hits and misses.
     """
-
-    def estimate(pred: str) -> float:
-        if pred in small_preds:
-            return 0.0
-        if db is not None:
-            rel = db.get(pred)
-            if rel is not None:
-                return float(len(rel))
-        return _LARGE
-
     restricted = range_restricted(rule)
-    order = _join_order(restricted, estimate)
+    order = _join_order(restricted, small_preds)
     steps = _lower_steps(order)
     schema, ops, head_cols = _lower_batch(restricted, steps)
     return RulePlan(
@@ -361,28 +347,3 @@ def compile_rule(
         head_cols=head_cols,
         semijoin_steps=_lower_semijoin(order, steps),
     )
-
-
-class ProgramPlan:
-    """All of a program's rules compiled."""
-
-    __slots__ = ("program", "plans")
-
-    def __init__(self, program: Program, plans: Sequence[RulePlan]) -> None:
-        self.program = program
-        self.plans: Tuple[RulePlan, ...] = tuple(plans)
-
-    def __len__(self) -> int:
-        return len(self.plans)
-
-    def __repr__(self) -> str:
-        return "ProgramPlan(%d rules, %d joins)" % (
-            len(self.plans),
-            sum(len(p.steps) for p in self.plans),
-        )
-
-
-def compile_program(program: Program, db: Optional[Database] = None) -> ProgramPlan:
-    """Compile every rule of ``program``, sizing relations from ``db``."""
-    return ProgramPlan(program, [compile_rule(r, db=db) for r in program.rules])
-

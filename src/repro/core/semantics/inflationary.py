@@ -39,19 +39,13 @@ from typing import Optional
 from ...db.database import Database
 from ..fixpoint import differential_plans, idb_union, iterate
 from ..operator import IDBMap, empty_idb, theta
-from ..planning import PLAN_STORE, ProgramPlan
 from ..program import Program
 from .base import EvaluationResult
 
 
-def inflationary_step(
-    program: Program,
-    db: Database,
-    current: IDBMap,
-    plan: Optional[ProgramPlan] = None,
-) -> IDBMap:
+def inflationary_step(program: Program, db: Database, current: IDBMap) -> IDBMap:
     """One application of the inflationary operator ``S |-> S u Theta(S)``."""
-    return idb_union([current, theta(program, db, current, plan=plan)])
+    return idb_union([current, theta(program, db, current)])
 
 
 def inflationary_semantics(
@@ -66,7 +60,7 @@ def inflationary_semantics(
     semantics.  ``result.rounds`` is the paper's ``n_0``: the first ``n``
     with ``Theta^n = Theta^{n+1}``; it is at most ``sum_i |A|^{arity_i}``.
     """
-    seed, plans = differential_plans(program, db)
+    seed, plans = differential_plans(program)
     return iterate(
         program,
         db,
@@ -82,8 +76,7 @@ def theta_stage(program: Program, db: Database, n: int) -> IDBMap:
     """The paper's stage ``Theta^n`` (``n >= 0``; stage 0 is empty)."""
     if n < 0:
         raise ValueError("stage must be non-negative")
-    plan = PLAN_STORE.program_plan(program, db)
     current = empty_idb(program)
     for _ in range(n):
-        current = inflationary_step(program, db, current, plan=plan)
+        current = inflationary_step(program, db, current)
     return current

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ...db.database import Database
 from ..fixpoint import iterate
-from ..planning import PLAN_STORE
+from ..planning import compile_rule
 from ..program import Program
 from .base import EvaluationResult, SemanticsError, is_semipositive
 
@@ -57,7 +57,7 @@ def naive_least_fixpoint(
     return iterate(
         program,
         db,
-        PLAN_STORE.rule_plans(program.rules, db=db),
+        [compile_rule(r) for r in program.rules],
         engine="naive",
         max_rounds=max_rounds,
         keep_trace=keep_trace,

@@ -44,7 +44,7 @@ def seminaive_least_fixpoint(
         raise SemanticsError(
             "semi-naive evaluation requires a (semi)positive program"
         )
-    seed, plans = differential_plans(program, db)
+    seed, plans = differential_plans(program)
     return iterate(
         program,
         db,

@@ -71,14 +71,13 @@ def stratified_semantics(
 
     Each stratum's rules form a program that is semipositive *given* the
     lower strata (their relations enter the working database as facts), so
-    the semi-naive least-fixpoint engine applies.  Each stratum's rules
-    are compiled through the shared
-    :data:`~repro.core.planning.PLAN_STORE` under a (rules, working-db)
-    key — repeated runs over the same input reuse the plans of every
-    stratum — and the lower strata's frozen relations keep their cached
-    codes and sorted runs across all upper-stratum rounds.  Lower strata are *planned
-    against*, not discovered: the working database carries them, so the
-    planner sizes them exactly at compile time.
+    the semi-naive least-fixpoint engine applies.  A stratum's plans
+    depend on its rules alone, never on the working database, so every
+    later run — over this database or any other, such as the next value
+    of an update stream — reuses them from the
+    :func:`~repro.core.planning.compile_rule` memo; the lower strata's
+    frozen relations keep their cached codes and sorted runs across all
+    upper-stratum rounds.
 
     Raises
     ------

@@ -10,8 +10,7 @@ semantics is unproblematic (e.g. paths), and leaves the odd-cycle atoms
 undefined — precisely the instances where ``(pi_1, D)`` has no fixpoint.
 
 Implementation: ground the program (the grounder evaluates each rule's
-EDB part through a plan fetched from the shared
-:data:`~repro.core.planning.PLAN_STORE` and executed set-at-a-time by
+EDB part through a memoised compiled plan executed set-at-a-time by
 the columnar executor — see :mod:`repro.core.planning`
 and :mod:`repro.core.grounding`), then iterate the anti-monotone
 *stability operator* ``A``:

@@ -20,8 +20,9 @@ UNIVERSE = "@U"
 A rule's completion variables — variables no positive atom binds, which
 the paper lets range over ``A`` — are bound by joining ``@U``
 (:func:`~repro.core.planning.range_restricted`).  :meth:`Database.get`
-resolves the name from the universe itself; it is never stored, so it is
-absent from :meth:`Database.relation_names`, dumps, equality and hashing.
+resolves the name from the universe itself; it is never stored (a
+database refuses a relation of that name), so it is absent from
+:meth:`Database.relation_names`, dumps, equality and hashing.
 Growth of the universe is an insertion into it.
 """
 
@@ -35,7 +36,9 @@ class Database:
         The (finite) set of elements ``A``.  Every value appearing in a
         relation tuple must belong to it.
     relations:
-        Mapping or iterable of :class:`Relation`; names must be unique.
+        Mapping or iterable of :class:`Relation`; names must be unique,
+        and none may be :data:`UNIVERSE`, which the universe itself
+        resolves.
     check:
         When true (default) verify that all tuples use universe elements.
     """
@@ -45,7 +48,6 @@ class Database:
         "_relations",
         "_active_domain",
         "_sorted_universe",
-        "_lineage",
         "_symcell",
         "_universe_rel",
     )
@@ -61,21 +63,17 @@ class Database:
         for rel in relations:
             if rel.name in rel_map:
                 raise ValueError("duplicate relation name %r" % rel.name)
+            if rel.name == UNIVERSE:
+                raise ValueError(
+                    "relation name %r is reserved for the universe" % UNIVERSE
+                )
             rel_map[rel.name] = rel
         self._relations = rel_map
-        # Lineage token: shared by every database *derived* from this one
-        # (functional updates), replaced when this value is *superseded*
-        # (apply_delta).  Never part of equality/hashing; it exists so the
-        # plan store can evict a superseded value's whole derived family
-        # (per-stratum working databases, grounding interpretations) in
-        # one pass instead of leaking them until LRU churn.
-        self._lineage = object()
-        # Symbol-table cell: a one-slot holder shared (like the lineage
-        # token) by every database derived from this one, so the interning
-        # table a fixpoint round creates on a *derived* interpretation is
-        # visible to the base database and to every later round.  Holder
-        # sharing, not table sharing: the table itself is created lazily
-        # by :meth:`symbols`.
+        # Symbol-table cell: a one-slot holder shared by every database
+        # derived from this one, so the interning table a fixpoint round
+        # creates on a *derived* interpretation is visible to the base
+        # database and to every later round.  Holder sharing, not table
+        # sharing: the table itself is created lazily by :meth:`symbols`.
         self._symcell = [None]
         self._universe_rel = None
         if check:
@@ -178,8 +176,7 @@ class Database:
     def __hash__(self) -> int:
         # Shape, not contents: equal databases have equal shapes, and a
         # content hash would decode every code-only relation the engines
-        # hand back (plan-store keys hash the working database once per
-        # stratum).  ``__eq__`` settles collisions, on code vectors where
+        # hand back.  ``__eq__`` settles collisions, on code vectors where
         # it can.
         return hash(
             (
@@ -213,8 +210,8 @@ class Database:
         a fixpoint round creates on a derived interpretation is the one
         every later round (and the base database) sees; interning is
         monotone, so dense ids survive update streams and WAL replay
-        within a process.  The table is identity-level state (like the
-        lineage token): never part of equality or hashing.
+        within a process.  The table is identity-level state: never part
+        of equality or hashing.
         """
         sym = self._symcell[0]
         if sym is None:
@@ -239,12 +236,11 @@ class Database:
         """A database over this universe holding exactly ``relations``.
 
         The result belongs to this database's derivation family: it
-        shares the lineage token and — what maintenance relies on — the
-        symbol-table cell, so code payloads cached on the relations stay
-        valid across every working interpretation built this way.
+        shares the symbol-table cell, so code payloads cached on the
+        relations stay valid across every working interpretation built
+        this way.
         """
         out = Database(self.universe, relations, check=False)
-        out._lineage = self._lineage
         out._symcell = self._symcell
         out._universe_rel = self._universe_rel
         return out
@@ -273,7 +269,7 @@ class Database:
         new = {k: v for k, v in self._relations.items() if k in keep}
         return self.derive(new.values())
 
-    def apply_delta(self, delta, invalidate_plans: bool = True) -> "Database":
+    def apply_delta(self, delta) -> "Database":
         """Apply per-relation insert/delete sets, returning a new database.
 
         ``delta`` is a :class:`repro.materialize.delta.Delta` (or any
@@ -287,17 +283,7 @@ class Database:
 
         Each changed relation is produced with :meth:`Relation.evolve`:
         one that holds a code payload merges the delta into it and stays
-        code-only, so no update copies a relation's tuples.  Plans
-        compiled against *this* (pre-delta) database value — and against
-        any database **derived** from it (per-stratum working databases,
-        grounding interpretations: everything sharing its lineage token)
-        — are dropped from the process-wide plan store eagerly.  This is
-        the mutation API, the one code path where a database value is
-        superseded rather than merely derived from, so it owns the
-        :meth:`~repro.core.planning.PlanStore.invalidate` /
-        :meth:`~repro.core.planning.PlanStore.invalidate_lineage` calls;
-        without the lineage purge a long update stream fills the plan
-        store's LRU with entries no future lookup can ever hit.
+        code-only, so no update copies a relation's tuples.
 
         Returns ``self`` unchanged (all caches intact) when the delta is
         a no-op against the current contents.
@@ -330,11 +316,6 @@ class Database:
         rel = self._universe_rel
         if rel is not None:  # the universe relation grows by the fresh values
             out._universe_rel = rel.evolve([(v,) for v in fresh]) if fresh else rel
-        if invalidate_plans:
-            from ..core.planning import PLAN_STORE
-
-            PLAN_STORE.invalidate(db=self)
-            PLAN_STORE.invalidate_lineage(self._lineage)
         return out
 
     def active_domain(self) -> frozenset:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, FrozenSet, List, Tuple
 
-from ..core.planning import colexec
+from ..core.planning import colexec, compile_rule
 from ..core.planning.batch import spec_bindings
 from ..core.rules import Rule
 from ..db.database import Database
@@ -38,7 +38,6 @@ from ..db.relation import Relation
 from ..obs import TRACER
 from .delta import Tup
 from .variants import (
-    PlanCache,
     changeable_positions,
     delta_variant,
     head_getters,
@@ -58,17 +57,17 @@ class CountingState:
     rules:
         Its rules (every body predicate is EDB or strictly earlier in
         the maintenance order — never ``pred`` itself).
-    plans:
-        The shared :class:`~repro.materialize.variants.PlanCache`.
+    small:
+        The view's small predicates (change sets), the planner's hint.
     """
 
-    __slots__ = ("pred", "arity", "rules", "plans", "counts", "_variants", "_compiled_variants")
+    __slots__ = ("pred", "arity", "rules", "small", "counts", "_variants", "_compiled_variants")
 
-    def __init__(self, pred: str, arity: int, rules: List[Rule], plans: PlanCache) -> None:
+    def __init__(self, pred: str, arity: int, rules: List[Rule], small: FrozenSet[str]) -> None:
         self.pred = pred
         self.arity = arity
         self.rules = rules
-        self.plans = plans
+        self.small = small
         self.counts: Counts = {}
         # The telescoping variants are a fixed family per state: built
         # (and, on first use, compiled) once, not per update.
@@ -108,7 +107,7 @@ class CountingState:
         """``(total-binding plan, head getters)`` of a variant, memoised."""
         compiled = self._compiled_variants.get(id(variant))
         if compiled is None:
-            plan = self.plans.plan(with_bindings_head(variant))
+            plan = compile_rule(with_bindings_head(variant), self.small)
             compiled = self._compiled_variants[id(variant)] = (
                 plan,
                 head_getters(variant, plan),

@@ -5,9 +5,8 @@ consumes: for each named relation, a set of tuples to insert and a set
 to delete.  Deltas are immutable values (hashable, equality by content)
 and deliberately know nothing about databases — applying one is
 :meth:`repro.db.database.Database.apply_delta`, which returns a *new*
-immutable database, carries the old relations' caches forward patched, and
-drops plans compiled against the superseded database value from the
-shared plan store.
+immutable database and carries the old relations' caches forward
+patched.
 
 A tuple may not appear on both sides of the same relation's change —
 "insert and delete x" has no sequential meaning inside a single delta;

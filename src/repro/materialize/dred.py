@@ -50,16 +50,16 @@ restart from a sound under-approximation is exact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..core.literals import Atom, Negation
-from ..core.planning import RulePlan
+from ..core.planning import RulePlan, compile_rule
 from ..core.planning.batch import execute_plan
 from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import TRACER
-from .variants import NEW, OLD, PlanCache, del_name, ins_name
+from .variants import NEW, OLD, del_name, ins_name
 
 IDBValues = Dict[str, Relation]
 ChangePair = Tuple[Relation, Relation]
@@ -82,16 +82,19 @@ class RecursiveState:
         Every rule whose head is in the component.  Positive body atoms
         may read the component itself; negated atoms never do
         (stratification / semipositivity).
-    plans:
-        The shared plan cache.
+    small:
+        The view's small predicates (change sets and frontiers), the
+        planner's hint.
     """
 
-    __slots__ = ("preds", "rules", "plans", "_variant_plans", "_nothing")
+    __slots__ = ("preds", "rules", "small", "_variant_plans", "_nothing")
 
-    def __init__(self, preds: Dict[str, int], rules: List[Rule], plans: PlanCache) -> None:
+    def __init__(
+        self, preds: Dict[str, int], rules: List[Rule], small: FrozenSet[str]
+    ) -> None:
         self.preds = dict(preds)
         self.rules = rules
-        self.plans = plans
+        self.small = small
         self._variant_plans: Dict[tuple, RulePlan] = {}
         self._nothing = {p: Relation.empty(p, arity) for p, arity in preds.items()}
 
@@ -187,8 +190,8 @@ class RecursiveState:
         key = (id(rule), position, pred_alias, suffix)
         plan = self._variant_plans.get(key)
         if plan is None:
-            plan = self._variant_plans[key] = self.plans.plan(
-                self._variant(rule, position, pred_alias, suffix)
+            plan = self._variant_plans[key] = compile_rule(
+                self._variant(rule, position, pred_alias, suffix), self.small
             )
         return execute_plan(plan, interp)
 

@@ -1,12 +1,11 @@
 """Delta-rule construction shared by counting and DRed maintenance.
 
-The generic machinery — ``@old``/``@new``/``@ins``/``@del`` aliasing,
-the telescoping :func:`delta_variant` decomposition, and the
-:class:`PlanCache` memo — lives in :mod:`repro.core.deltavariants`
-since the grounder's incremental ground-program patching started using
-it too (``core`` cannot import this package without a cycle); it is
-re-exported here unchanged for the maintenance modules and external
-callers.  What remains native to this module is the *counting* face:
+The generic machinery — ``@old``/``@new``/``@ins``/``@del`` aliasing
+and the telescoping :func:`delta_variant` decomposition — lives in
+:mod:`repro.core.deltavariants` since the grounder's incremental
+ground-program patching started using it too (``core`` cannot import
+this package without a cycle); it is re-exported here unchanged for the
+maintenance modules and external callers.  What remains native to this module is the *counting* face:
 total-binding pseudo-heads and their head getters, which only the
 derivation-counting maintenance needs.
 """
@@ -20,7 +19,6 @@ from ..core.deltavariants import (  # noqa: F401  (re-exported)
     INS,
     NEW,
     OLD,
-    PlanCache,
     changeable_positions,
     del_name,
     delta_variant,

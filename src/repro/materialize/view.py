@@ -69,7 +69,7 @@ from ..obs import RECORDER, TRACER
 from .counting import CountingState
 from .delta import Delta, Tup
 from .dred import DELETE_FRONTIER, INSERT_FRONTIER, OVER_DELETED, RecursiveState
-from .variants import PlanCache, del_name, ins_name, new_name, old_name
+from .variants import del_name, ins_name, new_name, old_name
 from .wellfounded_maint import AlternatingState, Moves, undef_name
 
 ChangePair = Tuple[FrozenSet[Tup], FrozenSet[Tup]]
@@ -309,7 +309,7 @@ class MaterializedView:
             small.add(pred + DELETE_FRONTIER)
             small.add(pred + INSERT_FRONTIER)
             small.add(pred + OVER_DELETED)
-        self._plans = PlanCache(frozenset(small))
+        small = frozenset(small)
 
         graph = DependencyGraph(program)
         self._components: List[_Component] = []
@@ -324,10 +324,10 @@ class MaterializedView:
                 e.target in comp for p in comp for e in graph.successors(p)
             )
             if recursive:
-                state = RecursiveState(preds, comp_rules, self._plans)
+                state = RecursiveState(preds, comp_rules, small)
             else:
                 (pred,) = comp
-                state = CountingState(pred, preds[pred], comp_rules, self._plans)
+                state = CountingState(pred, preds[pred], comp_rules, small)
                 derived = state.initialise(interp)
                 if derived != self._result.idb[pred].tuples:
                     raise AssertionError(

@@ -25,6 +25,23 @@ def test_duplicate_names_rejected():
         Database({1}, [Relation("E", 1, []), Relation("E", 2, [])])
 
 
+def test_a_stored_universe_relation_is_refused():
+    # ``@U`` is the universe itself: a stored relation of that name would
+    # shadow it and make completion range over the wrong set.  Here the
+    # complement of R = {1, 2} must range over all of {1, 2, 3, 4}.
+    from repro.core.parser import parse_program
+    from repro.core.semantics import stratified_semantics
+
+    edges = Relation("E", 2, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="reserved"):
+        Database({1, 2, 3, 4}, [edges, Relation("@U", 1, [(1,)])])
+    with pytest.raises(ValueError, match="reserved"):
+        Database({1}, []).with_relation(Relation("@U", 1, [(1,)]))
+    program = parse_program("N(X) :- !R(X). R(X) :- E(X, Y).", carrier="N")
+    db = Database({1, 2, 3, 4}, [edges])
+    assert stratified_semantics(program, db).idb["N"].tuples == {(3,), (4,)}
+
+
 def test_domain_check():
     with pytest.raises(ValueError):
         Database({1}, [Relation("E", 2, [(1, 99)])])

@@ -78,10 +78,8 @@ class TestCompositionLaws:
         but sticks sequentially (universes never shrink) — the
         transaction semantics, asserted as containment.
         """
-        combined = db.apply_delta(a.compose(b), invalidate_plans=False)
-        stepped = db.apply_delta(a, invalidate_plans=False).apply_delta(
-            b, invalidate_plans=False
-        )
+        combined = db.apply_delta(a.compose(b))
+        stepped = db.apply_delta(a).apply_delta(b)
         assert combined["E"].tuples == stepped["E"].tuples
         assert combined.universe <= stepped.universe
 
@@ -95,16 +93,16 @@ class TestCompositionLaws:
         shrink, so restoration is of relation contents; the universe
         retains any value the round-trip introduced.
         """
-        forward = db.apply_delta(d, invalidate_plans=False)
-        back = forward.apply_delta(d.inverse(db), invalidate_plans=False)
+        forward = db.apply_delta(d)
+        back = forward.apply_delta(d.inverse(db))
         assert back["E"].tuples == db["E"].tuples
 
     @SLOW
     @given(db=small_databases(), d=free_deltas())
     def test_plain_inverse_requires_effectiveness(self, db, d):
         effective = d.normalize(db)
-        forward = db.apply_delta(effective, invalidate_plans=False)
-        back = forward.apply_delta(effective.inverse(), invalidate_plans=False)
+        forward = db.apply_delta(effective)
+        back = forward.apply_delta(effective.inverse())
         assert back["E"].tuples == db["E"].tuples
 
 

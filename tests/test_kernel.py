@@ -118,11 +118,11 @@ def test_symbol_table_shared_under_delta_streams_and_compose(case):
 
     stepped = db
     for d in deltas:
-        stepped = stepped.apply_delta(d, invalidate_plans=False)
+        stepped = stepped.apply_delta(d)
     composed = deltas[0]
     for d in deltas[1:]:
         composed = composed.compose(d)
-    fused = db.apply_delta(composed.normalize(db), invalidate_plans=False)
+    fused = db.apply_delta(composed.normalize(db))
 
     # One table for the whole family, however the stream was applied.
     assert stepped.symbols() is sym
@@ -155,14 +155,14 @@ def test_wal_replay_matches_live_stream_on_interned_dbs(case):
         )
         for seq, d in enumerate(deltas, start=1):
             log.append(seq, d)
-            live = live.apply_delta(d, invalidate_plans=False)
+            live = live.apply_delta(d)
 
         recovered = log.recover()
         log.close()
         replayed = recovered.db
         base_sym = replayed.symbols()
         for _, d in recovered.entries:
-            replayed = replayed.apply_delta(d, invalidate_plans=False)
+            replayed = replayed.apply_delta(d)
 
     assert replayed["E"] == live["E"]
     assert replayed.universe == live.universe

@@ -224,6 +224,19 @@ def test_cli_lint_db_unused_relation_is_info(tmp_path, capsys):
     assert main(["lint", str(program), "--db", str(dbdir), "--strict"]) == 0
 
 
+def test_cli_lint_db_skips_engine_named_files(tmp_path, capsys):
+    # ``@`` names belong to the engine (``@U`` is the universe): such a
+    # file is no relation of the database, so the load skips it.
+    program = tmp_path / "p.dl"
+    program.write_text("T(X) :- E(Y, X).\n")
+    dbdir = tmp_path / "db"
+    dbdir.mkdir()
+    (dbdir / "E.csv").write_text("1,2\n")
+    (dbdir / "@U.csv").write_text("1\n")
+    assert main(["lint", str(program), "--db", str(dbdir)]) == 0
+    assert "@U" not in capsys.readouterr().out
+
+
 def test_cli_explain_includes_lint_summary(tmp_path, capsys):
     program = tmp_path / "p.dl"
     program.write_text("T(X) :- E(Y, X), !T(Y).\n")

@@ -73,18 +73,14 @@ class TestDelta:
         db = Database({1, 2, 3}, [Relation("E", 2, [(1, 2), (2, 3)])])
         a = Delta(inserts={"E": [(3, 1)]}, deletes={"E": [(1, 2)]})
         b = Delta(inserts={"E": [(1, 2)]}, deletes={"E": [(3, 1)]})
-        combined = db.apply_delta(a.then(b), invalidate_plans=False)
-        stepped = db.apply_delta(a, invalidate_plans=False).apply_delta(
-            b, invalidate_plans=False
-        )
+        combined = db.apply_delta(a.then(b))
+        stepped = db.apply_delta(a).apply_delta(b)
         assert combined == stepped
 
     def test_inverse_roundtrip(self):
         db = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
         delta = Delta(inserts={"E": [(2, 1)]}, deletes={"E": [(1, 2)]})
-        back = db.apply_delta(delta, invalidate_plans=False).apply_delta(
-            delta.inverse(), invalidate_plans=False
-        )
+        back = db.apply_delta(delta).apply_delta(delta.inverse())
         assert back == db
 
     def test_empty_and_len(self):
@@ -101,34 +97,31 @@ class TestDelta:
 class TestApplyDelta:
     def test_updates_relations_and_universe(self):
         db = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
-        out = db.apply_delta(
-            Delta(inserts={"E": [(2, 3)]}, deletes={"E": [(1, 2)]}),
-            invalidate_plans=False,
-        )
+        out = db.apply_delta(Delta(inserts={"E": [(2, 3)]}, deletes={"E": [(1, 2)]}))
         assert out["E"].tuples == frozenset({(2, 3)})
         assert out.universe == frozenset({1, 2, 3})
         # deletions never shrink the universe
-        out2 = out.apply_delta(Delta.delete("E", (2, 3)), invalidate_plans=False)
+        out2 = out.apply_delta(Delta.delete("E", (2, 3)))
         assert out2.universe == frozenset({1, 2, 3})
 
     def test_noop_returns_self(self):
         db = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
-        assert db.apply_delta(Delta.insert("E", (1, 2)), invalidate_plans=False) is db
+        assert db.apply_delta(Delta.insert("E", (1, 2))) is db
 
     def test_unknown_relation_raises(self):
         db = Database({1}, [Relation("E", 2, [])])
         with pytest.raises(KeyError):
-            db.apply_delta(Delta.insert("R", (1,)), invalidate_plans=False)
+            db.apply_delta(Delta.insert("R", (1,)))
 
     def test_arity_mismatch_raises(self):
         db = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
         with pytest.raises(ValueError):
-            db.apply_delta(Delta.insert("E", (1, 2, 3)), invalidate_plans=False)
+            db.apply_delta(Delta.insert("E", (1, 2, 3)))
         # Deletes are validated too, even though a wrong-arity tuple could
         # never match anything — a typo'd delete should fail loudly, not
         # silently delete nothing.
         with pytest.raises(ValueError):
-            db.apply_delta(Delta.delete("E", (1, 2, 3)), invalidate_plans=False)
+            db.apply_delta(Delta.delete("E", (1, 2, 3)))
 
 
 # ----------------------------------------------------------------------

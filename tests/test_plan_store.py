@@ -1,231 +1,205 @@
-"""Unit tests for the (program, db)-keyed plan store.
+"""Unit tests for the plan memo: a plan is a function of its rule.
 
-The store is what lets every engine — and the grounder behind the
-well-founded/SAT pipelines — share one compilation per input.  These
-tests pin down the cache contract: exact value-keyed hits, separate
-entries per compilation context (database sizes, small-predicate
-hints), LRU bounding, targeted invalidation — and that a plan depends
-on nothing but its key.
+``compile_rule(rule, small_preds)`` never reads a database, so it is
+memoised in place (a bounded ``functools.lru_cache``) and every engine,
+view and the grounder share one compilation per rule.  These tests pin
+down that contract — equal rules hit, the small-predicate hint is part
+of the key, the bound holds — and the work it saves: a new database
+value compiles nothing.
 """
 
 from __future__ import annotations
 
 from repro import Database, Relation, parse_program
-from repro.core.planning import PLAN_STORE, PlanStore
-from repro.core.semantics import naive_least_fixpoint, stratified_semantics
+from repro.core.literals import Atom
+from repro.core.planning import compile_rule
+from repro.core.rules import Rule
+from repro.core.semantics import (
+    naive_least_fixpoint,
+    seminaive_least_fixpoint,
+    stratified_semantics,
+)
+from repro.core.terms import Variable
 from repro.graphs import generators as gg
 from repro.graphs.encode import graph_to_database
-
-
-def _db(edges=((1, 2), (2, 3))):
-    return Database({1, 2, 3}, [Relation("E", 2, edges)])
+from repro.materialize import Delta, MaterializedView
+from repro.queries import distance_program
 
 
 def _tc():
     return parse_program("S(X, Y) :- E(X, Y). S(X, Y) :- E(X, Z), S(Z, Y).")
 
 
-def test_program_plan_hits_on_equal_program_and_db():
-    store = PlanStore()
-    first = store.program_plan(_tc(), _db())
-    second = store.program_plan(_tc(), _db())  # equal values, fresh objects
-    assert first is second
-    assert store.hits == 1 and store.misses == 1
+def _acyc():
+    return parse_program(
+        "TC(X, Y) :- E(X, Y). TC(X, Y) :- E(X, Z), TC(Z, Y). "
+        "ACYC(X, Y) :- E(X, Y), !TC(Y, X).",
+        carrier="ACYC",
+    )
+
+
+def _misses():
+    return compile_rule.cache_info().misses
+
+
+def test_equal_rules_hit_one_entry():
+    rule = parse_program("PsEq(X) :- E(X, Y), !F(Y).").rules[0]
+    again = parse_program("PsEq(X) :- E(X, Y), !F(Y).").rules[0]
+    assert rule is not again and rule == again
+    first = compile_rule(rule)
+    hits = compile_rule.cache_info().hits
+    assert compile_rule(again) is first  # equal values, fresh objects
+    assert compile_rule.cache_info().hits == hits + 1
 
 
 def test_rule_plan_hits_and_counts():
-    store = PlanStore()
-    rule = _tc().rules[0]
-    a = store.rule_plan(rule)
-    b = store.rule_plan(rule)
+    rule = parse_program("PsHit(X) :- E(X, X).").rules[0]
+    before = compile_rule.cache_info()
+    a = compile_rule(rule)
+    b = compile_rule(rule)
+    after = compile_rule.cache_info()
     assert a is b
-    assert store.stats() == (1, 1, 1)
-
-
-def test_distinct_databases_get_distinct_entries():
-    store = PlanStore()
-    store.program_plan(_tc(), _db())
-    store.program_plan(_tc(), _db(edges=((1, 2),)))
-    store.program_plan(_tc())  # no database at all
-    assert store.misses == 3 and store.hits == 0 and len(store) == 3
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def test_small_preds_hint_is_part_of_the_key():
-    store = PlanStore()
-    rule = parse_program("S(X, Y) :- E(X, Z), S(Z, Y).").rules[0]
-    plain = store.rule_plan(rule, _db())
-    hinted = store.rule_plan(rule, _db(), small_preds=frozenset({"S"}))
+    rule = parse_program("PsSmall(X, Y) :- E(X, Z), PsSmall(Z, Y).").rules[0]
+    misses = _misses()
+    plain = compile_rule(rule)
+    hinted = compile_rule(rule, frozenset({"PsSmall"}))
     assert plain is not hinted
-    assert store.misses == 2
+    assert _misses() == misses + 2
+    assert [s.pred for s in plain.steps] == ["E", "PsSmall"]
+    assert [s.pred for s in hinted.steps] == ["PsSmall", "E"]
 
 
 def test_a_plan_is_a_function_of_its_key_not_of_what_ran_before():
-    # Q joins an EDB relation with a predicate the database cannot size.
     # Running an unrelated program that happens to call a small EDB
     # relation by the same name must not change the join order a fresh
-    # compile of the very same (rule, db) picks.
+    # compile of the very same rule picks.
     rule = parse_program("Q(X, Y) :- Big(X, Z), SEL(Z, Y).").rules[0]
-    db = Database(range(12), [Relation("Big", 2, [(i, i + 1) for i in range(10)])])
 
     def order():
-        PLAN_STORE.invalidate(rule=rule)
-        return [step.pred for step in PLAN_STORE.rule_plan(rule, db).steps]
+        return [step.pred for step in compile_rule.__wrapped__(rule).steps]
 
     before = order()
     other = parse_program("P(X, Y) :- SEL(X, Y). P(X, Y) :- SEL(X, Z), P(Z, Y).")
     other_db = Database({1, 2, 3}, [Relation("SEL", 2, [(1, 2), (2, 3)])])
     assert len(naive_least_fixpoint(other, other_db).carrier_value) == 3
     assert order() == before == ["Big", "SEL"]
+    assert [step.pred for step in compile_rule(rule).steps] == before
 
 
 def test_lru_eviction_respects_maxsize():
-    store = PlanStore(maxsize=2)
-    rules = parse_program(
-        "T(X) :- E(X, Y). S(X, Y) :- E(X, Y). R(X) :- E(X, X)."
-    ).rules
-    for r in rules:
-        store.rule_plan(r)
-    assert len(store) == 2  # the first entry was evicted
-    store.rule_plan(rules[0])  # gone, so a recompile
-    assert store.misses == 4 and store.hits == 0
-
-
-def test_invalidate_by_database():
-    store = PlanStore()
-    db_a, db_b = _db(), _db(edges=((3, 1),))
-    store.program_plan(_tc(), db_a)
-    store.program_plan(_tc(), db_b)
-    dropped = store.invalidate(db=db_a)
-    assert dropped == 1 and len(store) == 1
-    store.program_plan(_tc(), db_b)
-    assert store.hits == 1  # the other database's entry survived
-
-
-def test_invalidate_by_program_drops_its_rules_too():
-    store = PlanStore()
-    program, other = _tc(), parse_program("T(X) :- E(X, X).")
-    store.program_plan(program, _db())
-    store.rule_plans(program.rules, _db())
-    store.rule_plan(other.rules[0], _db())
-    dropped = store.invalidate(program=program)
-    assert dropped == 3  # the program entry plus its two rule entries
-    assert len(store) == 1  # the unrelated rule stays
+    maxsize = compile_rule.cache_info().maxsize
+    x, y = Variable("X"), Variable("Y")
+    rules = [
+        Rule(Atom("PsLru%d" % i, (x,)), (Atom("E", (x, y)),))
+        for i in range(maxsize + 1)
+    ]
+    for rule in rules:
+        compile_rule(rule)
+    assert compile_rule.cache_info().currsize == maxsize
+    misses = _misses()
+    compile_rule(rules[0])  # the least recently used entry was evicted
+    assert _misses() == misses + 1
 
 
 def test_invalidate_everything_and_clear():
-    store = PlanStore()
-    store.program_plan(_tc(), _db())
-    assert store.invalidate() == 1 and len(store) == 0
-    store.program_plan(_tc(), _db())
-    store.clear()
-    assert store.stats() == (0, 0, 0)
+    compile_rule(_tc().rules[0])
+    compile_rule.cache_clear()
+    info = compile_rule.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    compile_rule(_tc().rules[0])
+    assert _misses() == 1
 
 
 def test_engines_share_the_global_store():
-    # Two runs of the same engine on the same input: the second compiles
-    # nothing.  Stratified evaluation funnels through the same store, so
-    # its strata reuse whatever equal (rules, db) entries exist.
+    # Once a program's rules are compiled, no engine compiles them again,
+    # on this input or another: naive and semi-naive share the base
+    # rules' plans, and stratified evaluation funnels through semi-naive.
     program, db = _tc(), graph_to_database(gg.path(5))
     naive_least_fixpoint(program, db)
-    hits_before = PLAN_STORE.hits
+    seminaive_least_fixpoint(program, db)
+    misses = _misses()
     naive_least_fixpoint(program, db)
-    assert PLAN_STORE.hits > hits_before
-
-    hits_before = PLAN_STORE.hits
+    seminaive_least_fixpoint(program, graph_to_database(gg.cycle(7)))
     stratified_semantics(program, db)
-    stratified_semantics(program, db)
-    assert PLAN_STORE.hits > hits_before
-
-
-# ----------------------------------------------------------------------
-# Invalidation wiring: Database.apply_delta drops superseded plans
-# ----------------------------------------------------------------------
-
-
-def test_apply_delta_invalidates_plans_for_the_old_database():
-    from repro.materialize import Delta
-
-    db = _db()
-    program = _tc()
-    stale = PLAN_STORE.program_plan(program, db)
-    PLAN_STORE.rule_plans(program.rules, db)
-    new_db = db.apply_delta(Delta.insert("E", (3, 1)))
-    # Every entry compiled against the superseded database value is gone:
-    # a second targeted invalidation finds nothing left to drop.
-    assert PLAN_STORE.invalidate(db=db) == 0
-    # Plans for the new database are fresh compiles, never the stale
-    # objects (whose join order was sized on the old value).
-    misses = PLAN_STORE.misses
-    assert PLAN_STORE.program_plan(program, new_db) is not stale
-    assert PLAN_STORE.misses == misses + 1
-
-
-def test_apply_delta_can_skip_invalidation():
-    from repro.materialize import Delta
-
-    # A database value no other test compiles against: the assertion
-    # counts entries in the process-wide store, so a shared value would
-    # make the count order-dependent.
-    db = Database(
-        {"ps-a", "ps-b", "ps-c"}, [Relation("E", 2, [("ps-a", "ps-b")])]
-    )
-    PLAN_STORE.invalidate(db=db)  # drop leftovers from earlier runs
-    PLAN_STORE.program_plan(_tc(), db)
-    db.apply_delta(Delta.insert("E", ("ps-b", "ps-c")), invalidate_plans=False)
-    assert PLAN_STORE.invalidate(db=db) == 1  # the entry survived
+    stratified_semantics(program, graph_to_database(gg.cycle(7)))
+    assert _misses() == misses
 
 
 def test_update_stream_keeps_plan_store_bounded():
-    # Regression: every apply_delta supersedes a db value, and engines
-    # also compile against *derived* databases (per-stratum working dbs,
-    # grounding interpretations).  Before the eager lineage eviction, a
-    # long update stream filled the LRU with plans no lookup could ever
-    # hit again; now each update evicts the superseded value's whole
-    # derived family, so the stream leaves only the newest generation.
-    from repro.materialize import Delta
-
-    program = _tc()
+    # A database value is an argument of a plan, never part of its key:
+    # a long stream of fresh values (the universe grows every step, so
+    # no value ever repeats) interleaved with engine calls adds nothing
+    # to the memo once the program's rules are compiled.
+    program = _acyc()
     db = Database({0, 1}, [Relation("E", 2, [(0, 1)])])
-    before = len(PLAN_STORE)
-    for i in range(1000):
-        # Compile against the current value AND a database derived from
-        # it (what the stratified engine's working databases look like).
-        PLAN_STORE.program_plan(program, db)
-        derived = db.with_relation(Relation("S", 2, [(0, 1)]))
-        PLAN_STORE.rule_plan(program.rules[0], db=derived)
-        # Fresh values each step: the universe grows, so no db value in
-        # the stream ever repeats (the worst case for the old LRU).
-        db = db.apply_delta(Delta.insert("E", (i + 1, i + 2)))
-    assert len(PLAN_STORE) <= before + 8
-    assert len(PLAN_STORE) < PLAN_STORE.maxsize
-
-
-def test_apply_delta_evicts_plans_of_derived_databases():
-    from repro.materialize import Delta
-
-    db = Database({"ln-a", "ln-b"}, [Relation("E", 2, [("ln-a", "ln-b")])])
-    working = db.with_relation(Relation("S", 2, [("ln-a", "ln-b")]))
-    PLAN_STORE.rule_plan(_tc().rules[0], db=working)
-    db.apply_delta(Delta.insert("E", ("ln-b", "ln-a")))
-    # The derived working database's entry is gone too, not just the
-    # base value's: a second scan finds nothing left to drop.
-    assert PLAN_STORE.invalidate(db=working) == 0
+    stratified_semantics(program, db)
+    naive_least_fixpoint(_tc(), db)
+    before = compile_rule.cache_info()
+    for i in range(1, 1001):
+        db = db.apply_delta(
+            Delta(inserts={"E": [(i, i + 1)]}, deletes={"E": [(i - 1, i)]})
+        )
+        assert stratified_semantics(program, db).idb["ACYC"].tuples == {(i, i + 1)}
+        naive_least_fixpoint(_tc(), db)
+    after = compile_rule.cache_info()
+    assert len(db.universe) == 1002
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 def test_materialized_view_survives_store_invalidation():
-    # The view's maintenance plans are compiled db-free and referenced
-    # view-locally, so the invalidation its own deltas trigger (and even
-    # a full store clear) cannot stale or lose them.
-    from repro.graphs import generators as gg
-    from repro.materialize import Delta, MaterializedView
-
+    # The view holds its maintenance plans itself, so even clearing the
+    # memo cannot stale or lose them.
     program = parse_program(
         "TC(X, Y) :- E(X, Y). TC(X, Y) :- E(X, Z), TC(Z, Y). N(X, Y) :- !TC(X, Y)."
     )
     view = MaterializedView(program, graph_to_database(gg.path(4)), "stratified")
     view.apply(Delta.insert("E", (4, 1)))
-    PLAN_STORE.invalidate()
+    compile_rule.cache_clear()
     view.apply(Delta.delete("E", (4, 1)))
-    from repro.core.semantics import stratified_semantics as _strat
+    assert view.result.idb == stratified_semantics(program, view.db).idb
 
-    assert view.result.idb == _strat(program, view.db).idb
+
+# ----------------------------------------------------------------------
+# The work a database-free plan saves
+# ----------------------------------------------------------------------
+
+
+def test_recompute_view_compiles_nothing_after_its_first_apply():
+    # Distance is not semipositive, so its inflationary view recomputes
+    # on every apply — over a new database value each time.
+    view = MaterializedView(
+        distance_program(), graph_to_database(gg.path(12)), "inflationary"
+    )
+    view.apply(Delta.insert("E", (12, 1)))
+    misses = _misses()
+    for delta in (
+        Delta.delete("E", (12, 1)),
+        Delta.insert("E", (5, 2)),
+        Delta.insert("E", (3, 13)),  # a fresh value: the universe grows
+        Delta.delete("E", (5, 2)),
+        Delta.insert("E", (12, 1)),
+    ):
+        view.apply(delta)
+    assert view.recomputes == 6
+    assert _misses() == misses
+
+
+def test_stratified_semantics_compiles_nothing_for_a_new_database_value():
+    program = _acyc()
+    db = graph_to_database(gg.path(6))
+    stratified_semantics(program, db)
+    misses = _misses()
+    for delta in (
+        Delta.insert("E", (6, 1)),
+        Delta.delete("E", (2, 3)),
+        Delta.insert("E", (6, 7)),  # a fresh value: the universe grows
+        Delta.insert("E", (2, 3)),
+        Delta.delete("E", (6, 1)),
+    ):
+        db = db.apply_delta(delta)
+        stratified_semantics(program, db)
+    assert _misses() == misses

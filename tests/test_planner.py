@@ -44,7 +44,6 @@ from repro.core.planning import (
     BatchJoin,
     Project,
     colexec,
-    compile_program,
     compile_rule,
     execute_plan,
     solve_rows,
@@ -102,10 +101,10 @@ def columnar_heads(plan, interp, semijoin=True):
     return RelationCodes(sym, len(plan.head_cols), head_codes).decode()
 
 
-def assert_three_way(rule, interp, arities, db=None):
+def assert_three_way(rule, interp, arities):
     """Reference evaluator, packed heads and bindings must agree — with
     the semi-join reduction pass on and off."""
-    plan = compile_rule(rule, db=db)
+    plan = compile_rule(rule)
     legacy = evaluate_rule_legacy(rule, interp, arities)
     assert binding_heads(plan, interp) == legacy
     for semijoin in (True, False):
@@ -200,14 +199,13 @@ def test_compiled_rules_handle_hard_shapes(source):
     for _ in range(4):
         interp = as_interpretation(program, db, current)
         for rule in program.rules:
-            assert_three_way(rule, interp, program.arities, db=db)
+            assert_three_way(rule, interp, program.arities)
         current = theta(program, db, current)
 
 
 def test_plan_shape_for_transitive_closure():
     program = parse_program("S(X, Y) :- E(X, Z), S(Z, Y).")
-    db = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
-    plan = compile_rule(program.rules[0], db=db)
+    plan = compile_rule(program.rules[0])
     # Two join steps, no completion, and the second step keyed on the
     # variable bound by the first.
     assert len(plan.steps) == 2
@@ -216,6 +214,16 @@ def test_plan_shape_for_transitive_closure():
     assert first.key_columns == ()  # nothing bound yet
     assert len(second.key_columns) == 1
     assert "join" in plan.describe()
+
+
+def test_join_order_ties_break_on_small_preds_then_body_position():
+    # A plan never reads a database: with nothing else to choose between
+    # two atoms sharing one variable, the body order decides — unless
+    # the caller declares one predicate small (a semi-naive delta).
+    rule = parse_program("Q(X, Y) :- Big(X, Z), SEL(Z, Y).").rules[0]
+    assert [step.pred for step in compile_rule(rule).steps] == ["Big", "SEL"]
+    hinted = compile_rule(rule, frozenset({"SEL"}))
+    assert [step.pred for step in hinted.steps] == ["SEL", "Big"]
 
 
 def test_batch_plan_uses_antijoin_for_bound_negation():
@@ -288,14 +296,14 @@ def test_existential_completion_does_not_multiply_rows():
     interp = as_interpretation(
         program, db, {"Q": Relation("Q", 1, [(0,)]), "T": Relation("T", 1, [(1,)])}
     )
-    plan = compile_rule(program.rules[0], db=db)
+    plan = compile_rule(program.rules[0])
     # Both existential components collapse before the E scan: the scan
     # sees one row, so the frontier never exceeds max(|A|, |E|).
     assert [type(op) for op in plan.ops].count(Project) == 2
     assert isinstance(plan.ops[-1], BatchJoin) and plan.ops[-1].pred == "E"
     symbols, table = colexec.solve_plan(plan, interp)
     assert table.nrows == n
-    assert_three_way(program.rules[0], interp, program.arities, db=db)
+    assert_three_way(program.rules[0], interp, program.arities)
 
 
 def test_batch_plan_keys_the_complement_by_bound_positions():
@@ -354,8 +362,7 @@ def test_semijoin_reduces_scan_side_only_when_probes_cannot():
     # column 0) is dropped — the join already probes S keyed on that
     # column — while the backward step (reduce the scanned E by S) stays.
     program = parse_program("S(X, Y) :- E(X, Z), S(Z, Y).")
-    db = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
-    plan = compile_rule(program.rules[0], db=db)
+    plan = compile_rule(program.rules[0])
     assert len(plan.semijoin_steps) == 1
     (step,) = plan.semijoin_steps
     assert plan.steps[step.target].pred == "E"
@@ -376,7 +383,7 @@ def test_semijoin_reduction_prunes_dead_scan_tuples():
         ],
     )
     rule = program.rules[0]
-    plan = compile_rule(rule, db=db)
+    plan = compile_rule(rule)
     assert plan.semijoin_steps  # Big and SEL share Z
     reduced = execute_plan(plan, db, semijoin=True)
     unreduced = execute_plan(plan, db, semijoin=False)
@@ -386,9 +393,9 @@ def test_semijoin_reduction_prunes_dead_scan_tuples():
 def test_consequences_groups_by_head():
     program = parse_program("T(X) :- E(X, Y). T(X) :- E(Y, X). S(X, Y) :- E(X, Y).")
     db = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
-    plan = compile_program(program, db)
+    plans = [compile_rule(r) for r in program.rules]
     derived = consequences(
-        plan.plans, as_interpretation(program, db), {"T": 1, "S": 2, "U": 3}
+        plans, as_interpretation(program, db), {"T": 1, "S": 2, "U": 3}
     )
     assert {p: r.tuples for p, r in derived.items()} == {
         "T": {(1,), (2,)},
@@ -396,7 +403,7 @@ def test_consequences_groups_by_head():
         "U": set(),
     }
     assert all(r.name == p for p, r in derived.items())
-    assert theta(program, db, plan=plan) == {p: derived[p] for p in ("T", "S")}
+    assert theta(program, db) == {p: derived[p] for p in ("T", "S")}
 
 
 # ----------------------------------------------------------------------

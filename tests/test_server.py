@@ -847,6 +847,37 @@ class TestServerAnalysis:
 
         _run(run())
 
+    def test_register_naming_the_universe_relation_is_an_error(self):
+        # ``@U`` is the engine's universe, not a relation a client may
+        # store: the JSON-lines register gets an error response and no
+        # view is created.
+        async def run():
+            server = ViewServer()
+            frontend = TcpFrontend(server)
+            host, port = await frontend.start()
+            client = await Client.connect(host, port)
+            request = {
+                "op": "register",
+                "name": "shadow",
+                "program": "N(X) :- !R(X). R(X) :- E(X, Y).",
+                "carrier": "N",
+                "durable": False,
+                "db": {
+                    "universe": [1, 2, 3, 4],
+                    "relations": {"E": [[1, 2], [2, 3]], "@U": [[1]]},
+                },
+            }
+            client._writer.write(json.dumps(request).encode() + b"\n")
+            await client._writer.drain()
+            response = json.loads(await client._reader.readline())
+            assert not response["ok"] and "reserved" in response["error"]
+            assert server.views() == []
+            assert (await client.request("views"))["views"] == []
+            await client.close()
+            await frontend.close()
+
+        _run(run())
+
     def test_tcp_register_rejection_carries_diagnostics(self):
         async def run():
             server = ViewServer()
