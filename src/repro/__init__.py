@@ -10,16 +10,15 @@ remedy: Inflationary DATALOG, together with stratified and well-founded
 semantics for comparison.
 
 Evaluation is plan-compiled: :mod:`repro.core.planning` compiles every
-rule once per (program, database) into a static ``RulePlan`` — fixed join
-order, precomputed index key columns, an interleaved negation/comparison
-filter schedule, and a static active-domain completion order — and all
-fixpoint engines (naive, semi-naive, inflationary, stratified, and the
-well-founded grounder) execute those plans with hash indexes cached
-on the immutable :class:`~repro.db.relation.Relation` objects, so
-relations unchanged between rounds are never re-indexed.  The public
-``theta``/``evaluate_rule`` API compiles transparently;
-``theta_legacy``/``evaluate_rule_legacy`` keep the original
-re-plan-every-round path as a property-tested baseline (see
+rule once — a plan is a pure function of the rule, memoised, and never
+reads a database — into a static ``RulePlan``: fixed join order,
+anti-join negation, and active-domain completion as a join with the
+universe relation ``@U``.  All fixpoint engines (naive, semi-naive,
+inflationary, stratified, and the well-founded grounder) run those
+plans columnar, over sorted runs of int64 ids interned in the
+database's symbol table.  The public ``theta``/``evaluate_rule`` API
+compiles transparently; ``theta_legacy``/``evaluate_rule_legacy`` keep
+the paper's Theta read off the page as the property-tested oracle (see
 ``python -m repro.bench perf``).
 
 Testing conventions: ``python -m pytest`` from the repository root runs

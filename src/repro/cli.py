@@ -70,7 +70,7 @@ from .core.semantics import (
     well_founded_semantics,
 )
 from .core.validation import check_database, safety_report
-from .db import csvio
+from .db import csvio, kernel
 from .db.database import Database
 from .db.relation import Relation
 
@@ -186,7 +186,7 @@ def _rows_text_from_codes(rel: Relation) -> Optional[str]:
     ranks = []
     texts = []
     for j, col in enumerate(rc.columns()):
-        ids = np.unique(col)
+        ids = kernel.sorted_unique(col)
         values = [extern(i) for i in ids.tolist()]
         sep = ", " if j < last else (",)" if last == 0 else ")")
         keys = [repr(v) + sep for v in values]

@@ -25,14 +25,23 @@ Value convention (the whole of it):
   rule above, never by quotes); what it buys is the one-column empty
   string: an unquoted ``("",)`` row would be a blank line, which
   ``csv.reader`` drops.
+
+Dumps are spelled line by line (:func:`csv_line`, byte-identical to
+``csv.writer(quoting=QUOTE_NONNUMERIC)``) into a :class:`SortedRows`,
+which a long-lived writer can keep and patch with each change instead
+of rendering the relation again: the server's snapshots do
+(:func:`dump_database`'s ``rows``).
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from bisect import bisect_left
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Dict, Optional, Union
 
 from .database import Database
 from .relation import Relation
@@ -100,27 +109,105 @@ def load_relation(path: PathLike, name: str, arity: int) -> Relation:
     return Relation(name, arity, tuples)
 
 
-def _write_rows(path: PathLike, rows, context: str = "relation") -> None:
-    """Write tuples as headerless CSV, rows sorted for determinism.
+class SortedRows:
+    """A row set kept rendered: one text fragment per row, in
+    ``sorted(key=repr)`` order, patched in place as the set changes.
 
-    The zero-ary tuple is written as the explicit marker row
-    (:data:`_EMPTY_TUPLE_MARKER`) rather than a blank line, so a
-    zero-ary relation's truth value survives the round trip.  Strings
-    are quoted (``QUOTE_NONNUMERIC``) so a one-column empty string is a
-    ``""`` line instead of a blank one the reader would skip.
+    ``fragment`` renders one row; :meth:`text` is the fragments joined
+    by ``sep`` between ``head`` and ``tail``, memoised until the next
+    :meth:`patch`.  A patch costs one ``bisect`` per changed row and
+    one ``fragment`` call per inserted one, and leaves exactly the
+    fragments a fresh rendering of the new set would have — so patched
+    and fresh text are equal by construction.  ``seq`` is free for a
+    keeper to record which commit the rows render (:meth:`advance`).
     """
+
+    __slots__ = ("fragment", "sep", "head", "tail", "seq", "_keys", "_parts", "_text")
+
+    def __init__(self, rows, fragment, sep: str = "", head: str = "", tail: str = "") -> None:
+        keyed = [(repr(t), t) for t in rows]
+        keyed.sort(key=itemgetter(0))
+        self._parts = [fragment(t) for _, t in keyed]
+        self._keys = [key for key, _ in keyed]
+        self.fragment, self.sep, self.head, self.tail = fragment, sep, head, tail
+        self.seq: Optional[int] = None
+        self._text: Optional[str] = None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def patch(self, inserted=(), deleted=()) -> None:
+        """Move the rendering to ``(rows - deleted) | inserted``.
+
+        Every inserted row is rendered before anything moves, so a row
+        ``fragment`` refuses leaves the rendering as it was.
+        """
+        if not (inserted or deleted):
+            return
+        added = [(repr(t), self.fragment(t)) for t in inserted]
+        keys, parts = self._keys, self._parts
+        for t in deleted:
+            key = repr(t)
+            i = bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                del keys[i], parts[i]
+        for key, part in added:
+            i = bisect_left(keys, key)
+            if i == len(keys) or keys[i] != key:
+                keys.insert(i, key)
+                parts.insert(i, part)
+        self._text = None
+
+    def advance(self, seq: int, inserted=(), deleted=()) -> None:
+        """:meth:`patch` a rendering of commit ``seq - 1`` to commit
+        ``seq``; one at any other commit is left behind as it is."""
+        if self.seq == seq - 1:
+            self.patch(inserted, deleted)
+            self.seq = seq
+
+    def text(self) -> str:
+        """The whole rendering."""
+        if self._text is None:
+            self._text = self.head + self.sep.join(self._parts) + self.tail
+        return self._text
+
+
+def csv_line(row, context: str) -> str:
+    """One row as the line ``csv.writer(quoting=QUOTE_NONNUMERIC)`` writes.
+
+    Strings are quoted with inner quotes doubled (so a one-column empty
+    string is a ``""`` line instead of a blank one the reader would
+    skip), ints are bare, and the zero-ary tuple is the explicit marker
+    row (:data:`_EMPTY_TUPLE_MARKER`), so a zero-ary relation's truth
+    value survives the round trip.
+    """
+    if not row:
+        return '"%s"\r\n' % _EMPTY_TUPLE_MARKER
+    fields = []
+    for v in row:
+        if type(v) is int:
+            fields.append(repr(v))
+        elif isinstance(v, str):
+            fields.append('"' + v.replace('"', '""') + '"')
+        else:
+            fields.append(str(_persistable(v, context)))
+    return ",".join(fields) + "\r\n"
+
+
+def csv_rows(rows, context: str = "relation") -> SortedRows:
+    """``rows`` rendered as headerless CSV, sorted for determinism."""
+    return SortedRows(rows, partial(csv_line, context=context))
+
+
+def write_rows(path: PathLike, rows: SortedRows) -> None:
+    """Write a kept CSV rendering to ``path``."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f, quoting=csv.QUOTE_NONNUMERIC)
-        for t in sorted(rows, key=repr):
-            if t:
-                writer.writerow(_persistable(v, context) for v in t)
-            else:
-                writer.writerow((_EMPTY_TUPLE_MARKER,))
+        f.write(rows.text())
 
 
 def dump_relation(rel: Relation, path: PathLike) -> None:
     """Write a relation as headerless CSV, rows sorted for determinism."""
-    _write_rows(path, rel, context="relation %s" % rel.name)
+    write_rows(path, csv_rows(rel, context="relation %s" % rel.name))
 
 
 def load_database(directory: PathLike, schema: dict) -> Database:
@@ -139,12 +226,25 @@ def load_database(directory: PathLike, schema: dict) -> Database:
     return Database(universe, relations)
 
 
-def dump_database(db: Database, directory: PathLike) -> None:
-    """Write every relation of ``db`` to ``directory/<name>.csv``."""
+def dump_database(
+    db: Database, directory: PathLike, rows: Optional[Dict[str, SortedRows]] = None
+) -> None:
+    """Write every relation of ``db`` to ``directory/<name>.csv``.
+
+    ``rows`` keeps renderings across calls: a :class:`SortedRows` found
+    under a relation's name is taken to render that relation's current
+    value and is written as-is; every relation not found there is
+    rendered here and stored into it.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    if rows is None:
+        rows = {}
     for name in db.relation_names():
-        dump_relation(db[name], directory / ("%s.csv" % name))
+        kept = rows.get(name)
+        if kept is None:
+            kept = rows[name] = csv_rows(db[name], context="relation %s" % name)
+        write_rows(directory / ("%s.csv" % name), kept)
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +325,5 @@ def dump_delta(delta, directory: PathLike) -> None:
     for name, (inserts, deletes) in delta.items():
         for suffix, tuples in ((_INSERT_SUFFIX, inserts), (_DELETE_SUFFIX, deletes)):
             if tuples:
-                _write_rows(
-                    directory / (name + suffix),
-                    tuples,
-                    context="delta side %s" % (name + suffix),
-                )
+                context = "delta side %s" % (name + suffix)
+                write_rows(directory / (name + suffix), csv_rows(tuples, context))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
+from ..db.csvio import SortedRows
 from ..db.database import Database
 from ..db.relation import Relation
 from ..materialize.delta import Delta
@@ -66,14 +67,19 @@ def encode_tuples(tuples: Iterable[Tuple[Any, ...]]) -> List[List[Any]]:
     return [encode_tuple(t) for t in sorted(tuples, key=repr)]
 
 
-def render_tuples(tuples: Iterable[Tuple[Any, ...]]) -> bytes:
-    """:func:`encode_tuples` of a tuple set as compact JSON bytes.
+def json_row(t: Tuple[Any, ...]) -> str:
+    """One row of :func:`encode_tuples` as compact JSON text."""
+    return "[" + ",".join([json.dumps(encode_value(v)) for v in t]) + "]"
+
+
+def tuple_rows(tuples: Iterable[Tuple[Any, ...]]) -> SortedRows:
+    """:func:`encode_tuples` of a tuple set as compact JSON text, kept.
 
     What a ``query`` response carries as ``"tuples"``, rendered ahead of
-    the response so the server can keep it and splice it in unparsed for
-    as long as the relation does not change.
+    the response so the server can splice it in unparsed and patch it
+    with each commit's changeset instead of rendering it again.
     """
-    return json.dumps(encode_tuples(tuples), separators=(",", ":")).encode()
+    return SortedRows(tuples, json_row, sep=",", head="[", tail="]")
 
 
 def _decode_tuple_map(obj: Any, field: str) -> Dict[str, List[Tuple[Any, ...]]]:

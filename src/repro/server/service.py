@@ -17,10 +17,12 @@ and gives each one the serving discipline the ROADMAP asks for:
   ``(seq, db, result)`` triple, which stays internally consistent no
   matter how far the writer advances.  :meth:`query` is the one-shot
   convenience form.
-* **Reads from bytes.**  :meth:`read` — what the wire's ``query``
-  answers from — keeps each queried relation's rendered ``tuples``
-  bytes and reuses them until a commit's changeset names that relation;
-  a read between two such commits regroups, sorts and encodes nothing.
+* **Reads from kept renderings.**  :meth:`read` — what the wire's
+  ``query`` answers from — keeps each queried relation's rendered
+  ``tuples`` text, and every commit patches it with the rows its
+  changeset moved, as the snapshot files are patched in the
+  :class:`~repro.server.wal.DeltaLog`; a read regroups, sorts and
+  encodes nothing, and a commit renders one row per changed tuple.
 * **Changesets are the wire payload.**  :meth:`subscribe` returns an
   async iterator of ``(seq, changeset)`` events, fanned out to every
   subscriber as batches commit (empty net changesets are not
@@ -50,6 +52,7 @@ from ..analysis import LintReport, lint_program, lint_source
 from ..core.parser import parse_program
 from ..core.program import Program
 from ..core.validation import check_database
+from ..db.csvio import SortedRows
 from ..db.database import Database
 from ..db.relation import Relation
 from ..materialize.delta import Delta
@@ -57,7 +60,7 @@ from ..materialize.view import SEMANTICS, ChangeSet, MaterializedView
 from ..materialize.wellfounded_maint import UNDEF
 from ..obs import LATENCY_BUCKETS, REGISTRY, SIZE_BUCKETS
 from . import protocol
-from .wal import DeltaLog
+from .wal import RENDER_REBUILDS, DeltaLog
 
 logger = logging.getLogger("repro.server")
 
@@ -92,7 +95,8 @@ _BATCH_SIZE = REGISTRY.histogram(
 )
 _READS = REGISTRY.counter(
     "repro_server_reads_total",
-    "Relation reads answered from kept bytes (hit) or rendered anew (miss).",
+    "Relation reads answered from a kept rendering (hit) or rendered "
+    "from scratch (miss).",
     labelnames=("view", "cache"),
 )
 _QUEUE_DEPTH = REGISTRY.gauge(
@@ -259,6 +263,7 @@ class _ViewState:
         "reads",
         "read_hits",
         "read_misses",
+        "render_rebuilds",
     )
 
     def __init__(
@@ -289,11 +294,13 @@ class _ViewState:
         # Static-analysis report, computed once (at register, or lazily
         # for recovered views) so analysis stays off the serving path.
         self.lint_report: Optional[LintReport] = None
-        # (predicate, undefined) -> (arity, rendered ``tuples`` bytes) of
-        # each relation that has been read and has not changed since.
-        self.reads: Dict[Tuple[str, bool], Tuple[int, bytes]] = {}
+        # (predicate, undefined) -> (arity, rendered ``tuples``) of each
+        # relation read so far; the rendering's ``seq`` is the commit it
+        # renders, and _commit patches those at the previous one.
+        self.reads: Dict[Tuple[str, bool], Tuple[int, SortedRows]] = {}
         self.read_hits = 0
         self.read_misses = 0
+        self.render_rebuilds = 0
 
 
 class ViewServer:
@@ -517,7 +524,11 @@ class ViewServer:
         """Serving counters for one view (the observability face).
 
         ``read_hits`` / ``read_misses`` count :meth:`read` calls
-        answered from kept bytes / rendered anew.
+        answered from a kept (possibly patched) rendering / rendered
+        from scratch; ``render_rebuilds`` counts the renderings, read or
+        snapshot, that were rendered from scratch because no commit had
+        patched them up to date (0 while serving; the first snapshot
+        after a recovery rebuilds the snapshot files).
         ``kernel`` reports the columnar substrate the view runs on —
         which backend is live and how many constants its database family
         has interned (``None`` until something touches the kernel; the
@@ -542,6 +553,8 @@ class ViewServer:
             "commits": state.commits,
             "read_hits": state.read_hits,
             "read_misses": state.read_misses,
+            "render_rebuilds": state.render_rebuilds
+            + (state.log.render_rebuilds if state.log is not None else 0),
             "applied": state.view.applied,
             "recomputes": state.view.recomputes,
             "queue_depth": state.queue.qsize(),
@@ -632,27 +645,29 @@ class ViewServer:
     ) -> Tuple[int, int, bytes]:
         """:meth:`query` for the wire: ``(seq, arity, tuples bytes)``.
 
-        The bytes are :func:`protocol.render_tuples` of the relation.
-        They are kept per ``(predicate, undefined)`` and dropped by the
-        commit whose changeset names the relation, so between two such
-        commits a read is a dictionary lookup; ``seq`` is always the
-        current commit.
+        The bytes are the text of :func:`protocol.tuple_rows` of the
+        relation, kept per ``(predicate, undefined)`` and patched by
+        every commit (:meth:`_commit`), so a read renders nothing; a
+        kept rendering no commit brought up to date is rendered again
+        and counted as a rebuild.  ``seq`` is always the current commit.
         """
         state = self._state(name)
         key = (predicate, undefined)
         kept = state.reads.get(key)
-        if kept is None:
-            _, rel = self.query(name, predicate, undefined)
-            kept = state.reads[key] = (
-                rel.arity,
-                protocol.render_tuples(rel.tuples),
-            )
-            state.read_misses += 1
-            _READS.labels(state.name, "miss").inc()
-        else:
+        if kept is not None and kept[1].seq == state.seq:
             state.read_hits += 1
             _READS.labels(state.name, "hit").inc()
-        return (state.seq,) + kept
+        else:
+            _, rel = self.query(name, predicate, undefined)
+            rows = protocol.tuple_rows(rel.tuples)
+            rows.seq = state.seq
+            if kept is not None:
+                state.render_rebuilds += 1
+                RENDER_REBUILDS.labels(state.name).inc()
+            kept = state.reads[key] = (rel.arity, rows)
+            state.read_misses += 1
+            _READS.labels(state.name, "miss").inc()
+        return state.seq, kept[0], kept[1].text().encode()
 
     def subscribe(self, name: str) -> Subscription:
         """Stream every future committed batch's net changeset."""
@@ -757,13 +772,19 @@ class ViewServer:
                     future.set_exception(exc)
             return
         state.seq = seq
-        # Served state moved: drop the kept bytes of exactly the
-        # relations (and undefined partitions) this commit changed.
-        for key in changeset.relations():
-            if key.endswith(UNDEF):
-                state.reads.pop((key[: -len(UNDEF)], True), None)
-            else:
-                state.reads.pop((key, False), None)
+        # Served state moved: patch every kept rendering along with it.
+        for (predicate, undefined), (_arity, rows) in state.reads.items():
+            moved = predicate + UNDEF if undefined else predicate
+            try:
+                rows.advance(
+                    seq, changeset.inserted.get(moved, ()), changeset.deleted.get(moved, ())
+                )
+            except ValueError:
+                # A value the wire cannot carry: left behind, so the next
+                # read renders it from scratch and reports the error.
+                pass
+        if state.log is not None:
+            state.log.advance(seq, changeset, state.view.db)
         state.commits += 1
         _COMMITS.labels(state.name).inc()
         _BATCH_SIZE.labels(state.name).observe(len(batch))

@@ -39,6 +39,13 @@ that name, so replaying them reproduces the exact pre-crash state
 (maintenance == recompute is property-tested, and apply is
 deterministic).
 
+A snapshot writes text the log already holds: every snapshot file is
+kept as a :class:`~repro.db.csvio.SortedRows` that records the commit
+it renders, and :meth:`DeltaLog.advance` patches it with each commit's
+changeset, so cutting a snapshot renders nothing.  A rendering a commit
+did not advance — after recovery, say — is rendered from scratch by the
+next snapshot and counted (``repro_server_render_rebuilds_total``).
+
 **What recovery tolerates and what it refuses.**  A crash in the middle
 of an append can leave a partial record at the end of the last segment;
 it was never fsync'd, hence never acknowledged.  :meth:`DeltaLog.recover`
@@ -66,8 +73,8 @@ from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 from ..db import csvio
 from ..db.database import Database
-from ..db.relation import Relation
 from ..materialize.delta import Delta
+from ..materialize.view import ChangeSet
 from ..obs import LATENCY_BUCKETS, REGISTRY
 from . import protocol
 
@@ -82,9 +89,16 @@ _APPEND_SECONDS = REGISTRY.histogram(
 )
 _SNAPSHOT_SECONDS = REGISTRY.histogram(
     "repro_wal_snapshot_seconds",
-    "Snapshot cut latency (full dump + meta flip + prune).",
+    "Snapshot cut latency (dump + meta flip + prune).",
     labelnames=("view",),
     buckets=LATENCY_BUCKETS,
+)
+
+RENDER_REBUILDS = REGISTRY.counter(
+    "repro_server_render_rebuilds_total",
+    "Kept renderings (query responses, snapshot CSVs) rendered from "
+    "scratch because no commit had patched them up to date.",
+    labelnames=("view",),
 )
 
 _FORMAT = 2
@@ -189,6 +203,11 @@ class DeltaLog:
         # of the record appended last, for discard.
         self._segment: Optional[BinaryIO] = None
         self._undo: Optional[Tuple[int, int]] = None
+        # The snapshot files kept rendered (relation name, and _UNIVERSE,
+        # -> csvio.SortedRows whose ``seq`` is the commit it renders),
+        # and how many a snapshot had to render from scratch.
+        self._rows: Dict[str, csvio.SortedRows] = {}
+        self.render_rebuilds = 0
 
     # ------------------------------------------------------------------
     # Creation and recovery
@@ -373,7 +392,10 @@ class DeltaLog:
         """
         started = time.perf_counter()
         meta = self._read_meta()
-        self._write_snapshot_dir(seq, db)
+        rendered = self._write_snapshot_dir(seq, db)
+        if rendered:
+            self.render_rebuilds += rendered
+            RENDER_REBUILDS.labels(self.directory.name).inc(rendered)
         meta["snapshot_seq"] = seq
         meta["schema"] = {name: db[name].arity for name in db.relation_names()}
         self._write_meta(meta)
@@ -391,24 +413,64 @@ class DeltaLog:
     def _snapshot_dir(self, seq: int) -> Path:
         return self.directory / (_SNAPSHOT_PREFIX + _seq_name(seq))
 
-    def _write_snapshot_dir(self, seq: int, db: Database) -> None:
+    def advance(self, seq: int, changeset: ChangeSet, db: Database) -> None:
+        """Patch the kept snapshot renderings from commit ``seq - 1`` to
+        ``seq``, whose net changeset is ``changeset`` and database ``db``.
+
+        A rendering at any other commit is left behind; the next
+        snapshot discards and rebuilds it (:attr:`render_rebuilds`).
+        The universe file is patched only when the universe grew, with
+        the values of the inserted tuples, and advances only when it
+        then holds the whole universe.
+        """
+        for name, rows in self._rows.items():
+            if name != _UNIVERSE:
+                rows.advance(
+                    seq, changeset.inserted.get(name, ()), changeset.deleted.get(name, ())
+                )
+        universe = self._rows.get(_UNIVERSE)
+        if universe is None or universe.seq != seq - 1:
+            return
+        if len(universe) < len(db.universe):
+            universe.patch(
+                {
+                    (v,)
+                    for name, tuples in changeset.inserted.items()
+                    if name in db
+                    for t in tuples
+                    for v in t
+                }
+            )
+        if len(universe) == len(db.universe):
+            universe.seq = seq
+
+    def _write_snapshot_dir(self, seq: int, db: Database) -> int:
+        """Write snapshot ``seq``; return how many files were rendered
+        from scratch rather than written from a kept rendering."""
         final = self._snapshot_dir(seq)
         tmp = self.directory / (".tmp-" + final.name)
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
-        csvio.dump_database(db, tmp)
+        rows = {name: kept for name, kept in self._rows.items() if kept.seq == seq}
+        kept = len(rows)
+        csvio.dump_database(db, tmp, rows)
         # The universe can exceed the active domain (never shrinks), and
         # completion quantifies over all of it — persist it explicitly.
-        csvio.dump_relation(
-            Relation(_UNIVERSE, 1, [(v,) for v in db.universe]),
-            tmp / (_UNIVERSE + ".csv"),
-        )
+        if _UNIVERSE not in rows:
+            rows[_UNIVERSE] = csvio.csv_rows(
+                [(v,) for v in db.universe], "relation %s" % _UNIVERSE
+            )
+        csvio.write_rows(tmp / (_UNIVERSE + ".csv"), rows[_UNIVERSE])
         if final.exists():
             shutil.rmtree(final)
         _fsync_tree(tmp)
         os.replace(tmp, final)
         _fsync_path(self.directory)
+        for rendering in rows.values():
+            rendering.seq = seq
+        self._rows = rows
+        return len(rows) - kept
 
     def _load_snapshot(self, seq: int, schema: Dict[str, int]) -> Database:
         directory = self._snapshot_dir(seq)

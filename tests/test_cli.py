@@ -68,6 +68,32 @@ def test_run_imports_only_what_run_needs(tmp_path, semantics):
         assert not [m for m in loaded if m == prefix or m.startswith(prefix + ".")]
 
 
+def test_run_prints_code_only_relations_without_loading_numpy_ma(tmp_path):
+    # Printing a code-only result ranks its id columns; plain np.unique
+    # would import numpy.ma (~15 ms of start-up) on first use.
+    program = tmp_path / "tc.dl"
+    program.write_text("S(X, Y) :- E(X, Y).\nS(X, Y) :- E(X, Z), S(Z, Y).\n")
+    dbdir = tmp_path / "db"
+    dbdir.mkdir()
+    (dbdir / "E.csv").write_text("1,2\n2,3\n3,1\n")
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['run', %r, '--db', %r, '--semantics', 'seminaive']) == 0\n"
+        "print('NUMPY_MA', 'numpy.ma' in sys.modules)\n"
+    ) % (str(program), str(dbdir))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "S/2 (9 tuples):\n  1, 1\n  1, 2\n  1, 3\n  2, 1\n" in proc.stdout
+    assert proc.stdout.rstrip().endswith("NUMPY_MA False")
+
+
 def test_core_materialize_and_server_leave_the_parallel_package_unloaded():
     # Sharding lives only behind well_founded_semantics(parallel=N): the
     # CLI, the views, the server and a stratified run must not load it.

@@ -11,16 +11,20 @@ corruption by the old CSV coercion would have made replay diverge.
 
 import asyncio
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.db import csvio
 from repro.db.database import Database
 from repro.db.relation import Relation
 from repro.materialize import ChangeSet, Delta
 from repro.server import ViewServer
 from repro.server import net as net_module
+from repro.server import protocol as protocol_module
 from repro.server import service as service_module
 from repro.server.net import Client, ServerError, TcpFrontend
 from repro.server.protocol import (
@@ -728,6 +732,29 @@ async def _storm_step(service, kind, edge):
             await service.submit("v", Delta(inserts={"E": [(1, 2, 3)]}))
 
 
+def _snapshot_files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _fresh_snapshot(db, directory):
+    """The files of a snapshot of ``db``, rendered from scratch."""
+    csvio.dump_database(db, directory)
+    csvio.dump_relation(
+        Relation("@universe", 1, [(v,) for v in db.universe]),
+        directory / "@universe.csv",
+    )
+    return _snapshot_files(directory)
+
+
+def _assert_newest_snapshot_is_fresh(view_dir, history):
+    """The newest ``snapshot-*/`` equals a from-scratch dump of the
+    database at its commit (``history`` maps commits to databases)."""
+    newest = max(view_dir.glob("snapshot-*"))
+    seq = int(newest.name[len("snapshot-"):])
+    with tempfile.TemporaryDirectory() as scratch:
+        assert _snapshot_files(newest) == _fresh_snapshot(history[seq], Path(scratch))
+
+
 @pytest.mark.parametrize(
     "semantics,program,carrier",
     [
@@ -743,8 +770,8 @@ async def _storm_step(service, kind, edge):
 def test_served_bytes_equal_the_uncached_answer_after_every_commit(
     semantics, program, carrier, steps
 ):
-    async def scenario():
-        service = ViewServer()
+    async def scenario(state_dir):
+        service = ViewServer(state_dir=state_dir, snapshot_every=2)
         frontend = TcpFrontend(service)
         info = service.register(
             "v",
@@ -757,6 +784,7 @@ def test_served_bytes_equal_the_uncached_answer_after_every_commit(
         keys = [(p, False) for p in sorted({**info.edb, **info.idb})]
         if semantics == "wellfounded":
             keys += [(p, True) for p in sorted(info.idb)]
+        history = {0: state.view.db}
 
         async def served(predicate, undefined):
             request = {"op": "query", "view": "v", "predicate": predicate}
@@ -769,6 +797,7 @@ def test_served_bytes_equal_the_uncached_answer_after_every_commit(
 
         for kind, edge in [("empty", None)] + steps:
             await _storm_step(service, kind, edge)
+            history[state.seq] = state.view.db
             for predicate, undefined in keys:
                 _, rel = service.query("v", predicate, undefined)  # no cache
                 expected = {
@@ -782,7 +811,113 @@ def test_served_bytes_equal_the_uncached_answer_after_every_commit(
                 hits = state.read_hits
                 assert await served(predicate, undefined) == expected
                 assert state.read_hits == hits + 1  # nothing moved: a hit
+            _assert_newest_snapshot_is_fresh(state_dir / "v", history)
+        # Every reading after the first was a patched rendering.
+        assert state.read_misses == len(keys)
+        assert service.stats("v")["render_rebuilds"] == 0
         await service.close()
+        _assert_newest_snapshot_is_fresh(state_dir / "v", history)
+
+    with tempfile.TemporaryDirectory() as state_dir:
+        _run(scenario(Path(state_dir)))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_commit_renders_one_fragment_per_inserted_tuple(tmp_path, monkeypatch):
+    csv_lines = _count_calls(monkeypatch, csvio, "csv_line")
+    json_rows = _count_calls(monkeypatch, protocol_module, "json_row")
+
+    async def scenario():
+        service = ViewServer(state_dir=tmp_path, snapshot_every=None)
+        service.register("v", TC_PROGRAM, _edges(*[(i, i + 1) for i in range(1, 40)]))
+        state = service._views["v"]
+        for predicate in ("E", "TC"):
+            service.read("v", predicate)  # warm-up: rendered once, then kept
+        assert len(csv_lines) == 39 + 40  # snapshot 0: E and the universe
+        assert len(json_rows) == 39 + 39 * 40 // 2
+        del csv_lines[:], json_rows[:]
+
+        # Cutting the chain deletes 400 TC tuples and renders nothing;
+        # joining it again renders each inserted tuple once per kept
+        # rendering that holds it: E as CSV and JSON, TC as JSON.
+        await service.submit("v", Delta(deletes={"E": [(20, 21)]}))
+        assert csv_lines == json_rows == []
+        _, changeset = await service.submit("v", Delta(inserts={"E": [(20, 21)]}))
+        assert len(changeset.inserted["TC"]) == 20 * 20
+        assert csv_lines == [(20, 21)]
+        assert sorted(json_rows) == sorted([*changeset.inserted["E"], *changeset.inserted["TC"]])
+        first = {key: service.read("v", key[0]) for key in state.reads}
+        assert state.read_misses == 2
+        state.log.snapshot(state.seq, state.view.db)  # renders nothing
+        assert len(csv_lines) == 1 and len(json_rows) == 1 + 400
+        assert {key: service.read("v", key[0]) for key in state.reads} == first
+        _assert_newest_snapshot_is_fresh(tmp_path / "v", {state.seq: state.view.db})
+        assert service.stats("v")["render_rebuilds"] == 0
+        await service.close()
+
+    _run(scenario())
+
+
+def test_a_value_the_wire_cannot_carry_fails_the_read_not_the_writer():
+    async def scenario():
+        service = ViewServer()
+        service.register("v", TC_PROGRAM, _edges((1, 2)))
+        assert service.read("v", "TC")[2] == b"[[1,2]]"
+        # In memory nothing logs the delta, so the float reaches the view;
+        # patching the kept rendering refuses it and leaves it behind.
+        for seq, delta in enumerate(
+            [Delta(inserts={"E": [(1.5, 2)]}), Delta(deletes={"E": [(1.5, 2)]})], 1
+        ):
+            # Acknowledged: the writer survives the refused patch.
+            assert (await asyncio.wait_for(service.submit("v", delta), 10))[0] == seq
+            if seq == 1:
+                with pytest.raises(ProtocolError, match="float"):
+                    service.read("v", "TC")
+        assert service.read("v", "TC") == (2, 2, b"[[1,2]]")
+        await service.close()
+
+    _run(scenario())
+
+
+def test_renderings_a_commit_did_not_patch_are_rebuilt_and_counted(tmp_path):
+    async def scenario():
+        service = ViewServer(state_dir=tmp_path, snapshot_every=None)
+        service.register("rebuild_probe", TC_PROGRAM, _edges((1, 2), (2, 3)))
+        await service.submit("rebuild_probe", Delta(inserts={"E": [(3, 4)]}))
+        for viewstate in service._views.values():
+            viewstate.task.cancel()  # crash: no final snapshot
+        del service
+
+        restarted = ViewServer(state_dir=tmp_path, snapshot_every=None)
+        await restarted.start()
+        await restarted.submit("rebuild_probe", Delta(inserts={"E": [(4, 9)]}))
+        state = restarted._views["rebuild_probe"]
+        state.log.snapshot(state.seq, state.view.db)
+        stats = restarted.stats("rebuild_probe")
+        # The recovered log kept no rendering: E and the universe rebuilt.
+        assert stats["render_rebuilds"] == 2
+        assert (
+            'repro_server_render_rebuilds_total{view="rebuild_probe"} 2' in restarted.metrics()
+        )
+        _assert_newest_snapshot_is_fresh(tmp_path / "rebuild_probe", {state.seq: state.view.db})
+
+        # A kept read no commit advanced is rebuilt on the next read.
+        before = restarted.read("rebuild_probe", "TC")
+        state.reads[("TC", False)][1].seq = None
+        assert restarted.read("rebuild_probe", "TC") == before
+        assert restarted.stats("rebuild_probe")["render_rebuilds"] == 3
+        await restarted.close()
 
     _run(scenario())
 
