@@ -33,8 +33,8 @@ directory recovers without ``PROGRAM.dl``/``--db``.  Startup, recovery
 and slow-op events go through stdlib ``logging`` (``--log-level``), and
 engine metrics are enabled so the ``metrics`` verb exposes them.
 
-``explain`` pretty-prints each rule's compiled plan (join order,
-semi-join prologue) together with a static-analysis summary block.
+``explain`` pretty-prints each rule's compiled plan (its op list in
+join order) together with a static-analysis summary block.
 ``--profile`` additionally runs the program under span tracing and
 prints a phase-attributed time/row breakdown; ``--trace-out FILE``
 writes the span forest as Chrome trace-event JSON (openable in
@@ -294,7 +294,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     The plain form shows, per rule, the compiled
     :class:`~repro.core.planning.plan.RulePlan` the engines run
-    (semi-join prologue, join order, completion steps).
+    (its op list: joins in order, anti-joins, filters, projections).
     ``--profile`` evaluates the program under metrics + span tracing
     and prints a per-phase time/row table attributing the evaluation
     wall time to fixpoint phases (grounding, semi-naive rounds,

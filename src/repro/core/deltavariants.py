@@ -28,8 +28,8 @@ with :func:`~repro.core.planning.compile_rule`, and holds the plans.
 This module lives in ``core`` (rather than ``repro.materialize``, where
 it originated) because the grounder's incremental ground-program
 patching needs the same construction and ``core`` cannot import
-``materialize`` without a cycle; :mod:`repro.materialize.variants`
-re-exports everything for its callers.
+``materialize`` without a cycle; the maintenance modules import it from
+here.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ the paper's Θ read off the page) re-plans the join order on *every*
 call.  This package is the production path beside it:
 
 * :func:`compile_rule` runs once per ``(rule, small_preds)`` — it is
-  memoised — and produces an immutable :class:`RulePlan`: join order,
-  batch ops (anti-join negation, completion as a join with the
-  universe relation ``@U`` — :func:`range_restricted`) and a
-  Yannakakis semi-join schedule (:class:`SemiJoinStep`);
+  memoised — and produces an immutable :class:`RulePlan`, which is its
+  op list: one :class:`BatchJoin` per positive atom in the join order,
+  anti-join negation (:class:`AntiJoin`), comparisons (:class:`CmpOp`),
+  projections before cross products (:class:`Project`), and completion
+  as a join with the universe relation ``@U`` (:func:`range_restricted`);
 * :func:`execute_plan` runs a plan in the columnar executor
   (:mod:`~repro.core.planning.colexec`: int64 id vectors under the
   interpretation's symbol table; the head stays code-only), and
@@ -25,22 +26,18 @@ from .batch import execute_plan, solve_rows
 from .compiler import compile_rule, range_restricted
 from .plan import (
     AntiJoin,
-    AtomStep,
     BatchJoin,
     CmpOp,
     Project,
     RulePlan,
-    SemiJoinStep,
 )
 
 __all__ = [
     "AntiJoin",
-    "AtomStep",
     "BatchJoin",
     "CmpOp",
     "Project",
     "RulePlan",
-    "SemiJoinStep",
     "compile_rule",
     "execute_plan",
     "range_restricted",

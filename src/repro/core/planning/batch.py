@@ -37,9 +37,13 @@ def _spec(rule: Rule, interp: Database) -> Set[Tuple]:
     return evaluate_rule_legacy(rule, interp)
 
 
+BINDINGS_HEAD = "@bindings"
+"""Pseudo-head predicate of total-binding rules (the counting views')."""
+
+
 def spec_bindings(plan: RulePlan, interp: Database) -> Set[Tuple]:
     """The plan's bindings of ``plan.schema``, evaluated by the Θ spec."""
-    return _spec(Rule(Atom("@bindings", plan.schema), plan.rule.body), interp)
+    return _spec(Rule(Atom(BINDINGS_HEAD, plan.schema), plan.rule.body), interp)
 
 
 def solve_rows(plan: RulePlan, interp: Database) -> List[Tuple]:
@@ -51,21 +55,18 @@ def solve_rows(plan: RulePlan, interp: Database) -> List[Tuple]:
     return symbols.extern_rows(table.cols, table.nrows)
 
 
-def execute_plan(
-    plan: RulePlan, interp: Database, semijoin: bool = True
-) -> Relation:
+def execute_plan(plan: RulePlan, interp: Database) -> Relation:
     """The head relation the plan derives from ``interp``.
 
     The result is a *code-only* relation over the head-code vector:
     nothing is externed here, and a fixpoint that keeps unioning such
     heads never builds their tuples.  A plan whose rows are wider than
     63 bits derives the identical set through the Θ spec, tuple-backed.
-    Callers that need a Python set take ``.tuples``.  ``semijoin=False``
-    skips the plan's Yannakakis prologue; results are identical.
+    Callers that need a Python set take ``.tuples``.
     """
     arity = len(plan.head_cols)
     with TRACER.span("rule") as sp:
-        result = colexec.execute_plan_codes(plan, interp, semijoin=semijoin)
+        result = colexec.execute_plan_codes(plan, interp)
         if result is not None:
             backend = "kernel"
             sym, head_codes = result

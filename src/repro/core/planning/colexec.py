@@ -17,9 +17,7 @@ arithmetic over the relations' cached code vectors
   relation ``@U``, and :class:`~repro.core.planning.plan.Project` keeps
   the columns later ops read, deduplicating rows by their packed code;
 * zero-ary atoms are tests: a join keeps the frontier iff its relation
-  is non-empty, an anti-join drops it iff the relation is non-empty;
-* the Yannakakis prologue reduces scanned relations by sorted-key
-  membership before any frontier column is built.
+  is non-empty, an anti-join drops it iff the relation is non-empty.
 
 Two entries: :func:`execute_plan_codes` packs the head and returns the
 sorted unique head-code vector (a zero-ary head derives ``{()}`` iff a
@@ -39,18 +37,9 @@ import numpy as np
 
 from ...db import kernel
 from ...db.database import Database
-from ...db.kernel import RelationCodes, SortedRun
+from ...db.kernel import RelationCodes
 from ...obs import RECORDER
 from .plan import AntiJoin, BatchJoin, CmpOp, Project, RulePlan
-
-_MIN_REDUCE_SIZE = 256
-"""Semi-join floor.  A sorted-run probe never materialises non-matching
-rows, so reducing a small scanned relation spends a membership sweep
-(plus a fresh code subset and its column decode) to save expansion work
-the probe would have skipped anyway; only targets big enough that the
-scan itself is the cost are worth shrinking.  Results are identical
-either way — the reduction is a pure optimisation."""
-
 
 class ColumnTable:
     """The columnar frontier: one int64 id vector per bound variable.
@@ -93,7 +82,7 @@ class ColumnTable:
 # ----------------------------------------------------------------------
 
 def _plan_state(plan: RulePlan):
-    """(width, constants, preds, copy_scan, scan_joins).
+    """(width, constants, preds, copy_scan).
 
     ``width`` is the widest code any op must pack (the head's is checked
     separately, only where the head is packed); ``constants`` is every
@@ -145,22 +134,7 @@ def _plan_state(plan: RulePlan):
             and plan.head_cols == tuple((False, i) for i in range(op.arity))
         ):
             copy_scan = True
-    # Join steps consumed by a keyless scan (vs a sorted-run probe).
-    # The reducer only shrinks these: a probe never touches rows outside
-    # the probed keys anyway, so reducing a probed relation would spend
-    # a membership sweep to save nothing.
-    scan_joins = frozenset(
-        i
-        for i, op in enumerate(o for o in plan.ops if type(o) is BatchJoin)
-        if not op.key_columns
-    )
-    state = (
-        max(widths),
-        tuple(consts),
-        tuple(preds),
-        copy_scan,
-        scan_joins,
-    )
+    state = (max(widths), tuple(consts), tuple(preds), copy_scan)
     object.__setattr__(plan, "_colexec_state", state)
     return state
 
@@ -177,7 +151,7 @@ def _resolve(plan: RulePlan, interp: Database, width: int):
     the op loop sees is of one width.  ``None`` when a row of ``width``
     fields no longer fits 63 bits.
     """
-    _, consts, preds, _, _ = _plan_state(plan)
+    _, consts, preds, _ = _plan_state(plan)
     sym = interp.symbols()
     for v in consts:
         sym.intern(v)
@@ -204,7 +178,7 @@ def _resolve(plan: RulePlan, interp: Database, width: int):
 # ----------------------------------------------------------------------
 
 
-def execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool = True):
+def execute_plan_codes(plan: RulePlan, interp: Database):
     """Run the plan; ``(symbols, head_codes)`` or ``None``.
 
     ``head_codes`` is the sorted unique int64 vector of derived head
@@ -212,7 +186,7 @@ def execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool = True):
     empty derivation is an empty *vector*.  ``None`` means a relation
     or the head is wider than 63 bits.
     """
-    width, _, _, copy_scan, _ = _plan_state(plan)
+    width, _, _, copy_scan = _plan_state(plan)
     resolved = _resolve(plan, interp, max(width, len(plan.head_cols)))
     if resolved is None:
         return None
@@ -221,7 +195,7 @@ def execute_plan_codes(plan: RulePlan, interp: Database, semijoin: bool = True):
         rc = rcs[plan.ops[0].pred]
         head = _EMPTY if rc is None else rc.codes
     else:
-        cols, nrows = _run(plan, sym, rcs, semijoin)
+        cols, nrows = _run(plan, sym, rcs)
         if nrows == 0:
             head = _EMPTY
         elif not plan.head_cols:
@@ -246,7 +220,7 @@ def solve_plan(plan: RulePlan, interp: Database):
     if resolved is None:
         return None
     sym, rcs = resolved
-    cols, nrows = _run(plan, sym, rcs, True)
+    cols, nrows = _run(plan, sym, rcs)
     if RECORDER.enabled:
         RECORDER.inc("repro_kernel_lowered_total")
     return sym, ColumnTable(cols, nrows)
@@ -296,90 +270,26 @@ def _key_fold(entries, cols, nrows: int, shift: int, sym):
     return probe
 
 
-def _expand(cols, rowidx):
-    return [c[rowidx] for c in cols]
-
-
-def _subset_run(rc: RelationCodes, codes, key_columns) -> SortedRun:
-    """A sorted run over a row subset of ``rc`` (reduced/dup-filtered)."""
-    sub = RelationCodes(rc.symbols, rc.arity, codes)
-    return sub.sorted_run(key_columns)
-
-
-def _semijoin_reduce(plan: RulePlan, rcs, sym, scan_joins):
-    """The Yannakakis prologue on code vectors.
-
-    ``rcs`` is every join step's :class:`RelationCodes`, in join order
-    (none empty).  Returns the map from join-step index to the reduced
-    code vector, only for steps the reduction actually shrank; it holds
-    an empty vector when some step reduced to nothing (callers
-    early-exit).
-    """
-    reduced: Dict[int, Any] = {}
-    for sj in plan.semijoin_steps:
-        if sj.target not in scan_joins:
-            continue
-        target = reduced.get(sj.target)
-        target_codes = target if target is not None else rcs[sj.target].codes
-        if len(target_codes) < _MIN_REDUCE_SIZE:
-            continue
-        source = reduced.get(sj.source)
-        if source is not None:
-            src_keys = kernel.dedup_sorted(
-                _subset_run(rcs[sj.source], source, sj.source_columns).sorted_keys
-            )
-        else:
-            src_keys = rcs[sj.source].sorted_run(sj.source_columns).distinct_keys()
-        if target is None:
-            # Unreduced target: its RelationCodes caches the column
-            # views, so the key fold reuses them across rounds.
-            tkeys = rcs[sj.target].key_codes(sj.target_columns)
-        else:
-            tsub = RelationCodes(sym, rcs[sj.target].arity, target_codes)
-            tkeys = tsub.key_codes(sj.target_columns)
-        mask = kernel._sorted_isin(tkeys, src_keys)
-        if mask.all():
-            continue  # fully covered: the semi-join would drop nothing
-        kept = target_codes[mask]
-        reduced[sj.target] = kept
-        if len(kept) == 0:
-            break
-    return reduced
-
-
-def _run(plan: RulePlan, sym, rcs, semijoin: bool):
+def _run(plan: RulePlan, sym, rcs):
     """The op loop: ``(cols, nrows)``, one column per ``plan.schema`` variable."""
-    scan_joins = _plan_state(plan)[4]
-    joins = [rcs[op.pred] for op in plan.ops if type(op) is BatchJoin]
-    if any(rc is None for rc in joins):
+    if any(rcs[op.pred] is None for op in plan.ops if type(op) is BatchJoin):
         return _no_rows(plan)  # an empty positive atom: nothing satisfies the body
-    reduced: Optional[Dict[int, Any]] = None
-    if semijoin and plan.semijoin_steps:
-        reduced = _semijoin_reduce(plan, joins, sym, scan_joins)
-        for kept in reduced.values():
-            if len(kept) == 0:
-                return _no_rows(plan)
 
     b = sym.shift
     cols: List[Any] = []
     nrows = 1
-    join_idx = -1
     for op in plan.ops:
         if nrows == 0:
             break
         t = type(op)
         if t is BatchJoin:
-            join_idx += 1
             if op.arity == 0:
                 continue  # non-empty (checked above): the test holds
-            rc = joins[join_idx]
-            kept = reduced.get(join_idx) if reduced else None
-            if op.dup_checks:
-                if kept is None:
-                    kept = rc.codes[_dup_mask(rc, rc.codes, op.dup_checks)]
-                else:
-                    kept = kept[_dup_mask(rc, kept, op.dup_checks)]
-            src = rc if kept is None else RelationCodes(sym, rc.arity, kept)
+            src = rcs[op.pred]
+            if op.dup_checks:  # repeated fresh variables must agree
+                c = src.columns()
+                keep = np.logical_and.reduce([c[x] == c[y] for x, y in op.dup_checks])
+                src = RelationCodes(sym, src.arity, src.codes[keep])
             if op.key_columns:
                 run = src.sorted_run(op.key_columns)
                 probe = _key_fold(op.key, cols, nrows, b, sym)
@@ -401,7 +311,7 @@ def _run(plan: RulePlan, sym, rcs, semijoin: bool):
                     (lefts + counts - cum).repeat(counts) + _arange(total)
                 ]
             else:
-                # No key: cross every row with every (kept) tuple.
+                # No key: cross every row with every tuple.
                 m = len(src)
                 if m == 0:
                     nrows = 0
@@ -417,7 +327,7 @@ def _run(plan: RulePlan, sym, rcs, semijoin: bool):
                 rowidx = _arange(nrows).repeat(m)
                 match = np.tile(_arange(m), nrows)
             src_cols = src.columns()
-            cols = _expand(cols, rowidx)
+            cols = [c[rowidx] for c in cols]
             for p in op.out_positions:
                 cols.append(src_cols[p][match])
             nrows = total
@@ -462,14 +372,3 @@ def _run(plan: RulePlan, sym, rcs, semijoin: bool):
 def _no_rows(plan: RulePlan):
     """The empty frontier: one empty column per schema variable."""
     return [_EMPTY] * len(plan.schema), 0
-
-
-def _dup_mask(rc: RelationCodes, codes, dup_checks):
-    """Repeated-variable agreement mask over an explicit code subset."""
-    sub = RelationCodes(rc.symbols, rc.arity, codes)
-    sub_cols = sub.columns()
-    mask = None
-    for a, c2 in dup_checks:
-        m = sub_cols[a] == sub_cols[c2]
-        mask = m if mask is None else (mask & m)
-    return mask

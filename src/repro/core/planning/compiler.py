@@ -10,11 +10,20 @@ is bound by a join with the universe relation ``@U``.  The join order
 is chosen greedily, one body component at a time — variables are
 connected when some literal mentions both:
 
-1. variable-free atoms (tests) first, then the components no head
-   variable occurs in (each is an existence test once projected away),
-   then the components an ordinary atom reads, and last those of
-   completion variables alone (a ``@U`` cross product multiplies
-   everything joined after it);
+1. variable-free atoms (tests) first, then, in this phase order:
+
+   a. the components no head variable occurs in (each is an existence
+      test once projected away);
+   b. the components that read a predicate the caller declares *small*
+      (a semi-naive delta, a maintenance change set): the variant joins
+      through its delta first;
+   c. the head components of completion variables alone (only ``@U``
+      joins) that a negation or comparison reads — their filters run on
+      at most |U|^k rows, before anything is crossed with them;
+   d. the other components an ordinary atom reads;
+   e. the unfiltered completion-only components last (a bare ``@U``
+      cross product multiplies everything joined after it);
+
 2. within a component, prefer atoms sharing the most variables with the
    already-bound set (index keys get longer, lookups more selective),
    and ordinary atoms over ``@U``;
@@ -23,8 +32,20 @@ connected when some literal mentions both:
 4. break remaining ties by the atom's position in the rule body, so
    compilation is deterministic.
 
-The join order is lowered to the set-at-a-time batch program: every
-negation is an :class:`~repro.core.planning.plan.AntiJoin` attached as
+Phase (c) trades one cost for another: the ordinary components are
+then joined once per surviving completion row, *unprojected*.  On a
+sparse graph that is far cheaper than filtering the crossed product
+(stratified distance's ``S3`` sends |U|² rows into its ``!S2``
+anti-join instead of |TC| · |U|²), but on a dense one, where a join
+such as ``E ⋈ S1`` is much wider than its projection onto the head, the
+multiplied join is the bigger term.  A delta component stays ahead of
+it (b): a probe per completion row costs more than anti-joining the
+few delta rows crossed with |U|^k.  The order is a function of the
+rule and ``small_preds`` alone.
+
+The join order is lowered straight to the set-at-a-time batch program:
+one :class:`~repro.core.planning.plan.BatchJoin` per atom, every
+negation an :class:`~repro.core.planning.plan.AntiJoin` attached as
 soon as its variables are bound, and before a cross product the
 frontier drops the columns nothing downstream reads
 (:class:`~repro.core.planning.plan.Project`).
@@ -41,22 +62,13 @@ from ..rules import Rule
 from ..terms import Constant, Variable
 from .plan import (
     AntiJoin,
-    AtomStep,
     BatchJoin,
     BatchOp,
     CmpOp,
     ColGetter,
-    Getter,
     Project,
     RulePlan,
-    SemiJoinStep,
 )
-
-
-def _getter(term) -> Getter:
-    if isinstance(term, Constant):
-        return (True, term.value)
-    return (False, term)
 
 
 def range_restricted(rule: Rule) -> Rule:
@@ -96,12 +108,14 @@ def _join_order(rule: Rule, small_preds: FrozenSet[str]) -> List[Atom]:
     """The greedy join order over the positive body atoms."""
     component = _components(rule)
     in_head = {component[v] for v in rule.head.variables()}
-    grounded = {  # components some atom other than @U reads
-        component[v]
-        for atom in rule.positive_atoms()
-        if atom.pred != UNIVERSE
-        for v in atom.variables()
-    }
+
+    def read_by(accept) -> Set[int]:
+        """The components of the body literals ``accept`` selects."""
+        return {component[v] for t in rule.body if accept(t) for v in t.variables()}
+
+    grounded = read_by(lambda t: isinstance(t, Atom) and t.pred != UNIVERSE)
+    filtered = read_by(lambda t: not isinstance(t, Atom))  # negations, tests
+    small = read_by(lambda t: isinstance(t, Atom) and t.pred in small_preds)
 
     def comp(atom: Atom) -> Optional[int]:
         for v in atom.variables():
@@ -114,7 +128,9 @@ def _join_order(rule: Rule, small_preds: FrozenSet[str]) -> List[Atom]:
             return 0
         if c not in in_head:
             return 1
-        return 2 if c in grounded else 3
+        if c in grounded:
+            return 2 if c in small else 4
+        return 3 if c in filtered else 5
 
     bound: Set[Variable] = set()
     order: List[Atom] = []
@@ -138,107 +154,16 @@ def _join_order(rule: Rule, small_preds: FrozenSet[str]) -> List[Atom]:
     return order
 
 
-def _lower_semijoin(
-    order: Sequence[Atom], steps: Sequence[AtomStep]
-) -> Tuple[SemiJoinStep, ...]:
-    """The Yannakakis reduction schedule over the join order.
-
-    For every ordered pair of atoms sharing at least one variable, the
-    forward sweep reduces the later atom by the earlier one and the
-    backward sweep (in reverse pair order) the earlier by the later —
-    the classic two-pass reducer, exact on acyclic (alpha-acyclic) join
-    shapes and a sound, effective approximation on cyclic ones.  Pairs
-    in different connected components of the variable graph share no
-    variables and get no step, so cross products pass through intact.
-
-    A step is dropped when the target's matched columns all sit inside
-    the target join's own index key (``AtomStep.key_columns``): the
-    executor probes those columns with already-bound values, so tuples
-    the semi-join would drop are never visited anyway — the reduction
-    would be pure overhead.  What survives is exactly where Yannakakis
-    pays: the scan-side first atom, and reductions *against later atoms*
-    whose pruning the keyed probes cannot anticipate.
-    """
-    if len(order) < 2:
-        return ()
-    var_pos: List[Dict[Variable, int]] = []
-    for atom in order:
-        first: Dict[Variable, int] = {}
-        for i, arg in enumerate(atom.args):
-            if isinstance(arg, Variable) and arg not in first:
-                first[arg] = i
-        var_pos.append(first)
-    pairs: List[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]] = []
-    for j in range(len(order)):
-        for i in range(j):
-            shared = sorted(
-                set(var_pos[i]) & set(var_pos[j]), key=lambda v: v.name
-            )
-            if shared:
-                pairs.append(
-                    (
-                        i,
-                        j,
-                        tuple(var_pos[i][v] for v in shared),
-                        tuple(var_pos[j][v] for v in shared),
-                    )
-                )
-    def useful(target: int, target_columns: Tuple[int, ...]) -> bool:
-        return not set(target_columns) <= set(steps[target].key_columns)
-
-    forward = [
-        SemiJoinStep(target=j, target_columns=cj, source=i, source_columns=ci)
-        for i, j, ci, cj in pairs
-        if useful(j, cj)
-    ]
-    backward = [
-        SemiJoinStep(target=i, target_columns=ci, source=j, source_columns=cj)
-        for i, j, ci, cj in reversed(pairs)
-        if useful(i, ci)
-    ]
-    return tuple(forward + backward)
-
-
-def _lower_steps(order: Sequence[Atom]) -> Tuple[AtomStep, ...]:
-    """The join schedule: per atom, its index key and the variables it binds."""
-    bound: Set[Variable] = set()
-    steps: List[AtomStep] = []
-    for atom in order:
-        key_columns = tuple(
-            i
-            for i, arg in enumerate(atom.args)
-            if isinstance(arg, Constant) or arg in bound
-        )
-        new_positions: Dict[Variable, List[int]] = {}
-        for i, arg in enumerate(atom.args):
-            if i not in key_columns:
-                new_positions.setdefault(arg, []).append(i)
-        steps.append(
-            AtomStep(
-                pred=atom.pred,
-                arity=atom.arity,
-                key_columns=key_columns,
-                key=tuple(_getter(atom.args[i]) for i in key_columns),
-                new_vars=tuple(
-                    (var, positions[0], tuple(positions[1:]))
-                    for var, positions in new_positions.items()
-                ),
-            )
-        )
-        bound |= atom.variables()
-    return tuple(steps)
-
-
 # ----------------------------------------------------------------------
 # Batch-program lowering (set-at-a-time executor)
 # ----------------------------------------------------------------------
 
 
-def _lower_batch(rule: Rule, steps: Sequence[AtomStep]):
+def _lower_batch(rule: Rule, order: Sequence[Atom]):
+    """``(schema, ops, head_cols)``: the join order as one batch program."""
     col: Dict[Variable, int] = {}
     schema: List[Variable] = []
     ops: List[BatchOp] = []
-    bound: Set[Variable] = set()
     pending: List[Literal] = [
         t for t in rule.body if isinstance(t, (Negation, Eq, Neq))
     ]
@@ -263,22 +188,27 @@ def _lower_batch(rule: Rule, steps: Sequence[AtomStep]):
             right=col_getter(lit.right),
         )
 
-    def attach_ready() -> None:
-        ready = [f for f in pending if f.variables() <= bound]
-        pending[:] = [f for f in pending if f.variables() - bound]
+    def attach_ready() -> None:  # a projected-away variable is read no more
+        ready = [f for f in pending if f.variables() <= col.keys()]
+        pending[:] = [f for f in pending if f.variables() - col.keys()]
         for f in ready:
             ops.append(lower(f))
 
     attach_ready()  # filters with no variables run before any join
 
-    for k, step in enumerate(steps):
-        if schema and not step.key_columns:
+    for k, atom in enumerate(order):
+        key_columns = tuple(
+            i
+            for i, arg in enumerate(atom.args)
+            if isinstance(arg, Constant) or arg in col
+        )
+        if schema and not key_columns:
             # A cross product multiplies every row: first drop the
             # columns no later op and no head reads, and the duplicates
             # that leaves behind.
             read = set(head_vars)
-            for later in steps[k:]:
-                read.update(p for is_const, p in later.key if not is_const)
+            for later in order[k:]:
+                read |= later.variables()
             for f in pending:
                 read |= f.variables()
             live = [v for v in schema if v in read]
@@ -286,29 +216,28 @@ def _lower_batch(rule: Rule, steps: Sequence[AtomStep]):
                 ops.append(Project(columns=tuple(col[v] for v in live)))
                 schema = live
                 col = {v: i for i, v in enumerate(live)}
-        out_positions: List[int] = []
+        key = tuple(col_getter(atom.args[i]) for i in key_columns)
+        first: Dict[Variable, int] = {}
         dup_checks: List[Tuple[int, int]] = []
-        for var, first, duplicates in step.new_vars:
-            col[var] = len(schema)
-            schema.append(var)
-            out_positions.append(first)
-            for d in duplicates:
-                dup_checks.append((d, first))
+        for i, arg in enumerate(atom.args):
+            if i in key_columns:
+                continue
+            if arg in first:
+                dup_checks.append((i, first[arg]))
+            else:
+                first[arg] = i
+                col[arg] = len(schema)
+                schema.append(arg)
         ops.append(
             BatchJoin(
-                pred=step.pred,
-                arity=step.arity,
-                key_columns=step.key_columns,
-                key=tuple(
-                    (True, payload) if is_const else (False, col[payload])
-                    for is_const, payload in step.key
-                ),
-                out_positions=tuple(out_positions),
+                pred=atom.pred,
+                arity=atom.arity,
+                key_columns=key_columns,
+                key=key,
+                out_positions=tuple(first.values()),
                 dup_checks=tuple(dup_checks),
             )
         )
-        for var, _, _ in step.new_vars:
-            bound.add(var)
         attach_ready()
 
     assert not pending, "unschedulable filters (vars outside rule): %r" % pending
@@ -335,15 +264,13 @@ def compile_rule(
     its hits and misses.
     """
     restricted = range_restricted(rule)
-    order = _join_order(restricted, small_preds)
-    steps = _lower_steps(order)
-    schema, ops, head_cols = _lower_batch(restricted, steps)
+    schema, ops, head_cols = _lower_batch(
+        restricted, _join_order(restricted, small_preds)
+    )
     return RulePlan(
         rule=rule,
         head_pred=rule.head.pred,
-        steps=steps,
         schema=schema,
         ops=ops,
         head_cols=head_cols,
-        semijoin_steps=_lower_semijoin(order, steps),
     )

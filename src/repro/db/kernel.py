@@ -483,21 +483,12 @@ class SortedRun:
     no bucket dicts, just position arithmetic over two sorted vectors.
     """
 
-    __slots__ = ("relation", "key_columns", "sorted_keys", "order", "_distinct")
+    __slots__ = ("sorted_keys", "order")
 
     def __init__(self, relation: RelationCodes, key_columns: Tuple[int, ...]) -> None:
-        self.relation = relation
-        self.key_columns = key_columns
-        self._distinct = None
         keys = relation.key_codes(key_columns)
         self.order = _np.argsort(keys, kind="stable")
         self.sorted_keys = keys[self.order]
-
-    def distinct_keys(self):
-        """The distinct key codes present (sorted), cached."""
-        if self._distinct is None:
-            self._distinct = dedup_sorted(self.sorted_keys)
-        return self._distinct
 
 
 # ----------------------------------------------------------------------

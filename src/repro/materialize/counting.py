@@ -7,7 +7,7 @@ rule's variables satisfying its body.  A change to the inputs then
 maintains the counts exactly:
 
 * derivations gained/lost are enumerated by the telescoping delta
-  variants of :mod:`repro.materialize.variants`, each solved under a
+  variants of :mod:`repro.core.deltavariants`, each solved under a
   *total-binding* pseudo-head so the executor cannot collapse
   multiplicities by projecting a column away; the bindings stay
   id columns, the head projection is packed to one code per binding
@@ -30,21 +30,46 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, FrozenSet, List, Tuple
 
-from ..core.planning import colexec, compile_rule
-from ..core.planning.batch import spec_bindings
+from ..core.deltavariants import changeable_positions, delta_variant
+from ..core.literals import Atom
+from ..core.planning import RulePlan, colexec, compile_rule
+from ..core.planning.batch import BINDINGS_HEAD, spec_bindings
 from ..core.rules import Rule
+from ..core.terms import Variable
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import TRACER
 from .delta import Tup
-from .variants import (
-    changeable_positions,
-    delta_variant,
-    head_getters,
-    with_bindings_head,
-)
 
 Counts = Dict[Tup, int]
+
+
+# ----------------------------------------------------------------------
+# Counting needs total bindings: give the rule a pseudo-head over all
+# its variables (the grounder's trick), so the executor never
+# projects a column away and deduplicates the rows that differed there.
+# ----------------------------------------------------------------------
+
+
+def _bindings_rule(rule: Rule) -> Rule:
+    """The rule under a pseudo-head carrying every variable (sorted)."""
+    variables = sorted(rule.variables(), key=lambda v: v.name)
+    return Rule(Atom(BINDINGS_HEAD, variables), rule.body)
+
+
+def _head_getters(rule: Rule, plan: RulePlan):
+    """``rule``'s head as getters over a pseudo-head plan's schema columns.
+
+    ``plan`` must be the compiled :func:`_bindings_rule` variant;
+    its schema binds every rule variable, so the original head is a pure
+    column/constant projection of each binding: ``(False, column)`` per
+    variable, ``(True, value)`` per constant.
+    """
+    column: Dict[Variable, int] = {v: i for i, v in enumerate(plan.schema)}
+    return tuple(
+        (False, column[arg]) if isinstance(arg, Variable) else (True, arg.value)
+        for arg in rule.head.args
+    )
 
 
 class CountingState:
@@ -107,10 +132,10 @@ class CountingState:
         """``(total-binding plan, head getters)`` of a variant, memoised."""
         compiled = self._compiled_variants.get(id(variant))
         if compiled is None:
-            plan = compile_rule(with_bindings_head(variant), self.small)
+            plan = compile_rule(_bindings_rule(variant), self.small)
             compiled = self._compiled_variants[id(variant)] = (
                 plan,
-                head_getters(variant, plan),
+                _head_getters(variant, plan),
             )
         return compiled
 

@@ -69,7 +69,7 @@ from ..obs import RECORDER, TRACER
 from .counting import CountingState
 from .delta import Delta, Tup
 from .dred import DELETE_FRONTIER, INSERT_FRONTIER, OVER_DELETED, RecursiveState
-from .variants import del_name, ins_name, new_name, old_name
+from ..core.deltavariants import del_name, ins_name, new_name, old_name
 from .wellfounded_maint import AlternatingState, Moves, undef_name
 
 ChangePair = Tuple[FrozenSet[Tup], FrozenSet[Tup]]

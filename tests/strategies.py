@@ -200,10 +200,11 @@ def disconnected_programs(draw, allow_negation: bool = True):
 
     Each rule's body splits into two components over disjoint variable
     pools ({X, Y} and {U, W}) with at least one positive atom each, so
-    evaluating it takes a genuine cross product — the shape a semi-join
-    reduction pass must leave intact (there is no shared variable to
-    reduce through).  Heads mix variables from both components, so a
-    dropped component is observable in the derived tuples.
+    evaluating it takes a genuine cross product — the shape the join
+    order and the projections before a product must leave intact (there
+    is no shared variable to key through).  Heads mix variables from
+    both components, so a dropped component is observable in the
+    derived tuples.
     """
     rules = []
     # T/1 and S/2 both head at least one rule so arities are defined.

@@ -6,14 +6,14 @@ The load-bearing guarantees:
   variables, constants, zero-ary relations, and unsafe active-domain
   completion — the reference evaluator, the columnar executor's packed
   heads (``execute_plan`` / ``colexec.execute_plan_codes``) and its
-  unpacked bindings (``solve_rows``) all derive the same tuples, with
-  the semi-join prologue on and off;
+  unpacked bindings (``solve_rows``) all derive the same tuples;
 * every engine that now evaluates through plans (naive, semi-naive,
   inflationary, stratified) computes the same valuations as
   the legacy uncompiled Theta iteration;
 * the batch compiler actually schedules negations as anti-joins and
-  complement joins (plan-shape tests), so the fast paths cannot silently
-  regress to enumerate-then-filter.
+  completions as ``@U`` joins, filtered before they are crossed
+  (plan-shape tests), so the fast paths cannot silently regress to
+  enumerate-then-filter.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.core.planning import (
     AntiJoin,
     BatchJoin,
     Project,
+    RulePlan,
     colexec,
     compile_rule,
     execute_plan,
@@ -55,6 +56,9 @@ from repro.core.semantics import (
     stratified_semantics,
 )
 from repro.db.kernel import RelationCodes
+from repro.graphs import generators as gg
+from repro.graphs.encode import graph_to_database
+from repro.queries import distance_program
 
 
 # ----------------------------------------------------------------------
@@ -95,24 +99,22 @@ def binding_heads(plan, interp):
     }
 
 
-def columnar_heads(plan, interp, semijoin=True):
+def columnar_heads(plan, interp):
     """Head tuples of the columnar executor, called directly."""
-    sym, head_codes = colexec.execute_plan_codes(plan, interp, semijoin=semijoin)
+    sym, head_codes = colexec.execute_plan_codes(plan, interp)
     return RelationCodes(sym, len(plan.head_cols), head_codes).decode()
 
 
 def assert_three_way(rule, interp, arities):
-    """Reference evaluator, packed heads and bindings must agree — with
-    the semi-join reduction pass on and off."""
+    """Reference evaluator, packed heads and bindings must agree."""
     plan = compile_rule(rule)
     legacy = evaluate_rule_legacy(rule, interp, arities)
     assert binding_heads(plan, interp) == legacy
-    for semijoin in (True, False):
-        head = execute_plan(plan, interp, semijoin=semijoin)
-        assert (head.name, head.arity) == (plan.head_pred, len(plan.head_cols))
-        assert head.code_only is not None
-        assert head.tuples == legacy
-        assert columnar_heads(plan, interp, semijoin) == legacy
+    head = execute_plan(plan, interp)
+    assert (head.name, head.arity) == (plan.head_pred, len(plan.head_cols))
+    assert head.code_only is not None
+    assert head.tuples == legacy
+    assert columnar_heads(plan, interp) == legacy
 
 
 @given(random_programs(), small_databases())
@@ -208,9 +210,9 @@ def test_plan_shape_for_transitive_closure():
     plan = compile_rule(program.rules[0])
     # Two join steps, no completion, and the second step keyed on the
     # variable bound by the first.
-    assert len(plan.steps) == 2
+    assert len(join_preds(plan)) == 2
     assert not _universe_joins(plan)
-    first, second = plan.steps
+    first, second = [op for op in plan.ops if isinstance(op, BatchJoin)]
     assert first.key_columns == ()  # nothing bound yet
     assert len(second.key_columns) == 1
     assert "join" in plan.describe()
@@ -221,9 +223,9 @@ def test_join_order_ties_break_on_small_preds_then_body_position():
     # two atoms sharing one variable, the body order decides — unless
     # the caller declares one predicate small (a semi-naive delta).
     rule = parse_program("Q(X, Y) :- Big(X, Z), SEL(Z, Y).").rules[0]
-    assert [step.pred for step in compile_rule(rule).steps] == ["Big", "SEL"]
+    assert join_preds(compile_rule(rule)) == ["Big", "SEL"]
     hinted = compile_rule(rule, frozenset({"SEL"}))
-    assert [step.pred for step in hinted.steps] == ["SEL", "Big"]
+    assert join_preds(hinted) == ["SEL", "Big"]
 
 
 def test_batch_plan_uses_antijoin_for_bound_negation():
@@ -232,6 +234,11 @@ def test_batch_plan_uses_antijoin_for_bound_negation():
     kinds = [type(op) for op in plan.ops]
     assert AntiJoin in kinds
     assert not _universe_joins(plan)
+
+
+def join_preds(plan):
+    """The plan's join order: the predicates of its ``BatchJoin`` ops."""
+    return [op.pred for op in plan.ops if isinstance(op, BatchJoin)]
 
 
 def _universe_joins(plan):
@@ -245,9 +252,9 @@ def _universe_joins(plan):
 
 def test_batch_plan_schedules_complement_join_for_unsafe_negation():
     # The E8 distance shape: completion variables feed a negated IDB atom
-    # and are in the head.  Each joins @U — after the ordinary atoms, so
-    # the cross products multiply nothing joined later — and the
-    # negation is an anti-join.
+    # and are in the head.  Each joins @U, and the negation is an
+    # anti-join — run on the completion component alone (at most |U|^2
+    # rows) before the ordinary atoms are crossed with what survives.
     program = parse_program(
         "S3(X, Y, U, V) :- E(X, Y), !S2(U, V). S2(X, Y) :- E(X, Y).",
         carrier="S3",
@@ -255,13 +262,49 @@ def test_batch_plan_schedules_complement_join_for_unsafe_negation():
     plan = compile_rule(program.rules[0])
     kinds = [(type(op), getattr(op, "pred", None)) for op in plan.ops]
     assert kinds == [
-        (BatchJoin, "E"),
         (BatchJoin, "@U"),
         (BatchJoin, "@U"),
         (AntiJoin, "S2"),
+        (BatchJoin, "E"),
     ]
     assert all(not plan.ops[i].key_columns for i in _universe_joins(plan))
     assert "join @U/1" in plan.describe()
+
+
+def test_distance_filters_its_completion_before_crossing_it():
+    # Both S3 rules of the distance program cross a component of
+    # ordinary atoms with !S2(Xs, Ys) over completion variables.  Every
+    # op before the S2 anti-join is an @U join, so at most |U|^2 rows
+    # enter it (not |S1| * |U|^2).
+    program = distance_program()
+    rules = [r for r in program.rules if r.head.pred == "S3"]
+    assert len(rules) == 2
+    db = graph_to_database(gg.path(6))
+    model = stratified_semantics(program, db).idb
+    interp = as_interpretation(program, db, model)
+    n = len(db.universe)
+    for rule in rules:
+        plan = compile_rule(rule)
+        (anti,) = [
+            i
+            for i, op in enumerate(plan.ops)
+            if isinstance(op, AntiJoin) and op.pred == "S2"
+        ]
+        assert anti == 2
+        assert _universe_joins(plan)[:anti] == list(range(anti))
+        prefix = RulePlan(
+            rule=plan.rule,
+            head_pred=plan.head_pred,
+            schema=plan.schema[:anti],
+            ops=plan.ops[:anti],
+            head_cols=(),
+        )
+        assert colexec.solve_plan(prefix, interp)[1].nrows == n * n
+        assert_three_way(rule, interp, program.arities)
+    # A semi-naive variant declares its delta small: that component
+    # still joins first, and the completion is crossed after it.
+    hinted = compile_rule(rules[1], frozenset({"S1"}))
+    assert join_preds(hinted) == ["S1", "E", "@U", "@U"]
 
 
 def test_batch_plan_uses_existence_checks_for_projected_completions():
@@ -339,41 +382,20 @@ def test_existence_checks_ignore_out_of_universe_tuples():
 
 
 @given(disconnected_programs(), small_databases())
-def test_cross_product_bodies_survive_semijoin_reduction(program, db):
+def test_cross_product_bodies_keep_every_component(program, db):
     # Bodies with disconnected variable graphs are pure cross products:
-    # the semi-join pass has nothing to reduce through and must not drop
-    # a component.  Both forms (with reduction on AND off) agree with
-    # the legacy evaluator on every rule.
+    # the join order, the projections before a product and the filters
+    # attached per component must not drop one.  Every rule agrees with
+    # the legacy evaluator.
     interp = as_interpretation(program, db, theta_legacy(program, db))
     arities = program.arities
     for rule in program.rules:
         assert_three_way(rule, interp, arities)
 
 
-def test_semijoin_steps_skip_disconnected_components():
-    # E(X, Y) x E(U, W): no shared variable, no reduction step.
-    program = parse_program("S(X, U) :- E(X, Y), E(U, W).")
-    plan = compile_rule(program.rules[0])
-    assert plan.semijoin_steps == ()
-
-
-def test_semijoin_reduces_scan_side_only_when_probes_cannot():
-    # TC body E(X, Z), S(Z, Y): the forward step (reduce S by E on S's
-    # column 0) is dropped — the join already probes S keyed on that
-    # column — while the backward step (reduce the scanned E by S) stays.
-    program = parse_program("S(X, Y) :- E(X, Z), S(Z, Y).")
-    plan = compile_rule(program.rules[0])
-    assert len(plan.semijoin_steps) == 1
-    (step,) = plan.semijoin_steps
-    assert plan.steps[step.target].pred == "E"
-    assert plan.steps[step.source].pred == "S"
-    assert "semi-join" in plan.describe()
-
-
-def test_semijoin_reduction_prunes_dead_scan_tuples():
+def test_scan_tuples_that_cannot_join_leave_no_trace():
     # Q(X, Y) :- Big(X, Z), SEL(Z, Y): only Big tuples whose Z appears in
-    # SEL can contribute; with the reduction on, the scan side is cut
-    # down before rows are materialised, and results are identical.
+    # SEL contribute; the scan of Big meets every other tuple too.
     program = parse_program("Q(X, Y) :- Big(X, Z), SEL(Z, Y).", carrier="Q")
     db = Database(
         set(range(10)),
@@ -383,11 +405,8 @@ def test_semijoin_reduction_prunes_dead_scan_tuples():
         ],
     )
     rule = program.rules[0]
-    plan = compile_rule(rule)
-    assert plan.semijoin_steps  # Big and SEL share Z
-    reduced = execute_plan(plan, db, semijoin=True)
-    unreduced = execute_plan(plan, db, semijoin=False)
-    assert reduced.tuples == unreduced.tuples == {(5, 9), (6, 9)}
+    assert_three_way(rule, db, program.arities)
+    assert execute_plan(compile_rule(rule), db).tuples == {(5, 9), (6, 9)}
 
 
 def test_consequences_groups_by_head():
