@@ -11,8 +11,8 @@ Three layers:
   :func:`lint_source` / :func:`lint_program`
   (:mod:`repro.analysis.lint`) orchestrate and return a
   :class:`LintReport`.
-* **Legacy faces** — the original classification/metrics helpers
-  (:func:`classify`, :class:`ProgramStats`, ...) remain as thin views.
+* **Legacy faces** — the original classification helpers
+  (:func:`classify`, :class:`EngineSupport`) remain as thin views.
 
 Surfaced as ``python -m repro lint``, the ``explain`` summary block,
 and the server's ``register``/``lint``/``stats`` verbs.
@@ -33,11 +33,9 @@ __all__ = [
     "DependencyGraph",
     "Diagnostic",
     "EngineSupport",
-    "GroundingStats",
     "LintReport",
     "ProgramClass",
     "ProgramFacts",
-    "ProgramStats",
     "Severity",
     "classify",
     "lint_program",
@@ -51,8 +49,6 @@ _LAZY = {
     "ProgramFacts": "facts",
     "lint_program": "lint",
     "lint_source": "lint",
-    "GroundingStats": "stats",
-    "ProgramStats": "stats",
 }
 
 

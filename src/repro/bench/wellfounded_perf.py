@@ -186,7 +186,8 @@ def wellfounded_scaling_table() -> Table:
         "database (the fit rows show the fastest of %d at the largest size); "
         "exponent = least-squares slope of log(fastest s) against log(n) / "
         "log(ground rules); ok on the second fit row = exponent <= %.1f and "
-        "the largest size under %.0f s (ROADMAP item 1's acceptance line).  "
+        "the largest size under %.0f s (SCALING_EXPONENT_BOUND and "
+        "SCALING_LARGEST_BOUND_S in repro.bench.wellfounded_perf).  "
         "What is left above 1.0 is the interpreter's: the cyclic collector's "
         "passes over a heap that grows with n, and cache misses once the "
         "ground program outgrows L2."

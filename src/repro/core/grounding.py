@@ -24,29 +24,26 @@ joins with the universe relation ``@U``, under a pseudo-head carrying
 every rule variable) with :mod:`repro.core.planning` and enumerating the
 plan's bindings — IDB literals stay symbolic, and the relations' cached
 codes and sorted runs are shared with the fixpoint engines.
+
+This module grounds from scratch.  A well-founded view keeps the same
+instantiation live under EDB deltas by counting each rule's EDB
+projection (:class:`repro.materialize.wellfounded_maint.LiveGroundProgram`),
+and patches a :class:`GroundProgramIndex` in place.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..db.database import UNIVERSE, Database
+from ..db.database import Database
 from ..db.relation import Relation
-from .deltavariants import (
-    del_name,
-    delta_variant,
-    ins_name,
-    new_name,
-    old_name,
-)
 from ..obs import RECORDER, TRACER
 from .literals import Atom, Eq, Negation, Neq
-from .planning import RulePlan, compile_rule, range_restricted, solve_rows
+from .planning import compile_rule, range_restricted, solve_rows
 from .program import Program
 from .rules import Rule
 from .terms import Variable
@@ -293,7 +290,8 @@ def _edb_projection(rule: Rule, idb: FrozenSet[str]) -> Rule:
     variable no positive EDB atom binds — one that occurs only in IDB
     literals (which stay symbolic), or a completion variable — joins
     ``@U``.  Growth of the universe is then an ``@U`` delta like any
-    other EDB change (:class:`LiveGroundProgram`).  Like every plan, the
+    other EDB change (the live grounding of
+    :mod:`repro.materialize.wellfounded_maint`).  Like every plan, the
     projection's depends on the rule alone, so repeated groundings — the
     well-founded engine, the SAT reduction, enumeration, over any
     database — compile it once.
@@ -359,39 +357,25 @@ def _instances(rule, idb_positives, idb_negatives, plan, rows) -> List[GroundRul
     ]
 
 
-def ground_rule_instances(
-    rule: Rule, program: Program, interp: Database
-) -> List[GroundRule]:
-    """All ground instances of one rule over the database's universe.
-
-    EDB literals and comparisons are solved away during instantiation;
-    the returned instances carry only IDB literals.  The list may repeat
-    a ground rule: distinct bindings of variables occurring only in EDB
-    literals collapse to the same IDB-only instance.
-    :func:`ground_program` deduplicates;
-    :class:`LiveGroundProgram` *counts* the multiplicity, which is what
-    makes its patching under EDB deltas exact.
-    """
-    idb = program.idb_predicates
-    idb_positives, idb_negatives = _idb_literals(rule, idb)
-
-    plan = compile_rule(_edb_projection(rule, idb))
-    return _instances(
-        rule, idb_positives, idb_negatives, plan, solve_rows(plan, interp)
-    )
-
-
 def ground_program(program: Program, db: Database) -> GroundProgram:
     """Ground every rule of ``program`` over ``db``.
 
-    Duplicate ground instances (same head and body) are collapsed.
+    EDB literals and comparisons are solved away during instantiation;
+    the ground rules carry only IDB literals.  Distinct bindings of
+    variables occurring only in EDB literals collapse to the same
+    instance, and duplicates (same head and body) are kept once.
     """
     started = time.perf_counter()
+    idb = program.idb_predicates
     with TRACER.span("ground") as sp:
         # A dict keeps first-seen order and drops repeated instances.
         ordered: Dict[GroundRule, None] = {}
         for rule in program.rules:
-            ordered.update(dict.fromkeys(ground_rule_instances(rule, program, db)))
+            plan = compile_rule(_edb_projection(rule, idb))
+            instances = _instances(
+                rule, *_idb_literals(rule, idb), plan, solve_rows(plan, db)
+            )
+            ordered.update(dict.fromkeys(instances))
         if sp:
             sp["rows_out"] = len(ordered)
     if RECORDER.enabled:
@@ -399,194 +383,3 @@ def ground_program(program: Program, db: Database) -> GroundProgram:
             "repro_engine_ground_seconds", time.perf_counter() - started
         )
     return GroundProgram(program, db, ordered)
-
-
-class LiveGroundProgram:
-    """A ground program kept live under EDB deltas.
-
-    Grounds ``(program, db)`` once, keeping for every ground rule the
-    number of EDB-projection bindings that produce it, then *patches*
-    the instantiation per update instead of re-grounding: the telescoping
-    delta variants of :mod:`repro.core.deltavariants` — applied to each
-    rule's EDB projection under persistent ``@old``/``@new`` alias
-    relations — enumerate exactly the bindings the delta gained and
-    lost, and a ground rule enters (leaves) the instantiation when its
-    binding count rises from (returns to) zero.  Work per update is
-    proportional to the delta's binding footprint: every variant joins
-    through the small ``@ins``/``@del`` change sets first.  A universe
-    that grows is one more change set: the fresh values are inserted
-    into ``@U``, which the projections of rules with completion
-    variables read.
-
-    The alias relations :meth:`~repro.db.relation.Relation.evolve`
-    across updates, so their cached codes are patched, never rebuilt —
-    the same machinery :class:`repro.materialize.view.MaterializedView`
-    uses for its maintenance aliases.  Only the aliases some variant
-    reads are kept (a rule with one EDB atom, like win–move's, reads
-    none: its variants join the change sets alone).  The variant plans
-    are compiled once, at construction, and held per rule.
-
-    ``index`` is the current instantiation as a
-    :class:`GroundProgramIndex`, patched in place by :meth:`apply`.
-    """
-
-    __slots__ = (
-        "program",
-        "db",
-        "index",
-        "_counts",
-        "_ids",
-        "_aliases",
-        "_rule_info",
-        "_differentiated",
-    )
-
-    def __init__(self, program: Program, db: Database) -> None:
-        self.program = program
-        self.db = db
-        counts: Counter = Counter()
-        for rule in program.rules:
-            counts.update(ground_rule_instances(rule, program, db))
-        self._counts: Dict[GroundRule, int] = counts
-        self.index = GroundProgramIndex(counts)
-        self._ids: Dict[GroundRule, int] = {g: r for r, g in enumerate(counts)}
-        names = db.relation_names() + (UNIVERSE,)
-        small = set()
-        for name in names:
-            small.add(ins_name(name))
-            small.add(del_name(name))
-        small = frozenset(small)
-        # Everything derivable from the static program is derived once:
-        # per rule, its IDB-literal split and — per EDB predicate the
-        # projection reads — the compiled (gained, lost) delta-variant
-        # plans of every position reading it.  ``apply`` is a pure
-        # lookup; only the plan executions are genuinely per-update work.
-        idb = program.idb_predicates
-        read = set()
-        self._differentiated = set()  # predicates some projection reads
-        self._rule_info = []
-        for rule in program.rules:
-            proj = _edb_projection(rule, idb)
-            variants_by_pred: Dict[str, List[Tuple[RulePlan, RulePlan]]] = {}
-            for position, literal in enumerate(proj.body):
-                if isinstance(literal, Atom):
-                    pred = literal.pred
-                elif isinstance(literal, Negation):
-                    pred = literal.atom.pred
-                else:
-                    continue
-                pair = (
-                    delta_variant(proj, position, gained=True),
-                    delta_variant(proj, position, gained=False),
-                )
-                variants_by_pred.setdefault(pred, []).append(
-                    tuple(compile_rule(variant, small) for variant in pair)
-                )
-                self._differentiated.add(pred)
-                for variant in pair:
-                    read |= variant.body_predicates()
-            self._rule_info.append(
-                (rule, *_idb_literals(rule, idb), variants_by_pred)
-            )
-        self._aliases: Dict[str, Relation] = {}
-        for name in names:
-            for alias in (old_name(name), new_name(name)):
-                if alias in read:
-                    self._aliases[alias] = db.get(name).with_name(alias)
-
-    @property
-    def rules(self) -> FrozenSet[GroundRule]:
-        """The current ground rules (positive binding count)."""
-        return frozenset(self._counts)
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def apply(
-        self,
-        new_db: Database,
-        changes: Mapping[str, Tuple[FrozenSet[Tuple], FrozenSet[Tuple]]],
-    ) -> Tuple[Dict[GroundRule, int], Dict[GroundRule, int]]:
-        """Patch the instantiation under an *effective* EDB delta.
-
-        ``changes`` maps each changed relation to its effective
-        ``(inserted, deleted)`` tuple sets against the pre-change
-        database, and ``@U`` to the universe's fresh values as 1-tuples
-        when it grew; ``new_db`` is the post-change database.  Returns
-        the ``(added, removed)`` ground rules, each mapped to its id in
-        :attr:`index` (removed ones are retired there, added ones
-        appended).
-        """
-        changed = frozenset(
-            n
-            for n, (ins, dels) in changes.items()
-            if (ins or dels) and n in self._differentiated
-        )
-        if not changed:
-            self.db = new_db
-            return {}, {}
-
-        with TRACER.span("ground.patch") as sp:
-            aliases = self._aliases
-            change_rels: List[Relation] = []
-            for name in changed:
-                ins, dels = changes[name]
-                arity = new_db.get(name).arity
-                alias = new_name(name)
-                if alias in aliases:
-                    aliases[alias] = aliases[alias].evolve(ins, dels)
-                change_rels.append(Relation(ins_name(name), arity, ins))
-                change_rels.append(Relation(del_name(name), arity, dels))
-            interp = new_db.derive(list(aliases.values()) + change_rels)
-
-            diff: Counter = Counter()
-            for rule, idb_positives, idb_negatives, variants_by_pred in self._rule_info:
-                for pred in changed:
-                    for gained, lost in variants_by_pred.get(pred, ()):
-                        for sign, plan in ((+1, gained), (-1, lost)):
-                            for g in _instances(
-                                rule,
-                                idb_positives,
-                                idb_negatives,
-                                plan,
-                                solve_rows(plan, interp),
-                            ):
-                                diff[g] += sign
-
-            added: Dict[GroundRule, int] = {}
-            removed: Dict[GroundRule, int] = {}
-            counts = self._counts
-            ids = self._ids
-            index = self.index
-            for g, change in diff.items():
-                if not change:
-                    continue
-                old = counts.get(g, 0)
-                new = old + change
-                if new < 0:
-                    raise AssertionError(
-                        "ground-instance count of %s fell below zero (%d)" % (g, new)
-                    )
-                if new == 0:
-                    counts.pop(g, None)
-                    if old:
-                        removed[g] = r = ids.pop(g)
-                        index.retire(r)
-                else:
-                    counts[g] = new
-                    if not old:
-                        added[g] = ids[g] = index.add(g)
-
-            # The next update's pre-change state is this update's post-change
-            # state: catch the @old aliases up by the same deltas.
-            for name in changed:
-                alias = old_name(name)
-                if alias in aliases:
-                    aliases[alias] = aliases[alias].evolve(*changes[name])
-            self.db = new_db
-            if sp:
-                sp["changed"] = len(changed)
-                sp["rows_out"] = len(added) + len(removed)
-        if RECORDER.enabled:
-            RECORDER.inc("repro_ground_patches_total")
-        return added, removed

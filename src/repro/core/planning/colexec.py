@@ -59,8 +59,9 @@ class ColumnTable:
         """How many rows project to each distinct ``getters`` tuple.
 
         The projection is packed into one code per row and counted with
-        ``np.unique``; only the distinct tuples are decoded.  ``None``
-        when the projection is wider than 63 bits.
+        ``np.unique``; only the distinct tuples are decoded (a single row
+        is decoded directly, and counted as decoded all the same).
+        ``None`` when the projection is wider than 63 bits.
         """
         for is_const, payload in getters:
             if is_const:
@@ -71,6 +72,14 @@ class ColumnTable:
             return {}
         if not getters:
             return {(): self.nrows}
+        if self.nrows == 1:
+            if RECORDER.enabled:
+                RECORDER.inc("repro_relation_decoded_rows_total", 1)
+            ids = [
+                symbols.intern(payload) if is_const else int(self.cols[payload][0])
+                for is_const, payload in getters
+            ]
+            return {tuple([symbols.extern(i) for i in ids]): 1}
         codes = _key_fold(getters, self.cols, self.nrows, symbols.shift, symbols)
         distinct, counts = np.unique(codes, return_counts=True)
         heads = RelationCodes(symbols, len(getters), distinct).rows()

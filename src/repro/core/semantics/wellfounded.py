@@ -55,7 +55,7 @@ place, handing each side only the other's *delta*:
 linear in the ground program plus the over-deletions.  The known worst
 case is a large positive SCC re-entered every round, over-deleted and
 rederived each time; evaluating component by component (ROADMAP item
-3a) is what would remove it.
+5) is what would remove it.
 
 **Resuming after a change** (:meth:`AlternationPair.over_delete`).  A
 live view patches the index with a ground-rule diff and must move the

@@ -6,13 +6,19 @@ change.  This package turns the batch evaluator into a serving engine:
 
 * :class:`~repro.materialize.delta.Delta` — per-relation insert/delete
   sets, applied with :meth:`repro.db.database.Database.apply_delta`;
+* :mod:`~repro.materialize.deltavariants` — the telescoping delta
+  variants every maintainer differentiates rules into, and
+  :class:`~repro.materialize.deltavariants.AliasSet`, the
+  ``@old``/``@new``/``@ins``/``@del`` relations they read;
 * :mod:`~repro.materialize.counting` — exact derivation counting for
-  non-recursive predicates;
+  non-recursive predicates, and for the ground program itself;
 * :mod:`~repro.materialize.dred` — Delete/Rederive for recursive
   components under stratified negation;
 * :mod:`~repro.materialize.wellfounded_maint` — well-founded views: the
-  three-valued model kept as one live ``(true, possible)`` pair over the
-  patched ground program, moved below the new model by an over-deletion
+  ground program kept live as counted views
+  (:class:`~repro.materialize.wellfounded_maint.LiveGroundProgram`), and
+  the three-valued model kept as one live ``(true, possible)`` pair over
+  it, moved below the new model by an over-deletion
   and finished by the batch engine's resume loop, which opens live views
   to the *non-stratifiable* programs (win–move, odd cycles) the paper's
   fixpoint pathology section is about;

@@ -7,7 +7,7 @@ rule's variables satisfying its body.  A change to the inputs then
 maintains the counts exactly:
 
 * derivations gained/lost are enumerated by the telescoping delta
-  variants of :mod:`repro.core.deltavariants`, each solved under a
+  variants of :mod:`repro.materialize.deltavariants`, each solved under a
   *total-binding* pseudo-head so the executor cannot collapse
   multiplicities by projecting a column away; the bindings stay
   id columns, the head projection is packed to one code per binding
@@ -23,6 +23,11 @@ variables are counted the same way: the rules are range-restricted
 variable is bound by the universe relation ``@U``, and universe growth
 is an ``@U`` insertion whose delta variants count exactly the
 derivations the fresh values add.
+
+Two maintainers count: a stratified or semipositive view, per
+non-recursive predicate, and a well-founded view's live grounding, per
+rule shape (its keys are ground rules;
+:class:`~repro.materialize.wellfounded_maint.LiveGroundProgram`).
 """
 
 from __future__ import annotations
@@ -30,16 +35,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, FrozenSet, List, Tuple
 
-from ..core.deltavariants import changeable_positions, delta_variant
 from ..core.literals import Atom
 from ..core.planning import RulePlan, colexec, compile_rule
 from ..core.planning.batch import BINDINGS_HEAD, spec_bindings
 from ..core.rules import Rule
 from ..core.terms import Variable
 from ..db.database import Database
-from ..db.relation import Relation
 from ..obs import TRACER
 from .delta import Tup
+from .deltavariants import changeable_positions, delta_variant
 
 Counts = Dict[Tup, int]
 
@@ -143,8 +147,8 @@ class CountingState:
     # Initialisation
     # ------------------------------------------------------------------
 
-    def initialise(self, interp: Database) -> FrozenSet[Tup]:
-        """Count every derivation from scratch; return the tuple set.
+    def initialise(self, interp: Database) -> None:
+        """Count every derivation from scratch.
 
         ``interp`` holds the *actual* predicate names (the converged
         database plus lower predicates' values) — initialisation needs no
@@ -154,7 +158,6 @@ class CountingState:
         for rule in self.rules:
             self._accumulate(rule, interp, counts, +1)
         self.counts = dict(counts)
-        return frozenset(counts)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -164,13 +167,13 @@ class CountingState:
         self,
         interp: Database,
         changed: FrozenSet[str],
-    ) -> Tuple[Relation, Relation]:
+    ) -> Tuple[List[Tup], List[Tup]]:
         """Maintain the counts under the changes baked into ``interp``.
 
         ``interp`` supplies the alias relations (``P@old``/``P@new``/
-        ``P@ins``/``P@del``) for every body predicate; ``changed`` names
-        the predicates whose change sets are non-empty.  Returns the
-        ``(inserted, deleted)`` relations of the maintained predicate.
+        ``P@ins``/``P@del``) the variants read; ``changed`` names the
+        predicates whose change sets are non-empty.  Returns the tuples
+        whose count rose from zero and those whose count returned to it.
         """
         diff = Counter()
         with TRACER.span("counting.variants") as sp:
@@ -182,8 +185,8 @@ class CountingState:
                 sp["pred"] = self.pred
                 sp["rows_out"] = len(diff)
         counts = self.counts
-        inserted = set()
-        deleted = set()
+        inserted: List[Tup] = []
+        deleted: List[Tup] = []
         for head, change in diff.items():
             if not change:
                 continue
@@ -197,19 +200,18 @@ class CountingState:
             if new == 0:
                 counts.pop(head, None)
                 if old:
-                    deleted.add(head)
+                    deleted.append(head)
             else:
                 counts[head] = new
                 if not old:
-                    inserted.add(head)
-        return (
-            Relation._from_frozenset(self.pred, self.arity, frozenset(inserted)),
-            Relation._from_frozenset(self.pred, self.arity, frozenset(deleted)),
-        )
+                    inserted.append(head)
+        return inserted, deleted
 
-    def tuples(self) -> FrozenSet[Tup]:
-        """The currently derivable tuples (count > 0)."""
-        return frozenset(self.counts)
+    def reads(self) -> FrozenSet[str]:
+        """Every relation some delta variant reads: aliases and change sets."""
+        return frozenset().union(
+            *(v.body_predicates() for _, gained, lost in self._variants for v in (gained, lost))
+        )
 
     def __repr__(self) -> str:
         return "CountingState(%s/%d, %d tuples, %d derivations)" % (

@@ -59,7 +59,7 @@ from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import TRACER
-from ..core.deltavariants import NEW, OLD, del_name, ins_name
+from .deltavariants import NEW, OLD, del_name, ins_name
 
 IDBValues = Dict[str, Relation]
 ChangePair = Tuple[Relation, Relation]

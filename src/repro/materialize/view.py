@@ -68,8 +68,8 @@ from ..db.relation import Relation
 from ..obs import RECORDER, TRACER
 from .counting import CountingState
 from .delta import Delta, Tup
+from .deltavariants import AliasSet, del_name, ins_name
 from .dred import DELETE_FRONTIER, INSERT_FRONTIER, OVER_DELETED, RecursiveState
-from ..core.deltavariants import del_name, ins_name, new_name, old_name
 from .wellfounded_maint import AlternatingState, Moves, undef_name
 
 ChangePair = Tuple[FrozenSet[Tup], FrozenSet[Tup]]
@@ -328,8 +328,8 @@ class MaterializedView:
             else:
                 (pred,) = comp
                 state = CountingState(pred, preds[pred], comp_rules, small)
-                derived = state.initialise(interp)
-                if derived != self._result.idb[pred].tuples:
+                state.initialise(interp)
+                if state.counts.keys() != self._result.idb[pred].tuples:
                     raise AssertionError(
                         "counting initialisation of %s disagrees with the "
                         "evaluated fixpoint" % pred
@@ -339,16 +339,15 @@ class MaterializedView:
             )
 
         # Persistent @old/@new alias relations for every predicate some
-        # rule body reads: the objects *evolve* across updates (rather
-        # than being rebuilt), so their cached code payloads are patched
-        # with each delta — maintenance reuses them wholesale.  Head-only predicates (the
-        # top of the dependency order, often the largest relations) feed
-        # nothing, so they get no aliases and their changes are only
+        # rule body reads (an AliasSet evolves them, so their cached code
+        # payloads are patched with each delta).  Head-only predicates
+        # (the top of the dependency order, often the largest relations)
+        # feed nothing, so they get no aliases and their changes are only
         # echoed into the changeset.
         read = set()
         for rule in rules:
             read |= rule.body_predicates()
-        self._aliases: Dict[str, Relation] = {}
+        values = []
         for pred in sorted(read & (program.predicates | {UNIVERSE})):
             if pred in program.idb_predicates:
                 value = self._result.idb[pred]
@@ -356,8 +355,8 @@ class MaterializedView:
                 value = self._db.get(pred)
                 if value is None:
                     value = Relation.empty(pred, program.arity(pred))
-            self._aliases[old_name(pred)] = value.with_name(old_name(pred))
-            self._aliases[new_name(pred)] = value.with_name(new_name(pred))
+            values.append(value)
+        self._aliases = AliasSet(values)
 
     # ------------------------------------------------------------------
     # Write side
@@ -515,12 +514,11 @@ class MaterializedView:
     # -- recomputation fallback ----------------------------------------
 
     def _recompute(self, new_db: Database, effective: Delta) -> ChangeSet:
+        """Re-evaluate from scratch: only inflationary views of
+        non-semipositive programs get here."""
         self.recomputes += 1
         old_idb = self.result.idb  # materialises any deferred changes first
-        if self.semantics == "stratified":
-            result: EvaluationResult = stratified_semantics(self.program, new_db)
-        else:
-            result = inflationary_semantics(self.program, new_db)
+        result = inflationary_semantics(self.program, new_db)
         changes: Dict[str, ChangePair] = {
             name: (effective.inserts(name), effective.deletes(name))
             for name in effective.relations()
@@ -620,35 +618,22 @@ class MaterializedView:
         # code payloads cached on its relations stay valid.
         inserted: Dict[str, FrozenSet[Tup]] = {}
         deleted: Dict[str, FrozenSet[Tup]] = {}
-        change_rels: Dict[str, Relation] = {}
+        aliases = self._aliases
 
         def publish(name: str, ins: Relation, dels: Relation) -> None:
-            """Record a change and refresh the @new/@ins/@del aliases.
+            """Record a change in the changeset and stage it on the aliases.
 
             The changeset is where changed tuples are decoded — once:
             the @ins/@del aliases renamed afterwards share the decoded
-            set with it.  Head-only predicates have no aliases and need
-            none — the change is echoed only.
+            set with it.
             """
             inserted[name] = ins.tuples
             deleted[name] = dels.tuples
-            key = new_name(name)
-            if key not in self._aliases:
-                return
-            self._aliases[key] = self._aliases[key].evolve(ins, dels)
-            change_rels[ins_name(name)] = ins.with_name(ins_name(name))
-            change_rels[del_name(name)] = dels.with_name(del_name(name))
+            aliases.stage(name, ins, dels)
 
         for name, (ins, dels) in changes.items():
-            alias = self._aliases.get(new_name(name))
-            if alias is None:  # read by no rule: echoed only
-                inserted[name], deleted[name] = ins, dels
-                continue
-            publish(
-                name,
-                Relation._from_frozenset(name, alias.arity, ins),
-                Relation._from_frozenset(name, alias.arity, dels),
-            )
+            inserted[name], deleted[name] = ins, dels
+            aliases.stage(name, ins, dels)
 
         idb = dict(self._result.idb)
         for component in self._components:
@@ -670,10 +655,8 @@ class MaterializedView:
                         n: (inserted[n], deleted[n])
                         for n in component.base_preds & changed_below
                     }
-                    aliases = dict(self._aliases)
-                    aliases.update(change_rels)
                     final, comp_changes = component.state.apply(
-                        current, aliases, base_changes, new_db
+                        current, aliases.working(), base_changes, new_db
                     )
                     moved = 0
                     for pred, (ins, dels) in comp_changes.items():
@@ -682,14 +665,14 @@ class MaterializedView:
                             moved += len(ins) + len(dels)
                             publish(pred, ins, dels)
                 else:
-                    interp = new_db.derive(
-                        list(self._aliases.values()) + list(change_rels.values())
-                    )
-                    ins, dels = component.state.apply(interp, changed_below)
+                    state = component.state
+                    ins, dels = state.apply(aliases.derive(new_db), changed_below)
                     moved = len(ins) + len(dels)
                     if moved:
-                        pred = component.state.pred
-                        if new_name(pred) in self._aliases:
+                        pred = state.pred
+                        ins = Relation._from_frozenset(pred, state.arity, frozenset(ins))
+                        dels = Relation._from_frozenset(pred, state.arity, frozenset(dels))
+                        if pred in aliases:
                             idb[pred] = idb[pred].evolve(ins, dels)
                         else:
                             # Head-only predicate: nothing reads its relation
@@ -702,15 +685,7 @@ class MaterializedView:
                     sp["rows_out"] = moved
                     RECORDER.note_row_traffic(sp, row_traffic)
 
-        # The next update's pre-change state is this update's post-change
-        # state: catch the @old aliases up by the same deltas.
-        for name in inserted:
-            key = old_name(name)
-            if key in self._aliases:
-                self._aliases[key] = self._aliases[key].evolve(
-                    change_rels[ins_name(name)], change_rels[del_name(name)]
-                )
-
+        aliases.catch_up()
         self._db = new_db
         self._result = self._with_idb(new_db, idb)
         inserted.pop(UNIVERSE, None)  # the engine's own relation: never echoed

@@ -1,4 +1,4 @@
-"""Tests for dependency graphs, stratification, classification, stats."""
+"""Tests for dependency graphs, stratification and classification."""
 
 import pytest
 
@@ -6,13 +6,9 @@ from repro import parse_program
 from repro.analysis import (
     DependencyGraph,
     EngineSupport,
-    GroundingStats,
     ProgramClass,
-    ProgramStats,
     classify,
 )
-from repro.core.grounding import ground_program
-from repro.graphs import generators as gg, graph_to_database
 from repro.queries import distance_program, pi1, transitive_closure_program
 
 
@@ -78,22 +74,3 @@ class TestClassify:
         assert support.inflationary and support.well_founded
         support = EngineSupport.for_program(transitive_closure_program())
         assert support.least_fixpoint and support.stratified
-
-
-class TestStats:
-    def test_program_stats(self):
-        stats = ProgramStats.of(distance_program())
-        assert stats.rules == 6
-        assert stats.idb_predicates == 3 and stats.edb_predicates == 1
-        assert stats.max_arity == 4
-        assert stats.negated_literals == 2
-        assert stats.inequality_literals == 0
-
-    def test_grounding_stats(self):
-        db = graph_to_database(gg.path(4))
-        gp = ground_program(pi1(), db)
-        stats = GroundingStats.of(gp)
-        assert stats.universe_size == 4
-        assert stats.atom_space == 4
-        assert stats.derivable_atoms == 3
-        assert stats.ground_rules == 3

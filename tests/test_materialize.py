@@ -465,7 +465,7 @@ def test_long_stream_keeps_one_table_and_stays_in_codes():
     assert view.db.symbols() is symbols
     # Only changed tuples are decoded.
     assert sum(decode_excess) == 0
-    for rel in list(view._aliases.values()) + list(view.result.idb.values()):
+    for rel in list(view._aliases.relations.values()) + list(view.result.idb.values()):
         assert len(rel._kernel_cache) == 1, rel.name
     assert view.result.idb == _reference(program, view.db, "stratified")
     assert statistics.median(latencies[150:]) < 2 * statistics.median(latencies[:50])

@@ -21,12 +21,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, target
 
 from repro import Database, Relation
-from repro.core.grounding import LiveGroundProgram, ground_program
+from repro.core.grounding import GroundRule, ground_program
+from repro.core.literals import Atom, Negation
+from repro.core.program import Program
+from repro.core.rules import Rule
+from repro.core.terms import Constant, Variable
 from repro.core.semantics import well_founded_semantics
 from repro.graphs import generators as gg
 from repro.graphs.encode import graph_to_database
 from repro.materialize import Delta, MaterializedView
-from repro.materialize.wellfounded_maint import undef_name
+from repro.materialize.wellfounded_maint import LiveGroundProgram, undef_name
 from repro.queries import pi1, win_move_program
 
 from strategies import databases_and_deltas, nonstratifiable_programs
@@ -224,7 +228,7 @@ class TestLiveGroundProgram:
             ],
         )
         # One EDB atom per rule: the variants join the change sets alone.
-        assert not live._aliases
+        assert not live._aliases.relations
         # Two EDB atoms: the variants read E@new and F@old, and only those
         # aliases are kept and evolved.
         live = _check_patches(
@@ -240,7 +244,7 @@ class TestLiveGroundProgram:
                 Delta(inserts={"E": [(2, 2)], "F": [(2,)]}, deletes={"E": [(3, 4)]}),
             ],
         )
-        assert set(live._aliases) == {"E@new", "F@old"}
+        assert set(live._aliases.relations) == {"E@new", "F@old"}
 
     def test_growth_patches_completion_variables(self):
         from repro import parse_program
@@ -256,7 +260,7 @@ class TestLiveGroundProgram:
                 Delta.delete("E", (3, 7)),
             ],
         )
-        assert {"@U@new", "@U@old"} & set(live._aliases)
+        assert {"@U@new", "@U@old"} & set(live._aliases.relations)
 
     def test_multiplicity_counted(self):
         """A ground rule backed by several EDB bindings only disappears
@@ -281,6 +285,86 @@ class TestLiveGroundProgram:
         )
         assert not added
         assert ("T", (1,)) in {r.head for r in removed}
+
+    def test_multiplicity_change_builds_no_ground_rule(self, monkeypatch):
+        """An update that only moves a binding count is count arithmetic:
+        it constructs no ground rule, in either direction."""
+        from repro import parse_program
+
+        program = parse_program("T(X) :- E(X, Z), !T(X).")
+        db = Database({1, 2, 3}, [Relation("E", 2, [(1, 2), (1, 3)])])
+        live = LiveGroundProgram(program, db)
+        built = []
+        init = GroundRule.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(GroundRule, "__init__", counting_init)
+        for delta in (Delta.delete("E", (1, 2)), Delta.insert("E", (1, 2))):
+            changes = {"E": (delta.inserts("E"), delta.deletes("E"))}
+            added, removed = live.apply(live.db.apply_delta(delta), changes)
+            assert not added and not removed
+        assert built == []
+
+    def test_rules_of_one_shape_share_a_ground_rule(self):
+        """Two rules of one shape yield the same ground rule; it survives
+        losing one rule's binding while the other's holds."""
+        from repro import parse_program
+
+        program = parse_program(
+            "P(X) :- E(X), !Q(X).  P(X) :- F(X), !Q(X).  Q(X) :- G(X), !P(X)."
+        )
+        db = Database(
+            {"a", "b"},
+            [
+                Relation("E", 1, [("a",)]),
+                Relation("F", 1, [("a",), ("b",)]),
+                Relation("G", 1, [("b",)]),
+            ],
+        )
+        shared = GroundRule(("P", ("a",)), (), (("Q", ("a",)),))
+        live = _check_patches(program, db, [Delta.delete("E", ("a",))])
+        assert shared in live.rules
+        _check_patches(
+            program,
+            db,
+            [
+                Delta.delete("E", ("a",)),
+                Delta.delete("F", ("a",)),
+                Delta(inserts={"E": [("a",), ("b",)]}, deletes={"F": [("b",)]}),
+                Delta(inserts={"F": [("a",), ("c",)]}, deletes={"E": [("b",)]}),
+            ],
+        )
+
+    def test_constants_and_zero_ary_idb_atoms(self):
+        """IDB literals with constants and a zero-ary IDB atom key and
+        rebuild their ground rules exactly."""
+        from repro import parse_program
+
+        x, y = Variable("X"), Variable("Y")
+        program = parse_program(
+            "P(X) :- E(X, Y), !Q(Y, 9).  Q(X, Y) :- E(X, Y), !P(X)."
+        )
+        program = Program(
+            list(program.rules)
+            + [
+                Rule(Atom("B", ()), [Atom("E", (x, Constant(9))), Negation(Atom("P", (x,)))]),
+                Rule(Atom("P", (y,)), [Atom("E", (y, y)), Negation(Atom("B", ()))]),
+            ]
+        )
+        _check_patches(
+            program,
+            graph_to_database(gg.path(3)),
+            [
+                Delta.insert("E", (2, 9)),
+                Delta.insert("E", (3, 3)),
+                Delta(inserts={"E": [(9, 9)]}, deletes={"E": [(2, 9)]}),
+                Delta.delete("E", (3, 3)),
+                Delta.delete("E", (9, 9)),
+            ],
+        )
 
 
 # ----------------------------------------------------------------------
