@@ -13,7 +13,7 @@ call.  This package is the production path beside it:
 * :func:`execute_plan` runs a plan in the columnar executor
   (:mod:`~repro.core.planning.colexec`: int64 id vectors under the
   interpretation's symbol table; the head stays code-only), and
-  :func:`solve_rows` returns its bindings for the grounder.  Rows wider
+  :func:`solve_bindings` returns its bindings (id columns) for the grounder.  Rows wider
   than 63 bits go to the Θ spec.
 
 Plans are static: a plan is a pure function of ``(rule, small_preds)``
@@ -22,7 +22,7 @@ the well-founded/SAT pipelines — shares one compilation per rule, run
 unchanged every round over whatever database comes.
 """
 
-from .batch import execute_plan, solve_rows
+from .batch import execute_plan, solve_bindings
 from .compiler import compile_rule, range_restricted
 from .plan import (
     AntiJoin,
@@ -41,5 +41,5 @@ __all__ = [
     "compile_rule",
     "execute_plan",
     "range_restricted",
-    "solve_rows",
+    "solve_bindings",
 ]

@@ -3,8 +3,8 @@
 This is the per-round hot path of every fixpoint engine.
 :func:`execute_plan` runs a plan's batch program in the columnar
 executor (:mod:`~repro.core.planning.colexec`) and wraps the head-code
-vector as a code-only relation; :func:`solve_rows` returns the plan's
-bindings as value tuples, for the grounder.
+vector as a code-only relation; :func:`solve_bindings` returns the
+plan's bindings as id columns, for the grounder.
 
 The one case the executor cannot represent is a row wider than 63 bits
 (a relation or head whose fields no longer pack into one int64 code).
@@ -16,15 +16,18 @@ test checks the executor against — and counted in
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Set, Tuple
+
+import numpy as np
 
 from ...db.database import Database
-from ...db.kernel import RelationCodes
+from ...db.kernel import RelationCodes, SymbolTable
 from ...db.relation import Relation
 from ...obs import RECORDER, TRACER
 from ..literals import Atom
 from ..rules import Rule
 from . import colexec
+from .colexec import ColumnTable
 from .plan import RulePlan
 
 
@@ -46,13 +49,21 @@ def spec_bindings(plan: RulePlan, interp: Database) -> Set[Tuple]:
     return _spec(Rule(Atom(BINDINGS_HEAD, plan.schema), plan.rule.body), interp)
 
 
-def solve_rows(plan: RulePlan, interp: Database) -> List[Tuple]:
-    """The plan's satisfying rows over ``plan.schema``, as value tuples."""
+def solve_bindings(plan: RulePlan, interp: Database) -> Tuple[SymbolTable, ColumnTable]:
+    """The plan's satisfying rows over ``plan.schema``, as id columns.
+
+    The ids are under the interpretation's symbol table.  Rows wider
+    than 63 bits come from the Θ spec as values, interned here.
+    """
     out = colexec.solve_plan(plan, interp)
-    if out is None:
-        return list(spec_bindings(plan, interp))
-    symbols, table = out
-    return symbols.extern_rows(table.cols, table.nrows)
+    if out is not None:
+        return out
+    rows = list(spec_bindings(plan, interp))
+    symbols = interp.symbols()
+    cols = [np.array(list(map(symbols.intern, col)), dtype=np.int64) for col in zip(*rows)]
+    if not rows:
+        cols = [np.empty(0, dtype=np.int64) for _ in plan.schema]
+    return symbols, ColumnTable(cols, len(rows))
 
 
 def execute_plan(plan: RulePlan, interp: Database) -> Relation:

@@ -11,9 +11,10 @@ undefined — precisely the instances where ``(pi_1, D)`` has no fixpoint.
 
 Implementation: ground the program (the grounder evaluates each rule's
 EDB part through a memoised compiled plan executed set-at-a-time by
-the columnar executor — see :mod:`repro.core.planning`
-and :mod:`repro.core.grounding`), then iterate the anti-monotone
-*stability operator* ``A``:
+the columnar executor, and numbers atoms and rules from the binding
+columns without a Python object per instance — see
+:mod:`repro.core.planning` and :mod:`repro.core.grounding`), then
+iterate the anti-monotone *stability operator* ``A``:
 
     A(I) = least model of the positive program obtained by evaluating
            every negative literal against I  (``not n`` holds iff n not in I)
@@ -27,7 +28,10 @@ and :mod:`repro.core.grounding`), then iterate the anti-monotone
 
 **The pair.**  Everything below runs over the ground program's
 :class:`~repro.core.grounding.GroundProgramIndex` (atoms and rules as
-dense integers, atom -> rules occurrence lists).  An
+dense integers, atom -> rules occurrence lists; on the batch path the
+atoms are named by codes, :class:`~repro.core.grounding.AtomCodes`, and
+the :class:`WellFoundedResult` reads its partitions off the pair's flags
+as code-only relations, so only what a caller reads is decoded).  An
 :class:`AlternationPair` holds ``true`` and ``possible`` as ``bytearray``
 flags, a clock stamp per atom and three Dowling–Gallier counters per
 rule, all exact at rest:
@@ -101,9 +105,11 @@ depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ...db.database import Database
 from ...db.relation import Relation
@@ -113,7 +119,6 @@ from ..operator import IDBMap
 from ..program import Program
 
 
-@dataclass
 class WellFoundedResult:
     """The three-valued well-founded model of ``(program, db)``.
 
@@ -122,29 +127,71 @@ class WellFoundedResult:
     that produced this model: from ``(∅, A(∅))`` for
     :func:`well_founded_semantics`, from the over-deleted pair of the
     last update for a maintained view.
-    """
 
-    program: Program
-    db: Database
-    true: FrozenSet[GroundAtom]
-    undefined: FrozenSet[GroundAtom]
-    rounds: int
+    An engine may hand over its ``pair`` instead of atom sets: the
+    result keeps a copy of the pair's flags, and the atom sets are
+    decoded on first read.  Over an index whose atoms are named by codes
+    (the batch engine's), :meth:`true_idb` / :meth:`undefined_idb` /
+    :attr:`is_total` read the flags as code-only relations.
+    """
 
     engine = "wellfounded"
     """Engine tag, mirroring :class:`~repro.core.semantics.base.EvaluationResult`."""
 
+    def __init__(
+        self,
+        program: Program,
+        db: Database,
+        true: Optional[FrozenSet[GroundAtom]] = None,
+        undefined: Optional[FrozenSet[GroundAtom]] = None,
+        rounds: int = 0,
+        pair: Optional[AlternationPair] = None,
+    ) -> None:
+        self.program = program
+        self.db = db
+        self.rounds = rounds
+        self._flags = None
+        if pair is None:
+            self.true, self.undefined = true, undefined
+        else:
+            true = np.frombuffer(bytes(pair.true), dtype=bool)
+            undefined = np.frombuffer(pair.possible, dtype=bool) > true
+            self._flags = (pair.index, (true, undefined))
+
+    @cached_property
+    def true(self) -> FrozenSet[GroundAtom]:
+        index, (true, _) = self._flags
+        return frozenset(compress(index.atoms, true.tolist()))
+
+    @cached_property
+    def undefined(self) -> FrozenSet[GroundAtom]:
+        index, (_, undefined) = self._flags
+        return frozenset(compress(index.atoms, undefined.tolist()))
+
     @property
     def is_total(self) -> bool:
         """True when no atom is undefined (two-valued well-founded model)."""
+        if self._flags is not None:
+            return not self._flags[1][1].any()
         return not self.undefined
 
     def true_idb(self) -> IDBMap:
         """The true atoms as a ``{pred: Relation}`` valuation."""
-        return _group(self.program, self.true)
+        return self._idb(0)
 
     def undefined_idb(self) -> IDBMap:
         """The undefined atoms as a ``{pred: Relation}`` valuation."""
-        return _group(self.program, self.undefined)
+        return self._idb(1)
+
+    def _idb(self, side: int) -> IDBMap:
+        program = self.program
+        if self._flags is None or self._flags[0].codes is None:
+            return _group(program, (self.true, self.undefined)[side])
+        index, flags = self._flags
+        return {
+            p: index.codes.relation(p, program.arity(p), flags[side])
+            for p in program.idb_predicates
+        }
 
 
 def _group(program: Program, atoms: FrozenSet[GroundAtom]) -> IDBMap:
@@ -237,7 +284,7 @@ class AlternationPair:
         Atoms outside ``A(∅)`` are decided false at clock 0.
         """
         self.index = index
-        natoms = len(index.atoms)
+        natoms = len(index.by_head)
         self.possible, self.missing, self.work = _reduct_model(index, bytearray(natoms))
         self.true = bytearray(natoms)
         self.stamp = [0] * natoms
@@ -249,12 +296,6 @@ class AlternationPair:
                 waiting[r] += 1
         self.waiting = waiting
         self.clock = 0
-
-    def model(self) -> Tuple[FrozenSet[GroundAtom], FrozenSet[GroundAtom]]:
-        """The pair as ``(true atoms, undefined atoms)``."""
-        atoms = self.index.atoms
-        true = frozenset(compress(atoms, self.true))
-        return true, frozenset(compress(atoms, self.possible)) - true
 
     def resume(self, fired: List[int], seeds: List[int]) -> int:
         """Iterate ``(T, P) -> (A(P), A(T))`` until ``T`` stops growing.
@@ -535,7 +576,4 @@ def well_founded_semantics(
         if RECORDER.enabled:
             RECORDER.inc("repro_wf_alternation_steps_total", 2 * rounds + 1)
             RECORDER.inc("repro_wf_propagations_total", pair.work)
-    true, undefined = pair.model()
-    return WellFoundedResult(
-        program=program, db=db, true=true, undefined=undefined, rounds=rounds
-    )
+    return WellFoundedResult(program=program, db=db, rounds=rounds, pair=pair)

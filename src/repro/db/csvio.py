@@ -91,22 +91,33 @@ one-field value.
 
 
 def load_relation(path: PathLike, name: str, arity: int) -> Relation:
-    """Read a relation from a headerless CSV file, one tuple per row."""
-    tuples = []
+    """Read a relation from a headerless CSV file, one tuple per row.
+
+    Each distinct field string is coerced once (:func:`_coerce`), then
+    the tuples are rebuilt column by column from those values.
+    """
+    rows = []
     with open(path, newline="") as f:
         for row in csv.reader(f):
             if not row:
                 continue
             if arity == 0 and row == [_EMPTY_TUPLE_MARKER]:
-                tuples.append(())
+                rows.append(())
                 continue
             if len(row) != arity:
                 raise ValueError(
                     "row %r in %s has %d fields, expected %d"
                     % (row, path, len(row), arity)
                 )
-            tuples.append(tuple(_coerce(v) for v in row))
-    return Relation(name, arity, tuples)
+            rows.append(row)
+    if not arity:
+        return Relation(name, 0, rows)
+    columns = list(zip(*rows))
+    value = {field: _coerce(field) for field in set().union(*columns)}.__getitem__
+    # Every row was checked to have ``arity`` fields above.
+    return Relation._from_frozenset(
+        name, arity, frozenset(zip(*[map(value, column) for column in columns]))
+    )
 
 
 class SortedRows:

@@ -225,7 +225,9 @@ class MaterializedView:
         elif semantics == "wellfounded":
             self._maintainable = True
             self._wf = AlternatingState(program, db)
-            self._result = self._wf_result(db)
+            self._result = WellFoundedResult(
+                program=program, db=db, rounds=self._wf.rounds, pair=self._wf.pair
+            )
         else:
             self._maintainable = is_semipositive(program)
             self._result = inflationary_semantics(program, db)
@@ -465,10 +467,10 @@ class MaterializedView:
         else:
             changeset = self._maintain(new_db, changes)
         # Book-keeping only after maintenance landed: if maintenance
-        # raises, the view's db/result/undo log stay pre-update (the
-        # wellfounded path additionally rebuilds its in-place-mutated
-        # alternation state), so the log never records an update that
-        # did not happen.
+        # raises, the view's db/result/undo log stay pre-update (and the
+        # in-place-mutated maintenance state is rebuilt on the next
+        # update), so the log never records an update that did not
+        # happen.
         self.applied += 1
         if record_undo:
             self._undo.append(effective.inverse())
@@ -534,16 +536,6 @@ class MaterializedView:
         return ChangeSet.from_changes(changes)
 
     # -- the well-founded (three-valued) paths -------------------------
-
-    def _wf_result(self, db: Database) -> WellFoundedResult:
-        true, undefined = self._wf.pair.model()
-        return WellFoundedResult(
-            program=self.program,
-            db=db,
-            true=true,
-            undefined=undefined,
-            rounds=self._wf.rounds,
-        )
 
     def _wf_publish(self, new_db: Database, moves: Moves, effective: Delta) -> ChangeSet:
         """Move the result by ``moves``; the EDB echo plus partition changes.
@@ -612,12 +604,27 @@ class MaterializedView:
     # -- the incremental path ------------------------------------------
 
     def _maintain(self, new_db: Database, changes: Dict[str, ChangePair]) -> ChangeSet:
+        if self._components is None:
+            self.result  # the rebuild reads ``_result``: fold deferred changes in
+            self._build_maintenance()
+        try:
+            return self._propagate(new_db, changes)
+        except BaseException:
+            # The counting / DRed states and the aliases mutate in place;
+            # as on the well-founded path, an exception mid-propagation
+            # drops them (rebuilt from the unchanged db and result on the
+            # next update) and surfaces.
+            self._components = None
+            raise
+
+    def _propagate(self, new_db: Database, changes: Dict[str, ChangePair]) -> ChangeSet:
         # Every change is carried as an ``(inserted, deleted)`` pair of
         # relations and every working interpretation is derived from
         # ``new_db`` — one symbol table for the view's whole life, so the
         # code payloads cached on its relations stay valid.
         inserted: Dict[str, FrozenSet[Tup]] = {}
         deleted: Dict[str, FrozenSet[Tup]] = {}
+        deferred: List[Tuple[str, Relation, Relation]] = []
         aliases = self._aliases
 
         def publish(name: str, ins: Relation, dels: Relation) -> None:
@@ -679,13 +686,15 @@ class MaterializedView:
                             # during maintenance (the counting state is the
                             # authority), so defer the — possibly huge —
                             # relation rebuild until ``result`` is read.
-                            self._defer(pred, ins.tuples, dels.tuples)
+                            deferred.append((pred, ins, dels))
                         publish(pred, ins, dels)
                 if sp:
                     sp["rows_out"] = moved
                     RECORDER.note_row_traffic(sp, row_traffic)
 
         aliases.catch_up()
+        for pred, ins, dels in deferred:
+            self._defer(pred, ins.tuples, dels.tuples)
         self._db = new_db
         self._result = self._with_idb(new_db, idb)
         inserted.pop(UNIVERSE, None)  # the engine's own relation: never echoed

@@ -38,8 +38,10 @@ from ..core.grounding import (
     GroundAtom,
     GroundProgramIndex,
     GroundRule,
+    _distinct,
     _edb_projection,
-    _idb_literals,
+    _ground_rules,
+    rule_shapes,
 )
 from ..core.literals import Atom
 from ..core.program import Program
@@ -68,8 +70,8 @@ def undef_name(pred: str) -> str:
 class LiveGroundProgram:
     """The ground program of ``(program, db)``, kept live under EDB deltas.
 
-    A rule's *shape* is its head predicate and its positive and negated
-    IDB predicates, in body order.  Each shape is one counted view,
+    Each rule shape (:func:`~repro.core.grounding.rule_shapes`: head
+    predicate, positive and negated IDB predicates) is one counted view,
     a :class:`~repro.materialize.counting.CountingState` over the key
     relation
 
@@ -77,9 +79,8 @@ class LiveGroundProgram:
 
     with one such rule per program rule of that shape, ``B`` its
     range-restricted EDB projection
-    (:func:`~repro.core.grounding._edb_projection`).  Only rules of one
-    shape can yield equal ground rules, and within a shape the key
-    determines the ground rule, so a key whose count rises from zero is
+    (:func:`~repro.core.grounding._edb_projection`).  The key determines
+    the ground rule, so a key whose count rises from zero is
     one ground rule appended to :attr:`index`, and a key whose count
     returns to zero is one retired from it.  A count is the number of
     EDB bindings behind its ground rule: an update that only changes
@@ -97,28 +98,22 @@ class LiveGroundProgram:
         self.program = program
         self.db = db
         idb = program.idb_predicates
-        shapes: Dict[tuple, Tuple[str, tuple, List[Rule]]] = {}
-        for rule in program.rules:
-            pos, neg = _idb_literals(rule, idb)
-            atoms = [rule.head, *pos, *(n.atom for n in neg)]
-            shape = tuple(a.pred for a in atoms), len(pos)
-            if shape not in shapes:
-                shapes[shape] = ("@ground_%d" % len(shapes), _layout(atoms, len(pos)), [])
-            name, _, key_rules = shapes[shape]
-            key = Atom(name, sum((a.args for a in atoms), ()))
-            key_rules.append(Rule(key, _edb_projection(rule, idb).body))
-
         names = db.relation_names() + (UNIVERSE,)
         small = frozenset(alias for n in names for alias in (ins_name(n), del_name(n)))
         self._shapes: List[Tuple[CountingState, tuple, Dict[Tup, int]]] = []
         rules: List[GroundRule] = []
-        for name, layout, key_rules in shapes.values():
+        for k, (layout, members) in enumerate(rule_shapes(program)):
+            name = "@ground_%d" % k
+            key_rules = [
+                Rule(Atom(name, terms), _edb_projection(rule, idb).body)
+                for rule, terms in members
+            ]
             state = CountingState(name, len(key_rules[0].head.args), key_rules, small)
             state.initialise(db)
             keys = list(state.counts)
             self._shapes.append((state, layout, dict(zip(keys, count(len(rules))))))
             rules += _ground_rules(layout, keys)
-        self.index = GroundProgramIndex(rules)
+        self.index = GroundProgramIndex(*_numbered(rules), lambda: rules)
 
         read = frozenset().union(*(state.reads() for state, _, _ in self._shapes))
         self._aliases = AliasSet([db.get(n) for n in names if ins_name(n) in read], read)
@@ -176,37 +171,20 @@ class LiveGroundProgram:
         return added, removed
 
 
-def _layout(atoms: List[Atom], npos: int) -> tuple:
-    """Where each atom of a shape sits in its key: ``(pred, start, end)``,
-    split as ``(head, positives, negatives)``."""
-    spans = []
-    start = 0
-    for atom in atoms:
-        spans.append((atom.pred, start, start + len(atom.args)))
-        start += len(atom.args)
-    return spans[0], spans[1 : 1 + npos], spans[1 + npos :]
-
-
-def _ground_rules(layout: tuple, keys: List[Tup]) -> List[GroundRule]:
-    """The ground rule behind each key of one shape.
-
-    Equal atoms come back as one object, so the rules share them.
-    """
-    (head_pred, head_start, head_end), pos, neg = layout
-    intern = {}.setdefault
-
-    def atom(key, pred, start, end):
-        ground = (pred, key[start:end])
-        return intern(ground, ground)
-
-    return [
-        GroundRule(
-            atom(key, head_pred, head_start, head_end),
-            tuple([atom(key, *span) for span in pos]),
-            tuple([atom(key, *span) for span in neg]),
-        )
-        for key in keys
-    ]
+def _numbered(rules: List[GroundRule]):
+    """The index arrays of ``rules``: each atom numbered at first sight,
+    head first, then positives, then negatives, rule by rule."""
+    atom_ids: Dict[GroundAtom, int] = {}
+    head: List[int] = []
+    pos: Tuple[List[int], List[int]] = ([], [])
+    neg: Tuple[List[int], List[int]] = ([], [])
+    for r, rule in enumerate(rules):
+        head.append(atom_ids.setdefault(rule.head, len(atom_ids)))
+        for body, (rule_ids, ids) in ((rule.pos, pos), (rule.neg, neg)):
+            distinct = _distinct(atom_ids, body)
+            ids += distinct
+            rule_ids += [r] * len(distinct)
+    return head, pos, neg, atom_ids
 
 
 class AlternatingState:

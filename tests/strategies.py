@@ -33,6 +33,28 @@ def metrics():
         disable_metrics()
 
 
+def assert_index_matches(index, rules):
+    """A ground-program index lists exactly ``rules``, atom by atom."""
+    current = {g for g in index.rules if g is not None}
+    assert current == set(rules)
+    assert len(index.atom_ids) == len(index.atoms) == len(index.by_head)
+    assert {a for g in current for a in (g.head, *g.pos, *g.neg)} <= set(index.atom_ids)
+    for r, g in enumerate(index.rules):
+        if g is not None:
+            assert index.head[r] == index.atom_ids[g.head]
+            assert index.npos[r] == len(set(g.pos))
+    for a, atom in enumerate(index.atoms):
+        assert index.atom_ids[atom] == a
+        for occurrences, reads in (
+            (index.by_head, lambda g: g.head == atom),
+            (index.by_pos, lambda g: atom in g.pos),
+            (index.by_neg, lambda g: atom in g.neg),
+        ):
+            listed = [index.rules[r] for r in occurrences[a]]
+            assert len(listed) == len(set(listed))
+            assert set(listed) == {g for g in current if reads(g)}
+
+
 # ----------------------------------------------------------------------
 # Persistable values for the CSV round-trip properties
 # ----------------------------------------------------------------------

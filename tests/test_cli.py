@@ -132,6 +132,38 @@ def test_run_wellfounded(workspace, capsys):
     assert "total=True" in out
 
 
+def test_run_wellfounded_prints_what_the_spec_prints(tmp_path, capsys):
+    # Strings, ints and undefined atoms: the partitions print from their
+    # id columns, byte-identical to ``sorted(key=repr)`` of the atoms.
+    from repro.cli import _load_database, _load_program, _rows_text, _rows_text_from_codes
+    from repro.core.semantics import well_founded_semantics
+    from repro.db.relation import Relation
+
+    program = tmp_path / "win.dl"
+    program.write_text("W(X) :- M(X, Y), !W(Y).\n")
+    dbdir = tmp_path / "db"
+    dbdir.mkdir()
+    (dbdir / "M.csv").write_text(
+        '"a","b"\n"b","a"\n"b",10\n10,"x y"\n"x y",2\n2,"01"\n3,3\n'
+    )
+    assert main(["run", str(program), "--db", str(dbdir), "--semantics", "wellfounded"]) == 0
+    out = capsys.readouterr().out
+
+    parsed = _load_program(str(program))
+    result = well_founded_semantics(parsed, _load_database(str(dbdir), parsed))
+    assert _rows_text_from_codes(result.undefined_idb()["W"]) is not None
+
+    def spec(atoms):
+        rel = Relation("W", 1, [values for _, values in atoms])
+        return "W/1 (%d tuples):\n%s" % (len(rel), _rows_text(rel))
+
+    assert result.true == {("W", (2,)), ("W", (10,))}
+    assert out == (
+        "well-founded model (total=False):\nTRUE:\n%sUNDEFINED:\n%s"
+        % (spec(result.true), spec(result.undefined))
+    )
+
+
 def test_run_naive_rejects_general_program(workspace):
     program, dbdir = workspace
     from repro.core.semantics import SemanticsError

@@ -154,6 +154,27 @@ def test_noncanonical_int_forms_stay_strings(tmp_path, lookalike):
     assert loaded == lookalike and isinstance(loaded, str)
 
 
+def test_repeated_lookalikes_stay_strings_beside_canonical_ints(tmp_path):
+    # Each distinct field is coerced once and shared by every row that
+    # repeats it: a lookalike must not borrow an equal int's coercion.
+    path = tmp_path / "E.csv"
+    path.write_text(
+        "".join(
+            '"%s",%d\n%d,"%s"\n' % (text, number, number, text)
+            for text, number in (("01", 1), ("+5", 5), ("-0", 0), (" 7", 7))
+            for _ in range(3)
+        )
+    )
+    rel = csvio.load_relation(path, "E", 2)
+    assert rel.tuples == frozenset(
+        pair
+        for text, number in (("01", 1), ("+5", 5), ("-0", 0), (" 7", 7))
+        for pair in ((text, number), (number, text))
+    )
+    for row in rel:
+        assert {type(v) for v in row} == {str, int}
+
+
 def test_canonical_negative_int_still_coerces(tmp_path):
     rel = Relation("V", 1, [(-12,), (0,), (345,)])
     path = tmp_path / "V.csv"

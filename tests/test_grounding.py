@@ -5,8 +5,10 @@ from hypothesis import given
 from repro import Database, Relation, parse_program
 from repro.core.grounding import ground_program
 from repro.core.operator import empty_idb, theta
+from repro.core.semantics import well_founded_semantics
+from repro.materialize.wellfounded_maint import LiveGroundProgram
 
-from strategies import random_programs, small_databases
+from strategies import assert_index_matches, metrics, random_programs, small_databases
 
 
 def test_pi1_grounding(pi1_program, path4_db):
@@ -100,3 +102,24 @@ def test_derivable_upper_bounds_theta(program, db):
     for probe in (empty_idb(program), theta(program, db, empty_idb(program))):
         out = theta(program, db, probe)
         assert gp.from_idb_map(out) <= gp.derivable
+
+
+def test_rows_wider_than_63_bits_ground_through_the_spec():
+    """Eight fields of eight bits: the bindings come from the Θ spec,
+    are interned, and take the same numbering as the executor's."""
+    program = parse_program(
+        "Q(A, B, C, D, E, F, G, H) :- R(A, B, C, D, E, F, G, H), !Q(B, A, C, D, E, F, G, H)."
+    )
+    swapped = [(1, 2, 3, 4, 5, 6, 7, 8), (2, 1, 3, 4, 5, 6, 7, 8), (5, 5, 3, 4, 5, 6, 7, 8)]
+    lone = (3, 4, 5, 6, 7, 8, 1, 2)
+    db = Database(range(1, 9), [Relation("R", 8, swapped + [lone])])
+    with metrics() as counter:
+        gp = ground_program(program, db)
+        assert counter("repro_kernel_declined_total") > 0
+    assert len(gp) == 4
+    assert_index_matches(gp.index, gp.rules)
+    assert frozenset(gp.rules) == LiveGroundProgram(program, db).rules
+    result = well_founded_semantics(program, db)
+    assert result.true_idb()["Q"].tuples == {lone}
+    assert result.undefined_idb()["Q"].tuples == set(swapped)
+    assert result.true == {("Q", lone)}

@@ -610,3 +610,42 @@ class TestMaintenanceEqualsRecompute:
             view.apply(delta)
             assert view.result.idb == _reference(program, view.db, "inflationary")
         assert view.recomputes == 0
+
+
+# ----------------------------------------------------------------------
+# The exception contract of the stratified path
+# ----------------------------------------------------------------------
+
+
+def test_interrupt_after_counting_leaves_maintenance_rebuildable(monkeypatch):
+    """An interrupt after a counting state moved drops the maintenance
+    state; db, result and deferred changes stay pre-update, and every
+    later apply equals a recompute."""
+    from repro.materialize.counting import CountingState
+
+    program = parse_program(TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X).", carrier="ACYC")
+    view = MaterializedView(program, graph_to_database(gg.path(8)))
+    view.apply(Delta.delete("E", (4, 5)))  # ACYC is head-only: deferred
+    db, result, pending = view.db, view._result, dict(view._pending)
+    counted = CountingState.apply
+
+    def interrupted(state, *args):
+        counted(state, *args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(CountingState, "apply", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        view.apply(Delta.insert("E", (8, 1)))
+    monkeypatch.undo()
+    assert view.db is db
+    assert view._result is result
+    assert view._pending == pending
+    for delta in (
+        Delta.insert("E", (8, 1)),
+        Delta.insert("E", (4, 5)),
+        Delta.delete("E", (2, 3)),
+        Delta.delete("E", (8, 1)),
+        Delta.insert("E", (2, 3)),
+    ):
+        view.apply(delta)
+        assert view.result.idb == stratified_semantics(program, view.db).idb

@@ -6,7 +6,7 @@ The load-bearing guarantees:
   variables, constants, zero-ary relations, and unsafe active-domain
   completion — the reference evaluator, the columnar executor's packed
   heads (``execute_plan`` / ``colexec.execute_plan_codes``) and its
-  unpacked bindings (``solve_rows``) all derive the same tuples;
+  unpacked bindings (``solve_bindings``) all derive the same tuples;
 * every engine that now evaluates through plans (naive, semi-naive,
   inflationary, stratified) computes the same valuations as
   the legacy uncompiled Theta iteration;
@@ -47,7 +47,7 @@ from repro.core.planning import (
     colexec,
     compile_rule,
     execute_plan,
-    solve_rows,
+    solve_bindings,
 )
 from repro.core.semantics import (
     inflationary_semantics,
@@ -95,8 +95,14 @@ def binding_heads(plan, interp):
     """Head tuples projected from the executor's unpacked bindings."""
     return {
         tuple(payload if is_const else row[payload] for is_const, payload in plan.head_cols)
-        for row in solve_rows(plan, interp)
+        for row in binding_rows(plan, interp)
     }
+
+
+def binding_rows(plan, interp):
+    """The executor's bindings as value tuples."""
+    symbols, table = solve_bindings(plan, interp)
+    return symbols.extern_rows(table.cols, table.nrows)
 
 
 def columnar_heads(plan, interp):
@@ -150,7 +156,7 @@ def test_bindings_match_the_spec_under_total_heads(program, db):
         all_vars = sorted(rule.variables(), key=lambda v: v.name)
         pseudo = Rule(Atom("__all__", tuple(all_vars)), rule.body)
         plan = compile_rule(pseudo)
-        rows = solve_rows(plan, interp)
+        rows = binding_rows(plan, interp)
         assert len(rows) == len(set(rows))
         assert binding_heads(plan, interp) == evaluate_rule_legacy(pseudo, interp)
 

@@ -12,7 +12,13 @@ from repro.core.semantics.wellfounded import _least_model_of_reduct
 from repro.graphs import generators as gg, graph_to_database
 from repro.queries import tc_complement_stratified, win_move_program
 
-from strategies import nonstratifiable_programs, random_programs, small_databases
+from strategies import (
+    assert_index_matches,
+    metrics,
+    nonstratifiable_programs,
+    random_programs,
+    small_databases,
+)
 
 
 def test_pi1_on_path_is_total(pi1_program, path4_db):
@@ -196,6 +202,27 @@ def test_resumed_alternation_equals_restart_from_empty(program, db):
     _assert_matches_restart(program, db)
 
 
+@given(random_programs(include_zeroary=True), small_databases())
+def test_batch_index_is_the_ground_rules_in_codes(program, db):
+    """The index numbered from the binding columns lists exactly the
+    decoded ground rules, the live grounding's counted views find the
+    same rules, and the engine on that index walks the book's
+    alternation; its partitions come back as the same relations."""
+    from repro.core.grounding import ground_program
+    from repro.materialize.wellfounded_maint import LiveGroundProgram
+
+    gp = ground_program(program, db)
+    assert len(gp) == len(gp.rules) == len(set(gp.rules))
+    assert_index_matches(gp.index, gp.rules)
+    assert frozenset(gp.rules) == LiveGroundProgram(program, db).rules
+    if len(gp) <= 64:
+        true, undefined, rounds = _restart_alternation(gp)
+        result = well_founded_semantics(program, db)
+        assert result.is_total == (not undefined)
+        assert result.true_idb() == gp.to_idb_map(true)
+        assert result.undefined_idb() == gp.to_idb_map(undefined)
+        assert (result.true, result.undefined, result.rounds) == (true, undefined, rounds)
+
 _NO_S = Database({1}, [Relation("S", 0, set())])
 
 
@@ -303,3 +330,36 @@ def test_view_update_work_follows_the_region_not_the_depth():
             assert 0 < work <= bound, (n, kind, work, bound)
         reference = well_founded_semantics(program, view.db)
         assert view.result.true == reference.true and view.result.is_total
+
+
+def test_batch_engine_builds_no_ground_rule_and_prints_from_codes(monkeypatch, capsys):
+    """The batch engine runs on the index numbered from the binding
+    columns: no ``GroundRule`` is constructed, and printing the two
+    partitions decodes no more rows than it prints."""
+    import random
+
+    from repro.cli import _print_relations
+    from repro.core.grounding import GroundRule
+
+    rng = random.Random(7)
+    edges = set()
+    while len(edges) < 4000:
+        edges.add((rng.randrange(2000), rng.randrange(2000)))
+    db = Database(range(2000), [Relation("E", 2, edges)])
+    made = []
+    construct = GroundRule.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        construct(self, *args)
+
+    monkeypatch.setattr(GroundRule, "__init__", counted)
+    with metrics() as counter:
+        result = well_founded_semantics(win_move_program(), db)
+        _print_relations(result.true_idb())
+        _print_relations(result.undefined_idb())
+        decoded = counter("repro_relation_decoded_rows_total")
+    assert not made
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    assert not result.is_total and printed
+    assert decoded <= len(printed)

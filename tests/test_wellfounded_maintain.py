@@ -33,7 +33,7 @@ from repro.materialize import Delta, MaterializedView
 from repro.materialize.wellfounded_maint import LiveGroundProgram, undef_name
 from repro.queries import pi1, win_move_program
 
-from strategies import databases_and_deltas, nonstratifiable_programs
+from strategies import assert_index_matches, databases_and_deltas, nonstratifiable_programs
 
 DEEP = settings(
     max_examples=200,
@@ -179,23 +179,6 @@ class TestWinMoveSeeds:
 # ----------------------------------------------------------------------
 
 
-def _assert_index_matches(live):
-    """The patched index lists exactly the live rules, atom by atom."""
-    index = live.index
-    current = {g for g in index.rules if g is not None}
-    assert current == live.rules
-    for a, atom in enumerate(index.atoms):
-        assert index.atom_ids[atom] == a
-        for occurrences, reads in (
-            (index.by_head, lambda g: g.head == atom),
-            (index.by_pos, lambda g: atom in g.pos),
-            (index.by_neg, lambda g: atom in g.neg),
-        ):
-            listed = [index.rules[r] for r in occurrences[a]]
-            assert len(listed) == len(set(listed))
-            assert set(listed) == {g for g in current if reads(g)}
-
-
 def _check_patches(program, db, deltas):
     live = LiveGroundProgram(program, db)
     for delta in deltas:
@@ -210,7 +193,7 @@ def _check_patches(program, db, deltas):
         added, removed = live.apply(new_db, changes)
         assert added.keys().isdisjoint(removed)
         assert live.rules == frozenset(ground_program(program, new_db).rules)
-        _assert_index_matches(live)
+        assert_index_matches(live.index, live.rules)
     return live
 
 
