@@ -36,13 +36,17 @@ well-founded engine runs on is built from those integer arrays.  No
 :class:`GroundRule` and no atom tuple is built on that path: the rule
 objects (``GroundProgram.rules`` / ``by_head`` / ``derivable``) and the
 atom tuples (``index.atoms`` / ``atom_ids``) are decoded on first read,
-for the readers that need them — the SAT reduction, enumeration, the E6
-table, :mod:`repro.parallel` and the tests.
+for the readers that need them — the SAT reduction behind ``explain``,
+enumeration, the E6 table, :mod:`repro.parallel` and the tests.
 
-This module grounds from scratch.  A well-founded view keeps the same
-instantiation live under EDB deltas by counting each shape's keys
-(:class:`repro.materialize.wellfounded_maint.LiveGroundProgram`), and
-patches a :class:`GroundProgramIndex` in place.
+This module grounds from scratch.  A well-founded view starts from the
+same :class:`GroundProgram` and keeps it live under EDB deltas
+(:class:`repro.materialize.wellfounded_maint.LiveGroundProgram`): each
+shape's keys are counted, seeded with their run lengths in the sorted
+binding keys (:meth:`GroundProgram.key_counts`), and the index is
+patched in place in atom ids — an atom first seen in a patch is
+numbered after the :class:`AtomCodes` blocks.  The repository has this
+one representation of a ground program.
 """
 
 from __future__ import annotations
@@ -50,8 +54,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -124,9 +127,6 @@ class AtomCodes:
         self.blocks = blocks
         self.size = size
 
-    def __len__(self) -> int:
-        return self.size
-
     def atoms(self) -> List[GroundAtom]:
         """Every atom as ``(pred, values)``, in id order."""
         out: List[GroundAtom] = []
@@ -170,15 +170,16 @@ class GroundProgramIndex:
 
     The one constructor takes integer arrays: ``head``, and ``pos`` /
     ``neg`` as ``(rule ids, atom ids)`` of the distinct body
-    occurrences.  ``atoms`` names the atoms — an :class:`AtomCodes` on
-    the batch path (kept as :attr:`codes`; ``atoms`` / ``atom_ids`` are
-    then decoded on first read), or a live grounding's ``{atom: id}``
-    dict in id order.  ``rules`` returns the :class:`GroundRule` list,
-    called on the first read of :attr:`rules`.
+    occurrences, and the :class:`AtomCodes` naming the atoms (kept as
+    :attr:`codes`; ``atoms`` / ``atom_ids`` are decoded on first read).
+    The atom count is ``len(by_head)``.
 
-    :meth:`add` appends a rule under the next rule id (new atoms are
-    numbered after the old, ids are append-only); :meth:`retire` takes a
-    rule out of every occurrence list, and its id is never reused.
+    A live grounding patches the index in atom ids: :meth:`number`
+    gives an atom's id, numbering an unseen one after every other (ids
+    are append-only, so the :class:`AtomCodes` blocks name a prefix);
+    :meth:`add` appends a rule under the next rule id, and
+    :meth:`retire` takes a rule out of every occurrence list; its id is
+    never reused.
     """
 
     def __init__(
@@ -186,10 +187,9 @@ class GroundProgramIndex:
         head: Sequence[int],
         pos: Tuple[Sequence[int], Sequence[int]],
         neg: Tuple[Sequence[int], Sequence[int]],
-        atoms: Union[AtomCodes, Dict[GroundAtom, int]],
-        rules: Callable[[], List[GroundRule]],
+        codes: AtomCodes,
     ) -> None:
-        natoms = len(atoms)
+        natoms = codes.size
         head = np.asarray(head, dtype=np.int64)
         nrules = len(head)
         self.head: List[int] = head.tolist()
@@ -199,11 +199,7 @@ class GroundProgramIndex:
         self.by_head = _occurrences(np.arange(nrules), head, natoms)
         self.by_pos = _occurrences(*pos, natoms)
         self.by_neg = _occurrences(*neg, natoms)
-        self.codes = atoms if isinstance(atoms, AtomCodes) else None
-        if self.codes is None:
-            self.atom_ids = atoms
-            self.atoms = list(atoms)
-        self._decode_rules = rules
+        self.codes = codes
 
     @cached_property
     def atoms(self) -> List[GroundAtom]:
@@ -213,56 +209,37 @@ class GroundProgramIndex:
     def atom_ids(self) -> Dict[GroundAtom, int]:
         return {atom: a for a, atom in enumerate(self.atoms)}
 
-    @cached_property
-    def rules(self) -> List[Optional[GroundRule]]:
-        return self._decode_rules()
-
-    def body(self, r: int) -> Tuple[List[int], List[int]]:
-        """Rule ``r``'s distinct positive and negative atom ids."""
-        rule = self.rules[r]
+    def number(self, atom: GroundAtom) -> int:
+        """``atom``'s id; an unseen atom is numbered after the last."""
         atom_ids = self.atom_ids
-        return (
-            list(dict.fromkeys([atom_ids[a] for a in rule.pos])),
-            list(dict.fromkeys([atom_ids[a] for a in rule.neg])),
-        )
+        a = atom_ids.get(atom)
+        if a is None:
+            a = atom_ids[atom] = len(self.by_head)
+            self.atoms.append(atom)
+            self.by_head.append(())
+            self.by_pos.append(())
+            self.by_neg.append(())
+        return a
 
-    def add(self, rule: GroundRule) -> int:
-        """Append ``rule``; its id.  New atoms are numbered after the old."""
-        r = len(self.rules)
-        self.rules.append(rule)
-        atom_ids = self.atom_ids
-        self.head.append(atom_ids.setdefault(rule.head, len(atom_ids)))
-        pos = _distinct(atom_ids, rule.pos)
-        neg = _distinct(atom_ids, rule.neg)
+    def add(self, head: int, pos: Sequence[int], neg: Sequence[int]) -> int:
+        """Append the rule ``head <- pos, not neg`` over distinct atom ids;
+        its id."""
+        r = len(self.head)
+        self.head.append(head)
         self.npos.append(len(pos))
-        atoms = self.atoms
-        for atom in (rule.head, *rule.pos, *rule.neg):
-            if atom_ids[atom] == len(atoms):
-                atoms.append(atom)
-                self.by_head.append(())
-                self.by_pos.append(())
-                self.by_neg.append(())
-        _link(self.by_head, (self.head[r],), repeat(r))
-        _link(self.by_pos, pos, repeat(r))
-        _link(self.by_neg, neg, repeat(r))
+        _link(self.by_head, (head,), r)
+        _link(self.by_pos, pos, r)
+        _link(self.by_neg, neg, r)
         return r
 
-    def retire(self, r: int) -> None:
-        """Take rule ``r`` out of every occurrence list."""
-        pos, neg = self.body(r)
+    def retire(self, r: int, pos: Sequence[int], neg: Sequence[int]) -> None:
+        """Take rule ``r``, with distinct body atoms ``pos`` / ``neg``, out
+        of every occurrence list."""
         self.by_head[self.head[r]].remove(r)
         for a in pos:
             self.by_pos[a].remove(r)
         for a in neg:
             self.by_neg[a].remove(r)
-        self.rules[r] = None
-
-
-def _distinct(atom_ids: Dict[GroundAtom, int], body) -> List[int]:
-    """The distinct ids of ``body``; an unseen atom gets the next free id."""
-    number = atom_ids.setdefault
-    ids = [number(a, len(atom_ids)) for a in body]
-    return list(dict.fromkeys(ids)) if len(ids) > 1 else ids
 
 
 def _occurrences(rules, atoms, natoms: int) -> List[Sequence[int]]:
@@ -282,9 +259,9 @@ def _occurrences(rules, atoms, natoms: int) -> List[Sequence[int]]:
     return occurrences
 
 
-def _link(occurrences: List[Sequence[int]], atoms: Iterable[int], rules: Iterable[int]) -> None:
-    """List each rule under its atom; a first one replaces an empty entry."""
-    for a, r in zip(atoms, rules):
+def _link(occurrences: List[Sequence[int]], atoms: Iterable[int], r: int) -> None:
+    """List rule ``r`` under each atom; a first one replaces an empty entry."""
+    for a in atoms:
         listed = occurrences[a]
         if listed:
             listed.append(r)
@@ -318,16 +295,14 @@ class GroundProgram:
         program: Program,
         db: Database,
         symbols: SymbolTable,
-        shapes: List[Tuple[tuple, List[np.ndarray], int]],
+        shapes: List[Tuple[tuple, List[np.ndarray], int, np.ndarray]],
     ) -> None:
         self.program = program
         self.db = db
         self._symbols = symbols
         self._shapes = shapes
-        self._size = sum(n for _, _, n in shapes)
-        self.index = GroundProgramIndex(
-            *_index_arrays(symbols, shapes), lambda: list(self.rules)
-        )
+        self._size = sum(n for _, _, n, _ in shapes)
+        self.index = GroundProgramIndex(*_index_arrays(symbols, shapes))
 
     def __len__(self) -> int:
         return self._size
@@ -339,9 +314,21 @@ class GroundProgram:
     @cached_property
     def rules(self) -> Tuple[GroundRule, ...]:
         rules: List[GroundRule] = []
-        for layout, cols, n in self._shapes:
+        for layout, cols, n, _ in self._shapes:
             rules += _ground_rules(layout, self._symbols.extern_rows(cols, n))
         return tuple(rules)
+
+    def key_counts(self) -> List[Tuple[range, Dict[tuple, int]]]:
+        """Per shape (:func:`rule_shapes` order): its rule ids, and each
+        key's values mapped to the number of EDB bindings behind it,
+        keys in rule-id order."""
+        out = []
+        r = 0
+        for _, cols, n, runs in self._shapes:
+            keys = self._symbols.extern_rows(cols, n)
+            out.append((range(r, r + n), dict(zip(keys, runs.tolist()))))
+            r += n
+        return out
 
     @cached_property
     def by_head(self) -> Dict[GroundAtom, List[GroundRule]]:
@@ -371,16 +358,6 @@ class GroundProgram:
         }
         return derived == set(atoms)
 
-    def to_idb_map(self, atoms: Set[GroundAtom]) -> Dict[str, Relation]:
-        """Convert a ground-atom set to a ``{pred: Relation}`` valuation."""
-        grouped: Dict[str, Set[Tuple]] = {p: set() for p in self.program.idb_predicates}
-        for pred, values in atoms:
-            grouped[pred].add(values)
-        return {
-            p: Relation(p, self.program.arity(p), tuples)
-            for p, tuples in grouped.items()
-        }
-
     def from_idb_map(self, idb: Dict[str, Relation]) -> Set[GroundAtom]:
         """Convert a ``{pred: Relation}`` valuation to a ground-atom set."""
         return {
@@ -388,6 +365,17 @@ class GroundProgram:
             for pred, rel in idb.items()
             for values in rel
         }
+
+
+def to_idb_map(program: Program, atoms: Iterable[GroundAtom]) -> Dict[str, Relation]:
+    """Convert a ground-atom set to a ``{pred: Relation}`` valuation."""
+    grouped: Dict[str, Set[Tuple]] = {p: set() for p in program.idb_predicates}
+    for pred, values in atoms:
+        grouped[pred].add(values)
+    return {
+        p: Relation(p, program.arity(p), tuples)
+        for p, tuples in grouped.items()
+    }
 
 
 @lru_cache(maxsize=4096)
@@ -494,11 +482,14 @@ def _sorted_runs(cols: List[np.ndarray], n: int):
     return order, new
 
 
-def _distinct_rows(blocks: List[Tuple[List[np.ndarray], int]]) -> Tuple[List[np.ndarray], int]:
-    """The distinct rows of the stacked ``(columns, nrows)`` blocks, sorted."""
+def _distinct_rows(blocks: List[Tuple[List[np.ndarray], int]]):
+    """The distinct rows of the stacked ``(columns, nrows)`` blocks,
+    sorted: their columns, their number, and how often each occurs."""
+    n = sum(m for _, m in blocks)
     cols = [_concat(parts) for parts in zip(*(cols for cols, _ in blocks))]
-    order, new = _sorted_runs(cols, sum(n for _, n in blocks))
-    return [col[order[new]] for col in cols], int(np.count_nonzero(new))
+    order, new = _sorted_runs(cols, n)
+    starts = np.flatnonzero(new)
+    return [col[order[starts]] for col in cols], len(starts), np.diff(starts, append=n)
 
 
 def _index_arrays(symbols: SymbolTable, shapes):
@@ -511,7 +502,7 @@ def _index_arrays(symbols: SymbolTable, shapes):
     """
     slots: Dict[str, list] = {}
     ids: List[List[np.ndarray]] = []
-    for layout, cols, n in shapes:
+    for layout, cols, n, _ in shapes:
         spans = (layout[0], *layout[1], *layout[2])
         ids.append([_NO_IDS] * len(spans))
         for k, (pred, start, end) in enumerate(spans):
@@ -534,7 +525,7 @@ def _index_arrays(symbols: SymbolTable, shapes):
 
     heads, pos, neg = [], ([], []), ([], [])
     r = 0
-    for (layout, _, n), slot_ids in zip(shapes, ids):
+    for (layout, _, n, _), slot_ids in zip(shapes, ids):
         rules = np.arange(r, r + n)
         heads.append(slot_ids[0])
         npos = 1 + len(layout[1])

@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Set
 from ..db.database import Database
 from ..sat.cnf import CNF
 from ..sat.solver import Solver
-from .grounding import GroundAtom, GroundProgram, ground_program
+from .grounding import GroundAtom, GroundProgram, ground_program, to_idb_map
 from .operator import IDBMap
 from .program import Program
 
@@ -103,7 +103,7 @@ class FixpointSAT:
 
     def decode_idb(self, model: Dict[int, bool]) -> IDBMap:
         """A solver model as a ``{pred: Relation}`` valuation."""
-        return self.ground.to_idb_map(self.decode(model))
+        return to_idb_map(self.ground.program, self.decode(model))
 
     @property
     def atom_vars(self) -> List[int]:
@@ -258,7 +258,7 @@ def least_fixpoint(
         without = solver.solve(assumptions=(-var,))
         if without is None:
             intersection_atoms.add(atom)
-    intersection = gp.to_idb_map(intersection_atoms)
+    intersection = to_idb_map(gp.program, intersection_atoms)
     least = intersection if gp.is_fixpoint(intersection_atoms) else None
     return LeastFixpointReport(
         exists=True,

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterator, List, Optional, Set
 
 from ...db.database import Database
-from ..grounding import GroundAtom, GroundProgram, ground_program
+from ..grounding import GroundAtom, GroundProgram, ground_program, to_idb_map
 from ..operator import IDBMap
 from ..program import Program
 
@@ -67,7 +67,7 @@ def all_fixpoints(
     """All fixpoints as ``{pred: Relation}`` valuations (smallest first)."""
     gp = ground if ground is not None else ground_program(program, db)
     return [
-        gp.to_idb_map(atoms)
+        to_idb_map(gp.program, atoms)
         for atoms in iterate_fixpoints(program, db, limit_atoms, gp)
     ]
 

@@ -107,14 +107,13 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ...db.database import Database
-from ...db.relation import Relation
 from ...obs import RECORDER, TRACER
-from ..grounding import GroundAtom, GroundProgram, GroundProgramIndex, ground_program
+from ..grounding import GroundAtom, GroundProgram, GroundProgramIndex, ground_program, to_idb_map
 from ..operator import IDBMap
 from ..program import Program
 
@@ -130,9 +129,11 @@ class WellFoundedResult:
 
     An engine may hand over its ``pair`` instead of atom sets: the
     result keeps a copy of the pair's flags, and the atom sets are
-    decoded on first read.  Over an index whose atoms are named by codes
-    (the batch engine's), :meth:`true_idb` / :meth:`undefined_idb` /
-    :attr:`is_total` read the flags as code-only relations.
+    decoded on first read.  :meth:`true_idb` / :meth:`undefined_idb` /
+    :attr:`is_total` read the flags as code-only relations, unless a
+    live index has numbered atoms after its
+    :class:`~repro.core.grounding.AtomCodes` blocks (universe growth):
+    then the atom sets are grouped.
     """
 
     engine = "wellfounded"
@@ -185,22 +186,14 @@ class WellFoundedResult:
 
     def _idb(self, side: int) -> IDBMap:
         program = self.program
-        if self._flags is None or self._flags[0].codes is None:
-            return _group(program, (self.true, self.undefined)[side])
-        index, flags = self._flags
-        return {
-            p: index.codes.relation(p, program.arity(p), flags[side])
-            for p in program.idb_predicates
-        }
-
-
-def _group(program: Program, atoms: FrozenSet[GroundAtom]) -> IDBMap:
-    grouped: Dict[str, Set] = {p: set() for p in program.idb_predicates}
-    for pred, values in atoms:
-        grouped[pred].add(values)
-    return {
-        p: Relation(p, program.arity(p), tuples) for p, tuples in grouped.items()
-    }
+        if self._flags is not None:
+            index, flags = self._flags
+            if len(flags[side]) <= index.codes.size:  # every atom has a code
+                return {
+                    p: index.codes.relation(p, program.arity(p), flags[side])
+                    for p in program.idb_predicates
+                }
+        return to_idb_map(program, (self.true, self.undefined)[side])
 
 
 def _reduct_model(
@@ -251,7 +244,7 @@ def _least_model_of_reduct(
     ground program over its cached index.
     """
     index = ground.index
-    flags = bytearray(len(index.atoms))
+    flags = bytearray(len(index.by_head))
     for atom in reference:
         ident = index.atom_ids.get(atom)
         if ident is not None:  # atoms no rule mentions block nothing
@@ -411,20 +404,25 @@ class AlternationPair:
         self.work += work
         return rounds
 
-    def over_delete(self, removed: Iterable[int]) -> Tuple[List[int], List[int], int]:
+    def over_delete(
+        self,
+        removed: Iterable[int],
+        bodies: Sequence[Tuple[List[int], List[int]]],
+    ) -> Tuple[List[int], List[int], int]:
         """Move the pair below the model of the patched index.
 
         The index has been patched already: the ``removed`` rule ids are
-        retired, rules beyond the counters' length are new.  Returns the
-        :meth:`resume` arguments ``(fired, seeds)`` and the number of
-        atoms moved to undefined.
+        retired, rules beyond the counters' length are new, and
+        ``bodies`` gives their distinct positive and negative atom ids in
+        rule-id order.  Returns the :meth:`resume` arguments ``(fired,
+        seeds)`` and the number of atoms moved to undefined.
         """
         index = self.index
         head = index.head
         by_head, by_pos, by_neg = index.by_head, index.by_pos, index.by_neg
         true, possible, stamp = self.true, self.possible, self.stamp
         missing, waiting, blocked = self.missing, self.waiting, self.blocked
-        grown = len(index.atoms) - len(true)
+        grown = len(by_head) - len(true)
         if grown:  # new atoms head no old rule: false from the start
             true.extend(bytes(grown))
             possible.extend(bytes(grown))
@@ -439,9 +437,9 @@ class AlternationPair:
         # true negative or a false positive decided no later than the
         # head — kills the new rule.
         new = range(len(waiting), len(head))
+        assert len(bodies) == len(new), "one body per appended rule"
         uncertain: List[int] = []
-        for r in new:
-            pos, neg = index.body(r)
+        for r, (pos, neg) in zip(new, bodies):
             work += len(pos) + len(neg)
             h = head[r]
             killed = False

@@ -538,7 +538,7 @@ class MaterializedView:
     # -- the well-founded (three-valued) paths -------------------------
 
     def _wf_publish(self, new_db: Database, moves: Moves, effective: Delta) -> ChangeSet:
-        """Move the result by ``moves``; the EDB echo plus partition changes.
+        """Publish the pair's model; the EDB echo plus partition changes.
 
         True-partition changes are recorded under the predicate's own
         name; undefined-partition changes under ``pred@undef`` (the
@@ -546,13 +546,8 @@ class MaterializedView:
         The false partition is the complement of the other two over an
         unchanged atom space, so its changes are implied.
         """
-        old = self._result
-        parts = []
         changes: Dict[str, ChangePair] = dict(effective.items())
-        for key_of, before, (entered, left) in (
-            (str, old.true, moves[0]),
-            (undef_name, old.undefined, moves[1]),
-        ):
+        for key_of, (entered, left) in zip((str, undef_name), moves):
             moved: Dict[str, Tuple[set, set]] = {}
             for pred, values in entered:
                 moved.setdefault(key_of(pred), (set(), set()))[0].add(values)
@@ -560,14 +555,9 @@ class MaterializedView:
                 moved.setdefault(key_of(pred), (set(), set()))[1].add(values)
             for key, (ins, dels) in moved.items():
                 changes[key] = (frozenset(ins), frozenset(dels))
-            parts.append(before.difference(left).union(entered) if moved else before)
         self._db = new_db
         self._result = WellFoundedResult(
-            program=self.program,
-            db=new_db,
-            true=parts[0],
-            undefined=parts[1],
-            rounds=self._wf.rounds,
+            program=self.program, db=new_db, rounds=self._wf.rounds, pair=self._wf.pair
         )
         return ChangeSet.from_changes(changes)
 

@@ -1,15 +1,19 @@
 """Well-founded views: one live ``(true, possible)`` pair under EDB deltas.
 
-The program is grounded **once** and patched per update
-(:class:`LiveGroundProgram`, which keeps its
+The program is grounded **once**, by the batch engine's own
+:func:`~repro.core.grounding.ground_program`, and patched per update
+(:class:`LiveGroundProgram`, which keeps that
 :class:`~repro.core.grounding.GroundProgramIndex` current in place), so
-a delta arrives here as ground rules added and removed.  The live
-grounding is a set of counted views: every ground rule is a key of a
-non-recursive query over the EDB, maintained by
-:class:`~repro.materialize.counting.CountingState` like any counted
-predicate of a stratified view.  The model is
+a delta arrives here as the retired rule ids and the bodies, in atom
+ids, of the rules appended after the index's old ones.  The live grounding is a set of counted
+views: every ground rule is a key of a non-recursive query over the
+EDB, maintained by :class:`~repro.materialize.counting.CountingState`
+like any counted predicate of a stratified view, its counts seeded from
+the batch grounding.  The model is
 one :class:`~repro.core.semantics.wellfounded.AlternationPair` on that
-index — the batch engine's own state — and an update is two calls on
+index — on a fresh view, the pair, the rounds and the propagation count
+of :func:`~repro.core.semantics.wellfounded.well_founded_semantics`
+itself — and an update is two calls on
 it: :meth:`~repro.core.semantics.wellfounded.AlternationPair.over_delete`
 moves every atom whose status lost its support to *undefined*, which
 puts the pair below the new model in the precision order, and
@@ -18,7 +22,8 @@ loop :func:`~repro.core.semantics.wellfounded.well_founded_semantics`
 runs from ``(∅, A(∅))`` — decides the region again.  The soundness
 argument is in that module's docstring.  Work follows the region, not
 the alternation's depth, and the changeset is read off the atoms whose
-flags moved.
+flags moved; the view's result reads the pair's flags, so publishing an
+update decodes only the moved atoms.
 
 Universe growth is patched like any EDB change: the view hands the
 fresh values over as insertions into the universe relation ``@U``, which
@@ -29,7 +34,6 @@ has completion variables.  New ground rules may mention new atoms;
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 import numpy as np
@@ -37,10 +41,8 @@ import numpy as np
 from ..core.grounding import (
     GroundAtom,
     GroundProgramIndex,
-    GroundRule,
-    _distinct,
     _edb_projection,
-    _ground_rules,
+    ground_program,
     rule_shapes,
 )
 from ..core.literals import Atom
@@ -86,6 +88,16 @@ class LiveGroundProgram:
     EDB bindings behind its ground rule: an update that only changes
     that multiplicity moves nothing.
 
+    The build grounds once, with
+    :func:`~repro.core.grounding.ground_program`: the live index *is*
+    the batch engine's, and each shape's counts are the run lengths of
+    its sorted binding keys there
+    (:meth:`~repro.core.grounding.GroundProgram.key_counts`), so every
+    EDB projection is solved once.  A shape's rules hold consecutive ids
+    in that key order.  A patch maps each gained or lost key to atom ids
+    directly (:meth:`~repro.core.grounding.GroundProgramIndex.number`);
+    no :class:`~repro.core.grounding.GroundRule` is built.
+
     The views read their inputs under one
     :class:`~repro.materialize.deltavariants.AliasSet` that keeps only
     the aliases some variant reads (a rule with one EDB atom, like
@@ -100,43 +112,38 @@ class LiveGroundProgram:
         idb = program.idb_predicates
         names = db.relation_names() + (UNIVERSE,)
         small = frozenset(alias for n in names for alias in (ins_name(n), del_name(n)))
+        ground = ground_program(program, db)
+        self.index = ground.index
         self._shapes: List[Tuple[CountingState, tuple, Dict[Tup, int]]] = []
-        rules: List[GroundRule] = []
-        for k, (layout, members) in enumerate(rule_shapes(program)):
+        for k, ((layout, members), (ids, counts)) in enumerate(
+            zip(rule_shapes(program), ground.key_counts())
+        ):
             name = "@ground_%d" % k
             key_rules = [
                 Rule(Atom(name, terms), _edb_projection(rule, idb).body)
                 for rule, terms in members
             ]
             state = CountingState(name, len(key_rules[0].head.args), key_rules, small)
-            state.initialise(db)
-            keys = list(state.counts)
-            self._shapes.append((state, layout, dict(zip(keys, count(len(rules))))))
-            rules += _ground_rules(layout, keys)
-        self.index = GroundProgramIndex(*_numbered(rules), lambda: rules)
+            state.counts = counts
+            self._shapes.append((state, layout, dict(zip(counts, ids))))
 
         read = frozenset().union(*(state.reads() for state, _, _ in self._shapes))
         self._aliases = AliasSet([db.get(n) for n in names if ins_name(n) in read], read)
-
-    @property
-    def rules(self) -> FrozenSet[GroundRule]:
-        """The current ground rules (positive binding count)."""
-        return frozenset(g for g in self.index.rules if g is not None)
 
     def apply(
         self,
         new_db: Database,
         changes: Mapping[str, Tuple[FrozenSet[Tup], FrozenSet[Tup]]],
-    ) -> Tuple[Dict[GroundRule, int], Dict[GroundRule, int]]:
+    ) -> Tuple[List[Tuple[List[int], List[int]]], List[int]]:
         """Patch the instantiation under an *effective* EDB delta.
 
         ``changes`` maps each changed relation to its effective
         ``(inserted, deleted)`` tuple sets against the pre-change
         database, and ``@U`` to the universe's fresh values as 1-tuples
         when it grew; ``new_db`` is the post-change database.  Returns
-        the ``(added, removed)`` ground rules, each mapped to its id in
-        :attr:`index` (removed ones are retired there, added ones
-        appended).
+        the distinct ``(positive, negative)`` body atom ids of the rules
+        appended to :attr:`index`, in rule-id order (they hold its last
+        ids), and the ids of the rules retired there.
         """
         aliases = self._aliases
         changed = frozenset(
@@ -144,23 +151,26 @@ class LiveGroundProgram:
         )
         if not changed:
             self.db = new_db
-            return {}, {}
+            return [], []
 
         with TRACER.span("ground.patch") as sp:
             for name in changed:
                 aliases.stage(name, *changes[name])
             interp = aliases.derive(new_db)
-            added: Dict[GroundRule, int] = {}
-            removed: Dict[GroundRule, int] = {}
+            added: List[Tuple[List[int], List[int]]] = []
+            removed: List[int] = []
             index = self.index
             for state, layout, ids in self._shapes:
                 gained, lost = state.apply(interp, changed)
                 for key in lost:
                     r = ids.pop(key)
-                    removed[index.rules[r]] = r
-                    index.retire(r)
-                for key, g in zip(gained, _ground_rules(layout, gained)):
-                    added[g] = ids[key] = index.add(g)
+                    _, pos, neg = _atom_ids(index, layout, key)
+                    index.retire(r, pos, neg)
+                    removed.append(r)
+                for key in gained:
+                    head, pos, neg = _atom_ids(index, layout, key)
+                    ids[key] = index.add(head, pos, neg)
+                    added.append((pos, neg))
             aliases.catch_up()
             self.db = new_db
             if sp:
@@ -171,20 +181,16 @@ class LiveGroundProgram:
         return added, removed
 
 
-def _numbered(rules: List[GroundRule]):
-    """The index arrays of ``rules``: each atom numbered at first sight,
-    head first, then positives, then negatives, rule by rule."""
-    atom_ids: Dict[GroundAtom, int] = {}
-    head: List[int] = []
-    pos: Tuple[List[int], List[int]] = ([], [])
-    neg: Tuple[List[int], List[int]] = ([], [])
-    for r, rule in enumerate(rules):
-        head.append(atom_ids.setdefault(rule.head, len(atom_ids)))
-        for body, (rule_ids, ids) in ((rule.pos, pos), (rule.neg, neg)):
-            distinct = _distinct(atom_ids, body)
-            ids += distinct
-            rule_ids += [r] * len(distinct)
-    return head, pos, neg, atom_ids
+def _atom_ids(index: GroundProgramIndex, layout: tuple, key: Tup) -> Tuple[int, List[int], List[int]]:
+    """The head id and the distinct positive and negative body ids of
+    the ground rule behind ``key``; unseen atoms are numbered."""
+    (pred, start, end), pos, neg = layout
+    number = index.number
+    return (
+        number((pred, key[start:end])),
+        list(dict.fromkeys([number((p, key[s:e])) for p, s, e in pos])),
+        list(dict.fromkeys([number((p, key[s:e])) for p, s, e in neg])),
+    )
 
 
 class AlternatingState:
@@ -215,7 +221,7 @@ class AlternatingState:
         true_before, possible_before = bytes(pair.true), bytes(pair.possible)
         work = pair.work
         with TRACER.span("wf.apply") as sp:
-            fired, seeds, region = pair.over_delete(removed.values())
+            fired, seeds, region = pair.over_delete(removed, added)
             self.rounds = pair.resume(fired, seeds)
             work = pair.work - work
             if sp:

@@ -33,13 +33,49 @@ def metrics():
         disable_metrics()
 
 
+def live_rules(live):
+    """A live grounding's rules in id order, decoded from its keys; a
+    retired id reads ``None``."""
+    from repro.core.grounding import _ground_rules
+
+    rules = [None] * len(live.index.head)
+    for _, layout, ids in live._shapes:
+        for r, rule in zip(ids.values(), _ground_rules(layout, list(ids))):
+            rules[r] = rule
+    return rules
+
+
+def assert_seeded_counts(program, db):
+    """Each shape's seeded counts equal a fresh count, and the view's
+    first pair is the batch engine's: partitions, rounds, propagations."""
+    from repro.core.semantics import well_founded_semantics
+    from repro.materialize.counting import CountingState
+    from repro.materialize.wellfounded_maint import AlternatingState
+
+    wf = AlternatingState(program, db)
+    for state, _, ids in wf.live._shapes:
+        fresh = CountingState(state.pred, state.arity, state.rules, state.small)
+        fresh.initialise(db)
+        assert state.counts == fresh.counts
+        assert ids.keys() == fresh.counts.keys()
+    with metrics() as value:
+        reference = well_founded_semantics(program, db)
+        assert wf.pair.work == value("repro_wf_propagations_total")
+    assert wf.rounds == reference.rounds
+    true, undefined = reference._flags[1]  # the batch engine's flags, by atom id
+    assert bytes(wf.pair.true) == true.tobytes()
+    assert bytes(wf.pair.possible) == (true | undefined).tobytes()
+
+
 def assert_index_matches(index, rules):
-    """A ground-program index lists exactly ``rules``, atom by atom."""
-    current = {g for g in index.rules if g is not None}
-    assert current == set(rules)
+    """A ground-program index lists exactly ``rules`` (in id order, a
+    retired id as ``None``), atom by atom."""
+    current = {g for g in rules if g is not None}
+    assert len(current) == len(rules) - rules.count(None)
+    assert len(index.head) == len(index.npos) == len(rules)
     assert len(index.atom_ids) == len(index.atoms) == len(index.by_head)
     assert {a for g in current for a in (g.head, *g.pos, *g.neg)} <= set(index.atom_ids)
-    for r, g in enumerate(index.rules):
+    for r, g in enumerate(rules):
         if g is not None:
             assert index.head[r] == index.atom_ids[g.head]
             assert index.npos[r] == len(set(g.pos))
@@ -50,7 +86,8 @@ def assert_index_matches(index, rules):
             (index.by_pos, lambda g: atom in g.pos),
             (index.by_neg, lambda g: atom in g.neg),
         ):
-            listed = [index.rules[r] for r in occurrences[a]]
+            listed = [rules[r] for r in occurrences[a]]
+            assert None not in listed
             assert len(listed) == len(set(listed))
             assert set(listed) == {g for g in current if reads(g)}
 

@@ -10,7 +10,7 @@ from itertools import combinations, product
 from hypothesis import given, settings
 
 from repro import Database, Relation
-from repro.core.grounding import ground_program
+from repro.core.grounding import ground_program, to_idb_map
 from repro.core.satreduction import count_fixpoints_sat, has_unique_fixpoint
 from repro.graphs import generators as gg, graph_to_database
 from repro.logic.eso import ESOFormula, count_witnesses
@@ -94,6 +94,6 @@ def test_property_phi_pi_matches_ground_check(program, db):
          for t in product(universe, repeat=program.arity(p))}
     )
     for atoms in candidates:
-        relations = gp.to_idb_map(atoms)
+        relations = to_idb_map(gp.program, atoms)
         shadow = db.with_relations(relations.values())
         assert evaluate(phi, shadow) == gp.is_fixpoint(atoms)

@@ -33,7 +33,15 @@ from repro.materialize import Delta, MaterializedView
 from repro.materialize.wellfounded_maint import LiveGroundProgram, undef_name
 from repro.queries import pi1, win_move_program
 
-from strategies import assert_index_matches, databases_and_deltas, nonstratifiable_programs
+from strategies import (
+    assert_index_matches,
+    assert_seeded_counts,
+    databases_and_deltas,
+    live_rules,
+    nonstratifiable_programs,
+    random_programs,
+    small_databases,
+)
 
 DEEP = settings(
     max_examples=200,
@@ -74,18 +82,21 @@ def _check_sequence(program, db, deltas):
         before = view.result
         changeset = view.apply(delta)
         _assert_partitions_equal(program, view)
-        # The changeset reports exactly the true/undefined moves.
-        after = view.result
-        for pred in program.idb_predicates:
-            t_ins = {v for p, v in after.true - before.true if p == pred}
-            t_del = {v for p, v in before.true - after.true if p == pred}
-            u_ins = {v for p, v in after.undefined - before.undefined if p == pred}
-            u_del = {v for p, v in before.undefined - after.undefined if p == pred}
-            assert changeset.inserted.get(pred, frozenset()) == t_ins
-            assert changeset.deleted.get(pred, frozenset()) == t_del
-            assert changeset.inserted.get(undef_name(pred), frozenset()) == u_ins
-            assert changeset.deleted.get(undef_name(pred), frozenset()) == u_del
+        _assert_changeset_is_the_moves(program, changeset, before, view.result)
     return view
+
+
+def _assert_changeset_is_the_moves(program, changeset, before, after):
+    """The changeset reports exactly the true/undefined moves."""
+    for pred in program.idb_predicates:
+        t_ins = {v for p, v in after.true - before.true if p == pred}
+        t_del = {v for p, v in before.true - after.true if p == pred}
+        u_ins = {v for p, v in after.undefined - before.undefined if p == pred}
+        u_del = {v for p, v in before.undefined - after.undefined if p == pred}
+        assert changeset.inserted.get(pred, frozenset()) == t_ins
+        assert changeset.deleted.get(pred, frozenset()) == t_del
+        assert changeset.inserted.get(undef_name(pred), frozenset()) == u_ins
+        assert changeset.deleted.get(undef_name(pred), frozenset()) == u_del
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +202,20 @@ def _check_patches(program, db, deltas):
             changes["@U"] = (frozenset((v,) for v in fresh), frozenset())
         new_db = live.db.apply_delta(delta)
         added, removed = live.apply(new_db, changes)
-        assert added.keys().isdisjoint(removed)
-        assert live.rules == frozenset(ground_program(program, new_db).rules)
-        assert_index_matches(live.index, live.rules)
+        new = range(len(live.index.head) - len(added), len(live.index.head))
+        assert set(new).isdisjoint(removed)
+        rules = live_rules(live)
+        assert all(rules[r] is None for r in removed)
+        atom_ids = live.index.atom_ids
+        for r, body in zip(new, added):
+            g = rules[r]
+            assert body == (
+                list(dict.fromkeys(atom_ids[a] for a in g.pos)),
+                list(dict.fromkeys(atom_ids[a] for a in g.neg)),
+            )
+        live_set = frozenset(g for g in rules if g is not None)
+        assert live_set == frozenset(ground_program(program, new_db).rules)
+        assert_index_matches(live.index, rules)
     return live
 
 
@@ -253,21 +275,22 @@ class TestLiveGroundProgram:
         program = parse_program("T(X) :- E(X, Z), !T(X).")  # Z occurs only in E
         db = Database({1, 2, 3}, [Relation("E", 2, [(1, 2), (1, 3)])])
         live = LiveGroundProgram(program, db)
-        before = live.rules
+        before = live_rules(live)
         # Dropping one of the two bindings keeps the ground rule alive.
         d1 = Delta.delete("E", (1, 2))
         added, removed = live.apply(
             db.apply_delta(d1), {"E": (frozenset(), d1.deletes("E"))}
         )
         assert not added and not removed
-        assert live.rules == before
+        assert live_rules(live) == before
         # Dropping the second binding removes it.
         d2 = Delta.delete("E", (1, 3))
         added, removed = live.apply(
             live.db.apply_delta(d2), {"E": (frozenset(), d2.deletes("E"))}
         )
         assert not added
-        assert ("T", (1,)) in {r.head for r in removed}
+        index = live.index
+        assert ("T", (1,)) in {index.atoms[index.head[r]] for r in removed}
 
     def test_multiplicity_change_builds_no_ground_rule(self, monkeypatch):
         """An update that only moves a binding count is count arithmetic:
@@ -291,6 +314,51 @@ class TestLiveGroundProgram:
             assert not added and not removed
         assert built == []
 
+        # A win-move view over G(2000, 4000): the build solves each
+        # rule's EDB projection once, and neither it nor 200 applies
+        # that add and retire ground rules build a GroundRule or decode
+        # a partition.
+        from repro.core.planning import colexec
+
+        n = 2000
+        rng = random.Random(5)
+        edges = set()
+        while len(edges) < 2 * n:
+            edges.add((rng.randrange(n), rng.randrange(n)))
+        edges = sorted(edges)
+        program = parse_program("WIN(X) :- Move(X, Y), !WIN(Y).")
+        solved = []
+        solve = colexec.solve_plan
+
+        def counting_solve(plan, interp):
+            solved.append(plan)
+            return solve(plan, interp)
+
+        monkeypatch.setattr(colexec, "solve_plan", counting_solve)
+        view = MaterializedView(
+            program, Database(range(n), [Relation("Move", 2, edges)]), semantics="wellfounded"
+        )
+        assert len(solved) == len(program.rules)
+        for _ in range(100):
+            edge = edges[rng.randrange(len(edges))]
+            view.apply(Delta.delete("Move", edge))
+            view.apply(Delta.insert("Move", edge))
+        assert built == []
+        assert "true" not in vars(view.result)
+        assert "undefined" not in vars(view.result)
+        monkeypatch.undo()
+        _assert_partitions_equal(program, view)
+
+    @given(random_programs(include_zeroary=True), small_databases())
+    def test_seeded_counts_equal_a_fresh_count(self, program, db):
+        """The counts a view reads off the batch grounding's runs are the
+        ones its counted views would count from scratch, shape by shape."""
+        assert_seeded_counts(program, db)
+
+    @given(nonstratifiable_programs(), small_databases())
+    def test_seeded_counts_equal_a_fresh_count_nonstratifiable(self, program, db):
+        assert_seeded_counts(program, db)
+
     def test_rules_of_one_shape_share_a_ground_rule(self):
         """Two rules of one shape yield the same ground rule; it survives
         losing one rule's binding while the other's holds."""
@@ -309,7 +377,7 @@ class TestLiveGroundProgram:
         )
         shared = GroundRule(("P", ("a",)), (), (("Q", ("a",)),))
         live = _check_patches(program, db, [Delta.delete("E", ("a",))])
-        assert shared in live.rules
+        assert shared in live_rules(live)
         _check_patches(
             program,
             db,
@@ -491,6 +559,9 @@ class TestExceptionContract:
             program, graph_to_database(gg.path(8)), semantics="wellfounded"
         )
         view.apply(Delta.insert("E", (8, 8)))
+        # WIN(1) is left in no rule: the live index keeps its id, and a
+        # rebuild drops it and numbers every other atom one lower.
+        view.apply(Delta.delete("E", (1, 2)))
         db, result, undo = view.db, view.result, list(view._undo)
         reached = []
 
@@ -506,8 +577,16 @@ class TestExceptionContract:
         assert view.db is db
         assert view.result is result
         assert view._undo == undo
-        view.apply(Delta.delete("E", (7, 8)))
+        changeset = view.apply(Delta.delete("E", (7, 8)))
         _assert_partitions_equal(program, view)
+        # The rebuild numbered the atoms afresh: the changeset must still
+        # be the partition diff, not a position-by-position flag compare.
+        _assert_changeset_is_the_moves(
+            program,
+            changeset,
+            well_founded_semantics(program, db),
+            well_founded_semantics(program, view.db),
+        )
         assert view.rollback(2) is not None
         _assert_partitions_equal(program, view)
 
@@ -583,13 +662,15 @@ class TestCodesResidentEDB:
         )
         index = view._wf.live.index
         for fresh in (n, n + 1):
-            rules, retired = len(index.rules), index.rules.count(None)
+            before = live_rules(view._wf.live)
+            rules, retired = len(before), before.count(None)
             delta = Delta.insert("Move", (rng.randrange(n), fresh))
             with metrics() as value:
                 view.apply(delta)
                 encoded = value("repro_relation_encoded_rows_total")
-            assert len(index.rules) == rules + 1
-            assert index.rules.count(None) == retired
+            after = live_rules(view._wf.live)
+            assert len(after) == rules + 1
+            assert after.count(None) == retired
             assert encoded <= len(delta) + 1
         assert view.recomputes == 0
         assert view._wf.live.index is index
