@@ -5,13 +5,14 @@ An IDB valuation ``S`` (a ``{pred: Relation}`` map) is a fixpoint of
 ``S <= S'`` iff ``S_i`` is a subset of ``S'_i`` for every IDB predicate.  A
 fixpoint is *least* when it is below every other fixpoint.
 
-:func:`iterate` is the round loop of every relational engine — naive,
-semi-naive, inflationary and (stratum by stratum) stratified are
-configurations of it, each over plans compiled once before round 1.
+:func:`iterate` is the round loop of every relational engine and of
+DRed — naive, semi-naive, inflationary and (stratum by stratum)
+stratified evaluation and both phases of :mod:`repro.materialize.dred`
+are configurations of it, each over plans compiled once before round 1.
 The paper's Section 4 chain ``Theta^1 <= Theta^2 <= ...`` only ever
-*adds* to the last stage, so the loop keeps the stage as code-backed relations from the first round to
-the last and builds no Python tuple on the way (see
-:mod:`repro.db.relation` for the representation rule).
+*adds* to the last stage, so the loop keeps the stage as code-backed
+relations from the first round to the last and builds no Python tuple
+on the way (see :mod:`repro.db.relation` for the representation rule).
 """
 
 from __future__ import annotations
@@ -121,9 +122,12 @@ class EvaluationResult:
     rounds:
         Number of operator applications until stabilisation.
     trace:
-        Optional per-round valuations (round 0 is the all-empty start).
+        Optional per-round valuations (round 0 is the start).
     engine:
         Name of the engine that produced the result.
+    added:
+        What :func:`iterate` added beyond its start: the union of every
+        round's new tuples (``idb`` itself for a run from empty).
     """
 
     program: Program
@@ -132,6 +136,7 @@ class EvaluationResult:
     rounds: int
     engine: str
     trace: Optional[List[IDBMap]] = None
+    added: Optional[IDBMap] = None
 
     @property
     def carrier_value(self) -> Relation:
@@ -229,12 +234,14 @@ def iterate(
     engine: str,
     max_rounds: Optional[int] = None,
     keep_trace: bool = False,
+    start: Optional[IDBMap] = None,
 ) -> EvaluationResult:
-    """Iterate a round operator from the empty valuation to its fixpoint.
+    """Iterate a round operator from ``start`` (default: empty) to its fixpoint.
 
     The result carries the final valuation, the number of rounds that
-    changed it and (with ``keep_trace``) the valuation after every
-    round, round 0 being empty; ``engine`` names the configuration.
+    changed it, what they added beyond ``start`` and (with
+    ``keep_trace``) the valuation after every round, round 0 being
+    ``start``; ``engine`` names the configuration.
 
     The round operator is the plan list ``plans``, compiled once by the
     caller and run unchanged every round:
@@ -246,7 +253,10 @@ def iterate(
       seed plans and every later round runs ``plans`` over the stage
       *and* the previous round's new tuples, bound as ``P__delta``;
       what is new is unioned in — the paper's inflationary stage
-      ``S u Theta(S)``, delta-driven.
+      ``S u Theta(S)``, delta-driven.  Only this form takes a
+      ``start``: a monotone operator's least fixpoint is reached from
+      any ``start`` below it (Section 2), provided the seed derives
+      everything ``start`` enables — as full Theta does.
 
     Stages stay code-backed as soon as the columnar executor produces
     them; if a head constant widens the symbol table mid-run, the next
@@ -259,7 +269,13 @@ def iterate(
     arities: Dict[str, int] = {p: program.arity(p) for p in program.idb_predicates}
     limit = round_limit(program, db, max_rounds)
     span_name = engine + ".round"
-    current = empty_idb(program)
+    if start is None:
+        current = empty_idb(program)
+    elif seed is None:
+        raise ValueError("%s: only a delta-driven iteration takes a start" % engine)
+    else:
+        current = dict(start)
+        added = empty_idb(program)
     delta: Optional[IDBMap] = None
     trace = [dict(current)] if keep_trace else None
     rounds = 0
@@ -296,8 +312,12 @@ def iterate(
         current = nxt
         if seed is not None:
             delta = new
+            if start is not None:
+                added = {p: added[p].union(new[p]) for p in arities}
         if keep_trace:
             trace.append(dict(current))
     if RECORDER.enabled:
         RECORDER.inc("repro_engine_rounds_total", rounds)
-    return EvaluationResult(program, db, current, rounds, engine, trace)
+    if start is None:
+        added = current
+    return EvaluationResult(program, db, current, rounds, engine, trace, added)

@@ -7,13 +7,15 @@ change.  This package turns the batch evaluator into a serving engine:
 * :class:`~repro.materialize.delta.Delta` — per-relation insert/delete
   sets, applied with :meth:`repro.db.database.Database.apply_delta`;
 * :mod:`~repro.materialize.deltavariants` — the telescoping delta
-  variants every maintainer differentiates rules into, and
+  variants counting differentiates rules into, DRed's one-state flips,
+  and
   :class:`~repro.materialize.deltavariants.AliasSet`, the
   ``@old``/``@new``/``@ins``/``@del`` relations they read;
 * :mod:`~repro.materialize.counting` — exact derivation counting for
   non-recursive predicates, and for the ground program itself;
 * :mod:`~repro.materialize.dred` — Delete/Rederive for recursive
-  components under stratified negation;
+  components under stratified negation, as two runs of
+  :func:`~repro.core.fixpoint.iterate`;
 * :mod:`~repro.materialize.wellfounded_maint` — well-founded views: the
   ground program kept live as counted views
   (:class:`~repro.materialize.wellfounded_maint.LiveGroundProgram`), and

@@ -15,7 +15,9 @@ summed over ``i``, the variants enumerate exactly the derivations gained
 derivation is counted once, at the first position where its literals
 differ between the two states.  Negated literals differentiate through
 the complement: ``!P`` *gains* instances where ``P`` lost tuples and
-loses instances where ``P`` gained them.
+loses instances where ``P`` gained them (:func:`change_atom`).  That
+is exact for *signed counts*; a set-semantics maintainer (DRed) reads a
+:func:`flip_variant` instead, every other literal under one state.
 
 All variants are ordinary rules over alias predicate names
 (``P@old``, ``P@new``, ``P@ins``, ``P@del`` — ``@`` cannot appear in a
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..core.literals import Atom, Comparison, Negation
+from ..core.literals import Atom, Negation
 from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
@@ -65,39 +67,62 @@ def del_name(pred: str) -> str:
     return pred + DEL
 
 
-def _aliased(literal, suffix: str):
-    """The literal reading its predicate under an alias suffix."""
-    if isinstance(literal, Atom):
-        return Atom(literal.pred + suffix, literal.args)
+def aliased(literal, suffix: str, keep: AbstractSet[str] = frozenset()):
+    """The literal reading its predicate under an alias suffix.
+
+    Predicates in ``keep`` keep their plain names; comparisons carry no
+    predicate.
+    """
+    atom = literal.atom if isinstance(literal, Negation) else literal
+    if not isinstance(atom, Atom) or atom.pred in keep:
+        return literal
+    renamed = Atom(atom.pred + suffix, atom.args)
+    return renamed if atom is literal else Negation(renamed)
+
+
+def change_atom(literal, gained: bool) -> Atom:
+    """The change set a differentiated literal reads, as a positive atom.
+
+    A positive ``P(args)`` gains instances where ``P`` gained tuples
+    (``P@ins``) and loses them where it lost some (``P@del``); a
+    negated ``!P(args)`` the other way round.
+    """
     if isinstance(literal, Negation):
-        return Negation(Atom(literal.atom.pred + suffix, literal.atom.args))
-    return literal  # comparisons carry no predicate
+        literal, gained = literal.atom, not gained
+    return Atom(literal.pred + (INS if gained else DEL), literal.args)
 
 
 def delta_variant(rule: Rule, position: int, gained: bool) -> Rule:
     """The delta variant of ``rule`` differentiating ``position``.
 
     ``gained=True`` builds the variant enumerating derivations the
-    change *adds* (position reads ``P@ins`` for a positive literal,
-    ``P@del`` — positively — for a negated one); ``gained=False`` the
-    derivations it *removes* (signs swapped).  Positions before
-    ``position`` read ``@new`` values, positions after read ``@old``.
+    change *adds* (position reads :func:`change_atom`); ``gained=False``
+    the derivations it *removes*.  Positions before ``position`` read
+    ``@new`` values, positions after read ``@old``.
     """
     body: List = []
     for j, lit in enumerate(rule.body):
-        if isinstance(lit, Comparison):
-            body.append(lit)
-            continue
-        if j < position:
-            body.append(_aliased(lit, NEW))
-        elif j > position:
-            body.append(_aliased(lit, OLD))
+        if j == position:
+            body.append(change_atom(lit, gained))
         else:
-            if isinstance(lit, Atom):
-                body.append(Atom(lit.pred + (INS if gained else DEL), lit.args))
-            else:
-                atom = lit.atom
-                body.append(Atom(atom.pred + (DEL if gained else INS), atom.args))
+            body.append(aliased(lit, NEW if j < position else OLD))
+    return Rule(rule.head, body)
+
+
+def flip_variant(
+    rule: Rule, position: int, gained: bool, keep: AbstractSet[str]
+) -> Rule:
+    """``rule`` with ``position`` reading its change set, the rest one state.
+
+    Every other literal over a predicate outside ``keep`` reads ``@new``
+    for a gaining flip and ``@old`` for a killing one, so each instance
+    is a derivation of that state (see the module docstring).
+    """
+    suffix = NEW if gained else OLD
+    body = [
+        change_atom(lit, gained) if j == position else aliased(lit, suffix, keep)
+        for j, lit in enumerate(rule.body)
+    ]
     return Rule(rule.head, body)
 
 

@@ -13,7 +13,11 @@ the predicate dependency graph, processed in topological order:
   is maintained by exact derivation counting
   (:mod:`repro.materialize.counting`);
 * a **recursive** component is maintained by Delete/Rederive
-  (:mod:`repro.materialize.dred`).
+  (:mod:`repro.materialize.dred`): two runs of the engines' own
+  semi-naive loop, :func:`~repro.core.fixpoint.iterate` — the
+  over-deleted set's least fixpoint, then the component's, resumed from
+  the survivors.  Which change sets an update staged (the ``P@ins`` /
+  ``P@del`` aliases) is all it reads of the update.
 
 This component structure is the algorithmic counterpart of the
 fixed-point theory the paper leans on: the program's operator is
@@ -69,7 +73,7 @@ from ..obs import RECORDER, TRACER
 from .counting import CountingState
 from .delta import Delta, Tup
 from .deltavariants import AliasSet, del_name, ins_name
-from .dred import DELETE_FRONTIER, INSERT_FRONTIER, OVER_DELETED, RecursiveState
+from .dred import RecursiveState
 from .wellfounded_maint import AlternatingState, Moves, undef_name
 
 ChangePair = Tuple[FrozenSet[Tup], FrozenSet[Tup]]
@@ -304,14 +308,11 @@ class MaterializedView:
     def _build_maintenance(self) -> None:
         program = self.program
         rules = [range_restricted(r) for r in program.rules]
-        small = set()
-        for pred in program.predicates | {UNIVERSE}:
-            small.add(ins_name(pred))
-            small.add(del_name(pred))
-            small.add(pred + DELETE_FRONTIER)
-            small.add(pred + INSERT_FRONTIER)
-            small.add(pred + OVER_DELETED)
-        small = frozenset(small)
+        small = frozenset(
+            name(pred)
+            for pred in program.predicates | {UNIVERSE}
+            for name in (ins_name, del_name)
+        )
 
         graph = DependencyGraph(program)
         self._components: List[_Component] = []
@@ -648,12 +649,8 @@ class MaterializedView:
                     )
                 if component.recursive:
                     current = {p: idb[p] for p in component.preds}
-                    base_changes = {
-                        n: (inserted[n], deleted[n])
-                        for n in component.base_preds & changed_below
-                    }
                     final, comp_changes = component.state.apply(
-                        current, aliases.working(), base_changes, new_db
+                        current, aliases.working(), new_db
                     )
                     moved = 0
                     for pred, (ins, dels) in comp_changes.items():

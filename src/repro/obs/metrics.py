@@ -384,7 +384,7 @@ REGISTRY = MetricsRegistry()
 INSTRUMENTS: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
     "repro_engine_rounds_total": (
         "counter",
-        "Fixpoint rounds executed (semi-naive + inflationary loops).",
+        "Fixpoint rounds executed (every fixpoint.iterate run: the engines and DRed).",
         None,
     ),
     "repro_engine_strata_total": (

@@ -143,11 +143,7 @@ def _check_sequence(program, db, deltas, semantics):
         changeset = view.apply(delta)
         assert view.result.idb == _reference(program, view.db, semantics)
         # The changeset is exactly the IDB diff plus the EDB echo.
-        for pred, rel in view.result.idb.items():
-            expected_ins = rel.tuples - before[pred].tuples
-            expected_del = before[pred].tuples - rel.tuples
-            assert changeset.inserted.get(pred, frozenset()) == expected_ins
-            assert changeset.deleted.get(pred, frozenset()) == expected_del
+        _assert_idb_changes(before, view.result.idb, changeset)
     return view
 
 
@@ -320,6 +316,28 @@ TC(X, Y) :- E(X, Z), TC(Z, Y).
 """
 
 
+def _dred_work(view, delta):
+    """Apply ``delta`` to a TC view; return the changeset and DRed's work.
+
+    ``over`` is the ``dred.overdelete`` span's ``rows_out`` (0 when no
+    input was killed), ``rederived`` the over-deleted tuples that came
+    back (``over`` minus TC's deletions) and ``rounds`` the growth of
+    ``repro_engine_rounds_total``: both phases' changing rounds.  The
+    spans come back too.
+    """
+    with metrics() as counter:
+        TRACER.start()
+        try:
+            changeset = view.apply(delta)
+        finally:
+            roots = TRACER.stop()
+        rounds = counter("repro_engine_rounds_total")
+    spans = [s for s, _parent in walk(roots)]
+    over = sum(s.attrs["rows_out"] for s in spans if s.name == "dred.overdelete")
+    rederived = over - len(changeset.deleted.get("TC", ()))
+    return changeset, {"over": over, "rederived": rederived, "rounds": rounds}, spans
+
+
 class TestRederive:
     def test_batch_resupports_through_an_inserted_edge(self):
         """One delta deletes 2->3 and inserts 2->4: TC(1,4) and TC(2,4)
@@ -363,6 +381,37 @@ class TestRederive:
         assert changeset.deleted == {"E": frozenset({(5, 1)})}
         assert not changeset.inserted
         assert view.result.idb == _reference(view.program, view.db, "stratified")
+
+    def test_work_is_the_over_deleted_set(self):
+        """DRed's work on a TC view, counted.  On ``L_n``, deleting
+        ``(k, k+1)`` over-deletes exactly the ``k * (n - k)`` pairs that
+        crossed it, in ``k`` rounds, and rederives none; the chord
+        ``(1, n)`` closes nothing new.  On the cycle graph, deleting
+        ``(5, 1)`` over-deletes all 36 tuples and rederives all 36."""
+        n, k = 20, 7
+        path = graph_to_database(gg.path(n))
+        view = MaterializedView(parse_program(TC), path)
+        changeset, work, spans = _dred_work(view, Delta.delete("E", (k, k + 1)))
+        assert work == {"over": k * (n - k), "rederived": 0, "rounds": k}
+        assert len(changeset.deleted["TC"]) == 91
+        # Each phase's rounds are spans of its own, the confirming one last.
+        rounds = sorted(
+            (s.name, s.attrs["round"]) for s in spans if s.name.endswith(".round")
+        )
+        assert rounds == [("dred.overdelete.round", r) for r in range(1, k + 2)] + [
+            ("dred.rederive.round", 1)
+        ]
+        view = MaterializedView(parse_program(TC), path)
+        changeset, work, _ = _dred_work(view, Delta.insert("E", (1, n)))
+        assert work == {"over": 0, "rederived": 0, "rounds": 0}
+        assert changeset.inserted == {"E": frozenset({(1, n)})}
+
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 6), (6, 1)]
+        db = Database(range(1, 7), [Relation("E", 2, edges)])
+        view = MaterializedView(parse_program(TC), db)
+        changeset, work, _ = _dred_work(view, Delta.delete("E", (5, 1)))
+        assert work["over"] == work["rederived"] == 36
+        assert not changeset.deleted.get("TC")
 
     def test_delete_that_over_deletes_nothing(self):
         program = parse_program(
@@ -509,13 +558,23 @@ def test_apply_spans_and_exposition_show_row_traffic():
 # ----------------------------------------------------------------------
 
 
+def _assert_idb_changes(before, after, changeset):
+    """The changeset's IDB part is exactly the diff of two valuations."""
+    for pred, rel in after.items():
+        old = before[pred].tuples
+        assert changeset.inserted.get(pred, frozenset()) == rel.tuples - old
+        assert changeset.deleted.get(pred, frozenset()) == old - rel.tuples
+
+
 def _property_body(program, db, deltas, semantics):
     if semantics == "stratified" and not is_stratifiable(program):
         return
     view = MaterializedView(program, db, semantics=semantics)
     for delta in deltas:
-        view.apply(delta)
+        before = view.result.idb
+        changeset = view.apply(delta)
         assert view.result.idb == _reference(program, view.db, semantics)
+        _assert_idb_changes(before, view.result.idb, changeset)
 
 
 UNSAFE_PROGRAMS = {
@@ -549,6 +608,7 @@ class TestUniverseGrowthEqualsRecompute:
         db, deltas = dbd
         view = MaterializedView(program, db, semantics=semantics)
         for delta in deltas:
+            before = None if semantics == "wellfounded" else view.result.idb
             changes = view.apply(delta)
             assert "@U" not in changes.relations()
             if semantics == "wellfounded":
@@ -557,6 +617,7 @@ class TestUniverseGrowthEqualsRecompute:
                 assert view.result.undefined == reference.undefined
             else:
                 assert view.result.idb == _reference(program, view.db, semantics)
+                _assert_idb_changes(before, view.result.idb, changes)
         if semantics != "inflationary" or is_semipositive(program):
             assert view.recomputes == 0
 

@@ -2,10 +2,12 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import Database, Relation, parse_program
-from repro.core.fixpoint import idb_equal
+from repro.core.fixpoint import differential_plans, idb_equal, iterate
 from repro.core.operator import is_fixpoint
+from repro.core.planning import compile_rule
 from repro.core.semantics import (
     SemanticsError,
     inflationary_semantics,
@@ -14,7 +16,7 @@ from repro.core.semantics import (
 )
 from repro.graphs import generators as gg, graph_to_database
 
-from strategies import positive_programs, small_databases
+from strategies import positive_programs, random_programs, small_databases
 
 
 @pytest.mark.parametrize("slack", [-1, 0, 1])
@@ -123,3 +125,36 @@ def test_naive_equals_seminaive_equals_inflationary(program, db):
 def test_least_fixpoint_is_fixpoint_and_minimal_on_probes(program, db):
     result = naive_least_fixpoint(program, db)
     assert is_fixpoint(program, db, result.idb)
+
+
+@given(
+    random_programs(allow_idb_negation=False),
+    small_databases(),
+    st.randoms(use_true_random=False),
+)
+def test_iterate_from_any_sound_start_reaches_the_least_fixpoint(program, db, rng):
+    """Section 2: a monotone Theta's least fixpoint is reached from any
+    ``S <= lfp``.  A delta-driven run whose first round is full Theta,
+    started from a random subset of the semi-naive result, ends at that
+    result, and reports exactly ``lfp - S`` as added."""
+    lfp = seminaive_least_fixpoint(program, db).idb
+    start = {
+        p: Relation(p, rel.arity, [t for t in sorted(rel.tuples) if rng.random() < 0.5])
+        for p, rel in lfp.items()
+    }
+    _, plans = differential_plans(program)
+    theta = [compile_rule(r) for r in program.rules]
+    run = iterate(program, db, plans, theta, engine="restart", start=start)
+    assert idb_equal(run.idb, lfp)
+    assert {p: r.tuples for p, r in run.added.items()} == {
+        p: lfp[p].tuples - start[p].tuples for p in lfp
+    }
+
+
+def test_a_run_from_empty_added_its_result_and_naive_takes_no_start(
+    tc_program, path4_db
+):
+    run = seminaive_least_fixpoint(tc_program, path4_db)
+    assert run.added is run.idb
+    with pytest.raises(ValueError):
+        iterate(tc_program, path4_db, [], engine="naive", start=run.idb)
