@@ -13,8 +13,9 @@ call.  This package is the production path beside it:
 * :func:`execute_plan` runs a plan in the columnar executor
   (:mod:`~repro.core.planning.colexec`: int64 id vectors under the
   interpretation's symbol table; the head stays code-only), and
-  :func:`solve_bindings` returns its bindings (id columns) for the grounder.  Rows wider
-  than 63 bits go to the Θ spec.
+  :func:`solve_bindings` returns its bindings (id columns) for the
+  grounder and the counting views.  Rows wider than 63 bits go to the
+  Θ spec.
 
 Plans are static: a plan is a pure function of ``(rule, small_preds)``
 and never reads a database, so every engine — and the grounder feeding

@@ -4,7 +4,7 @@ This is the per-round hot path of every fixpoint engine.
 :func:`execute_plan` runs a plan's batch program in the columnar
 executor (:mod:`~repro.core.planning.colexec`) and wraps the head-code
 vector as a code-only relation; :func:`solve_bindings` returns the
-plan's bindings as id columns, for the grounder.
+plan's bindings as id columns, for the grounder and the counting views.
 
 The one case the executor cannot represent is a row wider than 63 bits
 (a relation or head whose fields no longer pack into one int64 code).
@@ -44,11 +44,6 @@ BINDINGS_HEAD = "@bindings"
 """Pseudo-head predicate of total-binding rules (the counting views')."""
 
 
-def spec_bindings(plan: RulePlan, interp: Database) -> Set[Tuple]:
-    """The plan's bindings of ``plan.schema``, evaluated by the Θ spec."""
-    return _spec(Rule(Atom(BINDINGS_HEAD, plan.schema), plan.rule.body), interp)
-
-
 def solve_bindings(plan: RulePlan, interp: Database) -> Tuple[SymbolTable, ColumnTable]:
     """The plan's satisfying rows over ``plan.schema``, as id columns.
 
@@ -58,7 +53,7 @@ def solve_bindings(plan: RulePlan, interp: Database) -> Tuple[SymbolTable, Colum
     out = colexec.solve_plan(plan, interp)
     if out is not None:
         return out
-    rows = list(spec_bindings(plan, interp))
+    rows = list(_spec(Rule(Atom(BINDINGS_HEAD, plan.schema), plan.rule.body), interp))
     symbols = interp.symbols()
     cols = [np.array(list(map(symbols.intern, col)), dtype=np.int64) for col in zip(*rows)]
     if not rows:

@@ -31,6 +31,7 @@ return ``None`` only when a relation (or the packed head) is wider than
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -55,24 +56,33 @@ class ColumnTable:
         self.cols = cols
         self.nrows = nrows
 
-    def count(self, symbols, getters) -> Optional[Dict[tuple, int]]:
+    def count(self, symbols, getters) -> Dict[tuple, int]:
         """How many rows project to each distinct ``getters`` tuple.
 
         The projection is packed into one code per row and counted with
-        ``np.unique``; only the distinct tuples are decoded (a single row
-        is decoded directly, and counted as decoded all the same).
-        ``None`` when the projection is wider than 63 bits.
+        ``np.unique``; only the distinct tuples are decoded.  A single
+        row is decoded directly, and a projection wider than 63 bits row
+        by row from the id columns; both count as decoded all the same.
         """
         for is_const, payload in getters:
             if is_const:
                 symbols.intern(payload)
-        if not symbols.fits(len(getters)):
-            return None
-        if not self.nrows:
+        nrows = self.nrows
+        if not nrows:
             return {}
         if not getters:
-            return {(): self.nrows}
-        if self.nrows == 1:
+            return {(): nrows}
+        if not symbols.fits(len(getters)):
+            if RECORDER.enabled:
+                RECORDER.inc("repro_relation_decoded_rows_total", nrows)
+            cols = [
+                np.full(nrows, symbols.intern(payload), dtype=np.int64)
+                if is_const
+                else self.cols[payload]
+                for is_const, payload in getters
+            ]
+            return Counter(symbols.extern_rows(cols, nrows))
+        if nrows == 1:
             if RECORDER.enabled:
                 RECORDER.inc("repro_relation_decoded_rows_total", 1)
             ids = [
@@ -80,7 +90,7 @@ class ColumnTable:
                 for is_const, payload in getters
             ]
             return {tuple([symbols.extern(i) for i in ids]): 1}
-        codes = _key_fold(getters, self.cols, self.nrows, symbols.shift, symbols)
+        codes = _key_fold(getters, self.cols, nrows, symbols.shift, symbols)
         distinct, counts = np.unique(codes, return_counts=True)
         heads = RelationCodes(symbols, len(getters), distinct).rows()
         return dict(zip(heads, counts.tolist()))

@@ -30,8 +30,9 @@ iterate the anti-monotone *stability operator* ``A``:
 :class:`~repro.core.grounding.GroundProgramIndex` (atoms and rules as
 dense integers, atom -> rules occurrence lists; on the batch path the
 atoms are named by codes, :class:`~repro.core.grounding.AtomCodes`, and
-the :class:`WellFoundedResult` reads its partitions off the pair's flags
-as code-only relations, so only what a caller reads is decoded).  An
+the :class:`WellFoundedResult` selects its partitions from them by the
+pair's flags as code-only relations, so only what a caller reads is
+decoded).  An
 :class:`AlternationPair` holds ``true`` and ``possible`` as ``bytearray``
 flags, a clock stamp per atom and three Dowling–Gallier counters per
 rule, all exact at rest:
@@ -113,7 +114,7 @@ import numpy as np
 
 from ...db.database import Database
 from ...obs import RECORDER, TRACER
-from ..grounding import GroundAtom, GroundProgram, GroundProgramIndex, ground_program, to_idb_map
+from ..grounding import GroundAtom, GroundProgram, GroundProgramIndex, ground_program
 from ..operator import IDBMap
 from ..program import Program
 
@@ -121,19 +122,16 @@ from ..program import Program
 class WellFoundedResult:
     """The three-valued well-founded model of ``(program, db)``.
 
-    ``true``/``undefined`` are ground-atom sets; everything not in their
-    union is false.  ``rounds`` counts the outer steps of the alternation
-    that produced this model: from ``(∅, A(∅))`` for
+    Held as two ``{pred: Relation}`` maps, the true relations and the
+    undefined ones; every atom in neither is false.  The batch engine
+    builds both as code-only relations from its pair
+    (:func:`pair_result`), and a maintained view folds its changes into
+    them, so :meth:`true_idb` / :meth:`undefined_idb` decode nothing.
+    ``true`` / ``undefined`` are the same partitions as ground-atom
+    sets, decoded on first read.  ``rounds`` counts the outer steps of
+    the alternation that produced this model: from ``(∅, A(∅))`` for
     :func:`well_founded_semantics`, from the over-deleted pair of the
     last update for a maintained view.
-
-    An engine may hand over its ``pair`` instead of atom sets: the
-    result keeps a copy of the pair's flags, and the atom sets are
-    decoded on first read.  :meth:`true_idb` / :meth:`undefined_idb` /
-    :attr:`is_total` read the flags as code-only relations, unless a
-    live index has numbered atoms after its
-    :class:`~repro.core.grounding.AtomCodes` blocks (universe growth):
-    then the atom sets are grouped.
     """
 
     engine = "wellfounded"
@@ -143,57 +141,58 @@ class WellFoundedResult:
         self,
         program: Program,
         db: Database,
-        true: Optional[FrozenSet[GroundAtom]] = None,
-        undefined: Optional[FrozenSet[GroundAtom]] = None,
+        true_idb: IDBMap,
+        undefined_idb: IDBMap,
         rounds: int = 0,
-        pair: Optional[AlternationPair] = None,
     ) -> None:
         self.program = program
         self.db = db
         self.rounds = rounds
-        self._flags = None
-        if pair is None:
-            self.true, self.undefined = true, undefined
-        else:
-            true = np.frombuffer(bytes(pair.true), dtype=bool)
-            undefined = np.frombuffer(pair.possible, dtype=bool) > true
-            self._flags = (pair.index, (true, undefined))
+        self._true = true_idb
+        self._undefined = undefined_idb
 
     @cached_property
     def true(self) -> FrozenSet[GroundAtom]:
-        index, (true, _) = self._flags
-        return frozenset(compress(index.atoms, true.tolist()))
+        return _atoms(self._true)
 
     @cached_property
     def undefined(self) -> FrozenSet[GroundAtom]:
-        index, (_, undefined) = self._flags
-        return frozenset(compress(index.atoms, undefined.tolist()))
+        return _atoms(self._undefined)
 
     @property
     def is_total(self) -> bool:
         """True when no atom is undefined (two-valued well-founded model)."""
-        if self._flags is not None:
-            return not self._flags[1][1].any()
-        return not self.undefined
+        return not any(self._undefined.values())
 
     def true_idb(self) -> IDBMap:
         """The true atoms as a ``{pred: Relation}`` valuation."""
-        return self._idb(0)
+        return dict(self._true)
 
     def undefined_idb(self) -> IDBMap:
         """The undefined atoms as a ``{pred: Relation}`` valuation."""
-        return self._idb(1)
+        return dict(self._undefined)
 
-    def _idb(self, side: int) -> IDBMap:
-        program = self.program
-        if self._flags is not None:
-            index, flags = self._flags
-            if len(flags[side]) <= index.codes.size:  # every atom has a code
-                return {
-                    p: index.codes.relation(p, program.arity(p), flags[side])
-                    for p in program.idb_predicates
-                }
-        return to_idb_map(program, (self.true, self.undefined)[side])
+
+def _atoms(idb: IDBMap) -> FrozenSet[GroundAtom]:
+    return frozenset((pred, values) for pred, rel in idb.items() for values in rel)
+
+
+def pair_result(
+    program: Program, db: Database, pair: AlternationPair, rounds: int
+) -> WellFoundedResult:
+    """The model a pair holds, its partitions as code-only relations.
+
+    Every atom of the pair's index must be named by its
+    :class:`~repro.core.grounding.AtomCodes` (a fresh grounding's are).
+    """
+    codes = pair.index.codes
+    true = np.frombuffer(pair.true, dtype=bool)
+    undefined = np.frombuffer(pair.possible, dtype=bool) > true
+    true_idb, undefined_idb = (
+        {p: codes.relation(p, program.arity(p), flags) for p in program.idb_predicates}
+        for flags in (true, undefined)
+    )
+    return WellFoundedResult(program, db, true_idb, undefined_idb, rounds)
 
 
 def _reduct_model(
@@ -574,4 +573,4 @@ def well_founded_semantics(
         if RECORDER.enabled:
             RECORDER.inc("repro_wf_alternation_steps_total", 2 * rounds + 1)
             RECORDER.inc("repro_wf_propagations_total", pair.work)
-    return WellFoundedResult(program=program, db=db, rounds=rounds, pair=pair)
+    return pair_result(program, db, pair, rounds)

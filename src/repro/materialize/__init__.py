@@ -24,9 +24,13 @@ change.  This package turns the batch evaluator into a serving engine:
   and finished by the batch engine's resume loop, which opens live views
   to the *non-stratifiable* programs (win–move, odd cycles) the paper's
   fixpoint pathology section is about;
-* :class:`~repro.materialize.view.MaterializedView` — the façade:
-  ``view.apply(delta)`` returns a :class:`~repro.materialize.view.ChangeSet`
-  and keeps ``view.result`` equal to a from-scratch recomputation
+* :class:`~repro.materialize.view.MaterializedView` — the façade over
+  one maintenance state per view (the condensation walk of counting and
+  DRed, the alternating pair, or a recompute), each of whose ``apply``
+  returns the changes it made: ``view.apply(delta)`` returns them at
+  once as a :class:`~repro.materialize.view.ChangeSet`, and
+  ``view.result`` folds them on read, equal to a from-scratch
+  recomputation
   (property-tested in ``tests/test_materialize.py`` and
   ``tests/test_wellfounded_maintain.py``).  Batching and transactions:
   ``view.apply_many(deltas)`` folds a batch through the

@@ -11,7 +11,9 @@ maintains the counts exactly:
   *total-binding* pseudo-head so the executor cannot collapse
   multiplicities by projecting a column away; the bindings stay
   id columns, the head projection is packed to one code per binding
-  and counted with ``np.unique``, and only distinct heads are decoded;
+  and counted with ``np.unique``, and only distinct heads are decoded
+  (a head wider than 63 bits is counted over its decoded rows, from
+  the same id columns);
 * a tuple enters the view when its count rises from zero and leaves it
   when its count returns to zero — no over-deletion, no rederivation.
 
@@ -36,8 +38,8 @@ from collections import Counter
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..core.literals import Atom
-from ..core.planning import RulePlan, colexec, compile_rule
-from ..core.planning.batch import BINDINGS_HEAD, spec_bindings
+from ..core.planning import RulePlan, compile_rule, solve_bindings
+from ..core.planning.batch import BINDINGS_HEAD
 from ..core.rules import Rule
 from ..core.terms import Variable
 from ..db.database import Database
@@ -118,13 +120,8 @@ class CountingState:
 
     def _accumulate(self, variant: Rule, interp: Database, into: Counts, sign: int) -> None:
         plan, getters = self._compiled(variant)
-        out = colexec.solve_plan(plan, interp)
-        counted = out[1].count(out[0], getters) if out is not None else None
-        if counted is None:  # a row wider than 63 bits: the Θ spec counts
-            counted = Counter(
-                tuple(value if is_const else row[value] for is_const, value in getters)
-                for row in spec_bindings(plan, interp)
-            )
+        symbols, table = solve_bindings(plan, interp)
+        counted = table.count(symbols, getters)
         if not counted:
             return
         if sign > 0:

@@ -65,7 +65,7 @@ from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import TRACER
-from .deltavariants import NEW, OLD, aliased, flip_variant
+from .deltavariants import NEW, OLD, aliased, flip_variant, old_name
 
 IDBValues = Dict[str, Relation]
 ChangePair = Tuple[Relation, Relation]
@@ -91,14 +91,14 @@ class RecursiveState:
     """
 
     __slots__ = (
-        "_kill", "_gain", "_over", "_over_plans", "_no_over",
+        "preds", "_kill", "_gain", "_over", "_over_plans", "_no_over",
         "_rederive", "_rederive_plans", "_restricted",
     )
 
     def __init__(
         self, preds: Dict[str, int], rules: List[Rule], small: FrozenSet[str]
     ) -> None:
-        comp = frozenset(preds)
+        self.preds = comp = frozenset(preds)
         small = small | {p + OVER_DELETED for p in comp}
         kill, gain, propagate = [], [], []
         for rule in rules:
@@ -132,20 +132,17 @@ class RecursiveState:
             restricted = Rule(r.head, (Atom(name, r.head.args),) + tuple(r.body))
             self._restricted.append((name, compile_rule(restricted, small)))
 
-    def apply(
-        self, current: IDBValues, aliases: IDBValues, db: Database
-    ) -> Tuple[IDBValues, Dict[str, ChangePair]]:
-        """Maintain the component; return ``(new values, per-pred changes)``.
+    def apply(self, aliases: IDBValues, db: Database) -> Dict[str, ChangePair]:
+        """Maintain the component; return its ``(inserted, deleted)`` per pred.
 
-        ``current`` maps the component's predicates (plain names) to
-        their pre-change values; ``aliases`` supplies ``P@old`` and
-        ``P@new`` for every base predicate the rules read and the
-        ``P@ins`` / ``P@del`` change sets this update staged — a flip
-        runs only where its change set is non-empty; ``db`` is the
-        view's post-change database, which every working interpretation
-        is derived from.  The returned changes are ``(inserted,
-        deleted)`` relations.
+        ``aliases`` supplies ``P@old`` and ``P@new`` for every predicate
+        the rules read — the component's own ``P@old`` is its pre-change
+        value — and the ``P@ins`` / ``P@del`` change sets this update
+        staged: a flip runs only where its change set is non-empty.
+        ``db`` is the view's post-change database, which every working
+        interpretation is derived from.  The changes are relations.
         """
+        current = {p: aliases[old_name(p)].with_name(p) for p in self.preds}
         kill = [plan for alias, plan in self._kill if aliases.get(alias)]
         over = self._no_over
         if kill:
@@ -161,16 +158,16 @@ class RecursiveState:
         seed += [plan for alias, plan in self._gain if aliases.get(alias)]
         with TRACER.span("dred.rederive") as sp:
             new = db.derive(chain(aliases.values(), over.values()))
-            run = iterate(
+            added = iterate(
                 self._rederive, new, self._rederive_plans, seed,
                 engine="dred.rederive", start=survivors,
-            )
+            ).added
             if sp:
-                sp["rows_out"] = sum(len(r) for r in run.idb.values())
-        # final = survivors | added with added disjoint from the
-        # survivors, so the net change is two delta-sized differences.
+                sp["rows_out"] = sum(len(r) for r in added.values())
+        # new = survivors | added with added disjoint from the survivors,
+        # so the net change is two delta-sized differences.
         changes = {}
         for p in current:
-            gone, added = over[p + OVER_DELETED], run.added[p]
-            changes[p] = (added.difference(gone), gone.difference(added))
-        return run.idb, changes
+            gone = over[p + OVER_DELETED]
+            changes[p] = (added[p].difference(gone), gone.difference(added[p]))
+        return changes

@@ -1,13 +1,37 @@
 """Materialized views: fixpoints kept live under EDB deltas.
 
 :class:`MaterializedView` wraps a program, a database and one of the
-repo's two total-order semantics and keeps the corresponding
-:class:`~repro.core.semantics.base.EvaluationResult` continuously up to
-date as :class:`~repro.materialize.delta.Delta`\\ s stream in — without
-recomputing the fixpoint from scratch on every base-fact change.
+repo's three semantics and keeps the corresponding result continuously
+up to date as :class:`~repro.materialize.delta.Delta`\\ s stream in —
+without recomputing the fixpoint from scratch on every base-fact change.
 
-Maintenance is organised stratum-by-stratum over the condensation of
-the predicate dependency graph, processed in topological order:
+Every view holds **one** maintenance state.  Its ``apply(new_db,
+changes)`` moves the state under an effective EDB delta and returns
+what moved as ``{key: (inserted, deleted)}``:
+
+* :class:`ComponentWalk` — stratified views, and inflationary views of
+  semipositive programs (whose operator is monotone, so ``Theta^infinity``
+  is the least fixpoint: a one-layer stratified program);
+* :class:`~repro.materialize.wellfounded_maint.AlternatingState` —
+  well-founded views; a key is ``pred`` for the true partition and
+  ``pred@undef`` for the undefined one;
+* :class:`RecomputeState` — inflationary views of non-semipositive
+  programs.  ``Theta^infinity`` is defined by its iteration history, not
+  by any fixpoint equation (Section 4's warning: the limit need not be a
+  fixpoint at all), so there is nothing stratum-shaped to maintain: it
+  re-evaluates honestly, still producing a changeset.
+
+``apply`` returns those changes in its :class:`ChangeSet` at once and
+only queues them for the result: :attr:`MaterializedView.result` folds
+the pending changes on read.  Where the state holds a key's value (the
+walk's ``P@old`` alias, a recompute's relation), the queue keeps that
+immutable relation as it stood after the last apply; otherwise it keeps
+the composed change sets, and the fold evolves the last result's value
+by them.  An exception inside ``apply`` drops the state, leaves the view
+as it was, and the next update rebuilds the state from it.
+
+The walk goes stratum by stratum over the condensation of the predicate
+dependency graph, in topological order:
 
 * a **non-recursive** component (a singleton SCC without a self-loop)
   is maintained by exact derivation counting
@@ -40,23 +64,15 @@ Growth of the universe is a delta too.  Every maintained rule is
 range-restricted (:func:`~repro.core.planning.range_restricted`): a
 completion variable joins the universe relation ``@U``.  An inserted
 tuple that mentions a never-seen value is therefore also an insertion
-into ``@U``, handed to the counting, DRed and grounding maintainers
-beside the EDB changes and differentiated like any of them; it never
-appears in a :class:`ChangeSet`.
-
-One case falls back to honest recomputation (still through the view
-API, still producing a changeset): **inflationary views of
-non-semipositive programs**.  ``Theta^infinity`` is defined by its
-iteration history, not by any fixpoint equation (Section 4's warning:
-the limit need not be a fixpoint at all), so there is nothing
-stratum-shaped to maintain.  Semipositive programs induce a monotone
-operator, for which the inflationary semantics *is* the least fixpoint,
-and those are maintained exactly like a one-layer stratified program.
+into ``@U``, handed to the state beside the EDB changes and
+differentiated like any of them; it never appears in a
+:class:`ChangeSet`.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from ..analysis.dependency import DependencyGraph
@@ -65,18 +81,19 @@ from ..core.planning import range_restricted
 from ..core.program import Program
 from ..core.semantics.base import EvaluationResult, is_semipositive
 from ..core.semantics.inflationary import inflationary_semantics
-from ..core.semantics.stratified import StratifiedResult, stratified_semantics
-from ..core.semantics.wellfounded import WellFoundedResult
+from ..core.semantics.stratified import stratified_semantics
+from ..core.semantics.wellfounded import WellFoundedResult, pair_result
 from ..db.database import UNIVERSE, Database
 from ..db.relation import Relation
 from ..obs import RECORDER, TRACER
 from .counting import CountingState
 from .delta import Delta, Tup
-from .deltavariants import AliasSet, del_name, ins_name
+from .deltavariants import AliasSet, del_name, ins_name, old_name
 from .dred import RecursiveState
-from .wellfounded_maint import AlternatingState, Moves, undef_name
+from .wellfounded_maint import UNDEF, AlternatingState
 
 ChangePair = Tuple[FrozenSet[Tup], FrozenSet[Tup]]
+Changes = Dict[str, ChangePair]
 
 SEMANTICS = ("stratified", "inflationary", "wellfounded")
 
@@ -158,16 +175,151 @@ class ChangeSet:
         return "\n".join(lines) if lines else "(no change)"
 
 
-class _Component:
-    """One maintained condensation component, with its reading set."""
+class ComponentWalk:
+    """Counting and DRed over the condensation, dependencies first.
 
-    __slots__ = ("state", "preds", "base_preds", "recursive")
+    Built from the evaluated ``result`` of ``(program, db)``; ``rounds``
+    stays that result's.  Every predicate some rule body reads keeps
+    ``@old`` / ``@new`` aliases (an
+    :class:`~repro.materialize.deltavariants.AliasSet` evolves them, so
+    their cached code payloads are patched with each delta); after an
+    update, ``P@old`` *is* ``P``'s value.  Head-only predicates (the top
+    of the dependency order, often the largest relations) feed nothing,
+    so they get no aliases: the counting state is their authority.
+    """
 
-    def __init__(self, state, preds, base_preds, recursive) -> None:
-        self.state = state
-        self.preds = preds
-        self.base_preds = base_preds
-        self.recursive = recursive
+    __slots__ = ("rounds", "_components", "_aliases")
+
+    def __init__(self, program: Program, db: Database, result: EvaluationResult) -> None:
+        self.rounds = result.rounds
+        rules = [range_restricted(r) for r in program.rules]
+        small = frozenset(
+            name(pred)
+            for pred in program.predicates | {UNIVERSE}
+            for name in (ins_name, del_name)
+        )
+        graph = DependencyGraph(program)
+        # (state, the predicates its rules read from below): one per
+        # condensation component.
+        self._components: List[Tuple[object, FrozenSet[str]]] = []
+        interp = as_interpretation(program, db, result.idb)
+        for comp in reversed(graph.sccs()):  # topological: dependencies first
+            preds = {p: program.arity(p) for p in comp}
+            comp_rules = [r for r in rules if r.head.pred in comp]
+            base_preds = frozenset(
+                pred for r in comp_rules for pred in r.body_predicates()
+            ) - frozenset(comp)
+            recursive = len(comp) > 1 or any(
+                e.target in comp for p in comp for e in graph.successors(p)
+            )
+            if recursive:
+                state = RecursiveState(preds, comp_rules, small)
+            else:
+                (pred,) = comp
+                state = CountingState(pred, preds[pred], comp_rules, small)
+                state.initialise(interp)
+                if state.counts.keys() != result.idb[pred].tuples:
+                    raise AssertionError(
+                        "counting initialisation of %s disagrees with the "
+                        "evaluated fixpoint" % pred
+                    )
+            self._components.append((state, base_preds))
+
+        read = set()
+        for rule in rules:
+            read |= rule.body_predicates()
+        values = []
+        for pred in sorted(read & (program.predicates | {UNIVERSE})):
+            if pred in program.idb_predicates:
+                value = result.idb[pred]
+            else:
+                value = db.get(pred)
+                if value is None:
+                    value = Relation.empty(pred, program.arity(pred))
+            values.append(value)
+        self._aliases = AliasSet(values)
+
+    def value(self, key: str) -> "Relation | None":
+        """``key``'s current value where an alias holds it."""
+        held = self._aliases.relations.get(old_name(key))
+        return None if held is None else held.with_name(key)
+
+    def apply(self, new_db: Database, changes: Changes) -> Changes:
+        """Propagate the changes through every component they reach.
+
+        Every change is carried as an ``(inserted, deleted)`` pair of
+        relations and every working interpretation is derived from
+        ``new_db`` — one symbol table for the view's whole life, so the
+        code payloads cached on its relations stay valid.
+        """
+        aliases = self._aliases
+        changed = set()
+        for name, (ins, dels) in changes.items():
+            if ins or dels:
+                aliases.stage(name, ins, dels)
+                changed.add(name)
+        moved: Changes = {}
+        for state, base_preds in self._components:
+            if not base_preds & changed:
+                continue
+            recursive = isinstance(state, RecursiveState)
+            with TRACER.span("maint.component") as sp:
+                row_traffic = RECORDER.row_traffic() if sp else None
+                if recursive:
+                    comp_changes = state.apply(aliases.working(), new_db)
+                else:
+                    ins, dels = state.apply(aliases.derive(new_db), changed)
+                    comp_changes = {
+                        state.pred: tuple(
+                            Relation._from_frozenset(state.pred, state.arity, frozenset(side))
+                            for side in (ins, dels)
+                        )
+                    }
+                rows = 0
+                for pred, (ins, dels) in comp_changes.items():
+                    if ins or dels:
+                        # Decoded here, once: the @ins/@del aliases renamed
+                        # by ``stage`` share the decoded sets.
+                        moved[pred] = (ins.tuples, dels.tuples)
+                        rows += len(ins) + len(dels)
+                        aliases.stage(pred, ins, dels)
+                        changed.add(pred)
+                if sp:
+                    sp["preds"] = ", ".join(sorted(state.preds)) if recursive else state.pred
+                    sp["backend"] = "dred" if recursive else "counting"
+                    sp["rows_out"] = rows
+                    RECORDER.note_row_traffic(sp, row_traffic)
+        aliases.catch_up()
+        return moved
+
+
+class RecomputeState:
+    """``Theta^infinity`` from scratch per update, diffed against the last.
+
+    Holds the latest evaluation's relations, so every key's value is
+    held; ``rounds`` is that evaluation's.
+    """
+
+    __slots__ = ("program", "rounds", "_idb")
+
+    def __init__(self, program: Program, db: Database, result: EvaluationResult) -> None:
+        self.program = program
+        self.rounds = result.rounds
+        self._idb = result.idb
+
+    def value(self, key: str) -> Relation:
+        return self._idb[key]
+
+    def apply(self, new_db: Database, changes: Changes) -> Changes:
+        result = inflationary_semantics(self.program, new_db)
+        moved: Changes = {}
+        for pred, after in result.idb.items():
+            before = self._idb[pred]
+            ins, dels = after.difference(before).tuples, before.difference(after).tuples
+            if ins or dels:
+                moved[pred] = (ins, dels)
+        self._idb, self.rounds = result.idb, result.rounds
+        return moved
 
 
 class MaterializedView:
@@ -217,28 +369,29 @@ class MaterializedView:
         self.program = program
         self.semantics = semantics
         self._db = db
-        self._pending: Dict[str, ChangePair] = {}
+        self._pending: Dict[str, Union[Relation, Tuple[set, set]]] = {}
         self._undo: List[Delta] = []
         self._undo_limit = undo_limit
-        self._wf: AlternatingState = None
-        if semantics == "stratified":
-            self._maintainable = True
-            self._result: Union[EvaluationResult, WellFoundedResult] = (
-                stratified_semantics(program, db)
-            )
-        elif semantics == "wellfounded":
-            self._maintainable = True
-            self._wf = AlternatingState(program, db)
-            self._result = WellFoundedResult(
-                program=program, db=db, rounds=self._wf.rounds, pair=self._wf.pair
-            )
-        else:
-            self._maintainable = is_semipositive(program)
-            self._result = inflationary_semantics(program, db)
         self.applied = 0
         self.recomputes = 0
-        if self._maintainable and semantics != "wellfounded":
-            self._build_maintenance()
+        if semantics == "wellfounded":
+            self._state = AlternatingState(program, db)
+            self._result: Union[EvaluationResult, WellFoundedResult] = pair_result(
+                program, db, self._state.pair, self._state.rounds
+            )
+        else:
+            engine = stratified_semantics if semantics == "stratified" else inflationary_semantics
+            self._result = engine(program, db)
+            self._state = self._new_state()
+        self._rounds = self._result.rounds
+
+    def _new_state(self):
+        """A maintenance state for the current database and result."""
+        if self.semantics == "wellfounded":
+            return AlternatingState(self.program, self._db)
+        if self.semantics == "stratified" or is_semipositive(self.program):
+            return ComponentWalk(self.program, self._db, self.result)
+        return RecomputeState(self.program, self._db, self.result)
 
     # ------------------------------------------------------------------
     # Read side
@@ -258,18 +411,13 @@ class MaterializedView:
         (``true``/``undefined`` atom sets); the two-valued semantics
         return an :class:`~repro.core.semantics.base.EvaluationResult`.
 
-        Head-only predicates — the top of the dependency order, often
-        the largest relations — are materialised lazily here: ``apply``
-        returns their changes in the changeset immediately and defers
-        rebuilding the (possibly huge) relation value until something
-        actually reads it.
+        ``apply`` returns its changes in the changeset at once and
+        defers rebuilding the (possibly huge) relation values until
+        something reads them: the pending changes are folded here.
         """
-        if self._pending:
-            idb = dict(self._result.idb)
-            for pred, (ins, dels) in self._pending.items():
-                idb[pred] = idb[pred].evolve(ins, dels)
+        if self._result.db is not self._db:
+            self._result = _fold(self._result, self._db, self._rounds, self._pending)
             self._pending = {}
-            self._result = self._with_idb(self._db, idb)
         return self._result
 
     def relation(self, pred: str) -> Relation:
@@ -300,66 +448,6 @@ class MaterializedView:
             self.recomputes,
             self._db,
         )
-
-    # ------------------------------------------------------------------
-    # Maintenance state
-    # ------------------------------------------------------------------
-
-    def _build_maintenance(self) -> None:
-        program = self.program
-        rules = [range_restricted(r) for r in program.rules]
-        small = frozenset(
-            name(pred)
-            for pred in program.predicates | {UNIVERSE}
-            for name in (ins_name, del_name)
-        )
-
-        graph = DependencyGraph(program)
-        self._components: List[_Component] = []
-        interp = as_interpretation(program, self._db, self._result.idb)
-        for comp in reversed(graph.sccs()):  # topological: dependencies first
-            preds = {p: program.arity(p) for p in comp}
-            comp_rules = [r for r in rules if r.head.pred in comp]
-            base_preds = frozenset(
-                pred for r in comp_rules for pred in r.body_predicates()
-            ) - frozenset(comp)
-            recursive = len(comp) > 1 or any(
-                e.target in comp for p in comp for e in graph.successors(p)
-            )
-            if recursive:
-                state = RecursiveState(preds, comp_rules, small)
-            else:
-                (pred,) = comp
-                state = CountingState(pred, preds[pred], comp_rules, small)
-                state.initialise(interp)
-                if state.counts.keys() != self._result.idb[pred].tuples:
-                    raise AssertionError(
-                        "counting initialisation of %s disagrees with the "
-                        "evaluated fixpoint" % pred
-                    )
-            self._components.append(
-                _Component(state, frozenset(comp), base_preds, recursive)
-            )
-
-        # Persistent @old/@new alias relations for every predicate some
-        # rule body reads (an AliasSet evolves them, so their cached code
-        # payloads are patched with each delta).  Head-only predicates
-        # (the top of the dependency order, often the largest relations)
-        # feed nothing, so they get no aliases and their changes are only
-        # echoed into the changeset.
-        read = set()
-        for rule in rules:
-            read |= rule.body_predicates()
-        values = []
-        for pred in sorted(read & (program.predicates | {UNIVERSE})):
-            if pred in program.idb_predicates:
-                value = self._result.idb[pred]
-            else:
-                value = self._db.get(pred)
-                if value is None:
-                    value = Relation.empty(pred, program.arity(pred))
-            values.append(value)
-        self._aliases = AliasSet(values)
 
     # ------------------------------------------------------------------
     # Write side
@@ -457,27 +545,45 @@ class MaterializedView:
         if effective.is_empty():
             return ChangeSet()
         new_db = self._db.apply_delta(effective)
-        changes: Dict[str, ChangePair] = dict(effective.items())
+        changes: Changes = dict(effective.items())
         fresh = effective.values() - self._db.universe
         if fresh:
             changes[UNIVERSE] = (frozenset((v,) for v in fresh), frozenset())
-        if self.semantics == "wellfounded":
-            changeset = self._maintain_wellfounded(new_db, effective, changes)
-        elif not self._maintainable:
-            changeset = self._recompute(new_db, effective)
-        else:
-            changeset = self._maintain(new_db, changes)
+        if self._state is None:
+            # Dropped below by a failed apply: rebuilt here, on the next
+            # update, rather than inside the handler — an interrupt must
+            # surface at once, and a rebuild that itself dies leaves
+            # ``None`` behind, never a half-built state.
+            self._state = self._new_state()
+        state = self._state
+        try:
+            moved = state.apply(new_db, changes)
+        except BaseException:
+            # Every state mutates in place (aliases, counts, the pair's
+            # flags and counters); an exception mid-apply — even an
+            # interrupt — must not leave a half-patched state serving
+            # wrong answers behind an unchanged view façade.  Drop it and
+            # let the error surface.
+            self._state = None
+            raise
         # Book-keeping only after maintenance landed: if maintenance
-        # raises, the view's db/result/undo log stay pre-update (and the
-        # in-place-mutated maintenance state is rebuilt on the next
-        # update), so the log never records an update that did not
+        # raises, the view's db/result/pending changes/undo log stay
+        # pre-update, so the log never records an update that did not
         # happen.
+        for key, (ins, dels) in moved.items():
+            self._defer(key, ins, dels, state.value(key))
+        self._db = new_db
+        self._rounds = state.rounds
+        if isinstance(state, RecomputeState):
+            self.recomputes += 1
         self.applied += 1
         if record_undo:
             self._undo.append(effective.inverse())
             if self._undo_limit is not None and len(self._undo) > self._undo_limit:
                 del self._undo[: len(self._undo) - self._undo_limit]
-        return changeset
+        changes.pop(UNIVERSE, None)  # the engine's own relation: never echoed
+        changes.update(moved)
+        return ChangeSet.from_changes(changes)
 
     def validate_delta(self, delta: Delta) -> None:
         """Check a delta against the view's schema without applying it.
@@ -514,212 +620,36 @@ class MaterializedView:
                         % (t, len(t), rel.arity, name)
                     )
 
-    # -- recomputation fallback ----------------------------------------
+    def _defer(self, key: str, ins: FrozenSet[Tup], dels: FrozenSet[Tup], held) -> None:
+        """Queue one key's change for :attr:`result` to fold.
 
-    def _recompute(self, new_db: Database, effective: Delta) -> ChangeSet:
-        """Re-evaluate from scratch: only inflationary views of
-        non-semipositive programs get here."""
-        self.recomputes += 1
-        old_idb = self.result.idb  # materialises any deferred changes first
-        result = inflationary_semantics(self.program, new_db)
-        changes: Dict[str, ChangePair] = {
-            name: (effective.inserts(name), effective.deletes(name))
-            for name in effective.relations()
-        }
-        for pred in self.program.idb_predicates:
-            before, after = old_idb[pred], result.idb[pred]
-            changes[pred] = (
-                after.difference(before).tuples,
-                before.difference(after).tuples,
-            )
-        self._db = new_db
-        self._result = result
-        return ChangeSet.from_changes(changes)
-
-    # -- the well-founded (three-valued) paths -------------------------
-
-    def _wf_publish(self, new_db: Database, moves: Moves, effective: Delta) -> ChangeSet:
-        """Publish the pair's model; the EDB echo plus partition changes.
-
-        True-partition changes are recorded under the predicate's own
-        name; undefined-partition changes under ``pred@undef`` (the
-        ``@`` marker keeps them out of any parseable predicate's way).
-        The false partition is the complement of the other two over an
-        unchanged atom space, so its changes are implied.
+        Where the state holds the key's value (``held``: the walk's
+        ``P@old`` alias, a recompute's relation), the pending entry is
+        that relation — immutable, so it stays right even after a later
+        failed apply drops the state.  Otherwise it is an ``(inserted,
+        deleted)`` pair of sets: changes compose sequentially
+        (``Delta.then`` algebra), so the last result's value plus the
+        pair always equals the current value, and the pair is patched in
+        place — an update costs its own change, not the backlog's.
         """
-        changes: Dict[str, ChangePair] = dict(effective.items())
-        for key_of, (entered, left) in zip((str, undef_name), moves):
-            moved: Dict[str, Tuple[set, set]] = {}
-            for pred, values in entered:
-                moved.setdefault(key_of(pred), (set(), set()))[0].add(values)
-            for pred, values in left:
-                moved.setdefault(key_of(pred), (set(), set()))[1].add(values)
-            for key, (ins, dels) in moved.items():
-                changes[key] = (frozenset(ins), frozenset(dels))
-        self._db = new_db
-        self._result = WellFoundedResult(
-            program=self.program, db=new_db, rounds=self._wf.rounds, pair=self._wf.pair
-        )
-        return ChangeSet.from_changes(changes)
-
-    def _ensure_wf(self) -> AlternatingState:
-        """The alternating state, rebuilt lazily after an invalidation.
-
-        ``_wf`` is set to ``None`` when an exception escaped mid-patch;
-        the rebuild happens here, on the next update, rather than inside
-        the exception handler — an interrupt must surface immediately,
-        and a rebuild that itself dies must not leave the half-patched
-        state behind (``None`` stays ``None`` until a rebuild finishes).
-        """
-        if self._wf is None:
-            self._wf = AlternatingState(self.program, self._db)
-        return self._wf
-
-    def _maintain_wellfounded(
-        self, new_db: Database, effective: Delta, changes: Dict[str, ChangePair]
-    ) -> ChangeSet:
-        wf = self._ensure_wf()
-        try:
-            moves = wf.apply(new_db, changes)
-        except BaseException:
-            # The pair and the grounding mutate in place (aliases,
-            # instance counts, index, flags, counters); an exception
-            # mid-patch — even an interrupt — must not leave a
-            # half-patched state serving wrong models behind an
-            # unchanged view façade.  Invalidate it (lazy rebuild on next
-            # use) and let the error surface.
-            self._wf = None
-            raise
-        return self._wf_publish(new_db, moves, effective)
-
-    # -- the incremental path ------------------------------------------
-
-    def _maintain(self, new_db: Database, changes: Dict[str, ChangePair]) -> ChangeSet:
-        if self._components is None:
-            self.result  # the rebuild reads ``_result``: fold deferred changes in
-            self._build_maintenance()
-        try:
-            return self._propagate(new_db, changes)
-        except BaseException:
-            # The counting / DRed states and the aliases mutate in place;
-            # as on the well-founded path, an exception mid-propagation
-            # drops them (rebuilt from the unchanged db and result on the
-            # next update) and surfaces.
-            self._components = None
-            raise
-
-    def _propagate(self, new_db: Database, changes: Dict[str, ChangePair]) -> ChangeSet:
-        # Every change is carried as an ``(inserted, deleted)`` pair of
-        # relations and every working interpretation is derived from
-        # ``new_db`` — one symbol table for the view's whole life, so the
-        # code payloads cached on its relations stay valid.
-        inserted: Dict[str, FrozenSet[Tup]] = {}
-        deleted: Dict[str, FrozenSet[Tup]] = {}
-        deferred: List[Tuple[str, Relation, Relation]] = []
-        aliases = self._aliases
-
-        def publish(name: str, ins: Relation, dels: Relation) -> None:
-            """Record a change in the changeset and stage it on the aliases.
-
-            The changeset is where changed tuples are decoded — once:
-            the @ins/@del aliases renamed afterwards share the decoded
-            set with it.
-            """
-            inserted[name] = ins.tuples
-            deleted[name] = dels.tuples
-            aliases.stage(name, ins, dels)
-
-        for name, (ins, dels) in changes.items():
-            inserted[name], deleted[name] = ins, dels
-            aliases.stage(name, ins, dels)
-
-        idb = dict(self._result.idb)
-        for component in self._components:
-            changed_below = frozenset(
-                n for n in inserted if inserted[n] or deleted[n]
-            )
-            if not (component.base_preds & changed_below):
-                continue
-            with TRACER.span("maint.component") as sp:
-                row_traffic = RECORDER.row_traffic() if sp else None
-                if sp:
-                    sp["preds"] = ", ".join(sorted(component.preds))
-                    sp["backend"] = (
-                        "dred" if component.recursive else "counting"
-                    )
-                if component.recursive:
-                    current = {p: idb[p] for p in component.preds}
-                    final, comp_changes = component.state.apply(
-                        current, aliases.working(), new_db
-                    )
-                    moved = 0
-                    for pred, (ins, dels) in comp_changes.items():
-                        idb[pred] = final[pred]
-                        if ins or dels:
-                            moved += len(ins) + len(dels)
-                            publish(pred, ins, dels)
-                else:
-                    state = component.state
-                    ins, dels = state.apply(aliases.derive(new_db), changed_below)
-                    moved = len(ins) + len(dels)
-                    if moved:
-                        pred = state.pred
-                        ins = Relation._from_frozenset(pred, state.arity, frozenset(ins))
-                        dels = Relation._from_frozenset(pred, state.arity, frozenset(dels))
-                        if pred in aliases:
-                            idb[pred] = idb[pred].evolve(ins, dels)
-                        else:
-                            # Head-only predicate: nothing reads its relation
-                            # during maintenance (the counting state is the
-                            # authority), so defer the — possibly huge —
-                            # relation rebuild until ``result`` is read.
-                            deferred.append((pred, ins, dels))
-                        publish(pred, ins, dels)
-                if sp:
-                    sp["rows_out"] = moved
-                    RECORDER.note_row_traffic(sp, row_traffic)
-
-        aliases.catch_up()
-        for pred, ins, dels in deferred:
-            self._defer(pred, ins.tuples, dels.tuples)
-        self._db = new_db
-        self._result = self._with_idb(new_db, idb)
-        inserted.pop(UNIVERSE, None)  # the engine's own relation: never echoed
-        deleted.pop(UNIVERSE, None)
-        return ChangeSet(inserted, deleted)
-
-    def _defer(self, pred: str, ins: FrozenSet[Tup], dels: FrozenSet[Tup]) -> None:
-        """Queue a head-only predicate's change for lazy materialisation.
-
-        Changes compose sequentially (``Delta.then`` algebra), so the
-        stored relation plus the pending pair always equals the true
-        current value the counting state maintains.  The pair is patched
-        in place: an update costs its own change, not the backlog's.
-        """
-        pending_ins, pending_dels = self._pending.setdefault(pred, (set(), set()))
+        if held is not None:
+            self._pending[key] = held
+            return
+        pending_ins, pending_dels = self._pending.setdefault(key, (set(), set()))
         pending_ins -= dels
         pending_ins |= ins
         pending_dels -= ins
         pending_dels |= dels
 
-    def _with_idb(self, db: Database, idb) -> EvaluationResult:
-        """The previous result object carried over to the new state."""
-        old = self._result
-        if isinstance(old, StratifiedResult):
-            return StratifiedResult(
-                program=old.program,
-                db=db,
-                idb=idb,
-                rounds=old.rounds,
-                engine=old.engine,
-                trace=None,
-                strata=old.strata,
-            )
-        return EvaluationResult(
-            program=old.program,
-            db=db,
-            idb=idb,
-            rounds=old.rounds,
-            engine=old.engine,
-            trace=None,
-        )
+
+def _fold(result, db: Database, rounds: int, pending):
+    """``result`` carried over to ``db``, every pending key folded in."""
+    wellfounded = isinstance(result, WellFoundedResult)
+    true = result.true_idb() if wellfounded else dict(result.idb)
+    undefined = result.undefined_idb() if wellfounded else {}
+    for key, value in pending.items():
+        part, pred = (undefined, key[: -len(UNDEF)]) if key.endswith(UNDEF) else (true, key)
+        part[pred] = value if isinstance(value, Relation) else part[pred].evolve(*value)
+    if wellfounded:
+        return WellFoundedResult(result.program, db, true, undefined, rounds)
+    return replace(result, db=db, idb=true, rounds=rounds, trace=None, added=None)

@@ -21,9 +21,12 @@ puts the pair below the new model in the precision order, and
 loop :func:`~repro.core.semantics.wellfounded.well_founded_semantics`
 runs from ``(∅, A(∅))`` — decides the region again.  The soundness
 argument is in that module's docstring.  Work follows the region, not
-the alternation's depth, and the changeset is read off the atoms whose
-flags moved; the view's result reads the pair's flags, so publishing an
-update decodes only the moved atoms.
+the alternation's depth.  :meth:`AlternatingState.apply` returns the
+change map read off the atoms whose flags moved — ``(inserted,
+deleted)`` tuple sets under ``pred`` for the true partition and under
+``pred@undef`` for the undefined one — and the view folds that map into
+its result's code-only relations: the result never reads the pair's
+flags after the build, and never regroups decoded atoms.
 
 Universe growth is patched like any EDB change: the view hands the
 fresh values over as insertions into the universe relation ``@U``, which
@@ -39,7 +42,6 @@ from typing import Dict, FrozenSet, List, Mapping, Tuple
 import numpy as np
 
 from ..core.grounding import (
-    GroundAtom,
     GroundProgramIndex,
     _edb_projection,
     ground_program,
@@ -56,9 +58,6 @@ from .delta import Tup
 from .deltavariants import AliasSet, del_name, ins_name
 
 ChangePair = Tuple[FrozenSet[Tup], FrozenSet[Tup]]
-
-Moves = Tuple[Tuple[List[GroundAtom], List[GroundAtom]], Tuple[List[GroundAtom], List[GroundAtom]]]
-"""``((entered true, left true), (entered undefined, left undefined))``."""
 
 UNDEF = "@undef"
 """Suffix naming a predicate's *undefined* partition in changesets."""
@@ -207,16 +206,20 @@ class AlternatingState:
         self.live = LiveGroundProgram(program, db)
         self.pair, self.rounds = alternate(self.live.index)
 
-    def apply(self, new_db: Database, changes: Mapping[str, ChangePair]) -> Moves:
+    def apply(self, new_db: Database, changes: Mapping[str, ChangePair]) -> Dict[str, ChangePair]:
         """Maintain the three-valued model under an effective EDB delta.
 
         ``changes`` may carry ``@U`` insertions (see
-        :meth:`LiveGroundProgram.apply`).  Returns
-        the atoms whose status moved, per partition.
+        :meth:`LiveGroundProgram.apply`).  Returns the atoms whose
+        status moved as ``(inserted, deleted)`` tuple sets: a
+        true-partition change under the predicate's own name, an
+        undefined-partition one under ``pred@undef``.  The false
+        partition is the complement of the other two, so its changes
+        are implied.
         """
         added, removed = self.live.apply(new_db, changes)
         if not added and not removed:
-            return ([], []), ([], [])
+            return {}
         pair = self.pair
         true_before, possible_before = bytes(pair.true), bytes(pair.possible)
         work = pair.work
@@ -234,29 +237,25 @@ class AlternatingState:
             RECORDER.inc("repro_wf_propagations_total", work)
         return _moves(pair, true_before, possible_before)
 
+    def value(self, key: str) -> None:
+        """The pair names no relation: every key folds from its changes."""
+        return None
 
-def _moves(pair, true_before: bytes, possible_before: bytes) -> Moves:
+
+def _moves(pair, true_before: bytes, possible_before: bytes) -> Dict[str, ChangePair]:
     """The status changes between the saved flags and the pair's."""
     grown = bytes(len(pair.true) - len(true_before))  # new atoms were false
     true_before += grown
     possible_before += grown
     if true_before == pair.true and possible_before == pair.possible:
-        return ([], []), ([], [])
-    t0 = np.frombuffer(true_before, np.uint8)
-    p0 = np.frombuffer(possible_before, np.uint8)
-    t1 = np.frombuffer(pair.true, np.uint8)
-    p1 = np.frombuffer(pair.possible, np.uint8)
-    atoms = pair.index.atoms
-    t_in: List[GroundAtom] = []
-    t_out: List[GroundAtom] = []
-    u_in: List[GroundAtom] = []
-    u_out: List[GroundAtom] = []
-    for a in np.flatnonzero((t0 != t1) | (p0 != p1)).tolist():
-        was_true, is_true = true_before[a], pair.true[a]
-        if was_true != is_true:
-            (t_in if is_true else t_out).append(atoms[a])
-        was_undef = bool(possible_before[a] and not was_true)
-        is_undef = bool(pair.possible[a] and not is_true)
-        if was_undef != is_undef:
-            (u_in if is_undef else u_out).append(atoms[a])
-    return (t_in, t_out), (u_in, u_out)
+        return {}
+    t0, p0, t1, p1 = (
+        np.frombuffer(flags, bool)
+        for flags in (true_before, possible_before, pair.true, pair.possible)
+    )
+    moved: Dict[str, Tuple[set, set]] = {}
+    for key_of, before, after in ((str, t0, t1), (undef_name, p0 > t0, p1 > t1)):
+        for a in np.flatnonzero(before != after).tolist():
+            pred, values = pair.index.atoms[a]
+            moved.setdefault(key_of(pred), (set(), set()))[int(before[a])].add(values)
+    return {key: (frozenset(ins), frozenset(dels)) for key, (ins, dels) in moved.items()}

@@ -16,27 +16,24 @@ from typing import Any, Dict, Tuple
 
 from ..core.program import Program
 from ..db.database import Database
+from ..db.relation import Relation
 from . import ship
 from .pool import HANDLERS, ParallelError, fork_available, get_pool
 from .wellfounded import sharded_well_founded
 
 
-def _encode_atoms(table, program: Program, atoms) -> Dict[str, Tuple[int, Any]]:
-    grouped: Dict[str, set] = {p: set() for p in program.idb_predicates}
-    for pred, values in atoms:
-        grouped[pred].add(values)
+def _encode_idb(table, idb) -> Dict[str, Tuple[int, Any]]:
     return {
-        pred: (program.arity(pred), ship.encode_tuples(table, program.arity(pred), tuples))
-        for pred, tuples in grouped.items()
+        pred: (rel.arity, ship.encode_tuples(table, rel.arity, rel.tuples))
+        for pred, rel in idb.items()
     }
 
 
-def _decode_atoms(table, payload: Dict[str, Tuple[int, Any]]) -> frozenset:
-    out = set()
-    for pred, (arity, enc) in payload.items():
-        for t in ship.decode_tuples(table, arity, enc):
-            out.add((pred, t))
-    return frozenset(out)
+def _decode_idb(table, payload: Dict[str, Tuple[int, Any]]):
+    return {
+        pred: Relation(pred, arity, ship.decode_tuples(table, arity, enc))
+        for pred, (arity, enc) in payload.items()
+    }
 
 
 def _handle_evaluate(wid: int, nshards: int, payload: Dict[str, Any], exchange):
@@ -49,8 +46,8 @@ def _handle_evaluate(wid: int, nshards: int, payload: Dict[str, Any], exchange):
         return {"fingerprint": fingerprint}
     return {
         "fingerprint": fingerprint,
-        "true": _encode_atoms(table, program, result.true),
-        "undefined": _encode_atoms(table, program, result.undefined),
+        "true": _encode_idb(table, result.true_idb()),
+        "undefined": _encode_idb(table, result.undefined_idb()),
         "rounds": result.rounds,
     }
 
@@ -83,9 +80,9 @@ def parallel_well_founded(program: Program, db: Database, nshards: int):
             )
     res = results[0]
     return WellFoundedResult(
-        program=program,
-        db=db,
-        true=_decode_atoms(table, res["true"]),
-        undefined=_decode_atoms(table, res["undefined"]),
-        rounds=res["rounds"],
+        program,
+        db,
+        _decode_idb(table, res["true"]),
+        _decode_idb(table, res["undefined"]),
+        res["rounds"],
     )

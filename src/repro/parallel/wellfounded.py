@@ -15,7 +15,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Dict, List, Set
 
-from ..core.grounding import GroundAtom, GroundRule, ground_program
+from ..core.grounding import GroundAtom, GroundRule, ground_program, to_idb_map
 from ..core.program import Program
 from ..core.semantics.wellfounded import WellFoundedResult
 from ..db.database import Database
@@ -136,9 +136,5 @@ def sharded_well_founded(
             break
         true = next_true
     return WellFoundedResult(
-        program=program,
-        db=db,
-        true=frozenset(true),
-        undefined=frozenset(possible - true),
-        rounds=rounds,
+        program, db, to_idb_map(program, true), to_idb_map(program, possible - true), rounds
     )

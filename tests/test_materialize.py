@@ -514,7 +514,7 @@ def test_long_stream_keeps_one_table_and_stays_in_codes():
     assert view.db.symbols() is symbols
     # Only changed tuples are decoded.
     assert sum(decode_excess) == 0
-    for rel in list(view._aliases.relations.values()) + list(view.result.idb.values()):
+    for rel in list(view._state._aliases.relations.values()) + list(view.result.idb.values()):
         assert len(rel._kernel_cache) == 1, rel.name
     assert view.result.idb == _reference(program, view.db, "stratified")
     assert statistics.median(latencies[150:]) < 2 * statistics.median(latencies[:50])
@@ -710,3 +710,85 @@ def test_interrupt_after_counting_leaves_maintenance_rebuildable(monkeypatch):
     ):
         view.apply(delta)
         assert view.result.idb == stratified_semantics(program, view.db).idb
+
+
+def _snapshot(view):
+    """What a failed apply must leave as it was."""
+    pending = {
+        k: v if isinstance(v, Relation) else (set(v[0]), set(v[1]))
+        for k, v in view._pending.items()
+    }
+    return view.db, view._result, pending, list(view._undo), view.recomputes
+
+
+def test_interrupt_after_overdeletion_leaves_the_view_unchanged(monkeypatch):
+    """An interrupt inside DRed, after the over-deletion ran and before
+    the rederivation, drops the state; db, result, deferred changes,
+    undo log and ``recomputes`` stay pre-update, and every later apply
+    equals a recompute."""
+    from repro.materialize import dred
+
+    program = parse_program(TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X).", carrier="ACYC")
+    view = MaterializedView(program, graph_to_database(gg.path(8)))
+    view.apply(Delta.delete("E", (6, 7)))  # TC and ACYC deferred
+    before = _snapshot(view)
+    iterate = dred.iterate
+    over_deleted = []
+
+    def interrupted(program, interp, plans, seed, engine, **kwargs):
+        if engine == "dred.rederive":
+            raise KeyboardInterrupt
+        run = iterate(program, interp, plans, seed, engine=engine, **kwargs)
+        over_deleted.append(sum(len(r) for r in run.idb.values()))
+        return run
+
+    monkeypatch.setattr(dred, "iterate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        view.apply(Delta.delete("E", (3, 4)))
+    monkeypatch.undo()
+    assert over_deleted and over_deleted[0] > 0
+    assert _snapshot(view) == before
+    assert view._result is before[1]
+    for delta in (
+        Delta.delete("E", (3, 4)),
+        Delta.insert("E", (6, 7)),
+        Delta.insert("E", (8, 1)),
+        Delta.delete("E", (1, 2)),
+    ):
+        view.apply(delta)
+        assert view.result.idb == stratified_semantics(program, view.db).idb
+    assert view.recomputes == 0
+
+
+def test_interrupt_inside_a_recompute_is_not_counted(monkeypatch):
+    """An interrupt inside the recompute state's ``inflationary_semantics``
+    leaves db, result, deferred changes and undo log as they were, and
+    ``recomputes`` does not count the failed apply."""
+    from repro.materialize import view as view_module
+
+    program = parse_program("T(X) :- E(X, Y), !T(Y).")
+    assert not is_semipositive(program)
+    view = MaterializedView(program, graph_to_database(gg.path(6)), "inflationary")
+    view.apply(Delta.delete("E", (4, 5)))
+    assert view.recomputes == 1
+    before = _snapshot(view)
+    evaluate = view_module.inflationary_semantics
+
+    def interrupted(program, db):
+        evaluate(program, db)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(view_module, "inflationary_semantics", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        view.apply(Delta.insert("E", (6, 1)))
+    monkeypatch.undo()
+    assert _snapshot(view) == before
+    assert view._result is before[1]
+    for delta in (
+        Delta.insert("E", (6, 1)),
+        Delta.insert("E", (4, 5)),
+        Delta.delete("E", (1, 2)),
+    ):
+        view.apply(delta)
+        assert view.result.idb == inflationary_semantics(program, view.db).idb
+    assert view.recomputes == 4

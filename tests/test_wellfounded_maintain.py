@@ -592,6 +592,29 @@ class TestExceptionContract:
 
 
 class TestCodesResidentEDB:
+    def test_reads_after_universe_growth_stay_in_codes(self):
+        """A fresh node numbers atoms after the grounding's code blocks;
+        the view's result still reads as code-only relations, and
+        reading them decodes nothing."""
+        from strategies import metrics
+
+        program = win_move_program()
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (7, 8), (8, 9), (9, 7)]
+        view = MaterializedView(
+            program, Database(range(1, 10), [Relation("E", 2, edges)]), semantics="wellfounded"
+        )
+        view.apply(Delta.insert("E", (5, 50)))  # 50 is fresh: WIN flips along the path
+        with metrics() as value:
+            true = view.relation("WIN")
+            undefined = view.result.undefined_idb()["WIN"]
+            assert true.code_only is not None
+            assert undefined.code_only is not None
+            assert (len(true), len(undefined)) == (3, 3)
+            assert value("repro_relation_decoded_rows_total") == 0
+        assert true.tuples == {(1,), (3,), (5,)}
+        assert undefined.tuples == {(7,), (8,), (9,)}
+        _assert_partitions_equal(program, view)
+
     @staticmethod
     def _encoded_over_applies(n, applies=200, seed=7):
         """Rows encoded by ``applies`` alternating single-edge inserts and
@@ -660,18 +683,18 @@ class TestCodesResidentEDB:
             Database(range(n), [Relation("Move", 2, sorted(edges))]),
             semantics="wellfounded",
         )
-        index = view._wf.live.index
+        index = view._state.live.index
         for fresh in (n, n + 1):
-            before = live_rules(view._wf.live)
+            before = live_rules(view._state.live)
             rules, retired = len(before), before.count(None)
             delta = Delta.insert("Move", (rng.randrange(n), fresh))
             with metrics() as value:
                 view.apply(delta)
                 encoded = value("repro_relation_encoded_rows_total")
-            after = live_rules(view._wf.live)
+            after = live_rules(view._state.live)
             assert len(after) == rules + 1
             assert after.count(None) == retired
             assert encoded <= len(delta) + 1
         assert view.recomputes == 0
-        assert view._wf.live.index is index
+        assert view._state.live.index is index
         _assert_partitions_equal(program, view)
