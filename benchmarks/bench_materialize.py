@@ -12,17 +12,24 @@ a stratified ACYC view over G(2000, 1400) and a NOTC view over
 G(150, 300), whose completion variables join the universe) assert that
 universe growth is a delta: no recompute, and a median fresh-node
 insert within 3x of the same insert once its node is known.
+
+The scaling row times a single-edge ACYC update at G(n, 0.7n) for n =
+2000, 8000 and 32000 and prints the fitted exponent of its median
+against n; it asserts only the work: no update past the first rebuilds
+a join index from scratch (each is patched with the delta).
 """
 
 import pytest
 
-from bench_utils import measure_growth_stream
+from bench_utils import measure_growth_stream, measure_single_edge_stream
+from repro.bench.harness import loglog_slope
 from repro.bench.materialize_perf import measure_update_scenario
 
 SIZES = (16, 24, 36)
 HEADLINE_SPEEDUP = 5.0
 GROWTH_MAX_RATIO = 3.0
 TC = "TC(X, Y) :- E(X, Y).  TC(X, Y) :- E(X, Z), TC(Z, Y).  "
+SCALING_SIZES = (2000, 8000, 32000)
 GROWTH_CASES = {
     "acyc": (TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X).", 2000, 1400),
     "notc": (TC + "NOTC(X, Y) :- !TC(X, Y).", 150, 300),
@@ -85,3 +92,27 @@ def test_fresh_node_stream_is_maintained(benchmark, case):
     assert result["equal"], "maintained %s view diverged from recompute" % case
     assert result["recomputes"] == 0
     assert ratio <= GROWTH_MAX_RATIO, ratio
+
+
+def test_single_edge_update_scaling(benchmark):
+    source = GROWTH_CASES["acyc"][0]
+    results = benchmark.pedantic(
+        lambda: [measure_single_edge_stream(source, n, 7 * n // 10) for n in SCALING_SIZES],
+        rounds=1,
+        iterations=1,
+        warmup_rounds=0,
+    )
+    exponent = loglog_slope(SCALING_SIZES, [r["p50_s"] for r in results])
+    print(
+        "acyc single-edge apply p50: %s | exponent %.2f"
+        % (
+            ", ".join(
+                "G(%d,%d) %.3f ms" % (n, 7 * n // 10, r["p50_s"] * 1e3)
+                for n, r in zip(SCALING_SIZES, results)
+            ),
+            exponent,
+        )
+    )
+    for n, r in zip(SCALING_SIZES, results):
+        assert r["equal"], "maintained acyc view diverged from recompute at n=%d" % n
+        assert r["index_builds"] == 0, (n, r["index_builds"])

@@ -72,3 +72,61 @@ def measure_growth_stream(
         "recomputes": view.recomputes,
         "equal": equal,
     }
+
+
+def measure_single_edge_stream(
+    source: str, n: int, m: int, reps: int = 40, seed: int = 7
+) -> Dict[str, Any]:
+    """Single-edge updates of a stratified view over a random ``G(n, m)``.
+
+    ``source`` reads one binary EDB relation ``E`` (no self-loops).  After
+    one warm-up update, ``reps`` updates strictly alternate a fresh edge
+    in and a present edge out.  Returns their median seconds, the number
+    of from-scratch join-index builds (``SortedRun.__init__`` calls) they
+    made, and an ``equal`` flag: the view equals a recompute.
+    """
+    from repro.db import kernel
+
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    program = parse_program(source)
+    view = MaterializedView(program, Database(range(n), [Relation("E", 2, sorted(edges))]))
+    present = sorted(edges)
+    builds = [0]
+    build = kernel.SortedRun.__init__
+
+    def counted(self, relation, key_columns):
+        builds[0] += 1
+        build(self, relation, key_columns)
+
+    times = []
+    for index in range(reps + 1):
+        if index % 2 == 0:
+            while True:
+                edge = (rng.randrange(n), rng.randrange(n))
+                if edge[0] != edge[1] and edge not in edges:
+                    break
+            edges.add(edge)
+            present.append(edge)
+            delta = Delta.insert("E", edge)
+        else:
+            edge = present.pop(rng.randrange(len(present)))
+            edges.discard(edge)
+            delta = Delta.delete("E", edge)
+        kernel.SortedRun.__init__ = counted if index else build
+        try:
+            start = time.perf_counter()
+            view.apply(delta)
+            if index:
+                times.append(time.perf_counter() - start)
+        finally:
+            kernel.SortedRun.__init__ = build
+    return {
+        "p50_s": statistics.median(times),
+        "index_builds": builds[0],
+        "equal": view.result.idb == stratified_semantics(program, view.db).idb,
+    }

@@ -9,7 +9,8 @@ arithmetic over the relations' cached code vectors
 
 * :class:`~repro.core.planning.plan.BatchJoin` probes a cached
   :class:`~repro.db.kernel.SortedRun` with two binary searches per
-  probe vector and expands matches by position arithmetic;
+  probe vector, expands matches by position arithmetic and decodes the
+  matched run rows' fields (:meth:`~repro.db.kernel.SortedRun.take`);
 * :class:`~repro.core.planning.plan.AntiJoin` packs each frontier row's
   atom fields into one row code and drops rows whose code occurs in the
   relation's sorted vector;
@@ -312,9 +313,7 @@ def _run(plan: RulePlan, sym, rcs):
             if op.key_columns:
                 run = src.sorted_run(op.key_columns)
                 probe = _key_fold(op.key, cols, nrows, b, sym)
-                sk = run.sorted_keys
-                lefts = sk.searchsorted(probe, side="left")
-                rights = sk.searchsorted(probe, side="right")
+                lefts, rights = run.bounds(probe)
                 counts = rights - lefts
                 cum = counts.cumsum()
                 total = int(cum[-1])
@@ -326,9 +325,8 @@ def _run(plan: RulePlan, sym, rcs):
                 # start[r])`` for its source row r; folding the two
                 # per-row terms before the repeat leaves one repeat and
                 # one shared iota instead of three repeats.
-                match = run.order[
-                    (lefts + counts - cum).repeat(counts) + _arange(total)
-                ]
+                match = (lefts + counts - cum).repeat(counts) + _arange(total)
+                fresh = run.take(match, op.out_positions)
             else:
                 # No key: cross every row with every tuple.
                 m = len(src)
@@ -345,10 +343,10 @@ def _run(plan: RulePlan, sym, rcs):
                 total = nrows * m
                 rowidx = _arange(nrows).repeat(m)
                 match = np.tile(_arange(m), nrows)
-            src_cols = src.columns()
+                src_cols = src.columns()
+                fresh = [src_cols[p][match] for p in op.out_positions]
             cols = [c[rowidx] for c in cols]
-            for p in op.out_positions:
-                cols.append(src_cols[p][match])
+            cols.extend(fresh)
             nrows = total
         elif t is AntiJoin:
             rc = rcs[op.pred]

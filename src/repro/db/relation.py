@@ -35,11 +35,9 @@ from typing import Any, Callable, Iterable, Iterator, Tuple
 
 from .kernel import (
     RelationCodes,
-    codes_difference,
     codes_equal,
     codes_intersection,
     codes_issubset,
-    codes_union,
     empty_codes,
 )
 
@@ -404,10 +402,10 @@ class Relation:
         pair = self._codes_with(other, held=True)
         if pair is not None:
             mine, theirs = pair
-            merged = codes_union(mine.codes, theirs.codes)
-            if merged is mine.codes:
+            merged = mine.evolved(added=theirs)
+            if merged is mine:
                 return self
-            return self._adopt(mine, merged)
+            return Relation._from_codes(self.name, self.arity, merged)
         if other.tuples <= self.tuples:
             return self
         return Relation._from_frozenset(
@@ -420,7 +418,10 @@ class Relation:
         pair = self._codes_with(other)
         if pair is not None:
             mine, theirs = pair
-            return self._adopt(mine, codes_intersection(mine.codes, theirs.codes))
+            common = codes_intersection(mine.codes, theirs.codes)
+            return Relation._from_codes(
+                self.name, self.arity, RelationCodes(mine.symbols, self.arity, common)
+            )
         return Relation(self.name, self.arity, self.tuples & other.tuples)
 
     def difference(self, other: "Relation") -> "Relation":
@@ -435,20 +436,14 @@ class Relation:
         pair = self._codes_with(other, held=True)
         if pair is not None:
             mine, theirs = pair
-            kept = codes_difference(mine.codes, theirs.codes)
-            if kept is mine.codes:
+            kept = mine.evolved(removed=theirs)
+            if kept is mine:
                 return self
-            return self._adopt(mine, kept)
+            return Relation._from_codes(self.name, self.arity, kept)
         if self.tuples.isdisjoint(other.tuples):
             return self
         return Relation._from_frozenset(
             self.name, self.arity, self.tuples - other.tuples
-        )
-
-    def _adopt(self, mine, codes) -> "Relation":
-        """A code-only relation with this signature over ``codes``."""
-        return Relation._from_codes(
-            self.name, self.arity, RelationCodes(mine.symbols, self.arity, codes)
         )
 
     def complement(self, universe: Iterable[Any]) -> "Relation":

@@ -43,6 +43,17 @@ def test_database_roundtrip(tmp_path):
     assert back.universe == {1, 2, 3}
 
 
+def test_loaded_database_equals_the_checked_construction(tmp_path):
+    # load_database skips the domain check (its universe is the loaded
+    # values); the checked constructor must accept and equal the result.
+    (tmp_path / "E.csv").write_text("1,2\n2,a\nb,1\n")
+    (tmp_path / "V.csv").write_text("c\n1\n")
+    back = csvio.load_database(tmp_path, {"E": 2, "V": 1})
+    checked = Database(back.universe, [back["E"], back["V"]])
+    assert back == checked
+    assert back.universe == {1, 2, "a", "b", "c"}
+
+
 def test_delta_roundtrip(tmp_path):
     from repro.materialize import Delta
 

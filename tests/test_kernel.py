@@ -31,6 +31,7 @@ from array import array
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -259,3 +260,68 @@ class TestDenseJoinGuard:
         )
         pairs = [(int(c), int(c)) for c in sorted(int(x) for x in right.codes)]
         assert matched == pairs
+
+
+# ----------------------------------------------------------------------
+# Sorted runs evolve with their relation
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _run_cases(draw):
+    """A relation of arity 1-3, a key in any column order, and a delta
+    smaller than ``1/_MERGE_RATIO`` of it (merged) or not (re-sorted)."""
+    arity = draw(st.integers(1, 3))
+    key = draw(st.permutations(range(arity)))[: draw(st.integers(1, arity))]
+    row = st.tuples(*[st.integers(0, 11)] * arity)
+    small = draw(st.booleans())
+    base = draw(st.sets(row, min_size=2 * kernel._MERGE_RATIO if small else 0, max_size=120))
+    side = st.sets(row, max_size=2 if small else 40)
+    return arity, tuple(key), base, draw(side), draw(side)
+
+
+@given(_run_cases())
+def test_patched_run_equals_a_fresh_build(case):
+    arity, key, base, ins, dels = case
+    sym = SymbolTable(range(12))
+    rc = RelationCodes.encode(sym, arity, sorted(base))
+    run = rc.sorted_run(key)
+    out = rc.evolved(RelationCodes.encode(sym, arity, ins), RelationCodes.encode(sym, arity, dels))
+    assert out.decode() == (base - dels) | ins
+    # The delta patched the run: it is carried, not rebuilt on demand.
+    patched = out._runs[key] if out is not rc else run
+    fresh = kernel.SortedRun(out, key)
+    assert np.array_equal(patched.rows, fresh.rows)
+    assert np.array_equal(patched.sorted_keys, fresh.sorted_keys)
+    assert patched.layout == fresh.layout == key + tuple(c for c in range(arity) if c not in key)
+
+
+@given(
+    st.sets(st.integers(0, 1 << 40), max_size=200),
+    st.sets(st.integers(0, 1 << 40), max_size=30),
+    st.booleans(),
+)
+def test_codes_union_and_difference_are_set_algebra(a, b, overlap):
+    if overlap:  # deltas that hit the vector, not only miss it
+        b = b | set(sorted(a)[: len(b)])
+    va = np.array(sorted(a), dtype=np.int64)
+    vb = np.array(sorted(b), dtype=np.int64)
+    for got, want in (
+        (kernel.codes_union(va, vb), a | b),
+        (kernel.codes_difference(va, vb), a - b),
+    ):
+        assert got.tolist() == sorted(want)
+
+
+@pytest.mark.parametrize("k", [1, 5, kernel._SPLICE_SEGMENTS, kernel._SPLICE_SEGMENTS + 1, 60])
+def test_merge_splices_match_insert_and_delete(k):
+    # Both regimes of the small-delta merge: per-segment copies up to
+    # _SPLICE_SEGMENTS changed rows, one mask above.
+    rng = np.random.default_rng(k)
+    a = kernel.sorted_unique(rng.integers(0, 1 << 40, 8 * k + 50))
+    fresh = kernel.sorted_unique(rng.integers(0, 1 << 40, k))
+    fresh = fresh[~np.isin(fresh, a)]
+    at = a.searchsorted(fresh)
+    assert np.array_equal(kernel._inserted(a, at, fresh), np.insert(a, at, fresh))
+    gone = np.sort(rng.choice(len(a), k, replace=False))
+    assert np.array_equal(kernel._removed(a, gone), np.delete(a, gone))

@@ -554,6 +554,86 @@ def test_apply_spans_and_exposition_show_row_traffic():
 
 
 # ----------------------------------------------------------------------
+# Join indexes evolve with their relations
+# ----------------------------------------------------------------------
+
+
+def _acyc_view(n, m, seed=7):
+    """An ACYC view over a random ``G(n, m)`` without self-loops, and its edges."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    program = parse_program(TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X).", carrier="ACYC")
+    view = MaterializedView(program, Database(range(n), [Relation("E", 2, edges)]))
+    return rng, program, view, edges
+
+
+@pytest.mark.parametrize("n, m", [(2000, 1400), (8000, 5600)])
+def test_single_edge_updates_build_no_join_index(monkeypatch, n, m):
+    """After one warm-up update, 40 alternating single-edge inserts and
+    deletes patch every join index they probe: ``SortedRun.__init__``
+    (the from-scratch sort) never runs, whatever the graph's size."""
+    from repro.db import kernel
+
+    rng, program, view, edges = _acyc_view(n, m)
+    present = sorted(edges)
+    builds = []
+    build = kernel.SortedRun.__init__
+
+    def counted(self, relation, key_columns):
+        builds.append(key_columns)
+        build(self, relation, key_columns)
+
+    for index in range(41):
+        if index == 1:
+            monkeypatch.setattr(kernel.SortedRun, "__init__", counted)
+        if index % 2 == 0:
+            while True:
+                edge = (rng.randrange(n), rng.randrange(n))
+                if edge[0] != edge[1] and edge not in edges:
+                    break
+            edges.add(edge)
+            present.append(edge)
+            view.apply(Delta.insert("E", edge))
+        else:
+            edge = present.pop(rng.randrange(len(present)))
+            edges.discard(edge)
+            view.apply(Delta.delete("E", edge))
+    monkeypatch.undo()
+    assert builds == []
+    assert view.recomputes == 0
+    assert view.result.idb == stratified_semantics(program, view.db).idb
+
+
+def test_width_bump_carries_no_join_index():
+    """An insert whose fresh values widen the symbol table's field width
+    retires every payload packed under the old width, and with them
+    their join indexes: no run of the old width survives the bump."""
+    rng, program, view, edges = _acyc_view(200, 300)
+    view.apply(Delta.insert("E", (0, 1)))  # warm-up: runs are built
+    symbols = view.db.symbols()
+    shift = symbols.shift
+    fresh = [(rng.randrange(200), 1000 + i) for i in range(300)]
+    fresh += [(1000 + i, rng.randrange(200)) for i in range(0, 300, 7)]
+    view.apply(Delta(inserts={"E": fresh}))
+    assert symbols.shift > shift
+    view.apply(Delta.delete("E", fresh[0]))
+    held = list(view._state._aliases.relations.values()) + list(view.result.idb.values())
+    held.append(view.db["E"])
+    runs = 0
+    for rel in held:
+        for rc in rel._kernel_cache.values():
+            for run in rc._runs.values():
+                assert run.shift == rc.shift == symbols.shift, rel.name
+                runs += 1
+    assert runs
+    assert view.result.idb == stratified_semantics(program, view.db).idb
+
+
+# ----------------------------------------------------------------------
 # The Hypothesis property: random programs × random delta sequences
 # ----------------------------------------------------------------------
 
