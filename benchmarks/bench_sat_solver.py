@@ -19,7 +19,7 @@ from repro.workloads.cnf_gen import random_kcnf
 def test_encode_pi1_on_gn(benchmark, n):
     db = graph_to_database(gg.disjoint_cycles(n))
     enc = benchmark(FixpointSAT, pi1(), db)
-    assert len(enc.atom_var) == 4 * n
+    assert len(enc.atoms) == 4 * n
 
 
 @pytest.mark.parametrize("n", [4, 8])

@@ -32,12 +32,14 @@ off the binding table, so the rules of a shape are deduplicated by one
 ``np.lexsort`` over their key columns.  An atom is its predicate plus
 its argument id columns; one sort per predicate numbers the atoms
 densely (:class:`AtomCodes`), and the :class:`GroundProgramIndex` the
-well-founded engine runs on is built from those integer arrays.  No
-:class:`GroundRule` and no atom tuple is built on that path: the rule
-objects (``GroundProgram.rules`` / ``by_head`` / ``derivable``) and the
-atom tuples (``index.atoms`` / ``atom_ids``) are decoded on first read,
-for the readers that need them — the SAT reduction behind ``explain``,
-enumeration, the E6 table, :mod:`repro.parallel` and the tests.
+engines run on is built from those integer arrays: the well-founded
+alternation, the SAT encoding of :mod:`repro.core.satreduction` and the
+brute-force enumerator, whose fixpoint test is
+:meth:`GroundProgramIndex.is_fixpoint` over atom flags.  No
+:class:`GroundRule` and no atom tuple is built on those paths.  The rule
+objects (``GroundProgram.rules``) and the atom tuples (``index.atoms`` /
+``atom_ids``) are decoded on first read, as the reference form for the
+readers that need it: :mod:`repro.parallel` and the tests' oracles.
 
 This module grounds from scratch.  A well-founded view starts from the
 same :class:`GroundProgram` and keeps it live under EDB deltas
@@ -156,6 +158,10 @@ class AtomCodes:
             codes = (codes << symbols.shift) | col
         return Relation._from_codes(pred, arity, RelationCodes(symbols, arity, codes))
 
+    def valuation(self, program: Program, flags: np.ndarray) -> Dict[str, Relation]:
+        """Every IDB relation of ``program`` the ``flags`` select."""
+        return {p: self.relation(p, program.arity(p), flags) for p in program.idb_predicates}
+
 
 class GroundProgramIndex:
     """A ground-rule sequence over densely numbered atoms, patchable in place.
@@ -241,6 +247,25 @@ class GroundProgramIndex:
         for a in neg:
             self.by_neg[a].remove(r)
 
+    def is_fixpoint(self, flags: np.ndarray) -> bool:
+        """Whether the atoms ``flags`` sets are a fixpoint, ``Theta(S) = S``:
+        each atom is set iff some rule it heads has every positive body
+        atom set and no negated one.
+
+        A rule's count starts at its positives, loses one per positive
+        set and gains one per negated atom set: it fires at zero.
+        """
+        unmet = list(self.npos)
+        for a in np.flatnonzero(flags).tolist():
+            for r in self.by_pos[a]:
+                unmet[r] -= 1
+            for r in self.by_neg[a]:
+                unmet[r] += 1
+        return all(
+            on == any(not unmet[r] for r in rules)
+            for on, rules in zip(flags.tolist(), self.by_head)
+        )
+
 
 def _occurrences(rules, atoms, natoms: int) -> List[Sequence[int]]:
     """Each atom's rules, in the order given: one stable argsort by atom.
@@ -279,15 +304,14 @@ class GroundProgram:
     Attributes
     ----------
     rules:
-        All ground rules (IDB literals only), decoded on first read.
-    by_head:
-        Ground rules grouped by head atom.
-    derivable:
-        Atoms heading at least one ground rule.  Any fixpoint is a subset
-        of this set: ``Theta`` never produces an underivable atom.
+        All ground rules (IDB literals only), decoded on first read: the
+        reference form, read by :mod:`repro.parallel` and the tests.
     index:
         The rules over dense integer atom ids, with atom -> rules
-        occurrence lists (:class:`GroundProgramIndex`).
+        occurrence lists (:class:`GroundProgramIndex`).  An atom is
+        *derivable* when it heads a rule (``index.by_head[a]`` is not
+        empty); any fixpoint is a set of derivable atoms, since
+        ``Theta`` never produces another.
     """
 
     def __init__(
@@ -306,10 +330,6 @@ class GroundProgram:
 
     def __len__(self) -> int:
         return self._size
-
-    # The SAT reduction and the enumerator read the views below, the
-    # well-founded engine only ``index``: the rule objects are decoded
-    # on first use and kept.
 
     @cached_property
     def rules(self) -> Tuple[GroundRule, ...]:
@@ -330,41 +350,10 @@ class GroundProgram:
             r += n
         return out
 
-    @cached_property
-    def by_head(self) -> Dict[GroundAtom, List[GroundRule]]:
-        by_head: Dict[GroundAtom, List[GroundRule]] = {}
-        for r in self.rules:
-            by_head.setdefault(r.head, []).append(r)
-        return by_head
-
-    @cached_property
-    def derivable(self) -> FrozenSet[GroundAtom]:
-        return frozenset(r.head for r in self.rules)
-
     def atom_space_size(self) -> int:
         """Size of the full IDB atom space ``sum_i |A|^{n_i}``."""
         n = len(self.db.universe)
         return sum(n ** self.program.arity(p) for p in self.program.idb_predicates)
-
-    def is_fixpoint(self, atoms: Set[GroundAtom]) -> bool:
-        """Check ``Theta(S) = S`` using the ground system.
-
-        ``atoms`` must contain ground IDB atoms only.
-        """
-        derived = {
-            head
-            for head, rules in self.by_head.items()
-            if any(r.fires(atoms) for r in rules)
-        }
-        return derived == set(atoms)
-
-    def from_idb_map(self, idb: Dict[str, Relation]) -> Set[GroundAtom]:
-        """Convert a ``{pred: Relation}`` valuation to a ground-atom set."""
-        return {
-            (pred, tuple(values))
-            for pred, rel in idb.items()
-            for values in rel
-        }
 
 
 def to_idb_map(program: Program, atoms: Iterable[GroundAtom]) -> Dict[str, Relation]:

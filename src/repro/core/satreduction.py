@@ -9,29 +9,41 @@ guess-and-verify step into CNF: after grounding, ``S`` is a fixpoint of
     h in S   <->   OR over ground rules r for h of
                    ( AND_{p in pos(r)} p in S  AND  AND_{n in neg(r)} n not in S )
 
-and every underivable atom is out of ``S``.  Models of the CNF are exactly
-the fixpoints, so the built-in DPLL solver decides:
+and every underivable atom is out of ``S``.  The encoding is read off
+the ground program's index in atom ids (:class:`GroundProgramIndex`):
+one variable per derivable atom id, in id order, each rule body taken
+from the ``by_pos`` / ``by_neg`` occurrence lists.  A model comes back
+as atom flags and leaves as code-only relations
+(:meth:`AtomCodes.relation`); no ground rule or atom value is decoded.
+Models of the CNF are exactly the fixpoints, so the built-in DPLL solver
+decides, through :mod:`repro.sat.counting`:
 
-* **existence**   (Theorem 1's object of study) — one SAT call;
-* **uniqueness**  (Theorem 2, the US-complete problem) — two SAT calls;
+* **existence**   (Theorem 1's object of study) — ``has_model``, one SAT
+  call;
+* **uniqueness**  (Theorem 2, the US-complete problem) — ``unique_model``,
+  two SAT calls;
 * **leastness**   (Theorem 3) — via the paper's characterisation: a least
   fixpoint exists iff the intersection of *all* fixpoints is itself a
   fixpoint.  The intersection is computed with polynomially many oracle
-  calls (a backbone computation), matching the FO(NP)/Delta_2^p upper
-  bound's flavour;
-* **counting/enumeration** — blocking-clause AllSAT, cross-checked against
-  brute-force enumeration in the tests.
+  calls (a backbone computation over one solver), matching the
+  FO(NP)/Delta_2^p upper bound's flavour;
+* **counting/enumeration** — ``enumerate_models``' blocking-clause
+  AllSAT, cross-checked against brute-force enumeration in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set
+from itertools import islice
+from typing import Dict, Iterator, List, Optional
+
+import numpy as np
 
 from ..db.database import Database
 from ..sat.cnf import CNF
+from ..sat.counting import enumerate_models, has_model, unique_model
 from ..sat.solver import Solver
-from .grounding import GroundAtom, GroundProgram, ground_program, to_idb_map
+from .grounding import GroundProgram, ground_program
 from .operator import IDBMap
 from .program import Program
 
@@ -42,73 +54,62 @@ class FixpointSAT:
     Attributes
     ----------
     cnf:
-        The compiled formula; one labelled variable per derivable atom,
-        plus anonymous Tseitin auxiliaries for multi-literal rule bodies.
-    atom_var:
-        Map from derivable ground atoms to their CNF variables.
+        The compiled formula.  Variable ``v`` in :attr:`variables` is the
+        derivable atom ``atoms[v - 1]``; later variables are anonymous
+        Tseitin auxiliaries for multi-literal rule bodies.
+    atoms:
+        The derivable atom ids of ``ground.index``, in increasing order.
+    variables:
+        The atom variables, ``1 .. len(atoms)``.
     """
 
     def __init__(
         self, program: Program, db: Database, ground: Optional[GroundProgram] = None
     ) -> None:
         self.program = program
-        self.db = db
         self.ground = ground if ground is not None else ground_program(program, db)
-        self.cnf = CNF()
-        self.atom_var: Dict[GroundAtom, int] = {}
-        self._build()
-
-    def _build(self) -> None:
-        derivable = self.ground.derivable
-        for atom in sorted(derivable):
-            self.atom_var[atom] = self.cnf.pool.var(atom)
-        for atom in sorted(derivable):
-            head_var = self.atom_var[atom]
-            body_reps: List[int] = []
-            forced_true = False
-            for rule in self.ground.by_head[atom]:
-                lits: List[int] = []
-                dead = False
-                for p in rule.pos:
-                    if p in self.atom_var:
-                        lits.append(self.atom_var[p])
-                    else:
-                        dead = True  # positive literal can never hold
-                        break
-                if dead:
-                    continue
-                for n in rule.neg:
-                    if n in self.atom_var:
-                        lits.append(-self.atom_var[n])
-                    # underivable negated atoms are vacuously satisfied
+        index = self.ground.index
+        self.atoms = np.flatnonzero([bool(rules) for rules in index.by_head])
+        self.cnf = cnf = CNF()
+        var = {a: cnf.pool.fresh() for a in self.atoms.tolist()}
+        self.variables = range(1, len(var) + 1)
+        # Each rule's body literals over derivable atoms (an underivable
+        # negated atom holds), and its positive atoms left unmet.
+        body: List[List[int]] = [[] for _ in index.head]
+        unmet = list(index.npos)
+        for a, v in var.items():
+            for r in index.by_pos[a]:
+                body[r].append(v)
+                unmet[r] -= 1
+            for r in index.by_neg[a]:
+                body[r].append(-v)
+        for a, v in var.items():
+            reps: List[int] = []
+            for r in index.by_head[a]:
+                if unmet[r]:
+                    continue  # an underivable positive atom: the rule is dead
+                lits = body[r]
                 if not lits:
-                    forced_true = True
+                    cnf.add_unit(v)
                     break
-                if len(lits) == 1:
-                    body_reps.append(lits[0])
-                else:
-                    body_reps.append(self.cnf.define_and(lits))
-            if forced_true:
-                self.cnf.add_unit(head_var)
+                reps.append(lits[0] if len(lits) == 1 else cnf.define_and(lits))
             else:
-                self.cnf.add_iff_or(head_var, body_reps)
+                cnf.add_iff_or(v, reps)
 
-    # ------------------------------------------------------------------
-    # Decoding
-    # ------------------------------------------------------------------
+    def models(self, limit: Optional[int] = None) -> Iterator[Dict[int, bool]]:
+        """The models projected onto :attr:`variables`, one per fixpoint
+        (the auxiliaries are functionally determined), at most ``limit``."""
+        return islice(enumerate_models(self.cnf, self.variables), limit)
 
-    def decode(self, model: Dict[int, bool]) -> Set[GroundAtom]:
-        """Ground atoms set true by a solver model."""
-        return {atom for atom, var in self.atom_var.items() if model.get(var)}
+    def flags(self, model: Dict[int, bool]) -> np.ndarray:
+        """The atom flags a model sets, over every atom id of the index."""
+        flags = np.zeros(len(self.ground.index.by_head), dtype=bool)
+        flags[self.atoms] = [model[v] for v in self.variables]
+        return flags
 
-    def decode_idb(self, model: Dict[int, bool]) -> IDBMap:
-        """A solver model as a ``{pred: Relation}`` valuation."""
-        return to_idb_map(self.ground.program, self.decode(model))
-
-    @property
-    def atom_vars(self) -> List[int]:
-        """The labelled (non-auxiliary) variables, in atom order."""
-        return [self.atom_var[a] for a in sorted(self.atom_var)]
+    def decode(self, model: Dict[int, bool]) -> IDBMap:
+        """A solver model as a ``{pred: Relation}`` valuation, in codes."""
+        return self.ground.index.codes.valuation(self.program, self.flags(model))
 
 
 # ----------------------------------------------------------------------
@@ -120,18 +121,14 @@ def has_fixpoint(
     program: Program, db: Database, ground: Optional[GroundProgram] = None
 ) -> bool:
     """Does ``(program, db)`` have any fixpoint?  (One NP-oracle call.)"""
-    return find_fixpoint(program, db, ground) is not None
+    return has_model(FixpointSAT(program, db, ground).cnf)
 
 
 def find_fixpoint(
     program: Program, db: Database, ground: Optional[GroundProgram] = None
 ) -> Optional[IDBMap]:
     """Some fixpoint of ``(program, db)``, or ``None``."""
-    enc = FixpointSAT(program, db, ground)
-    model = Solver(enc.cnf).solve()
-    if model is None:
-        return None
-    return enc.decode_idb(model)
+    return next(enumerate_fixpoints_sat(program, db, 1, ground), None)
 
 
 def enumerate_fixpoints_sat(
@@ -140,25 +137,11 @@ def enumerate_fixpoints_sat(
     limit: Optional[int] = None,
     ground: Optional[GroundProgram] = None,
 ) -> Iterator[IDBMap]:
-    """Yield every fixpoint via blocking-clause enumeration.
-
-    The blocking clauses range over atom variables only; Tseitin
-    auxiliaries are functionally determined, so each fixpoint appears
-    exactly once.  When ``limit`` is given, stops after that many.
-    """
+    """Yield every fixpoint via blocking-clause enumeration
+    (:meth:`FixpointSAT.models`); when ``limit`` is given, stops after
+    that many."""
     enc = FixpointSAT(program, db, ground)
-    solver = Solver(enc.cnf)
-    variables = enc.atom_vars
-    produced = 0
-    while limit is None or produced < limit:
-        model = solver.solve()
-        if model is None:
-            return
-        yield enc.decode_idb(model)
-        produced += 1
-        if not variables:
-            return
-        solver.add_clause(tuple(-v if model[v] else v for v in variables))
+    return map(enc.decode, enc.models(limit))
 
 
 def count_fixpoints_sat(
@@ -168,7 +151,7 @@ def count_fixpoints_sat(
     ground: Optional[GroundProgram] = None,
 ) -> int:
     """The number of fixpoints (up to ``limit`` when given)."""
-    return sum(1 for _ in enumerate_fixpoints_sat(program, db, limit, ground))
+    return sum(1 for _ in FixpointSAT(program, db, ground).models(limit))
 
 
 def unique_fixpoint(
@@ -180,16 +163,8 @@ def unique_fixpoint(
     with two oracle calls: find one model, block it, ask again.
     """
     enc = FixpointSAT(program, db, ground)
-    solver = Solver(enc.cnf)
-    first = solver.solve()
-    if first is None:
-        return None
-    variables = enc.atom_vars
-    if variables:
-        solver.add_clause(tuple(-v if first[v] else v for v in variables))
-        if solver.solve() is not None:
-            return None
-    return enc.decode_idb(first)
+    model = unique_model(enc.cnf, enc.variables)
+    return None if model is None else enc.decode(model)
 
 
 def has_unique_fixpoint(
@@ -241,30 +216,24 @@ def least_fixpoint(
     membership in the intersection is a backbone query: ``a`` is in every
     fixpoint iff ``CNF and not a`` is unsatisfiable.
     """
-    gp = ground if ground is not None else ground_program(program, db)
-    enc = FixpointSAT(program, db, gp)
+    return _least_fixpoint(FixpointSAT(program, db, ground))
+
+
+def _least_fixpoint(enc: FixpointSAT) -> LeastFixpointReport:
     solver = Solver(enc.cnf)
-    calls = 1
     base = solver.solve()
     if base is None:
         return LeastFixpointReport(
-            exists=False, intersection=None, least=None, oracle_calls=calls
+            exists=False, intersection=None, least=None, oracle_calls=1
         )
-    intersection_atoms: Set[GroundAtom] = set()
-    for atom, var in sorted(enc.atom_var.items()):
-        if not base[var]:
-            continue  # some fixpoint already excludes it
-        calls += 1
-        without = solver.solve(assumptions=(-var,))
-        if without is None:
-            intersection_atoms.add(atom)
-    intersection = to_idb_map(gp.program, intersection_atoms)
-    least = intersection if gp.is_fixpoint(intersection_atoms) else None
+    # An atom some fixpoint (the first) excludes costs no call.
+    inside = {v: base[v] and solver.solve(assumptions=(-v,)) is None for v in enc.variables}
+    intersection = enc.decode(inside)
     return LeastFixpointReport(
         exists=True,
         intersection=intersection,
-        least=least,
-        oracle_calls=calls,
+        least=intersection if enc.ground.index.is_fixpoint(enc.flags(inside)) else None,
+        oracle_calls=1 + sum(base[v] for v in enc.variables),
     )
 
 
@@ -296,9 +265,10 @@ def analyze_fixpoints(
 
     ``count`` is ``None`` when more than ``count_limit`` fixpoints exist.
     """
-    gp = ground if ground is not None else ground_program(program, db)
-    sample = find_fixpoint(program, db, gp)
-    if sample is None:
+    enc = FixpointSAT(program, db, ground)
+    models = enc.models()
+    first = next(models, None)
+    if first is None:
         return FixpointAnalysis(
             exists=False,
             unique=False,
@@ -307,18 +277,15 @@ def analyze_fixpoints(
             least=None,
             sample=None,
         )
-    count: Optional[int] = 0
-    for _ in enumerate_fixpoints_sat(program, db, None, gp):
-        count += 1
-        if count_limit is not None and count > count_limit:
-            count = None
-            break
-    report = least_fixpoint(program, db, gp)
+    count: Optional[int] = 1 + sum(1 for _ in islice(models, count_limit))
+    if count_limit is not None and count > count_limit:
+        count = None
+    report = _least_fixpoint(enc)
     return FixpointAnalysis(
         exists=True,
         unique=(count == 1),
         count=count,
         least_exists=report.least_exists,
         least=report.least,
-        sample=sample,
+        sample=enc.decode(first),
     )

@@ -3,7 +3,10 @@
 Any fixpoint satisfies ``S = Theta(S) subseteq derivable`` where
 ``derivable`` is the set of ground IDB atoms heading at least one ground
 rule instance — Theta can never produce anything else.  Enumerating the
-``2^|derivable|`` subsets is therefore complete.  This is intentionally the
+``2^|derivable|`` subsets is therefore complete.  The walk runs over
+derivable atom ids of the ground index, tests each subset with
+:meth:`~repro.core.grounding.GroundProgramIndex.is_fixpoint`, and decodes
+only the fixpoints it yields.  This is intentionally the
 dumb-but-trustworthy engine: the SAT-backed analysis in
 :mod:`repro.core.satreduction` is cross-checked against it on small inputs.
 """
@@ -11,10 +14,12 @@ dumb-but-trustworthy engine: the SAT-backed analysis in
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional
+
+import numpy as np
 
 from ...db.database import Database
-from ..grounding import GroundAtom, GroundProgram, ground_program, to_idb_map
+from ..grounding import GroundProgram, ground_program
 from ..operator import IDBMap
 from ..program import Program
 
@@ -28,8 +33,9 @@ def iterate_fixpoints(
     db: Database,
     limit_atoms: int = 20,
     ground: Optional[GroundProgram] = None,
-) -> Iterator[Set[GroundAtom]]:
-    """Yield every fixpoint of ``(program, db)`` as a ground-atom set.
+) -> Iterator[IDBMap]:
+    """Yield every fixpoint of ``(program, db)`` as a ``{pred: Relation}``
+    valuation, smallest first.
 
     Parameters
     ----------
@@ -43,8 +49,8 @@ def iterate_fixpoints(
     EnumerationLimitError
         When ``|derivable| > limit_atoms``.
     """
-    gp = ground if ground is not None else ground_program(program, db)
-    derivable = sorted(gp.derivable)
+    index = (ground if ground is not None else ground_program(program, db)).index
+    derivable = [a for a, rules in enumerate(index.by_head) if rules]
     if len(derivable) > limit_atoms:
         raise EnumerationLimitError(
             "%d derivable atoms exceed the exhaustive limit of %d; "
@@ -53,9 +59,10 @@ def iterate_fixpoints(
         )
     for size in range(len(derivable) + 1):
         for chosen in combinations(derivable, size):
-            candidate = set(chosen)
-            if gp.is_fixpoint(candidate):
-                yield candidate
+            flags = np.zeros(len(index.by_head), dtype=bool)
+            flags[list(chosen)] = True
+            if index.is_fixpoint(flags):
+                yield index.codes.valuation(program, flags)
 
 
 def all_fixpoints(
@@ -65,11 +72,7 @@ def all_fixpoints(
     ground: Optional[GroundProgram] = None,
 ) -> List[IDBMap]:
     """All fixpoints as ``{pred: Relation}`` valuations (smallest first)."""
-    gp = ground if ground is not None else ground_program(program, db)
-    return [
-        to_idb_map(gp.program, atoms)
-        for atoms in iterate_fixpoints(program, db, limit_atoms, gp)
-    ]
+    return list(iterate_fixpoints(program, db, limit_atoms, ground))
 
 
 def count_fixpoints(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro import Database, Relation
@@ -67,6 +68,29 @@ def assert_seeded_counts(program, db):
     pair, _ = alternate(ground_program(program, db).index)  # the batch engine's flags
     assert wf.pair.true == pair.true
     assert wf.pair.possible == pair.possible
+
+
+def derivable_atoms(ground):
+    """The atoms heading some ground rule, as ``(pred, values)``."""
+    index = ground.index
+    return {index.atoms[a] for a, rules in enumerate(index.by_head) if rules}
+
+
+def ground_atoms(idb):
+    """A ``{pred: Relation}`` valuation as a set of ``(pred, values)``."""
+    return {(pred, tuple(values)) for pred, rel in idb.items() for values in rel}
+
+
+def ground_is_fixpoint(ground, atoms):
+    """The index's ``Theta(S) = S`` check on a set of ground atoms.  An
+    atom the index does not name heads no rule, so no set holding it is
+    a fixpoint."""
+    index = ground.index
+    if not all(atom in index.atom_ids for atom in atoms):
+        return False
+    flags = np.zeros(len(index.by_head), dtype=bool)
+    flags[[index.atom_ids[atom] for atom in atoms]] = True
+    return index.is_fixpoint(flags)
 
 
 def assert_index_matches(index, rules):

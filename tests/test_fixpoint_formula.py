@@ -18,7 +18,7 @@ from repro.logic.fo import evaluate
 from repro.logic.translate import fixpoint_formula
 from repro.queries import pi1, toggle_program, transitive_closure_program
 
-from strategies import random_programs, small_databases
+from strategies import derivable_atoms, ground_is_fixpoint, random_programs, small_databases
 
 
 def all_unary_subsets(universe):
@@ -37,7 +37,7 @@ def test_phi_pi_characterises_fixpoints_of_pi1():
         for subset in all_unary_subsets(db.universe):
             candidate = db.with_relation(Relation("T", 1, subset))
             via_formula = evaluate(phi, candidate)
-            via_ground = gp.is_fixpoint({("T", t) for t in subset})
+            via_ground = ground_is_fixpoint(gp, {("T", t) for t in subset})
             assert via_formula == via_ground
 
 
@@ -88,7 +88,7 @@ def test_property_phi_pi_matches_ground_check(program, db):
     gp = ground_program(program, db)
     universe = sorted(db.universe)
     # Probe a few structured candidates: empty, full, and the derivables.
-    candidates = [set(), set(gp.derivable)]
+    candidates = [set(), derivable_atoms(gp)]
     candidates.append(
         {(p, t) for p in program.idb_predicates
          for t in product(universe, repeat=program.arity(p))}
@@ -96,4 +96,4 @@ def test_property_phi_pi_matches_ground_check(program, db):
     for atoms in candidates:
         relations = to_idb_map(gp.program, atoms)
         shadow = db.with_relations(relations.values())
-        assert evaluate(phi, shadow) == gp.is_fixpoint(atoms)
+        assert evaluate(phi, shadow) == ground_is_fixpoint(gp, atoms)

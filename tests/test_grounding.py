@@ -12,6 +12,9 @@ from repro.materialize.wellfounded_maint import LiveGroundProgram
 from strategies import (
     assert_index_matches,
     assert_seeded_counts,
+    derivable_atoms,
+    ground_atoms,
+    ground_is_fixpoint,
     live_rules,
     metrics,
     random_programs,
@@ -23,12 +26,12 @@ def test_pi1_grounding(pi1_program, path4_db):
     gp = ground_program(pi1_program, path4_db)
     # One ground instance per edge: T(x) <- not T(y) for each E(y, x).
     assert len(gp.rules) == 3
-    assert gp.derivable == {("T", (2,)), ("T", (3,)), ("T", (4,))}
+    assert derivable_atoms(gp) == {("T", (2,)), ("T", (3,)), ("T", (4,))}
 
 
 def test_ground_rule_shape(pi1_program, path4_db):
     gp = ground_program(pi1_program, path4_db)
-    rule = gp.by_head[("T", (2,))][0]
+    [rule] = [r for r in gp.rules if r.head == ("T", (2,))]
     assert rule.pos == ()
     assert rule.neg == (("T", (1,)),)
 
@@ -41,7 +44,7 @@ def test_edb_filters_resolved_at_ground_time():
     )
     gp = ground_program(p, db)
     # (1,2): ok.  (2,2): killed by X != Y.  (3,1): killed by V(3).
-    assert gp.derivable == {("T", (1,))}
+    assert derivable_atoms(gp) == {("T", (1,))}
     assert gp.rules[0].neg == ()  # EDB negation resolved away
 
 
@@ -67,8 +70,9 @@ def test_atom_space_size(pi1_program, path4_db):
 
 def test_is_fixpoint_agrees_with_theta(pi1_program, path4_db):
     gp = ground_program(pi1_program, path4_db)
-    assert gp.is_fixpoint({("T", (2,)), ("T", (4,))})
-    assert not gp.is_fixpoint({("T", (2,))})
+    assert ground_is_fixpoint(gp, {("T", (2,)), ("T", (4,))})
+    assert not ground_is_fixpoint(gp, {("T", (2,))})
+    assert not ground_is_fixpoint(gp, {("T", (1,)), ("T", (2,)), ("T", (4,))})
 
 
 def test_idb_map_conversions(pi1_program, path4_db):
@@ -76,15 +80,15 @@ def test_idb_map_conversions(pi1_program, path4_db):
     atoms = {("T", (2,)), ("T", (4,))}
     idb = to_idb_map(gp.program, atoms)
     assert set(idb["T"].tuples) == {(2,), (4,)}
-    assert gp.from_idb_map(idb) == atoms
+    assert ground_atoms(idb) == atoms
 
 
 def test_bodyless_rule_with_head_constant():
     p = parse_program("G(X, 1, Y).")
     db = Database({0, 1}, [])
     gp = ground_program(p, db)
-    assert len(gp.derivable) == 4
-    assert all(values[1] == 1 for _, values in gp.derivable)
+    assert len(derivable_atoms(gp)) == 4
+    assert all(values[1] == 1 for _, values in derivable_atoms(gp))
 
 
 @given(random_programs(), small_databases())
@@ -99,7 +103,7 @@ def test_ground_fixpoint_check_matches_theta(program, db):
         via_theta = theta(program, db, probe) == {
             p: r.with_name(p) for p, r in probe.items()
         }
-        via_ground = gp.is_fixpoint(gp.from_idb_map(probe))
+        via_ground = ground_is_fixpoint(gp, ground_atoms(probe))
         assert via_theta == via_ground
 
 
@@ -109,7 +113,7 @@ def test_derivable_upper_bounds_theta(program, db):
     gp = ground_program(program, db)
     for probe in (empty_idb(program), theta(program, db, empty_idb(program))):
         out = theta(program, db, probe)
-        assert gp.from_idb_map(out) <= gp.derivable
+        assert ground_atoms(out) <= derivable_atoms(gp)
 
 
 def test_rows_wider_than_63_bits_ground_through_the_spec():

@@ -18,25 +18,29 @@ from repro.core.satreduction import (
     least_fixpoint,
     unique_fixpoint,
 )
+from repro.cli import main
 from repro.core.semantics import all_fixpoints, naive_least_fixpoint
 from repro.graphs import generators as gg, graph_to_database
+from repro.sat import Solver
 
-from strategies import random_programs, small_databases
+from strategies import derivable_atoms, ground_atoms, random_programs, small_databases
 
 
 class TestEncoding:
     def test_models_decode_to_fixpoints(self, pi1_program, cycle4_db):
         enc = FixpointSAT(pi1_program, cycle4_db)
-        from repro.sat import Solver
-
         model = Solver(enc.cnf).solve()
-        decoded = enc.decode_idb(model)
+        decoded = enc.decode(model)
         assert is_fixpoint(pi1_program, cycle4_db, decoded)
 
-    def test_atom_vars_are_labelled(self, pi1_program, path4_db):
-        enc = FixpointSAT(pi1_program, path4_db)
-        for atom, var in enc.atom_var.items():
-            assert enc.cnf.pool.label(var) == atom
+    def test_each_variable_decodes_to_its_atom(self, tc_program, path4_db):
+        enc = FixpointSAT(tc_program, path4_db)
+        index = enc.ground.index
+        assert {index.atoms[a] for a in enc.atoms} == derivable_atoms(enc.ground)
+        assert list(enc.variables) == list(range(1, len(enc.atoms) + 1))
+        for v, a in zip(enc.variables, enc.atoms):
+            only = {u: u == v for u in enc.variables}
+            assert ground_atoms(enc.decode(only)) == {index.atoms[a]}
 
 
 class TestDecisions:
@@ -96,7 +100,7 @@ class TestLeastFixpoint:
         db = graph_to_database(gg.disjoint_cycles(3))
         report = least_fixpoint(pi1_program, db)
         gp = ground_program(pi1_program, db)
-        assert report.oracle_calls <= 1 + len(gp.derivable)
+        assert report.oracle_calls <= 1 + len(derivable_atoms(gp))
 
 
 class TestAnalyze:
@@ -122,19 +126,32 @@ class TestAnalyze:
 # ----------------------------------------------------------------------
 
 
+_ONE = Database({1}, [Relation("E", 2, [(1, 1)])])
+
+
 @given(random_programs(max_rules=3), small_databases(max_size=3))
+@example(parse_program("P() :- P()."), _ONE)  # the fixpoints {} and {P}
+@example(parse_program("T(X) :- E(X, X), S(X, X). S(X, Y) :- E(X, Y), X != Y."), _ONE)
+@example(parse_program("T(X) :- E(X, X), !S(X, X). S(X, Y) :- E(X, Y), X != Y."), _ONE)
+@example(parse_program("T(1). S(X, Y) :- E(X, Y), !T(X)."), _ONE)
+@example(parse_program("P() :- E(X, X), !Q(). Q() :- E(X, X), !P()."), _ONE)
 @settings(max_examples=30)
 def test_sat_agrees_with_brute_force(program, db):
-    """SAT-based enumeration and exhaustive subset enumeration agree."""
+    """SAT-based enumeration and exhaustive subset enumeration agree.
+
+    The examples take each branch of the encoding in turn: a positive
+    self-loop, a rule killed by an underivable positive atom, an
+    underivable negated atom (vacuously true), a bodyless IDB fact (a
+    unit clause) and zero-ary heads."""
     gp = ground_program(program, db)
-    if len(gp.derivable) > 14:
+    if len(derivable_atoms(gp)) > 14:
         return  # keep the brute-force side cheap
     brute = {
-        frozenset(gp.from_idb_map(m))
+        frozenset(ground_atoms(m))
         for m in all_fixpoints(program, db, limit_atoms=14, ground=gp)
     }
     sat = {
-        frozenset(gp.from_idb_map(m))
+        frozenset(ground_atoms(m))
         for m in enumerate_fixpoints_sat(program, db, ground=gp)
     }
     assert brute == sat
@@ -181,3 +198,26 @@ def test_least_fixpoint_report_consistent(program, db):
         assert all(idb_leq(report.least, other) for other in points)
     elif len(points) < _ENUMERATION_CAP:
         assert least_among(points) is None
+
+
+def test_mixed_universes_answer_every_fixpoint_question(tmp_path, capsys):
+    """Ints and strings in one universe, as the CSV loader reads them:
+    no question orders atoms or values by value."""
+    program = parse_program("T(X) :- E(Y, X), !T(Y).")
+    db = Database({1, "a", 2}, [Relation("E", 2, [(1, "a"), ("a", 2)])])
+    only = {("T", ("a",))}
+    assert has_fixpoint(program, db)
+    assert ground_atoms(find_fixpoint(program, db)) == only
+    assert ground_atoms(unique_fixpoint(program, db)) == only
+    report = least_fixpoint(program, db)
+    assert ground_atoms(report.least) == ground_atoms(report.intersection) == only
+    assert [ground_atoms(m) for m in enumerate_fixpoints_sat(program, db)] == [only]
+    assert [ground_atoms(m) for m in all_fixpoints(program, db)] == [only]
+
+    (tmp_path / "pi1.dl").write_text("T(X) :- E(Y, X), !T(Y).\n")
+    (tmp_path / "db").mkdir()
+    (tmp_path / "db" / "E.csv").write_text("1,a\na,2\n")
+    assert main(["analyze", str(tmp_path / "pi1.dl"), "--db", str(tmp_path / "db")]) == 0
+    out = capsys.readouterr().out
+    assert "unique          : True" in out
+    assert "least fixpoint:" in out

@@ -15,6 +15,8 @@ from repro.queries import tc_complement_stratified, win_move_program
 from strategies import (
     assert_index_matches,
     assert_seeded_counts,
+    derivable_atoms,
+    ground_is_fixpoint,
     metrics,
     nonstratifiable_programs,
     random_programs,
@@ -100,7 +102,7 @@ def test_wfm_stability_equations(program, db):
     assert _least_model_of_reduct(gp, true) == possible
     assert _least_model_of_reduct(gp, possible) == true
     # Nothing outside the derivable atoms is ever true or undefined.
-    assert possible <= set(gp.derivable)
+    assert possible <= derivable_atoms(gp)
 
 
 @given(nonstratifiable_programs(), small_databases())
@@ -153,7 +155,7 @@ def test_total_wfm_is_a_fixpoint_of_theta(program, db):
     gp = ground_program(program, db)
     wf = well_founded_semantics(program, db, ground=gp)
     if wf.is_total:
-        assert gp.is_fixpoint(set(wf.true))
+        assert ground_is_fixpoint(gp, set(wf.true))
 
 
 # ----------------------------------------------------------------------
