@@ -16,7 +16,9 @@ insert within 3x of the same insert once its node is known.
 The scaling row times a single-edge ACYC update at G(n, 0.7n) for n =
 2000, 8000 and 32000 and prints the fitted exponent of its median
 against n; it asserts only the work: no update past the first rebuilds
-a join index from scratch (each is patched with the delta).
+a join index from scratch (each is patched with the delta), and each
+makes exactly one new relation with ``Relation.evolve``, the database's
+``E`` (the view's aliases name values; they evolve no copies).
 """
 
 import pytest
@@ -116,3 +118,6 @@ def test_single_edge_update_scaling(benchmark):
     for n, r in zip(SCALING_SIZES, results):
         assert r["equal"], "maintained acyc view diverged from recompute at n=%d" % n
         assert r["index_builds"] == 0, (n, r["index_builds"])
+        # One new relation per update, the database's E: the view's
+        # aliases name values, they do not evolve copies.
+        assert r["evolves"] == 40, (n, r["evolves"])

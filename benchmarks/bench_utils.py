@@ -83,7 +83,9 @@ def measure_single_edge_stream(
     one warm-up update, ``reps`` updates strictly alternate a fresh edge
     in and a present edge out.  Returns their median seconds, the number
     of from-scratch join-index builds (``SortedRun.__init__`` calls) they
-    made, and an ``equal`` flag: the view equals a recompute.
+    made, the number of new relations ``Relation.evolve`` returned in
+    them (``evolves``), and an ``equal`` flag: the view equals a
+    recompute.
     """
     from repro.db import kernel
 
@@ -97,11 +99,18 @@ def measure_single_edge_stream(
     view = MaterializedView(program, Database(range(n), [Relation("E", 2, sorted(edges))]))
     present = sorted(edges)
     builds = [0]
+    evolves = [0]
     build = kernel.SortedRun.__init__
+    evolve = Relation.evolve
 
     def counted(self, relation, key_columns):
         builds[0] += 1
         build(self, relation, key_columns)
+
+    def counted_evolve(self, inserts=(), deletes=()):
+        out = evolve(self, inserts, deletes)
+        evolves[0] += out is not self
+        return out
 
     times = []
     for index in range(reps + 1):
@@ -118,6 +127,7 @@ def measure_single_edge_stream(
             edges.discard(edge)
             delta = Delta.delete("E", edge)
         kernel.SortedRun.__init__ = counted if index else build
+        Relation.evolve = counted_evolve if index else evolve
         try:
             start = time.perf_counter()
             view.apply(delta)
@@ -125,8 +135,10 @@ def measure_single_edge_stream(
                 times.append(time.perf_counter() - start)
         finally:
             kernel.SortedRun.__init__ = build
+            Relation.evolve = evolve
     return {
         "p50_s": statistics.median(times),
         "index_builds": builds[0],
+        "evolves": evolves[0],
         "equal": view.result.idb == stratified_semantics(program, view.db).idb,
     }

@@ -188,11 +188,9 @@ def pair_result(
     codes = pair.index.codes
     true = np.frombuffer(pair.true, dtype=bool)
     undefined = np.frombuffer(pair.possible, dtype=bool) > true
-    true_idb, undefined_idb = (
-        {p: codes.relation(p, program.arity(p), flags) for p in program.idb_predicates}
-        for flags in (true, undefined)
+    return WellFoundedResult(
+        program, db, codes.valuation(program, true), codes.valuation(program, undefined), rounds
     )
-    return WellFoundedResult(program, db, true_idb, undefined_idb, rounds)
 
 
 def _reduct_model(

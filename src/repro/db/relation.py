@@ -249,8 +249,8 @@ class Relation:
         ``ins``/``dels`` are the operand relations (``None`` or empty for
         an absent side).  Each is encoded at most once per table — the
         payload is cached on the operand, so one delta patching several
-        relations (a view's ``@old``/``@new`` aliases, the database's own
-        copy) is interned once; empty sides are not encoded at all.
+        relations (the database's relation, a counted predicate's value)
+        is interned once; empty sides are not encoded at all.
         ``None`` when some operand cannot pack under the table's width.
         """
         def payload(side):

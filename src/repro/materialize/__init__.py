@@ -9,8 +9,10 @@ change.  This package turns the batch evaluator into a serving engine:
 * :mod:`~repro.materialize.deltavariants` — the telescoping delta
   variants counting differentiates rules into, DRed's one-state flips,
   and
-  :class:`~repro.materialize.deltavariants.AliasSet`, the
-  ``@old``/``@new``/``@ins``/``@del`` relations they read;
+  :class:`~repro.materialize.deltavariants.AliasSet`, which names the
+  values they read: each input's post-change value under its own name,
+  and ``@old``/``@ins``/``@del`` aliases — names for values an update
+  has already computed, never copies evolved beside them;
 * :mod:`~repro.materialize.counting` — exact derivation counting for
   non-recursive predicates, and for the ground program itself;
 * :mod:`~repro.materialize.dred` — Delete/Rederive for recursive

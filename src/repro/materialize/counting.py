@@ -7,7 +7,9 @@ rule's variables satisfying its body.  A change to the inputs then
 maintains the counts exactly:
 
 * derivations gained/lost are enumerated by the telescoping delta
-  variants of :mod:`repro.materialize.deltavariants`, each solved under a
+  variants of :mod:`repro.materialize.deltavariants` (post-change values
+  under their own names, pre-change ones as ``P@old``, the change sets
+  as ``P@ins`` / ``P@del``), each solved under a
   *total-binding* pseudo-head so the executor cannot collapse
   multiplicities by projecting a column away; the bindings stay
   id columns, the head projection is packed to one code per binding
@@ -29,7 +31,9 @@ derivations the fresh values add.
 Two maintainers count: a stratified or semipositive view, per
 non-recursive predicate, and a well-founded view's live grounding, per
 rule shape (its keys are ground rules;
-:class:`~repro.materialize.wellfounded_maint.LiveGroundProgram`).
+:class:`~repro.materialize.wellfounded_maint.LiveGroundProgram`).  Where
+a later variant reads a counted predicate, the view evolves its value
+once by the returned heads, and its aliases name that value.
 """
 
 from __future__ import annotations
@@ -167,9 +171,10 @@ class CountingState:
     ) -> Tuple[List[Tup], List[Tup]]:
         """Maintain the counts under the changes baked into ``interp``.
 
-        ``interp`` supplies the alias relations (``P@old``/``P@new``/
-        ``P@ins``/``P@del``) the variants read; ``changed`` names the
-        predicates whose change sets are non-empty.  Returns the tuples
+        ``interp`` supplies the relations the variants read: every input's
+        post-change value under its own name, and its ``P@old`` /
+        ``P@ins`` / ``P@del`` aliases; ``changed`` names the predicates
+        whose change sets are non-empty.  Returns the tuples
         whose count rose from zero and those whose count returned to it.
         """
         diff = Counter()
@@ -203,12 +208,6 @@ class CountingState:
                 if not old:
                     inserted.append(head)
         return inserted, deleted
-
-    def reads(self) -> FrozenSet[str]:
-        """Every relation some delta variant reads: aliases and change sets."""
-        return frozenset().union(
-            *(v.body_predicates() for _, gained, lost in self._variants for v in (gained, lost))
-        )
 
     def __repr__(self) -> str:
         return "CountingState(%s/%d, %d tuples, %d derivations)" % (

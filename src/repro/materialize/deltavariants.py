@@ -19,30 +19,34 @@ loses instances where ``P`` gained them (:func:`change_atom`).  That
 is exact for *signed counts*; a set-semantics maintainer (DRed) reads a
 :func:`flip_variant` instead, every other literal under one state.
 
-All variants are ordinary rules over alias predicate names
-(``P@old``, ``P@new``, ``P@ins``, ``P@del`` — ``@`` cannot appear in a
-parsed program, so aliases can never collide with user predicates), so
-they compile through the ordinary planner and run on the columnar executor;
-the change-set aliases are declared *small* so plans join through the
-delta first.  A consumer compiles its fixed family of variants once,
-with :func:`~repro.core.planning.compile_rule`, and holds the plans.
+A variant reads a post-change value under the predicate's own name and
+the other values under alias predicate names (``P@old``, ``P@ins``,
+``P@del`` — ``@`` cannot appear in a parsed program, so aliases can
+never collide with user predicates), so variants compile through the
+ordinary planner and run on the columnar executor; the change-set
+aliases are declared *small* so plans join through the delta first.  A
+consumer compiles its fixed family of variants once, with
+:func:`~repro.core.planning.compile_rule`, and holds the plans.
 
 :class:`AliasSet` is the one implementation of the alias protocol the
-variants are read under: the ``@old``/``@new`` relations persist across
-updates and *evolve*, so their cached codes are patched, never rebuilt.
+variants are read under.  An alias *names* a value an update has
+already computed — the database's relation after
+:meth:`~repro.db.database.Database.apply_delta`, DRed's final stage, a
+counted predicate's evolved relation — and is never a copy that evolves
+beside it: ``P@old`` is the last update's value renamed, and renaming
+shares the code payload and its cached join indexes.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Tuple
 
 from ..core.literals import Atom, Negation
 from ..core.rules import Rule
-from ..db.database import Database
+from ..db.database import UNIVERSE, Database
 from ..db.relation import Relation
 
 OLD = "@old"
-NEW = "@new"
 INS = "@ins"
 DEL = "@del"
 
@@ -50,11 +54,6 @@ DEL = "@del"
 def old_name(pred: str) -> str:
     """Alias of ``pred``'s pre-change value."""
     return pred + OLD
-
-
-def new_name(pred: str) -> str:
-    """Alias of ``pred``'s post-change value."""
-    return pred + NEW
 
 
 def ins_name(pred: str) -> str:
@@ -67,8 +66,8 @@ def del_name(pred: str) -> str:
     return pred + DEL
 
 
-def aliased(literal, suffix: str, keep: AbstractSet[str] = frozenset()):
-    """The literal reading its predicate under an alias suffix.
+def read_old(literal, keep: AbstractSet[str] = frozenset()):
+    """The literal reading its predicate's pre-change value ``P@old``.
 
     Predicates in ``keep`` keep their plain names; comparisons carry no
     predicate.
@@ -76,7 +75,7 @@ def aliased(literal, suffix: str, keep: AbstractSet[str] = frozenset()):
     atom = literal.atom if isinstance(literal, Negation) else literal
     if not isinstance(atom, Atom) or atom.pred in keep:
         return literal
-    renamed = Atom(atom.pred + suffix, atom.args)
+    renamed = Atom(old_name(atom.pred), atom.args)
     return renamed if atom is literal else Negation(renamed)
 
 
@@ -98,14 +97,15 @@ def delta_variant(rule: Rule, position: int, gained: bool) -> Rule:
     ``gained=True`` builds the variant enumerating derivations the
     change *adds* (position reads :func:`change_atom`); ``gained=False``
     the derivations it *removes*.  Positions before ``position`` read
-    ``@new`` values, positions after read ``@old``.
+    post-change values under their own names, positions after read
+    ``@old``.
     """
     body: List = []
     for j, lit in enumerate(rule.body):
         if j == position:
             body.append(change_atom(lit, gained))
         else:
-            body.append(aliased(lit, NEW if j < position else OLD))
+            body.append(lit if j < position else read_old(lit))
     return Rule(rule.head, body)
 
 
@@ -114,13 +114,13 @@ def flip_variant(
 ) -> Rule:
     """``rule`` with ``position`` reading its change set, the rest one state.
 
-    Every other literal over a predicate outside ``keep`` reads ``@new``
-    for a gaining flip and ``@old`` for a killing one, so each instance
-    is a derivation of that state (see the module docstring).
+    Every other literal reads its post-change value (its own name) for a
+    gaining flip; for a killing one, a literal over a predicate outside
+    ``keep`` reads ``@old``.  Each instance is thus a derivation of one
+    state (see the module docstring).
     """
-    suffix = NEW if gained else OLD
     body = [
-        change_atom(lit, gained) if j == position else aliased(lit, suffix, keep)
+        change_atom(lit, gained) if j == position else lit if gained else read_old(lit, keep)
         for j, lit in enumerate(rule.body)
     ]
     return Rule(rule.head, body)
@@ -138,56 +138,51 @@ def changeable_positions(rule: Rule, changeable: FrozenSet[str]) -> List[int]:
 
 
 class AliasSet:
-    """The alias relations one maintainer reads its inputs under.
+    """The relations one maintainer reads its inputs under.
 
-    ``values`` are the inputs' current relations; each gets a ``P@old``
-    and a ``P@new`` alias, or only those named in ``read`` when given.
-    An update runs the protocol in order: :meth:`stage` every changed
-    input (``P@new`` evolves, ``P@ins``/``P@del`` are staged), read the
-    :meth:`working` relations (or :meth:`derive` them into an
-    interpretation), then :meth:`catch_up` — ``P@old`` takes the same
-    changes, so the next update's pre-change state is this one's
-    post-change state.  A predicate outside ``values`` (a head-only one)
-    has no aliases and stages nothing.
+    ``values`` are the inputs' current relations; :attr:`relations`
+    holds each input's current value under its plain name, and each also
+    has its pre-change value ``P@old``.  An update runs the protocol in
+    order: :meth:`stage` every changed input with the post-change value
+    the caller already computed (``P@ins``/``P@del`` are staged beside
+    it), read the :meth:`working` relations (or :meth:`derive` them into
+    an interpretation), then :meth:`catch_up` — ``P@old`` is renamed to
+    the current value, so the next update's pre-change state is this
+    one's post-change state.  No step evolves a relation.  A predicate
+    outside ``values`` (a head-only one) has no aliases.
     """
 
-    __slots__ = ("arity", "relations", "_staged")
+    __slots__ = ("relations", "_old", "_staged")
 
-    def __init__(
-        self, values: Iterable[Relation], read: Optional[AbstractSet[str]] = None
-    ) -> None:
-        self.arity: Dict[str, int] = {}
-        self.relations: Dict[str, Relation] = {}
-        for rel in values:
-            self.arity[rel.name] = rel.arity
-            for alias in (old_name(rel.name), new_name(rel.name)):
-                if read is None or alias in read:
-                    self.relations[alias] = rel.with_name(alias)
+    def __init__(self, values: Iterable[Relation]) -> None:
+        self.relations: Dict[str, Relation] = {rel.name: rel for rel in values}
+        self._old = {old_name(n): rel.with_name(old_name(n)) for n, rel in self.relations.items()}
         self._staged: Dict[str, Tuple[Relation, Relation]] = {}
 
     def __contains__(self, name: str) -> bool:
-        return name in self.arity
+        return name in self.relations
 
-    def stage(self, name: str, ins, dels) -> None:
-        """Evolve ``name@new`` by one change; stage ``name@ins``/``name@del``.
+    def stage(self, name: str, ins, dels, value: Relation) -> None:
+        """Take ``value`` as ``name``'s current value; stage its change.
 
-        ``ins``/``dels`` are relations or tuple frozensets; a name
-        without aliases is ignored.
+        ``name`` is one of the inputs; ``ins``/``dels`` are relations or
+        tuple frozensets, the change from the pre-change value to
+        ``value``.
         """
-        arity = self.arity.get(name)
-        if arity is None:
-            return
         if not isinstance(ins, Relation):
-            ins = Relation._from_frozenset(name, arity, ins)
-            dels = Relation._from_frozenset(name, arity, dels)
-        alias = new_name(name)
-        if alias in self.relations:
-            self.relations[alias] = self.relations[alias].evolve(ins, dels)
+            ins = Relation._from_frozenset(name, value.arity, ins)
+            dels = Relation._from_frozenset(name, value.arity, dels)
+        self.relations[name] = value
         self._staged[name] = (ins.with_name(ins_name(name)), dels.with_name(del_name(name)))
 
     def working(self) -> Dict[str, Relation]:
-        """The aliases and the staged change sets, by name."""
-        out = dict(self.relations)
+        """Current values, ``@old`` aliases and staged change sets, by name.
+
+        The universe's current value is left out: an interpretation
+        resolves ``@U`` through the universe it is derived over.
+        """
+        out = {n: rel for n, rel in self.relations.items() if n != UNIVERSE}
+        out.update(self._old)
         for ins, dels in self._staged.values():
             out[ins.name] = ins
             out[dels.name] = dels
@@ -198,10 +193,7 @@ class AliasSet:
         return db.derive(self.working().values())
 
     def catch_up(self) -> None:
-        """Evolve every ``P@old`` by its staged change; drop the stage."""
-        relations = self.relations
-        for name, (ins, dels) in self._staged.items():
-            alias = old_name(name)
-            if alias in relations:
-                relations[alias] = relations[alias].evolve(ins, dels)
+        """Rename every staged input's current value to ``P@old``; drop the stage."""
+        for name in self._staged:
+            self._old[old_name(name)] = self.relations[name].with_name(old_name(name))
         self._staged = {}

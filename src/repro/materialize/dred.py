@@ -21,8 +21,10 @@ component and run by the engines' own loop,
 2. **Rederive** — over-deletion removes a superset of the truly dead
    tuples, so the survivors are a *sound under-approximation* of the new
    fixpoint, and the least fixpoint of a monotone operator is reached
-   from any such start (Section 2): the component over ``@new`` inputs
-   is iterated from the survivors.  Round 1 runs every rule with its
+   from any such start (Section 2): the component's own rules, over its
+   inputs' post-change values, are iterated from the survivors; the
+   final stage is the component's new value, and the view's aliases name
+   it rather than copying it.  Round 1 runs every rule with its
    head restricted to the over-deleted set (a leading ``P@dred_over(head
    args)`` atom), plus the *gaining* flips.  That is all round 1 can
    derive: an instance over the survivors that uses no gained base fact
@@ -65,7 +67,7 @@ from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import TRACER
-from .deltavariants import NEW, OLD, aliased, flip_variant, old_name
+from .deltavariants import flip_variant, read_old
 
 IDBValues = Dict[str, Relation]
 ChangePair = Tuple[Relation, Relation]
@@ -105,7 +107,7 @@ class RecursiveState:
             over_head = Atom(rule.head.pred + OVER_DELETED, rule.head.args)
             for i, lit in enumerate(rule.body):
                 if isinstance(lit, Atom) and lit.pred in comp:
-                    body = [aliased(other, OLD, comp) for other in rule.body]
+                    body = [read_old(other, comp) for other in rule.body]
                     body[i] = Atom(lit.pred + OVER_DELETED, lit.args)
                     propagate.append(Rule(over_head, body))
                 elif isinstance(lit, (Atom, Negation)):
@@ -122,32 +124,34 @@ class RecursiveState:
         self._over = Program(propagate)
         _, self._over_plans = differential_plans(self._over)
         self._no_over = empty_idb(self._over)
-        self._rederive = Program(
-            Rule(r.head, [aliased(lit, NEW, comp) for lit in r.body]) for r in rules
-        )
+        self._rederive = Program(rules)
         _, self._rederive_plans = differential_plans(self._rederive)
         self._restricted = []
-        for r in self._rederive.rules:
+        for r in rules:
             name = r.head.pred + OVER_DELETED
             restricted = Rule(r.head, (Atom(name, r.head.args),) + tuple(r.body))
             self._restricted.append((name, compile_rule(restricted, small)))
 
-    def apply(self, aliases: IDBValues, db: Database) -> Dict[str, ChangePair]:
-        """Maintain the component; return its ``(inserted, deleted)`` per pred.
+    def apply(
+        self, aliases: IDBValues, db: Database
+    ) -> Tuple[Dict[str, ChangePair], IDBValues]:
+        """Maintain the component; return its ``(inserted, deleted)`` per
+        pred and its new value.
 
-        ``aliases`` supplies ``P@old`` and ``P@new`` for every predicate
-        the rules read — the component's own ``P@old`` is its pre-change
-        value — and the ``P@ins`` / ``P@del`` change sets this update
-        staged: a flip runs only where its change set is non-empty.
-        ``db`` is the view's post-change database, which every working
-        interpretation is derived from.  The changes are relations.
+        ``aliases`` supplies, for every predicate the rules read, its
+        current value under its plain name — post-change for the inputs
+        below, pre-change for the component itself — and ``P@old``, and
+        the ``P@ins`` / ``P@del`` change sets this update staged: a flip
+        runs only where its change set is non-empty.  ``db`` is the
+        view's post-change database, which every working interpretation
+        is derived from.  The changes and values are relations.
         """
-        current = {p: aliases[old_name(p)].with_name(p) for p in self.preds}
+        current = {p: aliases[p] for p in self.preds}
         kill = [plan for alias, plan in self._kill if aliases.get(alias)]
         over = self._no_over
         if kill:
             with TRACER.span("dred.overdelete") as sp:
-                old = db.derive(chain(aliases.values(), current.values()))
+                old = db.derive(aliases.values())
                 over = iterate(
                     self._over, old, self._over_plans, kill, engine="dred.overdelete"
                 ).idb
@@ -158,10 +162,11 @@ class RecursiveState:
         seed += [plan for alias, plan in self._gain if aliases.get(alias)]
         with TRACER.span("dred.rederive") as sp:
             new = db.derive(chain(aliases.values(), over.values()))
-            added = iterate(
+            final = iterate(
                 self._rederive, new, self._rederive_plans, seed,
                 engine="dred.rederive", start=survivors,
-            ).added
+            )
+            added = final.added
             if sp:
                 sp["rows_out"] = sum(len(r) for r in added.values())
         # new = survivors | added with added disjoint from the survivors,
@@ -170,4 +175,4 @@ class RecursiveState:
         for p in current:
             gone = over[p + OVER_DELETED]
             changes[p] = (added[p].difference(gone), gone.difference(added[p]))
-        return changes
+        return changes, final.idb

@@ -24,7 +24,7 @@ what moved as ``{key: (inserted, deleted)}``:
 ``apply`` returns those changes in its :class:`ChangeSet` at once and
 only queues them for the result: :attr:`MaterializedView.result` folds
 the pending changes on read.  Where the state holds a key's value (the
-walk's ``P@old`` alias, a recompute's relation), the queue keeps that
+value the walk's aliases name, a recompute's relation), the queue keeps that
 immutable relation as it stood after the last apply; otherwise it keeps
 the composed change sets, and the fold evolves the last result's value
 by them.  An exception inside ``apply`` drops the state, leaves the view
@@ -55,10 +55,11 @@ interpretation of a maintenance pass is *derived* from the view's
 current database (:meth:`~repro.db.database.Database.derive`), never
 built around a bare universe, so the code payloads cached on the
 relations — and the sorted runs cached on those — stay valid from
-update to update.  Maintenance state (the ``@old``/``@new`` aliases,
-change sets, DRed's working sets) is held as relations under that
-table and combined on codes; only the changed tuples are decoded, once,
-for the returned :class:`ChangeSet`.
+update to update.  Maintenance state (each input's value and its
+``@old`` alias — names for the values updates computed, never copies —
+change sets, DRed's working sets) is held as relations under that table
+and combined on codes; only the changed tuples are decoded, once, for
+the returned :class:`ChangeSet`.
 
 Growth of the universe is a delta too.  Every maintained rule is
 range-restricted (:func:`~repro.core.planning.range_restricted`): a
@@ -88,7 +89,7 @@ from ..db.relation import Relation
 from ..obs import RECORDER, TRACER
 from .counting import CountingState
 from .delta import Delta, Tup
-from .deltavariants import AliasSet, del_name, ins_name, old_name
+from .deltavariants import AliasSet, del_name, ins_name
 from .dred import RecursiveState
 from .wellfounded_maint import UNDEF, AlternatingState
 
@@ -179,13 +180,13 @@ class ComponentWalk:
     """Counting and DRed over the condensation, dependencies first.
 
     Built from the evaluated ``result`` of ``(program, db)``; ``rounds``
-    stays that result's.  Every predicate some rule body reads keeps
-    ``@old`` / ``@new`` aliases (an
-    :class:`~repro.materialize.deltavariants.AliasSet` evolves them, so
-    their cached code payloads are patched with each delta); after an
-    update, ``P@old`` *is* ``P``'s value.  Head-only predicates (the top
-    of the dependency order, often the largest relations) feed nothing,
-    so they get no aliases: the counting state is their authority.
+    stays that result's.  Every predicate some rule body reads has its
+    current value and a ``P@old`` alias in an
+    :class:`~repro.materialize.deltavariants.AliasSet`, which names the
+    values each update computes and copies none.  Head-only predicates
+    (the top of the dependency order, often the largest relations) feed
+    nothing, so they get no aliases: the counting state is their
+    authority.
     """
 
     __slots__ = ("rounds", "_components", "_aliases")
@@ -241,8 +242,7 @@ class ComponentWalk:
 
     def value(self, key: str) -> "Relation | None":
         """``key``'s current value where an alias holds it."""
-        held = self._aliases.relations.get(old_name(key))
-        return None if held is None else held.with_name(key)
+        return self._aliases.relations.get(key)
 
     def apply(self, new_db: Database, changes: Changes) -> Changes:
         """Propagate the changes through every component they reach.
@@ -256,7 +256,8 @@ class ComponentWalk:
         changed = set()
         for name, (ins, dels) in changes.items():
             if ins or dels:
-                aliases.stage(name, ins, dels)
+                if name in aliases:
+                    aliases.stage(name, ins, dels, new_db.get(name))
                 changed.add(name)
         moved: Changes = {}
         for state, base_preds in self._components:
@@ -266,7 +267,7 @@ class ComponentWalk:
             with TRACER.span("maint.component") as sp:
                 row_traffic = RECORDER.row_traffic() if sp else None
                 if recursive:
-                    comp_changes = state.apply(aliases.working(), new_db)
+                    comp_changes, values = state.apply(aliases.working(), new_db)
                 else:
                     ins, dels = state.apply(aliases.derive(new_db), changed)
                     comp_changes = {
@@ -282,7 +283,12 @@ class ComponentWalk:
                         # by ``stage`` share the decoded sets.
                         moved[pred] = (ins.tuples, dels.tuples)
                         rows += len(ins) + len(dels)
-                        aliases.stage(pred, ins, dels)
+                        if pred in aliases:
+                            value = (
+                                values[pred] if recursive
+                                else aliases.relations[pred].evolve(ins, dels)
+                            )
+                            aliases.stage(pred, ins, dels, value)
                         changed.add(pred)
                 if sp:
                     sp["preds"] = ", ".join(sorted(state.preds)) if recursive else state.pred
@@ -623,8 +629,8 @@ class MaterializedView:
     def _defer(self, key: str, ins: FrozenSet[Tup], dels: FrozenSet[Tup], held) -> None:
         """Queue one key's change for :attr:`result` to fold.
 
-        Where the state holds the key's value (``held``: the walk's
-        ``P@old`` alias, a recompute's relation), the pending entry is
+        Where the state holds the key's value (``held``: the value the
+        walk's aliases name, a recompute's relation), the pending entry is
         that relation — immutable, so it stays right even after a later
         failed apply drops the state.  Otherwise it is an ``(inserted,
         deleted)`` pair of sets: changes compose sequentially

@@ -97,10 +97,12 @@ class LiveGroundProgram:
     directly (:meth:`~repro.core.grounding.GroundProgramIndex.number`);
     no :class:`~repro.core.grounding.GroundRule` is built.
 
-    The views read their inputs under one
-    :class:`~repro.materialize.deltavariants.AliasSet` that keeps only
-    the aliases some variant reads (a rule with one EDB atom, like
-    win–move's, reads none: its variants join the change sets alone).
+    The views read the relations the EDB projections read (``@U`` only
+    where one joins it: a built universe relation is evolved by every
+    fresh value) under one
+    :class:`~repro.materialize.deltavariants.AliasSet`, which names the
+    database's relations and copies none (a rule with one EDB atom, like
+    win–move's, reads no alias: its variants join the change sets alone).
     """
 
     __slots__ = ("program", "db", "index", "_shapes", "_aliases")
@@ -114,6 +116,7 @@ class LiveGroundProgram:
         ground = ground_program(program, db)
         self.index = ground.index
         self._shapes: List[Tuple[CountingState, tuple, Dict[Tup, int]]] = []
+        inputs = set()
         for k, ((layout, members), (ids, counts)) in enumerate(
             zip(rule_shapes(program), ground.key_counts())
         ):
@@ -122,12 +125,11 @@ class LiveGroundProgram:
                 Rule(Atom(name, terms), _edb_projection(rule, idb).body)
                 for rule, terms in members
             ]
+            inputs.update(*(r.body_predicates() for r in key_rules))
             state = CountingState(name, len(key_rules[0].head.args), key_rules, small)
             state.counts = counts
             self._shapes.append((state, layout, dict(zip(counts, ids))))
-
-        read = frozenset().union(*(state.reads() for state, _, _ in self._shapes))
-        self._aliases = AliasSet([db.get(n) for n in names if ins_name(n) in read], read)
+        self._aliases = AliasSet([db.get(n) for n in names if n in inputs])
 
     def apply(
         self,
@@ -154,7 +156,7 @@ class LiveGroundProgram:
 
         with TRACER.span("ground.patch") as sp:
             for name in changed:
-                aliases.stage(name, *changes[name])
+                aliases.stage(name, *changes[name], new_db.get(name))
             interp = aliases.derive(new_db)
             added: List[Tuple[List[int], List[int]]] = []
             removed: List[int] = []

@@ -514,7 +514,7 @@ def test_long_stream_keeps_one_table_and_stays_in_codes():
     assert view.db.symbols() is symbols
     # Only changed tuples are decoded.
     assert sum(decode_excess) == 0
-    for rel in list(view._state._aliases.relations.values()) + list(view.result.idb.values()):
+    for rel in list(view._state._aliases.working().values()) + list(view.result.idb.values()):
         assert len(rel._kernel_cache) == 1, rel.name
     assert view.result.idb == _reference(program, view.db, "stratified")
     assert statistics.median(latencies[150:]) < 2 * statistics.median(latencies[:50])
@@ -558,38 +558,29 @@ def test_apply_spans_and_exposition_show_row_traffic():
 # ----------------------------------------------------------------------
 
 
-def _acyc_view(n, m, seed=7):
-    """An ACYC view over a random ``G(n, m)`` without self-loops, and its edges."""
+ACYC = TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X)."
+
+
+def _acyc_view(n, m, seed=7, source=ACYC):
+    """A view of ``source`` (ACYC by default) over a random ``G(n, m)``
+    without self-loops, and its edges."""
     rng = random.Random(seed)
     edges = set()
     while len(edges) < m:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((u, v))
-    program = parse_program(TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X).", carrier="ACYC")
+    program = parse_program(source)
     view = MaterializedView(program, Database(range(n), [Relation("E", 2, edges)]))
     return rng, program, view, edges
 
 
-@pytest.mark.parametrize("n, m", [(2000, 1400), (8000, 5600)])
-def test_single_edge_updates_build_no_join_index(monkeypatch, n, m):
-    """After one warm-up update, 40 alternating single-edge inserts and
-    deletes patch every join index they probe: ``SortedRun.__init__``
-    (the from-scratch sort) never runs, whatever the graph's size."""
-    from repro.db import kernel
-
-    rng, program, view, edges = _acyc_view(n, m)
+def _single_edge_updates(rng, view, edges, indices):
+    """One update per index: an even one inserts a fresh edge, an odd
+    one deletes a present edge."""
+    n = len(view.db.universe)
     present = sorted(edges)
-    builds = []
-    build = kernel.SortedRun.__init__
-
-    def counted(self, relation, key_columns):
-        builds.append(key_columns)
-        build(self, relation, key_columns)
-
-    for index in range(41):
-        if index == 1:
-            monkeypatch.setattr(kernel.SortedRun, "__init__", counted)
+    for index in indices:
         if index % 2 == 0:
             while True:
                 edge = (rng.randrange(n), rng.randrange(n))
@@ -602,9 +593,62 @@ def test_single_edge_updates_build_no_join_index(monkeypatch, n, m):
             edge = present.pop(rng.randrange(len(present)))
             edges.discard(edge)
             view.apply(Delta.delete("E", edge))
+
+
+@pytest.mark.parametrize(
+    "source, n, m, warmup",
+    [
+        pytest.param(ACYC, 2000, 1400, 1, id="2000-1400"),
+        pytest.param(ACYC, 8000, 5600, 1, id="8000-5600"),
+        # DRed over-deletes through R itself, probed on its second column.
+        pytest.param(
+            "R(X, Y) :- E(X, Y).  R(X, Y) :- R(Z, Y), E(Z, X).",
+            2000, 1400, 2, id="dred-2000-1400",
+        ),
+    ],
+)
+def test_single_edge_updates_build_no_join_index(monkeypatch, source, n, m, warmup):
+    """After the warm-up updates, 40 alternating single-edge inserts and
+    deletes patch every join index they probe: ``SortedRun.__init__``
+    (the from-scratch sort) never runs, whatever the graph's size."""
+    from repro.db import kernel
+
+    rng, program, view, edges = _acyc_view(n, m, source=source)
+    builds = []
+    build = kernel.SortedRun.__init__
+
+    def counted(self, relation, key_columns):
+        builds.append(key_columns)
+        build(self, relation, key_columns)
+
+    _single_edge_updates(rng, view, edges, range(warmup))
+    monkeypatch.setattr(kernel.SortedRun, "__init__", counted)
+    _single_edge_updates(rng, view, edges, range(warmup, warmup + 40))
     monkeypatch.undo()
     assert builds == []
     assert view.recomputes == 0
+    assert view.result.idb == stratified_semantics(program, view.db).idb
+
+
+def test_an_update_evolves_only_the_database_relation(monkeypatch):
+    """The aliases name the values an update computes and copy none:
+    over 40 single-edge ACYC updates at G(2000, 1400), ``Relation.evolve``
+    makes a new relation once per update — the database's ``E``.  TC's
+    new value is DRed's final stage, and ACYC, head-only, has none."""
+    rng, program, view, edges = _acyc_view(2000, 1400)
+    evolve = Relation.evolve
+    evolved = []
+
+    def counted(self, inserts=(), deletes=()):
+        out = evolve(self, inserts, deletes)
+        if out is not self:
+            evolved.append(self.name)
+        return out
+
+    monkeypatch.setattr(Relation, "evolve", counted)
+    _single_edge_updates(rng, view, edges, range(40))
+    monkeypatch.undo()
+    assert evolved == ["E"] * 40
     assert view.result.idb == stratified_semantics(program, view.db).idb
 
 
@@ -621,7 +665,7 @@ def test_width_bump_carries_no_join_index():
     view.apply(Delta(inserts={"E": fresh}))
     assert symbols.shift > shift
     view.apply(Delta.delete("E", fresh[0]))
-    held = list(view._state._aliases.relations.values()) + list(view.result.idb.values())
+    held = list(view._state._aliases.working().values()) + list(view.result.idb.values())
     held.append(view.db["E"])
     runs = 0
     for rel in held:
