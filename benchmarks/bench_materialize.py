@@ -121,3 +121,6 @@ def test_single_edge_update_scaling(benchmark):
         # One new relation per update, the database's E: the view's
         # aliases name values, they do not evolve copies.
         assert r["evolves"] == 40, (n, r["evolves"])
+        # ACYC's counted rule runs a variant only over a staged change
+        # set: one of E's and at most one of TC's per update.
+        assert r["solves"] <= 2 * 40, (n, r["solves"])

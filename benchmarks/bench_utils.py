@@ -84,10 +84,12 @@ def measure_single_edge_stream(
     in and a present edge out.  Returns their median seconds, the number
     of from-scratch join-index builds (``SortedRun.__init__`` calls) they
     made, the number of new relations ``Relation.evolve`` returned in
-    them (``evolves``), and an ``equal`` flag: the view equals a
-    recompute.
+    them (``evolves``), the number of plans the counted predicates'
+    delta variants ran (``solves``), and an ``equal`` flag: the view
+    equals a recompute.
     """
     from repro.db import kernel
+    from repro.materialize import counting
 
     rng = random.Random(seed)
     edges = set()
@@ -100,8 +102,10 @@ def measure_single_edge_stream(
     present = sorted(edges)
     builds = [0]
     evolves = [0]
+    solves = [0]
     build = kernel.SortedRun.__init__
     evolve = Relation.evolve
+    solve = counting.solve_bindings
 
     def counted(self, relation, key_columns):
         builds[0] += 1
@@ -111,6 +115,10 @@ def measure_single_edge_stream(
         out = evolve(self, inserts, deletes)
         evolves[0] += out is not self
         return out
+
+    def counted_solve(plan, interp):
+        solves[0] += 1
+        return solve(plan, interp)
 
     times = []
     for index in range(reps + 1):
@@ -128,6 +136,7 @@ def measure_single_edge_stream(
             delta = Delta.delete("E", edge)
         kernel.SortedRun.__init__ = counted if index else build
         Relation.evolve = counted_evolve if index else evolve
+        counting.solve_bindings = counted_solve if index else solve
         try:
             start = time.perf_counter()
             view.apply(delta)
@@ -136,9 +145,11 @@ def measure_single_edge_stream(
         finally:
             kernel.SortedRun.__init__ = build
             Relation.evolve = evolve
+            counting.solve_bindings = solve
     return {
         "p50_s": statistics.median(times),
         "index_builds": builds[0],
         "evolves": evolves[0],
+        "solves": solves[0],
         "equal": view.result.idb == stratified_semantics(program, view.db).idb,
     }

@@ -253,10 +253,14 @@ def iterate(
       seed plans and every later round runs ``plans`` over the stage
       *and* the previous round's new tuples, bound as ``P__delta``;
       what is new is unioned in — the paper's inflationary stage
-      ``S u Theta(S)``, delta-driven.  Only this form takes a
-      ``start``: a monotone operator's least fixpoint is reached from
-      any ``start`` below it (Section 2), provided the seed derives
-      everything ``start`` enables — as full Theta does.
+      ``S u Theta(S)``, delta-driven.  One search of the derived heads
+      against the stage finds both the new tuples and the next stage
+      (:meth:`~repro.db.relation.Relation.absorb`), and what the rounds
+      added is gathered once, after the last
+      (:meth:`~repro.db.relation.Relation.disjoint_union`).  Only this
+      form takes a ``start``: a monotone operator's least fixpoint is
+      reached from any ``start`` below it (Section 2), provided the seed
+      derives everything ``start`` enables — as full Theta does.
 
     Stages stay code-backed as soon as the columnar executor produces
     them; if a head constant widens the symbol table mid-run, the next
@@ -275,7 +279,7 @@ def iterate(
         raise ValueError("%s: only a delta-driven iteration takes a start" % engine)
     else:
         current = dict(start)
-        added = empty_idb(program)
+    history: List[IDBMap] = []  # each round's new tuples, with ``start``
     delta: Optional[IDBMap] = None
     trace = [dict(current)] if keep_trace else None
     rounds = 0
@@ -296,10 +300,10 @@ def iterate(
                 new = nxt = derived
                 changed = derived != current
             else:
-                new = {p: derived[p].difference(current[p]) for p in arities}
+                new, nxt = {}, {}
+                for p in arities:
+                    new[p], nxt[p] = current[p].absorb(derived[p])
                 changed = any(new.values())
-                if changed:
-                    nxt = {p: current[p].union(new[p]) for p in arities}
             if sp:
                 sp["round"] = rounds + 1
                 sp["rows_out"] = sum(len(r) for r in new.values())
@@ -313,11 +317,17 @@ def iterate(
         if seed is not None:
             delta = new
             if start is not None:
-                added = {p: added[p].union(new[p]) for p in arities}
+                history.append(new)
         if keep_trace:
             trace.append(dict(current))
     if RECORDER.enabled:
         RECORDER.inc("repro_engine_rounds_total", rounds)
     if start is None:
         added = current
+    else:
+        added = {
+            p: Relation.disjoint_union(p, arity, [step[p] for step in history if step[p]])
+            for p, arity in arities.items()
+        }
     return EvaluationResult(program, db, current, rounds, engine, trace, added)
+

@@ -167,7 +167,7 @@ def _resolve(plan: RulePlan, interp: Database, width: int):
     absent or empty one.
     Encoding a relation can widen the table's field width, retiring
     payloads resolved before it; the pass repeats until the generation
-    is stable (the loop of ``Relation._evolved_codes``), so every code
+    is stable (the loop of ``Relation.evolve``), so every code
     the op loop sees is of one width.  ``None`` when a row of ``width``
     fields no longer fits 63 bits.
     """

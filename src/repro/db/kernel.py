@@ -66,20 +66,23 @@ class SymbolTable:
 
     Interning is *monotone*: an id, once assigned, never changes and is
     never reused, so code vectors built against this table stay valid as
-    the table grows — until the per-field bit width (:attr:`shift`) must
-    widen to fit new ids, which bumps :attr:`generation` and retires
-    codes built under the old width (:meth:`RelationCodes.repacked`
-    moves them to the new one without decoding).
+    the table grows — until the per-field bit width must widen to fit
+    new ids, which bumps :attr:`generation` and retires codes built
+    under the old width (:meth:`RelationCodes.repacked` moves them to
+    the new one without decoding).  ``shift``, the bits per tuple field
+    under the current generation, is a plain attribute read on every
+    payload check (:meth:`RelationCodes.valid`); only :meth:`intern`
+    writes it.
     """
 
-    __slots__ = ("_values", "_ids", "_shift", "generation", "_misc")
+    __slots__ = ("_values", "_ids", "shift", "generation", "_misc")
 
     _MIN_SHIFT = 8
 
     def __init__(self, values: Iterable[Any] = ()) -> None:
         self._values: List[Any] = []
         self._ids: Dict[Any, int] = {}
-        self._shift = self._MIN_SHIFT
+        self.shift = self._MIN_SHIFT
         self.generation = 0
         # Scratch caches keyed by kernel helpers (universe products and
         # the like); cleared on generation bumps.
@@ -92,11 +95,6 @@ class SymbolTable:
     def __len__(self) -> int:
         return len(self._values)
 
-    @property
-    def shift(self) -> int:
-        """Bits per tuple field under the current generation."""
-        return self._shift
-
     def intern(self, value: Any) -> int:
         """The dense id of ``value``, assigning the next id when new."""
         ids = self._ids
@@ -105,9 +103,9 @@ class SymbolTable:
             i = len(self._values)
             ids[value] = i
             self._values.append(value)
-            if i >= (1 << self._shift):
-                while i >= (1 << self._shift):
-                    self._shift += 4
+            if i >= (1 << self.shift):
+                while i >= (1 << self.shift):
+                    self.shift += 4
                 self.generation += 1
                 self._misc.clear()
         return i
@@ -134,7 +132,7 @@ class SymbolTable:
 
     def encode_tuple(self, t: Sequence[Any]) -> int:
         """Pack a tuple into one row code under the current shift."""
-        b = self._shift
+        b = self.shift
         intern = self.intern
         code = 0
         for v in t:
@@ -143,7 +141,7 @@ class SymbolTable:
 
     def fits(self, width: int) -> bool:
         """Whether ``width`` packed fields fit a signed 64-bit code."""
-        return width * self._shift <= _MAX_CODE_BITS
+        return width * self.shift <= _MAX_CODE_BITS
 
     def scratch(self) -> Dict[Any, Any]:
         """A per-generation scratch cache for kernel helpers."""
@@ -152,7 +150,7 @@ class SymbolTable:
     def __repr__(self) -> str:
         return "SymbolTable(%d symbols, %d bits/field, gen %d)" % (
             len(self._values),
-            self._shift,
+            self.shift,
             self.generation,
         )
 
@@ -254,18 +252,36 @@ def _removed(a, at):
     return out
 
 
-def codes_union(a, b):
+def codes_absorbed(a, b):
+    """``(b - a, a | b)`` from one binary search of ``b``'s rows in ``a``.
+
+    The search that finds which rows of ``b`` are new also says where
+    they go, so the union needs no second membership filter: a few new
+    rows are spliced in (:func:`_inserted`), more are merged with ``a``
+    by a stable sort (timsort: two sorted runs cost one linear merge;
+    disjoint, so nothing repeats) — the rule of :data:`_MERGE_RATIO`.
+    Either result is an input itself when nothing changes: ``a`` when
+    ``b`` adds nothing, ``b`` when all of it is new.
+    """
     if len(b) == 0:
-        return a
+        return b, a
     if len(a) == 0:
-        return b
-    if _MERGE_RATIO * len(b) <= len(a):
-        fresh = b[~_sorted_isin(b, a)]
+        return b, b
+    at = a.searchsorted(b)
+    hit = a[_np.minimum(at, len(a) - 1)] == b
+    if _np.count_nonzero(hit):
+        fresh, at = b[~hit], at[~hit]
         if len(fresh) == 0:
-            return a
-        return _inserted(a, a.searchsorted(fresh), fresh)
-    out = sorted_unique(_np.concatenate((a, b)))
-    return a if len(out) == len(a) else out
+            return fresh, a
+    else:
+        fresh = b
+    if _MERGE_RATIO * len(fresh) <= len(a):
+        return fresh, _inserted(a, at, fresh)
+    return fresh, _np.sort(_np.concatenate((a, fresh)), kind="stable")
+
+
+def codes_union(a, b):
+    return codes_absorbed(a, b)[1]
 
 
 def codes_difference(a, b):
@@ -294,11 +310,6 @@ def codes_issubset(a, b) -> bool:
     if len(a) == 0:
         return True
     return bool(_sorted_isin(a, b).all())
-
-
-def codes_contains(codes, code: int) -> bool:
-    i = int(_np.searchsorted(codes, code))
-    return i < len(codes) and int(codes[i]) == code
 
 
 def _sorted_isin(a, b):
@@ -358,12 +369,13 @@ def _fold(cols, shift: int):
 class RelationCodes:
     """One relation's tuples as a code vector under one symbol table.
 
-    Cached on the (immutable) relation, keyed by ``(symbols,
-    generation)``; derived relations patch rather than re-encode (see
-    :meth:`evolved`).  Per-column views and per-key-column sorted join
-    runs are materialised lazily and also cached here, so a fixpoint
-    builds each at most once per relation value; :meth:`evolved` patches
-    the runs along with the codes, so an update stream builds each once.
+    Held in the (immutable) relation's one payload slot
+    (:meth:`~repro.db.relation.Relation.codes_on`); derived relations
+    patch rather than re-encode (see :meth:`evolved`).  Per-column
+    views and per-key-column sorted join runs are materialised lazily
+    and also cached here, so a fixpoint builds each at most once per
+    relation value; :meth:`evolved` patches the runs along with the
+    codes, so an update stream builds each once.
     """
 
     __slots__ = ("symbols", "shift", "arity", "codes", "_columns", "_runs")
@@ -461,7 +473,8 @@ class RelationCodes:
                 # width was fixed — either way it cannot be in the codes.
                 return False
             code = (code << b) | i
-        return codes_contains(self.codes, code)
+        at = int(self.codes.searchsorted(code))
+        return at < len(self.codes) and int(self.codes[at]) == code
 
     def columns(self):
         """Per-column id vectors, decoded from the codes once."""
@@ -517,6 +530,28 @@ class RelationCodes:
         rc = RelationCodes(self.symbols, self.arity, out)
         rc._runs = {k: run.patched(out, added, removed) for k, run in self._runs.items()}
         return rc
+
+    def absorbed(self, other: "RelationCodes") -> Tuple["RelationCodes", "RelationCodes"]:
+        """``(other - self, self | other)``: the rows ``other`` adds, and
+        this payload with them (:func:`codes_absorbed`: one search).
+
+        Either is an input itself when nothing moves; a new union patches
+        this payload's runs with the added rows, as :meth:`evolved` does.
+        """
+        fresh, out = codes_absorbed(self.codes, other.codes)
+        added = other if fresh is other.codes else RelationCodes(self.symbols, self.arity, fresh)
+        if out is self.codes:
+            return added, self
+        rc = RelationCodes(self.symbols, self.arity, out)
+        rc._runs = {k: run.patched(out, added, None) for k, run in self._runs.items()}
+        return added, rc
+
+    @classmethod
+    def disjoint_union(cls, parts: Sequence["RelationCodes"]) -> "RelationCodes":
+        """Pairwise disjoint payloads of one table and width as one: their
+        sorted vectors merged by one stable sort (no row repeats)."""
+        codes = _np.sort(_np.concatenate([rc.codes for rc in parts]), kind="stable")
+        return cls(parts[0].symbols, parts[0].arity, codes)
 
 
 class SortedRun:

@@ -14,10 +14,13 @@ frozenset of Python tuples (the canonical value for hashing and every
 consumer that iterates tuples) and a
 :class:`~repro.db.kernel.RelationCodes` payload — one sorted int64
 row-code vector under a database's
-:class:`~repro.db.kernel.SymbolTable`, cached per table by
-:meth:`codes_on`.  The executor derives *code-only* relations
+:class:`~repro.db.kernel.SymbolTable`, held in one slot (:meth:`codes_on`:
+a relation holds the payload of one table at a time, the one it was
+last read under).  The executor derives *code-only* relations
 (:meth:`_from_codes`): no frozenset until someone asks for tuples, each
-such decode counted in ``repro_relation_decoded_rows_total``.
+such decode counted in ``repro_relation_decoded_rows_total``.  The row
+count is stored at construction: a relation is immutable, and neither a
+re-pack nor an encode under another table changes it.
 
 One rule governs the two: **a relation that holds a payload evolves,
 unions and differences in codes** — the other operand (or the delta) is
@@ -30,8 +33,9 @@ keeps unioning derived heads never builds a Python tuple per fact.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Tuple
 
 from .kernel import (
     RelationCodes,
@@ -68,7 +72,8 @@ class Relation:
         "arity",
         "_tuples",
         "_hash",
-        "_kernel_cache",
+        "_codes",
+        "_len",
     )
 
     def __init__(self, name: str, arity: int, tuples: Iterable[Tup] = ()) -> None:
@@ -85,7 +90,8 @@ class Relation:
         self.arity = arity
         self._tuples = frozen
         self._hash = None
-        self._kernel_cache = None
+        self._codes = None
+        self._len = len(frozen)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -106,7 +112,8 @@ class Relation:
         self.arity = arity
         self._tuples = frozen
         self._hash = None
-        self._kernel_cache = None
+        self._codes = None
+        self._len = len(frozen)
         return self
 
     @classmethod
@@ -124,7 +131,8 @@ class Relation:
         self.arity = arity
         self._tuples = None
         self._hash = None
-        self._kernel_cache = {id(codes.symbols): codes}
+        self._codes = codes
+        self._len = len(codes.codes)
         return self
 
     @classmethod
@@ -146,33 +154,32 @@ class Relation:
     # ------------------------------------------------------------------
 
     def codes_on(self, symbols):
-        """This relation as row codes under ``symbols``, cached.
+        """This relation as row codes under ``symbols``, held in its slot.
 
-        Returns the cached :class:`~repro.db.kernel.RelationCodes` when
-        one is held for this symbol table at its current field width; a
-        payload packed under a width the table has since outgrown is
-        re-packed from its own id columns
+        Returns the held :class:`~repro.db.kernel.RelationCodes` when it
+        is under this symbol table at its current field width; a payload
+        packed under a width the table has since outgrown is re-packed
+        from its own id columns
         (:meth:`~repro.db.kernel.RelationCodes.repacked` — vectorised,
-        nothing is decoded); otherwise the tuples are encoded once.
-        Returns ``None`` when the arity cannot pack into a 64-bit code
-        under the table's current width — callers stay on frozensets.
+        nothing is decoded).  A payload of another table (or none) is
+        replaced: the tuples are encoded once under ``symbols`` (a
+        code-only relation decodes first).  Returns ``None`` when the
+        arity cannot pack into a 64-bit code under the table's current
+        width — callers stay on frozensets.
         """
-        cache = self._kernel_cache
-        if cache is None:
-            cache = self._kernel_cache = {}
-        rc = cache.get(id(symbols))
+        rc = self._codes
         if rc is not None and rc.symbols is symbols:
-            if not rc.valid():
+            if rc.shift != symbols.shift:
                 rc = rc.repacked()
                 if rc is not None:
-                    cache[id(symbols)] = rc
+                    self._codes = rc
             return rc
         if not symbols.fits(self.arity):
             return None
         rc = RelationCodes.encode(symbols, self.arity, self.tuples)
         if not symbols.fits(self.arity):
             return None  # encoding widened the field width past 64 bits
-        cache[id(symbols)] = rc
+        self._codes = rc
         return rc
 
     @property
@@ -183,45 +190,32 @@ class Relation:
         (the CLI prints from them).  The payload may be of a retired
         field width; its own ``shift`` and :meth:`columns` stay exact.
         """
-        return self._any_codes() if self._tuples is None else None
-
-    def _any_codes(self):
-        """Any held codes payload (possibly of a widened generation)."""
-        cache = self._kernel_cache
-        if cache:
-            for rc in cache.values():
-                return rc
-        return None
+        return self._codes if self._tuples is None else None
 
     def _codes_with(self, other: "Relation", held: bool = False):
         """Both operands as codes under one table's current width, or ``None``.
 
-        The table is one both sides already hold payloads for, else the
-        table of a code-only side (it must never be decoded), else — for
+        The table is the one both slots hold payloads of, else the table
+        of a code-only side (it must never be decoded), else — for
         ``held``, the union and difference whose result adopts it — that
-        of a side holding any payload; the other side is encoded under
+        of a side holding a payload; the other side is encoded under
         it.  A comparison never encodes a tuple-backed side into a
         foreign table, and two payload-free relations return ``None``.
         Payloads of a retired width are re-packed, so the pair is always
         safe to combine and the result safe to stamp with the table's
         current width.
         """
-        symbols = None
-        mine = self._kernel_cache
-        theirs = other._kernel_cache
-        if mine and theirs:
-            for key, rc in mine.items():
-                oc = theirs.get(key)
-                if oc is not None and oc.symbols is rc.symbols:
-                    symbols = rc.symbols
-                    break
-        if symbols is None:
-            sides = [r for r in (self, other) if r._tuples is None]
-            if not sides and held:
-                sides = [r for r in (self, other) if r._kernel_cache]
-            if not sides:
-                return None
-            symbols = sides[0]._any_codes().symbols
+        mine, theirs = self._codes, other._codes
+        if mine is not None and theirs is not None and mine.symbols is theirs.symbols:
+            symbols = mine.symbols
+        elif self._tuples is None:
+            symbols = mine.symbols
+        elif other._tuples is None:
+            symbols = theirs.symbols
+        elif held and (mine is not None or theirs is not None):
+            symbols = (theirs if mine is None else mine).symbols
+        else:
+            return None
         a = self.codes_on(symbols)
         b = other.codes_on(symbols)
         if a is not None and not a.valid():
@@ -239,57 +233,30 @@ class Relation:
         """The underlying frozenset of tuples (decoded on first use)."""
         frozen = self._tuples
         if frozen is None:
-            frozen = self._any_codes().decode()
+            frozen = self._codes.decode()
             self._tuples = frozen
         return frozen
 
-    def _evolved_codes(self, symbols, ins: "Relation", dels: "Relation"):
-        """This relation's payload under ``symbols`` after a delta, or ``None``.
-
-        ``ins``/``dels`` are the operand relations (``None`` or empty for
-        an absent side).  Each is encoded at most once per table — the
-        payload is cached on the operand, so one delta patching several
-        relations (the database's relation, a counted predicate's value)
-        is interned once; empty sides are not encoded at all.
-        ``None`` when some operand cannot pack under the table's width.
-        """
-        def payload(side):
-            if side:
-                return side.codes_on(symbols)
-            return RelationCodes(symbols, self.arity, empty_codes())
-
-        generation = None
-        while generation != symbols.generation:
-            # Encoding a side can widen the table; go round again so all
-            # three payloads are of the final width (cache hits/repacks).
-            generation = symbols.generation
-            mine, added, removed = self.codes_on(symbols), payload(ins), payload(dels)
-        if mine is None or added is None or removed is None:
-            return None
-        return mine.evolved(added, removed)
-
     def __contains__(self, item: Tup) -> bool:
         if self._tuples is None:
-            return self._any_codes().contains_tuple(tuple(item))
+            return self._codes.contains_tuple(tuple(item))
         return tuple(item) in self._tuples
 
     def __iter__(self) -> Iterator[Tup]:
         return iter(self.tuples)
 
     def __len__(self) -> int:
-        if self._tuples is None:
-            return len(self._any_codes())
-        return len(self._tuples)
+        return self._len
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self._len > 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
         if self.name != other.name or self.arity != other.arity:
             return False
-        if len(self) != len(other):
+        if self._len != other._len:
             return False
         pair = self._codes_with(other)
         if pair is not None:
@@ -316,24 +283,17 @@ class Relation:
         """Return the same relation under a different symbol.
 
         Returns ``self`` when the name already matches, so round-to-round
-        renames of unchanged relations keep their cached payloads.  A
+        renames of unchanged relations keep their payloads.  A
         code-backed relation renames without decoding — the payload is
         shared (codes carry no name).
         """
         if name == self.name:
             return self
         if self._tuples is None:
-            out = Relation._from_codes(name, self.arity, self._any_codes())
-            out._kernel_cache = dict(self._kernel_cache)
-            return out
+            return Relation._from_codes(name, self.arity, self._codes)
         out = Relation._from_frozenset(name, self.arity, self._tuples)
-        if self._kernel_cache:
-            out._kernel_cache = dict(self._kernel_cache)
+        out._codes = self._codes
         return out
-
-    def with_tuples(self, tuples: Iterable[Tup]) -> "Relation":
-        """Return a relation with this signature but the given tuples."""
-        return Relation(self.name, self.arity, tuples)
 
     def evolve(self, inserts: Iterable[Tup] = (), deletes: Iterable[Tup] = ()) -> "Relation":
         """Return ``(self - deletes) | inserts``.
@@ -349,14 +309,22 @@ class Relation:
         """
         ins = self._delta_side(inserts)
         dels = self._delta_side(deletes)
-        mine = self._any_codes()
-        if mine is not None:
-            symbols = mine.symbols
-            out = self._evolved_codes(symbols, ins, dels)
-            if out is not None:
-                if out is self.codes_on(symbols):
-                    return self
-                return Relation._from_codes(self.name, self.arity, out)
+        if self._codes is not None:
+            symbols, generation = self._codes.symbols, None
+            while generation != symbols.generation:
+                # Encoding a side can widen the table: go round again until
+                # all three payloads are of the final width.  A side keeps
+                # its payload in its slot, so a delta patching several
+                # relations is interned once; an empty side is not encoded.
+                generation = symbols.generation
+                mine = self.codes_on(symbols)
+                inserted, deleted = (
+                    side.codes_on(symbols) if side else RelationCodes(symbols, self.arity, empty_codes())
+                    for side in (ins, dels)
+                )
+            if mine is not None and inserted is not None and deleted is not None:
+                out = mine.evolved(inserted, deleted)
+                return self if out is mine else Relation._from_codes(self.name, self.arity, out)
         added = ins.tuples - self.tuples
         removed = dels.tuples & self.tuples
         if not added and not removed:
@@ -389,28 +357,57 @@ class Relation:
         """Set union; the operand must have the same arity.
 
         Returns ``self`` unchanged when the operand adds nothing, so a
-        converged IDB relation keeps its cached payload across the
-        remaining fixpoint rounds (and the operand itself, renamed, when
-        this relation is empty).  Runs on the int vectors under the rule
-        of :meth:`_codes_with`.
+        converged IDB relation keeps its payload across the remaining
+        fixpoint rounds (and the operand itself, renamed, when this
+        relation is empty).  The second half of :meth:`absorb`.
+        """
+        return self.absorb(other)[1]
+
+    def absorb(self, other: "Relation") -> Tuple["Relation", "Relation"]:
+        """``(other - self, self | other)``: what ``other`` adds, and the union.
+
+        A semi-naive round's step (:func:`~repro.core.fixpoint.iterate`).
+        In codes, under the rule of :meth:`_codes_with`, one binary
+        search of ``other``'s rows in this relation finds both the new
+        rows and where they go
+        (:meth:`~repro.db.kernel.RelationCodes.absorbed`).  The new rows
+        keep ``other``'s name and the union this one's; each is an
+        operand itself, payload intact, when nothing moves.
         """
         self._check_compatible(other, "union")
         if not other:
-            return self
+            return other, self
         if not self:
-            return other.with_name(self.name)
+            return other, other.with_name(self.name)
         pair = self._codes_with(other, held=True)
         if pair is not None:
-            mine, theirs = pair
-            merged = mine.evolved(added=theirs)
-            if merged is mine:
-                return self
-            return Relation._from_codes(self.name, self.arity, merged)
-        if other.tuples <= self.tuples:
-            return self
-        return Relation._from_frozenset(
-            self.name, self.arity, self.tuples | other.tuples
-        )
+            fresh, merged = pair[0].absorbed(pair[1])
+            new = other if fresh is pair[1] else Relation._from_codes(other.name, other.arity, fresh)
+            if merged is pair[0]:
+                return new, self
+            return new, Relation._from_codes(self.name, self.arity, merged)
+        added = other.tuples - self.tuples
+        new = Relation._from_frozenset(other.name, other.arity, added)
+        if not added:
+            return new, self
+        return new, Relation._from_frozenset(self.name, self.arity, self.tuples | added)
+
+    @classmethod
+    def disjoint_union(cls, name: str, arity: int, parts: List["Relation"]) -> "Relation":
+        """The union of pairwise disjoint relations, e.g. a fixpoint's
+        rounds' new tuples.
+
+        When all are code-only under one table's current width, their
+        vectors are sorted once
+        (:meth:`~repro.db.kernel.RelationCodes.disjoint_union`); otherwise
+        they are unioned one by one.
+        """
+        payloads = [rel.code_only for rel in parts]
+        if len(parts) > 1 and all(
+            rc is not None and rc.symbols is payloads[0].symbols and rc.valid() for rc in payloads
+        ):
+            return cls._from_codes(name, arity, RelationCodes.disjoint_union(payloads))
+        return reduce(Relation.union, parts, cls.empty(name, arity))
 
     def intersection(self, other: "Relation") -> "Relation":
         """Set intersection; the operand must have the same arity."""
@@ -448,13 +445,12 @@ class Relation:
 
     def complement(self, universe: Iterable[Any]) -> "Relation":
         """Return ``universe**arity`` minus this relation."""
-        full = Relation.full(self.name, self.arity, universe)
-        return full.difference(self)
+        return Relation.full(self.name, self.arity, universe).difference(self)
 
     def issubset(self, other: "Relation") -> bool:
         """True when every tuple of this relation is in ``other``."""
         self._check_compatible(other, "issubset")
-        if len(self) > len(other):
+        if self._len > other._len:
             return False
         pair = self._codes_with(other)
         if pair is not None:

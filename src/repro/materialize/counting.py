@@ -19,6 +19,12 @@ maintains the counts exactly:
 * a tuple enters the view when its count rises from zero and leaves it
   when its count returns to zero — no over-deletion, no rederivation.
 
+A variant runs only when the change set its differentiated literal
+reads (``P@ins``, ``P@del``, a negation's flipped side, ``@U@ins``) is
+staged non-empty in the interpretation: an empty one joins to nothing.
+A single-edge update stages one side of each change, so it runs one
+variant per differentiated literal instead of two.
+
 Counts are exact for negation too (through lower strata): a negated
 literal is differentiated via the complement, so ``!P`` contributes a
 gained derivation where ``P`` lost a tuple and vice versa.  Completion
@@ -42,14 +48,14 @@ from collections import Counter
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..core.literals import Atom
-from ..core.planning import RulePlan, compile_rule, solve_bindings
+from ..core.planning import compile_rule, solve_bindings
 from ..core.planning.batch import BINDINGS_HEAD
 from ..core.rules import Rule
 from ..core.terms import Variable
 from ..db.database import Database
 from ..obs import TRACER
 from .delta import Tup
-from .deltavariants import changeable_positions, delta_variant
+from .deltavariants import change_atom, changeable_positions, delta_variant
 
 Counts = Dict[Tup, int]
 
@@ -61,22 +67,19 @@ Counts = Dict[Tup, int]
 # ----------------------------------------------------------------------
 
 
-def _bindings_rule(rule: Rule) -> Rule:
-    """The rule under a pseudo-head carrying every variable (sorted)."""
-    variables = sorted(rule.variables(), key=lambda v: v.name)
-    return Rule(Atom(BINDINGS_HEAD, variables), rule.body)
+def _compiled(rule: Rule, small: FrozenSet[str]) -> tuple:
+    """``(plan, head getters)`` for counting ``rule``'s derivations.
 
-
-def _head_getters(rule: Rule, plan: RulePlan):
-    """``rule``'s head as getters over a pseudo-head plan's schema columns.
-
-    ``plan`` must be the compiled :func:`_bindings_rule` variant;
-    its schema binds every rule variable, so the original head is a pure
-    column/constant projection of each binding: ``(False, column)`` per
-    variable, ``(True, value)`` per constant.
+    The plan is ``rule``'s body under a pseudo-head carrying every
+    variable (sorted), so its schema binds them all and the original
+    head is a pure column/constant projection of each binding: the
+    getters are ``(False, column)`` per variable, ``(True, value)`` per
+    constant.
     """
+    variables = sorted(rule.variables(), key=lambda v: v.name)
+    plan = compile_rule(Rule(Atom(BINDINGS_HEAD, variables), rule.body), small)
     column: Dict[Variable, int] = {v: i for i, v in enumerate(plan.schema)}
-    return tuple(
+    return plan, tuple(
         (False, column[arg]) if isinstance(arg, Variable) else (True, arg.value)
         for arg in rule.head.args
     )
@@ -96,7 +99,7 @@ class CountingState:
         The view's small predicates (change sets), the planner's hint.
     """
 
-    __slots__ = ("pred", "arity", "rules", "small", "counts", "_variants", "_compiled_variants")
+    __slots__ = ("pred", "arity", "rules", "small", "counts", "_variants")
 
     def __init__(self, pred: str, arity: int, rules: List[Rule], small: FrozenSet[str]) -> None:
         self.pred = pred
@@ -104,45 +107,31 @@ class CountingState:
         self.rules = rules
         self.small = small
         self.counts: Counts = {}
-        # The telescoping variants are a fixed family per state: built
-        # (and, on first use, compiled) once, not per update.
-        self._variants: List[Tuple[str, Rule, Rule]] = [
+        # The telescoping variants are a fixed family per state, compiled
+        # once: ``(change-set alias, (plan, head getters), sign)``.
+        self._variants: List[Tuple[str, tuple, int]] = [
             (
-                pred,
-                delta_variant(rule, position, gained=True),
-                delta_variant(rule, position, gained=False),
+                change_atom(rule.body[position], gained).pred,
+                _compiled(delta_variant(rule, position, gained), small),
+                1 if gained else -1,
             )
             for rule in rules
-            for pred in sorted(rule.body_predicates())
-            for position in changeable_positions(rule, frozenset((pred,)))
+            for position in changeable_positions(rule, rule.body_predicates())
+            for gained in (True, False)
         ]
-        self._compiled_variants: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Shared: count one plan's derivations into an accumulator
     # ------------------------------------------------------------------
 
-    def _accumulate(self, variant: Rule, interp: Database, into: Counts, sign: int) -> None:
-        plan, getters = self._compiled(variant)
+    def _accumulate(self, compiled: tuple, interp: Database, into: Counts, sign: int) -> None:
+        plan, getters = compiled
         symbols, table = solve_bindings(plan, interp)
         counted = table.count(symbols, getters)
-        if not counted:
-            return
         if sign > 0:
             into.update(counted)
         else:
             into.subtract(counted)
-
-    def _compiled(self, variant: Rule):
-        """``(total-binding plan, head getters)`` of a variant, memoised."""
-        compiled = self._compiled_variants.get(id(variant))
-        if compiled is None:
-            plan = compile_rule(_bindings_rule(variant), self.small)
-            compiled = self._compiled_variants[id(variant)] = (
-                plan,
-                _head_getters(variant, plan),
-            )
-        return compiled
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -157,32 +146,28 @@ class CountingState:
         """
         counts = Counter()
         for rule in self.rules:
-            self._accumulate(rule, interp, counts, +1)
+            self._accumulate(_compiled(rule, self.small), interp, counts, +1)
         self.counts = dict(counts)
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
 
-    def apply(
-        self,
-        interp: Database,
-        changed: FrozenSet[str],
-    ) -> Tuple[List[Tup], List[Tup]]:
+    def apply(self, interp: Database) -> Tuple[List[Tup], List[Tup]]:
         """Maintain the counts under the changes baked into ``interp``.
 
         ``interp`` supplies the relations the variants read: every input's
-        post-change value under its own name, and its ``P@old`` /
-        ``P@ins`` / ``P@del`` aliases; ``changed`` names the predicates
-        whose change sets are non-empty.  Returns the tuples
-        whose count rose from zero and those whose count returned to it.
+        post-change value under its own name, its ``P@old`` alias, and the
+        ``P@ins`` / ``P@del`` change sets this update staged; a variant
+        whose change set is absent or empty is not run.  Returns the
+        tuples whose count rose from zero and those whose count returned
+        to it.
         """
         diff = Counter()
         with TRACER.span("counting.variants") as sp:
-            for pred, gained, lost in self._variants:
-                if pred in changed:
-                    self._accumulate(gained, interp, diff, +1)
-                    self._accumulate(lost, interp, diff, -1)
+            for alias, compiled, sign in self._variants:
+                if interp.get(alias):
+                    self._accumulate(compiled, interp, diff, sign)
             if sp:
                 sp["pred"] = self.pred
                 sp["rows_out"] = len(diff)

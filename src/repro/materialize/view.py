@@ -269,7 +269,7 @@ class ComponentWalk:
                 if recursive:
                     comp_changes, values = state.apply(aliases.working(), new_db)
                 else:
-                    ins, dels = state.apply(aliases.derive(new_db), changed)
+                    ins, dels = state.apply(aliases.derive(new_db))
                     comp_changes = {
                         state.pred: tuple(
                             Relation._from_frozenset(state.pred, state.arity, frozenset(side))

@@ -162,7 +162,7 @@ class LiveGroundProgram:
             removed: List[int] = []
             index = self.index
             for state, layout, ids in self._shapes:
-                gained, lost = state.apply(interp, changed)
+                gained, lost = state.apply(interp)
                 for key in lost:
                     r = ids.pop(key)
                     _, pos, neg = _atom_ids(index, layout, key)

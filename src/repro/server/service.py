@@ -35,7 +35,10 @@ and gives each one the serving discipline the ROADMAP asks for:
   batch is appended to the view's :class:`~repro.server.wal.DeltaLog`
   *before* it is acknowledged, and a snapshot is cut every
   ``snapshot_every`` commits, so :meth:`ViewServer.start` restarts by
-  snapshot + WAL replay instead of from-scratch recompute.
+  snapshot + WAL replay instead of from-scratch recompute.  The
+  snapshot is cut after the batch is acknowledged; one that fails is
+  logged, counted in ``repro_wal_snapshot_failures_total{view}`` and
+  retried by the next commit, and the writer keeps serving.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from ..materialize.view import SEMANTICS, ChangeSet, MaterializedView
 from ..materialize.wellfounded_maint import UNDEF
 from ..obs import LATENCY_BUCKETS, REGISTRY, SIZE_BUCKETS
 from . import protocol
-from .wal import RENDER_REBUILDS, DeltaLog
+from .wal import RENDER_REBUILDS, SNAPSHOT_FAILURES, DeltaLog
 
 logger = logging.getLogger("repro.server")
 
@@ -790,12 +793,6 @@ class ViewServer:
         _BATCH_SIZE.labels(state.name).observe(len(batch))
         _COMMIT_SECONDS.labels(state.name).observe(time.perf_counter() - started)
         _QUEUE_DEPTH.labels(state.name).set(state.queue.qsize())
-        if (
-            state.log is not None
-            and self.snapshot_every is not None
-            and seq - state.log.snapshot_seq >= self.snapshot_every
-        ):
-            state.log.snapshot(seq, state.view.db)
         if not changeset.is_empty():
             state.recent.append((seq, changeset))
             for sub in list(state.subscribers):
@@ -805,3 +802,17 @@ class ViewServer:
         for future in futures:
             if not future.cancelled():
                 future.set_result((seq, changeset))
+        if (
+            state.log is not None
+            and self.snapshot_every is not None
+            and seq - state.log.snapshot_seq >= self.snapshot_every
+        ):
+            # The batch is logged and acknowledged: a failed snapshot
+            # only delays the next, which the next commit retries.
+            try:
+                state.log.snapshot(seq, state.view.db)
+            except Exception:
+                logger.exception(
+                    "snapshot of view %r at seq %d failed; the next commit retries", state.name, seq
+                )
+                SNAPSHOT_FAILURES.labels(state.name).inc()

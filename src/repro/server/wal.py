@@ -94,6 +94,14 @@ _SNAPSHOT_SECONDS = REGISTRY.histogram(
     buckets=LATENCY_BUCKETS,
 )
 
+SNAPSHOT_FAILURES = REGISTRY.counter(
+    "repro_wal_snapshot_failures_total",
+    "Periodic snapshots that raised (e.g. a full disk).  The commit that "
+    "triggered one is already logged and acknowledged; the next commit "
+    "retries the snapshot.",
+    labelnames=("view",),
+)
+
 RENDER_REBUILDS = REGISTRY.counter(
     "repro_server_render_rebuilds_total",
     "Kept renderings (query responses, snapshot CSVs) rendered from "

@@ -515,7 +515,7 @@ def test_long_stream_keeps_one_table_and_stays_in_codes():
     # Only changed tuples are decoded.
     assert sum(decode_excess) == 0
     for rel in list(view._state._aliases.working().values()) + list(view.result.idb.values()):
-        assert len(rel._kernel_cache) == 1, rel.name
+        assert rel._codes is not None and rel._codes.symbols is symbols, rel.name
     assert view.result.idb == _reference(program, view.db, "stratified")
     assert statistics.median(latencies[150:]) < 2 * statistics.median(latencies[:50])
 
@@ -561,7 +561,7 @@ def test_apply_spans_and_exposition_show_row_traffic():
 ACYC = TC + "ACYC(X, Y) :- E(X, Y), !TC(Y, X)."
 
 
-def _acyc_view(n, m, seed=7, source=ACYC):
+def _acyc_view(n, m, seed=7, source=ACYC, semantics="stratified"):
     """A view of ``source`` (ACYC by default) over a random ``G(n, m)``
     without self-loops, and its edges."""
     rng = random.Random(seed)
@@ -571,7 +571,7 @@ def _acyc_view(n, m, seed=7, source=ACYC):
         if u != v:
             edges.add((u, v))
     program = parse_program(source)
-    view = MaterializedView(program, Database(range(n), [Relation("E", 2, edges)]))
+    view = MaterializedView(program, Database(range(n), [Relation("E", 2, edges)]), semantics)
     return rng, program, view, edges
 
 
@@ -652,6 +652,62 @@ def test_an_update_evolves_only_the_database_relation(monkeypatch):
     assert view.result.idb == stratified_semantics(program, view.db).idb
 
 
+def test_counting_runs_only_the_variants_of_staged_change_sets(monkeypatch):
+    """Over 40 single-edge ACYC updates at G(2000, 1400), the counted
+    rule ``ACYC(X, Y) :- E(X, Y), !TC(Y, X)`` runs one plan per non-empty
+    change set of ``E`` and ``TC`` the update staged (a single edge
+    stages one of ``E@ins`` / ``E@del``, and at most one of ``TC@ins`` /
+    ``TC@del``): a variant over an empty change set is never run."""
+    from repro.materialize import counting
+
+    rng, program, view, edges = _acyc_view(2000, 1400)
+    staged, solves = [0], [0]
+    apply, solve = counting.CountingState.apply, counting.solve_bindings
+
+    def counted_apply(state, interp, *args):
+        staged[0] += sum(
+            bool(interp.get(alias)) for alias in ("E@ins", "E@del", "TC@ins", "TC@del")
+        )
+        return apply(state, interp, *args)
+
+    def counted_solve(plan, interp):
+        solves[0] += 1
+        return solve(plan, interp)
+
+    _single_edge_updates(rng, view, edges, range(1))
+    monkeypatch.setattr(counting.CountingState, "apply", counted_apply)
+    monkeypatch.setattr(counting, "solve_bindings", counted_solve)
+    _single_edge_updates(rng, view, edges, range(1, 41))
+    monkeypatch.undo()
+    assert 40 <= staged[0] <= 80
+    assert solves[0] == staged[0]
+    assert view.result.idb == stratified_semantics(program, view.db).idb
+
+
+def test_live_grounding_runs_one_plan_per_single_edge_delta(monkeypatch):
+    """Win-move's live grounding differentiates the one ``E`` atom of its
+    rule: a single-edge insert or delete stages one change set, and the
+    patch runs its one variant."""
+    from repro.materialize import counting
+
+    rng, program, view, edges = _acyc_view(
+        2000, 1400, source="W(X) :- E(X, Y), !W(Y).", semantics="wellfounded"
+    )
+    solves = [0]
+    solve = counting.solve_bindings
+
+    def counted_solve(plan, interp):
+        solves[0] += 1
+        return solve(plan, interp)
+
+    _single_edge_updates(rng, view, edges, range(1))
+    monkeypatch.setattr(counting, "solve_bindings", counted_solve)
+    _single_edge_updates(rng, view, edges, range(1, 41))
+    monkeypatch.undo()
+    assert solves[0] == 40
+    assert view.result.true_idb() == well_founded_semantics(program, view.db).true_idb()
+
+
 def test_width_bump_carries_no_join_index():
     """An insert whose fresh values widen the symbol table's field width
     retires every payload packed under the old width, and with them
@@ -669,10 +725,10 @@ def test_width_bump_carries_no_join_index():
     held.append(view.db["E"])
     runs = 0
     for rel in held:
-        for rc in rel._kernel_cache.values():
-            for run in rc._runs.values():
-                assert run.shift == rc.shift == symbols.shift, rel.name
-                runs += 1
+        rc = rel._codes
+        for run in rc._runs.values():
+            assert run.shift == rc.shift == symbols.shift, rel.name
+            runs += 1
     assert runs
     assert view.result.idb == stratified_semantics(program, view.db).idb
 

@@ -137,3 +137,84 @@ def test_complement_of_zero_ary_relations():
     full = Relation("B", 0, [()])
     assert set(empty.complement(frozenset({1}))) == {()}
     assert set(full.complement(frozenset({1}))) == set()
+
+
+# ----------------------------------------------------------------------
+# The stored size and the one payload slot
+# ----------------------------------------------------------------------
+
+_PAIRS = st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=10)
+
+
+def _assert_sized(rel):
+    """``len`` / ``bool`` (stored at construction) agree with the tuples."""
+    size = len(rel)
+    assert bool(rel) == (size > 0)
+    assert size == len(rel.tuples)
+
+
+@given(xs=_PAIRS, ys=_PAIRS, zs=_PAIRS)
+def test_stored_size_matches_the_tuples_for_every_constructor(xs, ys, zs):
+    """Every way to make a relation stores the row count its tuples have:
+    the set operations on each pairing of tuple-backed, payload-holding
+    and code-only operands (a disjoint union among them, equal to the
+    plain union), an evolve, a rename, a re-pack after the table's field
+    width widens, and an encode under a second table."""
+    from repro.db.kernel import RelationCodes, SymbolTable
+
+    symbols = SymbolTable()
+    plain = Relation("R", 2, xs)
+    held = Relation("R", 2, ys)
+    held.codes_on(symbols)
+    coded = Relation._from_codes("R", 2, RelationCodes.encode(symbols, 2, zs))
+    made = [plain, held, coded, Relation._from_frozenset("R", 2, frozenset(xs))]
+    for left in (plain, held, coded):
+        for right in (plain, held, coded):
+            gathered = Relation.disjoint_union("R", 2, [left.difference(right), right])
+            assert gathered == left.union(right)
+            made += [
+                left.union(right),
+                left.difference(right),
+                left.intersection(right),
+                *left.absorb(right),
+                left.evolve(right, xs),
+                gathered,
+            ]
+    made += [coded.with_name("S"), held.with_name("S"), plain.with_name("S")]
+    for rel in made:
+        _assert_sized(rel)
+    # Widen the field width: the code-only relation re-packs, same size.
+    before = len(coded)
+    symbols.intern_many(range(1000, 1300))
+    assert coded.codes_on(symbols).shift == symbols.shift
+    assert len(coded) == before
+    _assert_sized(coded.union(held))
+    # Encoded under another table, it still holds the same rows.
+    other = SymbolTable(range(9, -1, -1))
+    assert len(coded.codes_on(other)) == len(coded) == len(zs)
+    _assert_sized(coded)
+    assert coded.tuples == frozenset(zs)
+
+
+def test_one_relation_read_under_two_tables_answers_alike():
+    """One relation object in two independently built databases (two
+    symbol tables, interning its values in different orders) gives each
+    engine run the same answer, however often the reads alternate."""
+    from repro import Database, parse_program
+    from repro.core.semantics import stratified_semantics
+
+    program = parse_program(
+        "T(X, Y) :- E(X, Y).  T(X, Y) :- E(X, Z), T(Z, Y).  N(X, Y) :- E(X, Y), !T(Y, X)."
+    )
+    edge = Relation("E", 2, [(1, 2), (2, 3), (3, 1), (3, 4), (5, 4)])
+    first = Database(range(1, 6), [edge])
+    second = Database(["x", 5, 4, 3, 2, 1], [edge])
+    expected = None
+    for db in (first, second, first, second):
+        assert db.symbols() is not (second if db is first else first).symbols()
+        idb = stratified_semantics(program, db).idb
+        answer = {p: rel.tuples for p, rel in idb.items()}
+        assert expected is None or answer == expected
+        expected = answer
+        assert len(edge) == 5 and (3, 4) in edge and (4, 3) not in edge
+    assert expected["N"] == {(3, 4), (5, 4)}

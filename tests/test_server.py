@@ -1058,3 +1058,52 @@ class TestServerAnalysis:
             await frontend.close()
 
         _run(run())
+
+
+def test_a_failed_snapshot_is_retried_and_the_writer_keeps_serving(tmp_path, monkeypatch):
+    """A snapshot that raises (a full disk) after its batch is logged
+    fails neither that batch's submitter nor the writer: every submit is
+    acknowledged, the failure is counted, the next commit cuts the
+    snapshot, and a restart replays to the acknowledged state."""
+    import errno
+
+    from repro.server.wal import DeltaLog
+
+    cut = DeltaLog.snapshot
+    failures = []
+
+    def full_disk_once(log, seq, db):
+        if not failures:
+            failures.append(seq)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        cut(log, seq, db)
+
+    async def scenario():
+        service = ViewServer(state_dir=tmp_path, tick=0.0, snapshot_every=2)
+        service.register("snapfail", TC_PROGRAM, _edges((1, 2)))
+        state = service._views["snapfail"]
+        monkeypatch.setattr(DeltaLog, "snapshot", full_disk_once)
+        seqs = []
+        for edge in [(2, 3), (3, 4), (4, 5), (5, 6)]:
+            seq, _ = await asyncio.wait_for(
+                service.submit("snapfail", Delta(inserts={"E": [edge]})), timeout=10
+            )
+            seqs.append(seq)
+        monkeypatch.undo()
+        assert seqs == [1, 2, 3, 4]
+        assert failures == [2]
+        assert state.log.snapshot_seq == 3  # retried at 3; 4 is in the WAL tail
+        assert 'repro_wal_snapshot_failures_total{view="snapfail"} 1' in service.metrics()
+        pre = (state.seq, state.view.db, _result_value(state.view))
+        # Crash: no final snapshot.
+        for viewstate in service._views.values():
+            viewstate.task.cancel()
+        del service
+
+        restarted = ViewServer(state_dir=tmp_path, tick=0.0, snapshot_every=2)
+        await restarted.start()
+        state2 = restarted._views["snapfail"]
+        assert (state2.seq, state2.view.db, _result_value(state2.view)) == pre
+        await restarted.close()
+
+    _run(scenario())

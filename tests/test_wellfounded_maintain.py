@@ -228,9 +228,8 @@ def _variant_reads(live):
     return {
         pred
         for state, _, _ in live._shapes
-        for _, gained, lost in state._variants
-        for variant in (gained, lost)
-        for pred in variant.body_predicates()
+        for _, (plan, _), _ in state._variants
+        for pred in plan.rule.body_predicates()
         if not pred.endswith(("@ins", "@del"))
     }
 
