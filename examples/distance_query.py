@@ -10,7 +10,7 @@ Run with:  python examples/distance_query.py
 
 from repro.core.semantics import inflationary_semantics, stratified_semantics
 from repro.graphs import generators as gg, graph_to_database
-from repro.graphs.algorithms import bfs_distances, distance_query
+from repro.graphs.algorithms import distance_query
 from repro.queries import distance_program
 
 program = distance_program()

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.validation import safety_report
+from ..core.validation import compatibility_problems, safety_report
 from ..db.database import Database
 from .diagnostics import Diagnostic, Severity
 from .facts import MIXED, UNKNOWN, ProgramFacts, _const_kind, _join
@@ -295,40 +295,11 @@ def check_column_types(
 def check_database_compat(
     facts: ProgramFacts, db: Database
 ) -> Iterator[Diagnostic]:
-    """V001/V002/U001: the diagnostic face of ``validation.check_database``."""
+    """V001/V002 — :func:`~repro.core.validation.compatibility_problems`
+    as errors — and U001, a database relation the program never reads."""
     program = facts.program
-    for pred in sorted(program.edb_predicates):
-        if pred not in db:
-            yield Diagnostic(
-                code="V001",
-                severity=Severity.ERROR,
-                message=(
-                    "database is missing EDB relation %r required by the "
-                    "program" % pred
-                ),
-                predicate=pred,
-            )
-        elif db.arity_of(pred) != program.arity(pred):
-            yield Diagnostic(
-                code="V002",
-                severity=Severity.ERROR,
-                message=(
-                    "relation %s has arity %d in the database but %d in the "
-                    "program" % (pred, db.arity_of(pred), program.arity(pred))
-                ),
-                predicate=pred,
-            )
-    for pred in sorted(program.idb_predicates):
-        if pred in db and db.arity_of(pred) != program.arity(pred):
-            yield Diagnostic(
-                code="V002",
-                severity=Severity.ERROR,
-                message=(
-                    "IDB relation %s has arity %d in the database but %d in "
-                    "the program" % (pred, db.arity_of(pred), program.arity(pred))
-                ),
-                predicate=pred,
-            )
+    for code, pred, message in compatibility_problems(program, db):
+        yield Diagnostic(code=code, severity=Severity.ERROR, message=message, predicate=pred)
     for name in sorted(db.relation_names()):
         if name not in program.predicates:
             yield Diagnostic(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..core.literals import Atom, Eq
+from ..core.literals import Eq
 from ..core.program import Program, ProgramError
 from ..core.rules import Rule
 from ..core.terms import Constant, Variable
@@ -336,25 +336,9 @@ class ProgramFacts:
     # Convenience
     # ------------------------------------------------------------------
 
-    def rule_span(self, index: int):
-        """The source span of rule ``index`` (``None`` if built in code)."""
-        return self.program.rules[index].span
-
     def defining_rule(self, pred: str) -> Optional[Rule]:
         """The first rule whose head is ``pred``."""
         for rule in self.program.rules:
             if rule.head.pred == pred:
                 return rule
         return None
-
-    def negation_occurrences(self) -> List[Tuple[int, Atom]]:
-        """Every negated occurrence as ``(rule index, negated atom)``.
-
-        The lattice-generic core (ROADMAP) classifies occurrences of
-        negation; this is its raw feed.
-        """
-        out = []
-        for i, rule in enumerate(self.program.rules):
-            for neg in rule.negated_atoms():
-                out.append((i, neg.atom))
-        return out

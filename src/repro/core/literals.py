@@ -156,7 +156,3 @@ Literal = Union[Atom, Negation, Eq, Neq]
 Comparison = (Eq, Neq)
 """Tuple of comparison literal classes, for isinstance checks."""
 
-
-def literal_variables(lit: Literal) -> FrozenSet[Variable]:
-    """Variables of any literal kind."""
-    return lit.variables()

@@ -62,11 +62,7 @@ def is_stratifiable(program: Program) -> bool:
     return DependencyGraph(program).is_stratifiable()
 
 
-def stratified_semantics(
-    program: Program,
-    db: Database,
-    keep_trace: bool = False,
-) -> StratifiedResult:
+def stratified_semantics(program: Program, db: Database) -> StratifiedResult:
     """Evaluate a stratifiable program stratum by stratum.
 
     Each stratum's rules form a program that is semipositive *given* the
@@ -92,7 +88,7 @@ def stratified_semantics(
         with TRACER.span("stratum") as sp:
             rules = [r for r in program.rules if r.head.pred in layer]
             sub = Program(rules)
-            result = seminaive_least_fixpoint(sub, working, keep_trace=keep_trace)
+            result = seminaive_least_fixpoint(sub, working)
             for pred in layer:
                 final[pred] = result.idb[pred]
             working = working.with_relations(result.idb.values())

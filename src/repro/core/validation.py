@@ -8,7 +8,7 @@ not errors.  Mismatched arities between a program and a database are errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from ..db.database import Database
 from .program import Program
@@ -54,31 +54,42 @@ def safety_report(program: Program) -> SafetyReport:
     return report
 
 
-def check_database(program: Program, db: Database) -> None:
-    """Verify that ``db`` can serve as input to ``program``.
+def compatibility_problems(program: Program, db: Database) -> Iterator[Tuple[str, str, str]]:
+    """Why ``db`` cannot serve as input to ``program``, as ``(code,
+    predicate, message)`` triples.
 
-    Every EDB predicate must be present in the database with matching
-    arity; IDB predicates, when present (i.e. the database is an
-    interpretation mid-iteration), must also match arities.
-
-    Raises
-    ------
-    ValidationError
-        On a missing EDB relation or any arity mismatch.
+    Every EDB predicate must be present in the database (else ``V001``)
+    with matching arity (else ``V002``); IDB predicates, when present
+    (i.e. the database is an interpretation mid-iteration), must also
+    match arities (``V002``).  The analyzer reports every triple as a
+    diagnostic; :func:`check_database` raises the first.
     """
     for pred in sorted(program.edb_predicates):
         if pred not in db:
-            raise ValidationError(
+            yield "V001", pred, (
                 "database is missing EDB relation %r required by the program" % pred
             )
-        if db.arity_of(pred) != program.arity(pred):
-            raise ValidationError(
+        elif db.arity_of(pred) != program.arity(pred):
+            yield "V002", pred, (
                 "relation %s has arity %d in the database but %d in the program"
                 % (pred, db.arity_of(pred), program.arity(pred))
             )
     for pred in sorted(program.idb_predicates):
         if pred in db and db.arity_of(pred) != program.arity(pred):
-            raise ValidationError(
+            yield "V002", pred, (
                 "IDB relation %s has arity %d in the database but %d in the program"
                 % (pred, db.arity_of(pred), program.arity(pred))
             )
+
+
+def check_database(program: Program, db: Database) -> None:
+    """Verify that ``db`` can serve as input to ``program``.
+
+    Raises
+    ------
+    ValidationError
+        On the first of :func:`compatibility_problems`: a missing EDB
+        relation or an arity mismatch.
+    """
+    for _code, _pred, message in compatibility_problems(program, db):
+        raise ValidationError(message)

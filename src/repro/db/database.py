@@ -46,7 +46,6 @@ class Database:
     __slots__ = (
         "universe",
         "_relations",
-        "_active_domain",
         "_sorted_universe",
         "_symcell",
         "_universe_rel",
@@ -258,23 +257,13 @@ class Database:
             new[rel.name] = rel
         return self.derive(new.values())
 
-    def without(self, *names: str) -> "Database":
-        """Return a copy with the named relations removed."""
-        new = {k: v for k, v in self._relations.items() if k not in names}
-        return self.derive(new.values())
-
-    def restrict(self, names: Iterable[str]) -> "Database":
-        """Return a copy keeping only the named relations."""
-        keep = set(names)
-        new = {k: v for k, v in self._relations.items() if k in keep}
-        return self.derive(new.values())
-
     def apply_delta(self, delta) -> "Database":
         """Apply per-relation insert/delete sets, returning a new database.
 
         ``delta`` is a :class:`repro.materialize.delta.Delta` (or any
         mapping-like object with ``.items()`` yielding
-        ``(name, (inserts, deletes))``).  Every named relation must exist;
+        ``(name, (inserts, deletes))``; a side may be a relation, whose
+        payload is reused).  Every named relation must exist;
         tuples must match its arity.  The universe is extended with any
         values the inserted tuples introduce — deletions never shrink it
         (the paper's semantics quantifies over the whole universe, so
@@ -317,25 +306,6 @@ class Database:
         if rel is not None:  # the universe relation grows by the fresh values
             out._universe_rel = rel.evolve([(v,) for v in fresh]) if fresh else rel
         return out
-
-    def active_domain(self) -> frozenset:
-        """Elements that actually occur in some relation tuple.
-
-        Computed once per database instance and cached; databases are
-        immutable (functional updates return new instances), so the cache
-        can never go stale.
-        """
-        try:
-            return self._active_domain
-        except AttributeError:
-            pass
-        seen = set()
-        for rel in self._relations.values():
-            for t in rel:
-                seen.update(t)
-        domain = frozenset(seen)
-        self._active_domain = domain
-        return domain
 
     def sorted_universe(self) -> Tuple[Any, ...]:
         """The universe as a deterministically ordered tuple, cached.

@@ -42,7 +42,6 @@ from .kernel import (
     codes_equal,
     codes_intersection,
     codes_issubset,
-    empty_codes,
 )
 
 Tup = Tuple[Any, ...]
@@ -315,14 +314,12 @@ class Relation:
                 # Encoding a side can widen the table: go round again until
                 # all three payloads are of the final width.  A side keeps
                 # its payload in its slot, so a delta patching several
-                # relations is interned once; an empty side is not encoded.
+                # relations is interned once; an empty side is ``None``.
                 generation = symbols.generation
                 mine = self.codes_on(symbols)
-                inserted, deleted = (
-                    side.codes_on(symbols) if side else RelationCodes(symbols, self.arity, empty_codes())
-                    for side in (ins, dels)
-                )
-            if mine is not None and inserted is not None and deleted is not None:
+                inserted, deleted = (side.codes_on(symbols) if side else None for side in (ins, dels))
+            fits = (inserted is not None or not ins) and (deleted is not None or not dels)
+            if mine is not None and fits:
                 out = mine.evolved(inserted, deleted)
                 return self if out is mine else Relation._from_codes(self.name, self.arity, out)
         added = ins.tuples - self.tuples

@@ -371,30 +371,56 @@ def evaluate(formula: Formula, db: Database, binding: Optional[Binding] = None) 
 def ifp_relation(node: IFP, db: Database, binding: Optional[Binding] = None) -> FrozenSet[Tuple]:
     """The inductive fixpoint relation computed by an IFP node.
 
-    Iterates ``S := S union {a : formula(a, S)}`` to stability; the result
-    depends on the outer ``binding`` for any free variables of the body
-    beyond the bound tuple.
+    Iterates ``S := S union {a : formula(a, S)}`` to stability (the
+    one-definition case of :func:`induction`); the result depends on the
+    outer ``binding`` for any free variables of the body beyond the bound
+    tuple.
+    """
+    stages, _ = induction(db, {node.pred: (node.vars, node.formula)}, binding)
+    return stages[node.pred]
+
+
+def induction(
+    db: Database,
+    definitions: Dict[str, Tuple[Sequence[Variable], Formula]],
+    binding: Optional[Binding] = None,
+    max_rounds: Optional[int] = None,
+) -> Tuple[Dict[str, FrozenSet[Tuple]], int]:
+    """Simultaneous induction ``S_i := S_i u {a : phi_i(a, S)}`` over ``universe^k``.
+
+    ``definitions`` maps each inductively defined predicate to its bound
+    variable tuple and body formula; every body reads every defined
+    predicate's previous stage.  Returns the stabilised tuple sets and
+    the number of rounds that added tuples.  More than ``max_rounds``
+    such rounds raise ``AssertionError``.
     """
     from ..db.relation import Relation
 
     env = binding or {}
     universe = sorted(db.universe, key=repr)
-    current: Set[Tuple] = set()
-    arity = len(node.vars)
+    arities = {name: len(vars) for name, (vars, _) in definitions.items()}
+    current: Dict[str, Set[Tuple]] = {name: set() for name in definitions}
+    rounds = 0
     while True:
-        shadow = db.with_relation(Relation(node.pred, arity, current))
-        added: Set[Tuple] = set()
-        for values in product(universe, repeat=arity):
-            if values in current:
-                continue
-            extended = dict(env)
-            for v, val in zip(node.vars, values):
-                extended[v] = val
-            if evaluate(node.formula, shadow, extended):
-                added.add(values)
-        if not added:
-            return frozenset(current)
-        current |= added
+        if max_rounds is not None and rounds >= max_rounds:
+            raise AssertionError("simultaneous IFP exceeded its theoretical bound")
+        shadow = db.with_relations(
+            Relation(name, arities[name], tuples) for name, tuples in current.items()
+        )
+        new = {
+            name: [
+                values
+                for values in product(universe, repeat=arities[name])
+                if values not in current[name]
+                and evaluate(body, shadow, {**env, **dict(zip(vars, values))})
+            ]
+            for name, (vars, body) in definitions.items()
+        }
+        if not any(new.values()):
+            return {name: frozenset(tuples) for name, tuples in current.items()}, rounds
+        rounds += 1
+        for name, gained in new.items():
+            current[name].update(gained)
 
 
 def query(

@@ -7,18 +7,18 @@ fragment of FO + IFP.  Single IFP applications live in
 :class:`repro.logic.fo.IFP`; this module adds the *simultaneous* induction
 needed for programs with several nondatabase relations ("the inflationary
 semantics is defined in a similar way by simultaneous induction in the
-defining equations").
+defining equations").  Both run the one loop,
+:func:`repro.logic.fo.induction`.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.terms import Variable
 from ..db.database import Database
 from ..db.relation import Relation
-from .fo import Binding, Formula, evaluate
+from .fo import Binding, Formula, induction
 
 
 def simultaneous_ifp(
@@ -32,39 +32,16 @@ def simultaneous_ifp(
     ``definitions`` maps each inductively defined predicate to its bound
     variable tuple and body formula; bodies may mention every defined
     predicate with any polarity.  Returns the stabilised relations.
+    Without ``max_rounds`` the induction is held to its theoretical bound,
+    one round per tuple it could add.
     """
-    env = binding or {}
-    universe = sorted(db.universe, key=repr)
-    current: Dict[str, Set[Tuple]] = {name: set() for name in definitions}
-    arities = {name: len(vars) for name, (vars, _) in definitions.items()}
-    bound = sum(len(universe) ** a for a in arities.values()) + 1
-    limit = bound if max_rounds is None else max_rounds
-
-    for _ in range(limit):
-        shadow = db.with_relations(
-            Relation(name, arities[name], tuples) for name, tuples in current.items()
-        )
-        added = False
-        new: Dict[str, Set[Tuple]] = {}
-        for name, (vars, body) in definitions.items():
-            gained: Set[Tuple] = set()
-            for values in product(universe, repeat=arities[name]):
-                if values in current[name]:
-                    continue
-                extended = dict(env)
-                extended.update(zip(vars, values))
-                if evaluate(body, shadow, extended):
-                    gained.add(values)
-            new[name] = gained
-            added = added or bool(gained)
-        if not added:
-            return {
-                name: Relation(name, arities[name], tuples)
-                for name, tuples in current.items()
-            }
-        for name in current:
-            current[name] |= new[name]
-    raise AssertionError("simultaneous IFP exceeded its theoretical bound")
+    if max_rounds is None:
+        size = len(db.universe)
+        max_rounds = sum(size ** len(vars) for vars, _ in definitions.values()) + 1
+    stages, _ = induction(db, definitions, binding, max_rounds)
+    return {
+        name: Relation(name, len(definitions[name][0]), tuples) for name, tuples in stages.items()
+    }
 
 
 def ifp_stage_count(
@@ -72,25 +49,4 @@ def ifp_stage_count(
     definitions: Dict[str, Tuple[Sequence[Variable], Formula]],
 ) -> int:
     """Number of rounds until the simultaneous induction stabilises."""
-    env: Binding = {}
-    universe = sorted(db.universe, key=repr)
-    current: Dict[str, Set[Tuple]] = {name: set() for name in definitions}
-    arities = {name: len(vars) for name, (vars, _) in definitions.items()}
-    rounds = 0
-    while True:
-        shadow = db.with_relations(
-            Relation(name, arities[name], tuples) for name, tuples in current.items()
-        )
-        added = False
-        for name, (vars, body) in definitions.items():
-            for values in product(universe, repeat=arities[name]):
-                if values in current[name]:
-                    continue
-                extended = dict(env)
-                extended.update(zip(vars, values))
-                if evaluate(body, shadow, extended):
-                    current[name].add(values)
-                    added = True
-        if not added:
-            return rounds
-        rounds += 1
+    return induction(db, definitions)[1]

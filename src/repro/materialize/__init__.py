@@ -30,8 +30,9 @@ change.  This package turns the batch evaluator into a serving engine:
   one maintenance state per view (the condensation walk of counting and
   DRed, the alternating pair, or a recompute), each of whose ``apply``
   returns the changes it made: ``view.apply(delta)`` returns them at
-  once as a :class:`~repro.materialize.view.ChangeSet`, and
-  ``view.result`` folds them on read, equal to a from-scratch
+  once as a changeset — itself a
+  :class:`~repro.materialize.delta.Delta`, keyed by every relation that
+  moved — and ``view.result`` folds them on read, equal to a from-scratch
   recomputation
   (property-tested in ``tests/test_materialize.py`` and
   ``tests/test_wellfounded_maintain.py``).  Batching and transactions:
@@ -52,12 +53,11 @@ decides them again.
 from .counting import CountingState
 from .delta import Delta
 from .dred import RecursiveState
-from .view import ChangeSet, MaterializedView
+from .view import MaterializedView
 from .wellfounded_maint import AlternatingState, undef_name
 
 __all__ = [
     "AlternatingState",
-    "ChangeSet",
     "CountingState",
     "Delta",
     "MaterializedView",

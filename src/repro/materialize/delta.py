@@ -1,8 +1,13 @@
-"""EDB deltas: per-relation insert/delete sets.
+"""Deltas: per-relation insert/delete sets.
 
-A :class:`Delta` is the unit of change the materialized-view subsystem
-consumes: for each named relation, a set of tuples to insert and a set
-to delete.  Deltas are immutable values (hashable, equality by content)
+A :class:`Delta` is the one change type of the materialized-view
+subsystem: for each named relation, a set of tuples to insert and a set
+to delete.  It is what goes into a view — an EDB update — and what comes
+out: :meth:`MaterializedView.apply
+<repro.materialize.view.MaterializedView.apply>` returns a delta (the
+*changeset*) keyed by every relation that moved, EDB and IDB alike, as
+the paper's operator maps a sequence of relations to a sequence of
+relations.  Deltas are immutable values (hashable, equality by content)
 and deliberately know nothing about databases — applying one is
 :meth:`repro.db.database.Database.apply_delta`, which returns a *new*
 immutable database and carries the old relations' caches forward
@@ -15,7 +20,7 @@ compose two deltas with :meth:`Delta.then` instead.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 Tup = Tuple[Any, ...]
 Change = Tuple[FrozenSet[Tup], FrozenSet[Tup]]
@@ -31,6 +36,10 @@ class Delta:
         Mapping ``{relation name: iterable of tuples}`` to add.
     deletes:
         Mapping ``{relation name: iterable of tuples}`` to remove.
+
+    A side that is already a ``frozenset`` of tuples is taken as it is,
+    not copied; :meth:`_of` adopts known-disjoint pairs without the
+    overlap check.  The content hash is computed on first use.
 
     Raises
     ------
@@ -48,26 +57,41 @@ class Delta:
     ) -> None:
         changes: Dict[str, Change] = {}
         for name, tuples in (inserts or {}).items():
-            changes[name] = (frozenset(tuple(t) for t in tuples), frozenset())
+            changes[name] = (_frozen(tuples), _NONE)
         for name, tuples in (deletes or {}).items():
-            ins = changes.get(name, (frozenset(), frozenset()))[0]
-            dels = frozenset(tuple(t) for t in tuples)
-            overlap = ins & dels
-            if overlap:
+            ins = changes.get(name, _UNCHANGED)[0]
+            dels = _frozen(tuples)
+            if not ins.isdisjoint(dels):
                 raise ValueError(
                     "delta inserts and deletes overlap on %s: %r"
-                    % (name, sorted(overlap, key=repr)[:4])
+                    % (name, sorted(ins & dels, key=repr)[:4])
                 )
             changes[name] = (ins, dels)
+        self._adopt(changes)
+
+    def _adopt(self, changes: Mapping[str, Change]) -> None:
         # Drop relations with no actual change so value equality is exact.
         self._changes = {
             name: change for name, change in changes.items() if change[0] or change[1]
         }
-        self._hash = hash(frozenset(self._changes.items()))
+        self._hash = None
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+
+    @classmethod
+    def _of(cls, changes: Mapping[str, Change]) -> "Delta":
+        """The delta of ``{name: (inserts, deletes)}`` frozenset pairs, adopted
+        as they are.
+
+        For sides already known disjoint — a diff of two states, or an
+        operation on deltas — so nothing is copied or checked: a
+        changeset of 44k tuples costs its construction one dict.
+        """
+        self = object.__new__(cls)
+        self._adopt(changes)
+        return self
 
     @classmethod
     def empty(cls) -> "Delta":
@@ -98,11 +122,11 @@ class Delta:
 
     def inserts(self, name: str) -> FrozenSet[Tup]:
         """The tuples inserted into ``name`` (empty when untouched)."""
-        return self._changes.get(name, (frozenset(), frozenset()))[0]
+        return self._changes.get(name, _UNCHANGED)[0]
 
     def deletes(self, name: str) -> FrozenSet[Tup]:
         """The tuples deleted from ``name`` (empty when untouched)."""
-        return self._changes.get(name, (frozenset(), frozenset()))[1]
+        return self._changes.get(name, _UNCHANGED)[1]
 
     def is_empty(self) -> bool:
         """True when the delta changes nothing."""
@@ -133,19 +157,16 @@ class Delta:
         genuine changes.  Relations the database does not contain raise
         ``KeyError`` (same contract as ``apply_delta``).
         """
-        inserts: Dict[str, FrozenSet[Tup]] = {}
-        deletes: Dict[str, FrozenSet[Tup]] = {}
+        changes: Dict[str, Change] = {}
         for name, (ins, dels) in self._changes.items():
             # Membership, not set algebra on ``.tuples``: a code-only
             # relation answers from its sorted codes without decoding.
             existing = db[name]
-            eff_ins = frozenset(t for t in ins if t not in existing)
-            eff_dels = frozenset(t for t in dels if t in existing)
-            if eff_ins:
-                inserts[name] = eff_ins
-            if eff_dels:
-                deletes[name] = eff_dels
-        return Delta(inserts=inserts, deletes=deletes)
+            changes[name] = (
+                frozenset(t for t in ins if t not in existing),
+                frozenset(t for t in dels if t in existing),
+            )
+        return Delta._of(changes)
 
     def then(self, other: "Delta") -> "Delta":
         """Sequential composition: this delta, then ``other``.
@@ -163,15 +184,12 @@ class Delta:
         transaction reading: a value no tuple of the committed state
         mentions was never in the database.
         """
-        names = set(self._changes) | set(other._changes)
-        inserts: Dict[str, FrozenSet[Tup]] = {}
-        deletes: Dict[str, FrozenSet[Tup]] = {}
-        for name in names:
-            ins1, del1 = self._changes.get(name, (frozenset(), frozenset()))
-            ins2, del2 = other._changes.get(name, (frozenset(), frozenset()))
-            inserts[name] = (ins1 - del2) | ins2
-            deletes[name] = (del1 - ins2) | del2
-        return Delta(inserts=inserts, deletes=deletes)
+        changes: Dict[str, Change] = {}
+        for name in set(self._changes) | set(other._changes):
+            ins1, del1 = self._changes.get(name, _UNCHANGED)
+            ins2, del2 = other._changes.get(name, _UNCHANGED)
+            changes[name] = ((ins1 - del2) | ins2, (del1 - ins2) | del2)
+        return Delta._of(changes)
 
     def compose(self, other: "Delta") -> "Delta":
         """Alias of :meth:`then` — the delta monoid's operation.
@@ -197,18 +215,12 @@ class Delta:
         these.
         """
         effective = self if db is None else self.normalize(db)
-        return Delta(
-            inserts={n: d for n, (_, d) in effective._changes.items()},
-            deletes={n: i for n, (i, _) in effective._changes.items()},
-        )
+        return Delta._of({n: (d, i) for n, (i, d) in effective._changes.items()})
 
     def restrict(self, names: Iterable[str]) -> "Delta":
         """The sub-delta touching only the given relations."""
         keep = set(names)
-        return Delta(
-            inserts={n: i for n, (i, _) in self._changes.items() if n in keep},
-            deletes={n: d for n, (_, d) in self._changes.items() if n in keep},
-        )
+        return Delta._of({n: change for n, change in self._changes.items() if n in keep})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Delta):
@@ -216,7 +228,12 @@ class Delta:
         return self._changes == other._changes
 
     def __hash__(self) -> int:
-        return self._hash
+        # On first use: the server's subscription window dedupes
+        # changesets by it, and most deltas are never hashed at all.
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self._changes.items()))
+        return h
 
     def __bool__(self) -> bool:
         return bool(self._changes)
@@ -230,3 +247,25 @@ class Delta:
             for name, (ins, dels) in sorted(self._changes.items())
         )
         return "Delta(%s)" % (parts or "empty")
+
+    def format(self) -> str:
+        """A deterministic multi-line rendering (``repro update``'s output)."""
+        lines: List[str] = []
+        for name, (ins, dels) in self.items():
+            lines.append("%s: +%d -%d" % (name, len(ins), len(dels)))
+            for t in sorted(ins, key=repr):
+                lines.append("  + " + ", ".join(str(v) for v in t))
+            for t in sorted(dels, key=repr):
+                lines.append("  - " + ", ".join(str(v) for v in t))
+        return "\n".join(lines) if lines else "(no change)"
+
+
+_NONE: FrozenSet[Tup] = frozenset()
+_UNCHANGED: Change = (_NONE, _NONE)
+
+
+def _frozen(tuples: Iterable[Tup]) -> FrozenSet[Tup]:
+    """One side as a frozenset of tuples; a frozenset is taken as it is."""
+    if type(tuples) is frozenset:
+        return tuples
+    return frozenset(tuple(t) for t in tuples)

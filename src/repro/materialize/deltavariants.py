@@ -162,16 +162,13 @@ class AliasSet:
     def __contains__(self, name: str) -> bool:
         return name in self.relations
 
-    def stage(self, name: str, ins, dels, value: Relation) -> None:
+    def stage(self, name: str, ins: Relation, dels: Relation, value: Relation) -> None:
         """Take ``value`` as ``name``'s current value; stage its change.
 
-        ``name`` is one of the inputs; ``ins``/``dels`` are relations or
-        tuple frozensets, the change from the pre-change value to
-        ``value``.
+        ``name`` is one of the inputs; ``ins``/``dels`` are the relations
+        of the change from the pre-change value to ``value``, renamed
+        here: the staged aliases share their payloads.
         """
-        if not isinstance(ins, Relation):
-            ins = Relation._from_frozenset(name, value.arity, ins)
-            dels = Relation._from_frozenset(name, value.arity, dels)
         self.relations[name] = value
         self._staged[name] = (ins.with_name(ins_name(name)), dels.with_name(del_name(name)))
 

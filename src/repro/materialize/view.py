@@ -21,14 +21,16 @@ what moved as ``{key: (inserted, deleted)}``:
   fixpoint at all), so there is nothing stratum-shaped to maintain: it
   re-evaluates honestly, still producing a changeset.
 
-``apply`` returns those changes in its :class:`ChangeSet` at once and
-only queues them for the result: :attr:`MaterializedView.result` folds
-the pending changes on read.  Where the state holds a key's value (the
-value the walk's aliases name, a recompute's relation), the queue keeps that
-immutable relation as it stood after the last apply; otherwise it keeps
-the composed change sets, and the fold evolves the last result's value
-by them.  An exception inside ``apply`` drops the state, leaves the view
-as it was, and the next update rebuilds the state from it.
+``apply`` returns those changes in its changeset — a
+:class:`~repro.materialize.delta.Delta` keyed by every relation that
+moved — at once and only queues them for the result:
+:attr:`MaterializedView.result` folds the pending changes on read.
+Where the state holds a key's value (the value the walk's aliases name,
+a recompute's relation), the queue keeps that immutable relation as it
+stood after the last apply; otherwise it keeps the composed change sets,
+and the fold evolves the last result's value by them.  An exception
+inside ``apply`` drops the state, leaves the view as it was, and the
+next update rebuilds the state from it.
 
 The walk goes stratum by stratum over the condensation of the predicate
 dependency graph, in topological order:
@@ -59,15 +61,16 @@ update to update.  Maintenance state (each input's value and its
 ``@old`` alias — names for the values updates computed, never copies —
 change sets, DRed's working sets) is held as relations under that table
 and combined on codes; only the changed tuples are decoded, once, for
-the returned :class:`ChangeSet`.
+the returned changeset.  An update's own delta is interned once: each
+effective side is one relation, which the database evolves by and the
+state stages as ``P@ins`` / ``P@del``, sharing its payload.
 
 Growth of the universe is a delta too.  Every maintained rule is
 range-restricted (:func:`~repro.core.planning.range_restricted`): a
 completion variable joins the universe relation ``@U``.  An inserted
 tuple that mentions a never-seen value is therefore also an insertion
 into ``@U``, handed to the state beside the EDB changes and
-differentiated like any of them; it never appears in a
-:class:`ChangeSet`.
+differentiated like any of them; it never appears in a changeset.
 """
 
 from __future__ import annotations
@@ -95,85 +98,10 @@ from .wellfounded_maint import UNDEF, AlternatingState
 
 ChangePair = Tuple[FrozenSet[Tup], FrozenSet[Tup]]
 Changes = Dict[str, ChangePair]
+Staged = Dict[str, Tuple[Relation, Relation]]
+"""An update's effective sides (and ``@U`` growth), one relation each."""
 
 SEMANTICS = ("stratified", "inflationary", "wellfounded")
-
-
-class ChangeSet:
-    """What one :meth:`MaterializedView.apply` call changed.
-
-    Maps every touched predicate — the EDB relations the delta itself
-    moved and every IDB predicate whose value moved in response — to its
-    inserted and deleted tuple sets.  Empty per-relation sets are not
-    recorded.
-    """
-
-    __slots__ = ("inserted", "deleted")
-
-    def __init__(
-        self,
-        inserted: Dict[str, FrozenSet[Tup]] = None,
-        deleted: Dict[str, FrozenSet[Tup]] = None,
-    ) -> None:
-        self.inserted = {k: frozenset(v) for k, v in (inserted or {}).items() if v}
-        self.deleted = {k: frozenset(v) for k, v in (deleted or {}).items() if v}
-
-    @classmethod
-    def from_changes(cls, changes: Dict[str, ChangePair]) -> "ChangeSet":
-        return cls(
-            inserted={n: ins for n, (ins, _) in changes.items()},
-            deleted={n: dels for n, (_, dels) in changes.items()},
-        )
-
-    def relations(self) -> Tuple[str, ...]:
-        """Every relation this changeset touches, sorted."""
-        return tuple(sorted(set(self.inserted) | set(self.deleted)))
-
-    def is_empty(self) -> bool:
-        """True when nothing changed."""
-        return not self.inserted and not self.deleted
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self.inserted.values()) + sum(
-            len(v) for v in self.deleted.values()
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChangeSet):
-            return NotImplemented
-        return self.inserted == other.inserted and self.deleted == other.deleted
-
-    def __hash__(self) -> int:
-        # Content hash consistent with __eq__ (defining __eq__ alone had
-        # silently made instances unhashable); the server's subscription
-        # fan-out dedupes changesets by it.
-        return hash(
-            (
-                frozenset(self.inserted.items()),
-                frozenset(self.deleted.items()),
-            )
-        )
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            "%s:+%d/-%d"
-            % (name, len(self.inserted.get(name, ())), len(self.deleted.get(name, ())))
-            for name in self.relations()
-        )
-        return "ChangeSet(%s)" % (parts or "empty")
-
-    def format(self) -> str:
-        """A deterministic multi-line rendering (the CLI's output)."""
-        lines: List[str] = []
-        for name in self.relations():
-            ins = self.inserted.get(name, frozenset())
-            dels = self.deleted.get(name, frozenset())
-            lines.append("%s: +%d -%d" % (name, len(ins), len(dels)))
-            for t in sorted(ins, key=repr):
-                lines.append("  + " + ", ".join(str(v) for v in t))
-            for t in sorted(dels, key=repr):
-                lines.append("  - " + ", ".join(str(v) for v in t))
-        return "\n".join(lines) if lines else "(no change)"
 
 
 class ComponentWalk:
@@ -244,7 +172,7 @@ class ComponentWalk:
         """``key``'s current value where an alias holds it."""
         return self._aliases.relations.get(key)
 
-    def apply(self, new_db: Database, changes: Changes) -> Changes:
+    def apply(self, new_db: Database, changes: Staged) -> Changes:
         """Propagate the changes through every component they reach.
 
         Every change is carried as an ``(inserted, deleted)`` pair of
@@ -316,7 +244,7 @@ class RecomputeState:
     def value(self, key: str) -> Relation:
         return self._idb[key]
 
-    def apply(self, new_db: Database, changes: Changes) -> Changes:
+    def apply(self, new_db: Database, changes: Staged) -> Changes:
         result = inflationary_semantics(self.program, new_db)
         moved: Changes = {}
         for pred, after in result.idb.items():
@@ -459,8 +387,14 @@ class MaterializedView:
     # Write side
     # ------------------------------------------------------------------
 
-    def apply(self, delta: Delta) -> ChangeSet:
+    def apply(self, delta: Delta) -> Delta:
         """Apply an EDB delta; return everything that changed.
+
+        The changeset is a :class:`Delta` keyed by every relation that
+        moved: the EDB relations the delta itself moved, every IDB
+        predicate whose value moved in response, and — for
+        ``wellfounded`` views — ``pred@undef`` for the undefined
+        partition.
 
         The delta may only touch the program's EDB relations; tuple
         arities are validated against the database schema before any
@@ -471,7 +405,7 @@ class MaterializedView:
         """
         return self._apply(delta, record_undo=True)
 
-    def apply_many(self, deltas: Iterable[Delta]) -> ChangeSet:
+    def apply_many(self, deltas: Iterable[Delta]) -> Delta:
         """Apply a batch of deltas in one maintenance pass.
 
         The deltas are folded with :meth:`Delta.compose
@@ -494,7 +428,7 @@ class MaterializedView:
             composed = composed.compose(delta)
         return self._apply(composed, record_undo=True)
 
-    def rollback(self, n: int = 1) -> ChangeSet:
+    def rollback(self, n: int = 1) -> Delta:
         """Undo the last ``n`` applied updates (deltas or batches).
 
         The undo log stores the effective inverse of every *effective*
@@ -506,7 +440,7 @@ class MaterializedView:
         shrink, so a rollback restores relation *contents*.
         """
         if n <= 0:
-            return ChangeSet()
+            return Delta.empty()
         if n > len(self._undo):
             raise ValueError(
                 "cannot roll back %d updates; undo log holds %d"
@@ -521,7 +455,7 @@ class MaterializedView:
         del self._undo[-n:]
         return changeset
 
-    def _apply(self, delta: Delta, record_undo: bool) -> ChangeSet:
+    def _apply(self, delta: Delta, record_undo: bool) -> Delta:
         if not (RECORDER.enabled or TRACER.enabled):
             return self._apply_inner(delta, record_undo)
         started = time.perf_counter()
@@ -545,16 +479,27 @@ class MaterializedView:
             RECORDER.observe("repro_maint_delta_size", len(delta))
         return changeset
 
-    def _apply_inner(self, delta: Delta, record_undo: bool) -> ChangeSet:
+    def _apply_inner(self, delta: Delta, record_undo: bool) -> Delta:
         self._validate(delta)
-        effective = delta.normalize(self._db)
+        db = self._db
+        effective = delta.normalize(db)
         if effective.is_empty():
-            return ChangeSet()
-        new_db = self._db.apply_delta(effective)
-        changes: Changes = dict(effective.items())
-        fresh = effective.values() - self._db.universe
+            return effective
+        # Each side is one relation: the database evolves by it and the
+        # state stages it, so its rows are interned once.
+        changes: Staged = {
+            name: tuple(
+                Relation._from_frozenset(name, db[name].arity, side) for side in (ins, dels)
+            )
+            for name, (ins, dels) in effective.items()
+        }
+        new_db = db.apply_delta(changes)
+        fresh = effective.values() - db.universe
         if fresh:
-            changes[UNIVERSE] = (frozenset((v,) for v in fresh), frozenset())
+            changes[UNIVERSE] = (
+                Relation._from_frozenset(UNIVERSE, 1, frozenset((v,) for v in fresh)),
+                Relation.empty(UNIVERSE, 1),
+            )
         if self._state is None:
             # Dropped below by a failed apply: rebuilt here, on the next
             # update, rather than inside the handler — an interrupt must
@@ -587,9 +532,8 @@ class MaterializedView:
             self._undo.append(effective.inverse())
             if self._undo_limit is not None and len(self._undo) > self._undo_limit:
                 del self._undo[: len(self._undo) - self._undo_limit]
-        changes.pop(UNIVERSE, None)  # the engine's own relation: never echoed
-        changes.update(moved)
-        return ChangeSet.from_changes(changes)
+        moved.update(effective.items())  # @U, the engine's own relation, is never echoed
+        return Delta._of(moved)
 
     def validate_delta(self, delta: Delta) -> None:
         """Check a delta against the view's schema without applying it.

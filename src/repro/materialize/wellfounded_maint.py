@@ -139,12 +139,13 @@ class LiveGroundProgram:
         """Patch the instantiation under an *effective* EDB delta.
 
         ``changes`` maps each changed relation to its effective
-        ``(inserted, deleted)`` tuple sets against the pre-change
-        database, and ``@U`` to the universe's fresh values as 1-tuples
-        when it grew; ``new_db`` is the post-change database.  Returns
-        the distinct ``(positive, negative)`` body atom ids of the rules
-        appended to :attr:`index`, in rule-id order (they hold its last
-        ids), and the ids of the rules retired there.
+        ``(inserted, deleted)`` relations against the pre-change
+        database, whose payloads the staged aliases share, and ``@U`` to
+        the universe's fresh values as 1-tuples when it grew; ``new_db``
+        is the post-change database.  Returns the distinct ``(positive,
+        negative)`` body atom ids of the rules appended to :attr:`index`,
+        in rule-id order (they hold its last ids), and the ids of the
+        rules retired there.
         """
         aliases = self._aliases
         changed = frozenset(

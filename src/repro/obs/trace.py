@@ -160,11 +160,6 @@ class Tracer:
             with self._lock:
                 self.roots.append(marker)
 
-    def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     def start(self, slow_threshold: Optional[float] = None) -> None:
         """Begin collecting spans (clears any previous roots)."""
         with self._lock:

@@ -124,15 +124,6 @@ class CNF:
             self.add_clause((v, -lit))
         self.add_clause(tuple(lits) + (-v,))
 
-    def add_iff_and(self, v: int, lits: Sequence[int]) -> None:
-        """Constrain an existing variable: ``v <-> AND(lits)``."""
-        if not lits:
-            self.add_unit(v)
-            return
-        for lit in lits:
-            self.add_clause((-v, lit))
-        self.add_clause(tuple(-lit for lit in lits) + (v,))
-
     def __len__(self) -> int:
         return len(self.clauses)
 

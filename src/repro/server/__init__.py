@@ -12,7 +12,8 @@ already made serving-shaped:
   :meth:`~repro.materialize.view.MaterializedView.apply_many`-equivalent
   maintenance pass per tick;
 * **changesets are the wire payload** — subscribers stream the
-  :class:`~repro.materialize.view.ChangeSet` of every committed batch;
+  changeset of every committed batch, a
+  :class:`~repro.materialize.delta.Delta` like the deltas that go in;
 * **a write-ahead delta log** (:mod:`repro.server.wal`) persists every
   committed batch as one checksummed record — one write and one fsync
   before the ack — plus a periodic database snapshot, so a restarted

@@ -60,7 +60,7 @@ import asyncio
 import json
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
-from ..materialize.view import ChangeSet
+from ..materialize.delta import Delta
 from . import protocol
 from .protocol import ProtocolError
 from .service import OverloadedError, ProgramRejected, ViewServer
@@ -461,12 +461,12 @@ class Client:
         response = await self.request("metrics")
         return response["metrics"]
 
-    async def subscribe(self, view: str) -> AsyncIterator[Tuple[int, ChangeSet]]:
+    async def subscribe(self, view: str) -> AsyncIterator[Tuple[int, Delta]]:
         """Turn this connection into an event stream (see the module doc)."""
         ack = await self.request("subscribe", view=view)
         assert ack.get("subscribed") == view
 
-        async def events() -> AsyncIterator[Tuple[int, ChangeSet]]:
+        async def events() -> AsyncIterator[Tuple[int, Delta]]:
             while True:
                 line = await self._reader.readline()
                 if not line:

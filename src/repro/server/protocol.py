@@ -1,5 +1,10 @@
 """Wire codec: deltas, changesets and databases as JSON values.
 
+A changeset is a :class:`~repro.materialize.delta.Delta` too; the two
+codecs share one side-map helper and differ only in their field names:
+``{"inserts", "deletes"}`` for a request's delta, ``{"inserted",
+"deleted"}`` for a commit's changeset.
+
 The server speaks newline-delimited JSON; this module is the one place
 tuples cross between engine values and wire payloads.  JSON
 distinguishes numbers from strings natively, so the engine's value
@@ -23,7 +28,6 @@ from ..db.csvio import SortedRows
 from ..db.database import Database
 from ..db.relation import Relation
 from ..materialize.delta import Delta
-from ..materialize.view import ChangeSet
 
 
 class ProtocolError(ValueError):
@@ -100,62 +104,53 @@ def _decode_tuple_map(obj: Any, field: str) -> Dict[str, List[Tuple[Any, ...]]]:
 
 
 # ----------------------------------------------------------------------
-# Delta
+# Delta and changeset
 # ----------------------------------------------------------------------
 
 
-def encode_delta(delta: Delta) -> Dict[str, Any]:
-    """A delta as ``{"inserts": {rel: rows}, "deletes": {rel: rows}}``."""
-    inserts = {}
-    deletes = {}
+def _encode_sides(delta: Delta, inserted: str, deleted: str) -> Dict[str, Any]:
+    """``delta`` as ``{inserted: {rel: rows}, deleted: {rel: rows}}``,
+    relations sorted and empty sides left out."""
+    out: Dict[str, Dict[str, Any]] = {inserted: {}, deleted: {}}
     for name, (ins, dels) in delta.items():
         if ins:
-            inserts[name] = encode_tuples(ins)
+            out[inserted][name] = encode_tuples(ins)
         if dels:
-            deletes[name] = encode_tuples(dels)
-    return {"inserts": inserts, "deletes": deletes}
+            out[deleted][name] = encode_tuples(dels)
+    return out
 
 
-def decode_delta(obj: Mapping[str, Any]) -> Delta:
-    """The inverse of :func:`encode_delta` (absent sides are empty)."""
+def _decode_sides(obj: Any, what: str, inserted: str, deleted: str) -> Delta:
+    """The inverse of :func:`_encode_sides` (absent sides are empty)."""
     if not isinstance(obj, Mapping):
-        raise ProtocolError("delta %r is not a JSON object" % (obj,))
+        raise ProtocolError("%s %r is not a JSON object" % (what, obj))
     try:
         return Delta(
-            inserts=_decode_tuple_map(obj.get("inserts"), "inserts"),
-            deletes=_decode_tuple_map(obj.get("deletes"), "deletes"),
+            inserts=_decode_tuple_map(obj.get(inserted), inserted),
+            deletes=_decode_tuple_map(obj.get(deleted), deleted),
         )
     except ValueError as exc:  # overlapping insert/delete of one tuple
         raise ProtocolError(str(exc)) from None
 
 
-# ----------------------------------------------------------------------
-# ChangeSet
-# ----------------------------------------------------------------------
+def encode_delta(delta: Delta) -> Dict[str, Any]:
+    """A delta as ``{"inserts": {rel: rows}, "deletes": {rel: rows}}``."""
+    return _encode_sides(delta, "inserts", "deletes")
 
 
-def encode_changeset(changeset: ChangeSet) -> Dict[str, Any]:
-    """A changeset as ``{"inserted": {...}, "deleted": {...}}``."""
-    return {
-        "inserted": {
-            name: encode_tuples(tuples)
-            for name, tuples in sorted(changeset.inserted.items())
-        },
-        "deleted": {
-            name: encode_tuples(tuples)
-            for name, tuples in sorted(changeset.deleted.items())
-        },
-    }
+def decode_delta(obj: Mapping[str, Any]) -> Delta:
+    """The inverse of :func:`encode_delta` (absent sides are empty)."""
+    return _decode_sides(obj, "delta", "inserts", "deletes")
 
 
-def decode_changeset(obj: Mapping[str, Any]) -> ChangeSet:
+def encode_changeset(changeset: Delta) -> Dict[str, Any]:
+    """A commit's changeset as ``{"inserted": {...}, "deleted": {...}}``."""
+    return _encode_sides(changeset, "inserted", "deleted")
+
+
+def decode_changeset(obj: Mapping[str, Any]) -> Delta:
     """The inverse of :func:`encode_changeset`."""
-    if not isinstance(obj, Mapping):
-        raise ProtocolError("changeset %r is not a JSON object" % (obj,))
-    return ChangeSet(
-        inserted=_decode_tuple_map(obj.get("inserted"), "inserted"),
-        deleted=_decode_tuple_map(obj.get("deleted"), "deleted"),
-    )
+    return _decode_sides(obj, "changeset", "inserted", "deleted")
 
 
 # ----------------------------------------------------------------------

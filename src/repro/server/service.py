@@ -23,8 +23,10 @@ and gives each one the serving discipline the ROADMAP asks for:
   changeset moved, as the snapshot files are patched in the
   :class:`~repro.server.wal.DeltaLog`; a read regroups, sorts and
   encodes nothing, and a commit renders one row per changed tuple.
-* **Changesets are the wire payload.**  :meth:`subscribe` returns an
-  async iterator of ``(seq, changeset)`` events, fanned out to every
+* **Changesets are the wire payload.**  A changeset is a
+  :class:`~repro.materialize.delta.Delta` keyed by every relation the
+  batch moved.  :meth:`subscribe` returns an async iterator of
+  ``(seq, changeset)`` events, fanned out to every
   subscriber as batches commit (empty net changesets are not
   published; the fan-out's recent-events window is deduplicated by the
   changesets' content hash).
@@ -59,7 +61,7 @@ from ..db.csvio import SortedRows
 from ..db.database import Database
 from ..db.relation import Relation
 from ..materialize.delta import Delta
-from ..materialize.view import SEMANTICS, ChangeSet, MaterializedView
+from ..materialize.view import SEMANTICS, MaterializedView
 from ..materialize.wellfounded_maint import UNDEF
 from ..obs import LATENCY_BUCKETS, REGISTRY, SIZE_BUCKETS
 from . import protocol
@@ -200,7 +202,7 @@ class Pinned:
 
 
 class Subscription:
-    """An async iterator of committed ``(seq, ChangeSet)`` events.
+    """An async iterator of committed ``(seq, changeset)`` events.
 
     At most ``_RECENT_WINDOW`` events wait undelivered.  A subscriber
     that falls further behind is unsubscribed: ``lagged`` becomes the
@@ -214,7 +216,7 @@ class Subscription:
         self._closed = False
         self.lagged: Optional[int] = None
 
-    def _publish(self, seq: int, changeset: ChangeSet) -> None:
+    def _publish(self, seq: int, changeset: Delta) -> None:
         if self._closed:
             return
         try:
@@ -235,7 +237,7 @@ class Subscription:
     def __aiter__(self) -> "Subscription":
         return self
 
-    async def __anext__(self) -> Tuple[int, ChangeSet]:
+    async def __anext__(self) -> Tuple[int, Delta]:
         if self._closed and self._queue.empty():
             raise StopAsyncIteration
         event = await self._queue.get()
@@ -563,7 +565,7 @@ class ViewServer:
             "queue_depth": state.queue.qsize(),
             "subscribers": len(state.subscribers),
             "recent_events": len(state.recent),
-            # ChangeSet hashes by content, so the window dedups exactly.
+            # A Delta hashes by content, so the window dedups exactly.
             "distinct_recent_changes": len({cs for _, cs in state.recent}),
             "snapshot_seq": (
                 state.log.snapshot_seq if state.log is not None else None
@@ -692,7 +694,7 @@ class ViewServer:
     # Write side
     # ------------------------------------------------------------------
 
-    async def submit(self, name: str, delta: Delta) -> Tuple[int, ChangeSet]:
+    async def submit(self, name: str, delta: Delta) -> Tuple[int, Delta]:
         """Queue a delta; await its commit.
 
         The delta is validated against the view's schema *now* (a bad
@@ -751,7 +753,7 @@ class ViewServer:
             # committed-state semantics says nothing happened.
             for future in futures:
                 if not future.cancelled():
-                    future.set_result((state.seq, ChangeSet()))
+                    future.set_result((state.seq, composed))
             return
         seq = state.seq + 1
         started = time.perf_counter()
@@ -779,9 +781,7 @@ class ViewServer:
         for (predicate, undefined), (_arity, rows) in state.reads.items():
             moved = predicate + UNDEF if undefined else predicate
             try:
-                rows.advance(
-                    seq, changeset.inserted.get(moved, ()), changeset.deleted.get(moved, ())
-                )
+                rows.advance(seq, changeset.inserts(moved), changeset.deletes(moved))
             except ValueError:
                 # A value the wire cannot carry: left behind, so the next
                 # read renders it from scratch and reports the error.

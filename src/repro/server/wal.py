@@ -74,7 +74,6 @@ from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 from ..db import csvio
 from ..db.database import Database
 from ..materialize.delta import Delta
-from ..materialize.view import ChangeSet
 from ..obs import LATENCY_BUCKETS, REGISTRY
 from . import protocol
 
@@ -421,7 +420,7 @@ class DeltaLog:
     def _snapshot_dir(self, seq: int) -> Path:
         return self.directory / (_SNAPSHOT_PREFIX + _seq_name(seq))
 
-    def advance(self, seq: int, changeset: ChangeSet, db: Database) -> None:
+    def advance(self, seq: int, changeset: Delta, db: Database) -> None:
         """Patch the kept snapshot renderings from commit ``seq - 1`` to
         ``seq``, whose net changeset is ``changeset`` and database ``db``.
 
@@ -433,22 +432,12 @@ class DeltaLog:
         """
         for name, rows in self._rows.items():
             if name != _UNIVERSE:
-                rows.advance(
-                    seq, changeset.inserted.get(name, ()), changeset.deleted.get(name, ())
-                )
+                rows.advance(seq, changeset.inserts(name), changeset.deletes(name))
         universe = self._rows.get(_UNIVERSE)
         if universe is None or universe.seq != seq - 1:
             return
         if len(universe) < len(db.universe):
-            universe.patch(
-                {
-                    (v,)
-                    for name, tuples in changeset.inserted.items()
-                    if name in db
-                    for t in tuples
-                    for v in t
-                }
-            )
+            universe.patch({(v,) for v in changeset.restrict(db.relation_names()).values()})
         if len(universe) == len(db.universe):
             universe.seq = seq
 

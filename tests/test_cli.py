@@ -411,3 +411,88 @@ def test_explain_profile_attributes_phases(workspace, tmp_path, capsys):
 
     doc = json.loads(trace.read_text())
     assert any(e["name"] == "wellfounded" for e in doc["traceEvents"])
+
+
+# ----------------------------------------------------------------------
+# Golden `repro update` output: the changeset rendering, byte for byte
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def golden(workspace, tmp_path):
+    """pi_1 and TC/NOTC over L_4, and four delta directories."""
+    pi1, dbdir = workspace
+    tc = tmp_path / "tc.dl"
+    tc.write_text(
+        "TC(X, Y) :- E(X, Y).\nTC(X, Y) :- E(X, Z), TC(Z, Y).\n"
+        "NOTC(X, Y) :- !TC(X, Y).\n"
+    )
+    deltas = {
+        "swap": {"E.insert.csv": "4,1\n", "E.delete.csv": "2,3\n"},
+        "grow": {"E.insert.csv": "2,3\n5,1\n"},
+        "close": {"E.insert.csv": "4,1\n"},
+        "tail": {"E.insert.csv": "5,1\n"},
+    }
+    dirs = {}
+    for name, files in deltas.items():
+        dirs[name] = tmp_path / name
+        dirs[name].mkdir()
+        for file, text in files.items():
+            (dirs[name] / file).write_text(text)
+    return {"pi1": str(pi1), "tc": str(tc), "db": str(dbdir)}, {
+        name: str(path) for name, path in dirs.items()
+    }
+
+
+def _update_stdout(capsys, program, db, deltas, *flags):
+    args = ["update", program, "--db", db]
+    for delta in deltas:
+        args += ["--delta", delta]
+    assert main(args + list(flags)) == 0
+    return capsys.readouterr().out
+
+
+def test_update_output_is_golden(golden, capsys):
+    files, d = golden
+    out = _update_stdout(capsys, files["tc"], files["db"], [d["swap"]], "--carrier", "NOTC")
+    assert out == (
+        "engine=stratified semantics=stratified delta=Delta(E:+1/-1)\n"
+        "E: +1 -1\n  + 4, 1\n  - 2, 3\n"
+        "NOTC: +4 -4\n  + 1, 3\n  + 1, 4\n  + 2, 3\n  + 2, 4\n"
+        "  - 3, 1\n  - 3, 2\n  - 4, 1\n  - 4, 2\n"
+        "TC: +4 -4\n  + 3, 1\n  + 3, 2\n  + 4, 1\n  + 4, 2\n"
+        "  - 1, 3\n  - 1, 4\n  - 2, 3\n  - 2, 4\n"
+    )
+
+
+def test_update_batch_output_is_golden(golden, capsys):
+    files, d = golden
+    out = _update_stdout(
+        capsys, files["tc"], files["db"], [d["swap"], d["grow"]], "--batch", "--carrier", "NOTC"
+    )
+    assert out == (
+        "engine=stratified semantics=stratified batch of 2 delta(s)\n"
+        "E: +2 -0\n  + 4, 1\n  + 5, 1\n"
+        "NOTC: +5 -10\n  + 1, 5\n  + 2, 5\n  + 3, 5\n  + 4, 5\n  + 5, 5\n"
+        "  - 1, 1\n  - 2, 1\n  - 2, 2\n  - 3, 1\n  - 3, 2\n  - 3, 3\n"
+        "  - 4, 1\n  - 4, 2\n  - 4, 3\n  - 4, 4\n"
+        "TC: +14 -0\n  + 1, 1\n  + 2, 1\n  + 2, 2\n  + 3, 1\n  + 3, 2\n  + 3, 3\n"
+        "  + 4, 1\n  + 4, 2\n  + 4, 3\n  + 4, 4\n  + 5, 1\n  + 5, 2\n  + 5, 3\n  + 5, 4\n"
+    )
+
+
+def test_update_wellfounded_output_is_golden(golden, capsys):
+    files, d = golden
+    out = _update_stdout(
+        capsys, files["pi1"], files["db"], [d["close"], d["tail"]], "--semantics", "wellfounded"
+    )
+    assert out == (
+        "engine=wellfounded semantics=wellfounded delta=Delta(E:+1/-0)\n"
+        "E: +1 -0\n  + 4, 1\n"
+        "T: +0 -2\n  - 2\n  - 4\n"
+        "T@undef: +4 -0\n  + 1\n  + 2\n  + 3\n  + 4\n"
+        "engine=wellfounded semantics=wellfounded delta=Delta(E:+1/-0)\n"
+        "E: +1 -0\n  + 5, 1\n"
+        "T: +2 -0\n  + 1\n  + 3\n"
+        "T@undef: +0 -4\n  - 1\n  - 2\n  - 3\n  - 4\n"
+    )

@@ -77,18 +77,6 @@ def test_with_relations_adds_new():
     assert "T" in db2 and "U" in db2
 
 
-def test_without_and_restrict():
-    db = Database({1}, [Relation("A", 1, []), Relation("B", 1, [])])
-    assert db.without("A").relation_names() == ("B",)
-    assert db.restrict(["A"]).relation_names() == ("A",)
-
-
-def test_active_domain():
-    db = Database({1, 2, 3, 4}, [Relation("E", 2, [(1, 2)])])
-    assert db.active_domain() == {1, 2}
-    assert db.universe == {1, 2, 3, 4}
-
-
 def test_equality_and_hash():
     a = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
     b = Database({1, 2}, [Relation("E", 2, [(1, 2)])])
@@ -101,13 +89,6 @@ def test_equality_and_hash():
 def test_relation_names_sorted():
     db = Database({1}, [Relation("Z", 1, []), Relation("A", 1, [])])
     assert db.relation_names() == ("A", "Z")
-
-
-def test_active_domain_cached_per_instance():
-    db = Database({1, 2, 3, 4}, [Relation("E", 2, [(1, 2), (2, 3)])])
-    first = db.active_domain()
-    assert first == frozenset({1, 2, 3})
-    assert db.active_domain() is first  # computed once per instance
 
 
 def test_sorted_universe_cached_and_deterministic():

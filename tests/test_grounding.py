@@ -135,7 +135,9 @@ def test_rows_wider_than_63_bits_ground_through_the_spec():
     live = LiveGroundProgram(program, db)
     delta = Delta.delete("R", swapped[0])
     new_db = db.apply_delta(delta)
-    added, removed = live.apply(new_db, {"R": (frozenset(), delta.deletes("R"))})
+    added, removed = live.apply(
+        new_db, {"R": (Relation("R", 8), Relation("R", 8, delta.deletes("R")))}
+    )
     assert not added and len(removed) == 1
     rules = live_rules(live)
     assert {g for g in rules if g is not None} == set(ground_program(program, new_db).rules)

@@ -29,7 +29,7 @@ from repro.core.semantics import (
 )
 from repro.graphs import generators as gg
 from repro.graphs.encode import graph_to_database
-from repro.materialize import ChangeSet, Delta, MaterializedView
+from repro.materialize import Delta, MaterializedView
 from repro.obs import (
     TRACER,
     MetricsRegistry,
@@ -214,7 +214,7 @@ class TestDirectedMaintenance:
         assert "@U" not in changes.relations()
         # NOTC's completion joins @U: the fresh node is not reachable
         # from anywhere but 4, and reaches nothing.
-        assert (9, 9) in changes.inserted["NOTC"]
+        assert (9, 9) in changes.inserts("NOTC")
         assert view.result.idb == _reference(
             tc_complement_stratified(), view.db, "stratified"
         )
@@ -284,26 +284,36 @@ class TestDirectedMaintenance:
         assert view.result is result
 
     def test_changeset_format(self):
-        changeset = ChangeSet(
-            inserted={"T": {(1,)}}, deleted={"T": {(2,)}, "E": {(1, 2)}}
+        changeset = Delta(
+            inserts={"T": {(1,)}}, deletes={"T": {(2,)}, "E": {(1, 2)}}
         )
         text = changeset.format()
         assert "T: +1 -1" in text
         assert "E: +0 -1" in text
         assert "  + 1" in text and "  - 1, 2" in text
-        assert ChangeSet().format() == "(no change)"
+        assert Delta().format() == "(no change)"
 
     def test_changeset_hashes_by_content(self):
-        a = ChangeSet(inserted={"T": {(1,), (2,)}}, deleted={"E": {(1, 2)}})
-        b = ChangeSet(
-            inserted={"T": {(2,), (1,)}}, deleted={"E": {(1, 2)}}
+        a = Delta(inserts={"T": {(1,), (2,)}}, deletes={"E": {(1, 2)}})
+        b = Delta(
+            inserts={"T": {(2,), (1,)}}, deletes={"E": {(1, 2)}}
         )
-        c = ChangeSet(inserted={"T": {(1,)}})
+        c = Delta(inserts={"T": {(1,)}})
         assert a == b and hash(a) == hash(b)
         # Usable in sets/dicts: the server's recent-events window dedups
         # committed changesets by content.
         assert {a, b, c} == {a, c}
-        assert hash(ChangeSet()) == hash(ChangeSet())
+        assert hash(Delta()) == hash(Delta())
+
+    def test_frozenset_sides_are_adopted_not_copied(self):
+        """A changeset's sides are the sets the state decoded: a side that
+        is already a frozenset of tuples is the delta's own, through
+        ``inverse`` and ``restrict`` too."""
+        side = frozenset({(1, 2), (2, 3)})
+        delta = Delta(deletes={"E": side})
+        assert delta.deletes("E") is side
+        assert delta.inverse().inserts("E") is side
+        assert delta.restrict(["E"]).deletes("E") is side
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +344,7 @@ def _dred_work(view, delta):
         rounds = counter("repro_engine_rounds_total")
     spans = [s for s, _parent in walk(roots)]
     over = sum(s.attrs["rows_out"] for s in spans if s.name == "dred.overdelete")
-    rederived = over - len(changeset.deleted.get("TC", ()))
+    rederived = over - len(changeset.deletes("TC"))
     return changeset, {"over": over, "rederived": rederived, "rounds": rounds}, spans
 
 
@@ -348,11 +358,9 @@ class TestRederive:
             [Delta.delete("E", (2, 3)), Delta.insert("E", (2, 4))]
         )
         assert view.result.idb == _reference(view.program, view.db, "stratified")
-        assert changeset.inserted == {"E": frozenset({(2, 4)})}
-        assert changeset.deleted == {
-            "E": frozenset({(2, 3)}),
-            "TC": frozenset({(1, 3), (2, 3)}),
-        }
+        assert changeset == Delta(
+            inserts={"E": [(2, 4)]}, deletes={"E": [(2, 3)], "TC": [(1, 3), (2, 3)]}
+        )
 
     def test_rollback_resupports_through_an_inserted_edge(self):
         """The same mixed delta, composed by ``rollback(2)``."""
@@ -367,8 +375,9 @@ class TestRederive:
         assert view.result.idb == _reference(program, view.db, "stratified")
         changeset = view.rollback(2)
         assert view.result.idb == before
-        assert changeset.inserted == {"E": frozenset({(2, 4)})}
-        assert changeset.deleted["TC"] == frozenset({(1, 3), (2, 3)})
+        assert changeset == Delta(
+            inserts={"E": [(2, 4)]}, deletes={"E": [(2, 3)], "TC": [(1, 3), (2, 3)]}
+        )
 
     def test_cycle_is_over_deleted_and_rederived_whole(self):
         """Every TC tuple has a derivation through 5->1; the detour
@@ -378,8 +387,7 @@ class TestRederive:
         view = MaterializedView(parse_program(TC), db)
         assert len(view.relation("TC")) == 36
         changeset = view.apply(Delta.delete("E", (5, 1)))
-        assert changeset.deleted == {"E": frozenset({(5, 1)})}
-        assert not changeset.inserted
+        assert changeset == Delta.delete("E", (5, 1))
         assert view.result.idb == _reference(view.program, view.db, "stratified")
 
     def test_work_is_the_over_deleted_set(self):
@@ -393,7 +401,7 @@ class TestRederive:
         view = MaterializedView(parse_program(TC), path)
         changeset, work, spans = _dred_work(view, Delta.delete("E", (k, k + 1)))
         assert work == {"over": k * (n - k), "rederived": 0, "rounds": k}
-        assert len(changeset.deleted["TC"]) == 91
+        assert len(changeset.deletes("TC")) == 91
         # Each phase's rounds are spans of its own, the confirming one last.
         rounds = sorted(
             (s.name, s.attrs["round"]) for s in spans if s.name.endswith(".round")
@@ -404,14 +412,14 @@ class TestRederive:
         view = MaterializedView(parse_program(TC), path)
         changeset, work, _ = _dred_work(view, Delta.insert("E", (1, n)))
         assert work == {"over": 0, "rederived": 0, "rounds": 0}
-        assert changeset.inserted == {"E": frozenset({(1, n)})}
+        assert changeset == Delta.insert("E", (1, n))
 
         edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 6), (6, 1)]
         db = Database(range(1, 7), [Relation("E", 2, edges)])
         view = MaterializedView(parse_program(TC), db)
         changeset, work, _ = _dred_work(view, Delta.delete("E", (5, 1)))
         assert work["over"] == work["rederived"] == 36
-        assert not changeset.deleted.get("TC")
+        assert not changeset.deletes("TC")
 
     def test_delete_that_over_deletes_nothing(self):
         program = parse_program(
@@ -421,7 +429,7 @@ class TestRederive:
         view = MaterializedView(program, db)
         tc = view.relation("TC")
         changeset = view.apply(Delta.delete("E", (3, 3)))
-        assert changeset.deleted == {"E": frozenset({(3, 3)})}
+        assert changeset == Delta.delete("E", (3, 3))
         assert view.relation("TC") is tc  # untouched value, caches intact
         assert view.result.idb == _reference(program, view.db, "stratified")
 
@@ -547,8 +555,8 @@ def test_apply_spans_and_exposition_show_row_traffic():
         assert span.attrs["encoded_rows"] <= 1 + len(changeset)
     # DRed's change and counting's distinct heads are born in codes; each
     # is decoded once.
-    assert applied.attrs["decoded_rows"] == len(changeset.deleted["TC"]) + len(
-        changeset.deleted["ACYC"]
+    assert applied.attrs["decoded_rows"] == len(changeset.deletes("TC")) + len(
+        changeset.deletes("ACYC")
     )
     assert "repro_symbol_tables_total 1\n" in registry.exposition()
 
@@ -708,6 +716,35 @@ def test_live_grounding_runs_one_plan_per_single_edge_delta(monkeypatch):
     assert view.result.true_idb() == well_founded_semantics(program, view.db).true_idb()
 
 
+def test_a_single_edge_update_interns_its_delta_once(monkeypatch):
+    """Over 40 single-edge ACYC updates between known nodes at
+    G(2000, 1400), the one-row side of each is encoded once — the
+    database evolves by it and the walk stages it as ``E@ins`` /
+    ``E@del`` — and no payload evolves by an empty side."""
+    from repro.db import kernel
+
+    rng, program, view, edges = _acyc_view(2000, 1400)
+    encodes, empty_sides = [0], [0]
+    encode, evolved = kernel.RelationCodes.encode.__func__, kernel.RelationCodes.evolved
+
+    def counted_encode(cls, symbols, arity, tuples):
+        encodes[0] += 1
+        return encode(cls, symbols, arity, tuples)
+
+    def checked_evolved(rc, added=None, removed=None):
+        empty_sides[0] += sum(side is not None and not len(side.codes) for side in (added, removed))
+        return evolved(rc, added, removed)
+
+    _single_edge_updates(rng, view, edges, range(1))
+    monkeypatch.setattr(kernel.RelationCodes, "encode", classmethod(counted_encode))
+    monkeypatch.setattr(kernel.RelationCodes, "evolved", checked_evolved)
+    _single_edge_updates(rng, view, edges, range(1, 41))
+    monkeypatch.undo()
+    assert encodes[0] == 40
+    assert empty_sides[0] == 0
+    assert view.result.idb == stratified_semantics(program, view.db).idb
+
+
 def test_width_bump_carries_no_join_index():
     """An insert whose fresh values widen the symbol table's field width
     retires every payload packed under the old width, and with them
@@ -742,8 +779,8 @@ def _assert_idb_changes(before, after, changeset):
     """The changeset's IDB part is exactly the diff of two valuations."""
     for pred, rel in after.items():
         old = before[pred].tuples
-        assert changeset.inserted.get(pred, frozenset()) == rel.tuples - old
-        assert changeset.deleted.get(pred, frozenset()) == old - rel.tuples
+        assert changeset.inserts(pred) == rel.tuples - old
+        assert changeset.deletes(pred) == old - rel.tuples
 
 
 def _property_body(program, db, deltas, semantics):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.db import csvio
 from repro.db.database import Database
 from repro.db.relation import Relation
-from repro.materialize import ChangeSet, Delta
+from repro.materialize import Delta
 from repro.server import ViewServer
 from repro.server import net as net_module
 from repro.server import protocol as protocol_module
@@ -76,8 +76,8 @@ class TestProtocol:
         assert decode_delta(encode_delta(delta)) == delta
 
     def test_changeset_roundtrip(self):
-        changeset = ChangeSet(
-            inserted={"T": {(1,), ("+5",)}}, deleted={"E": {(1, 2)}}
+        changeset = Delta(
+            inserts={"T": {(1,), ("+5",)}}, deletes={"E": {(1, 2)}}
         )
         assert decode_changeset(encode_changeset(changeset)) == changeset
 
@@ -118,7 +118,7 @@ class TestViewServer:
                 "tc", Delta(inserts={"E": [(3, 4)]})
             )
             assert seq == 1
-            assert (1, 4) in changeset.inserted["TC"]
+            assert (1, 4) in changeset.inserts("TC")
             _, edb = service.query("tc", "E")
             assert (3, 4) in set(edb.tuples)
             await service.close()
@@ -232,8 +232,8 @@ class TestViewServer:
                 if len(seen) == 2:
                     break
             assert [s for s, _ in seen] == [1, 2]
-            assert (2, 3) in seen[0][1].inserted["E"]
-            assert (2, 3) in seen[1][1].deleted["E"]
+            assert (2, 3) in seen[0][1].inserts("E")
+            assert (2, 3) in seen[1][1].deletes("E")
             service.unsubscribe(sub)
             assert service.stats("tc")["subscribers"] == 0
             await service.close()
@@ -526,7 +526,7 @@ class TestTcpFrontend:
             assert [1, "01"] in queried["tuples"]
 
             seq, changeset = await events.__anext__()
-            assert seq == 1 and (3, "01") in changeset.inserted["E"]
+            assert seq == 1 and (3, "01") in changeset.inserts("E")
             await watcher.close()
 
             info = await client.request("info", view="tc")
@@ -542,6 +542,43 @@ class TestTcpFrontend:
             with pytest.raises(ServerError, match="unknown op"):
                 await client.request("frobnicate")
 
+            await client.request("shutdown")
+            await client.close()
+            await frontend.wait_stopped()
+
+        _run(scenario())
+
+    def test_commit_wire_bytes_are_pinned(self):
+        """One commit's ``delta`` response and ``change`` event, byte for
+        byte: sides sorted by relation, rows by ``repr``, inserted first."""
+        changeset = (
+            b'"changeset":{"inserted":{"E":[[3,"01"]],"TC":[[2,"01"],[3,"01"]]},'
+            b'"deleted":{"E":[[1,2]],"TC":[[1,2],[1,3]]}}}\n'
+        )
+
+        async def scenario():
+            frontend = TcpFrontend(ViewServer())
+            host, port = await frontend.start()
+            client = await Client.connect(host, port)
+            await client.register(
+                "tc",
+                TC_PROGRAM,
+                db={"relations": {"E": [[1, 2], [2, 3]]}, "arities": {"E": 2}},
+                durable=False,
+            )
+            watcher = await Client.connect(host, port)
+            await watcher.subscribe("tc")
+            client._writer.write(
+                b'{"op":"delta","view":"tc","inserts":{"E":[[3,"01"]]},'
+                b'"deletes":{"E":[[1,2]]}}\n'
+            )
+            await client._writer.drain()
+            assert await client._reader.readline() == b'{"ok":true,"seq":1,' + changeset
+            assert (
+                await watcher._reader.readline()
+                == b'{"event":"change","view":"tc","seq":1,' + changeset
+            )
+            await watcher.close()
             await client.request("shutdown")
             await client.close()
             await frontend.wait_stopped()
@@ -854,9 +891,9 @@ def test_a_commit_renders_one_fragment_per_inserted_tuple(tmp_path, monkeypatch)
         await service.submit("v", Delta(deletes={"E": [(20, 21)]}))
         assert csv_lines == json_rows == []
         _, changeset = await service.submit("v", Delta(inserts={"E": [(20, 21)]}))
-        assert len(changeset.inserted["TC"]) == 20 * 20
+        assert len(changeset.inserts("TC")) == 20 * 20
         assert csv_lines == [(20, 21)]
-        assert sorted(json_rows) == sorted([*changeset.inserted["E"], *changeset.inserted["TC"]])
+        assert sorted(json_rows) == sorted([*changeset.inserts("E"), *changeset.inserts("TC")])
         first = {key: service.read("v", key[0]) for key in state.reads}
         assert state.read_misses == 2
         state.log.snapshot(state.seq, state.view.db)  # renders nothing

@@ -93,10 +93,10 @@ def _assert_changeset_is_the_moves(program, changeset, before, after):
         t_del = {v for p, v in before.true - after.true if p == pred}
         u_ins = {v for p, v in after.undefined - before.undefined if p == pred}
         u_del = {v for p, v in before.undefined - after.undefined if p == pred}
-        assert changeset.inserted.get(pred, frozenset()) == t_ins
-        assert changeset.deleted.get(pred, frozenset()) == t_del
-        assert changeset.inserted.get(undef_name(pred), frozenset()) == u_ins
-        assert changeset.deleted.get(undef_name(pred), frozenset()) == u_del
+        assert changeset.inserts(pred) == t_ins
+        assert changeset.deletes(pred) == t_del
+        assert changeset.inserts(undef_name(pred)) == u_ins
+        assert changeset.deletes(undef_name(pred)) == u_del
 
 
 # ----------------------------------------------------------------------
@@ -190,16 +190,23 @@ class TestWinMoveSeeds:
 # ----------------------------------------------------------------------
 
 
+def _sides(delta, db):
+    """``delta``'s sides against ``db`` as the view hands them over: one
+    relation each, and universe growth as an ``@U`` insertion."""
+    changes = {
+        name: tuple(Relation(name, db[name].arity, side) for side in (ins, dels))
+        for name, (ins, dels) in delta.items()
+    }
+    fresh = delta.values() - db.universe
+    if fresh:
+        changes["@U"] = (Relation("@U", 1, [(v,) for v in fresh]), Relation("@U", 1))
+    return changes
+
+
 def _check_patches(program, db, deltas):
     live = LiveGroundProgram(program, db)
     for delta in deltas:
-        changes = {
-            name: (delta.inserts(name), delta.deletes(name))
-            for name in delta.relations()
-        }
-        fresh = delta.values() - live.db.universe
-        if fresh:  # growth is an @U insertion, as the view hands it over
-            changes["@U"] = (frozenset((v,) for v in fresh), frozenset())
+        changes = _sides(delta, live.db)
         new_db = live.db.apply_delta(delta)
         added, removed = live.apply(new_db, changes)
         new = range(len(live.index.head) - len(added), len(live.index.head))
@@ -294,16 +301,12 @@ class TestLiveGroundProgram:
         before = live_rules(live)
         # Dropping one of the two bindings keeps the ground rule alive.
         d1 = Delta.delete("E", (1, 2))
-        added, removed = live.apply(
-            db.apply_delta(d1), {"E": (frozenset(), d1.deletes("E"))}
-        )
+        added, removed = live.apply(db.apply_delta(d1), _sides(d1, db))
         assert not added and not removed
         assert live_rules(live) == before
         # Dropping the second binding removes it.
         d2 = Delta.delete("E", (1, 3))
-        added, removed = live.apply(
-            live.db.apply_delta(d2), {"E": (frozenset(), d2.deletes("E"))}
-        )
+        added, removed = live.apply(live.db.apply_delta(d2), _sides(d2, live.db))
         assert not added
         index = live.index
         assert ("T", (1,)) in {index.atoms[index.head[r]] for r in removed}
@@ -325,7 +328,7 @@ class TestLiveGroundProgram:
 
         monkeypatch.setattr(GroundRule, "__init__", counting_init)
         for delta in (Delta.delete("E", (1, 2)), Delta.insert("E", (1, 2))):
-            changes = {"E": (delta.inserts("E"), delta.deletes("E"))}
+            changes = _sides(delta, live.db)
             added, removed = live.apply(live.db.apply_delta(delta), changes)
             assert not added and not removed
         assert built == []
