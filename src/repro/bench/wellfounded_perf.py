@@ -40,7 +40,6 @@ program.
 
 from __future__ import annotations
 
-import gc
 import statistics
 import time
 from typing import Dict, List
@@ -80,10 +79,6 @@ def measure_wellfounded_scenario(
     build_s = time.perf_counter() - start
 
     def timed_updates(delta: Delta, undo: Delta) -> List[float]:
-        # Collected first, like the recompute's heap above: a full pass
-        # that earlier allocations made due costs ~14 ms at L_2000, more
-        # than the six probe updates it would otherwise land in.
-        gc.collect()
         times = []
         for _ in range(rounds):
             start = time.perf_counter()

@@ -38,8 +38,7 @@ class Delta:
         Mapping ``{relation name: iterable of tuples}`` to remove.
 
     A side that is already a ``frozenset`` of tuples is taken as it is,
-    not copied; :meth:`_of` adopts known-disjoint pairs without the
-    overlap check.  The content hash is computed on first use.
+    not copied.  The content hash is computed on first use.
 
     Raises
     ------
@@ -67,9 +66,6 @@ class Delta:
                     % (name, sorted(ins & dels, key=repr)[:4])
                 )
             changes[name] = (ins, dels)
-        self._adopt(changes)
-
-    def _adopt(self, changes: Mapping[str, Change]) -> None:
         # Drop relations with no actual change so value equality is exact.
         self._changes = {
             name: change for name, change in changes.items() if change[0] or change[1]
@@ -79,19 +75,6 @@ class Delta:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
-
-    @classmethod
-    def _of(cls, changes: Mapping[str, Change]) -> "Delta":
-        """The delta of ``{name: (inserts, deletes)}`` frozenset pairs, adopted
-        as they are.
-
-        For sides already known disjoint — a diff of two states, or an
-        operation on deltas — so nothing is copied or checked: a
-        changeset of 44k tuples costs its construction one dict.
-        """
-        self = object.__new__(cls)
-        self._adopt(changes)
-        return self
 
     @classmethod
     def empty(cls) -> "Delta":
@@ -157,16 +140,15 @@ class Delta:
         genuine changes.  Relations the database does not contain raise
         ``KeyError`` (same contract as ``apply_delta``).
         """
-        changes: Dict[str, Change] = {}
+        inserts: Dict[str, FrozenSet[Tup]] = {}
+        deletes: Dict[str, FrozenSet[Tup]] = {}
         for name, (ins, dels) in self._changes.items():
             # Membership, not set algebra on ``.tuples``: a code-only
             # relation answers from its sorted codes without decoding.
             existing = db[name]
-            changes[name] = (
-                frozenset(t for t in ins if t not in existing),
-                frozenset(t for t in dels if t in existing),
-            )
-        return Delta._of(changes)
+            inserts[name] = frozenset(t for t in ins if t not in existing)
+            deletes[name] = frozenset(t for t in dels if t in existing)
+        return Delta(inserts, deletes)
 
     def then(self, other: "Delta") -> "Delta":
         """Sequential composition: this delta, then ``other``.
@@ -184,12 +166,14 @@ class Delta:
         transaction reading: a value no tuple of the committed state
         mentions was never in the database.
         """
-        changes: Dict[str, Change] = {}
+        inserts: Dict[str, FrozenSet[Tup]] = {}
+        deletes: Dict[str, FrozenSet[Tup]] = {}
         for name in set(self._changes) | set(other._changes):
             ins1, del1 = self._changes.get(name, _UNCHANGED)
             ins2, del2 = other._changes.get(name, _UNCHANGED)
-            changes[name] = ((ins1 - del2) | ins2, (del1 - ins2) | del2)
-        return Delta._of(changes)
+            inserts[name] = (ins1 - del2) | ins2
+            deletes[name] = (del1 - ins2) | del2
+        return Delta(inserts, deletes)
 
     def compose(self, other: "Delta") -> "Delta":
         """Alias of :meth:`then` — the delta monoid's operation.
@@ -214,13 +198,16 @@ class Delta:
         :class:`~repro.materialize.view.MaterializedView` is built from
         these.
         """
-        effective = self if db is None else self.normalize(db)
-        return Delta._of({n: (d, i) for n, (i, d) in effective._changes.items()})
+        changes = (self if db is None else self.normalize(db))._changes
+        return Delta(
+            {n: d for n, (_, d) in changes.items()}, {n: i for n, (i, _) in changes.items()}
+        )
 
     def restrict(self, names: Iterable[str]) -> "Delta":
         """The sub-delta touching only the given relations."""
         keep = set(names)
-        return Delta._of({n: change for n, change in self._changes.items() if n in keep})
+        changes = [(n, change) for n, change in self._changes.items() if n in keep]
+        return Delta({n: i for n, (i, _) in changes}, {n: d for n, (_, d) in changes})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Delta):

@@ -533,7 +533,9 @@ class MaterializedView:
             if self._undo_limit is not None and len(self._undo) > self._undo_limit:
                 del self._undo[: len(self._undo) - self._undo_limit]
         moved.update(effective.items())  # @U, the engine's own relation, is never echoed
-        return Delta._of(moved)
+        return Delta(
+            {k: i for k, (i, _) in moved.items()}, {k: d for k, (_, d) in moved.items()}
+        )
 
     def validate_delta(self, delta: Delta) -> None:
         """Check a delta against the view's schema without applying it.

@@ -52,6 +52,7 @@ from ..core.program import Program
 from ..core.rules import Rule
 from ..core.semantics.wellfounded import alternate
 from ..db.database import UNIVERSE, Database
+from ..db.relation import Relation
 from ..obs import RECORDER, TRACER
 from .counting import CountingState
 from .delta import Tup
@@ -134,7 +135,7 @@ class LiveGroundProgram:
     def apply(
         self,
         new_db: Database,
-        changes: Mapping[str, Tuple[FrozenSet[Tup], FrozenSet[Tup]]],
+        changes: Mapping[str, Tuple[Relation, Relation]],
     ) -> Tuple[List[Tuple[List[int], List[int]]], List[int]]:
         """Patch the instantiation under an *effective* EDB delta.
 
@@ -209,7 +210,9 @@ class AlternatingState:
         self.live = LiveGroundProgram(program, db)
         self.pair, self.rounds = alternate(self.live.index)
 
-    def apply(self, new_db: Database, changes: Mapping[str, ChangePair]) -> Dict[str, ChangePair]:
+    def apply(
+        self, new_db: Database, changes: Mapping[str, Tuple[Relation, Relation]]
+    ) -> Dict[str, ChangePair]:
         """Maintain the three-valued model under an effective EDB delta.
 
         ``changes`` may carry ``@U`` insertions (see
