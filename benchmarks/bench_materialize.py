@@ -3,8 +3,8 @@
 On the E8 distance program, the single-tuple *shortcut* update through
 ``MaterializedView`` (its transitive closure is already known, so only
 the counting layer works) is at least 5x faster than recomputing the
-stratified fixpoint from scratch at the largest benchmarked size (9.4x
-measured at ``L_36``).  Smaller sizes are reported for the scaling
+stratified fixpoint from scratch at the largest benchmarked size (about
+21x measured at ``L_36``).  Smaller sizes are reported for the scaling
 picture; the assertion only binds at the largest.
 
 The fresh-node streams (40 inserts of an edge to a never-seen node, on
@@ -49,8 +49,8 @@ def test_materialize_update_latency(benchmark):
         # The tail update (delete and re-insert the last edge) flips a
         # changeset as large as the relation (44k tuples at L_36) through
         # the dict-backed counting layer and loses to the codes-resident
-        # recompute (0.2x); it is printed with its changeset size, not
-        # asserted.  The tail bound returns with ROADMAP item 5a
+        # recompute (0.3x); it is printed with its changeset size, not
+        # asserted.  The tail bound returns with ROADMAP item 7a
         # (counting in codes).
         print(
             "n=%2d build=%.3fs scratch=%.4fs | tail=%.4fs (%.1fx, %d changed tuples) "

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 import statistics
-import time
 from typing import Any, Dict
 
 from repro import Database, Relation, parse_program
-from repro.core.semantics import stratified_semantics, well_founded_semantics
+from repro.bench.harness import collector_paused, timed
+from repro.bench.materialize_perf import model, recompute
+from repro.core.semantics import stratified_semantics
+from repro.graphs.generators import gnm
 from repro.materialize import Delta, MaterializedView
 
 
@@ -37,35 +39,26 @@ def measure_growth_stream(
     (*known*: the same change to every relation, the universe aside) —
     and deletes it again.  Returns the median seconds of both inserts,
     the view's ``recomputes`` and an ``equal`` flag: the maintained
-    result equals a from-scratch evaluation on the grown database.
+    result equals a from-scratch evaluation on the grown database.  The
+    stream is one :func:`~repro.bench.harness.collector_paused` measurement.
     """
     rng = random.Random(seed)
-    edges = set()
-    while len(edges) < m:
-        edges.add((rng.randrange(n), rng.randrange(n)))
+    edges = gnm(rng, n, m, loops=True).edges
     program = parse_program(source)
     view = MaterializedView(
         program, Database(range(n), [Relation("E", 2, sorted(edges))]), semantics
     )
 
-    def timed(delta: Delta) -> float:
-        start = time.perf_counter()
-        view.apply(delta)
-        return time.perf_counter() - start
-
     fresh_s, known_s = [], []
-    for i in range(reps):
-        edge = (rng.randrange(n), n + i)
-        fresh_s.append(timed(Delta.insert("E", edge)))
-        view.apply(Delta.delete("E", edge))
-        known_s.append(timed(Delta.insert("E", edge)))
-        view.apply(Delta.delete("E", edge))
-    if semantics == "wellfounded":
-        reference = well_founded_semantics(program, view.db)
-        result = view.result
-        equal = (result.true, result.undefined) == (reference.true, reference.undefined)
-    else:
-        equal = view.result.idb == stratified_semantics(program, view.db).idb
+    with collector_paused():
+        for i in range(reps):
+            edge = (rng.randrange(n), n + i)
+            insert = Delta.insert("E", edge)
+            fresh_s.append(timed(lambda: view.apply(insert))[1])
+            view.apply(Delta.delete("E", edge))
+            known_s.append(timed(lambda: view.apply(insert))[1])
+            view.apply(Delta.delete("E", edge))
+    equal = model(view.result, semantics) == model(recompute(program, view.db, semantics), semantics)
     return {
         "fresh_s": statistics.median(fresh_s),
         "known_s": statistics.median(known_s),
@@ -86,17 +79,14 @@ def measure_single_edge_stream(
     made, the number of new relations ``Relation.evolve`` returned in
     them (``evolves``), the number of plans the counted predicates'
     delta variants ran (``solves``), and an ``equal`` flag: the view
-    equals a recompute.
+    equals a recompute.  The stream is one
+    :func:`~repro.bench.harness.collector_paused` measurement.
     """
     from repro.db import kernel
     from repro.materialize import counting
 
     rng = random.Random(seed)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((u, v))
+    edges = set(gnm(rng, n, m, loops=False).edges)
     program = parse_program(source)
     view = MaterializedView(program, Database(range(n), [Relation("E", 2, sorted(edges))]))
     present = sorted(edges)
@@ -121,31 +111,31 @@ def measure_single_edge_stream(
         return solve(plan, interp)
 
     times = []
-    for index in range(reps + 1):
-        if index % 2 == 0:
-            while True:
-                edge = (rng.randrange(n), rng.randrange(n))
-                if edge[0] != edge[1] and edge not in edges:
-                    break
-            edges.add(edge)
-            present.append(edge)
-            delta = Delta.insert("E", edge)
-        else:
-            edge = present.pop(rng.randrange(len(present)))
-            edges.discard(edge)
-            delta = Delta.delete("E", edge)
-        kernel.SortedRun.__init__ = counted if index else build
-        Relation.evolve = counted_evolve if index else evolve
-        counting.solve_bindings = counted_solve if index else solve
-        try:
-            start = time.perf_counter()
-            view.apply(delta)
+    with collector_paused():
+        for index in range(reps + 1):
+            if index % 2 == 0:
+                while True:
+                    edge = (rng.randrange(n), rng.randrange(n))
+                    if edge[0] != edge[1] and edge not in edges:
+                        break
+                edges.add(edge)
+                present.append(edge)
+                delta = Delta.insert("E", edge)
+            else:
+                edge = present.pop(rng.randrange(len(present)))
+                edges.discard(edge)
+                delta = Delta.delete("E", edge)
+            kernel.SortedRun.__init__ = counted if index else build
+            Relation.evolve = counted_evolve if index else evolve
+            counting.solve_bindings = counted_solve if index else solve
+            try:
+                seconds = timed(lambda: view.apply(delta))[1]
+            finally:
+                kernel.SortedRun.__init__ = build
+                Relation.evolve = evolve
+                counting.solve_bindings = solve
             if index:
-                times.append(time.perf_counter() - start)
-        finally:
-            kernel.SortedRun.__init__ = build
-            Relation.evolve = evolve
-            counting.solve_bindings = solve
+                times.append(seconds)
     return {
         "p50_s": statistics.median(times),
         "index_builds": builds[0],

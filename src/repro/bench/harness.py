@@ -9,9 +9,57 @@ tables, and the pytest benchmarks call the same runners.
 
 from __future__ import annotations
 
+import gc
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, TypeVar
+
+T = TypeVar("T")
+
+PROTOCOL = "timed with the cyclic collector collected once, then paused for the measurement"
+"""How every timed cell is taken (:func:`collector_paused`); table notes cite it."""
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Collect once, then keep the cyclic collector off until the block ends.
+
+    The one timing protocol of ``repro.bench``: a generation-2 pass costs
+    milliseconds, and whether it lands in a timed window depends on the
+    heap's history, not on the code under test.  Collecting first means
+    each measurement starts from the same clean heap; pausing means no
+    pass is billed to whichever call happens to trip it.  A nested use
+    neither collects nor re-enables: the collector stays off until the
+    outermost block ends, then returns to the state it was in.
+    """
+    enabled = gc.isenabled()
+    if enabled:
+        gc.collect()
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def timed(fn: Callable[[], T], repeat: int = 1) -> Tuple[T, float]:
+    """``(result, seconds)``: ``fn()`` run ``repeat`` times, the fastest call.
+
+    The calls run under :func:`collector_paused`, so inside an enclosing
+    measurement nothing is collected between them.  The minimum estimates
+    the code's own cost (the work is deterministic; what a call takes
+    beyond the fastest is the machine); the result is the last call's.
+    """
+    best = float("inf")
+    with collector_paused():
+        for _ in range(repeat):
+            start = time.perf_counter()
+            result = fn()
+            best = min(best, time.perf_counter() - start)
+    return result, best
 
 
 @dataclass

@@ -27,13 +27,12 @@ even before it shows up in the end-to-end tables.
 from __future__ import annotations
 
 import random
-import time
 from itertools import product
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..db import kernel
 from ..db.kernel import KeyMembership, RelationCodes, SymbolTable, as_codes
-from .harness import Table, register
+from .harness import PROTOCOL, Table, register, timed
 
 # Workload shape: R and S share their join key in column 1, over few
 # enough distinct keys that joins fan out (~2 matches per probe on average).
@@ -65,17 +64,6 @@ def _dataset():
              universe[rng.randrange(len(universe))])
         )
     return r_rows, s_rows, universe, sorted(compl_rows)
-
-
-def _best_of(fn: Callable[[], object], repeats: int = _REPEATS):
-    """Run ``fn`` ``repeats`` times; return (best seconds, last result)."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 # ----------------------------------------------------------------------
@@ -123,11 +111,11 @@ def _legacy_complement(universe, rows):
 def run_kernel() -> List[Table]:
     r_rows, s_rows, universe, compl_rows = _dataset()
 
-    legacy: Dict[str, Tuple[float, object]] = {
-        "join": _best_of(lambda: _legacy_join(r_rows, s_rows)),
-        "anti-join": _best_of(lambda: _legacy_antijoin(r_rows, s_rows)),
-        "semi-join filter": _best_of(lambda: _legacy_semijoin(r_rows, s_rows)),
-        "complement": _best_of(lambda: _legacy_complement(universe, compl_rows)),
+    legacy: Dict[str, Tuple[object, float]] = {
+        "join": timed(lambda: _legacy_join(r_rows, s_rows), _REPEATS),
+        "anti-join": timed(lambda: _legacy_antijoin(r_rows, s_rows), _REPEATS),
+        "semi-join filter": timed(lambda: _legacy_semijoin(r_rows, s_rows), _REPEATS),
+        "complement": timed(lambda: _legacy_complement(universe, compl_rows), _REPEATS),
     }
 
     table = Table(
@@ -144,37 +132,37 @@ def run_kernel() -> List[Table]:
     cc = RelationCodes.encode(csym, 2, compl_rows)
     cuni = frozenset(universe)
 
-    t, (li, ri) = _best_of(lambda: kernel.join_codes(rc, sc, [(1, 1)]))
+    (li, ri), t = timed(lambda: kernel.join_codes(rc, sc, [(1, 1)]), _REPEATS)
     got = {(r_rows[i], s_rows[j]) for i, j in zip(li.tolist(), ri.tolist())}
-    _row(table, "join", legacy["join"], t, len(li), got == set(legacy["join"][1]))
+    _row(table, "join", legacy["join"], t, len(li), got == set(legacy["join"][0]))
 
-    t, codes = _best_of(lambda: kernel.antijoin_codes(rc, (1,), sc))
+    codes, t = timed(lambda: kernel.antijoin_codes(rc, (1,), sc), _REPEATS)
     got = RelationCodes(sym, 2, codes).decode()
     _row(table, "anti-join", legacy["anti-join"], t, len(got),
-         got == frozenset(legacy["anti-join"][1]))
+         got == frozenset(legacy["anti-join"][0]))
 
     allowed = KeyMembership(as_codes(sc.key_codes((1,))))
-    t, codes = _best_of(lambda: kernel.semijoin_filter(rc, (1,), allowed))
+    codes, t = timed(lambda: kernel.semijoin_filter(rc, (1,), allowed), _REPEATS)
     got = RelationCodes(sym, 2, codes).decode()
     _row(table, "semi-join filter", legacy["semi-join filter"], t, len(got),
-         got == frozenset(legacy["semi-join filter"][1]))
+         got == frozenset(legacy["semi-join filter"][0]))
 
-    t, codes = _best_of(lambda: kernel.complement_codes(csym, cuni, cc))
+    codes, t = timed(lambda: kernel.complement_codes(csym, cuni, cc), _REPEATS)
     got = RelationCodes(csym, 2, codes).decode()
     _row(table, "complement", legacy["complement"], t, len(got),
-         got == frozenset(legacy["complement"][1]))
+         got == frozenset(legacy["complement"][0]))
 
     table.note(
         "legacy = per-tuple hash index / key set / universe-product set "
-        "over Python string tuples; best of %d runs per cell; encoding is "
-        "outside the timed region (relations live in code space across "
-        "fixpoint rounds)." % _REPEATS
+        "over Python string tuples; best of %d runs per cell, %s; encoding "
+        "is outside the timed region (relations live in code space across "
+        "fixpoint rounds)." % (_REPEATS, PROTOCOL)
     )
     return [table]
 
 
 def _row(table, op, legacy_entry, kernel_s, n_out, ok):
-    legacy_s = legacy_entry[0]
+    legacy_s = legacy_entry[1]
     table.add(
         op,
         n_out,

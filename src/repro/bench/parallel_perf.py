@@ -22,14 +22,13 @@ table would make the gate compare different experiments.
 from __future__ import annotations
 
 import os
-import time
 from typing import List
 
 from ..core.semantics.wellfounded import well_founded_semantics
 from ..db.database import Database
 from ..db.relation import Relation
 from ..queries.library import win_move_program
-from .harness import Table, register
+from .harness import PROTOCOL, Table, register, timed
 
 _WORKERS = (1, 2, 4)
 _WIN_N = 2000
@@ -56,7 +55,8 @@ def run_parallel() -> List[Table]:
     table.note(
         "ok = same model as the sequential engine; the speedup column is "
         "reported, not asserted (with fewer cores than workers the "
-        "workers time-slice and the cells measure exchange overhead)"
+        "workers time-slice and the cells measure exchange overhead); "
+        "each cell is one call, %s" % PROTOCOL
     )
 
     program = win_move_program()
@@ -70,13 +70,9 @@ def run_parallel() -> List[Table]:
         result = well_founded_semantics(program, db, parallel=workers)
         return (result.true, result.undefined)
 
-    started = time.perf_counter()
-    expected = run(0)
-    sequential_s = time.perf_counter() - started
+    expected, sequential_s = timed(lambda: run(0))
     for workers in _WORKERS:
-        started = time.perf_counter()
-        got = run(workers)
-        parallel_s = time.perf_counter() - started
+        got, parallel_s = timed(lambda: run(workers))
         speedup = sequential_s / parallel_s if parallel_s else 0.0
         table.add(
             "%s / %d" % (name, workers),

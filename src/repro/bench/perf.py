@@ -2,14 +2,16 @@
 
 Registered in the same harness as E1–E9 so ``python -m repro.bench perf``
 prints wall-clock tables whose timed cells all call public entry points
-(the engine functions, ``MaterializedView.apply``): the engines (compiled plans, row or
-columnar per input size) against the reference evaluator
+(the engine functions, ``MaterializedView.apply``): the engines (compiled
+plans, every one columnar) against the reference evaluator
 ``theta_legacy``; the engines' scaling at n, 2n, 4n; the materialized-view
 scenario — single-tuple EDB update latency through ``MaterializedView``
 against from-scratch recomputation; and the well-founded engine's scaling.
 The ``ok`` columns assert what actually matters for correctness — all
 paths produce the same valuations — while the timing columns document
 the wins; speedups vary by machine, so they are reported, not asserted.
+Every timed cell goes through :func:`~repro.bench.harness.timed`, the
+collector collected once and paused for the measurement.
 ``--json`` emits the same tables as data; the newest committed
 ``BENCH_*.json`` is the snapshot the CI regression gate compares against
 (``compiled s`` and ``update s`` cells).
@@ -18,8 +20,7 @@ the wins; speedups vary by machine, so they are reported, not asserted.
 from __future__ import annotations
 
 import random
-import time
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 from ..core.fixpoint import idb_equal, idb_union
 from ..core.operator import IDBMap, empty_idb, theta_legacy
@@ -33,7 +34,6 @@ from ..db.database import Database
 from ..core.program import Program
 from ..graphs import generators as gg
 from ..graphs.algorithms import transitive_closure
-from ..graphs.digraph import Digraph
 from ..graphs.encode import graph_to_database
 from ..obs import (
     RECORDER,
@@ -49,7 +49,7 @@ from ..queries import (
     transitive_closure_program,
     win_move_program,
 )
-from .harness import Table, register, scaling_table
+from .harness import PROTOCOL, Table, register, scaling_table, timed
 from .materialize_perf import materialize_table
 from .wellfounded_perf import wellfounded_scaling_table, wellfounded_table
 
@@ -70,48 +70,6 @@ def _legacy_inflationary(program: Program, db: Database) -> IDBMap:
         if idb_equal(nxt, current):
             return current
         current = nxt
-
-
-def _timed(fn: Callable[[], IDBMap]) -> Tuple[IDBMap, float]:
-    """Run ``fn`` several times post-warm, GC paused; report the minimum.
-
-    The gated cells are millisecond-scale: a single shot measures the
-    scheduler (and, on virtualised CI boxes, steal time) as much as the
-    code — observed spread is 2-3x on an otherwise idle machine.  The
-    protocol here is ``timeit``'s: garbage collection paused around the
-    timed region and the minimum of several runs reported, which
-    estimates the code's intrinsic cost.  Both cells of every compared
-    row go through the same protocol, so the speedup columns compare
-    like with like.
-    """
-    import gc
-
-    best = float("inf")
-    out = None
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(7):
-            start = time.perf_counter()
-            out = fn()
-            elapsed = time.perf_counter() - start
-            if elapsed < best:
-                best = elapsed
-    finally:
-        if enabled:
-            gc.enable()
-    return out, best
-
-
-def _gnm(n: int, m: int) -> Digraph:
-    """A seeded uniform digraph on ``0..n-1`` with ``m`` distinct non-loop edges."""
-    rng = random.Random(n)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((u, v))
-    return Digraph(range(n), edges)
 
 
 def _distance_size(n: int) -> int:
@@ -138,15 +96,13 @@ def engine_scaling_tables() -> List[Table]:
     def measure_with(engine, program, graphs, expected):
         def measure(n: int):
             db = graph_to_database(graphs[n])  # fresh: no caches, no symbol table
-            start = time.perf_counter()
-            result = engine(program, db)
-            seconds = time.perf_counter() - start
+            result, seconds = timed(lambda: engine(program, db))
             size = len(result.carrier_value)
             return seconds, size, result.rounds, size == expected[n]
 
         return measure
 
-    graphs = {n: _gnm(n, 2 * n) for n in (200, 400, 800)}
+    graphs = {n: gg.gnm(random.Random(n), n, 2 * n, loops=False) for n in (200, 400, 800)}
     tc = scaling_table(
         "seminaive_least_fixpoint scaling on transitive closure of G(n, 2n)",
         "result tuples",
@@ -180,7 +136,7 @@ def engine_scaling_tables() -> List[Table]:
             "a fresh database (fit rows: the fastest at the largest size); "
             "exponent = least-squares slope of log(fastest s) against log(n) "
             "and against log(result tuples); ok on the second fit row = "
-            "exponent <= 1.3"
+            "exponent <= 1.3; each call %s" % PROTOCOL
         )
     return [tc, distance]
 
@@ -228,22 +184,15 @@ def observability_overhead_table() -> Table:
     implies is reported, but a percentage of a 0.3 ms run moves with
     the run, not with the instrumentation.
     """
-    import gc
-
     calls = 200_000
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        inc = RECORDER.inc
-        ns_per_call = float("inf")
-        for _ in range(5):  # the fastest loop: the rest is the machine
-            start = time.perf_counter()
-            for _ in range(calls):
-                inc("repro_engine_rounds_total")
-            ns_per_call = min(ns_per_call, (time.perf_counter() - start) / calls * 1e9)
-    finally:
-        if enabled:
-            gc.enable()
+    inc = RECORDER.inc
+
+    def disabled_sites() -> None:
+        for _ in range(calls):
+            inc("repro_engine_rounds_total")
+
+    # The fastest of five loops: the rest is the machine.
+    ns_per_call = timed(disabled_sites, repeat=5)[1] / calls * 1e9
 
     n = 24
     path_db = graph_to_database(gg.path(n))
@@ -269,7 +218,7 @@ def observability_overhead_table() -> Table:
         ["workload", "eval s", "obs sites", "ns/site", "overhead %", "ok"],
     )
     for name, fn in cases:
-        _, eval_s = _timed(fn)  # RECORDER and TRACER are off here
+        _, eval_s = timed(fn, repeat=7)  # RECORDER and TRACER are off here
         sites = _count_obs_touchpoints(fn)
         overhead = sites * ns_per_call / (eval_s * 1e9) * 100.0
         table.add(
@@ -279,7 +228,8 @@ def observability_overhead_table() -> Table:
     table.note(
         "overhead %% = obs sites x disabled-facade ns / un-observed runtime "
         "— an upper bound (sites counted from a fully observed run), "
-        "reported; the ok column asserts ns/site < %d" % _OBS_NS_PER_SITE_BOUND
+        "reported; the ok column asserts ns/site < %d; eval s and the facade "
+        "loop are the fastest of 7 and 5 runs, %s" % (_OBS_NS_PER_SITE_BOUND, PROTOCOL)
     )
     return table
 
@@ -328,14 +278,14 @@ def run_perf() -> List[Table]:
         ["engine/program", "compiled s", "legacy s", "speedup", "equal", "ok"],
     )
     for name, compiled_fn, legacy_fn in cases:
-        compiled, compiled_s = _timed(compiled_fn)
-        legacy, legacy_s = _timed(legacy_fn)
+        compiled, compiled_s = timed(compiled_fn, repeat=7)
+        legacy, legacy_s = timed(legacy_fn, repeat=7)
         equal = idb_equal(compiled, legacy)
         speedup = legacy_s / compiled_s if compiled_s > 0 else float("inf")
         table.add(name, compiled_s, legacy_s, "%.1fx" % speedup, equal, equal)
     table.note(
-        "timings are informational (machine-dependent); the ok column "
-        "asserts result equality only"
+        "timings are informational (machine-dependent): the fastest of 7 "
+        "runs, %s; the ok column asserts result equality only" % PROTOCOL
     )
 
     # The serving path: materialized-view single-tuple update latency

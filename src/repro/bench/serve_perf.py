@@ -9,7 +9,7 @@ is one load step reporting requests/second, the p95 request latency
 (as ``p95 s``, the cell the CI regression gate compares, and again in
 milliseconds for reading) and how many commits the single-writer queue
 actually ran — under concurrency that is *fewer* than the number of
-requests, because queued deltas are folded through ``Delta.compose``
+requests, because queued deltas are folded through ``Delta.then``
 into shared maintenance passes.  The ``ok`` column asserts what
 matters: after the storm, the served view equals a from-scratch
 stratified evaluation of the final database, exactly.

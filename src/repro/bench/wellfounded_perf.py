@@ -25,7 +25,9 @@ updates through ``MaterializedView(semantics="wellfounded")``:
 
 From-scratch times run ``well_founded_semantics`` (grounding included —
 that is what "recompute" costs) on a freshly built database, so no cache
-asymmetry favours the view's long-lived relations.  A view update is an
+asymmetry favours the view's long-lived relations; both sides are timed
+by :func:`~repro.bench.materialize_perf.measure_view_updates`, in one
+measurement with the collector paused.  A view update is an
 over-deletion of the affected region plus the batch engine's own resume
 loop over it, so the probe costs a few counter patches and the flip
 about one pass over the ground program without the grounding; every row
@@ -40,77 +42,32 @@ program.
 
 from __future__ import annotations
 
-import statistics
-import time
-from typing import Dict, List
+from typing import Any, Dict
 
 from ..core.semantics import well_founded_semantics
 from ..graphs import generators as gg
 from ..graphs.encode import graph_to_database
-from ..materialize import Delta, MaterializedView
+from ..materialize import Delta
 from ..queries import win_move_program
-from .harness import Table, scaling_table
+from .harness import PROTOCOL, Table, scaling_table, timed
+from .materialize_perf import measure_view_updates
 
 
 def measure_wellfounded_scenario(
     n: int, rounds: int = 2, include_flip: bool = False
-) -> Dict[str, float]:
-    """Update-latency measurements for win–move on ``L_n``.
+) -> Dict[str, Any]:
+    """Win–move on ``L_n``: ``probe`` (and ``flip``) against ``well_founded_semantics``.
 
-    Returns mean seconds for the probe (and optionally flip) single-tuple
-    updates, the from-scratch well-founded recompute, the view build,
-    and an ``equal`` flag asserting the maintained three-valued model
-    — every update is undone, so the view ends on ``L_n`` again —
-    matches the from-scratch evaluation on all partitions.
+    ``flip_s`` is ``None`` unless ``include_flip``.
     """
-    program = win_move_program()
-    # Recompute first, on a heap without the view's grounding, index and
-    # counters, so the collector's passes over them are not billed to it.
-    scratch_times = []
-    for _ in range(rounds):
-        fresh = graph_to_database(gg.path(n))
-        start = time.perf_counter()
-        reference = well_founded_semantics(program, fresh)
-        scratch_times.append(time.perf_counter() - start)
-    scratch_s = statistics.mean(scratch_times)
-
-    start = time.perf_counter()
-    view = MaterializedView(program, graph_to_database(gg.path(n)), semantics="wellfounded")
-    build_s = time.perf_counter() - start
-
-    def timed_updates(delta: Delta, undo: Delta) -> List[float]:
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            view.apply(delta)
-            times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            view.apply(undo)
-            times.append(time.perf_counter() - start)
-        return times
-
-    probe_s = statistics.mean(
-        timed_updates(Delta.insert("E", (1, 1)), Delta.delete("E", (1, 1)))
-    )
-    flip_s = None
+    tail = (n - 1, n)
+    updates = {"probe": (Delta.insert("E", (1, 1)), Delta.delete("E", (1, 1)))}
     if include_flip:
-        tail = (n - 1, n)
-        flip_s = statistics.mean(
-            timed_updates(Delta.delete("E", tail), Delta.insert("E", tail))
-        )
-
-    result = view.result
-    return {
-        "n": n,
-        "build_s": build_s,
-        "probe_s": probe_s,
-        "flip_s": flip_s,
-        "scratch_s": scratch_s,
-        "equal": (
-            result.true == reference.true
-            and result.undefined == reference.undefined
-        ),
-    }
+        updates["flip"] = (Delta.delete("E", tail), Delta.insert("E", tail))
+    m = measure_view_updates(
+        win_move_program(), lambda: graph_to_database(gg.path(n)), "wellfounded", updates, rounds
+    )
+    return dict({"flip_s": None}, **m, n=n)
 
 
 def wellfounded_table(sizes=(400, 2000)) -> Table:
@@ -145,15 +102,15 @@ def wellfounded_table(sizes=(400, 2000)) -> Table:
         "update s = mean latency of MaterializedView.apply on one EDB tuple "
         "(patched grounding, over-deletion of the affected region, resumed "
         "alternation); scratch s = well_founded_semantics on a fresh "
-        "database, grounding included.  ok = the maintained model equals "
-        "the recomputed one.  probe moves no atom; flip re-decides the "
-        "whole path (the parity-flipping worst case)."
+        "database, grounding included; both %s.  ok = the maintained model "
+        "equals the recomputed one.  probe moves no atom; flip re-decides "
+        "the whole path (the parity-flipping worst case)." % PROTOCOL
     )
     return table
 
 
 SCALING_SIZES = (2500, 5000, 10000, 20000)
-SCALING_EXPONENT_BOUND = 1.3  # twelve runs on untouched code read 1.16-1.24
+SCALING_EXPONENT_BOUND = 1.3  # four runs, collector paused, read 1.03-1.06
 SCALING_REPETITIONS = 7
 SCALING_LARGEST_BOUND_S = 1.0
 
@@ -164,9 +121,7 @@ def wellfounded_scaling_table() -> Table:
 
     def measure(n: int):
         db = graph_to_database(gg.path(n))
-        start = time.perf_counter()
-        result = well_founded_semantics(program, db)
-        seconds = time.perf_counter() - start
+        result, seconds = timed(lambda: well_founded_semantics(program, db))
         # On L_n exactly the nodes at odd distance from the dead end win.
         correct = result.is_total and len(result.true) == n // 2
         return seconds, n - 1, result.rounds, correct
@@ -187,10 +142,9 @@ def wellfounded_scaling_table() -> Table:
         "exponent = least-squares slope of log(fastest s) against log(n) / "
         "log(ground rules); ok on the second fit row = exponent <= %.1f and "
         "the largest size under %.0f s (SCALING_EXPONENT_BOUND and "
-        "SCALING_LARGEST_BOUND_S in repro.bench.wellfounded_perf).  "
-        "What is left above 1.0 is the interpreter's: the cyclic collector's "
-        "passes over a heap that grows with n, and cache misses once the "
-        "ground program outgrows L2."
-        % (SCALING_REPETITIONS, SCALING_EXPONENT_BOUND, SCALING_LARGEST_BOUND_S)
+        "SCALING_LARGEST_BOUND_S in repro.bench.wellfounded_perf).  Each call "
+        "is %s, so no collector pass over the growing heap is in it; what is "
+        "left above 1.0 is cache misses once the ground program outgrows L2."
+        % (SCALING_REPETITIONS, SCALING_EXPONENT_BOUND, SCALING_LARGEST_BOUND_S, PROTOCOL)
     )
     return table

@@ -131,6 +131,22 @@ def random_dag(n: int, edge_probability: float, seed: int) -> Digraph:
     return Digraph(nodes, edges)
 
 
+def gnm(rng: random.Random, n: int, m: int, loops: bool) -> Digraph:
+    """A uniform G(n, m) digraph on ``0..n-1``: ``m`` distinct edges from ``rng``.
+
+    Each candidate edge draws its source, then its target, from the
+    caller's generator (a self-loop is redrawn unless ``loops``), so the
+    same generator state always yields the same graph and leaves the
+    generator in the same state for the caller's next draws.
+    """
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if loops or u != v:
+            edges.add((u, v))
+    return Digraph(range(n), edges)
+
+
 def hypercube(dimension: int) -> Digraph:
     """The ``dimension``-cube on bit-string nodes, both edge directions."""
     if dimension < 1:

@@ -37,7 +37,7 @@ change.  This package turns the batch evaluator into a serving engine:
   (property-tested in ``tests/test_materialize.py`` and
   ``tests/test_wellfounded_maintain.py``).  Batching and transactions:
   ``view.apply_many(deltas)`` folds a batch through the
-  :meth:`~repro.materialize.delta.Delta.compose` monoid into one
+  :meth:`~repro.materialize.delta.Delta.then` monoid into one
   maintenance pass, and ``view.rollback(n)`` unwinds the undo log of
   composed effective inverses.
 

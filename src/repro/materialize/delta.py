@@ -155,8 +155,11 @@ class Delta:
 
         ``db.apply_delta(a.then(b))`` yields the same relation contents
         as ``db.apply_delta(a).apply_delta(b)`` for any database the
-        sequence is applicable to, and composition is associative — the
-        delta algebra the batching and undo APIs are built on
+        sequence is applicable to, and composition is associative with
+        ``Delta.empty()`` as identity — the delta monoid
+        :meth:`MaterializedView.apply_many
+        <repro.materialize.view.MaterializedView.apply_many>`,
+        ``rollback`` and the server's batched writer fold with
         (property-tested in ``tests/test_delta_algebra.py``).  One
         deliberate asymmetry: a tuple that churns *within* the
         composition (inserted by ``a``, deleted by ``b``) cancels out
@@ -174,16 +177,6 @@ class Delta:
             inserts[name] = (ins1 - del2) | ins2
             deletes[name] = (del1 - ins2) | del2
         return Delta(inserts, deletes)
-
-    def compose(self, other: "Delta") -> "Delta":
-        """Alias of :meth:`then` — the delta monoid's operation.
-
-        ``Delta.empty()`` is its identity;
-        :meth:`MaterializedView.apply_many
-        <repro.materialize.view.MaterializedView.apply_many>` folds a
-        batch with it to run one maintenance pass for the whole batch.
-        """
-        return self.then(other)
 
     def inverse(self, db=None) -> "Delta":
         """The delta undoing this one (inserts and deletes swapped).

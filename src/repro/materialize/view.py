@@ -408,8 +408,8 @@ class MaterializedView:
     def apply_many(self, deltas: Iterable[Delta]) -> Delta:
         """Apply a batch of deltas in one maintenance pass.
 
-        The deltas are folded with :meth:`Delta.compose
-        <repro.materialize.delta.Delta.compose>` — sequentially
+        The deltas are folded with :meth:`Delta.then
+        <repro.materialize.delta.Delta.then>` — sequentially
         equivalent by the composition law — so maintenance runs *once*
         for the whole batch instead of once per delta, and tuples that
         churn within the batch (inserted then deleted, or vice versa)
@@ -425,7 +425,7 @@ class MaterializedView:
         """
         composed = Delta.empty()
         for delta in deltas:
-            composed = composed.compose(delta)
+            composed = composed.then(delta)
         return self._apply(composed, record_undo=True)
 
     def rollback(self, n: int = 1) -> Delta:
@@ -448,7 +448,7 @@ class MaterializedView:
             )
         composed = Delta.empty()
         for inverse in reversed(self._undo[-n:]):
-            composed = composed.compose(inverse)
+            composed = composed.then(inverse)
         changeset = self._apply(composed, record_undo=False)
         # Entries are consumed only once the rollback landed — same
         # exception contract as _apply's own bookkeeping.

@@ -7,8 +7,8 @@ already made serving-shaped:
   reader pins the current :class:`~repro.db.database.Database` value
   while the writer advances the view;
 * **a single writer queue** (:mod:`repro.server.service`) folds
-  concurrent deltas through :meth:`Delta.compose
-  <repro.materialize.delta.Delta.compose>` into one
+  concurrent deltas through :meth:`Delta.then
+  <repro.materialize.delta.Delta.then>` into one
   :meth:`~repro.materialize.view.MaterializedView.apply_many`-equivalent
   maintenance pass per tick;
 * **changesets are the wire payload** — subscribers stream the

@@ -6,7 +6,7 @@ and gives each one the serving discipline the ROADMAP asks for:
 * **One writer, batched.**  Every view has a single writer task draining
   an :class:`asyncio.Queue`.  Concurrent :meth:`submit` calls enqueue;
   per tick the writer folds everything queued through
-  :meth:`Delta.compose <repro.materialize.delta.Delta.compose>` and runs
+  :meth:`Delta.then <repro.materialize.delta.Delta.then>` and runs
   **one** maintenance pass for the whole batch (the
   :meth:`~repro.materialize.view.MaterializedView.apply_many`
   transaction semantics: tuples that churn within a tick cost nothing).
@@ -746,7 +746,7 @@ class ViewServer:
     def _commit(self, state: _ViewState, batch) -> None:
         composed = Delta.empty()
         for delta, _future in batch:
-            composed = composed.compose(delta)
+            composed = composed.then(delta)
         futures = [future for _delta, future in batch]
         if composed.is_empty():
             # The batch churned to nothing: no log entry, no seq, and the

@@ -1,6 +1,6 @@
 """The delta algebra: composition, inverses, batching, transactions.
 
-``Delta`` is a monoid under :meth:`~repro.materialize.delta.Delta.compose`
+``Delta`` is a monoid under :meth:`~repro.materialize.delta.Delta.then`
 (with ``Delta.empty()`` as identity) whose action on databases matches
 sequential application, and ``inverse(db)`` is the undo element for that
 action.  ``MaterializedView.apply_many`` and ``rollback`` are built on
@@ -60,13 +60,13 @@ class TestCompositionLaws:
     @SLOW
     @given(a=free_deltas(), b=free_deltas(), c=free_deltas())
     def test_compose_is_associative(self, a, b, c):
-        assert a.compose(b).compose(c) == a.compose(b.compose(c))
+        assert a.then(b).then(c) == a.then(b.then(c))
 
     @SLOW
     @given(a=free_deltas())
     def test_empty_is_identity(self, a):
-        assert Delta.empty().compose(a) == a
-        assert a.compose(Delta.empty()) == a
+        assert Delta.empty().then(a) == a
+        assert a.then(Delta.empty()) == a
 
     @SLOW
     @given(db=small_databases(), a=free_deltas(), b=free_deltas())
@@ -78,7 +78,7 @@ class TestCompositionLaws:
         but sticks sequentially (universes never shrink) — the
         transaction semantics, asserted as containment.
         """
-        combined = db.apply_delta(a.compose(b))
+        combined = db.apply_delta(a.then(b))
         stepped = db.apply_delta(a).apply_delta(b)
         assert combined["E"].tuples == stepped["E"].tuples
         assert combined.universe <= stepped.universe

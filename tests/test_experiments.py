@@ -5,10 +5,12 @@ experiment and asserts every `ok` cell.  They double as the executable
 record behind EXPERIMENTS.md.
 """
 
+import gc
+
 import pytest
 
 from repro.bench import all_experiments, experiment
-from repro.bench.harness import Table
+from repro.bench.harness import Table, collector_paused, timed
 
 
 def test_registry_complete():
@@ -66,3 +68,75 @@ class TestHarness:
 
         with pytest.raises(ValueError):
             register("e1", "dup", "dup")(lambda: [])
+
+
+class TestTimingProtocol:
+    """``collector_paused`` / ``timed``: the one way ``repro.bench`` times a cell."""
+
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        was = gc.isenabled()
+        gc.enable()
+        yield
+        if not was:
+            gc.disable()
+
+    def test_collector_is_off_inside_and_restored_after(self):
+        with collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_collector_is_restored_when_the_timed_call_raises(self):
+        def fail():
+            assert not gc.isenabled()
+            raise KeyError("boom")
+
+        with pytest.raises(KeyError):
+            timed(fail)
+        assert gc.isenabled()
+        with pytest.raises(KeyError):
+            with collector_paused():
+                fail()
+        assert gc.isenabled()
+
+    def test_a_nested_use_leaves_the_collector_off_until_the_outer_block_ends(self):
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+            timed(lambda: None)
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_collects_once_per_measurement_not_per_call(self):
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            with collector_paused():
+                for _ in range(3):
+                    timed(lambda: None, repeat=2)
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == [2]
+
+    def test_timed_returns_the_calls_own_result_and_its_seconds(self):
+        calls = []
+
+        def call():
+            calls.append(object())
+            return calls[-1]
+
+        result, seconds = timed(call, repeat=3)
+        assert result is calls[-1] and len(calls) == 3
+        assert 0.0 <= seconds < 1.0

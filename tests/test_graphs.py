@@ -1,5 +1,7 @@
 """Tests for the graph substrate: digraph, generators, algorithms, encode."""
 
+import random
+
 import pytest
 
 from repro.db.database import Database
@@ -85,6 +87,19 @@ class TestGenerators:
     def test_random_digraph_deterministic(self):
         assert gg.random_digraph(6, 0.4, seed=1) == gg.random_digraph(6, 0.4, seed=1)
         assert gg.random_digraph(6, 0.4, seed=1) != gg.random_digraph(6, 0.4, seed=2)
+
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_gnm_draws_from_the_callers_generator(self, loops):
+        """``gnm`` is the inline loop the benchmarks timed: same edges, same draws."""
+        rng, reference = random.Random(7), random.Random(7)
+        edges = set()
+        while len(edges) < 300:
+            u, v = reference.randrange(150), reference.randrange(150)
+            if loops or u != v:
+                edges.add((u, v))
+        g = gg.gnm(rng, 150, 300, loops)
+        assert g.edges == edges and g.nodes == frozenset(range(150))
+        assert rng.random() == reference.random()
 
     def test_random_dag_is_acyclic(self):
         g = gg.random_dag(6, 0.5, seed=0)

@@ -7,7 +7,7 @@ with Hypothesis over the shared strategies:
   first-intern ordered, and ``extern`` inverts ``intern`` exactly;
 * a database's symbol table is *identity-shared* across its whole
   derivation family: ``apply_delta`` streams — applied one by one or
-  fused through ``Delta.compose`` — keep the same table, so dense ids
+  fused through ``Delta.then`` — keep the same table, so dense ids
   survive update streams;
 * WAL replay over interned databases reconstructs exactly the contents
   a live update stream produced, with the replayed family again
@@ -107,7 +107,7 @@ def test_relation_codes_on_database_table(db):
 
 
 # ----------------------------------------------------------------------
-# Symbol-table identity under update streams and Delta.compose
+# Symbol-table identity under update streams and Delta.then
 # ----------------------------------------------------------------------
 
 
@@ -122,7 +122,7 @@ def test_symbol_table_shared_under_delta_streams_and_compose(case):
         stepped = stepped.apply_delta(d)
     composed = deltas[0]
     for d in deltas[1:]:
-        composed = composed.compose(d)
+        composed = composed.then(d)
     fused = db.apply_delta(composed.normalize(db))
 
     # One table for the whole family, however the stream was applied.
